@@ -686,7 +686,6 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 		s.histBytes.Add(-evicted.memBytes())
 		evicted.DropFiltered()
 	}
-	streaming := s.stream.active()
 	if s.hist != nil {
 		rec := &histstore.Record{
 			Port:       ps.id,
@@ -696,22 +695,21 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 			TW:         cp.TW,
 			QM:         cp.QM,
 		}
-		// Append failures are counted by the store's own error counter; the
-		// hot tier keeps serving, so ingestion never stops on a disk fault.
-		if streaming {
-			// Publish to subscribers through the append hook so the stream
-			// reuses the bytes the log write already encoded — the encoder
-			// builds a flow dictionary per call, so a second encode would
-			// put allocations back on the snapshotter path.
-			_ = s.hist.AppendWith(rec, func(payload []byte) {
-				s.stream.publish(ps.id, cp.FreezeTime, cp.PrevFreeze, cp.Special, payload)
-			})
-		} else {
-			_ = s.hist.Append(rec)
-		}
+		// Publish to subscribers through the append hook: the stream reuses
+		// the bytes the log write encoded, and because the hook runs under
+		// the store lock a subscriber sees every record exactly where its
+		// replay of the log (ReplaySince, same lock) left off — whether
+		// anyone is subscribed is decided there, inside publish, not here
+		// ahead of the encode, or a subscriber arriving in between would
+		// miss this record on both paths. Append failures are counted by
+		// the store's own error counter; the hot tier keeps serving, so
+		// ingestion never stops on a disk fault.
+		_ = s.hist.AppendWith(rec, func(payload []byte) {
+			s.stream.publish(ps.id, cp.FreezeTime, cp.PrevFreeze, cp.Special, payload)
+		})
 		return
 	}
-	if streaming {
+	if s.stream.active() {
 		// No durable log, but live subscribers: encode solely for the
 		// stream. Catch-up replay is unavailable on such a switch (nothing
 		// to replay from), so gaps heal only as new checkpoints arrive.

@@ -127,13 +127,12 @@ func (s *System) coldRun(port int, start, end, hotStart uint64) ([]*histstore.Co
 func accumulateCold(acc *timewindow.Accumulator, cold []*histstore.ColdCheckpoint, start, coldEnd uint64) int {
 	visited := 0
 	for _, cc := range cold {
-		rec := cc.Record()
 		lo, hi := start, coldEnd
-		if rec.PrevFreeze > lo {
-			lo = rec.PrevFreeze
+		if p := cc.PrevFreeze(); p > lo {
+			lo = p
 		}
-		if rec.FreezeTime < hi {
-			hi = rec.FreezeTime
+		if f := cc.FreezeTime(); f < hi {
+			hi = f
 		}
 		if hi <= lo {
 			continue

@@ -396,3 +396,94 @@ func TestStreamHubPublishConcurrentUnsubscribe(t *testing.T) {
 		t.Fatal("hub still active after every unsubscribe")
 	}
 }
+
+// TestSubscribeToEmptyHistory is the regression test for the defect the
+// benchmark's set-up found (bench/README "Defects found" 1): subscribing to
+// a switch whose history's active segment holds no record — a fresh System,
+// or one reopened on a log whose segments are all sealed — sent ReplaySince
+// looking for the footer of an unsealed segment and killed the switch
+// (makeslice: len out of range). The subscriber must instead get the
+// records there are, none or all, and then the live tail.
+func TestSubscribeToEmptyHistory(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	feed := func(sys *System, from uint64) uint64 {
+		ts := from
+		for i := 0; i < 60; i++ {
+			ts += 10
+			sys.OnDequeue(deq(fkey(byte(i%3)), 0, ts-40, ts, 8))
+		}
+		sys.Finalize(ts + 1)
+		return ts + 1
+	}
+	// next returns the stream's next frame, failing the test if the switch
+	// does not push one in time.
+	next := func(st *CheckpointStream) CheckpointFrame {
+		t.Helper()
+		type result struct {
+			f   CheckpointFrame
+			err error
+		}
+		got := make(chan result, 1)
+		go func() {
+			f, err := st.Next()
+			got <- result{f, err}
+		}()
+		select {
+		case r := <-got:
+			if r.err != nil {
+				t.Fatalf("stream broke: %v", r.err)
+			}
+			return r.f
+		case <-time.After(5 * time.Second):
+			t.Fatal("no frame within deadline")
+			return CheckpointFrame{}
+		}
+	}
+
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DialCheckpoints(serveStream(t, fresh), 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := feed(fresh, 1000)
+	// Replayed or live, whichever side of the feed the subscription landed.
+	if f := next(st); f.Seq != 1 || f.FreezeTime > end {
+		t.Fatalf("fresh switch: first frame %+v, want seq 1 up to freeze %d", f, end)
+	}
+	st.Close()
+	stats, _ := fresh.HistoryStats()
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopened: every segment sealed, the new active one empty.
+	reborn, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reborn.Close()
+	st, err = DialCheckpoints(serveStream(t, reborn), 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var last uint64
+	for i := int64(0); i < stats.Appended; i++ {
+		f := next(st)
+		if !f.Replay || f.FreezeTime <= last {
+			t.Fatalf("reopened switch: frame %d = %+v, want a replayed one past freeze %d", i, f, last)
+		}
+		last = f.FreezeTime
+	}
+	if last != end {
+		t.Fatalf("replay ended at freeze %d, want %d", last, end)
+	}
+	feed(reborn, end+100)
+	if f := next(st); f.Replay || f.FreezeTime <= end {
+		t.Fatalf("reopened switch: frame after the replay %+v, want a live one past %d", f, end)
+	}
+}

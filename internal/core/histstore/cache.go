@@ -14,13 +14,16 @@ type cacheKey struct {
 	off int64
 }
 
-// cachedCheckpoint is one decoded cold checkpoint resident in the LRU. The
-// query-time cell index (the Algorithm-3 Filtered form) is built lazily on
-// first accumulate and its bytes are charged to the cache retroactively, so
-// checkpoints that are only decoded for their queue monitors stay cheap.
+// cachedCheckpoint is one cold checkpoint resident in the LRU, holding what
+// interval queries read: the coverage and the time windows. The cache is
+// charged for exactly that — the window cells on insert, then the
+// Algorithm-3 cell index (the Filtered form, which shares the cells) when
+// the first accumulate builds it.
 type cachedCheckpoint struct {
-	key cacheKey
-	rec *Record
+	key        cacheKey
+	freezeTime uint64
+	prevFreeze uint64
+	tw         *timewindow.Snapshot
 
 	filterOnce sync.Once
 	filtered   *timewindow.Filtered
@@ -32,7 +35,7 @@ type cachedCheckpoint struct {
 // building it on first use and charging its footprint to the cache.
 func (c *cachedCheckpoint) Filtered(onGrow func(*cachedCheckpoint, int64)) *timewindow.Filtered {
 	c.filterOnce.Do(func() {
-		c.filtered = c.rec.TW.Filter()
+		c.filtered = c.tw.Filter()
 		if onGrow != nil {
 			onGrow(c, c.filtered.MemBytes())
 		}

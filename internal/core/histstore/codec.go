@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/core/timewindow"
@@ -61,6 +62,15 @@ func (r *Record) MemBytes() int64 {
 }
 
 const recFlagSpecial = 1 << 0
+
+// maxRegisterEntries bounds the register geometry a record may declare: the
+// time-window cells (T × 2^k) and, separately, the queue-monitor entries
+// summed over its queues. The decoder allocates by the declared geometry —
+// an all-empty window encodes in one byte — so without a bound a few
+// hostile bytes could demand gigabytes; the encoder refuses the same
+// geometry so that whatever is written can be read back. The paper's
+// configuration is 2^14 cells and ~2^14 entries per queue.
+const maxRegisterEntries = 1 << 20
 
 // appendUvarint / appendZigzag are the primitive writers.
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -133,23 +143,9 @@ func (r *reader) bytes(n int) []byte {
 	return out
 }
 
-// flowDict interns flow keys during encode, assigning dense ids in
-// first-seen order so cell references stay one varint byte for the common
-// case of < 128 distinct flows per checkpoint.
-type flowDict struct {
-	ids   map[flow.Key]uint64
-	flows []flow.Key
-}
-
-func (d *flowDict) id(k flow.Key) uint64 {
-	if id, ok := d.ids[k]; ok {
-		return id
-	}
-	id := uint64(len(d.flows))
-	d.ids[k] = id
-	d.flows = append(d.flows, k)
-	return id
-}
+// idsPool recycles the encoder's id stream: the dictionary id of every valid
+// cell and monitor half, in emission order.
+var idsPool = sync.Pool{New: func() any { return new([]uint32) }}
 
 // EncodeRecord appends the compact encoding of rec to dst and returns the
 // extended slice. The encoding is deterministic: the same record always
@@ -157,6 +153,18 @@ func (d *flowDict) id(k flow.Key) uint64 {
 func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	if rec.TW == nil {
 		return dst, fmt.Errorf("histstore: record without time-window snapshot")
+	}
+	if n := rec.TW.Config().EntriesPerSnapshot(); n > maxRegisterEntries {
+		return dst, fmt.Errorf("histstore: %d time-window cells exceed the codec's limit of %d", n, maxRegisterEntries)
+	}
+	qmEntries := 0
+	for _, qm := range rec.QM {
+		if qm == nil {
+			return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
+		}
+		if qmEntries += len(qm.Entries()); qmEntries > maxRegisterEntries {
+			return dst, fmt.Errorf("histstore: queue-monitor entries exceed the codec's limit of %d", maxRegisterEntries)
+		}
 	}
 	dst = append(dst, codecVersion)
 	var flags byte
@@ -175,54 +183,58 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	dst = appendUvarint(dst, uint64(cfg.T))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.MinPktTxDelayNs))
 
-	// Two passes over the windows: intern every flow first so the
-	// dictionary precedes the cell streams, then emit the streams.
-	dict := &flowDict{ids: make(map[flow.Key]uint64, 64)}
+	// The dictionary precedes the cell streams, so every flow is interned
+	// first — one walk over windows then monitors, in the order the streams
+	// are emitted — and each id is remembered: the emitters below read the
+	// ids back instead of looking the flows up a second time.
+	dict := flow.AcquireInterner()
+	idsp := idsPool.Get().(*[]uint32)
+	ids := (*idsp)[:0]
 	windows := rec.TW.Windows()
 	for _, w := range windows {
 		for i := range w {
 			if w[i].Valid {
-				dict.id(w[i].Flow)
+				ids = append(ids, uint32(dict.Intern(w[i].Flow)))
 			}
 		}
 	}
 	for _, qm := range rec.QM {
-		if qm == nil {
-			continue
-		}
-		for _, e := range qm.Entries() {
+		entries := qm.Entries()
+		for i := range entries {
+			e := &entries[i]
 			if e.Up.Valid {
-				dict.id(e.Up.Flow)
+				ids = append(ids, uint32(dict.Intern(e.Up.Flow)))
 			}
 			if e.Down.Valid {
-				dict.id(e.Down.Flow)
+				ids = append(ids, uint32(dict.Intern(e.Down.Flow)))
 			}
 		}
 	}
-	dst = appendUvarint(dst, uint64(len(dict.flows)))
-	for _, k := range dict.flows {
+	dst = appendUvarint(dst, uint64(dict.Len()))
+	for _, k := range dict.Keys() {
 		dst = k.AppendBinary(dst)
 	}
 
+	next := ids
 	for _, w := range windows {
-		dst = encodeWindow(dst, w, dict)
+		dst, next = encodeWindow(dst, w, next)
 	}
-
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
 	for _, qm := range rec.QM {
-		var err error
-		dst, err = encodeMonitor(dst, qm, dict)
-		if err != nil {
-			return dst, err
-		}
+		dst, next = encodeMonitor(dst, qm, next)
 	}
+	*idsp = ids[:0]
+	idsPool.Put(idsp)
+	dict.Release()
 	return dst, nil
 }
 
 // encodeWindow emits one window's cells: the valid-cell count, the base
 // cycle, then (skip, run) pairs where each run's cells carry a flow id and a
-// zigzag cycle delta against the previous valid cell.
-func encodeWindow(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
+// zigzag cycle delta against the previous valid cell. ids holds the flow ids
+// of the valid cells still to emit, this window's first; the remainder is
+// returned.
+func encodeWindow(dst []byte, w []timewindow.Cell, ids []uint32) ([]byte, []uint32) {
 	nValid := 0
 	for i := range w {
 		if w[i].Valid {
@@ -231,7 +243,7 @@ func encodeWindow(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
 	}
 	dst = appendUvarint(dst, uint64(nValid))
 	if nValid == 0 {
-		return dst
+		return dst, ids
 	}
 	first := 0
 	for !w[first].Valid {
@@ -258,22 +270,21 @@ func encodeWindow(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
 		dst = appendUvarint(dst, uint64(skip))
 		dst = appendUvarint(dst, uint64(run))
 		for j := i; j < i+run; j++ {
-			dst = appendUvarint(dst, dict.id(w[j].Flow))
+			dst = appendUvarint(dst, uint64(ids[j-i]))
 			dst = appendZigzag(dst, int64(w[j].CycleID)-int64(pred))
 			pred = w[j].CycleID
 		}
+		ids = ids[run:]
 		i += run
 	}
-	return dst
+	return dst, ids
 }
 
 // encodeMonitor emits one queue monitor snapshot: config, top pointer, and
 // the occupied entries as (skip, halves) pairs with sequence numbers
 // delta-encoded in level order (the staircase makes them near-monotonic).
-func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, error) {
-	if qm == nil {
-		return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
-	}
+// ids is consumed as in encodeWindow, one id per valid half.
+func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []uint32) {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
 	dst = appendUvarint(dst, uint64(cfg.GranuleCells))
@@ -289,7 +300,7 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, e
 	var predSeq uint64
 	skip := 0
 	for i := range entries {
-		e := entries[i]
+		e := &entries[i]
 		if !e.Up.Valid && !e.Down.Valid {
 			skip++
 			continue
@@ -305,60 +316,101 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, e
 		}
 		dst = append(dst, halves)
 		if e.Up.Valid {
-			dst = appendUvarint(dst, dict.id(e.Up.Flow))
+			dst = appendUvarint(dst, uint64(ids[0]))
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
+			ids = ids[1:]
 		}
 		if e.Down.Valid {
-			dst = appendUvarint(dst, dict.id(e.Down.Flow))
+			dst = appendUvarint(dst, uint64(ids[0]))
 			dst = appendZigzag(dst, int64(e.Down.Seq)-int64(predSeq))
 			predSeq = e.Down.Seq
+			ids = ids[1:]
 		}
 	}
-	return dst, nil
+	return dst, ids
 }
 
 // DecodeRecord decodes a payload produced by EncodeRecord. The returned
 // record owns freshly allocated snapshots; the input buffer may be reused.
 func DecodeRecord(b []byte) (*Record, error) {
 	r := &reader{b: b}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("histstore: unknown record version %d", v)
+	rec, flows, err := decodeWindows(r)
+	if err != nil {
+		return nil, err
 	}
-	flags := r.byte()
-	rec := &Record{Special: flags&recFlagSpecial != 0}
-	rec.Port = int(r.uvarint())
-	rec.FreezeTime = r.uvarint()
-	rec.PrevFreeze = rec.FreezeTime - r.uvarint()
-
-	var cfg timewindow.Config
-	cfg.M0 = uint(r.uvarint())
-	cfg.K = uint(r.uvarint())
-	cfg.Alpha = uint(r.uvarint())
-	cfg.T = int(r.uvarint())
-	if raw := r.bytes(8); raw != nil {
-		cfg.MinPktTxDelayNs = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	nQueues := r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if nQueues > uint64(len(b)) {
+		return nil, fmt.Errorf("histstore: %d queue monitors exceeds payload", nQueues)
+	}
+	rec.QM = make([]*qmonitor.Snapshot, nQueues)
+	budget := maxRegisterEntries
+	for q := range rec.QM {
+		qm, err := decodeMonitor(r, flows, budget)
+		if err != nil {
+			return nil, err
+		}
+		budget -= len(qm.Entries())
+		rec.QM[q] = qm
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
+	return rec, nil
+}
+
+// decodeWindows decodes the leading part of a payload — header, flow
+// dictionary, time windows — and leaves r at the queue-monitor section,
+// which is last. It is all an interval query reads of a checkpoint, so the
+// cold cache stops here (rec.QM stays nil); DecodeRecord goes on with flows,
+// the dictionary the monitor halves refer to.
+func decodeWindows(r *reader) (rec *Record, flows []flow.Key, err error) {
+	if v := r.byte(); r.err == nil && v != codecVersion {
+		return nil, nil, fmt.Errorf("histstore: unknown record version %d", v)
+	}
+	flags := r.byte()
+	rec = &Record{Special: flags&recFlagSpecial != 0}
+	rec.Port = int(r.uvarint())
+	rec.FreezeTime = r.uvarint()
+	rec.PrevFreeze = rec.FreezeTime - r.uvarint()
+
+	m0, k, alpha, t := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+	var minDelay float64
+	if raw := r.bytes(8); raw != nil {
+		minDelay = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	}
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	// Range-check before narrowing: Validate's own sums would wrap on values
+	// only a hostile payload carries.
+	if m0 > 63 || k > 63 || alpha > 63 || t > 63 {
+		return nil, nil, fmt.Errorf("histstore: window config (m0 %d, k %d, alpha %d, T %d) out of range", m0, k, alpha, t)
+	}
+	cfg := timewindow.Config{M0: uint(m0), K: uint(k), Alpha: uint(alpha), T: int(t), MinPktTxDelayNs: minDelay}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("histstore: bad window config in record: %w", err)
+		return nil, nil, fmt.Errorf("histstore: bad window config in record: %w", err)
+	}
+	if n := cfg.EntriesPerSnapshot(); n > maxRegisterEntries {
+		return nil, nil, fmt.Errorf("histstore: %d time-window cells exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
 
 	nFlows := r.uvarint()
-	if r.err == nil && nFlows > uint64(len(b)/flow.KeyWireSize+1) {
-		return nil, fmt.Errorf("histstore: flow dictionary of %d entries exceeds payload", nFlows)
+	if r.err == nil && nFlows > uint64(len(r.b)/flow.KeyWireSize+1) {
+		return nil, nil, fmt.Errorf("histstore: flow dictionary of %d entries exceeds payload", nFlows)
 	}
-	flows := make([]flow.Key, nFlows)
+	flows = make([]flow.Key, nFlows)
 	for i := range flows {
 		raw := r.bytes(flow.KeyWireSize)
 		if r.err != nil {
-			return nil, r.err
+			return nil, nil, r.err
 		}
 		k, _, err := flow.DecodeKey(raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		flows[i] = k
 	}
@@ -369,35 +421,15 @@ func DecodeRecord(b []byte) (*Record, error) {
 	for i := range windows {
 		w := flat[i*cells : (i+1)*cells : (i+1)*cells]
 		if err := decodeWindow(r, w, flows); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		windows[i] = w
 	}
-	tw, err := timewindow.NewSnapshot(cfg, windows)
+	rec.TW, err = timewindow.NewSnapshot(cfg, windows)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rec.TW = tw
-
-	nQueues := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nQueues > uint64(len(b)) {
-		return nil, fmt.Errorf("histstore: %d queue monitors exceeds payload", nQueues)
-	}
-	rec.QM = make([]*qmonitor.Snapshot, nQueues)
-	for q := range rec.QM {
-		qm, err := decodeMonitor(r, flows)
-		if err != nil {
-			return nil, err
-		}
-		rec.QM[q] = qm
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return rec, nil
+	return rec, flows, nil
 }
 
 func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
@@ -443,17 +475,23 @@ func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
 	return nil
 }
 
-func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
-	var cfg qmonitor.Config
-	cfg.MaxDepthCells = int(r.uvarint())
-	cfg.GranuleCells = int(r.uvarint())
-	top := int(r.uvarint())
+// decodeMonitor decodes one queue monitor; budget is what is left of
+// maxRegisterEntries for it.
+func decodeMonitor(r *reader, flows []flow.Key, budget int) (*qmonitor.Snapshot, error) {
+	maxDepth, granule, top := r.uvarint(), r.uvarint(), r.uvarint()
 	nOcc := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
+	if maxDepth > math.MaxInt32 || granule > math.MaxInt32 || top > math.MaxInt32 {
+		return nil, fmt.Errorf("histstore: monitor config (max depth %d, granule %d, top %d) out of range", maxDepth, granule, top)
+	}
+	cfg := qmonitor.Config{MaxDepthCells: int(maxDepth), GranuleCells: int(granule)}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("histstore: bad monitor config in record: %w", err)
+	}
+	if cfg.Entries() > budget {
+		return nil, fmt.Errorf("histstore: queue-monitor entries exceed the codec's limit of %d", maxRegisterEntries)
 	}
 	entries := make([]qmonitor.Entry, cfg.Entries())
 	if nOcc > uint64(len(entries)) {
@@ -467,7 +505,7 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if skip > uint64(len(entries)-i-1) || halves == 0 || halves > 3 {
+		if i >= len(entries) || skip > uint64(len(entries)-i-1) || halves == 0 || halves > 3 {
 			return nil, fmt.Errorf("histstore: monitor entry (skip %d, halves %#x) overflows at level %d", skip, halves, i)
 		}
 		i += int(skip)
@@ -489,7 +527,7 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 		entries[i] = e
 		i++
 	}
-	return qmonitor.NewSnapshot(cfg, entries, top)
+	return qmonitor.NewSnapshot(cfg, entries, int(top))
 }
 
 func decodeHalf(r *reader, flows []flow.Key, predSeq *uint64) (qmonitor.Half, error) {

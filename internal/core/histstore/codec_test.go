@@ -3,6 +3,7 @@ package histstore
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"printqueue/internal/core/qmonitor"
@@ -74,8 +75,10 @@ func assertRecordsEqual(t *testing.T, want, got *Record) {
 	if got.TW.Config() != want.TW.Config() {
 		t.Fatalf("TW config mismatch: got %+v want %+v", got.TW.Config(), want.TW.Config())
 	}
-	if !reflect.DeepEqual(got.TW.Windows(), want.TW.Windows()) {
-		t.Fatal("window cells differ after round trip")
+	for i, w := range want.TW.Windows() {
+		if !slices.Equal(got.TW.Windows()[i], w) {
+			t.Fatalf("window %d cells differ after round trip", i)
+		}
 	}
 	if len(got.QM) != len(want.QM) {
 		t.Fatalf("QM count %d, want %d", len(got.QM), len(want.QM))
@@ -84,7 +87,7 @@ func assertRecordsEqual(t *testing.T, want, got *Record) {
 		if got.QM[q].Config() != want.QM[q].Config() || got.QM[q].Top() != want.QM[q].Top() {
 			t.Fatalf("QM[%d] config/top mismatch", q)
 		}
-		if !reflect.DeepEqual(got.QM[q].Entries(), want.QM[q].Entries()) {
+		if !slices.Equal(got.QM[q].Entries(), want.QM[q].Entries()) {
 			t.Fatalf("QM[%d] entries differ after round trip", q)
 		}
 	}

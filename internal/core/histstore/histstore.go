@@ -7,8 +7,9 @@
 // query that reaches past the hot tier asks the store for the cold
 // checkpoints Covering its interval; the store locates them via the
 // per-segment time-indexed footers (loaded lazily, on first touch), decodes
-// them on miss, and keeps the decoded form — including the lazily built
-// Algorithm-3 cell index — in the LRU so repeated narrow queries over deep
+// on miss the part of them an interval query reads — coverage and time
+// windows, not the queue monitors — and keeps that, with the lazily built
+// Algorithm-3 cell index, in the LRU so repeated narrow queries over deep
 // history stay sub-millisecond while resident memory stays bounded.
 package histstore
 
@@ -84,7 +85,6 @@ type Store struct {
 	sealed    []*segment // ascending seq
 	nextSeq   uint64
 	sinceSync int
-	encBuf    []byte
 
 	maxFreezeSeen uint64 // newest freeze time ever appended (age pruning)
 
@@ -278,33 +278,42 @@ func (s *Store) Append(rec *Record) error {
 
 // AppendWith is Append with a post-write hook: after the record is framed
 // into the active segment, fn (if non-nil) is invoked — still under the
-// store lock — with the encoded payload. The checkpoint stream publishes
-// through this hook so subscribers reuse the bytes the log write already
-// produced: EncodeRecord builds a per-call flow dictionary, so a second
-// encode for the stream would put an allocation back on the snapshotter
-// path. fn must copy whatever it keeps; the buffer is reused by the next
-// append.
+// store lock, so hook order is log order — with the encoded payload. The
+// checkpoint stream publishes through this hook so subscribers reuse the
+// bytes the log write already produced instead of encoding twice. fn must
+// copy whatever it keeps; the buffer goes back to a pool on return.
+//
+// The encode itself runs before the lock is taken: it is the expensive part
+// of an append, and Covering, ReplaySince and Stats need not queue behind
+// it. Appends from one goroutine still land in call order.
 func (s *Store) AppendWith(rec *Record, fn func(payload []byte)) error {
+	bufp := encBufPool.Get().(*[]byte)
+	payload, err := EncodeRecord((*bufp)[:0], rec)
+	*bufp = payload[:0]
+	defer encBufPool.Put(bufp)
+	if err != nil {
+		s.appendErrs.Inc()
+		return err
+	}
+	raw := rec.MemBytes()
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("histstore: store is closed")
 	}
-	payload, err := EncodeRecord(s.encBuf[:0], rec)
-	s.encBuf = payload[:0]
-	if err != nil {
-		s.appendErrs.Inc()
-		return err
-	}
 	if err := s.appendPayloadLocked(payload, rec.Port, rec.FreezeTime, rec.PrevFreeze, recFlags(rec)); err != nil {
 		return err
 	}
-	s.rawBytes.Add(rec.MemBytes())
+	s.rawBytes.Add(raw)
 	if fn != nil {
 		fn(payload)
 	}
 	return nil
 }
+
+// encBufPool recycles AppendWith's encode buffers.
+var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendEncoded appends an already-encoded record payload under the given
 // indexed metadata, skipping the encode entirely. This is the mirror-side
@@ -442,16 +451,23 @@ func (s *Store) updateDiskGaugesLocked() {
 	s.segments.Set(n)
 }
 
-// ColdCheckpoint is one checkpoint served from the cold tier. Coverage and
-// snapshots come from the decoded Record; Filtered builds (or reuses) the
-// cached query index.
+// ColdCheckpoint is one checkpoint served from the cold tier, decoded as far
+// as an interval query reads it: its coverage (PrevFreeze, FreezeTime], its
+// window configuration, and the filtered, indexed time windows. The queue
+// monitors are not decoded (see DecodeRecord for the whole record).
 type ColdCheckpoint struct {
 	store *Store
 	cp    *cachedCheckpoint
 }
 
-// Record returns the decoded checkpoint.
-func (c *ColdCheckpoint) Record() *Record { return c.cp.rec }
+// FreezeTime returns the end of the checkpoint's coverage.
+func (c *ColdCheckpoint) FreezeTime() uint64 { return c.cp.freezeTime }
+
+// PrevFreeze returns the (exclusive) start of the checkpoint's coverage.
+func (c *ColdCheckpoint) PrevFreeze() uint64 { return c.cp.prevFreeze }
+
+// Config returns the checkpoint's time-window configuration.
+func (c *ColdCheckpoint) Config() timewindow.Config { return c.cp.tw.Config() }
 
 // Filtered returns the checkpoint's filtered, indexed time-window form,
 // built lazily and charged to the store's cache budget.
@@ -526,7 +542,7 @@ func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error)
 		out = append(out, &ColdCheckpoint{store: s, cp: cp})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].cp.rec.FreezeTime < out[j].cp.rec.FreezeTime
+		return out[i].cp.freezeTime < out[j].cp.freezeTime
 	})
 	return out, nil
 }
@@ -560,7 +576,9 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 		segs = append(segs, s.activeSeg)
 	}
 	for _, seg := range segs {
-		if seg.count > 0 && seg.maxFreeze <= since {
+		// An empty segment (the fresh active one) has nothing to replay and
+		// no footer to load an index from.
+		if seg.count == 0 || seg.maxFreeze <= since {
 			continue
 		}
 		if seg.index == nil {
@@ -613,7 +631,8 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 	return nil
 }
 
-// decodeAt reads and decodes the record at the given location, inserting it
+// decodeAt reads the record at the given location, decodes what queries read
+// of it — everything up to the queue-monitor section — and inserts that
 // into the LRU. A racing decode of the same record is deduplicated: the
 // first insert wins.
 func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*cachedCheckpoint, error) {
@@ -627,12 +646,18 @@ func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*cachedCh
 	if err != nil {
 		return nil, err
 	}
-	rec, err := DecodeRecord(payload)
+	rec, _, err := decodeWindows(&reader{b: payload})
 	if err != nil {
 		return nil, err
 	}
 	s.decodeNs.Observe(uint64(time.Since(t0).Nanoseconds()))
-	cp := &cachedCheckpoint{key: key, rec: rec, bytes: rec.MemBytes()}
+	cp := &cachedCheckpoint{
+		key:        key,
+		freezeTime: rec.FreezeTime,
+		prevFreeze: rec.PrevFreeze,
+		tw:         rec.TW,
+		bytes:      rec.MemBytes(),
+	}
 	return s.cache.put(key, cp), nil
 }
 

@@ -276,12 +276,16 @@ func openSealed(path string, seq uint64) (seg *segment, ok bool, err error) {
 // loadIndex reads and verifies a sealed segment's footer, populating
 // s.index. Called lazily under the store lock on first query touch.
 func (s *segment) loadIndex() error {
+	footerLen := s.fileSize - segTrailerSize - s.recordEnd
+	if footerLen < 0 {
+		// An unsealed segment: its index lives in memory, there is no footer.
+		return fmt.Errorf("histstore: %s has no footer to load an index from", s.path)
+	}
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	footerLen := s.fileSize - segTrailerSize - s.recordEnd
 	footer := make([]byte, footerLen)
 	if _, err := f.ReadAt(footer, s.recordEnd); err != nil {
 		return err

@@ -60,8 +60,8 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	}
 	for i, cp := range cps {
 		want := uint64(1000 + (i+1)*100)
-		if cp.Record().FreezeTime != want {
-			t.Fatalf("checkpoint %d: freeze %d, want %d", i, cp.Record().FreezeTime, want)
+		if cp.FreezeTime() != want {
+			t.Fatalf("checkpoint %d: freeze %d, want %d", i, cp.FreezeTime(), want)
 		}
 	}
 
@@ -70,11 +70,11 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 1 || cps[0].Record().FreezeTime != 1400 {
+	if len(cps) != 1 || cps[0].FreezeTime() != 1400 {
 		t.Fatalf("narrow query: got %d checkpoints (freeze %v), want the 1400 checkpoint",
 			len(cps), func() any {
 				if len(cps) > 0 {
-					return cps[0].Record().FreezeTime
+					return cps[0].FreezeTime()
 				}
 				return nil
 			}())
@@ -87,7 +87,7 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 1 || cps[0].Record().FreezeTime != 1500 {
+	if len(cps) != 1 || cps[0].FreezeTime() != 1500 {
 		t.Fatalf("boundary query returned %d checkpoints, want exactly the 1500 one", len(cps))
 	}
 
@@ -127,7 +127,7 @@ func TestStoreRotationAndReopen(t *testing.T) {
 		t.Fatalf("reopened store found %d checkpoints, want 40", len(cps))
 	}
 	for i := 1; i < len(cps); i++ {
-		if cps[i].Record().FreezeTime <= cps[i-1].Record().FreezeTime {
+		if cps[i].FreezeTime() <= cps[i-1].FreezeTime() {
 			t.Fatal("checkpoints not ascending after reopen across segments")
 		}
 	}
@@ -318,5 +318,116 @@ func TestStoreOpenIgnoresForeignFiles(t *testing.T) {
 	appendChain(t, st, 0, 2, 1000)
 	if st.Stats().Appended != 2 {
 		t.Fatal("store failed to operate alongside foreign files")
+	}
+}
+
+// TestStoreCacheChargesWhatQueriesRead pins the cold cache's accounting on
+// the paper's register geometry: an entry is charged the time-window cells
+// it holds plus, once built, the cell index — not the queue monitors (never
+// decoded) and not a second copy of the cells — and therefore a fixed budget
+// keeps at least 2.5x the checkpoints it kept when it was charged for those
+// too.
+func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
+	const budget = 32 << 20
+	base := seededRecords(t, true)[0].rec // many flows: the largest index
+	st := openTestStore(t, t.TempDir(), Options{CacheBytes: budget})
+	defer st.Close()
+	const n = 60
+	prev := uint64(1000)
+	for i := 0; i < n; i++ {
+		rec := *base
+		rec.Port, rec.PrevFreeze, rec.FreezeTime = 1, prev, prev+100
+		if err := st.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		prev += 100
+	}
+	cps, err := st.Covering(1, 1000, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != n {
+		t.Fatalf("got %d checkpoints, want %d", len(cps), n)
+	}
+	for _, cp := range cps {
+		cp.Filtered()
+	}
+
+	tw := base.TW.MemBytes()
+	index := base.TW.Filter().MemBytes()
+	var sum int64
+	for _, el := range st.cache.entries {
+		cp := el.Value.(*lruEntry).cp
+		if want := 64 + tw + index; cp.bytes != want {
+			t.Fatalf("entry charged %d bytes, want header 64 + windows %d + index %d = %d", cp.bytes, tw, index, want)
+		}
+		sum += cp.bytes
+	}
+	if got := st.cache.residentBytes(); got != sum || got > budget {
+		t.Fatalf("cache reports %d resident bytes; entries sum to %d, budget %d", got, sum, budget)
+	}
+	if got := st.Stats().CacheBytes; got != sum {
+		t.Fatalf("Stats.CacheBytes %d, entries sum to %d", got, sum)
+	}
+
+	// What the seed charged per entry: the whole decoded record (windows and
+	// queue monitors), and a Filtered that carried its own copy of the
+	// windows beside the index.
+	seedCharge := base.MemBytes() + tw + index
+	seedKept := budget / seedCharge
+	kept := int64(len(st.cache.entries))
+	t.Logf("per entry %d B (seed %d B); a %d MiB budget keeps %d entries (seed %d)",
+		64+tw+index, seedCharge, budget>>20, kept, seedKept)
+	if kept >= n {
+		t.Fatalf("all %d entries fit: the test no longer exercises the budget", n)
+	}
+	if float64(kept) < 2.5*float64(seedKept) {
+		t.Fatalf("budget keeps %d entries, want at least 2.5x the seed's %d", kept, seedKept)
+	}
+}
+
+// TestStoreEmptySegmentNeverLoadsIndex is the store half of the
+// subscribe-to-empty-history defect: a segment without records has no
+// footer, and neither ReplaySince nor Covering may go looking for one — on
+// a fresh store, and on one reopened over a log whose segments are all
+// sealed (its new active segment is empty).
+func TestStoreEmptySegmentNeverLoadsIndex(t *testing.T) {
+	dir := t.TempDir()
+	replay := func(st *Store) (n int) {
+		t.Helper()
+		err := st.ReplaySince(0, func([]byte, int, uint64, uint64, bool) error { n++; return nil })
+		if err != nil {
+			t.Fatalf("ReplaySince: %v", err)
+		}
+		return n
+	}
+	st := openTestStore(t, dir, Options{})
+	if n := replay(st); n != 0 {
+		t.Fatalf("fresh store replayed %d records", n)
+	}
+	if cps, err := st.Covering(1, 0, ^uint64(0)); err != nil || len(cps) != 0 {
+		t.Fatalf("fresh store: Covering = %d checkpoints, %v", len(cps), err)
+	}
+	end := appendChain(t, st, 1, 5, 1000)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openTestStore(t, dir, Options{})
+	defer st.Close()
+	if st.activeSeg.count != 0 || len(st.sealed) == 0 {
+		t.Fatalf("reopened store: active segment holds %d records, %d sealed segments; want an empty active one after sealed ones",
+			st.activeSeg.count, len(st.sealed))
+	}
+	if n := replay(st); n != 5 {
+		t.Fatalf("reopened store replayed %d records, want 5", n)
+	}
+	if cps, err := st.Covering(1, 1000, end); err != nil || len(cps) != 5 {
+		t.Fatalf("reopened store: Covering = %d checkpoints, %v", len(cps), err)
+	}
+	// And should anything ever ask an unsealed segment for its footer, the
+	// answer is an error, not a panic.
+	if err := st.activeSeg.loadIndex(); err == nil {
+		t.Fatal("loadIndex on an unsealed segment succeeded")
 	}
 }

@@ -60,7 +60,7 @@ func (c Config) Validate() error {
 	if c.M0+c.Alpha*uint(c.T-1)+c.K >= 63 {
 		return fmt.Errorf("timewindow: m0+alpha*(T-1)+k = %d overflows the timestamp", c.M0+c.Alpha*uint(c.T-1)+c.K)
 	}
-	if c.MinPktTxDelayNs <= 0 {
+	if !(c.MinPktTxDelayNs > 0) { // also refuses NaN
 		return fmt.Errorf("timewindow: MinPktTxDelayNs must be > 0")
 	}
 	return nil

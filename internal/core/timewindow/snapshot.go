@@ -60,16 +60,15 @@ func (s *Snapshot) MemBytes() int64 {
 	return n
 }
 
-// MemBytes estimates the resident size of the filtered snapshot: the
-// retained cells, the sorted cell index, and the interned flow table. The
+// MemBytes estimates what the filtered snapshot owns: the ordered cell
+// index, the interned flow table, the anchors and the coefficient vectors.
+// The cells themselves belong to the source Snapshot (which every holder of
+// a Filtered also holds, and accounts for) and are not counted. The
 // checkpoint history's byte gauge charges this when a checkpoint's filter
 // result is built and refunds it when the result is dropped.
 func (f *Filtered) MemBytes() int64 {
-	n := int64(len(f.windows))*24 + int64(len(f.anchorTTS))*8 +
+	n := int64(len(f.anchorTTS))*8 +
 		int64(len(f.coeff)+len(f.ones))*8 + int64(len(f.flows))*16
-	for _, w := range f.windows {
-		n += int64(len(w)) * cellMemBytes
-	}
 	for _, refs := range f.index {
 		n += int64(len(refs)) * 16
 	}
@@ -104,27 +103,34 @@ type cellRef struct {
 	flow  int32
 }
 
-// Filtered is a snapshot with Algorithm 3 applied: stale cells removed and
-// each window's retained anchor recorded. Queries run against it.
+// Filtered is a snapshot with Algorithm 3 applied: each window's retained
+// anchor recorded and the cells that survive it indexed. Queries run against
+// it. It does not copy the registers: windows are the source snapshot's own
+// cell slices (shared, read-only), and survives tells a retained cell from a
+// stale one wherever the raw cells are walked.
 type Filtered struct {
 	cfg     Config
 	windows [][]Cell
 	// anchorTTS[i] is the TTS (in window-i coordinates) of the newest cell
 	// period retained in window i; window i retains TTS range
-	// (anchorTTS[i] - 2^k, anchorTTS[i]].
+	// (anchorTTS[i] - 2^k, anchorTTS[i]]. Only windows below live have one.
 	anchorTTS []uint64
+	// live is the number of windows Algorithm 3 reached: 0 for an empty
+	// snapshot, T normally, fewer when the history does not extend far
+	// enough past t=0 to give the deeper windows an anchor. Windows at or
+	// beyond live retain nothing.
+	live int
 	// coeff caches cfg.Coefficients(): a Filtered is queried many times
 	// (once per checkpoint per interval query), the coefficients never
 	// change.
 	coeff []float64
 	// ones caches the all-ones coefficient vector for the no-recovery
 	// ablation, so QueryWithoutCoefficients stops allocating it per call.
-	ones  []float64
-	empty bool
+	ones []float64
 	// flows interns the distinct flows among surviving cells; index entries
 	// refer to flows by position here.
 	flows []flow.Key
-	// index[i] holds window i's surviving cells sorted by span start.
+	// index[i] holds window i's surviving cells in ascending span start.
 	// Queries binary-search the overlapping run instead of walking all 2^k
 	// cells.
 	index [][]cellRef
@@ -134,52 +140,31 @@ type Filtered struct {
 // cell of window 0, retaining only cells in the latest cycle (or, for
 // indices beyond the latest cell, the immediately preceding cycle), and
 // derives each deeper window's anchor as the most recently passed cell:
-// TTS' = (TTS - 2^k) >> alpha. It also builds, once, the per-window sorted
+// TTS' = (TTS - 2^k) >> alpha. It also builds, once, the per-window ordered
 // cell index queries binary-search.
 func (s *Snapshot) Filter() *Filtered {
 	f := &Filtered{
 		cfg:       s.cfg,
-		windows:   make([][]Cell, s.cfg.T),
+		windows:   s.windows,
 		anchorTTS: make([]uint64, s.cfg.T),
 		coeff:     s.cfg.Coefficients(),
 		ones:      make([]float64, s.cfg.T),
+		index:     make([][]cellRef, s.cfg.T),
 	}
 	for i := range f.ones {
 		f.ones[i] = 1
 	}
 	tts, ok := s.latestCell()
 	if !ok {
-		f.empty = true
-		for i := range f.windows {
-			f.windows[i] = make([]Cell, len(s.windows[i]))
-		}
-		f.index = make([][]cellRef, s.cfg.T)
 		return f
 	}
 	cells := uint64(s.cfg.Cells())
 	for i := 0; i < s.cfg.T; i++ {
-		cid, idx := s.cfg.Split(tts)
 		f.anchorTTS[i] = tts
-		w := make([]Cell, len(s.windows[i]))
-		for j, c := range s.windows[i] {
-			if !c.Valid {
-				continue
-			}
-			if j <= idx {
-				if c.CycleID == cid {
-					w[j] = c
-				}
-			} else if c.CycleID+1 == cid {
-				w[j] = c
-			}
-		}
-		f.windows[i] = w
+		f.live = i + 1
 		if tts < cells {
 			// The history does not extend past t=0; deeper windows cannot
 			// hold anything newer, and the subtraction below would wrap.
-			for d := i + 1; d < s.cfg.T; d++ {
-				f.windows[d] = make([]Cell, len(s.windows[d]))
-			}
 			break
 		}
 		tts = (tts - cells) >> s.cfg.Alpha
@@ -188,35 +173,56 @@ func (s *Snapshot) Filter() *Filtered {
 	return f
 }
 
-// buildIndex interns the surviving flows and sorts each window's cells by
-// span start.
+// survives reports whether cell c at index j of window i is retained by
+// Algorithm 3: it lies in the anchor's cycle at or before the anchor's
+// index, or in the cycle before at an index beyond it.
+func (f *Filtered) survives(i, j int, c *Cell) bool {
+	if !c.Valid || i >= f.live {
+		return false
+	}
+	cid, idx := f.cfg.Split(f.anchorTTS[i])
+	if j <= idx {
+		return c.CycleID == cid
+	}
+	return c.CycleID+1 == cid
+}
+
+// buildIndex interns the surviving flows and lists each window's surviving
+// cells in ascending span start. No sort is needed: with the anchor at
+// (cid, idx), the survivors are the cells beyond idx, all of cycle cid-1,
+// then the cells up to idx, all of cycle cid. A cell's span starts at
+// (cycle<<k | j) << shift, so reading the ring from idx+1 around to idx
+// visits strictly ascending starts.
 func (f *Filtered) buildIndex() {
-	ids := make(map[flow.Key]int32, 64)
-	f.index = make([][]cellRef, f.cfg.T)
-	for i := range f.windows {
-		var refs []cellRef
-		for j, c := range f.windows[i] {
-			if !c.Valid {
-				continue
+	ids := flow.AcquireInterner()
+	for i := 0; i < f.live; i++ {
+		w := f.windows[i]
+		n := 0
+		for j := range w {
+			if f.survives(i, j, &w[j]) {
+				n++
 			}
-			lo, _ := f.cellSpan(i, c.CycleID, j)
-			id, ok := ids[c.Flow]
-			if !ok {
-				id = int32(len(f.flows))
-				ids[c.Flow] = id
-				f.flows = append(f.flows, c.Flow)
-			}
-			refs = append(refs, cellRef{start: lo, flow: id})
 		}
-		// Span starts are unique within a window (each surviving cell has a
-		// distinct TTS), so the order is total.
-		sort.Slice(refs, func(a, b int) bool { return refs[a].start < refs[b].start })
+		if n == 0 {
+			continue
+		}
+		refs := make([]cellRef, 0, n)
+		_, idx := f.cfg.Split(f.anchorTTS[i])
+		for t := 1; t <= len(w); t++ {
+			j := (idx + t) & (len(w) - 1) // the ring read oldest to newest
+			if c := &w[j]; f.survives(i, j, c) {
+				lo, _ := f.cellSpan(i, c.CycleID, j)
+				refs = append(refs, cellRef{start: lo, flow: ids.Intern(c.Flow)})
+			}
+		}
 		f.index[i] = refs
 	}
+	f.flows = append([]flow.Key(nil), ids.Keys()...)
+	ids.Release()
 }
 
 // Empty reports whether the filtered snapshot holds no packets at all.
-func (f *Filtered) Empty() bool { return f.empty }
+func (f *Filtered) Empty() bool { return f.live == 0 }
 
 // cellSpan returns the absolute dequeue-time range [start, end) covered by
 // cell j of window i given its cycle ID.
@@ -230,7 +236,7 @@ func (f *Filtered) cellSpan(i int, cycleID uint64, j int) (start, end uint64) {
 // WindowSpan returns the absolute dequeue-time range (start, end] retained
 // by window i after filtering: one full window period ending at the anchor.
 func (f *Filtered) WindowSpan(i int) (start, end uint64) {
-	if f.empty {
+	if f.live == 0 {
 		return 0, 0
 	}
 	shift := f.cfg.M0 + f.cfg.Alpha*uint(i)
@@ -251,12 +257,14 @@ func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
 	for i := range out {
 		out[i] = make(flow.Counts)
 	}
-	if f.empty || end <= start {
+	if f.live == 0 || end <= start {
 		return out
 	}
-	for i := 0; i < f.cfg.T; i++ {
-		for j, c := range f.windows[i] {
-			if !c.Valid {
+	for i := 0; i < f.live; i++ {
+		w := f.windows[i]
+		for j := range w {
+			c := &w[j]
+			if !f.survives(i, j, c) {
 				continue
 			}
 			lo, hi := f.cellSpan(i, c.CycleID, j)
@@ -275,7 +283,7 @@ func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
 // writes) gathers each window's counts before they are flushed to acc. It
 // returns the number of index cells visited.
 func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
-	if f.empty || end <= start {
+	if f.live == 0 || end <= start {
 		return 0
 	}
 	t := f.cfg.T
@@ -315,14 +323,16 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 // accumulator, their results are bit-identical. It returns the number of
 // cells visited (all of them).
 func (f *Filtered) AccumulateScanInto(acc *Accumulator, start, end uint64) int {
-	if f.empty || end <= start {
+	if f.live == 0 || end <= start {
 		return 0
 	}
 	visited := 0
 	for i := 0; i < f.cfg.T; i++ {
-		visited += len(f.windows[i])
-		for j, c := range f.windows[i] {
-			if !c.Valid {
+		w := f.windows[i]
+		visited += len(w)
+		for j := range w {
+			c := &w[j]
+			if !f.survives(i, j, c) {
 				continue
 			}
 			lo, hi := f.cellSpan(i, c.CycleID, j)
@@ -377,12 +387,14 @@ func (f *Filtered) QueryWithoutCoefficients(start, end uint64) flow.Counts {
 // retained period this way.
 func (f *Filtered) QueryWindow(i int, start, end uint64) flow.Counts {
 	out := make(flow.Counts)
-	if f.empty || end <= start || i < 0 || i >= f.cfg.T {
+	if f.live == 0 || end <= start || i < 0 || i >= f.cfg.T {
 		return out
 	}
 	coeff := f.coeff[i]
-	for j, c := range f.windows[i] {
-		if !c.Valid {
+	w := f.windows[i]
+	for j := range w {
+		c := &w[j]
+		if !f.survives(i, j, c) {
 			continue
 		}
 		lo, hi := f.cellSpan(i, c.CycleID, j)
@@ -398,14 +410,8 @@ func (f *Filtered) QueryWindow(i int, start, end uint64) flow.Counts {
 // and the ablation benchmarks.
 func (f *Filtered) SurvivingCells() []int {
 	out := make([]int, f.cfg.T)
-	for i := range f.windows {
-		n := 0
-		for _, c := range f.windows[i] {
-			if c.Valid {
-				n++
-			}
-		}
-		out[i] = n
+	for i := range f.index {
+		out[i] = len(f.index[i])
 	}
 	return out
 }

@@ -240,6 +240,16 @@ func (m *Mirror) run() {
 		m.cur = st
 		m.sessionComplete = fresh
 		m.mu.Unlock()
+		// close() closes m.cur to unblock Next, but one that ran between the
+		// stop check above and the store of m.cur found nothing to close.
+		// Both sides take m.mu after their write (close: stop, run: cur), so
+		// at least one of them sees the other's.
+		select {
+		case <-m.stop:
+			st.Close()
+			return
+		default:
+		}
 		for {
 			f, err := st.Next()
 			if err != nil {
@@ -342,7 +352,7 @@ func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) 
 	if len(cps) == 0 {
 		return map[string]float64{}, nil
 	}
-	cfg := cps[0].Record().TW.Config()
+	cfg := cps[0].Config()
 	m.mu.Lock()
 	if m.coeff == nil || m.coeffT != cfg.T {
 		m.coeff = cfg.Coefficients()
@@ -352,13 +362,12 @@ func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) 
 	m.mu.Unlock()
 	acc := timewindow.NewAccumulator(cfg.T, coeff)
 	for _, cc := range cps {
-		rec := cc.Record()
 		lo, hi := start, end
-		if rec.PrevFreeze > lo {
-			lo = rec.PrevFreeze
+		if p := cc.PrevFreeze(); p > lo {
+			lo = p
 		}
-		if rec.FreezeTime < hi {
-			hi = rec.FreezeTime
+		if f := cc.FreezeTime(); f < hi {
+			hi = f
 		}
 		if hi <= lo {
 			continue

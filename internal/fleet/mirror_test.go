@@ -330,3 +330,31 @@ func TestFleetStreamMetricsParity(t *testing.T) {
 		t.Fatal("stream frame counter missing from exposition")
 	}
 }
+
+// TestFleetMirrorCloseNeverHangs is the regression test for the close/dial
+// race: a Close landing between the streamer's stop check and its publish
+// of the freshly dialled stream used to find no stream to close and then
+// wait forever for a streamer parked in Next. Registering a mirror and
+// closing the collector straight away, a few hundred times, lands in that
+// window reliably (about one run in five of a single start/close on the
+// old code).
+func TestFleetMirrorCloseNeverHangs(t *testing.T) {
+	addr, _, _, _ := startHistSwitch(t, 0)
+	dir := t.TempDir()
+	for i := 0; i < 300; i++ {
+		c := New(Options{Mirror: true, MirrorDir: dir})
+		if err := c.Register(SwitchInfo{ID: "sw0", Addr: addr}); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			c.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Collector.Close hung on its mirror", i)
+		}
+	}
+}
