@@ -144,6 +144,11 @@ type Checkpoint struct {
 	TW *timewindow.Snapshot
 	QM []*qmonitor.Snapshot // one per queue
 
+	// set is the register set (setSel.index()) this checkpoint froze.
+	// QueryOriginal needs the newest snapshot of each set, not every
+	// checkpoint; the field lives in memory only.
+	set uint8
+
 	// filtered is the lazily built Algorithm-3 result. It is droppable:
 	// when the checkpoint falls out of the hot tier its index can be
 	// released (DropFiltered) and rebuilt on demand if the checkpoint is
@@ -192,11 +197,17 @@ func (c *Checkpoint) DropFiltered() {
 // memBytes is the checkpoint's raw register-copy footprint (excluding the
 // separately tracked filtered form).
 func (c *Checkpoint) memBytes() int64 {
-	n := int64(0)
+	n := qmMemBytes(c.QM)
 	if c.TW != nil {
 		n += c.TW.MemBytes()
 	}
-	for _, qm := range c.QM {
+	return n
+}
+
+// qmMemBytes is the footprint of one checkpoint's queue-monitor snapshots.
+func qmMemBytes(qms []*qmonitor.Snapshot) int64 {
+	n := int64(0)
+	for _, qm := range qms {
 		if qm != nil {
 			n += qm.MemBytes()
 		}
@@ -330,17 +341,14 @@ type portState struct {
 
 	checkpoints cpRing
 	dpQueries   []*DPQuery
-	// histGen is bumped (under mu) whenever the history's front is trimmed,
-	// invalidating caches keyed on checkpoint indices.
-	histGen uint64
-
-	// prefixMu guards the memoized qmonitor.Merge prefixes used by
-	// QueryOriginal: qmPrefix[queue][i] is the merge of checkpoints[0..i]'s
-	// queue-q snapshots, valid while prefixGen matches histGen. Appends
-	// extend the cache; front trims reset it via the generation check.
-	prefixMu  sync.Mutex
-	prefixGen uint64
-	qmPrefix  [][]*qmonitor.Snapshot
+	// qmCarry[set] holds the queue-monitor snapshots of the newest
+	// checkpoint of that register set the hot ring has evicted (nil until
+	// one is). A set's records outlive its checkpoints: levels last written
+	// while a since-evicted checkpoint's set was active appear in no
+	// retained snapshot of the other sets, so QueryOriginal falls through
+	// to the carry when the ring ends before it has seen all four sets.
+	// Guarded by mu.
+	qmCarry [4][]*qmonitor.Snapshot
 }
 
 // System is the per-switch PrintQueue instance: the data-plane structures
@@ -649,6 +657,7 @@ func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint
 		Special:    special,
 		TW:         ps.tw[sel].Snapshot(),
 		QM:         make([]*qmonitor.Snapshot, s.cfg.QueuesPerPort),
+		set:        uint8(sel),
 		indexNs:    s.qpath.indexBuildNs,
 		histBytes:  s.histBytes,
 	}
@@ -662,17 +671,18 @@ func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint
 // retire appends a checkpoint, enforcing the history bound, and returns
 // the checkpoint evicted to make room (nil when none). With a bounded
 // history the ring overwrites its oldest slot in place, so steady-state
-// retirement is O(1) — no per-checkpoint slice re-copy. Trimming the front
-// shifts checkpoint indices, so it bumps the history generation and thereby
-// invalidates the QueryOriginal prefix cache.
-func (ps *portState) retire(cp *Checkpoint, max int) *Checkpoint {
+// retirement is O(1) — no per-checkpoint slice re-copy. The evicted
+// checkpoint's queue-monitor snapshots become its register set's carry;
+// displaced is the carry they replace.
+func (ps *portState) retire(cp *Checkpoint, max int) (evicted *Checkpoint, displaced []*qmonitor.Snapshot) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	evicted := ps.checkpoints.push(cp, max)
+	evicted = ps.checkpoints.push(cp, max)
 	if evicted != nil {
-		ps.histGen++
+		displaced = ps.qmCarry[evicted.set]
+		ps.qmCarry[evicted.set] = evicted.QM
 	}
-	return evicted
+	return evicted, displaced
 }
 
 // retireCheckpoint is the full retirement path: ring insert, hot-tier byte
@@ -680,10 +690,11 @@ func (ps *portState) retire(cp *Checkpoint, max int) *Checkpoint {
 // append (when the tiered history is enabled). Callers must invoke it off
 // the per-packet hot path (it is: flips and DP freezes only).
 func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
-	evicted := ps.retire(cp, s.cfg.MaxCheckpoints)
+	evicted, displaced := ps.retire(cp, s.cfg.MaxCheckpoints)
 	s.histBytes.Add(cp.memBytes())
 	if evicted != nil {
-		s.histBytes.Add(-evicted.memBytes())
+		// The evicted queue-monitor snapshots stay resident as the carry.
+		s.histBytes.Add(qmMemBytes(evicted.QM) - evicted.memBytes() - qmMemBytes(displaced))
 		evicted.DropFiltered()
 	}
 	if s.hist != nil {
@@ -733,16 +744,9 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 
 // snapshotCheckpoints returns a stable view of the checkpoint history.
 func (ps *portState) snapshotCheckpoints() []*Checkpoint {
-	cps, _ := ps.snapshotCheckpointsGen()
-	return cps
-}
-
-// snapshotCheckpointsGen additionally returns the history generation the
-// copy was taken at.
-func (ps *portState) snapshotCheckpointsGen() ([]*Checkpoint, uint64) {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
-	return ps.checkpoints.slice(), ps.histGen
+	return ps.checkpoints.slice()
 }
 
 // snapshotRun binary-searches the history for the run of checkpoints whose
@@ -1151,8 +1155,7 @@ func pruneCheckpoints(cps []*Checkpoint, start, end uint64) []*Checkpoint {
 
 // QueryOriginal executes a queue-monitor query: the original causes of
 // congestion at the time instant closest to t, for the given port and
-// priority queue. The checkpoint nearest to t is merged with its
-// predecessor so buildup recorded before a register flip is retained.
+// priority queue, as of the checkpoint frozen nearest to t.
 // With tracing enabled, the query may be sampled into a local trace.
 func (s *System) QueryOriginal(port, queue int, t uint64) ([]qmonitor.Culprit, error) {
 	tracer := s.Tracer()
@@ -1179,78 +1182,51 @@ func (s *System) queryOriginal(port, queue int, t uint64, tr *tracing.Trace) ([]
 	if queue < 0 || queue >= s.cfg.QueuesPerPort {
 		return nil, fmt.Errorf("control: queue %d out of range", queue)
 	}
-	cps, gen := ps.snapshotCheckpointsGen()
-	if len(cps) == 0 {
+	var sets [4]*qmonitor.Snapshot
+	n := ps.originalSets(queue, t, &sets)
+	if n == 0 {
 		return nil, fmt.Errorf("control: no checkpoints for port %d", port)
 	}
-	idx := nearestCheckpoint(cps, t)
-	// Register-set rotation scatters the staircase across sets: a level
-	// written while set A was active is absent from set B's snapshot.
-	// Sequence numbers are globally monotonic, so merging every checkpoint
-	// up to the chosen one (keeping the highest-sequence record per level
-	// and half) reconstructs the monitor's exact state at that freeze.
-	// The running merge prefix is memoized per queue, so repeated queries
-	// extend it incrementally instead of re-merging from checkpoint 0.
 	sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-	culprits := ps.prefixSnapshot(cps, gen, queue, idx, s.cfg.QueuesPerPort).OriginalCulprits()
+	culprits := qmonitor.CulpritsAcross(sets[:n])
 	sp.End()
 	return culprits, nil
 }
 
-// prefixSnapshot returns Merge(cps[0..idx]) for the given queue, served
-// from (and extending) the port's prefix cache. The cache is keyed on the
-// history generation: at a given generation the history only grows at the
-// tail, so cached prefixes stay valid and longer ones are appended on
-// demand. A front trim bumps the generation and the cache resets lazily. A
-// caller holding a history copy older than the cache computes its answer
-// without caching, so stale indices never poison the shared prefixes.
-// Merged snapshots are immutable and may be shared across queries.
-func (ps *portState) prefixSnapshot(cps []*Checkpoint, gen uint64, queue, idx, queues int) *qmonitor.Snapshot {
-	ps.prefixMu.Lock()
-	if ps.prefixGen > gen {
-		// Cache is ahead of this caller's history copy: answer from the
-		// copy directly.
-		ps.prefixMu.Unlock()
-		snap := cps[0].QM[queue]
-		for i := 1; i <= idx; i++ {
-			snap = qmonitor.Merge(snap, cps[i].QM[queue])
-		}
-		return snap
-	}
-	if ps.qmPrefix == nil {
-		ps.qmPrefix = make([][]*qmonitor.Snapshot, queues)
-	}
-	if ps.prefixGen != gen {
-		for q := range ps.qmPrefix {
-			ps.qmPrefix[q] = ps.qmPrefix[q][:0]
-		}
-		ps.prefixGen = gen
-	}
-	pfx := ps.qmPrefix[queue]
-	if len(pfx) == 0 {
-		pfx = append(pfx, cps[0].QM[queue])
-	}
-	for i := len(pfx); i <= idx; i++ {
-		pfx = append(pfx, qmonitor.Merge(pfx[i-1], cps[i].QM[queue]))
-	}
-	ps.qmPrefix[queue] = pfx
-	snap := pfx[idx]
-	ps.prefixMu.Unlock()
-	return snap
-}
-
-// nearestCheckpoint returns the index of the checkpoint whose freeze time
-// is closest to t.
-func nearestCheckpoint(cps []*Checkpoint, t uint64) int {
-	i := sort.Search(len(cps), func(i int) bool { return cps[i].FreezeTime >= t })
-	if i == len(cps) {
-		return len(cps) - 1
-	}
-	if i == 0 {
+// originalSets fills sets with the snapshots QueryOriginal walks for time t
+// — newest first, starting with the checkpoint frozen nearest to t — and
+// returns how many there are (0 when the port has no checkpoints).
+//
+// Register-set rotation scatters the staircase across sets: a level written
+// while set A was active is absent from set B's snapshot, so the monitor's
+// state at a freeze is the per-half newest record over everything frozen up
+// to it. That needs at most four snapshots, not the whole chain: a set is
+// never cleared on a flip, Observe only overwrites a half with a larger
+// sequence number, and Adopt hands seq and top from set to set, so an older
+// snapshot of a set holds nothing its newest one lacks. The walk back stops
+// once all four sets are seen; sets whose checkpoints the hot ring has all
+// evicted are served from their carry, which makes the answer independent
+// of where the ring happens to start.
+func (ps *portState) originalSets(queue int, t uint64, sets *[4]*qmonitor.Snapshot) int {
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	if ps.checkpoints.len() == 0 {
 		return 0
 	}
-	if cps[i].FreezeTime-t < t-cps[i-1].FreezeTime {
-		return i
+	var seen [4]bool
+	n := 0
+	for i := ps.checkpoints.nearest(t); i >= 0 && n < len(sets); i-- {
+		if cp := ps.checkpoints.at(i); !seen[cp.set] {
+			seen[cp.set] = true
+			sets[n] = cp.QM[queue]
+			n++
+		}
 	}
-	return i - 1
+	for set, carry := range ps.qmCarry {
+		if !seen[set] && carry != nil {
+			sets[n] = carry[queue]
+			n++
+		}
+	}
+	return n
 }

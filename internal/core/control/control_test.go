@@ -278,8 +278,9 @@ func TestMaxCheckpoints(t *testing.T) {
 }
 
 func TestNearestCheckpoint(t *testing.T) {
-	cps := []*Checkpoint{
-		{FreezeTime: 100}, {FreezeTime: 200}, {FreezeTime: 400},
+	var ring cpRing
+	for _, f := range []uint64{100, 200, 400} {
+		ring.push(&Checkpoint{FreezeTime: f}, 0)
 	}
 	tests := []struct {
 		t    uint64
@@ -288,8 +289,8 @@ func TestNearestCheckpoint(t *testing.T) {
 		{0, 0}, {100, 0}, {149, 0}, {151, 1}, {299, 1}, {301, 2}, {1000, 2},
 	}
 	for _, tt := range tests {
-		if got := nearestCheckpoint(cps, tt.t); got != tt.want {
-			t.Errorf("nearestCheckpoint(%d) = %d, want %d", tt.t, got, tt.want)
+		if got := ring.nearest(tt.t); got != tt.want {
+			t.Errorf("nearest(%d) = %d, want %d", tt.t, got, tt.want)
 		}
 	}
 }

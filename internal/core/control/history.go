@@ -95,6 +95,22 @@ func (r *cpRing) pruneCopy(start, end uint64) []*Checkpoint {
 	return out
 }
 
+// nearest returns the logical index of the checkpoint whose freeze time is
+// closest to t (the earlier one on a tie). The ring must not be empty.
+func (r *cpRing) nearest(t uint64) int {
+	i := sort.Search(r.n, func(i int) bool { return r.at(i).FreezeTime >= t })
+	if i == r.n {
+		return r.n - 1
+	}
+	if i == 0 {
+		return 0
+	}
+	if r.at(i).FreezeTime-t < t-r.at(i-1).FreezeTime {
+		return i
+	}
+	return i - 1
+}
+
 // coldRun fetches the cold-tier checkpoints for a query over [start, end)
 // whose hot tier starts covering at hotStart. The tiers partition trace
 // time exactly at hotStart — every checkpoint at or below it has been

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"printqueue/internal/core/qmonitor"
+	"printqueue/internal/flow"
 	"printqueue/internal/telemetry"
 	"printqueue/internal/tracing"
 )
@@ -74,7 +76,7 @@ type QueryResult struct {
 	Queue  int
 	Start  uint64
 	End    uint64
-	Counts map[string]float64 // flow string -> packets
+	Counts flow.Counts // for OriginalQuery, culprits per flow
 	Err    error
 }
 
@@ -190,10 +192,7 @@ func (q *QueryServer) execute(req queryRequest) QueryResult {
 			q.met.errors[req.kind].Inc()
 			return res
 		}
-		res.Counts = make(map[string]float64, len(counts))
-		for f, n := range counts {
-			res.Counts[f.String()] = n
-		}
+		res.Counts = counts
 		sp.End()
 	case OriginalQuery:
 		sp := req.tr.StartSpan("server.execute", tracing.SrcServer)
@@ -204,10 +203,7 @@ func (q *QueryServer) execute(req queryRequest) QueryResult {
 			q.met.errors[req.kind].Inc()
 			return res
 		}
-		res.Counts = make(map[string]float64)
-		for _, c := range culprits {
-			res.Counts[c.Flow.String()]++
-		}
+		res.Counts = qmonitor.FlowCounts(culprits)
 		sp.End()
 	default:
 		res.Err = fmt.Errorf("control: unknown query kind %d", req.kind)

@@ -118,10 +118,6 @@ func TestQueryServerParallelFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]float64, len(serial))
-	for f, n := range serial {
-		want[f.String()] = n
-	}
 
 	qs := NewQueryServer(s)
 	qs.Start(4)
@@ -131,8 +127,8 @@ func TestQueryServerParallelFanout(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if !reflect.DeepEqual(res.Counts, want) {
-		t.Fatalf("parallel result %v != serial %v", res.Counts, want)
+	if !reflect.DeepEqual(res.Counts, serial) {
+		t.Fatalf("parallel result %v != serial %v", res.Counts, serial)
 	}
 	if got := s.qpath.parallelFanouts.Load(); got <= before {
 		t.Fatalf("parallel fanout counter = %d (was %d); wide query over %d checkpoints did not shard",
@@ -146,17 +142,13 @@ func TestQueryServerParallelFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNarrow := make(map[string]float64, len(serialNarrow))
-	for f, n := range serialNarrow {
-		wantNarrow[f.String()] = n
-	}
 	mid := s.qpath.parallelFanouts.Load()
 	resNarrow := qs.Interval(0, lo, hi)
 	if resNarrow.Err != nil {
 		t.Fatal(resNarrow.Err)
 	}
-	if !reflect.DeepEqual(resNarrow.Counts, wantNarrow) {
-		t.Fatalf("narrow parallel result %v != serial %v", resNarrow.Counts, wantNarrow)
+	if !reflect.DeepEqual(resNarrow.Counts, serialNarrow) {
+		t.Fatalf("narrow parallel result %v != serial %v", resNarrow.Counts, serialNarrow)
 	}
 	if got := s.qpath.parallelFanouts.Load(); got != mid {
 		t.Fatalf("narrow query fanned out (counter %d -> %d)", mid, got)

@@ -456,7 +456,7 @@ loop:
 			spD := tr.StartSpan("server.dispatch", tracing.SrcServer)
 			if !s.admit(1) {
 				spD.End()
-				resp := NetResponse{Error: ErrOverloaded.Error()}
+				resp := wireReply{Error: ErrOverloaded.Error()}
 				out <- outFrame{buf: s.encodeReply(id, resp, tr), tr: tr, errStr: resp.Error}
 				continue
 			}
@@ -500,7 +500,7 @@ loop:
 			// single reply rather than executing partially.
 			if !s.admit(int64(len(qs))) {
 				spD.End()
-				resps := make([]NetResponse, len(qs))
+				resps := make([]wireReply, len(qs))
 				for i := range resps {
 					resps[i].Error = ErrOverloaded.Error()
 				}
@@ -557,7 +557,7 @@ type outFrame struct {
 // encodeReply encodes a single-query reply, traced or not. For a traced
 // request the reply carries the trace's spans recorded so far (the write
 // span lands afterwards and is only visible server-side).
-func (s *NetServer) encodeReply(id uint64, resp NetResponse, tr *tracing.Trace) []byte {
+func (s *NetServer) encodeReply(id uint64, resp wireReply, tr *tracing.Trace) []byte {
 	if tr != nil {
 		return appendReplyTFrame(getBuf(), id, resp, tr.Spans())
 	}
@@ -565,7 +565,7 @@ func (s *NetServer) encodeReply(id uint64, resp NetResponse, tr *tracing.Trace) 
 }
 
 // encodeBatchReply is encodeReply for batch replies.
-func (s *NetServer) encodeBatchReply(id uint64, resps []NetResponse, tr *tracing.Trace) []byte {
+func (s *NetServer) encodeBatchReply(id uint64, resps []wireReply, tr *tracing.Trace) []byte {
 	if tr != nil {
 		return appendBatchReplyTFrame(getBuf(), id, resps, tr.Spans())
 	}
@@ -577,7 +577,7 @@ func (s *NetServer) encodeBatchReply(id uint64, resps []NetResponse, tr *tracing
 func (s *NetServer) serveBatch(id uint64, qs []BatchQuery, tr *tracing.Trace, spD tracing.SpanHandle, out chan<- outFrame, reqWG *sync.WaitGroup, perConn *atomic.Int64) {
 	defer reqWG.Done()
 	spD.End()
-	resps := make([]NetResponse, len(qs))
+	resps := make([]wireReply, len(qs))
 	var wg sync.WaitGroup
 	for i := range qs {
 		wg.Add(1)
@@ -782,15 +782,21 @@ func (s *NetServer) execute(req NetRequest, tr *tracing.Trace) NetResponse {
 		at = req.At
 	}
 	wire := s.executeWire(BatchQuery{Kind: kind, Port: req.Port, Queue: req.Queue, Start: at, End: req.End}, tr)
-	resp.Counts = wire.Counts
 	resp.Error = wire.Error
+	// The JSON line is this protocol's edge: flow keys become strings here.
+	if len(wire.Counts) > 0 {
+		resp.Counts = make(map[string]float64, len(wire.Counts))
+		for f, n := range wire.Counts {
+			resp.Counts[f.String()] = n
+		}
+	}
 	return resp
 }
 
 // executeWire runs one decoded query on the query workers, recording
 // stage spans into tr (nil for untraced requests). For OriginalQuery
 // the instant travels in Start.
-func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) NetResponse {
+func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) wireReply {
 	var res QueryResult
 	switch q.Kind {
 	case IntervalQuery:
@@ -799,12 +805,12 @@ func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) NetResponse {
 		res = s.qs.originalTraced(q.Port, q.Queue, q.Start, tr)
 	default:
 		s.badRequests.Inc()
-		return NetResponse{Error: fmt.Sprintf("unknown kind %d", q.Kind)}
+		return wireReply{Error: fmt.Sprintf("unknown kind %d", q.Kind)}
 	}
 	if res.Err != nil {
-		return NetResponse{Error: res.Err.Error()}
+		return wireReply{Error: res.Err.Error()}
 	}
-	return NetResponse{Counts: res.Counts}
+	return wireReply{Counts: res.Counts}
 }
 
 // Client-side resilience defaults. Queries are read-only and idempotent, so

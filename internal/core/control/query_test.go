@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"printqueue/internal/core/qmonitor"
+	"printqueue/internal/pktrec"
 )
 
 // buildDeepHistory drives a system with a long trace and a short poll
@@ -155,66 +156,161 @@ func TestPruneCheckpoints(t *testing.T) {
 	}
 }
 
-// TestQueryOriginalPrefixMemo checks the memoized merge prefix returns the
-// same culprits as the direct merge loop, across repeated queries, multiple
-// query times, and history trimming (which bumps the generation).
-func TestQueryOriginalPrefixMemo(t *testing.T) {
-	cfg := testConfig(0)
-	cfg.PollPeriodNs = 256
-	cfg.MaxCheckpoints = 12
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// originalTwinTrace is the build-up a bounded hot ring used to forget: on
+// queue 0 the depth climbs one level per 16 packets — half a poll period, so
+// each register set ends up holding every other pair of levels — falls back
+// part of the way and climbs again; queue 1 moves at random. Every 131st
+// packet carries the marker the twin Systems' DPTrigger fires on, so special
+// freezes put the two dp sets in play as well.
+func originalTwinTrace(n int) []*pktrec.Packet {
+	rng := rand.New(rand.NewPCG(21, 34))
+	pkts := make([]*pktrec.Packet, 0, n)
 	var ts uint64 = 1000
-	check := func() {
+	level := 0
+	for i := 0; i < n; i++ {
+		ts += 8
+		p := deq(fkey(byte(i%24)), 0, ts-16, ts, 0)
+		if i%131 == 130 {
+			p.Meta.EnqTimestamp, p.Meta.DeqTimedelta = ts-twinMarker, twinMarker
+		}
+		if p.Queue = i % 4 / 3; p.Queue == 0 {
+			if i%16 == 0 {
+				if level++; level == 120 {
+					level = 40
+				}
+			}
+			p.Meta.EnqQdepth = level * 4
+		} else {
+			p.Meta.EnqQdepth = rng.IntN(1200)
+		}
+		pkts = append(pkts, p)
+	}
+	return pkts
+}
+
+const twinMarker = 23
+
+// TestQueryOriginalBoundedTwin: QueryOriginal must not depend on where the
+// hot ring happens to start. A System bounded to 4 checkpoints and an
+// unbounded twin are fed the same trace, serially and through a Pipeline;
+// at every freeze the bounded one retains (and around and beyond them) both
+// must name the same culprits on every queue, and the unbounded one must
+// agree with the reference qmonitor.Merge over its whole chain. Before the
+// eviction carry, the bounded System answered from the retained checkpoints
+// alone and lost every level last written in an evicted register set.
+func TestQueryOriginalBoundedTwin(t *testing.T) {
+	const queues = 2
+	mk := func(max int) *System {
+		cfg := testConfig(0)
+		cfg.QueuesPerPort = queues
+		cfg.PollPeriodNs = 256
+		cfg.MaxCheckpoints = max
+		cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.DeqTimedelta == twinMarker }
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// compare checks the twins at the bounded System's retained freezes and
+	// reports whether the carry mattered: whether any answer differed from
+	// what the retained checkpoints alone would have given.
+	compare := func(t *testing.T, bounded, unbounded *System) (carried bool) {
 		t.Helper()
-		cps := s.Checkpoints(0)
-		if len(cps) == 0 {
-			return
+		kept, all := bounded.Checkpoints(0), unbounded.Checkpoints(0)
+		if len(kept) == 0 {
+			return false
 		}
-		for _, q := range []uint64{0, ts / 4, ts / 2, ts, ts + 1000} {
-			got, err := s.QueryOriginal(0, 0, q)
-			if err != nil {
-				t.Fatalf("QueryOriginal(%d): %v", q, err)
-			}
-			idx := nearestCheckpoint(cps, q)
-			snap := cps[0].QM[0]
-			for i := 1; i <= idx; i++ {
-				snap = qmonitor.Merge(snap, cps[i].QM[0])
-			}
-			want := snap.OriginalCulprits()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("QueryOriginal(%d) = %v, want %v (direct merge of %d checkpoints)", q, got, want, idx+1)
+		for k, cp := range kept {
+			for q := 0; q < queues; q++ {
+				for _, at := range []uint64{cp.FreezeTime, cp.FreezeTime + 1, cp.FreezeTime + 100, cp.FreezeTime + 1_000_000} {
+					got, err := bounded.QueryOriginal(0, q, at)
+					if err != nil {
+						t.Fatalf("bounded QueryOriginal(queue %d, %d): %v", q, at, err)
+					}
+					want, err := unbounded.QueryOriginal(0, q, at)
+					if err != nil {
+						t.Fatalf("unbounded QueryOriginal(queue %d, %d): %v", q, at, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("queue %d at %d: bounded System names %d culprits, unbounded twin %d",
+							q, at, len(got), len(want))
+					}
+				}
+				got, _ := unbounded.QueryOriginal(0, q, cp.FreezeTime)
+				var chain *qmonitor.Snapshot
+				for _, u := range all {
+					if u.FreezeTime > cp.FreezeTime {
+						break
+					}
+					chain = qmonitor.Merge(chain, u.QM[q])
+				}
+				if want := chain.OriginalCulprits(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("queue %d at %d: QueryOriginal %v, merge of the whole chain %v", q, cp.FreezeTime, got, want)
+				}
+				if k == 0 && !reflect.DeepEqual(got, cp.QM[q].OriginalCulprits()) {
+					carried = true
+				}
 			}
 		}
+		return carried
 	}
 
-	for round := 0; round < 6; round++ {
-		for i := 0; i < 400; i++ {
-			ts += 8
-			depth := 4 + (i % 60) // staircase climbs and resets
-			s.OnDequeue(deq(fkey(byte(i%10)), 0, ts-16, ts, depth))
+	pkts := originalTwinTrace(24000)
+	end := pkts[len(pkts)-1].Meta.DeqTimestamp() + 1
+
+	t.Run("serial", func(t *testing.T) {
+		bounded, unbounded := mk(4), mk(0)
+		carried := false
+		for i, p := range pkts {
+			bounded.OnDequeue(p)
+			unbounded.OnDequeue(p)
+			if i%997 == 0 {
+				carried = compare(t, bounded, unbounded) || carried
+			}
 		}
-		s.FinalizePort(0, ts+1)
-		check() // repeated rounds exercise cache extension and, once the
-		// history exceeds MaxCheckpoints, the generation reset
-	}
-	ps := s.ports[0]
-	ps.mu.RLock()
-	gen := ps.histGen
-	n := ps.checkpoints.len()
-	ps.mu.RUnlock()
-	if gen == 0 {
-		t.Fatal("history never trimmed; MaxCheckpoints not exercised")
-	}
-	if n > cfg.MaxCheckpoints {
-		t.Fatalf("history has %d checkpoints, bound is %d", n, cfg.MaxCheckpoints)
-	}
+		bounded.Finalize(end)
+		unbounded.Finalize(end)
+		carried = compare(t, bounded, unbounded) || carried
+		if !carried {
+			t.Fatal("the retained checkpoints alone always gave the full answer; the trace does not exercise the carry")
+		}
+		var sets [4]bool
+		for _, cp := range unbounded.Checkpoints(0) {
+			sets[cp.set] = true
+		}
+		if sets != [4]bool{true, true, true, true} {
+			t.Fatalf("trace froze register sets %v; all four must be in play", sets)
+		}
+		if n := len(bounded.Checkpoints(0)); n != 4 {
+			t.Fatalf("bounded System retains %d checkpoints, want 4", n)
+		}
+	})
+	t.Run("pipeline", func(t *testing.T) {
+		bounded, unbounded := mk(4), mk(0)
+		plB, err := NewPipeline(bounded, PipelineConfig{Shards: 1, BatchSize: 16, RingDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plU, err := NewPipeline(unbounded, PipelineConfig{Shards: 1, BatchSize: 16, RingDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			plB.Ingest(p)
+			plU.Ingest(p)
+		}
+		plB.Close()
+		plU.Close()
+		bounded.Finalize(end)
+		unbounded.Finalize(end)
+		compare(t, bounded, unbounded)
+	})
 }
 
 // TestQueryOriginalPrefixConcurrent hammers QueryOriginal from many
-// goroutines while traffic (and trimming) continues, for the race detector.
+// goroutines while traffic continues and every retirement evicts (moving a
+// register set's carry under the walkers), for the race detector.
 func TestQueryOriginalPrefixConcurrent(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.PollPeriodNs = 256

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"printqueue/internal/flow"
 	"printqueue/internal/tracing"
 )
 
@@ -48,8 +49,9 @@ import (
 // is ReverseBytes64(Float64bits(v)) varint-packed: typical counts are
 // small integers or low-precision fractions whose mantissa tail is zero,
 // so the byte-reversed bit pattern is tiny and the varint stays 1–3 bytes
-// instead of a fixed 8. Keys are copied straight from the flow-string map
-// key into the frame — no map → JSON round trip, no per-key allocation.
+// instead of a fixed 8. Key bytes are the flow's text form; the server
+// renders each key straight into the frame (flow.Key.AppendText) — the
+// query engine's flow.Counts is never turned into a string-keyed map.
 const (
 	frameMagic byte = 0xB1
 
@@ -217,20 +219,44 @@ func countBits(v float64) uint64             { return bits.ReverseBytes64(math.F
 func countFromBits(u uint64) float64         { return math.Float64frombits(bits.ReverseBytes64(u)) }
 func appendCount(b []byte, v float64) []byte { return appendUvarint(b, countBits(v)) }
 
-// appendCounts encodes a count map as n × (keylen, key, countbits).
-func appendCounts(b []byte, counts map[string]float64) []byte {
+// appendCounts encodes a count map as n × (keylen, key text, countbits).
+// A key's text is at most flow.MaxKeyTextLen bytes, so its length is always
+// a one-byte varint: the byte is reserved, the text appended in place, and
+// the byte patched.
+func appendCounts(b []byte, counts flow.Counts) []byte {
 	b = appendUvarint(b, uint64(len(counts)))
 	for k, v := range counts {
-		b = appendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
+		at := len(b)
+		b = k.AppendText(append(b, 0))
+		b[at] = byte(len(b) - at - 1)
 		b = appendCount(b, v)
 	}
 	return b
 }
 
+// minCountEntry is the fewest bytes one count-map entry occupies: a key
+// length and a count varint.
+const minCountEntry = 2
+
+// uvarintCount decodes an element count whose elements occupy at least
+// minElem bytes each of what follows. A count the remaining payload cannot
+// hold is refused here, before the caller sizes an allocation by it: the
+// frame length a peer is allowed to send bounds what it can make us
+// allocate.
+func uvarintCount(p []byte, minElem int) (int, []byte, error) {
+	n, p, err := uvarintInt(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > len(p)/minElem {
+		return 0, nil, errTruncated
+	}
+	return n, p, nil
+}
+
 // decodeCounts decodes a count map, returning the remainder of p.
 func decodeCounts(p []byte) (map[string]float64, []byte, error) {
-	n, p, err := uvarintInt(p)
+	n, p, err := uvarintCount(p, minCountEntry)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,6 +334,29 @@ func decodeQueryBody(p []byte) (BatchQuery, []byte, error) {
 	return q, p, nil
 }
 
+// minQueryBody is the fewest bytes one query tuple occupies: the kind byte
+// and four varints.
+const minQueryBody = 5
+
+// decodeQueryBodies decodes a batch's count and query tuples (shared by
+// opBatch and opBatchT), returning the remainder.
+func decodeQueryBodies(p []byte) ([]BatchQuery, []byte, error) {
+	n, p, err := uvarintCount(p, minQueryBody)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > maxBatch {
+		return nil, nil, fmt.Errorf("%w: batch of %d queries", errFrameSize, n)
+	}
+	qs := make([]BatchQuery, n)
+	for i := range qs {
+		if qs[i], p, err = decodeQueryBody(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return qs, p, nil
+}
+
 // appendQueryFrame encodes a single-query request frame.
 func appendQueryFrame(b []byte, id uint64, q BatchQuery) []byte {
 	b, at := beginFrame(b, opQuery)
@@ -347,18 +396,8 @@ func decodeBatchRequest(p []byte) (id uint64, qs []BatchQuery, err error) {
 	if id, p, err = uvarint(p); err != nil {
 		return 0, nil, err
 	}
-	n, p, err := uvarintInt(p)
-	if err != nil {
+	if qs, p, err = decodeQueryBodies(p); err != nil {
 		return 0, nil, err
-	}
-	if n > maxBatch {
-		return 0, nil, fmt.Errorf("%w: batch of %d queries", errFrameSize, n)
-	}
-	qs = make([]BatchQuery, n)
-	for i := range qs {
-		if qs[i], p, err = decodeQueryBody(p); err != nil {
-			return 0, nil, err
-		}
 	}
 	if len(p) != 0 {
 		return 0, nil, errTruncated
@@ -366,9 +405,18 @@ func decodeBatchRequest(p []byte) (id uint64, qs []BatchQuery, err error) {
 	return id, qs, nil
 }
 
+// wireReply is one executed query's answer on the server side: an
+// application error, or the counts keyed by flow as the query engine
+// produced them. Flow keys become text only where a reply is encoded —
+// appendCounts for a frame, the JSON handler for a line.
+type wireReply struct {
+	Counts flow.Counts
+	Error  string
+}
+
 // appendReplyBody encodes one reply body: status byte, then error string
 // or counts.
-func appendReplyBody(b []byte, resp NetResponse) []byte {
+func appendReplyBody(b []byte, resp wireReply) []byte {
 	if resp.Error != "" {
 		b = append(b, 1)
 		b = appendUvarint(b, uint64(len(resp.Error)))
@@ -417,8 +465,31 @@ func decodeReplyBody(p []byte) (BatchResult, []byte, error) {
 	return r, p, nil
 }
 
+// minReplyBody is the fewest bytes one reply body occupies: the status byte
+// and an error length or flow count.
+const minReplyBody = 2
+
+// decodeReplyBodies decodes a batch reply's count and bodies (shared by
+// opBatchReply and opBatchReplyT), returning the remainder.
+func decodeReplyBodies(p []byte) ([]BatchResult, []byte, error) {
+	n, p, err := uvarintCount(p, minReplyBody)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > maxBatch {
+		return nil, nil, fmt.Errorf("%w: batch reply of %d results", errFrameSize, n)
+	}
+	rs := make([]BatchResult, n)
+	for i := range rs {
+		if rs[i], p, err = decodeReplyBody(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rs, p, nil
+}
+
 // appendReplyFrame encodes a single-query reply frame.
-func appendReplyFrame(b []byte, id uint64, resp NetResponse) []byte {
+func appendReplyFrame(b []byte, id uint64, resp wireReply) []byte {
 	b, at := beginFrame(b, opReply)
 	b = appendUvarint(b, id)
 	b = appendReplyBody(b, resp)
@@ -441,7 +512,7 @@ func decodeReply(p []byte) (id uint64, r BatchResult, err error) {
 
 // appendBatchReplyFrame encodes a batch reply frame: one body per query,
 // in request order.
-func appendBatchReplyFrame(b []byte, id uint64, resps []NetResponse) []byte {
+func appendBatchReplyFrame(b []byte, id uint64, resps []wireReply) []byte {
 	b, at := beginFrame(b, opBatchReply)
 	b = appendUvarint(b, id)
 	b = appendUvarint(b, uint64(len(resps)))
@@ -456,18 +527,8 @@ func decodeBatchReply(p []byte) (id uint64, rs []BatchResult, err error) {
 	if id, p, err = uvarint(p); err != nil {
 		return 0, nil, err
 	}
-	n, p, err := uvarintInt(p)
-	if err != nil {
+	if rs, p, err = decodeReplyBodies(p); err != nil {
 		return 0, nil, err
-	}
-	if n > maxBatch {
-		return 0, nil, fmt.Errorf("%w: batch reply of %d results", errFrameSize, n)
-	}
-	rs = make([]BatchResult, n)
-	for i := range rs {
-		if rs[i], p, err = decodeReplyBody(p); err != nil {
-			return 0, nil, err
-		}
 	}
 	if len(p) != 0 {
 		return 0, nil, errTruncated
@@ -498,9 +559,13 @@ func appendSpans(b []byte, spans []tracing.Span) []byte {
 	return b
 }
 
+// minWireSpan is the fewest bytes one span occupies: a name length and two
+// varints.
+const minWireSpan = 3
+
 // decodeSpans decodes a span list, stamping src on each span.
 func decodeSpans(p []byte, src string) ([]tracing.Span, []byte, error) {
-	n, p, err := uvarintInt(p)
+	n, p, err := uvarintCount(p, minWireSpan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -577,18 +642,8 @@ func decodeBatchRequestT(p []byte) (id, traceID uint64, qs []BatchQuery, err err
 	if traceID, p, err = uvarint(p); err != nil {
 		return 0, 0, nil, err
 	}
-	n, p, err := uvarintInt(p)
-	if err != nil {
+	if qs, p, err = decodeQueryBodies(p); err != nil {
 		return 0, 0, nil, err
-	}
-	if n > maxBatch {
-		return 0, 0, nil, fmt.Errorf("%w: batch of %d queries", errFrameSize, n)
-	}
-	qs = make([]BatchQuery, n)
-	for i := range qs {
-		if qs[i], p, err = decodeQueryBody(p); err != nil {
-			return 0, 0, nil, err
-		}
 	}
 	if len(p) != 0 {
 		return 0, 0, nil, errTruncated
@@ -598,7 +653,7 @@ func decodeBatchRequestT(p []byte) (id, traceID uint64, qs []BatchQuery, err err
 
 // appendReplyTFrame encodes a traced single-query reply frame:
 // id, spans, reply body.
-func appendReplyTFrame(b []byte, id uint64, resp NetResponse, spans []tracing.Span) []byte {
+func appendReplyTFrame(b []byte, id uint64, resp wireReply, spans []tracing.Span) []byte {
 	b, at := beginFrame(b, opReplyT)
 	b = appendUvarint(b, id)
 	b = appendSpans(b, spans)
@@ -625,7 +680,7 @@ func decodeReplyT(p []byte) (id uint64, r BatchResult, spans []tracing.Span, err
 
 // appendBatchReplyTFrame encodes a traced batch reply frame:
 // id, spans, n, reply bodies.
-func appendBatchReplyTFrame(b []byte, id uint64, resps []NetResponse, spans []tracing.Span) []byte {
+func appendBatchReplyTFrame(b []byte, id uint64, resps []wireReply, spans []tracing.Span) []byte {
 	b, at := beginFrame(b, opBatchReplyT)
 	b = appendUvarint(b, id)
 	b = appendSpans(b, spans)
@@ -644,18 +699,8 @@ func decodeBatchReplyT(p []byte) (id uint64, rs []BatchResult, spans []tracing.S
 	if spans, p, err = decodeSpans(p, tracing.SrcServer); err != nil {
 		return 0, nil, nil, err
 	}
-	n, p, err := uvarintInt(p)
-	if err != nil {
+	if rs, p, err = decodeReplyBodies(p); err != nil {
 		return 0, nil, nil, err
-	}
-	if n > maxBatch {
-		return 0, nil, nil, fmt.Errorf("%w: batch reply of %d results", errFrameSize, n)
-	}
-	rs = make([]BatchResult, n)
-	for i := range rs {
-		if rs[i], p, err = decodeReplyBody(p); err != nil {
-			return 0, nil, nil, err
-		}
 	}
 	if len(p) != 0 {
 		return 0, nil, nil, errTruncated

@@ -5,8 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"net"
+	"reflect"
 	"testing"
+
+	"printqueue/internal/core/qmonitor"
+	"printqueue/internal/flow"
 )
 
 // roundTripFrame encodes with enc, then reads the frame back through a
@@ -44,6 +51,148 @@ func TestWireQueryFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// appendStringCounts is the reply encoder as it was while the server built a
+// map[string]float64 per answer and copied the strings out again. It is the
+// oracle for the bytes a reply puts on the wire, and it feeds the decoder
+// keys no flow renders to.
+func appendStringCounts(b []byte, counts map[string]float64) []byte {
+	b = appendUvarint(b, uint64(len(counts)))
+	for k, v := range counts {
+		b = appendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
+		b = appendCount(b, v)
+	}
+	return b
+}
+
+// stringReplyFrame is an ok opReply frame around appendStringCounts.
+func stringReplyFrame(id uint64, counts map[string]float64) []byte {
+	b, at := beginFrame(nil, opReply)
+	b = appendUvarint(b, id)
+	b = append(b, 0)
+	b = appendStringCounts(b, counts)
+	return endFrame(b, at)
+}
+
+// sprintfKey is the fmt rendering flow.Key.String had when those strings
+// were built: what every deployed client parses.
+func sprintfKey(k flow.Key) string {
+	if k.IsZero() {
+		return "<none>"
+	}
+	return fmt.Sprintf("%s:%d>%s:%d/%s", k.Src(), k.SrcPort, k.Dst(), k.DstPort, k.Proto)
+}
+
+func sprintfCounts(c flow.Counts) map[string]float64 {
+	m := make(map[string]float64, len(c))
+	for k, n := range c {
+		m[sprintfKey(k)] = n
+	}
+	return m
+}
+
+// TestWireReplyFromFlowCounts: a reply encoded straight from flow.Counts
+// decodes to the map the string-map encoding of the same answer did, and is
+// as many bytes; with one flow (no map order to differ by) the frames are
+// byte-identical.
+func TestWireReplyFromFlowCounts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 2))
+	big := make(flow.Counts)
+	for len(big) < 3000 {
+		k := flow.Key{
+			SrcIP: [4]byte{byte(rng.IntN(256)), byte(rng.IntN(256)), 0, byte(rng.IntN(256))}, DstIP: [4]byte{10, 0, 1, 1},
+			SrcPort: uint16(rng.IntN(1 << 16)), DstPort: 80, Proto: flow.Proto(rng.IntN(256)),
+		}
+		big[k] = float64(rng.IntN(5000)) / 8
+	}
+	cases := []flow.Counts{
+		nil,
+		{},
+		{fkey(1): 12.5},
+		{flow.Zero: 3},
+		{fkey(1): 0, fkey(2): 1, fkey(3): 1e9, fkey(4): 0.1, fkey(5): math.MaxFloat64, fkey(6): -3.25},
+		{{SrcIP: [4]byte{255, 255, 255, 255}, DstIP: [4]byte{255, 255, 255, 255}, SrcPort: 65535, DstPort: 65535, Proto: 255}: 1},
+		big,
+	}
+	for i, counts := range cases {
+		frame := appendReplyFrame(nil, 9, wireReply{Counts: counts})
+		oracle := stringReplyFrame(9, sprintfCounts(counts))
+		if len(frame) != len(oracle) || (len(counts) <= 1 && !bytes.Equal(frame, oracle)) {
+			t.Fatalf("case %d: frame from flow.Counts is %d bytes %x, from the string map %d bytes %x",
+				i, len(frame), frame[:min(len(frame), 80)], len(oracle), oracle[:min(len(oracle), 80)])
+		}
+		_, payload := roundTripFrame(t, frame)
+		id, got, err := decodeReply(payload)
+		if err != nil || id != 9 || got.Err != nil {
+			t.Fatalf("case %d: decode id=%d err=%v reply err=%v", i, id, err, got.Err)
+		}
+		_, want, err := decodeReply(oracle[frameHeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Fatalf("case %d: decoded %v, string-map encoding decoded %v", i, got.Counts, want.Counts)
+		}
+	}
+}
+
+// TestNetServerJSONLineUnchanged: the v1 line protocol's reply to a query is
+// byte-equal, modulo key order, to the line the string-map server wrote.
+func TestNetServerJSONLineUnchanged(t *testing.T) {
+	srv, ts := netFixture(t)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	sys := srv.qs.sys
+	interval, err := sys.QueryInterval(0, 1000, ts+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	culprits, err := sys.QueryOriginal(0, 0, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	original := qmonitor.FlowCounts(culprits)
+	for i, tc := range []struct {
+		req  string
+		want NetResponse
+	}{
+		{fmt.Sprintf(`{"id":1,"kind":"interval","port":0,"start":1000,"end":%d}`, ts+1), NetResponse{ID: 1, Counts: sprintfCounts(interval)}},
+		{fmt.Sprintf(`{"id":2,"kind":"original","port":0,"at":%d}`, ts), NetResponse{ID: 2, Counts: sprintfCounts(original)}},
+		{fmt.Sprintf(`{"id":3,"kind":"interval","port":0,"start":%d,"end":%d}`, ts+100, ts+200), NetResponse{ID: 3}},
+		{`{"id":4,"kind":"interval","port":9,"start":0,"end":1}`, NetResponse{ID: 4, Error: "control: port 9 not activated"}},
+	} {
+		if _, err := fmt.Fprintln(conn, tc.req); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Raw messages keep every value's bytes; only the order of the
+		// counts object's members is forgotten.
+		type rawLine struct {
+			ID     json.RawMessage            `json:"id"`
+			Counts map[string]json.RawMessage `json:"counts"`
+			Error  json.RawMessage            `json:"error"`
+		}
+		var got, want rawLine
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatalf("line %d %q: %v", i, line, err)
+		}
+		wantLine := appendJSONResponse(nil, tc.want)
+		if err := json.Unmarshal(wantLine, &want); err != nil {
+			t.Fatal(err)
+		}
+		if len(line) != len(wantLine)+1 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("line %d: server wrote %q, the string-map server wrote %q", i, line, wantLine)
+		}
+	}
+}
+
 func TestWireCountsRoundTripBitEqual(t *testing.T) {
 	cases := []map[string]float64{
 		nil,
@@ -54,7 +203,7 @@ func TestWireCountsRoundTripBitEqual(t *testing.T) {
 		{"flow\twith\"specials\\": 7},
 	}
 	for i, counts := range cases {
-		frame := appendReplyFrame(nil, 9, NetResponse{Counts: counts})
+		frame := stringReplyFrame(9, counts)
 		op, payload := roundTripFrame(t, frame)
 		if op != opReply {
 			t.Fatalf("op = %#x, want opReply", op)
@@ -82,7 +231,7 @@ func TestWireCountsRoundTripBitEqual(t *testing.T) {
 }
 
 func TestWireErrorReplyRoundTrip(t *testing.T) {
-	frame := appendReplyFrame(nil, 3, NetResponse{Error: "control: port 9 not activated"})
+	frame := appendReplyFrame(nil, 3, wireReply{Error: "control: port 9 not activated"})
 	_, payload := roundTripFrame(t, frame)
 	id, r, err := decodeReply(payload)
 	if err != nil {
@@ -94,7 +243,7 @@ func TestWireErrorReplyRoundTrip(t *testing.T) {
 
 	// The overload sentinel survives the wire as the canonical value, so
 	// the client's retry logic can match it with errors.Is.
-	frame = appendReplyFrame(nil, 4, NetResponse{Error: ErrOverloaded.Error()})
+	frame = appendReplyFrame(nil, 4, wireReply{Error: ErrOverloaded.Error()})
 	_, payload = roundTripFrame(t, frame)
 	_, r, err = decodeReply(payload)
 	if err != nil {
@@ -123,8 +272,8 @@ func TestWireBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch round-tripped to id=%d %+v", id, got)
 	}
 
-	resps := []NetResponse{
-		{Counts: map[string]float64{"x": 1.5}},
+	resps := []wireReply{
+		{Counts: flow.Counts{fkey(7): 1.5}},
 		{Error: "nope"},
 	}
 	frame = appendBatchReplyFrame(nil, 77, resps)
@@ -139,7 +288,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	if id != 77 || len(rs) != 2 {
 		t.Fatalf("id=%d results=%d", id, len(rs))
 	}
-	if rs[0].Err != nil || rs[0].Counts["x"] != 1.5 {
+	if rs[0].Err != nil || len(rs[0].Counts) != 1 || rs[0].Counts[fkey(7).String()] != 1.5 {
 		t.Fatalf("result 0 = %+v", rs[0])
 	}
 	if rs[1].Err == nil || rs[1].Err.Error() != "nope" || rs[1].Counts != nil {
@@ -153,9 +302,9 @@ func TestWireTruncationNeverPanics(t *testing.T) {
 	frames := [][]byte{
 		appendQueryFrame(nil, 123456, BatchQuery{Kind: IntervalQuery, Port: 5, Start: 1 << 40, End: 1<<40 + 9}),
 		appendBatchFrame(nil, 7, []BatchQuery{{Kind: OriginalQuery, Port: 1, Queue: 1, Start: 3}}),
-		appendReplyFrame(nil, 99, NetResponse{Counts: map[string]float64{"k1": 2.5, "k2": 7}}),
-		appendReplyFrame(nil, 99, NetResponse{Error: "boom"}),
-		appendBatchReplyFrame(nil, 42, []NetResponse{{Counts: map[string]float64{"a": 1}}, {Error: "e"}}),
+		appendReplyFrame(nil, 99, wireReply{Counts: flow.Counts{fkey(1): 2.5, fkey(2): 7}}),
+		appendReplyFrame(nil, 99, wireReply{Error: "boom"}),
+		appendBatchReplyFrame(nil, 42, []wireReply{{Counts: flow.Counts{fkey(1): 1}}, {Error: "e"}}),
 	}
 	for fi, frame := range frames {
 		payload := frame[frameHeaderLen:]
@@ -248,9 +397,10 @@ func TestWireEncodeAllocs(t *testing.T) {
 		"10.0.0.1:80>10.0.0.2:90/tcp": 12.5,
 		"10.0.0.3:81>10.0.0.4:91/udp": 60,
 	}}
+	reply := wireReply{Counts: flow.Counts{fkey(1): 12.5, fkey(2): 60, flow.Zero: 1}}
 	buf := make([]byte, 0, 1<<12)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendReplyFrame(buf[:0], 42, resp)
+		buf = appendReplyFrame(buf[:0], 42, reply)
 	}); n > 0 {
 		t.Errorf("appendReplyFrame allocates %.1f/op, want 0", n)
 	}

@@ -228,6 +228,58 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 	return out
 }
 
+// CulpritsAcross is OriginalCulprits over the merge of several register
+// sets' snapshots, without building that merge: at every level it takes,
+// per half, the record with the largest sequence number across snaps and
+// feeds it to the same staircase. snaps[0] must be the most recent snapshot;
+// the walk stops at its top pointer.
+//
+// For the snapshots the control plane passes — the newest one of each
+// register set at or before a freeze, newest first — the result equals
+// Merge-ing the whole checkpoint chain up to that freeze and calling
+// OriginalCulprits on it: a set is never cleared and Observe only ever
+// overwrites a half with a larger sequence number, so an older snapshot of a
+// set adds nothing to its newest one, and the sequence number that Merge
+// picks its top by belongs to the last level change, which every later
+// snapshot's top still points at. The cost follows the levels below the
+// top, not the array length, and the only allocation is the result.
+func CulpritsAcross(snaps []*Snapshot) []Culprit {
+	if len(snaps) == 0 {
+		return nil
+	}
+	newest := snaps[0]
+	for _, s := range snaps[1:] {
+		if s.cfg != newest.cfg {
+			panic("qmonitor: walking snapshots with different configs")
+		}
+	}
+	var out []Culprit
+	var maxSeq uint64
+	for level := 0; level <= newest.top && level < len(newest.entries); level++ {
+		// The newest rise record and the newest fall's sequence number at
+		// this level; a valid record's sequence number is at least 1.
+		var up *Half
+		var upSeq, downSeq uint64
+		for _, s := range snaps {
+			e := &s.entries[level]
+			if e.Up.Valid && e.Up.Seq > upSeq {
+				up, upSeq = &e.Up, e.Up.Seq
+			}
+			if e.Down.Valid && e.Down.Seq > downSeq {
+				downSeq = e.Down.Seq
+			}
+		}
+		if upSeq > maxSeq {
+			out = append(out, Culprit{Flow: up.Flow, Level: level, Seq: upSeq})
+			maxSeq = upSeq
+		}
+		if downSeq > maxSeq {
+			maxSeq = downSeq
+		}
+	}
+	return out
+}
+
 // OriginalCulpritsNoFilter is the ablation variant that returns every valid
 // increase entry at or below the top pointer, without the sequence-number
 // staircase. Stale peaks then wrongly implicate long-gone packets.
@@ -252,9 +304,10 @@ func FlowCounts(culprits []Culprit) flow.Counts {
 
 // Merge combines two snapshots of the same configuration by keeping, per
 // level and half, the record with the larger sequence number, and the later
-// top pointer (by the monitor's global sequence ordering). The control
-// plane merges the current and previous checkpoints so original culprits
-// recorded before a register-set flip are not lost.
+// top pointer (by the monitor's global sequence ordering), so original
+// culprits recorded before a register-set flip are not lost. It builds a
+// full-size snapshot per call; queries use CulpritsAcross, and Merge is the
+// reference that walk is tested against.
 func Merge(a, b *Snapshot) *Snapshot {
 	if a == nil {
 		return b

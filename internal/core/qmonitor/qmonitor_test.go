@@ -219,3 +219,161 @@ func TestEntriesPerSnapshot(t *testing.T) {
 		t.Fatalf("EntriesPerSnapshot = %d, want 12", got)
 	}
 }
+
+// setRotation replays the control plane's use of the monitor in miniature:
+// four register sets per queue selected by a dp bit and a flip bit, a
+// periodic flip and a data-plane freeze that each snapshot the active set,
+// toggle one bit and Adopt top/seq into the new active set. It records the
+// chain of (set, snapshots) in freeze order.
+type setRotation struct {
+	mons   [][4]*Monitor // [queue][set]
+	active int
+	chain  []frozenSet
+}
+
+type frozenSet struct {
+	set   int
+	snaps []*Snapshot // one per queue
+}
+
+func newSetRotation(t *testing.T, cfg Config, queues int) *setRotation {
+	t.Helper()
+	r := &setRotation{mons: make([][4]*Monitor, queues)}
+	for q := range r.mons {
+		for set := range r.mons[q] {
+			m, err := New(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.mons[q][set] = m
+		}
+	}
+	return r
+}
+
+// freeze snapshots the active set and moves to the set with bit toggled
+// (1 = periodic flip, 2 = data-plane query).
+func (r *setRotation) freeze(bit int) {
+	f := frozenSet{set: r.active, snaps: make([]*Snapshot, len(r.mons))}
+	next := r.active ^ bit
+	for q := range r.mons {
+		f.snaps[q] = r.mons[q][r.active].Snapshot()
+		r.mons[q][next].Adopt(r.mons[q][r.active].Top(), r.mons[q][r.active].Seq())
+	}
+	r.chain = append(r.chain, f)
+	r.active = next
+}
+
+// newestPerSet returns queue q's newest snapshot of each set frozen so far,
+// newest first — what the control plane hands CulpritsAcross.
+func (r *setRotation) newestPerSet(q int) []*Snapshot {
+	var out []*Snapshot
+	var seen [4]bool
+	for i := len(r.chain) - 1; i >= 0; i-- {
+		if f := r.chain[i]; !seen[f.set] {
+			seen[f.set] = true
+			out = append(out, f.snaps[q])
+		}
+	}
+	return out
+}
+
+// chainMerge is the reference: Merge over every freeze so far, in order.
+func (r *setRotation) chainMerge(q int) *Snapshot {
+	var merged *Snapshot
+	for _, f := range r.chain {
+		merged = Merge(merged, f.snaps[q])
+	}
+	return merged
+}
+
+// TestCulpritsAcrossMatchesMergeChain drives seeded op sequences that put
+// all four register sets in play and, after every freeze, holds the
+// staircase over the newest snapshot of each set to the Merge of the whole
+// chain — culprits and the top pointer the walk stops at. Depths beyond
+// MaxDepthCells clamp at the last level; the first freezes happen before any
+// packet, so empty snapshots are covered too.
+func TestCulpritsAcrossMatchesMergeChain(t *testing.T) {
+	cfg := Config{MaxDepthCells: 96, GranuleCells: 2}
+	const queues = 3
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xc0ffee))
+		r := newSetRotation(t, cfg, queues)
+		r.freeze(1)
+		r.freeze(2)
+		depth := make([]int, queues)
+		var usedSets [4]bool
+		for op := 0; op < 1500; op++ {
+			switch x := rng.IntN(100); {
+			case x < 90:
+				q := rng.IntN(queues)
+				// Mostly small steps so staircases build; sometimes a jump,
+				// which may overshoot the array and clamp.
+				if rng.IntN(12) == 0 {
+					depth[q] = rng.IntN(cfg.MaxDepthCells * 2)
+				} else {
+					depth[q] += rng.IntN(7) - 2
+				}
+				r.mons[q][r.active].Observe(fkey(byte('A'+rng.IntN(26))), depth[q])
+				continue
+			case x < 97:
+				r.freeze(1)
+			default:
+				r.freeze(2)
+			}
+			usedSets[r.chain[len(r.chain)-1].set] = true
+			for q := 0; q < queues; q++ {
+				merged := r.chainMerge(q)
+				snaps := r.newestPerSet(q)
+				if snaps[0].Top() != merged.Top() {
+					t.Fatalf("seed %d op %d queue %d: newest snapshot's top %d, chain merge's %d",
+						seed, op, q, snaps[0].Top(), merged.Top())
+				}
+				got, want := CulpritsAcross(snaps), merged.OriginalCulprits()
+				if len(got) != len(want) {
+					t.Fatalf("seed %d op %d queue %d: %d culprits across %d sets, chain merge has %d",
+						seed, op, q, len(got), len(snaps), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d op %d queue %d: culprit %d = %+v, want %+v", seed, op, q, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if usedSets != [4]bool{true, true, true, true} {
+			t.Fatalf("seed %d froze sets %v; the sequence must use all four", seed, usedSets)
+		}
+	}
+	if got := CulpritsAcross(nil); got != nil {
+		t.Fatalf("no snapshots gave %v", got)
+	}
+}
+
+// TestCulpritsAcrossAllocs: the walk allocates the result slice and nothing
+// else — the same appends OriginalCulprits makes on an already merged
+// snapshot, and none at all when there is nothing to report.
+func TestCulpritsAcrossAllocs(t *testing.T) {
+	cfg := Config{MaxDepthCells: 4096, GranuleCells: 1}
+	r := newSetRotation(t, cfg, 1)
+	empty := r.mons[0][0].Snapshot()
+	if n := testing.AllocsPerRun(100, func() { CulpritsAcross([]*Snapshot{empty, empty, empty, empty}) }); n != 0 {
+		t.Errorf("walk over empty snapshots allocates %.0f/op, want 0", n)
+	}
+	for i := 0; i < 900; i++ {
+		r.mons[0][r.active].Observe(fkey(byte(i)), i)
+		if i%50 == 49 {
+			r.freeze(1 + i/50%2)
+		}
+	}
+	r.freeze(1)
+	snaps := r.newestPerSet(0)
+	merged := r.chainMerge(0)
+	if len(snaps) != 4 || len(merged.OriginalCulprits()) != 900 {
+		t.Fatalf("%d sets, %d culprits; want 4 and 900", len(snaps), len(merged.OriginalCulprits()))
+	}
+	want := testing.AllocsPerRun(100, func() { merged.OriginalCulprits() })
+	if got := testing.AllocsPerRun(100, func() { CulpritsAcross(snaps) }); got != want {
+		t.Errorf("walk across 4 sets allocates %.0f/op, the staircase over one merged snapshot %.0f", got, want)
+	}
+}

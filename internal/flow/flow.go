@@ -114,10 +114,45 @@ func (k Key) Compare(o Key) int {
 
 // String renders the key as "src:sport>dst:dport/proto".
 func (k Key) String() string {
+	var buf [MaxKeyTextLen]byte
+	return string(k.AppendText(buf[:0]))
+}
+
+// MaxKeyTextLen is the longest text AppendText produces:
+// "255.255.255.255:65535>255.255.255.255:65535/proto255".
+const MaxKeyTextLen = 52
+
+// AppendText appends the text String returns to b, allocating nothing when
+// b has MaxKeyTextLen bytes to spare; ParseKey is its inverse. Encoders
+// that write many keys (the query reply frame) call it on the frame buffer
+// directly.
+func (k Key) AppendText(b []byte) []byte {
 	if k.IsZero() {
-		return "<none>"
+		return append(b, "<none>"...)
 	}
-	return fmt.Sprintf("%s:%d>%s:%d/%s", k.Src(), k.SrcPort, k.Dst(), k.DstPort, k.Proto)
+	b = appendIPv4(b, k.SrcIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, '>')
+	b = appendIPv4(b, k.DstIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.DstPort), 10)
+	b = append(b, '/')
+	if k.Proto == ProtoTCP || k.Proto == ProtoUDP {
+		return append(b, k.Proto.String()...) // a constant: no allocation
+	}
+	b = append(b, "proto"...)
+	return strconv.AppendUint(b, uint64(k.Proto), 10)
+}
+
+func appendIPv4(b []byte, ip [4]byte) []byte {
+	for i, octet := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return b
 }
 
 // ParseKey parses the format produced by String. It accepts "<none>" for the

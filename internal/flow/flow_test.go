@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,56 @@ func TestStringParseRoundTrip(t *testing.T) {
 		if got != k {
 			t.Fatalf("round trip %q: got %v", k.String(), got)
 		}
+	}
+}
+
+// sprintfKey is the rendering String had before AppendText, kept as the
+// oracle: every reply ever put on the wire and every log line used it.
+func sprintfKey(k Key) string {
+	if k.IsZero() {
+		return "<none>"
+	}
+	return fmt.Sprintf("%s:%d>%s:%d/%s", k.Src(), k.SrcPort, k.Dst(), k.DstPort, k.Proto)
+}
+
+// TestAppendTextMatchesSprintf: AppendText (and String over it) is
+// byte-identical to the fmt rendering for random keys, the zero key, every
+// protocol number and the longest key; ParseKey inverts it; it appends after
+// what the buffer already holds; and into a sized buffer it allocates nothing.
+func TestAppendTextMatchesSprintf(t *testing.T) {
+	check := func(k Key) bool {
+		want := sprintfKey(k)
+		got := string(k.AppendText([]byte("x")))
+		if got != "x"+want || k.String() != want || len(want) > MaxKeyTextLen {
+			t.Errorf("key %#v: AppendText %q, String %q, fmt %q", k, got, k.String(), want)
+			return false
+		}
+		back, err := ParseKey(want)
+		if err != nil || back != k {
+			t.Errorf("ParseKey(%q) = %v, %v; want %v", want, back, err, k)
+			return false
+		}
+		return true
+	}
+	f := func(a, b [4]byte, sp, dp uint16, proto uint8) bool {
+		return check(Key{SrcIP: a, DstIP: b, SrcPort: sp, DstPort: dp, Proto: Proto(proto)})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	check(Zero)
+	for proto := 0; proto < 256; proto++ {
+		check(Key{SrcIP: [4]byte{1, 2, 3, 4}, DstPort: 9, Proto: Proto(proto)})
+	}
+	longest := Key{SrcIP: [4]byte{255, 255, 255, 255}, DstIP: [4]byte{255, 255, 255, 255}, SrcPort: 65535, DstPort: 65535, Proto: 255}
+	if check(longest); len(longest.String()) != MaxKeyTextLen {
+		t.Errorf("longest key renders %d bytes, MaxKeyTextLen is %d", len(longest.String()), MaxKeyTextLen)
+	}
+
+	buf := make([]byte, 0, MaxKeyTextLen)
+	k := sampleKey()
+	if n := testing.AllocsPerRun(100, func() { buf = k.AppendText(buf[:0]) }); n != 0 {
+		t.Errorf("AppendText into a sized buffer allocates %.0f/op, want 0", n)
 	}
 }
 
