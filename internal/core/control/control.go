@@ -7,7 +7,6 @@ package control
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,26 +58,7 @@ type Config struct {
 	// durable segment log, and interval queries that reach past the in-RAM
 	// (hot) tier are answered from the log's cold tier. See histstore.
 	History *histstore.Options
-	// QueryPath selects the interval-query implementation. The default
-	// (QueryPathIndexed) prunes the checkpoint run by coverage and
-	// binary-searches each checkpoint's sorted cell index; QueryPathScan is
-	// the reference linear scan retained for ablation and differential
-	// testing. Results are bit-identical between the two.
-	QueryPath QueryPath
 }
-
-// QueryPath selects how interval queries walk the checkpoint history.
-type QueryPath int
-
-const (
-	// QueryPathIndexed binary-searches the overlapping checkpoint run and,
-	// within each checkpoint, the overlapping cell range per window.
-	QueryPathIndexed QueryPath = iota
-	// QueryPathScan visits every cell of every window of every retained
-	// checkpoint — the pre-index behavior, kept as the reference
-	// implementation.
-	QueryPathScan
-)
 
 func (c *Config) normalize() error {
 	if err := c.TW.Validate(); err != nil {
@@ -185,6 +165,13 @@ func (c *Checkpoint) Filtered() *timewindow.Filtered {
 	return c.Filtered()
 }
 
+// Coverage returns the dequeue-time span (PrevFreeze, FreezeTime] the
+// checkpoint covers. With Filtered it makes a Checkpoint a
+// timewindow.Covered.
+func (c *Checkpoint) Coverage() (prevFreeze, freezeTime uint64) {
+	return c.PrevFreeze, c.FreezeTime
+}
+
 // DropFiltered releases the memoized filtered form (if built), refunding
 // its bytes. Queries holding the old pointer keep working; a later
 // Filtered() call rebuilds.
@@ -227,6 +214,9 @@ type DPQuery struct {
 	Result      flow.Counts
 	Checkpoint  *Checkpoint
 	ReadLatency uint64 // ns the special-register read occupied the front end
+	// Err is set, and Result left nil, when the victim's interval reached
+	// into a history log written under another window configuration.
+	Err error
 }
 
 // Stats aggregates control-plane accounting across ports.
@@ -294,7 +284,7 @@ func (qc *queryPathCounters) register(reg *telemetry.Registry) {
 	qc.checkpointsPruned = reg.Counter("printqueue_query_checkpoints_pruned_total",
 		"Checkpoints skipped by the coverage binary search without being touched.")
 	qc.cellsVisited = reg.Counter("printqueue_query_cells_visited_total",
-		"Time-window cells visited by interval queries (index hits, or full walks on the scan path).")
+		"Time-window index cells visited by interval queries.")
 	qc.indexBuildNs = reg.Histogram("printqueue_query_index_build_ns",
 		"One-time cost of filtering a checkpoint and building its sorted cell index.",
 		telemetry.LatencyBuckets)
@@ -365,9 +355,6 @@ type System struct {
 	portTab []*portState
 	stats   statsCounters
 	qpath   queryPathCounters
-	// twCoeff caches cfg.TW.Coefficients() so query accumulators do not
-	// recompute the recursion per query.
-	twCoeff []float64
 	// telemetry is the system's metric registry: the stats counters, the
 	// pipeline/snapshotter instrumentation, and the query-path metrics all
 	// register here, and the ops server scrapes it.
@@ -424,7 +411,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.hist = hist
 	}
-	s.twCoeff = cfg.TW.Coefficients()
 	s.twFiles = make([]*registers.File[timewindow.Cell], cfg.TW.T)
 	for i := range s.twFiles {
 		s.twFiles[i] = registers.NewFile[timewindow.Cell](s.layout)
@@ -742,21 +728,14 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 	}
 }
 
-// snapshotCheckpoints returns a stable view of the checkpoint history.
-func (ps *portState) snapshotCheckpoints() []*Checkpoint {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return ps.checkpoints.slice()
-}
-
 // snapshotRun binary-searches the history for the run of checkpoints whose
 // coverage overlaps [start, end) and copies only that run — pruning before
 // the copy, so a narrow query over a deep history never materializes the
 // whole checkpoint list. Also returns the total history length for the
 // pruning counters and the hot tier's coverage start (the oldest retained
-// checkpoint's PrevFreeze; ^uint64(0) when the history is empty), which the
-// cold tier uses to avoid double counting.
-func (ps *portState) snapshotRun(start, end uint64) (run []*Checkpoint, total int, hotStart uint64) {
+// checkpoint's PrevFreeze; ^uint64(0) when the history is empty), below
+// which the interval is the cold tier's.
+func (ps *portState) snapshotRun(start, end uint64) (run []timewindow.Covered, total int, hotStart uint64) {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
 	hotStart = ^uint64(0)
@@ -892,11 +871,12 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now 
 	}
 	// The victim's queuing interval can reach past the just-frozen special
 	// set into earlier register sets (a deep queue holds more history than
-	// one set accumulated since its last rotation), so the query runs over
-	// the whole disjoint-coverage checkpoint chain ending at the special
-	// freeze. The recency advantage of the data-plane query is preserved:
-	// the newest, least-compressed data is in the special set.
-	dq.Result = s.queryCheckpoints(ps.snapshotCheckpoints(), dq.EnqTS, dq.DeqTS)
+	// one set accumulated since its last rotation), and past those into the
+	// log, so it is answered like any other interval, over the checkpoint
+	// chain ending at the special freeze. The recency advantage of the
+	// data-plane query is preserved: the newest, least-compressed data is in
+	// the special set.
+	dq.Result, dq.Err = s.foldInterval(ps, dq.EnqTS, dq.DeqTS, nil, nil)
 	ps.mu.Lock()
 	ps.dpQueries = append(ps.dpQueries, dq)
 	ps.mu.Unlock()
@@ -929,10 +909,13 @@ func (s *System) Finalize(now uint64) {
 // first. The returned slice is a stable copy; it is safe to use while the
 // data plane keeps running.
 func (s *System) Checkpoints(port int) []*Checkpoint {
-	if ps, ok := s.ports[port]; ok {
-		return ps.snapshotCheckpoints()
+	ps, ok := s.ports[port]
+	if !ok {
+		return nil
 	}
-	return nil
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	return ps.checkpoints.slice()
 }
 
 // DPQueries returns the data-plane queries executed on a port, oldest
@@ -971,17 +954,9 @@ func (s *System) QueryInterval(port int, start, end uint64) (flow.Counts, error)
 	return counts, err
 }
 
-// queryIntervalSharded is QueryInterval with optional parallel fan-out:
-// when sem (a semaphore whose capacity is the query-worker count) is
-// non-nil and the pruned checkpoint run is long, the run is split into
-// contiguous shards accumulated concurrently and merged in shard order.
-// Shards that cannot acquire a slot run inline on the caller, so fan-out
-// never blocks on a busy pool. Because the shards produce exact integer
-// accumulators, the result is bit-identical to the serial (and scan) path
-// for any sharding. tr (nil = untraced) collects per-stage spans: one
-// "server.shard" span per fan-out chunk (recorded concurrently by the
-// workers) and a "server.merge" span for the shard merge, or a single
-// "server.accumulate" span on the serial path.
+// queryIntervalSharded is QueryInterval with optional parallel fan-out over
+// sem (see foldInterval) and per-stage spans collected in tr (nil =
+// untraced).
 func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
 	ps, ok := s.ports[port]
 	if !ok {
@@ -990,36 +965,39 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 	if end <= start {
 		return nil, fmt.Errorf("control: empty query interval [%d, %d)", start, end)
 	}
-	if s.cfg.QueryPath == QueryPathScan {
-		// The scan path walks the whole hot history linearly, but the cold
-		// tier still serves the part of the interval below the oldest
-		// retained checkpoint — otherwise a bounded hot tier would silently
-		// shrink scan answers and break the documented bit-identity with
-		// the indexed path.
-		sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-		cps := ps.snapshotCheckpoints()
-		hotStart := ^uint64(0)
-		if len(cps) > 0 {
-			hotStart = cps[0].PrevFreeze
-		}
-		cold, coldEnd := s.coldRun(port, start, end, hotStart)
-		acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-		s.qpath.checkpointsScanned.Add(int64(len(cps)))
-		visited := accumulateRun(acc, cps, start, end, true)
-		visited += accumulateCold(acc, cold, start, coldEnd)
-		s.qpath.cellsVisited.Add(int64(visited))
-		counts := acc.Counts()
-		sp.End()
-		return counts, nil
-	}
+	return s.foldInterval(ps, start, end, sem, tr)
+}
+
+// foldInterval answers [start, end) on one port. The checkpoints whose
+// coverage overlaps the interval form one run, oldest first: the cold tier's
+// below the hot tier's coverage start (evicted from RAM but retained in the
+// segment log), then the hot ring's. Both periodic and special checkpoints
+// are in it: "the time periods covered by the periodically polled registers
+// and special registers do not overlap, because [a] packet at any time point
+// would belong to only one register set" (§6.2), and PrevFreeze chaining
+// keeps the coverages disjoint across tiers too. timewindow.FoldInterval
+// does the rest.
+//
+// When sem (a semaphore whose capacity is the query-worker count) is non-nil
+// and the run is long, it is split into contiguous shards folded
+// concurrently and merged in shard order. Shards that cannot acquire a slot
+// run inline on the caller, so fan-out never blocks on a busy pool. The
+// shards' accumulators are exact integers, so the result is bit-identical
+// for any sharding. tr collects one "server.shard" span per shard (recorded
+// concurrently by the workers) and a "server.merge" span for the merge, or a
+// single "server.accumulate" span when the run is folded whole.
+func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
 	run, histLen, hotStart := ps.snapshotRun(start, end)
 	s.qpath.checkpointsPruned.Add(int64(histLen - len(run)))
 	s.qpath.checkpointsScanned.Add(int64(len(run)))
-	// The cold tier serves the part of the interval below the hot tier's
-	// coverage (checkpoints already evicted from RAM but retained in the
-	// segment log). It accumulates into the same exact integer form, so
-	// merging tiers is bit-identical to a single deep in-RAM history.
-	cold, coldEnd := s.coldRun(port, start, end, hotStart)
+	if cold := s.coldRun(ps.id, start, end, hotStart); len(cold) > 0 {
+		hot := run
+		run = make([]timewindow.Covered, 0, len(cold)+len(hot))
+		for _, cc := range cold {
+			run = append(run, cc)
+		}
+		run = append(run, hot...)
+	}
 	shards := 0
 	if sem != nil {
 		shards = cap(sem)
@@ -1029,25 +1007,26 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 	}
 	if len(run) < parallelMinRun || shards < 2 {
 		sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-		acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-		visited := accumulateRun(acc, run, start, end, false)
-		visited += accumulateCold(acc, cold, start, coldEnd)
-		s.qpath.cellsVisited.Add(int64(visited))
-		counts := acc.Counts()
-		sp.End()
-		return counts, nil
+		defer sp.End()
+		acc := timewindow.NewAccumulator(s.cfg.TW.T, nil)
+		cells, err := timewindow.FoldInterval(acc, s.cfg.TW, run, start, end)
+		if err != nil {
+			return nil, err
+		}
+		s.qpath.cellsVisited.Add(int64(cells))
+		return acc.Counts(), nil
 	}
 	accs := make([]*timewindow.Accumulator, shards)
 	cells := make([]int, shards)
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	spawned := 0
 	for c := 0; c < shards; c++ {
 		chunk := run[c*len(run)/shards : (c+1)*len(run)/shards]
-		work := func(c int, chunk []*Checkpoint) {
+		work := func(c int, chunk []timewindow.Covered) {
 			sp := tr.StartSpan("server.shard", tracing.SrcServer)
-			acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-			cells[c] = accumulateRun(acc, chunk, start, end, false)
-			accs[c] = acc
+			accs[c] = timewindow.NewAccumulator(s.cfg.TW.T, nil)
+			cells[c], errs[c] = timewindow.FoldInterval(accs[c], s.cfg.TW, chunk, start, end)
 			sp.End()
 		}
 		if c == shards-1 {
@@ -1060,7 +1039,7 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 		case sem <- struct{}{}:
 			wg.Add(1)
 			spawned++
-			go func(c int, chunk []*Checkpoint) {
+			go func(c int, chunk []timewindow.Covered) {
 				defer func() { <-sem; wg.Done() }()
 				work(c, chunk)
 			}(c, chunk)
@@ -1073,85 +1052,25 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 		s.qpath.parallelFanouts.Inc()
 	}
 	spM := tr.StartSpan("server.merge", tracing.SrcServer)
-	total := accs[0]
-	visited := cells[0]
-	for c := 1; c < shards; c++ {
-		total.Merge(accs[c])
+	defer spM.End()
+	visited := 0
+	for c := 0; c < shards; c++ {
+		if errs[c] != nil {
+			return nil, errs[c]
+		}
+		if c > 0 {
+			accs[0].Merge(accs[c])
+		}
 		visited += cells[c]
 	}
-	visited += accumulateCold(total, cold, start, coldEnd)
 	s.qpath.cellsVisited.Add(int64(visited))
-	counts := total.Counts()
-	spM.End()
-	return counts, nil
+	return accs[0].Counts(), nil
 }
 
-// parallelMinRun is the smallest pruned checkpoint run worth sharding
-// across query workers; below it goroutine handoff costs more than the
-// accumulation it parallelizes.
+// parallelMinRun is the smallest checkpoint run worth sharding across query
+// workers; below it goroutine handoff costs more than the accumulation it
+// parallelizes.
 const parallelMinRun = 8
-
-// queryCheckpoints splits [start, end) across the checkpoints' disjoint
-// coverages and aggregates the per-checkpoint estimates. Both periodic and
-// special checkpoints contribute: "the time periods covered by the
-// periodically polled registers and special registers do not overlap,
-// because [a] packet at any time point would belong to only one register
-// set" (§6.2). PrevFreeze chaining keeps the coverages disjoint.
-//
-// On the default indexed path the disjoint, sorted coverages are
-// binary-searched for the overlapping run; the scan path walks the whole
-// history. The two are bit-identical (shared integer accumulator).
-func (s *System) queryCheckpoints(cps []*Checkpoint, start, end uint64) flow.Counts {
-	acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-	run := cps
-	scan := s.cfg.QueryPath == QueryPathScan
-	if !scan {
-		run = pruneCheckpoints(cps, start, end)
-		s.qpath.checkpointsPruned.Add(int64(len(cps) - len(run)))
-	}
-	s.qpath.checkpointsScanned.Add(int64(len(run)))
-	s.qpath.cellsVisited.Add(int64(accumulateRun(acc, run, start, end, scan)))
-	return acc.Counts()
-}
-
-// accumulateRun folds a checkpoint run's clamped coverages into acc,
-// returning the cells visited.
-func accumulateRun(acc *timewindow.Accumulator, run []*Checkpoint, start, end uint64, scan bool) int {
-	visited := 0
-	for _, cp := range run {
-		lo, hi := start, end
-		if cp.PrevFreeze > lo {
-			lo = cp.PrevFreeze
-		}
-		if cp.FreezeTime < hi {
-			hi = cp.FreezeTime
-		}
-		if hi <= lo {
-			continue
-		}
-		if scan {
-			visited += cp.Filtered().AccumulateScanInto(acc, lo, hi)
-		} else {
-			visited += cp.Filtered().AccumulateInto(acc, lo, hi)
-		}
-	}
-	return visited
-}
-
-// pruneCheckpoints binary-searches the contiguous run of checkpoints whose
-// coverage (PrevFreeze, FreezeTime] overlaps [start, end). It relies on the
-// history invariants the retire path maintains: FreezeTime strictly
-// ascending and PrevFreeze chained to the predecessor's FreezeTime, so both
-// fields are monotone. Checkpoints outside the run contribute nothing (the
-// clamp in accumulateRun would reject them), so pruning is lossless.
-func pruneCheckpoints(cps []*Checkpoint, start, end uint64) []*Checkpoint {
-	lo := sort.Search(len(cps), func(i int) bool { return cps[i].FreezeTime > start })
-	hi := sort.Search(len(cps), func(i int) bool { return cps[i].PrevFreeze >= end })
-	if hi < lo {
-		hi = lo
-	}
-	return cps[lo:hi]
-}
 
 // QueryOriginal executes a queue-monitor query: the original causes of
 // congestion at the time instant closest to t, for the given port and

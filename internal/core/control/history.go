@@ -78,17 +78,20 @@ func (r *cpRing) slice() []*Checkpoint {
 	return out
 }
 
-// pruneCopy is pruneCheckpoints over the ring: it binary-searches the
-// logical (oldest-first) order for the run overlapping [start, end) —
-// relying on the same monotone FreezeTime/PrevFreeze invariants — and
-// copies only that run.
-func (r *cpRing) pruneCopy(start, end uint64) []*Checkpoint {
+// pruneCopy binary-searches the logical (oldest-first) order for the
+// contiguous run of checkpoints whose coverage (PrevFreeze, FreezeTime]
+// overlaps [start, end) and copies only that run. It relies on the history
+// invariants the retire path maintains: FreezeTime strictly ascending and
+// PrevFreeze chained to the predecessor's FreezeTime, so both fields are
+// monotone. Checkpoints outside the run contribute nothing (the fold's clamp
+// would reject them), so pruning is lossless.
+func (r *cpRing) pruneCopy(start, end uint64) []timewindow.Covered {
 	lo := sort.Search(r.n, func(i int) bool { return r.at(i).FreezeTime > start })
 	hi := sort.Search(r.n, func(i int) bool { return r.at(i).PrevFreeze >= end })
 	if hi < lo {
 		hi = lo
 	}
-	out := make([]*Checkpoint, hi-lo)
+	out := make([]timewindow.Covered, hi-lo)
 	for i := range out {
 		out[i] = r.at(lo + i)
 	}
@@ -114,48 +117,23 @@ func (r *cpRing) nearest(t uint64) int {
 // coldRun fetches the cold-tier checkpoints for a query over [start, end)
 // whose hot tier starts covering at hotStart. The tiers partition trace
 // time exactly at hotStart — every checkpoint at or below it has been
-// retired into the log, every one above it is in RAM — so the cold
-// contribution is clamped to [start, min(end, hotStart)) and nothing is
-// counted twice. Returns nil when the store is absent, the interval is
-// fully hot, or the store errors (queries degrade to hot-only rather than
-// fail; decode errors are counted by the store).
-func (s *System) coldRun(port int, start, end, hotStart uint64) ([]*histstore.ColdCheckpoint, uint64) {
-	coldEnd := end
-	if hotStart < coldEnd {
-		coldEnd = hotStart
-	}
+// retired into the log, every one above it is in RAM — so the log is asked
+// for [start, min(end, hotStart)) only and nothing is counted twice: what it
+// returns ends at or below hotStart, and the hot checkpoints' own records
+// in the log start at or above it. Returns nil when the store is absent, the
+// interval is fully hot, or the store errors (queries degrade to hot-only
+// rather than fail; decode errors are counted by the store).
+func (s *System) coldRun(port int, start, end, hotStart uint64) []*histstore.ColdCheckpoint {
+	coldEnd := min(end, hotStart)
 	if s.hist == nil || coldEnd <= start {
-		return nil, coldEnd
+		return nil
 	}
 	cold, err := s.hist.Covering(port, start, coldEnd)
 	if err != nil {
-		return nil, coldEnd
+		return nil
 	}
 	s.qpath.coldCheckpoints.Add(int64(len(cold)))
-	return cold, coldEnd
-}
-
-// accumulateCold folds the cold checkpoints' clamped coverages into acc,
-// mirroring accumulateRun for the hot tier; coldEnd caps every coverage at
-// the hot tier's start. Integer accumulation makes the tier split
-// commutative: the merged result is bit-identical to a query over a pure
-// in-RAM history holding the same checkpoints.
-func accumulateCold(acc *timewindow.Accumulator, cold []*histstore.ColdCheckpoint, start, coldEnd uint64) int {
-	visited := 0
-	for _, cc := range cold {
-		lo, hi := start, coldEnd
-		if p := cc.PrevFreeze(); p > lo {
-			lo = p
-		}
-		if f := cc.FreezeTime(); f < hi {
-			hi = f
-		}
-		if hi <= lo {
-			continue
-		}
-		visited += cc.Filtered().AccumulateInto(acc, lo, hi)
-	}
-	return visited
+	return cold
 }
 
 // HistoryStats returns the durable history store's statistics; ok is false

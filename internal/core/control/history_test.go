@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"printqueue/internal/core/histstore"
+	"printqueue/internal/core/timewindow"
 )
 
 // feedIdentical drives every system with the same deterministic trace
 // (fresh packet records per system) and finalizes them all at the same
 // instant, returning the horizon timestamp.
-func feedIdentical(t *testing.T, systems []*System, packets int) uint64 {
+func feedIdentical(t testing.TB, systems []*System, packets int) uint64 {
 	t.Helper()
 	var ts uint64 = 1000
 	for i := 0; i < packets; i++ {
@@ -262,7 +263,7 @@ func TestCpRingPruneCopy(t *testing.T) {
 		for start := uint64(900); start < uint64(1300+i*100); start += 70 {
 			end := start + 250
 			got := ring.pruneCopy(start, end)
-			var want []*Checkpoint
+			var want []timewindow.Covered
 			for _, cp := range ring.slice() {
 				if cp.FreezeTime > start && cp.PrevFreeze < end {
 					want = append(want, cp)

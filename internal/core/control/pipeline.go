@@ -268,7 +268,7 @@ type snapJob struct {
 // snapshotter is the background checkpoint goroutine. A single goroutine
 // consumes jobs FIFO, which preserves each port's checkpoint order (jobs
 // for one port are enqueued by its one shard worker, in flip order) —
-// queryCheckpoints and cpRing.nearest rely on the history being sorted
+// cpRing.pruneCopy and cpRing.nearest rely on the history being sorted
 // by freeze time.
 type snapshotter struct {
 	sys *System

@@ -56,36 +56,42 @@ func benchDeepSystem(b *testing.B) (*System, uint64) {
 // BenchmarkQueryInterval measures the interval-query path over a deep
 // (256 checkpoint, k=12) history. The narrow case — a recent, short interval,
 // the common diagnosis query — is where checkpoint pruning and the cell
-// index pay off; the wide case touches every checkpoint on both paths and
-// bounds the index's overhead.
+// index pay off; the wide case touches every checkpoint and bounds the
+// index's overhead. The scan rows run the test oracle (scanInterval) over
+// the same intervals: what an answer costs without pruning or index.
 func BenchmarkQueryInterval(b *testing.B) {
 	s, end := benchDeepSystem(b)
+	indexed := func(lo, hi uint64) error {
+		_, err := s.QueryInterval(0, lo, hi)
+		return err
+	}
+	scan := func(lo, hi uint64) error {
+		scanInterval(s, 0, lo, hi)
+		return nil
+	}
 	cases := []struct {
-		name     string
-		lo, hi   uint64
-		path     QueryPath
-		pathName string
+		name   string
+		lo, hi uint64
+		query  func(lo, hi uint64) error
 	}{
 		// The narrow interval models a diagnosis query: one victim packet's
 		// queuing interval, a few µs against the whole retained history.
-		{"narrow/indexed", end - 4096, end, QueryPathIndexed, "indexed"},
-		{"narrow/scan", end - 4096, end, QueryPathScan, "scan"},
-		{"wide/indexed", 0, end + 1, QueryPathIndexed, "indexed"},
-		{"wide/scan", 0, end + 1, QueryPathScan, "scan"},
+		{"narrow/indexed", end - 4096, end, indexed},
+		{"narrow/scan", end - 4096, end, scan},
+		{"wide/indexed", 0, end + 1, indexed},
+		{"wide/scan", 0, end + 1, scan},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			s.cfg.QueryPath = c.path
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.QueryInterval(0, c.lo, c.hi); err != nil {
+				if err := c.query(c.lo, c.hi); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	s.cfg.QueryPath = QueryPathIndexed
 }
 
 // BenchmarkQueryIntervalParallel measures the same wide query through the
@@ -93,7 +99,6 @@ func BenchmarkQueryInterval(b *testing.B) {
 // worker pool.
 func BenchmarkQueryIntervalParallel(b *testing.B) {
 	s, end := benchDeepSystem(b)
-	s.cfg.QueryPath = QueryPathIndexed
 	qs := NewQueryServer(s)
 	qs.Start(4)
 	defer qs.Stop()

@@ -460,11 +460,11 @@ type ColdCheckpoint struct {
 	cp    *cachedCheckpoint
 }
 
-// FreezeTime returns the end of the checkpoint's coverage.
-func (c *ColdCheckpoint) FreezeTime() uint64 { return c.cp.freezeTime }
-
-// PrevFreeze returns the (exclusive) start of the checkpoint's coverage.
-func (c *ColdCheckpoint) PrevFreeze() uint64 { return c.cp.prevFreeze }
+// Coverage returns the checkpoint's coverage (prevFreeze, freezeTime]. With
+// Filtered it makes a ColdCheckpoint a timewindow.Covered.
+func (c *ColdCheckpoint) Coverage() (prevFreeze, freezeTime uint64) {
+	return c.cp.prevFreeze, c.cp.freezeTime
+}
 
 // Config returns the checkpoint's time-window configuration.
 func (c *ColdCheckpoint) Config() timewindow.Config { return c.cp.tw.Config() }

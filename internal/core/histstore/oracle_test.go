@@ -410,9 +410,9 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := timewindow.NewAccumulator(len(coeff), coeff)
-		for _, cp := range cps {
-			cp.Filtered().AccumulateInto(got, max(lo, cp.PrevFreeze()), min(hi, cp.FreezeTime()))
+		got := timewindow.NewAccumulator(len(coeff), nil)
+		if _, err := timewindow.FoldInterval(got, recs[0].TW.Config(), cps, lo, hi); err != nil {
+			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Counts(), want.Counts()) {
 			t.Fatalf("port %d [%d,%d): log answers %v, records answer %v", port, lo, hi, got.Counts(), want.Counts())

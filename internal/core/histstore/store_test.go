@@ -45,6 +45,12 @@ func appendChain(t *testing.T, st *Store, port, n int, startAt uint64) uint64 {
 	return prev
 }
 
+// freezeOf returns the end of a cold checkpoint's coverage.
+func freezeOf(c *ColdCheckpoint) uint64 {
+	_, freeze := c.Coverage()
+	return freeze
+}
+
 func TestStoreAppendAndCovering(t *testing.T) {
 	st := openTestStore(t, t.TempDir(), Options{})
 	defer st.Close()
@@ -60,8 +66,8 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	}
 	for i, cp := range cps {
 		want := uint64(1000 + (i+1)*100)
-		if cp.FreezeTime() != want {
-			t.Fatalf("checkpoint %d: freeze %d, want %d", i, cp.FreezeTime(), want)
+		if freezeOf(cp) != want {
+			t.Fatalf("checkpoint %d: freeze %d, want %d", i, freezeOf(cp), want)
 		}
 	}
 
@@ -70,11 +76,11 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 1 || cps[0].FreezeTime() != 1400 {
+	if len(cps) != 1 || freezeOf(cps[0]) != 1400 {
 		t.Fatalf("narrow query: got %d checkpoints (freeze %v), want the 1400 checkpoint",
 			len(cps), func() any {
 				if len(cps) > 0 {
-					return cps[0].FreezeTime()
+					return freezeOf(cps[0])
 				}
 				return nil
 			}())
@@ -87,7 +93,7 @@ func TestStoreAppendAndCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 1 || cps[0].FreezeTime() != 1500 {
+	if len(cps) != 1 || freezeOf(cps[0]) != 1500 {
 		t.Fatalf("boundary query returned %d checkpoints, want exactly the 1500 one", len(cps))
 	}
 
@@ -127,7 +133,7 @@ func TestStoreRotationAndReopen(t *testing.T) {
 		t.Fatalf("reopened store found %d checkpoints, want 40", len(cps))
 	}
 	for i := 1; i < len(cps); i++ {
-		if cps[i].FreezeTime() <= cps[i-1].FreezeTime() {
+		if freezeOf(cps[i]) <= freezeOf(cps[i-1]) {
 			t.Fatal("checkpoints not ascending after reopen across segments")
 		}
 	}

@@ -1,6 +1,8 @@
 package timewindow
 
 import (
+	"fmt"
+
 	"printqueue/internal/flow"
 )
 
@@ -29,7 +31,8 @@ type Accumulator struct {
 
 // NewAccumulator builds an empty accumulator for t windows with the given
 // recovery coefficients (len >= t). Pass Config.Coefficients() for the
-// paper's estimate, or all-ones for the ablation without recovery.
+// paper's estimate, all-ones for the ablation without recovery, or nil for
+// an accumulator FoldInterval fills.
 func NewAccumulator(t int, coeff []float64) *Accumulator {
 	return &Accumulator{t: t, coeff: coeff, ids: make(map[flow.Key]int32)}
 }
@@ -70,15 +73,15 @@ func (a *Accumulator) addRow(k flow.Key, row []int64) {
 	}
 }
 
-// Flows returns the number of distinct flows accumulated.
-func (a *Accumulator) Flows() int { return len(a.flows) }
-
 // Merge folds b's integer counts into a. Because the counts are exact,
 // merging partial accumulators in any order yields the same totals as
 // accumulating serially.
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b == nil {
 		return
+	}
+	if a.coeff == nil {
+		a.coeff = b.coeff // a has folded no checkpoint yet
 	}
 	for id, k := range b.flows {
 		row := b.counts[id*b.t : (id+1)*b.t]
@@ -90,11 +93,12 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	}
 }
 
-// AddTo applies the coefficients and adds the per-flow estimates into dst.
-// Each flow's estimate is the ascending-window fold of count/coefficient —
-// the same association Query uses — so identical counts always produce
-// bit-identical floats.
-func (a *Accumulator) AddTo(dst flow.Counts) {
+// Counts applies the coefficients and materializes the per-flow estimates
+// as a fresh Counts map. Each flow's estimate is the ascending-window fold
+// of count/coefficient, so identical counts always produce bit-identical
+// floats.
+func (a *Accumulator) Counts() flow.Counts {
+	out := make(flow.Counts, len(a.flows))
 	for id, k := range a.flows {
 		row := a.counts[id*a.t : (id+1)*a.t]
 		var est float64
@@ -104,14 +108,49 @@ func (a *Accumulator) AddTo(dst flow.Counts) {
 			}
 		}
 		if est != 0 {
-			dst.Add(k, est)
+			out.Add(k, est)
 		}
 	}
+	return out
 }
 
-// Counts materializes the accumulated estimate as a fresh Counts map.
-func (a *Accumulator) Counts() flow.Counts {
-	out := make(flow.Counts, len(a.flows))
-	a.AddTo(out)
-	return out
+// Covered is what the interval fold reads of a checkpoint, whichever tier
+// holds it: the dequeue-time coverage (prevFreeze, freezeTime] of the frozen
+// register read, and its time windows with Algorithm 3 applied.
+type Covered interface {
+	Coverage() (prevFreeze, freezeTime uint64)
+	Filtered() *Filtered
+}
+
+// FoldInterval is the asynchronous query of §6.2–6.3, the one place an
+// interval is answered from checkpoints: [start, end) is clamped to each
+// checkpoint's coverage and the surviving cells overlapping what is left are
+// counted per window into acc, whose Counts divides by cfg's coefficients
+// once. acc is the caller's, built for cfg.T windows (NewAccumulator(cfg.T,
+// nil): the coefficients arrive with the first checkpoint folded) — exact
+// integers, so a run split into chunks folds to the same answer once the
+// chunks' accumulators are Merged. It returns the index cells visited.
+//
+// Coverages are disjoint (every packet is dequeued into exactly one register
+// set), so a checkpoint outside the interval contributes nothing and the run
+// may be pruned by any coverage search, or not at all. A checkpoint frozen
+// under another Config has different cell periods and coefficients: folding
+// it would index past the accumulator's windows or scale its cells wrongly,
+// so it is refused.
+func FoldInterval[C Covered](acc *Accumulator, cfg Config, run []C, start, end uint64) (int, error) {
+	cells := 0
+	for _, cp := range run {
+		prev, freeze := cp.Coverage()
+		lo, hi := max(start, prev), min(end, freeze)
+		if hi <= lo {
+			continue
+		}
+		f := cp.Filtered()
+		if f.cfg != cfg {
+			return 0, fmt.Errorf("timewindow: checkpoint frozen at %d has window config %+v, the query folds %+v", freeze, f.cfg, cfg)
+		}
+		acc.coeff = f.coeff // cfg's own: Filter derived them from f.cfg
+		cells += f.AccumulateInto(acc, lo, hi)
+	}
+	return cells, nil
 }

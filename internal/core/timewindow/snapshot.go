@@ -364,15 +364,6 @@ func (f *Filtered) QueryScan(start, end uint64) flow.Counts {
 	return acc.Counts()
 }
 
-// QueryInto accumulates the [start, end) estimate into dst instead of
-// returning a fresh result map. The arithmetic is identical to Query, so
-// results are bit-equal.
-func (f *Filtered) QueryInto(dst flow.Counts, start, end uint64) {
-	acc := NewAccumulator(f.cfg.T, f.coeff)
-	f.AccumulateInto(acc, start, end)
-	acc.AddTo(dst)
-}
-
 // QueryWithoutCoefficients is the ablation variant that sums raw window
 // observations without Algorithm-2 recovery. Deep-window compression then
 // shows up directly as under-estimation.

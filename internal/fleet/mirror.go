@@ -59,8 +59,6 @@ type Mirror struct {
 	// sessionComplete marks the current subscription as a from-zero
 	// replay: ports first seen under it get complete covers.
 	sessionComplete bool
-	coeff           []float64
-	coeffT          int
 
 	// qcache memoizes interval answers. A cover is an append-only suffix:
 	// while (end, n) are unchanged, the records a query folds over are
@@ -337,10 +335,10 @@ func (m *Mirror) coverage(port int) (mirrorCover, bool) {
 }
 
 // Query answers an interval query from the replica, bit-identically to
-// the switch's own query path: the same coverage search, the same
-// per-checkpoint clamping, the same integer accumulator and coefficient
-// fold (see control.accumulateCold). Callers gate on coverage first; this
-// method just computes over whatever records the store holds.
+// the switch's own query path: the same coverage search and the same fold
+// (timewindow.FoldInterval), under the window configuration the records
+// themselves carry. Callers gate on coverage first; this method just
+// computes over whatever records the store holds.
 func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) {
 	if end <= start {
 		return nil, fmt.Errorf("fleet: empty interval [%d, %d)", start, end)
@@ -353,26 +351,9 @@ func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) 
 		return map[string]float64{}, nil
 	}
 	cfg := cps[0].Config()
-	m.mu.Lock()
-	if m.coeff == nil || m.coeffT != cfg.T {
-		m.coeff = cfg.Coefficients()
-		m.coeffT = cfg.T
-	}
-	coeff := m.coeff
-	m.mu.Unlock()
-	acc := timewindow.NewAccumulator(cfg.T, coeff)
-	for _, cc := range cps {
-		lo, hi := start, end
-		if p := cc.PrevFreeze(); p > lo {
-			lo = p
-		}
-		if f := cc.FreezeTime(); f < hi {
-			hi = f
-		}
-		if hi <= lo {
-			continue
-		}
-		cc.Filtered().AccumulateInto(acc, lo, hi)
+	acc := timewindow.NewAccumulator(cfg.T, nil)
+	if _, err := timewindow.FoldInterval(acc, cfg, cps, start, end); err != nil {
+		return nil, err
 	}
 	counts := acc.Counts()
 	res := make(map[string]float64, len(counts))

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"sync"
@@ -27,25 +28,52 @@ func startHistSwitch(t *testing.T, hop int) (addr string, sys *control.System, h
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	var ts uint64 = 1000
-	for i := 0; i < 60; i++ {
-		ts += 10
+	horizon = feedSwitch(sys, hop, 1000, 60, 10)
+	sys.Finalize(horizon + 1)
+	addr, srv = serveSwitch(t, sys)
+	return addr, sys, horizon, srv
+}
+
+// feedSwitch dequeues n packets of the hop's three flows on port 0, one
+// every gap ns after start, and returns the last dequeue time.
+func feedSwitch(sys *control.System, hop int, start uint64, n int, gap uint64) uint64 {
+	ts := start
+	for i := 0; i < n; i++ {
+		ts += gap
 		sys.OnDequeue(&pktrec.Packet{
 			Flow: fleetKey(byte(hop), byte(i%3)),
 			Port: 0,
 			Meta: pktrec.Metadata{EnqTimestamp: ts - 40, DeqTimedelta: 40, EnqQdepth: 8 + i%9},
 		})
 	}
-	sys.Finalize(ts + 1)
+	return ts
+}
+
+// serveSwitch runs a System's query plane over TCP.
+func serveSwitch(t *testing.T, sys *control.System) (addr string, srv *control.NetServer) {
+	t.Helper()
 	qs := control.NewQueryServer(sys)
 	qs.Start(2)
 	t.Cleanup(qs.Stop)
-	srv, err = control.ServeQueries("127.0.0.1:0", qs)
+	srv, err := control.ServeQueries("127.0.0.1:0", qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr().String(), sys, ts, srv
+	return srv.Addr().String(), srv
+}
+
+// mirrorSwitch registers a served switch as "sw0" with a new mirror-mode
+// collector and waits until its mirror has caught up to horizon.
+func mirrorSwitch(t *testing.T, addr string, horizon uint64) *Collector {
+	t.Helper()
+	c := New(Options{Mirror: true, MirrorDir: t.TempDir()})
+	t.Cleanup(func() { c.Close() })
+	if err := c.Register(SwitchInfo{ID: "sw0", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	waitMirrorWarm(t, c, "sw0", 0, horizon+1)
+	return c
 }
 
 // newMirroredFleet builds a mirror-mode collector over n switches with
@@ -139,14 +167,67 @@ func TestFleetMirrorBitIdentical(t *testing.T) {
 // TestFleetMirrorRandomIntervals fuzzes the differential property over
 // random intervals that land in the cold tier, the hot tier, and straddle
 // both: the mirror must agree bit-for-bit with the switch everywhere its
-// coverage admits the query.
+// coverage admits the query. The switch keeps three checkpoints in RAM over
+// its log; the mirror, fed from that log, is also held to the intervals the
+// switch's own engine is held to the scan oracle on (internal/core/control,
+// TestQueryPathBoundaryDifferential) — whether or not the collector's
+// coverage gate would have served them.
 func TestFleetMirrorRandomIntervals(t *testing.T) {
-	c, addrs, horizon := newMirroredFleet(t, 1, Options{})
-	direct, err := control.DialMux(addrs[0])
+	cfg := fleetConfig()
+	cfg.PollPeriodNs = 256
+	cfg.MaxCheckpoints = 3
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	sys, err := control.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	horizon := feedSwitch(sys, 0, 1000, 8000, 8)
+	sys.Finalize(horizon + 1)
+	hotStart := sys.Checkpoints(0)[0].PrevFreeze
+	if hotStart < 2000 {
+		t.Fatalf("hot tier starts at %d; history never evicted to the cold tier", hotStart)
+	}
+	addr, _ := serveSwitch(t, sys)
+	c := mirrorSwitch(t, addr, horizon)
+	direct, err := control.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer direct.Close()
+
+	intervals := [][2]uint64{
+		{0, horizon + 1000},              // full history
+		{0, hotStart / 2},                // cold only
+		{hotStart - 300, hotStart + 300}, // straddle
+		{hotStart - 500, hotStart},       // ends at the boundary
+		{hotStart, hotStart + 500},       // starts at the boundary
+		{horizon - 50, horizon + 1},      // hot only
+		{horizon + 100, horizon + 200},   // beyond the horizon
+		{0, 1},                           // before the first packet
+		{horizon, horizon + 1},           // the very last instant
+		{horizon / 2, horizon/2 + 1},     // point query mid-trace
+	}
+	rng := rand.New(rand.NewPCG(5, 13))
+	for q := 0; q < 120; q++ {
+		lo := rng.Uint64N(horizon)
+		intervals = append(intervals, [2]uint64{lo, lo + 1 + rng.Uint64N(horizon/2)})
+	}
+	mir := c.lookup("sw0").mirror
+	for _, iv := range intervals {
+		got, err := mir.Query(0, iv[0], iv[1])
+		if err != nil {
+			t.Fatalf("[%d,%d) mirror: %v", iv[0], iv[1], err)
+		}
+		want, err := direct.Interval(0, iv[0], iv[1])
+		if err != nil {
+			t.Fatalf("[%d,%d) direct: %v", iv[0], iv[1], err)
+		}
+		if got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("[%d,%d): mirror %v != direct %v", iv[0], iv[1], got, want)
+		}
+	}
+
 	// A deterministic LCG stands in for math/rand: same spread, no seed
 	// plumbing.
 	state := uint64(0x9E3779B97F4A7C15)
@@ -178,6 +259,60 @@ func TestFleetMirrorRandomIntervals(t *testing.T) {
 		if !reflect.DeepEqual(res.Counts, want) {
 			t.Fatalf("[%d,%d): mirror %v != direct %v", start, end, res.Counts, want)
 		}
+	}
+}
+
+// TestFoldRefusesMixedConfig: a switch restarted under other time windows
+// keeps streaming its log, old records and new. The mirror answers an
+// interval inside either configuration's records and declines one that
+// spans both — the fold refuses to mix them — so the hop falls through to
+// the switch, which refuses it too: an error, not a wrong answer.
+func TestFoldRefusesMixedConfig(t *testing.T) {
+	cfg := fleetConfig()
+	cfg.PollPeriodNs = 256
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	cfg.TW.T = 4
+	old, err := control.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restart := feedSwitch(old, 0, 1000, 2000, 8)
+	old.Finalize(restart + 1)
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.TW.T = 3
+	sys, err := control.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	// The new run's first dequeue is at the old run's last freeze, so the
+	// mirror's cover has no hole to decline the spanning interval by.
+	horizon := feedSwitch(sys, 0, restart+1-8, 2000, 8)
+	sys.Finalize(horizon + 1)
+	addr, _ := serveSwitch(t, sys)
+	c := mirrorSwitch(t, addr, horizon)
+	mir := c.lookup("sw0").mirror
+
+	for _, iv := range [][2]uint64{{1000, restart + 1}, {restart + 1, horizon + 1}} {
+		if counts, err := mir.Query(0, iv[0], iv[1]); err != nil || len(counts) == 0 {
+			t.Fatalf("[%d,%d) under one configuration: mirror answers %v, error %v", iv[0], iv[1], counts, err)
+		}
+		if res := c.QueryPath([]HopRef{{"sw0", 0}}, iv[0], iv[1])[0]; !res.Mirrored || res.Err != nil {
+			t.Fatalf("hop over [%d,%d) under one configuration: %+v", iv[0], iv[1], res)
+		}
+	}
+	if counts, err := mir.Query(0, 1000, horizon+1); err == nil {
+		t.Fatalf("mirror folded T=4 and T=3 records into one answer: %v", counts)
+	}
+	served := c.streamMirrorQueries.Load()
+	res := c.QueryPath([]HopRef{{"sw0", 0}}, 1000, horizon+1)[0]
+	if res.Mirrored || res.Err == nil {
+		t.Fatalf("hop spanning both configurations: %+v", res)
+	}
+	if got := c.streamMirrorQueries.Load(); got != served {
+		t.Fatal("the declined hop was counted as mirror-served")
 	}
 }
 

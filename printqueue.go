@@ -157,10 +157,6 @@ type Config struct {
 	// MaxCheckpoints bounds the retained checkpoint history per port
 	// (0 = unlimited).
 	MaxCheckpoints int
-	// QueryPath selects the asynchronous-query implementation: the default
-	// indexed path (checkpoint pruning + per-window cell index), or the
-	// reference full scan kept for ablation. Results are bit-identical.
-	QueryPath QueryPath
 	// History, when non-nil, enables the tiered checkpoint history: every
 	// retired checkpoint is compactly encoded and appended to a durable
 	// segment log, and interval queries reaching past the in-RAM history
@@ -227,25 +223,6 @@ func (h HistoryStats) CompressionRatio() float64 {
 		return 0
 	}
 	return float64(h.RawBytes) / float64(h.EncodedBytes)
-}
-
-// QueryPath selects how interval queries walk the checkpoint history.
-type QueryPath int
-
-const (
-	// QueryPathIndexed binary-searches the overlapping checkpoint run and,
-	// per checkpoint, the overlapping cell range of each window.
-	QueryPathIndexed QueryPath = iota
-	// QueryPathScan visits every cell of every retained checkpoint — the
-	// reference implementation, retained for ablation.
-	QueryPathScan
-)
-
-func (p QueryPath) internal() control.QueryPath {
-	if p == QueryPathScan {
-		return control.QueryPathScan
-	}
-	return control.QueryPathIndexed
 }
 
 // DefaultConfig returns the paper's UW-trace configuration (m0=6, k=12,
@@ -315,6 +292,9 @@ type DataPlaneQuery struct {
 	Culprits    Report
 	FreezeTime  uint64
 	ReadLatency time.Duration
+	// Err is set, and Culprits left empty, when the victim's interval reached
+	// into a History log written under other TimeWindows.
+	Err error
 }
 
 // Stats summarizes control-plane activity.
@@ -342,7 +322,6 @@ func New(cfg Config) (*System, error) {
 		PollPeriodNs:          uint64(cfg.PollPeriod.Nanoseconds()),
 		ReadRateEntriesPerSec: cfg.ReadRateEntriesPerSec,
 		MaxCheckpoints:        cfg.MaxCheckpoints,
-		QueryPath:             cfg.QueryPath.internal(),
 		DPTrigger:             cfg.dpTrigger(),
 		History:               cfg.History.internal(),
 	})
@@ -469,6 +448,7 @@ func (s *System) DataPlaneQueries(port int) []DataPlaneQuery {
 			Culprits:    reportFromCounts(dq.Result),
 			FreezeTime:  dq.FreezeTime,
 			ReadLatency: time.Duration(dq.ReadLatency),
+			Err:         dq.Err,
 		})
 	}
 	return out
