@@ -223,7 +223,7 @@ type DPQuery struct {
 type Stats struct {
 	Checkpoints     int   // periodic freezes taken
 	SpecialFreezes  int   // data-plane query freezes
-	EntriesRead     int64 // register entries copied to the control plane
+	EntriesRead     int64 // register entries a hardware control plane reads for these freezes (whole arrays)
 	InfeasibleFlips int   // freezes whose read exceeded the poll period or overran the snapshotter
 	DPSuppressed    int   // data-plane triggers ignored because a read was in flight
 	PacketsObserved int64
@@ -238,8 +238,10 @@ type statsCounters struct {
 	checkpoints     *telemetry.Counter
 	specialFreezes  *telemetry.Counter
 	entriesRead     *telemetry.Counter
+	cellsKept       *telemetry.Counter
 	infeasibleFlips *telemetry.Counter
 	dpSuppressed    *telemetry.Counter
+	tsRegressions   *telemetry.Counter
 	// freezeRetireNs is the freeze-to-retire latency of checkpoint reads:
 	// from the flip that froze a register set to the checkpoint joining the
 	// query-visible history. Under a Pipeline this spans the snapshot queue
@@ -255,7 +257,11 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.specialFreezes = reg.Counter("printqueue_special_freezes_total",
 		"Register freezes triggered by data-plane queries.")
 	sc.entriesRead = reg.Counter("printqueue_checkpoint_entries_read_total",
-		"Register entries copied to the control plane by checkpoint reads.")
+		"Register entries a hardware control plane reads for the checkpoints taken (whole arrays; the modelled PCIe cost).")
+	sc.cellsKept = reg.Counter("printqueue_checkpoint_cells_kept_total",
+		"Time-window cells and queue-monitor entries actually copied into retired checkpoints (coverage and top trimmed).")
+	sc.tsRegressions = reg.Counter("printqueue_timestamp_regressions_total",
+		"Dequeues stamped before their port's last flip: inserted, never allowed to flip.")
 	sc.infeasibleFlips = reg.Counter("printqueue_infeasible_flips_total",
 		"Freezes whose read exceeded the poll period or stalled on the snapshotter.")
 	sc.dpSuppressed = reg.Counter("printqueue_dp_suppressed_total",
@@ -607,10 +613,19 @@ func (s *System) OnDequeue(p *pktrec.Packet) {
 		return
 	}
 	now := p.Meta.DeqTimestamp()
-	if !ps.started {
+	// A timestamp from before the last flip would wrap the unsigned
+	// difference below and flip, retiring a checkpoint that ends before it
+	// starts and breaking the ascending, chained coverage every search relies
+	// on. Such a packet is recorded in the active set and counted; it takes
+	// no freeze, periodic or data-plane.
+	late := ps.started && now < ps.lastFlip
+	switch {
+	case !ps.started:
 		ps.started = true
 		ps.lastFlip = now
-	} else if now-ps.lastFlip >= s.cfg.PollPeriodNs {
+	case late:
+		s.stats.tsRegressions.Add(1)
+	case now-ps.lastFlip >= s.cfg.PollPeriodNs:
 		s.flip(ps, now)
 	}
 	ps.packets.Add(1)
@@ -622,7 +637,7 @@ func (s *System) OnDequeue(p *pktrec.Packet) {
 	}
 	ps.qm[queue][ps.writeSel.index()].Observe(p.Flow, p.Meta.EnqQdepth)
 
-	if s.cfg.DPTrigger != nil && s.cfg.DPTrigger(p) {
+	if s.cfg.DPTrigger != nil && !late && s.cfg.DPTrigger(p) {
 		if now < ps.dpLockedUntil {
 			s.stats.dpSuppressed.Add(1)
 		} else {
@@ -631,26 +646,36 @@ func (s *System) OnDequeue(p *pktrec.Packet) {
 	}
 }
 
-// snapshotSet copies register set sel of a port into a checkpoint and
+// snapshotSet freezes register set sel of a port into a checkpoint and
 // charges the read cost. In synchronous mode it runs on the caller; under a
 // Pipeline it runs on the background snapshot goroutine, off the packet
 // path — the software analogue of the paper's asynchronous PCIe register
 // reads.
+//
+// The checkpoint holds what a query on it can read: the time-window cells
+// its coverage can count and the queue-monitor levels up to the top
+// (timewindow.Windows.Freeze, qmonitor.Monitor.Freeze). The read cost charged
+// is still the hardware's — whole arrays over PCIe, which is what EntriesRead,
+// readLatencyNs and the Figure-13 feasibility model are about; what was
+// copied is counted beside it.
 func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint64, special bool) *Checkpoint {
 	cp := &Checkpoint{
 		FreezeTime: freezeTime,
 		PrevFreeze: prevFreeze,
 		Special:    special,
-		TW:         ps.tw[sel].Snapshot(),
+		TW:         ps.tw[sel].Freeze(prevFreeze, freezeTime),
 		QM:         make([]*qmonitor.Snapshot, s.cfg.QueuesPerPort),
 		set:        uint8(sel),
 		indexNs:    s.qpath.indexBuildNs,
 		histBytes:  s.histBytes,
 	}
+	kept := cp.TW.KeptCells()
 	for q := range cp.QM {
-		cp.QM[q] = ps.qm[q][sel].Snapshot()
+		cp.QM[q] = ps.qm[q][sel].Freeze()
+		kept += len(cp.QM[q].Entries())
 	}
 	s.stats.entriesRead.Add(int64(s.entriesPerCheckpoint()))
+	s.stats.cellsKept.Add(int64(kept))
 	return cp
 }
 

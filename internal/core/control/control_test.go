@@ -310,3 +310,90 @@ func TestSetSelRotation(t *testing.T) {
 		t.Fatal("toggleFlip not an involution")
 	}
 }
+
+// TestLateTimestampDoesNotFlip: one dequeue stamped before its port's last
+// flip must not take a freeze. The flip test subtracts unsigned timestamps,
+// so the late packet used to wrap it, retire a checkpoint with FreezeTime
+// below PrevFreeze and then one overlapping its predecessor — (13000,14000]
+// (14000,13950] (13950,15000] — and the coverage search and the log's
+// disjoint-coverage invariant were gone without a sign. The late packet here
+// also matches the data-plane trigger, which would freeze at its timestamp
+// just the same. Serial and pipelined, the history must stay strictly
+// ascending and chained, the regression must be counted once, the packet must
+// still be observed (it goes to the active set, whose coverage starts after
+// it, so no interval query will count it), and the checkpoints must be those
+// of a twin fed the same trace without it.
+func TestLateTimestampDoesNotFlip(t *testing.T) {
+	mk := func() *System {
+		cfg := testConfig(0)
+		cfg.PollPeriodNs = 1000
+		cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth == 777 }
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var inOrder, withLate []*pktrec.Packet
+	for ts := uint64(10000); ts <= 14900; ts += 100 {
+		inOrder = append(inOrder, deq(fkey(byte(ts/100%7)), 0, ts-50, ts, 8))
+	}
+	withLate = append(withLate, inOrder...)
+	withLate = append(withLate, deq(fkey(9), 0, 13900, 13950, 777))
+	last := deq(fkey(1), 0, 14950, 15000, 8)
+	inOrder, withLate = append(inOrder, last), append(withLate, last)
+
+	feed := map[string]func(s *System, pkts []*pktrec.Packet){
+		"serial": func(s *System, pkts []*pktrec.Packet) {
+			for _, p := range pkts {
+				s.OnDequeue(p)
+			}
+		},
+		"pipeline": func(s *System, pkts []*pktrec.Packet) {
+			pl, err := NewPipeline(s, PipelineConfig{Shards: 1, BatchSize: 4, RingDepth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkts {
+				pl.Ingest(p)
+			}
+			pl.Close()
+		},
+	}
+	for name, run := range feed {
+		t.Run(name, func(t *testing.T) {
+			s, twin := mk(), mk()
+			run(s, withLate)
+			run(twin, inOrder)
+			s.Finalize(15001)
+			twin.Finalize(15001)
+
+			cps, want := s.Checkpoints(0), twin.Checkpoints(0)
+			if len(cps) != len(want) || len(cps) < 5 {
+				t.Fatalf("%d checkpoints, the in-order twin has %d", len(cps), len(want))
+			}
+			for i, cp := range cps {
+				if cp.FreezeTime <= cp.PrevFreeze || (i > 0 && cp.PrevFreeze != cps[i-1].FreezeTime) {
+					t.Fatalf("checkpoint %d covers (%d,%d] after (%d,%d]: not ascending and chained",
+						i, cp.PrevFreeze, cp.FreezeTime, cps[i-1].PrevFreeze, cps[i-1].FreezeTime)
+				}
+				if cp.FreezeTime != want[i].FreezeTime || cp.Special != want[i].Special {
+					t.Fatalf("checkpoint %d frozen at %d (special %v), the twin's at %d (special %v)",
+						i, cp.FreezeTime, cp.Special, want[i].FreezeTime, want[i].Special)
+				}
+			}
+			if got := s.stats.tsRegressions.Load(); got != 1 {
+				t.Fatalf("printqueue_timestamp_regressions_total = %d, want 1", got)
+			}
+			if got := twin.stats.tsRegressions.Load(); got != 0 {
+				t.Fatalf("in-order twin counted %d regressions", got)
+			}
+			if got, want := s.Stats().PacketsObserved, int64(len(withLate)); got != want {
+				t.Fatalf("observed %d packets, want %d: the late one must still be recorded", got, want)
+			}
+			if n := len(s.DPQueries(0)); n != 0 {
+				t.Fatalf("the late packet took %d data-plane freezes", n)
+			}
+		})
+	}
+}

@@ -149,6 +149,15 @@ func (s *System) HistoryStats() (histstore.Stats, bool) {
 // hot tier and the cold-tier LRU (the printqueue_history_bytes gauge).
 func (s *System) HistoryBytes() int64 { return s.histBytes.Load() }
 
+// CheckpointEntries returns, over every freeze so far, the register entries
+// a hardware control plane would have read (whole arrays — Stats.EntriesRead)
+// and the cells and monitor entries the checkpoints actually hold
+// (printqueue_checkpoint_cells_kept_total). kept/read is what trimming a
+// checkpoint to its coverage and top saves.
+func (s *System) CheckpointEntries() (read, kept int64) {
+	return s.stats.entriesRead.Load(), s.stats.cellsKept.Load()
+}
+
 // Close releases the system's durable resources: it seals and closes the
 // history store (if enabled). The in-RAM system remains queryable. Callers
 // running a Pipeline must close it first.

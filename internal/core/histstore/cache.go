@@ -16,9 +16,10 @@ type cacheKey struct {
 
 // cachedCheckpoint is one cold checkpoint resident in the LRU, holding what
 // interval queries read: the coverage and the time windows. The cache is
-// charged for exactly that — the window cells on insert, then the
-// Algorithm-3 cell index (the Filtered form, which shares the cells) when
-// the first accumulate builds it.
+// charged for exactly that — the cells the record holds (its sparse
+// snapshot, not the register geometry) on insert, then the Algorithm-3 cell
+// index (the Filtered form, which shares the cells) when the first
+// accumulate builds it.
 type cachedCheckpoint struct {
 	key        cacheKey
 	freezeTime uint64

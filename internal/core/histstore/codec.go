@@ -65,11 +65,13 @@ const recFlagSpecial = 1 << 0
 
 // maxRegisterEntries bounds the register geometry a record may declare: the
 // time-window cells (T × 2^k) and, separately, the queue-monitor entries
-// summed over its queues. The decoder allocates by the declared geometry —
-// an all-empty window encodes in one byte — so without a bound a few
-// hostile bytes could demand gigabytes; the encoder refuses the same
-// geometry so that whatever is written can be read back. The paper's
-// configuration is 2^14 cells and ~2^14 entries per queue.
+// summed over its queues. The monitor decoder allocates by the declared
+// geometry — an empty monitor encodes in a few bytes — so without a bound a
+// few hostile bytes could demand gigabytes; the encoder refuses the same
+// geometry so that whatever is written can be read back. (The window decoder
+// allocates by the valid cells the payload has room for, whatever geometry it
+// declares.) The paper's configuration is 2^14 cells and ~2^14 entries per
+// queue.
 const maxRegisterEntries = 1 << 20
 
 // appendUvarint / appendZigzag are the primitive writers.
@@ -190,12 +192,10 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	dict := flow.AcquireInterner()
 	idsp := idsPool.Get().(*[]uint32)
 	ids := (*idsp)[:0]
-	windows := rec.TW.Windows()
-	for _, w := range windows {
-		for i := range w {
-			if w[i].Valid {
-				ids = append(ids, uint32(dict.Intern(w[i].Flow)))
-			}
+	for i := 0; i < cfg.T; i++ {
+		_, cells := rec.TW.Window(i)
+		for n := range cells {
+			ids = append(ids, uint32(dict.Intern(cells[n].Flow)))
 		}
 	}
 	for _, qm := range rec.QM {
@@ -216,8 +216,10 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	}
 
 	next := ids
-	for _, w := range windows {
-		dst, next = encodeWindow(dst, w, next)
+	for i := 0; i < cfg.T; i++ {
+		pos, cells := rec.TW.Window(i)
+		dst = encodeWindow(dst, pos, cells, next[:len(cells)])
+		next = next[len(cells):]
 	}
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
 	for _, qm := range rec.QM {
@@ -230,54 +232,34 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 }
 
 // encodeWindow emits one window's cells: the valid-cell count, the base
-// cycle, then (skip, run) pairs where each run's cells carry a flow id and a
-// zigzag cycle delta against the previous valid cell. ids holds the flow ids
-// of the valid cells still to emit, this window's first; the remainder is
-// returned.
-func encodeWindow(dst []byte, w []timewindow.Cell, ids []uint32) ([]byte, []uint32) {
-	nValid := 0
-	for i := range w {
-		if w[i].Valid {
-			nValid++
-		}
+// cycle, then (skip, run) pairs — the gap in ring positions before a run of
+// adjacent ones, and its length — where each run's cells carry a flow id and
+// a zigzag cycle delta against the previous valid cell. pos and cells are the
+// snapshot's list for the window, ids the cells' flow ids.
+func encodeWindow(dst []byte, pos []uint32, cells []timewindow.Cell, ids []uint32) []byte {
+	dst = appendUvarint(dst, uint64(len(cells)))
+	if len(cells) == 0 {
+		return dst
 	}
-	dst = appendUvarint(dst, uint64(nValid))
-	if nValid == 0 {
-		return dst, ids
-	}
-	first := 0
-	for !w[first].Valid {
-		first++
-	}
-	base := w[first].CycleID
-	dst = appendUvarint(dst, base)
-	pred := base
-	i := 0
-	for i < len(w) {
-		// Skip the invalid gap.
-		skip := 0
-		for i < len(w) && !w[i].Valid {
-			i++
-			skip++
-		}
-		if i >= len(w) {
-			break
-		}
-		run := 0
-		for i+run < len(w) && w[i+run].Valid {
+	pred := cells[0].CycleID
+	dst = appendUvarint(dst, pred)
+	next := uint32(0) // the ring position after the previous run
+	for n := 0; n < len(cells); {
+		run := 1
+		for n+run < len(cells) && pos[n+run] == pos[n]+uint32(run) {
 			run++
 		}
-		dst = appendUvarint(dst, uint64(skip))
+		dst = appendUvarint(dst, uint64(pos[n]-next))
 		dst = appendUvarint(dst, uint64(run))
-		for j := i; j < i+run; j++ {
-			dst = appendUvarint(dst, uint64(ids[j-i]))
-			dst = appendZigzag(dst, int64(w[j].CycleID)-int64(pred))
-			pred = w[j].CycleID
+		for m := n; m < n+run; m++ {
+			dst = appendUvarint(dst, uint64(ids[m]))
+			dst = appendZigzag(dst, int64(cells[m].CycleID)-int64(pred))
+			pred = cells[m].CycleID
 		}
-		ids = ids[run:]
-		i += run
+		next = pos[n] + uint32(run)
+		n += run
 	}
-	return dst, ids
+	return dst
 }
 
 // encodeMonitor emits one queue monitor snapshot: config, top pointer, and
@@ -415,64 +397,66 @@ func decodeWindows(r *reader) (rec *Record, flows []flow.Key, err error) {
 		flows[i] = k
 	}
 
-	cells := cfg.Cells()
-	flat := make([]timewindow.Cell, cfg.T*cells)
-	windows := make([][]timewindow.Cell, cfg.T)
-	for i := range windows {
-		w := flat[i*cells : (i+1)*cells : (i+1)*cells]
-		if err := decodeWindow(r, w, flows); err != nil {
+	pos := make([][]uint32, cfg.T)
+	cells := make([][]timewindow.Cell, cfg.T)
+	for i := range pos {
+		if pos[i], cells[i], err = decodeWindow(r, cfg.Cells(), flows); err != nil {
 			return nil, nil, err
 		}
-		windows[i] = w
 	}
-	rec.TW, err = timewindow.NewSnapshot(cfg, windows)
+	rec.TW, err = timewindow.NewSparseSnapshot(cfg, pos, cells)
 	if err != nil {
 		return nil, nil, err
 	}
 	return rec, flows, nil
 }
 
-func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
+// decodeWindow decodes one window of ring cells into the sparse form a
+// Snapshot holds: the valid cells and their ring positions, ascending. It
+// allocates for the valid cells the window declares, and a cell takes at
+// least two payload bytes, so never for more than the payload has left.
+func decodeWindow(r *reader, ring int, flows []flow.Key) ([]uint32, []timewindow.Cell, error) {
 	nValid := r.uvarint()
 	if r.err != nil {
-		return r.err
+		return nil, nil, r.err
 	}
 	if nValid == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	if nValid > uint64(len(w)) {
-		return fmt.Errorf("histstore: window claims %d valid cells of %d", nValid, len(w))
+	if nValid > uint64(ring) || nValid > uint64(len(r.b)-r.off)/2 {
+		return nil, nil, fmt.Errorf("histstore: window claims %d valid cells of %d with %d bytes left", nValid, ring, len(r.b)-r.off)
 	}
+	pos := make([]uint32, 0, nValid)
+	cells := make([]timewindow.Cell, 0, nValid)
 	pred := r.uvarint()
 	i := 0
-	var decoded uint64
-	for decoded < nValid {
+	for uint64(len(cells)) < nValid {
 		skip := r.uvarint()
 		run := r.uvarint()
 		if r.err != nil {
-			return r.err
+			return nil, nil, r.err
 		}
-		if skip > uint64(len(w)-i) || run == 0 || run > uint64(len(w)-i)-skip || decoded+run > nValid {
-			return fmt.Errorf("histstore: window run (skip %d, run %d) overflows at cell %d", skip, run, i)
+		if skip > uint64(ring-i) || run == 0 || run > uint64(ring-i)-skip || uint64(len(cells))+run > nValid {
+			return nil, nil, fmt.Errorf("histstore: window run (skip %d, run %d) overflows at cell %d", skip, run, i)
 		}
 		i += int(skip)
 		for j := 0; j < int(run); j++ {
 			id := r.uvarint()
 			delta := r.zigzag()
 			if r.err != nil {
-				return r.err
+				return nil, nil, r.err
 			}
 			if id >= uint64(len(flows)) {
-				return fmt.Errorf("histstore: cell flow id %d out of dictionary (%d flows)", id, len(flows))
+				return nil, nil, fmt.Errorf("histstore: cell flow id %d out of dictionary (%d flows)", id, len(flows))
 			}
 			cycle := uint64(int64(pred) + delta)
-			w[i] = timewindow.Cell{Flow: flows[id], CycleID: cycle, Valid: true}
+			pos = append(pos, uint32(i))
+			cells = append(cells, timewindow.Cell{Flow: flows[id], CycleID: cycle, Valid: true})
 			pred = cycle
 			i++
 		}
-		decoded += run
 	}
-	return nil
+	return pos, cells, nil
 }
 
 // decodeMonitor decodes one queue monitor; budget is what is left of

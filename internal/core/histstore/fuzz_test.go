@@ -2,10 +2,13 @@ package histstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -18,11 +21,73 @@ const fuzzCorpusDir = "testdata/fuzz/FuzzDecodeRecord"
 // plus slack for headers.
 var fuzzMemBound = int64(maxRegisterEntries)*(32+64) + 1<<20
 
+// allocatedBy returns the heap bytes f allocated. ReadMemStats stops the
+// world and flushes every allocation cache, so the delta is exact up to what
+// other goroutines allocate meanwhile.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// windowsAllocBound is what the windows-only decode of n bytes may allocate:
+// a valid cell takes two payload bytes and 36 in memory, a dictionary flow 13
+// and 14, and the rest is headers — whatever geometry the payload declares.
+func windowsAllocBound(n int) uint64 { return 64*uint64(n) + 64<<10 }
+
+// emptyWindowsPayload is a record header declaring the largest geometry the
+// codec accepts — 16 windows of 2^16 cells — with every window empty: one
+// byte each. The decoder used to allocate all 2^20 cells for it.
+func emptyWindowsPayload() []byte {
+	b := []byte{codecVersion, 0}
+	b = appendUvarint(b, 1)                    // port
+	b = appendUvarint(b, 100)                  // freeze time
+	b = appendUvarint(b, 50)                   // freeze - prev
+	for _, v := range []uint64{3, 16, 1, 16} { // m0, k, alpha, T
+		b = appendUvarint(b, v)
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(10))
+	b = appendUvarint(b, 0)            // no flows
+	b = append(b, make([]byte, 16)...) // 16 windows, 0 valid cells each
+	return appendUvarint(b, 0)         // no queues
+}
+
+// TestDecodeWindowsAllocatesByPayload: what a decode allocates follows the
+// bytes it is given, not the register geometry they declare.
+func TestDecodeWindowsAllocatesByPayload(t *testing.T) {
+	b := emptyWindowsPayload()
+	var rec *Record
+	var err error
+	got := allocatedBy(func() { rec, _, err = decodeWindows(&reader{b: b}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := rec.TW.Config(); cfg.EntriesPerSnapshot() != maxRegisterEntries || rec.TW.KeptCells() != 0 {
+		t.Fatalf("decoded %d registers holding %d cells, want %d empty ones", cfg.EntriesPerSnapshot(), rec.TW.KeptCells(), maxRegisterEntries)
+	}
+	if bound := windowsAllocBound(len(b)); got > bound {
+		t.Fatalf("decoding %d bytes that declare %d empty cells allocated %d bytes, bound %d", len(b), maxRegisterEntries, got, bound)
+	}
+	for _, sr := range seededRecords(t, true) {
+		enc, err := EncodeRecord(nil, sr.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := allocatedBy(func() { _, _, err = decodeWindows(&reader{b: enc}) })
+		if bound := windowsAllocBound(len(enc)); err != nil || got > bound {
+			t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d (err %v)", sr.name, len(enc), got, bound, err)
+		}
+	}
+}
+
 // FuzzDecodeRecord feeds the checkpoint decoder arbitrary bytes — it reads
 // them from disk and, on a collector, from the network. It must never panic
-// or allocate beyond the geometry limit; whatever decodes must re-encode to
-// bytes that decode to an equal record; and the windows-only decode the cold
-// cache uses must agree with the full decode on everything it returns.
+// or allocate beyond the geometry limit, and the windows-only decode not
+// beyond a multiple of its input; whatever decodes must re-encode to bytes
+// that decode to an equal record; and the windows-only decode the cold cache
+// uses must agree with the full decode on everything it returns.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, sr := range seededRecords(f, false) {
 		enc, err := EncodeRecord(nil, sr.rec)
@@ -31,9 +96,15 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		f.Add(enc)
 	}
+	f.Add(emptyWindowsPayload())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := DecodeRecord(b)
-		tw, _, twErr := decodeWindows(&reader{b: b})
+		var tw *Record
+		var twErr error
+		got := allocatedBy(func() { tw, _, twErr = decodeWindows(&reader{b: b}) })
+		if bound := windowsAllocBound(len(b)); got > bound {
+			t.Fatalf("windows-only decode of %d bytes allocated %d, bound %d", len(b), got, bound)
+		}
 		if twErr == nil && tw.MemBytes() > fuzzMemBound {
 			t.Fatalf("windows-only decode of %d bytes holds %d bytes", len(b), tw.MemBytes())
 		}

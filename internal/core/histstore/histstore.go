@@ -661,12 +661,12 @@ func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*cachedCh
 	return s.cache.put(key, cp), nil
 }
 
-// Stats returns a point-in-time summary.
 // DropCache discards every decoded checkpoint in the LRU, forcing the next
 // cold query to decode from disk again. Benchmarking and memory-pressure
 // aid; concurrent queries simply re-decode.
 func (s *Store) DropCache() { s.cache.drop() }
 
+// Stats returns a point-in-time summary.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{

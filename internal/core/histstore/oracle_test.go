@@ -202,13 +202,24 @@ type seededRecord struct {
 	rec  *Record
 }
 
+// How a seeded record's registers are frozen: whole arrays, as every record
+// was before checkpoints were trimmed, or one of the shapes the control
+// plane's freezes produce.
+const (
+	freezeWhole    = iota // Windows.Snapshot + Monitor.Snapshot
+	freezeWrapping        // Windows.Freeze over a coverage that wraps window 0's ring: two short spans there
+	freezeAnchor          // Windows.Freeze over an empty coverage: window 0's anchor cell and nothing else
+	freezeToTop           // Windows.Snapshot + Monitor.Freeze: entries end at the top, below cfg.Entries()
+)
+
 // seededRecords drives live register structures with seeded traces shaped
 // like the paper's workloads: UW-like (thousands of flows, so the dictionary
 // and the interner's growth matter), WS-like (a handful of flows in long
 // runs, the last-key shortcut), untouched registers, a data-plane (Special)
-// checkpoint, and a multi-queue port. paper selects the paper's register
-// geometry (2^12 cells x 4 windows, 2^14-entry monitors) over the small one
-// the rest of this package's tests use.
+// checkpoint, a multi-queue port, and the three shapes a trimmed freeze adds.
+// paper selects the paper's register geometry (2^12 cells x 4 windows,
+// 2^14-entry monitors) over the small one the rest of this package's tests
+// use.
 func seededRecords(tb testing.TB, paper bool) []seededRecord {
 	tb.Helper()
 	twc, qmc := twConfig(), qmConfig()
@@ -216,7 +227,7 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		twc = timewindow.Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 		qmc = qmonitor.Config{MaxDepthCells: 32768, GranuleCells: 2}
 	}
-	build := func(seed int64, flows, run, packets, queues int, special bool) *Record {
+	build := func(seed int64, flows, run, packets, queues int, special bool, freeze int) *Record {
 		rng := rand.New(rand.NewSource(seed))
 		tw, err := timewindow.New(twc, nil)
 		if err != nil {
@@ -230,7 +241,11 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		}
 		ts, depth := uint64(1000), 0
 		var f flow.Key
-		for i := 0; i < packets; i++ {
+		// A wrapping coverage starts an eighth of a ring before a cycle
+		// boundary of window 0 and ends an eighth to a quarter past it, so
+		// the trace runs on until its last packet lands there.
+		ring := twc.WindowPeriod(0)
+		for i := 0; i < packets || (freeze == freezeWrapping && (ts%ring < ring/8 || ts%ring > ring/4)); i++ {
 			ts += uint64(rng.Intn(int(twc.CellPeriod(0))*3) + 1)
 			depth += rng.Intn(17) - 8
 			if depth < 0 {
@@ -244,9 +259,32 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 				qms[rng.Intn(queues)].Observe(f, depth)
 			}
 		}
-		rec := &Record{Port: int(seed), FreezeTime: ts + 1, PrevFreeze: 1000, Special: special, TW: tw.Snapshot()}
+		rec := &Record{Port: int(seed), FreezeTime: ts + 1, PrevFreeze: 1000, Special: special}
+		switch freeze {
+		case freezeWrapping:
+			rec.PrevFreeze = ts - ts%ring - ring/8
+			rec.TW = tw.Freeze(rec.PrevFreeze, rec.FreezeTime)
+			if pos, _ := rec.TW.Window(0); len(pos) < 4 || pos[0] > uint32(twc.Cells()/4) || pos[len(pos)-1] < uint32(twc.Cells()*7/8) {
+				tb.Fatalf("coverage (%d,%d] does not wrap window 0's ring: positions %v", rec.PrevFreeze, rec.FreezeTime, pos)
+			}
+		case freezeAnchor:
+			rec.PrevFreeze = rec.FreezeTime
+			rec.TW = tw.Freeze(rec.PrevFreeze, rec.FreezeTime)
+			if rec.TW.KeptCells() != 1 {
+				tb.Fatalf("empty coverage keeps %d cells, want the anchor alone", rec.TW.KeptCells())
+			}
+		default:
+			rec.TW = tw.Snapshot()
+		}
 		for _, qm := range qms {
-			rec.QM = append(rec.QM, qm.Snapshot())
+			if freeze == freezeWhole {
+				rec.QM = append(rec.QM, qm.Snapshot())
+				continue
+			}
+			rec.QM = append(rec.QM, qm.Freeze())
+			if n := len(rec.QM[len(rec.QM)-1].Entries()); n >= qmc.Entries() {
+				tb.Fatalf("monitor frozen to its top holds all %d entries", n)
+			}
 		}
 		return rec
 	}
@@ -255,12 +293,15 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		n = 60000
 	}
 	return []seededRecord{
-		{"uw_many_flows", build(1, 5000, 1, n, 1, false)},
-		{"ws_few_flows", build(2, 6, 40, n, 1, false)},
-		{"empty", build(3, 1, 1, 0, 1, false)},
-		{"special", build(4, 40, 3, n/4, 1, true)},
-		{"multi_queue", build(5, 300, 2, n, 8, false)},
-		{"no_queues", build(6, 40, 1, n/8, 0, false)},
+		{"uw_many_flows", build(1, 5000, 1, n, 1, false, freezeWhole)},
+		{"ws_few_flows", build(2, 6, 40, n, 1, false, freezeWhole)},
+		{"empty", build(3, 1, 1, 0, 1, false, freezeWhole)},
+		{"special", build(4, 40, 3, n/4, 1, true, freezeWhole)},
+		{"multi_queue", build(5, 300, 2, n, 8, false, freezeWhole)},
+		{"no_queues", build(6, 40, 1, n/8, 0, false, freezeWhole)},
+		{"coverage_wraps_ring", build(7, 300, 2, n, 1, false, freezeWrapping)},
+		{"anchor_only", build(8, 40, 1, n/4, 2, true, freezeAnchor)},
+		{"monitor_ends_at_top", build(9, 40, 3, n/4, 2, false, freezeToTop)},
 	}
 }
 
@@ -348,22 +389,12 @@ func TestEncodeRefusesOversizeGeometry(t *testing.T) {
 // and the reopened log must answer interval queries exactly as the
 // in-memory records do.
 func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
-	dir := t.TempDir()
-	segs, err := filepath.Glob("testdata/seedlog_v1/*.seg")
-	if err != nil || len(segs) != 4 {
-		t.Fatalf("seed log fixture: %d segments, %v", len(segs), err)
-	}
-	for _, seg := range segs {
-		b, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	dir, segments := copySeedlog(t, "seedlog_v1")
+	if segments != 4 {
+		t.Fatalf("seed log fixture: %d segments", segments)
 	}
 	var recs []*Record
-	last := [2]uint64{1000, 1000}
+	last := map[int]uint64{0: 1000, 1: 1000}
 	for i := 0; i < 9; i++ {
 		rec := buildRecord(t, int64(i+1), 300+200*i)
 		rec.Port = i % 2
@@ -375,7 +406,7 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 	st := openTestStore(t, dir, Options{})
 	defer st.Close()
 	n := 0
-	err = st.ReplaySince(0, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
+	err := st.ReplaySince(0, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
 		want, err := EncodeRecord(nil, recs[n])
 		if err != nil {
 			return err
@@ -393,14 +424,45 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 		t.Fatalf("replayed %d of %d records: %v", n, len(recs), err)
 	}
 
-	rng := rand.New(rand.NewSource(77))
+	assertLogAnswersLikeRecords(t, st, recs, []int{0, 1}, last, 77)
+}
+
+// copySeedlog copies a committed log fixture into a fresh directory (opening
+// a store writes to it) and returns it with the number of segments copied.
+func copySeedlog(t *testing.T, name string) (dir string, segments int) {
+	t.Helper()
+	dir = t.TempDir()
+	segs, err := filepath.Glob(filepath.Join("testdata", name, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, len(segs)
+}
+
+// assertLogAnswersLikeRecords holds an opened log to the records it stores:
+// 200 seeded intervals on the given ports (last[port] is the port's final
+// freeze), answered by Covering + FoldInterval, must equal the records'
+// own cells clamped to their coverage and walked one by one.
+func assertLogAnswersLikeRecords(t *testing.T, st *Store, recs []*Record, ports []int, last map[int]uint64, seed int64) {
+	t.Helper()
+	cfg := recs[0].TW.Config()
+	coeff := cfg.Coefficients()
+	rng := rand.New(rand.NewSource(seed))
 	nonEmpty := 0
 	for q := 0; q < 200; q++ {
-		port := rng.Intn(2)
+		port := ports[rng.Intn(len(ports))]
 		lo := 900 + uint64(rng.Intn(int(last[port])))
 		hi := lo + 1 + uint64(rng.Intn(int(last[port])/2))
-		coeff := recs[0].TW.Config().Coefficients()
-		want := timewindow.NewAccumulator(len(coeff), coeff)
+		want := timewindow.NewAccumulator(cfg.T, coeff)
 		for _, rec := range recs {
 			if rec.Port == port {
 				rec.TW.Filter().AccumulateScanInto(want, max(lo, rec.PrevFreeze), min(hi, rec.FreezeTime))
@@ -410,8 +472,8 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := timewindow.NewAccumulator(len(coeff), nil)
-		if _, err := timewindow.FoldInterval(got, recs[0].TW.Config(), cps, lo, hi); err != nil {
+		got := timewindow.NewAccumulator(cfg.T, nil)
+		if _, err := timewindow.FoldInterval(got, cfg, cps, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Counts(), want.Counts()) {
@@ -424,4 +486,65 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 	if nonEmpty < 50 {
 		t.Fatalf("only %d of 200 queries had an answer to compare", nonEmpty)
 	}
+}
+
+// TestSeedlogV2OpensAndAnswers opens the second committed log generation
+// (testdata/seedlog_v2: written by the control plane of the commit that
+// trimmed checkpoints to their coverage and top — two ports, periodic and
+// data-plane freezes; control's TestSeedlogV2WrittenBitIdentically holds the
+// writer to it). Every stored payload must decode, hold less than the
+// register arrays and nothing above a monitor's top, and re-encode to the
+// bytes it came from; and the reopened log must answer interval queries
+// exactly as the decoded records, walked cell by cell, do.
+func TestSeedlogV2OpensAndAnswers(t *testing.T) {
+	dir, segments := copySeedlog(t, "seedlog_v2")
+	if segments < 3 {
+		t.Fatalf("seed log fixture: %d segments", segments)
+	}
+	st := openTestStore(t, dir, Options{})
+	defer st.Close()
+
+	var recs []*Record
+	specials, trimmed := 0, 0
+	last := map[int]uint64{}
+	err := st.ReplaySince(0, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		again, err := EncodeRecord(nil, rec)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(again, payload) {
+			return fmt.Errorf("record %d: stored as %d bytes, decodes and re-encodes to %d different ones", len(recs), len(payload), len(again))
+		}
+		if port != rec.Port || freezeTime != rec.FreezeTime || prevFreeze != rec.PrevFreeze || special != rec.Special {
+			return fmt.Errorf("record %d: indexed as port %d (%d,%d] special=%v", len(recs), port, prevFreeze, freezeTime, special)
+		}
+		if prev, ok := last[port]; ok && prev != prevFreeze {
+			return fmt.Errorf("record %d: port %d coverage (%d,%d] does not chain to %d", len(recs), port, prevFreeze, freezeTime, prev)
+		}
+		last[port] = freezeTime
+		if special {
+			specials++
+		}
+		if rec.TW.KeptCells() < rec.TW.Config().EntriesPerSnapshot()/2 {
+			trimmed++
+		}
+		for q, qm := range rec.QM {
+			for level, e := range qm.Entries() {
+				if level > qm.Top() && (e.Up.Valid || e.Down.Valid) {
+					return fmt.Errorf("record %d queue %d: level %d is occupied above the top %d", len(recs), q, level, qm.Top())
+				}
+			}
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil || len(recs) < 40 || specials < 3 || trimmed < len(recs)/2 || len(last) != 2 {
+		t.Fatalf("replayed %d records (%d special, %d coverage-trimmed, %d ports): %v", len(recs), specials, trimmed, len(last), err)
+	}
+
+	assertLogAnswersLikeRecords(t, st, recs, []int{0, 2}, last, 78)
 }

@@ -140,9 +140,23 @@ func (m *Monitor) Observe(f flow.Key, enqDepthCells int) {
 	m.top = l2
 }
 
-// Snapshot copies the register state for query execution.
+// Snapshot copies the register state for query execution: the whole array,
+// as the paper's control plane reads it. Standalone experiments, codec
+// fixtures and benchmarks use it; the control plane retires Freeze's result.
 func (m *Monitor) Snapshot() *Snapshot {
 	entries := make([]Entry, len(m.entries))
+	copy(entries, m.entries)
+	return &Snapshot{cfg: m.cfg, entries: entries, top: m.top}
+}
+
+// Freeze is the frozen read the control plane retires: levels 0..top, which
+// is all any staircase walk will ever read of this freeze. A record above
+// the top at freeze time was left behind by a fall to a lower level, and that
+// fall's record — lower down, with a larger sequence number — filters it out
+// of every later walk (DESIGN.md §13 has the argument across flips, Adopt
+// and the eviction carry).
+func (m *Monitor) Freeze() *Snapshot {
+	entries := make([]Entry, m.top+1)
 	copy(entries, m.entries)
 	return &Snapshot{cfg: m.cfg, entries: entries, top: m.top}
 }
@@ -151,7 +165,8 @@ func (m *Monitor) Snapshot() *Snapshot {
 // array plus the top-pointer register).
 func (c Config) EntriesPerSnapshot() int { return c.Entries() + 1 }
 
-// Snapshot is a frozen copy of a queue monitor register set.
+// Snapshot is a frozen copy of a queue monitor register set. entries may end
+// before the array does: levels at or beyond len(entries) are empty.
 type Snapshot struct {
 	cfg     Config
 	entries []Entry
@@ -164,22 +179,24 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // Top returns the snapshot's stack-top level.
 func (s *Snapshot) Top() int { return s.top }
 
-// Entries exposes the snapshot's raw register entries, indexed by level.
-// The caller must treat them as read-only; the checkpoint codec walks them
-// to build its compact on-disk encoding.
+// Entries exposes the snapshot's raw register entries, indexed by level —
+// all cfg.Entries() of them, or fewer when the levels beyond are empty. The
+// caller must treat them as read-only; the checkpoint codec walks them to
+// build its compact on-disk encoding.
 func (s *Snapshot) Entries() []Entry { return s.entries }
 
 // NewSnapshot reconstitutes a Snapshot from decoded register contents — the
 // inverse of Entries(), used by the on-disk checkpoint codec. The entries
-// slice is adopted, not copied, and must hold exactly cfg.Entries() entries.
-// A snapshot rebuilt this way is bit-identical to the one it was encoded
-// from: Merge, OriginalCulprits, and the staircase filter see the same state.
+// slice is adopted, not copied, and holds at most cfg.Entries() entries, the
+// top level among them. A snapshot rebuilt this way answers like the one it
+// was encoded from: Merge, OriginalCulprits, and the staircase filter see the
+// same state.
 func NewSnapshot(cfg Config, entries []Entry, top int) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(entries) != cfg.Entries() {
-		return nil, fmt.Errorf("qmonitor: snapshot length %d, want %d", len(entries), cfg.Entries())
+	if len(entries) > cfg.Entries() {
+		return nil, fmt.Errorf("qmonitor: snapshot length %d, want at most %d", len(entries), cfg.Entries())
 	}
 	if top < 0 || top >= len(entries) {
 		return nil, fmt.Errorf("qmonitor: snapshot top %d out of range [0,%d)", top, len(entries))
@@ -261,6 +278,9 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 		var up *Half
 		var upSeq, downSeq uint64
 		for _, s := range snaps {
+			if level >= len(s.entries) {
+				continue // frozen with its top below this level
+			}
 			e := &s.entries[level]
 			if e.Up.Valid && e.Up.Seq > upSeq {
 				up, upSeq = &e.Up, e.Up.Seq
@@ -318,9 +338,15 @@ func Merge(a, b *Snapshot) *Snapshot {
 	if a.cfg != b.cfg {
 		panic("qmonitor: merging snapshots with different configs")
 	}
-	out := &Snapshot{cfg: a.cfg, entries: make([]Entry, len(a.entries))}
+	out := &Snapshot{cfg: a.cfg, entries: make([]Entry, max(len(a.entries), len(b.entries)))}
 	for i := range out.entries {
-		ea, eb := a.entries[i], b.entries[i]
+		var ea, eb Entry // empty beyond a snapshot's last level
+		if i < len(a.entries) {
+			ea = a.entries[i]
+		}
+		if i < len(b.entries) {
+			eb = b.entries[i]
+		}
 		out.entries[i].Up = newerHalf(ea.Up, eb.Up)
 		out.entries[i].Down = newerHalf(ea.Down, eb.Down)
 	}

@@ -2,6 +2,7 @@ package qmonitor
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"printqueue/internal/flow"
@@ -232,8 +233,9 @@ type setRotation struct {
 }
 
 type frozenSet struct {
-	set   int
-	snaps []*Snapshot // one per queue
+	set     int
+	snaps   []*Snapshot // one per queue: the whole array
+	trimmed []*Snapshot // the same freezes as the control plane takes them, levels 0..top
 }
 
 func newSetRotation(t *testing.T, cfg Config, queues int) *setRotation {
@@ -254,10 +256,11 @@ func newSetRotation(t *testing.T, cfg Config, queues int) *setRotation {
 // freeze snapshots the active set and moves to the set with bit toggled
 // (1 = periodic flip, 2 = data-plane query).
 func (r *setRotation) freeze(bit int) {
-	f := frozenSet{set: r.active, snaps: make([]*Snapshot, len(r.mons))}
+	f := frozenSet{set: r.active, snaps: make([]*Snapshot, len(r.mons)), trimmed: make([]*Snapshot, len(r.mons))}
 	next := r.active ^ bit
 	for q := range r.mons {
 		f.snaps[q] = r.mons[q][r.active].Snapshot()
+		f.trimmed[q] = r.mons[q][r.active].Freeze()
 		r.mons[q][next].Adopt(r.mons[q][r.active].Top(), r.mons[q][r.active].Seq())
 	}
 	r.chain = append(r.chain, f)
@@ -266,16 +269,63 @@ func (r *setRotation) freeze(bit int) {
 
 // newestPerSet returns queue q's newest snapshot of each set frozen so far,
 // newest first — what the control plane hands CulpritsAcross.
-func (r *setRotation) newestPerSet(q int) []*Snapshot {
+func (r *setRotation) newestPerSet(q int) []*Snapshot { return r.newest(q, false) }
+
+// newest is newestPerSet over the whole-array snapshots or, with trimmed
+// set, over the top-trimmed freezes of the same moments.
+func (r *setRotation) newest(q int, trimmed bool) []*Snapshot {
 	var out []*Snapshot
 	var seen [4]bool
 	for i := len(r.chain) - 1; i >= 0; i-- {
-		if f := r.chain[i]; !seen[f.set] {
-			seen[f.set] = true
+		f := r.chain[i]
+		if seen[f.set] {
+			continue
+		}
+		seen[f.set] = true
+		if trimmed {
+			out = append(out, f.trimmed[q])
+		} else {
 			out = append(out, f.snaps[q])
 		}
 	}
 	return out
+}
+
+// driveRotation runs one seeded op sequence over a fresh rotation — observes
+// on random queues, periodic flips, data-plane freezes, the first two
+// freezes before any packet — and calls afterFreeze once per freeze.
+func driveRotation(t *testing.T, seed uint64, cfg Config, queues int, afterFreeze func(op int, r *setRotation)) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 0xc0ffee))
+	r := newSetRotation(t, cfg, queues)
+	r.freeze(1)
+	r.freeze(2)
+	depth := make([]int, queues)
+	var usedSets [4]bool
+	for op := 0; op < 1500; op++ {
+		switch x := rng.IntN(100); {
+		case x < 90:
+			q := rng.IntN(queues)
+			// Mostly small steps so staircases build; sometimes a jump,
+			// which may overshoot the array and clamp.
+			if rng.IntN(12) == 0 {
+				depth[q] = rng.IntN(cfg.MaxDepthCells * 2)
+			} else {
+				depth[q] += rng.IntN(7) - 2
+			}
+			r.mons[q][r.active].Observe(fkey(byte('A'+rng.IntN(26))), depth[q])
+			continue
+		case x < 97:
+			r.freeze(1)
+		default:
+			r.freeze(2)
+		}
+		usedSets[r.chain[len(r.chain)-1].set] = true
+		afterFreeze(op, r)
+	}
+	if usedSets != [4]bool{true, true, true, true} {
+		t.Fatalf("seed %d froze sets %v; the sequence must use all four", seed, usedSets)
+	}
 }
 
 // chainMerge is the reference: Merge over every freeze so far, in order.
@@ -297,31 +347,7 @@ func TestCulpritsAcrossMatchesMergeChain(t *testing.T) {
 	cfg := Config{MaxDepthCells: 96, GranuleCells: 2}
 	const queues = 3
 	for seed := uint64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 0xc0ffee))
-		r := newSetRotation(t, cfg, queues)
-		r.freeze(1)
-		r.freeze(2)
-		depth := make([]int, queues)
-		var usedSets [4]bool
-		for op := 0; op < 1500; op++ {
-			switch x := rng.IntN(100); {
-			case x < 90:
-				q := rng.IntN(queues)
-				// Mostly small steps so staircases build; sometimes a jump,
-				// which may overshoot the array and clamp.
-				if rng.IntN(12) == 0 {
-					depth[q] = rng.IntN(cfg.MaxDepthCells * 2)
-				} else {
-					depth[q] += rng.IntN(7) - 2
-				}
-				r.mons[q][r.active].Observe(fkey(byte('A'+rng.IntN(26))), depth[q])
-				continue
-			case x < 97:
-				r.freeze(1)
-			default:
-				r.freeze(2)
-			}
-			usedSets[r.chain[len(r.chain)-1].set] = true
+		driveRotation(t, seed, cfg, queues, func(op int, r *setRotation) {
 			for q := 0; q < queues; q++ {
 				merged := r.chainMerge(q)
 				snaps := r.newestPerSet(q)
@@ -340,13 +366,55 @@ func TestCulpritsAcrossMatchesMergeChain(t *testing.T) {
 					}
 				}
 			}
-		}
-		if usedSets != [4]bool{true, true, true, true} {
-			t.Fatalf("seed %d froze sets %v; the sequence must use all four", seed, usedSets)
-		}
+		})
 	}
 	if got := CulpritsAcross(nil); got != nil {
 		t.Fatalf("no snapshots gave %v", got)
+	}
+}
+
+// TestFreezeAnswersLikeSnapshot: freezing levels 0..top loses nothing a walk
+// reads. On the same rotation, after every freeze, the staircase over the
+// newest top-trimmed freeze of each set names the culprits the staircase over
+// the whole arrays names, and so does the Merge reference over the trimmed
+// chain — whose snapshots have different lengths. The sequences must
+// actually leave records above the top, or nothing was trimmed.
+func TestFreezeAnswersLikeSnapshot(t *testing.T) {
+	cfg := Config{MaxDepthCells: 96, GranuleCells: 2}
+	const queues = 3
+	dropped := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		// The Merge reference over the trimmed chain, kept up freeze by freeze.
+		var merged [queues]*Snapshot
+		var mergedTo [queues]int
+		driveRotation(t, seed, cfg, queues, func(op int, r *setRotation) {
+			last := r.chain[len(r.chain)-1]
+			for q := 0; q < queues; q++ {
+				whole, trimmed := last.snaps[q], last.trimmed[q]
+				if len(trimmed.Entries()) != trimmed.Top()+1 || trimmed.Top() != whole.Top() {
+					t.Fatalf("seed %d op %d queue %d: froze %d levels with top %d (whole read: top %d)",
+						seed, op, q, len(trimmed.Entries()), trimmed.Top(), whole.Top())
+				}
+				for _, e := range whole.Entries()[whole.Top()+1:] {
+					if e.Up.Valid || e.Down.Valid {
+						dropped++
+					}
+				}
+				want := CulpritsAcross(r.newestPerSet(q))
+				if got := CulpritsAcross(r.newest(q, true)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d queue %d: trimmed freezes name %v, whole arrays %v", seed, op, q, got, want)
+				}
+				for ; mergedTo[q] < len(r.chain); mergedTo[q]++ {
+					merged[q] = Merge(merged[q], r.chain[mergedTo[q]].trimmed[q])
+				}
+				if got := merged[q].OriginalCulprits(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d queue %d: merge of the trimmed chain names %v, want %v", seed, op, q, got, want)
+				}
+			}
+		})
+	}
+	if dropped < 1000 {
+		t.Fatalf("only %d occupied levels lay above a top at freeze time; the sequences do not exercise the trim", dropped)
 	}
 }
 

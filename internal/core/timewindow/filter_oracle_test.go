@@ -23,9 +23,10 @@ type refCell struct {
 // surviving flows.
 func referenceFilter(s *Snapshot) (index [][]refCell, flows int) {
 	cfg := s.cfg
+	raw := s.Windows()
 	windows := make([][]Cell, cfg.T)
 	for i := range windows {
-		windows[i] = make([]Cell, len(s.windows[i]))
+		windows[i] = make([]Cell, len(raw[i]))
 	}
 	index = make([][]refCell, cfg.T)
 	tts, ok := s.latestCell()
@@ -35,7 +36,7 @@ func referenceFilter(s *Snapshot) (index [][]refCell, flows int) {
 	cells := uint64(cfg.Cells())
 	for i := 0; i < cfg.T; i++ {
 		cid, idx := cfg.Split(tts)
-		for j, c := range s.windows[i] {
+		for j, c := range raw[i] {
 			if !c.Valid {
 				continue
 			}
@@ -148,7 +149,7 @@ func checkAgainstReference(t *testing.T, name string, s *Snapshot, rng *rand.Ran
 		}
 		indexed, scanned := NewAccumulator(cfg.T, coeff), NewAccumulator(cfg.T, coeff)
 		f.AccumulateInto(indexed, lo, hi)
-		if visited, all := f.AccumulateScanInto(scanned, lo, hi), cfg.EntriesPerSnapshot(); hi > lo && !f.Empty() && visited != all {
+		if visited, all := f.AccumulateScanInto(scanned, lo, hi), s.KeptCells(); hi > lo && !f.Empty() && visited != all {
 			t.Fatalf("%s: scan visited %d cells of %d", name, visited, all)
 		}
 		if got, want := indexed.Counts(), scanned.Counts(); !reflect.DeepEqual(got, want) {
@@ -170,8 +171,8 @@ func checkAgainstReference(t *testing.T, name string, s *Snapshot, rng *rand.Ran
 
 	// The Filtered shares the snapshot's cells; building and querying it
 	// must have left them alone.
-	if f.windows[0] != nil && &f.windows[0][0] != &s.windows[0][0] {
-		t.Fatalf("%s: Filtered copied the windows", name)
+	if len(f.cells[0]) > 0 && &f.cells[0][0] != &s.cells[0][0] {
+		t.Fatalf("%s: Filtered copied the cells", name)
 	}
 }
 

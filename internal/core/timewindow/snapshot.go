@@ -1,6 +1,7 @@
 package timewindow
 
 import (
+	"fmt"
 	"sort"
 	"unsafe"
 
@@ -8,27 +9,55 @@ import (
 )
 
 // Snapshot is an immutable copy of a window set's registers, as captured by
-// a frozen control-plane read.
+// a frozen control-plane read. It stores valid cells only: per window the
+// ring positions that hold one, ascending, and the cells at them. An
+// untouched or mostly idle window costs nothing, and every reader walks the
+// list instead of the 2^k-cell ring.
+//
+// Two reads produce one. Windows.Snapshot keeps every valid cell — the
+// paper's whole-register read. Windows.Freeze keeps the cells a query
+// clamped to the checkpoint's coverage can count (plus the anchor Algorithm 3
+// starts from), which is what the control plane retires; queries on such a
+// snapshot are only meaningful inside that coverage.
 type Snapshot struct {
-	cfg     Config
-	windows [][]Cell
+	cfg Config
+	// pos[i] lists, strictly ascending, the ring positions of window i's
+	// kept cells; cells[i][n] is the cell at position pos[i][n]. Every listed
+	// cell is Valid.
+	pos   [][]uint32
+	cells [][]Cell
 }
 
 // Config returns the snapshot's window configuration.
 func (s *Snapshot) Config() Config { return s.cfg }
 
-// Windows exposes the snapshot's raw register contents, one slice of
-// cfg.Cells() cells per window. The caller must treat the cells as
-// read-only; the checkpoint codec walks them to build its compact on-disk
-// encoding.
-func (s *Snapshot) Windows() [][]Cell { return s.windows }
+// Window returns window i's kept cells: their ring positions, ascending, and
+// the cells at them. The caller must treat both as read-only; the checkpoint
+// codec walks them to build its on-disk encoding.
+func (s *Snapshot) Window(i int) (pos []uint32, cells []Cell) { return s.pos[i], s.cells[i] }
 
-// NewSnapshot reconstitutes a Snapshot from decoded register contents — the
-// inverse of Windows(), used by the on-disk checkpoint codec. The storage is
-// adopted, not copied: windows must contain exactly cfg.T slices of
-// cfg.Cells() cells and must not be mutated afterwards. A snapshot rebuilt
-// from the cells of another snapshot is bit-identical to it, so queries over
-// the two produce the same results.
+// Windows materialises the snapshot as full register contents, one slice of
+// cfg.Cells() cells per window with the cells the snapshot does not hold
+// zeroed. It allocates the whole geometry and exists for tests and oracles;
+// nothing on a query or checkpoint path calls it.
+func (s *Snapshot) Windows() [][]Cell {
+	per := s.cfg.Cells()
+	flat := make([]Cell, s.cfg.T*per)
+	out := make([][]Cell, s.cfg.T)
+	for i := range out {
+		out[i] = flat[i*per : (i+1)*per : (i+1)*per]
+		for n, p := range s.pos[i] {
+			out[i][p] = s.cells[i][n]
+		}
+	}
+	return out
+}
+
+// NewSnapshot builds a Snapshot from full register contents — the inverse of
+// Windows(). windows must contain exactly cfg.T slices of cfg.Cells() cells;
+// the valid ones are copied. A snapshot rebuilt from the cells of another
+// snapshot is bit-identical to it, so queries over the two produce the same
+// results.
 func NewSnapshot(cfg Config, windows [][]Cell) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -41,7 +70,55 @@ func NewSnapshot(cfg Config, windows [][]Cell) (*Snapshot, error) {
 			return nil, errStorage(cfg, len(windows[i]))
 		}
 	}
-	return &Snapshot{cfg: cfg, windows: windows}, nil
+	return snapshotValid(cfg, windows), nil
+}
+
+// NewSparseSnapshot adopts already-sparse register contents — per window the
+// ascending ring positions and the valid cells at them, as Window returns
+// them and as the checkpoint codec decodes them. The slices are adopted, not
+// copied, and must not be mutated afterwards.
+func NewSparseSnapshot(cfg Config, pos [][]uint32, cells [][]Cell) (*Snapshot, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(pos) != cfg.T || len(cells) != cfg.T {
+		return nil, errStorage(cfg, len(pos))
+	}
+	for i := range pos {
+		if len(pos[i]) != len(cells[i]) {
+			return nil, fmt.Errorf("timewindow: window %d lists %d positions for %d cells", i, len(pos[i]), len(cells[i]))
+		}
+		for n, p := range pos[i] {
+			if int(p) >= cfg.Cells() || (n > 0 && p <= pos[i][n-1]) || !cells[i][n].Valid {
+				return nil, fmt.Errorf("timewindow: window %d entry %d (position %d) is out of range, out of order or invalid", i, n, p)
+			}
+		}
+	}
+	return &Snapshot{cfg: cfg, pos: pos, cells: cells}, nil
+}
+
+// snapshotValid lists the valid cells of full register contents. Each window
+// is walked twice — count, then copy into lists allocated at their size —
+// and a window is small enough for the second walk to find it in cache, so
+// the registers are read from memory once, as a plain copy reads them.
+func snapshotValid(cfg Config, windows [][]Cell) *Snapshot {
+	s := &Snapshot{cfg: cfg, pos: make([][]uint32, cfg.T), cells: make([][]Cell, cfg.T)}
+	for i, w := range windows {
+		n := 0
+		for j := range w {
+			if w[j].Valid {
+				n++
+			}
+		}
+		pos, cells := make([]uint32, 0, n), make([]Cell, 0, n)
+		for j := range w {
+			if w[j].Valid {
+				pos, cells = append(pos, uint32(j)), append(cells, w[j])
+			}
+		}
+		s.pos[i], s.cells[i] = pos, cells
+	}
+	return s
 }
 
 // cellMemBytes is the in-memory footprint of one register cell, used by the
@@ -49,13 +126,23 @@ func NewSnapshot(cfg Config, windows [][]Cell) (*Snapshot, error) {
 // compression ratio.
 var cellMemBytes = int64(unsafe.Sizeof(Cell{}))
 
-// MemBytes estimates the resident size of the snapshot: the flat register
-// copy plus slice headers. It is the "in-memory form" against which the
-// checkpoint codec's encoded size is compared.
+// MemBytes estimates the resident size of the snapshot: the kept cells, their
+// positions and the slice headers. It is the "in-memory form" against which
+// the checkpoint codec's encoded size is compared, and what the history byte
+// budget and the cold cache are charged.
 func (s *Snapshot) MemBytes() int64 {
-	n := int64(len(s.windows)) * 24 // slice headers
-	for _, w := range s.windows {
-		n += int64(len(w)) * cellMemBytes
+	n := int64(len(s.pos)+len(s.cells)) * 24 // slice headers
+	for _, c := range s.cells {
+		n += int64(len(c)) * (cellMemBytes + 4)
+	}
+	return n
+}
+
+// KeptCells returns the number of cells the snapshot holds.
+func (s *Snapshot) KeptCells() int {
+	n := 0
+	for _, c := range s.cells {
+		n += len(c)
 	}
 	return n
 }
@@ -80,18 +167,12 @@ func (f *Filtered) MemBytes() int64 {
 // if the window holds no valid cell.
 func (s *Snapshot) latestCell() (tts uint64, ok bool) {
 	k := s.cfg.K
-	var best uint64
-	for j, c := range s.windows[0] {
-		if !c.Valid {
-			continue
-		}
-		t := c.CycleID<<k | uint64(j)
-		if !ok || t > best {
-			best = t
-			ok = true
+	for n, c := range s.cells[0] {
+		if t := c.CycleID<<k | uint64(s.pos[0][n]); !ok || t > tts {
+			tts, ok = t, true
 		}
 	}
-	return best, ok
+	return tts, ok
 }
 
 // cellRef is one surviving cell in a window's query index: its absolute
@@ -105,12 +186,13 @@ type cellRef struct {
 
 // Filtered is a snapshot with Algorithm 3 applied: each window's retained
 // anchor recorded and the cells that survive it indexed. Queries run against
-// it. It does not copy the registers: windows are the source snapshot's own
-// cell slices (shared, read-only), and survives tells a retained cell from a
-// stale one wherever the raw cells are walked.
+// it. It does not copy the registers: pos and cells are the source snapshot's
+// own lists (shared, read-only), and survives tells a retained cell from a
+// stale one wherever they are walked.
 type Filtered struct {
-	cfg     Config
-	windows [][]Cell
+	cfg   Config
+	pos   [][]uint32
+	cells [][]Cell
 	// anchorTTS[i] is the TTS (in window-i coordinates) of the newest cell
 	// period retained in window i; window i retains TTS range
 	// (anchorTTS[i] - 2^k, anchorTTS[i]]. Only windows below live have one.
@@ -145,7 +227,8 @@ type Filtered struct {
 func (s *Snapshot) Filter() *Filtered {
 	f := &Filtered{
 		cfg:       s.cfg,
-		windows:   s.windows,
+		pos:       s.pos,
+		cells:     s.cells,
 		anchorTTS: make([]uint64, s.cfg.T),
 		coeff:     s.cfg.Coefficients(),
 		ones:      make([]float64, s.cfg.T),
@@ -173,11 +256,12 @@ func (s *Snapshot) Filter() *Filtered {
 	return f
 }
 
-// survives reports whether cell c at index j of window i is retained by
-// Algorithm 3: it lies in the anchor's cycle at or before the anchor's
-// index, or in the cycle before at an index beyond it.
+// survives reports whether cell c at ring position j of window i is retained
+// by Algorithm 3: it lies in the anchor's cycle at or before the anchor's
+// index, or in the cycle before at an index beyond it. c comes from the
+// snapshot's lists, so it is valid.
 func (f *Filtered) survives(i, j int, c *Cell) bool {
-	if !c.Valid || i >= f.live {
+	if i >= f.live {
 		return false
 	}
 	cid, idx := f.cfg.Split(f.anchorTTS[i])
@@ -191,15 +275,16 @@ func (f *Filtered) survives(i, j int, c *Cell) bool {
 // cells in ascending span start. No sort is needed: with the anchor at
 // (cid, idx), the survivors are the cells beyond idx, all of cycle cid-1,
 // then the cells up to idx, all of cycle cid. A cell's span starts at
-// (cycle<<k | j) << shift, so reading the ring from idx+1 around to idx
-// visits strictly ascending starts.
+// (cycle<<k | j) << shift, so reading the ring from idx+1 around to idx —
+// the position list rotated to start past idx — visits strictly ascending
+// starts.
 func (f *Filtered) buildIndex() {
 	ids := flow.AcquireInterner()
 	for i := 0; i < f.live; i++ {
-		w := f.windows[i]
+		pos, cells := f.pos[i], f.cells[i]
 		n := 0
-		for j := range w {
-			if f.survives(i, j, &w[j]) {
+		for m := range cells {
+			if f.survives(i, int(pos[m]), &cells[m]) {
 				n++
 			}
 		}
@@ -208,9 +293,13 @@ func (f *Filtered) buildIndex() {
 		}
 		refs := make([]cellRef, 0, n)
 		_, idx := f.cfg.Split(f.anchorTTS[i])
-		for t := 1; t <= len(w); t++ {
-			j := (idx + t) & (len(w) - 1) // the ring read oldest to newest
-			if c := &w[j]; f.survives(i, j, c) {
+		first := sort.Search(len(pos), func(m int) bool { return int(pos[m]) > idx })
+		for t := range cells {
+			m := first + t // the ring read oldest to newest
+			if m >= len(cells) {
+				m -= len(cells)
+			}
+			if c, j := &cells[m], int(pos[m]); f.survives(i, j, c) {
 				lo, _ := f.cellSpan(i, c.CycleID, j)
 				refs = append(refs, cellRef{start: lo, flow: ids.Intern(c.Flow)})
 			}
@@ -261,19 +350,25 @@ func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
 		return out
 	}
 	for i := 0; i < f.live; i++ {
-		w := f.windows[i]
-		for j := range w {
-			c := &w[j]
-			if !f.survives(i, j, c) {
-				continue
-			}
-			lo, hi := f.cellSpan(i, c.CycleID, j)
-			if lo < end && hi > start {
-				out[i].Add(c.Flow, 1)
-			}
-		}
+		f.walkSurvivors(i, start, end, func(c *Cell) { out[i].Add(c.Flow, 1) })
 	}
 	return out
+}
+
+// walkSurvivors calls fn for every surviving cell of window i whose period
+// overlaps [start, end), in ring-position order, straight from the
+// snapshot's lists — no index. It is what the reference walks share.
+func (f *Filtered) walkSurvivors(i int, start, end uint64, fn func(c *Cell)) {
+	pos, cells := f.pos[i], f.cells[i]
+	for m := range cells {
+		c, j := &cells[m], int(pos[m])
+		if !f.survives(i, j, c) {
+			continue
+		}
+		if lo, hi := f.cellSpan(i, c.CycleID, j); lo < end && hi > start {
+			fn(c)
+		}
+	}
 }
 
 // AccumulateInto adds the surviving cells overlapping [start, end) into acc
@@ -318,8 +413,8 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 }
 
 // AccumulateScanInto is the reference implementation of AccumulateInto: a
-// linear walk of every cell of every window, kept selectable for ablation
-// and differential testing. Because both paths feed the same integer
+// linear walk of every cell the snapshot holds, in every window, kept for
+// differential testing. Because both paths feed the same integer
 // accumulator, their results are bit-identical. It returns the number of
 // cells visited (all of them).
 func (f *Filtered) AccumulateScanInto(acc *Accumulator, start, end uint64) int {
@@ -328,18 +423,8 @@ func (f *Filtered) AccumulateScanInto(acc *Accumulator, start, end uint64) int {
 	}
 	visited := 0
 	for i := 0; i < f.cfg.T; i++ {
-		w := f.windows[i]
-		visited += len(w)
-		for j := range w {
-			c := &w[j]
-			if !f.survives(i, j, c) {
-				continue
-			}
-			lo, hi := f.cellSpan(i, c.CycleID, j)
-			if lo < end && hi > start {
-				acc.add(c.Flow, i, 1)
-			}
-		}
+		visited += len(f.cells[i])
+		f.walkSurvivors(i, start, end, func(c *Cell) { acc.add(c.Flow, i, 1) })
 	}
 	return visited
 }
@@ -382,17 +467,7 @@ func (f *Filtered) QueryWindow(i int, start, end uint64) flow.Counts {
 		return out
 	}
 	coeff := f.coeff[i]
-	w := f.windows[i]
-	for j := range w {
-		c := &w[j]
-		if !f.survives(i, j, c) {
-			continue
-		}
-		lo, hi := f.cellSpan(i, c.CycleID, j)
-		if lo < end && hi > start {
-			out.Add(c.Flow, 1/coeff)
-		}
-	}
+	f.walkSurvivors(i, start, end, func(c *Cell) { out.Add(c.Flow, 1/coeff) })
 	return out
 }
 

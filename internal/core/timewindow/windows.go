@@ -1,6 +1,10 @@
 package timewindow
 
-import "printqueue/internal/flow"
+import (
+	"slices"
+
+	"printqueue/internal/flow"
+)
 
 // Cell is one register entry of a time window: the stored packet's flow ID
 // and the cycle ID distinguishing which pass of the ring buffer wrote it.
@@ -165,21 +169,122 @@ func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
 }
 
 // Snapshot copies the current register contents into an immutable Snapshot
-// for query execution. It models one frozen register read of the whole set
-// and returns the number of register entries copied (for I/O accounting).
-// The copy lands in one contiguous backing array (two allocations instead
-// of T+1), which matters once snapshots run on the background checkpoint
-// goroutine at every flip.
-func (w *Windows) Snapshot() *Snapshot {
-	per := w.cfg.Cells()
-	flat := make([]Cell, w.cfg.T*per)
-	cells := make([][]Cell, w.cfg.T)
-	for i := range cells {
-		dst := flat[i*per : (i+1)*per : (i+1)*per]
-		copy(dst, w.windows[i])
-		cells[i] = dst
+// for query execution. It models one frozen register read of the whole set —
+// the paper's control-plane read — keeping every valid cell, stale ones
+// included: standalone experiments, codec fixtures and benchmarks use it.
+// The control plane retires Freeze's result instead.
+func (w *Windows) Snapshot() *Snapshot { return snapshotValid(w.cfg, w.windows) }
+
+// Freeze is the frozen read the control plane retires at a flip: of the set's
+// registers it copies what a query on the checkpoint can read, and no more.
+// Interval queries clamp to the checkpoint's coverage — the dequeues in
+// [prevFreeze, freezeTime) went to this set — and count only cells that
+// survive Algorithm 3, so a cell is kept iff its TTS lies both in the
+// coverage, [prevFreeze>>shift_i, (freezeTime-1)>>shift_i], and in the span
+// window i retains, (anchor_i - 2^k, anchor_i], and its cycle ID is that
+// TTS's: a survivor whose period overlaps the coverage. Everything else —
+// stale cells of earlier activations, survivors that ended at or before
+// prevFreeze — can never be counted. Window 0's anchor cell is kept even
+// when the coverage misses it, so Filter on the result derives the same
+// anchors, by the same chain, as on Snapshot()'s.
+//
+// A cell's ring position is its TTS's low k bits, so the positions to read
+// follow from the coverage arithmetically: nothing is tracked per packet.
+// The cost is one scan of window 0 for the latest cell plus the cells the
+// coverage spans.
+func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Snapshot {
+	t := w.cfg.T
+	s := &Snapshot{cfg: w.cfg, pos: make([][]uint32, t), cells: make([][]Cell, t)}
+	var latest uint64
+	found := false
+	w0 := w.windows[0]
+	for j := range w0 {
+		if c := &w0[j]; c.Valid {
+			if tts := c.CycleID<<w.k | uint64(j); !found || tts > latest {
+				latest, found = tts, true
+			}
+		}
 	}
-	return &Snapshot{cfg: w.cfg, windows: cells}
+	if !found {
+		return s
+	}
+	// The anchors, by Filter's chain.
+	anchors := make([]uint64, 0, t)
+	for tts := latest; len(anchors) < t; tts = (tts - (w.kMask + 1)) >> w.alpha {
+		anchors = append(anchors, tts)
+		if tts <= w.kMask {
+			break // the deeper windows have no anchor
+		}
+	}
+	// As in snapshotValid, each window's runs are walked twice — count, then
+	// copy into lists allocated at their size.
+	var buf [3]ringRun
+	for i, anchor := range anchors {
+		runs := w.coverageRuns(buf[:0], i, anchor, prevFreeze, freezeTime)
+		n := 0
+		for _, r := range runs {
+			run := w.windows[i][r.from : r.to+1]
+			for j := range run {
+				if c := &run[j]; c.Valid && c.CycleID == r.cycle {
+					n++
+				}
+			}
+		}
+		pos, cells := make([]uint32, 0, n), make([]Cell, 0, n)
+		for _, r := range runs {
+			run := w.windows[i][r.from : r.to+1]
+			for j := range run {
+				if c := &run[j]; c.Valid && c.CycleID == r.cycle {
+					pos, cells = append(pos, uint32(r.from+j)), append(cells, *c)
+				}
+			}
+		}
+		s.pos[i], s.cells[i] = pos, cells
+	}
+	return s
+}
+
+// ringRun is a run of ring positions (inclusive) with the one cycle ID a
+// cell there must carry for Freeze to keep it.
+type ringRun struct {
+	from, to int
+	cycle    uint64
+}
+
+// coverageRuns appends to rs, in ascending position, the runs of window i
+// that Freeze reads: the TTS range common to the coverage and to the span the
+// window retains behind its anchor — cut in two where it wraps the ring — and,
+// in window 0, the anchor's own cell when that range misses it.
+func (w *Windows) coverageRuns(rs []ringRun, i int, anchor, prevFreeze, freezeTime uint64) []ringRun {
+	shift := w.m0 + w.alpha*uint(i)
+	lo, hi := prevFreeze>>shift, anchor
+	if anchor > w.kMask {
+		lo = max(lo, anchor-w.kMask) // the window retains (anchor-2^k, anchor]
+	}
+	if freezeTime > prevFreeze {
+		hi = min(hi, (freezeTime-1)>>shift)
+	} else {
+		lo = hi + 1 // an empty coverage
+	}
+	if lo <= hi {
+		pl, ph := int(lo&w.kMask), int(hi&w.kMask)
+		if pl <= ph {
+			rs = append(rs, ringRun{pl, ph, lo >> w.k})
+		} else {
+			rs = append(rs, ringRun{0, ph, hi >> w.k}, ringRun{pl, int(w.kMask), lo >> w.k})
+		}
+	}
+	if i == 0 && (lo > hi || hi < anchor) {
+		// No other retained TTS shares the anchor's position, so it joins the
+		// runs wherever ascending position puts it.
+		p := int(anchor & w.kMask)
+		at := 0
+		for at < len(rs) && rs[at].from < p {
+			at++
+		}
+		rs = slices.Insert(rs, at, ringRun{p, p, anchor >> w.k})
+	}
+	return rs
 }
 
 // EntriesPerSnapshot returns the register entries read per snapshot of this

@@ -32,7 +32,8 @@ import (
 //	                  state, live stats
 //	/debug/history    tiered checkpoint history: segments, bytes on disk,
 //	                  cache hit/miss, compression ratio inputs, resident
-//	                  bytes across tiers
+//	                  bytes across tiers, register entries modelled as read
+//	                  vs cells actually kept per checkpoint
 //	/debug/traces     recent completed traces, newest first (tracing on)
 //	/debug/trace/{id} one trace by 16-hex-digit id
 //	/debug/slowlog    the always-on slow-query trace ring
@@ -62,10 +63,13 @@ func (s *System) ServeOps(addr string) (*OpsService, error) {
 	srv.HandleJSON("/debug/pipeline", func() any { return s.inner.Introspect() })
 	srv.HandleJSON("/debug/history", func() any {
 		st, ok := s.HistoryStats()
+		read, kept := s.inner.CheckpointEntries()
 		return map[string]any{
-			"enabled":        ok,
-			"stats":          st,
-			"resident_bytes": s.inner.HistoryBytes(),
+			"enabled":                 ok,
+			"stats":                   st,
+			"resident_bytes":          s.inner.HistoryBytes(),
+			"checkpoint_entries_read": read,
+			"checkpoint_cells_kept":   kept,
 		}
 	})
 	srv.HandleJSON("/debug/traces", func() any { return traceViews(s.inner.Tracer().Traces()) })

@@ -2,6 +2,7 @@ package printqueue
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -119,6 +120,25 @@ func TestStatsMetricsParity(t *testing.T) {
 		if got != tt.want {
 			t.Errorf("%s = %d, but Stats reports %d", tt.metric, got, tt.want)
 		}
+	}
+	// What the checkpoints hold, beside what the hardware model charges for
+	// reading them: a part of it, on /metrics and in /debug/history alike.
+	kept := m["printqueue_checkpoint_cells_kept_total"]
+	if kept <= 0 || kept >= st.EntriesRead {
+		t.Errorf("checkpoints kept %d cells of %d register entries read, want some but not all", kept, st.EntriesRead)
+	}
+	resp, err := http.Get("http://" + ops.Addr() + "/debug/history")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hist struct {
+		Read int64 `json:"checkpoint_entries_read"`
+		Kept int64 `json:"checkpoint_cells_kept"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&hist)
+	resp.Body.Close()
+	if err != nil || hist.Read != st.EntriesRead || hist.Kept != kept {
+		t.Errorf("/debug/history reports %d read, %d kept (err %v); /metrics %d and %d", hist.Read, hist.Kept, err, st.EntriesRead, kept)
 	}
 	// The freeze-to-retire histogram must have one observation per freeze
 	// (periodic and special alike).
