@@ -242,6 +242,10 @@ type statsCounters struct {
 	infeasibleFlips *telemetry.Counter
 	dpSuppressed    *telemetry.Counter
 	tsRegressions   *telemetry.Counter
+	// ingestAfterClose counts packets handed to a Pipeline after its Close.
+	// It lives here, not on the Pipeline, so /debug/pipeline still shows it
+	// once the pipeline is gone.
+	ingestAfterClose *telemetry.Counter
 	// freezeRetireNs is the freeze-to-retire latency of checkpoint reads:
 	// from the flip that froze a register set to the checkpoint joining the
 	// query-visible history. Under a Pipeline this spans the snapshot queue
@@ -262,6 +266,8 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 		"Time-window cells and queue-monitor entries actually copied into retired checkpoints (coverage and top trimmed).")
 	sc.tsRegressions = reg.Counter("printqueue_timestamp_regressions_total",
 		"Dequeues stamped before their port's last flip: inserted, never allowed to flip.")
+	sc.ingestAfterClose = reg.Counter("printqueue_pipeline_ingest_after_close_total",
+		"Packets for activated ports handed to an ingestion pipeline after its Close: refused, observed by nothing.")
 	sc.infeasibleFlips = reg.Counter("printqueue_infeasible_flips_total",
 		"Freezes whose read exceeded the poll period or stalled on the snapshotter.")
 	sc.dpSuppressed = reg.Counter("printqueue_dp_suppressed_total",
@@ -353,8 +359,8 @@ type System struct {
 	cfg    Config
 	layout registers.Layout
 	// twFiles[i] backs window i across all ports and register sets.
-	twFiles []*registers.File[timewindow.Cell]
-	qmFile  *registers.File[qmonitor.Entry]
+	twFiles []*registers.File[timewindow.Reg]
+	qmFile  *registers.File[qmonitor.Reg]
 	ports   map[int]*portState
 	// portTab is a dense port-id -> state table so the per-packet hot path
 	// avoids a map lookup (the ingress flow-table match, in hardware terms).
@@ -417,15 +423,15 @@ func New(cfg Config) (*System, error) {
 		}
 		s.hist = hist
 	}
-	s.twFiles = make([]*registers.File[timewindow.Cell], cfg.TW.T)
+	s.twFiles = make([]*registers.File[timewindow.Reg], cfg.TW.T)
 	for i := range s.twFiles {
-		s.twFiles[i] = registers.NewFile[timewindow.Cell](s.layout)
+		s.twFiles[i] = registers.NewFile[timewindow.Reg](s.layout)
 	}
 	qmLayout := registers.Layout{
 		PortBits:  registers.PortBitsFor(qmSlots),
 		IndexBits: bitsFor(cfg.QM.Entries()),
 	}
-	s.qmFile = registers.NewFile[qmonitor.Entry](qmLayout)
+	s.qmFile = registers.NewFile[qmonitor.Reg](qmLayout)
 
 	maxPort := 0
 	for _, port := range cfg.Ports {
@@ -442,7 +448,7 @@ func New(cfg Config) (*System, error) {
 			"Dequeued packets observed per activated port.",
 			telemetry.L("port", strconv.Itoa(port)))
 		for _, sel := range allSets() {
-			storage := make([][]timewindow.Cell, cfg.TW.T)
+			storage := make([][]timewindow.Reg, cfg.TW.T)
 			for i := range storage {
 				storage[i] = s.twFiles[i].View(sel.dp, sel.flip, rank)
 			}
@@ -605,12 +611,48 @@ func (s *System) readLatencyNs() uint64 {
 // evaluates the data-plane query trigger. Packets for ports without
 // PrintQueue are ignored (the ingress flow table found no match).
 func (s *System) OnDequeue(p *pktrec.Packet) {
+	if ps := s.dequeue(p); ps != nil {
+		ps.packets.Add(1)
+	}
+}
+
+// onDequeueBatch is OnDequeue over a shard worker's batch, with the port
+// packet counters moved once per run of one port's packets instead of once
+// per packet: an atomic add per packet is a locked instruction per packet,
+// and two ports' counters on one cache line — they are 8-byte objects, the
+// allocator packs them — make two workers trade that line per packet for
+// the System's life. A batch may interleave the shard's ports. Between
+// batches the counters lag by at most the batch in hand; they are exact once
+// the workers have drained (Pipeline.Close).
+func (s *System) onDequeueBatch(pkts []pktrec.Packet) {
+	var run *portState
+	n := int64(0)
+	for i := range pkts {
+		ps := s.dequeue(&pkts[i])
+		if ps != run {
+			if run != nil {
+				run.packets.Add(n)
+			}
+			run, n = ps, 0
+		}
+		n++
+	}
+	if run != nil {
+		run.packets.Add(n)
+	}
+}
+
+// dequeue is the per-packet body of OnDequeue and onDequeueBatch, short of
+// counting the packet: it returns the packet's port, nil when PrintQueue is
+// not activated on it. Of memory another port's goroutine touches it writes
+// nothing.
+func (s *System) dequeue(p *pktrec.Packet) *portState {
 	if p.Port < 0 || p.Port >= len(s.portTab) {
-		return
+		return nil
 	}
 	ps := s.portTab[p.Port]
 	if ps == nil {
-		return
+		return nil
 	}
 	now := p.Meta.DeqTimestamp()
 	// A timestamp from before the last flip would wrap the unsigned
@@ -628,14 +670,16 @@ func (s *System) OnDequeue(p *pktrec.Packet) {
 	case now-ps.lastFlip >= s.cfg.PollPeriodNs:
 		s.flip(ps, now)
 	}
-	ps.packets.Add(1)
 
-	ps.tw[ps.writeSel.index()].Insert(p.Flow, now)
+	// The flow ID goes to both structures in two machine words.
+	f := p.Flow.Pack()
+	sel := ps.writeSel.index()
+	ps.tw[sel].InsertPacked(f, now)
 	queue := p.Queue
 	if queue < 0 || queue >= s.cfg.QueuesPerPort {
 		queue = s.cfg.QueuesPerPort - 1
 	}
-	ps.qm[queue][ps.writeSel.index()].Observe(p.Flow, p.Meta.EnqQdepth)
+	ps.qm[queue][sel].ObservePacked(f, p.Meta.EnqQdepth)
 
 	if s.cfg.DPTrigger != nil && !late && s.cfg.DPTrigger(p) {
 		if now < ps.dpLockedUntil {
@@ -644,6 +688,7 @@ func (s *System) OnDequeue(p *pktrec.Packet) {
 			s.dataPlaneQuery(ps, p, queue, now)
 		}
 	}
+	return ps
 }
 
 // snapshotSet freezes register set sel of a port into a checkpoint and

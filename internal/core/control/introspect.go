@@ -16,6 +16,10 @@ type Introspection struct {
 	Ports         []PortInfo `json:"ports"`
 	// Pipeline is nil while the system ingests synchronously.
 	Pipeline *PipelineInfo `json:"pipeline,omitempty"`
+	// IngestAfterClose counts packets handed to a pipeline after its Close —
+	// refused, observed by nothing. Non-zero means an egress hook outlived
+	// its pipeline and the switch went on forwarding.
+	IngestAfterClose int64 `json:"ingest_after_close"`
 	// History is nil unless the tiered checkpoint history is enabled.
 	History *HistoryInfo `json:"history,omitempty"`
 	Stats   Stats        `json:"stats"`
@@ -63,6 +67,7 @@ func (s *System) Introspect() Introspection {
 		QueuesPerPort: s.cfg.QueuesPerPort,
 		Stats:         s.Stats(),
 	}
+	in.IngestAfterClose = s.stats.ingestAfterClose.Load()
 	for _, port := range s.cfg.Ports {
 		ps := s.ports[port]
 		ps.mu.RLock()

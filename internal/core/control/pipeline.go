@@ -84,11 +84,13 @@ type shard struct {
 	hwThresh int64  // occupancy at which high-watermark events start firing
 }
 
-// Pipeline drives a System through sharded, batched ingestion. Ingest must
-// be called from a single goroutine with packets in per-port dequeue order
-// (the order the traffic manager emits them); the pipeline fans them out to
-// the port's shard worker. Close flushes, drains the workers and the
-// snapshot goroutine, and returns the System to synchronous (serial) mode.
+// Pipeline drives a System through sharded, batched ingestion. Ingest, Flush
+// and Close must be called from a single goroutine, Ingest with packets in
+// per-port dequeue order (the order the traffic manager emits them); the
+// pipeline fans them out to the port's shard worker. Close flushes, drains
+// the workers and the snapshot goroutine, and returns the System to
+// synchronous (serial) mode; packets ingested after it are refused and
+// counted.
 type Pipeline struct {
 	sys    *System
 	cfg    PipelineConfig
@@ -156,7 +158,12 @@ func NewPipeline(sys *System, cfg PipelineConfig) (*Pipeline, error) {
 // event each time occupancy reaches a new maximum at or above half the
 // ring depth.
 func (pl *Pipeline) pushBatch(sh *shard, b *packetBatch) {
-	waited, _ := sh.ring.push(b)
+	waited, ok := sh.ring.push(b)
+	if !ok {
+		// The ring closed under the batch: no worker will ever pop it.
+		pl.sys.stats.ingestAfterClose.Add(int64(len(b.pkts)))
+		return
+	}
 	if waited > 0 {
 		sh.backpressureNs.Add(waited)
 		if !sh.blocked {
@@ -179,13 +186,21 @@ func (pl *Pipeline) pushBatch(sh *shard, b *packetBatch) {
 
 // Ingest hands one dequeued packet to its port's shard. The packet is
 // copied by value into the current batch; the caller may reuse *p. Packets
-// for ports without PrintQueue are dropped, as in OnDequeue.
+// for ports without PrintQueue are dropped, as in OnDequeue. After Close a
+// packet for an activated port is refused and counted in
+// printqueue_pipeline_ingest_after_close_total: the workers are gone, and an
+// egress hook that outlives its pipeline (Attach's do) must not look like
+// monitoring.
 func (pl *Pipeline) Ingest(p *pktrec.Packet) {
 	if p.Port < 0 || p.Port >= len(pl.shardOf) {
 		return
 	}
 	sh := pl.shardOf[p.Port]
 	if sh == nil {
+		return
+	}
+	if pl.closed {
+		pl.sys.stats.ingestAfterClose.Add(1)
 		return
 	}
 	b := sh.cur
@@ -215,13 +230,14 @@ func (pl *Pipeline) Flush() {
 // Close flushes remaining batches, waits for the shard workers to drain,
 // stops the snapshot goroutine (retiring any in-flight frozen reads), and
 // returns the System to synchronous mode. After Close, Finalize and queries
-// observe every ingested packet. Close is idempotent.
+// observe every packet ingested before it; later ones are refused (Ingest).
+// Close is idempotent.
 func (pl *Pipeline) Close() {
 	if pl.closed {
 		return
 	}
-	pl.closed = true
 	pl.Flush()
+	pl.closed = true
 	for _, sh := range pl.shards {
 		sh.ring.close()
 	}
@@ -242,9 +258,7 @@ func (pl *Pipeline) worker(sh *shard) {
 			return
 		}
 		sh.occupancy.Set(sh.ring.len())
-		for i := range b.pkts {
-			sys.OnDequeue(&b.pkts[i])
-		}
+		sys.onDequeueBatch(b.pkts)
 		sh.batches.Inc()
 		sh.packets.Add(int64(len(b.pkts)))
 		b.pkts = b.pkts[:0]

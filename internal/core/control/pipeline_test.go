@@ -42,7 +42,11 @@ func genMultiPortTrace(ports []int, queues, n int, seed uint64) []*pktrec.Packet
 // TestPipelineSerialEquivalence feeds the same multi-port trace through the
 // sharded pipeline and through direct serial OnDequeue calls and requires
 // identical QueryInterval and QueryOriginal reports per port, identical
-// checkpoint chains, and identical deterministic counters.
+// checkpoint chains, and identical deterministic counters — the per-port
+// packet counters among them, which the pipeline moves once per run of a
+// port's packets in a batch: ports 0 and 5 share a shard and interleave in
+// its batches, ports 1 and 9 are not activated (one inside the port table,
+// one beyond it) and count nothing, and the stream ends mid-batch.
 func TestPipelineSerialEquivalence(t *testing.T) {
 	ports := []int{0, 2, 3, 5}
 	const queues = 2
@@ -63,20 +67,35 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pkts := genMultiPortTrace(ports, queues, 20000, 7)
+	pkts := genMultiPortTrace([]int{0, 1, 2, 3, 5, 9}, queues, 30000, 7)
 	var last uint64
+	perPort := make(map[int]int64)
 	for _, p := range pkts {
 		serial.OnDequeue(p)
 		pl.Ingest(p)
+		perPort[p.Port]++
 		if d := p.Meta.DeqTimestamp(); d > last {
 			last = d
 		}
+	}
+	if perPort[1] == 0 || perPort[9] == 0 || (perPort[0]+perPort[5])%16 == 0 {
+		t.Fatalf("stream %v has no packet for a non-activated port or fills shard 0's last batch", perPort)
 	}
 	pl.Close()
 	serial.Finalize(last + 1)
 	piped.Finalize(last + 1)
 
+	var activated int64
+	for _, port := range ports {
+		activated += perPort[port]
+		if s, p := serial.ports[port].packets.Load(), piped.ports[port].packets.Load(); s != perPort[port] || p != perPort[port] {
+			t.Fatalf("port %d: %d packets fed, serial counted %d, pipeline %d", port, perPort[port], s, p)
+		}
+	}
 	ss, sp := serial.Stats(), piped.Stats()
+	if ss.PacketsObserved != activated {
+		t.Fatalf("PacketsObserved %d, %d fed to activated ports", ss.PacketsObserved, activated)
+	}
 	if ss.PacketsObserved != sp.PacketsObserved || ss.Checkpoints != sp.Checkpoints ||
 		ss.EntriesRead != sp.EntriesRead || ss.SpecialFreezes != sp.SpecialFreezes {
 		t.Fatalf("stats diverge: serial %+v pipeline %+v", ss, sp)
@@ -348,5 +367,67 @@ func TestPipelineShardDefaults(t *testing.T) {
 	cfg.normalize(4)
 	if cfg.Shards != 4 {
 		t.Fatalf("shards clamped to %d, want 4", cfg.Shards)
+	}
+}
+
+// TestPipelineIngestAfterCloseRefused: the egress hooks a pipeline installs
+// outlive it, so a switch that keeps forwarding keeps calling Ingest after
+// Close. Those packets reach no worker; they must be refused and counted —
+// not buffered into batches nothing pops and dropped without a trace, with
+// PacketsObserved the only hint.
+func TestPipelineIngestAfterCloseRefused(t *testing.T) {
+	sys, err := New(testConfig(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPipeline(sys, PipelineConfig{Shards: 2, BatchSize: 16, RingDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ports 0 and 2 are activated; 1 and 7 are not and count nowhere, before
+	// or after.
+	pkts := genMultiPortTrace([]int{0, 1, 2, 7}, 1, 4000, 3)
+	fed := func(pkts []*pktrec.Packet) (n int64) {
+		for _, p := range pkts {
+			pl.Ingest(p)
+			if p.Port == 0 || p.Port == 2 {
+				n++
+			}
+		}
+		return n
+	}
+	before := fed(pkts[:2000])
+	pl.Close()
+	after := fed(pkts[2000:])
+	pl.Flush()
+	pl.Close()
+	if got := sys.Stats().PacketsObserved; got != before {
+		t.Fatalf("PacketsObserved = %d, want the %d ingested before Close", got, before)
+	}
+	if got := sys.stats.ingestAfterClose.Load(); got != after || after == 0 {
+		t.Fatalf("ingest-after-close counter = %d, want the %d refused", got, after)
+	}
+	if got := sys.Introspect().IngestAfterClose; got != after {
+		t.Fatalf("Introspect().IngestAfterClose = %d, want %d", got, after)
+	}
+	// A new pipeline on the System ingests again; the old one still refuses.
+	pl2, err := NewPipeline(sys, PipelineConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Ingest(&pktrec.Packet{Port: 2})
+	more := int64(0)
+	for _, p := range pkts[2000:] {
+		pl2.Ingest(p)
+		if p.Port == 0 || p.Port == 2 {
+			more++
+		}
+	}
+	pl2.Close()
+	if got := sys.Stats().PacketsObserved; got != before+more {
+		t.Fatalf("PacketsObserved = %d after a second pipeline, want %d", got, before+more)
+	}
+	if got := sys.stats.ingestAfterClose.Load(); got != after+1 {
+		t.Fatalf("ingest-after-close counter = %d, want %d", got, after+1)
 	}
 }

@@ -15,6 +15,8 @@ package qmonitor
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"unsafe"
 
 	"printqueue/internal/flow"
@@ -61,45 +63,98 @@ func (c Config) Level(depthCells int) int {
 	return l
 }
 
-// Half is one half of a register entry: the record of the packet that most
-// recently moved the queue depth to this level in the given direction.
+// Half is one half of a register entry as a snapshot holds it: the record of
+// the packet that most recently moved the queue depth to this level in the
+// given direction.
 type Half struct {
 	Flow  flow.Key
 	Seq   uint64
 	Valid bool
 }
 
-// Entry is one register entry: the upper half records depth increases
-// landing at this level, the lower half records decreases.
+// Entry is one register entry as a snapshot holds it: the upper half records
+// depth increases landing at this level, the lower half records decreases.
 type Entry struct {
 	Up   Half
 	Down Half
 }
 
+// Reg is one live register of the monitor: an Entry's two halves as
+// integers, so that Observe stores three words instead of assembling a
+// struct of byte arrays. A half's b is flow.Packed.B, whose bit 0 Pack
+// always sets: b != 0 is the written mark (as in timewindow.Reg), and the
+// zero Reg is a never-written register. The sequence number keeps its 64
+// bits.
+type Reg struct{ up, down regHalf }
+
+type regHalf struct{ a, b, seq uint64 }
+
+// unpack writes a written half into *to, which must be zero, field by field
+// (see flow.Packed.Unpack for why not by assigning a Half built here); a
+// never-written half leaves it zero.
+func (h *regHalf) unpack(to *Half) {
+	if h.b == 0 {
+		return
+	}
+	flow.Packed{A: h.a, B: h.b}.Unpack(&to.Flow)
+	to.Seq = h.seq
+	to.Valid = true
+}
+
 // Monitor is one register set of the queue monitor. As with the time
 // windows, storage may be supplied externally (a register-file partition)
 // or allocated privately.
+//
+// Like timewindow.Windows, a Monitor is written per packet (top, seq,
+// primed) by one goroutine while its neighbours in memory belong to other
+// ports and other goroutines, so it is padded to whole 64-byte lines, which
+// Go's size classes then align: no line of it holds anything of a
+// neighbour's.
 type Monitor struct {
-	cfg     Config
-	entries []Entry
-	top     int    // stack-top pointer: latest observed level
-	seq     uint64 // monotonically increasing sequence number
-	primed  bool   // whether any packet has been observed
+	_ [(64 - unsafe.Sizeof(monitorFields{})%64) % 64]byte // first: a trailing zero-size field would itself be padded
+	monitorFields
+}
+
+var _ [0]struct{} = [unsafe.Sizeof(Monitor{}) % 64]struct{}{}
+
+type monitorFields struct {
+	cfg  Config
+	regs []Reg
+	// Observe's level without a division per packet: depths in
+	// (0, clampDepth) are multiplied by recip, a 64-bit reciprocal of
+	// GranuleCells; deeper ones are the last level. recip is 0 when no such
+	// reciprocal is exact (GranuleCells 1, clampDepth beyond 2^32), and the
+	// division is made.
+	recip      uint64
+	clampDepth int
+
+	top    int    // stack-top pointer: latest observed level
+	seq    uint64 // monotonically increasing sequence number
+	primed bool   // whether any packet has been observed
 }
 
 // New builds a monitor over the given storage (len == cfg.Entries()), or
 // private storage if nil.
-func New(cfg Config, storage []Entry) (*Monitor, error) {
+func New(cfg Config, storage []Reg) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if storage == nil {
-		storage = make([]Entry, cfg.Entries())
+		storage = make([]Reg, cfg.Entries())
 	}
 	if len(storage) != cfg.Entries() {
 		return nil, fmt.Errorf("qmonitor: storage length %d, want %d", len(storage), cfg.Entries())
 	}
-	return &Monitor{cfg: cfg, entries: storage}, nil
+	m := &Monitor{}
+	m.cfg, m.regs = cfg, storage
+	m.clampDepth = (cfg.Entries() - 1) * cfg.GranuleCells
+	if g := uint64(cfg.GranuleCells); g > 1 && uint64(m.clampDepth) <= 1<<32 {
+		// With r = ceil(2^64/g) and e = r*g - 2^64 < g, hi64(d*r) is
+		// floor(d/g) whenever d*e < 2^64; d < clampDepth <= 2^32 and
+		// e < g <= clampDepth, so it is.
+		m.recip = math.MaxUint64/g + 1
+	}
+	return m, nil
 }
 
 // Config returns the monitor's configuration.
@@ -120,34 +175,47 @@ func (m *Monitor) Adopt(top int, seq uint64) {
 	m.primed = true
 }
 
+// level is cfg.Level(depthCells).
+func (m *Monitor) level(depthCells int) int {
+	switch {
+	case depthCells >= m.clampDepth:
+		return len(m.regs) - 1
+	case depthCells <= 0:
+		return 0
+	case m.recip == 0:
+		return depthCells / m.cfg.GranuleCells // between the clamps, Level is this
+	}
+	hi, _ := bits.Mul64(uint64(depthCells), m.recip)
+	return int(hi)
+}
+
 // Observe processes one packet in egress order with the queue depth (in
 // cells) it saw at enqueue. If the depth level changed relative to the
 // previous packet, the packet's flow is recorded at the new level with the
 // next sequence number and the top pointer is updated.
-func (m *Monitor) Observe(f flow.Key, enqDepthCells int) {
-	l2 := m.cfg.Level(enqDepthCells)
+func (m *Monitor) Observe(f flow.Key, enqDepthCells int) { m.ObservePacked(f.Pack(), enqDepthCells) }
+
+// ObservePacked is Observe for a caller that has packed the flow ID already.
+func (m *Monitor) ObservePacked(f flow.Packed, enqDepthCells int) {
+	l2 := m.level(enqDepthCells)
 	if m.primed && l2 == m.top {
 		return
 	}
 	rising := !m.primed || l2 > m.top
 	m.primed = true
 	m.seq++
+	h := &m.regs[l2].down
 	if rising {
-		m.entries[l2].Up = Half{Flow: f, Seq: m.seq, Valid: true}
-	} else {
-		m.entries[l2].Down = Half{Flow: f, Seq: m.seq, Valid: true}
+		h = &m.regs[l2].up
 	}
+	h.a, h.b, h.seq = f.A, f.B, m.seq
 	m.top = l2
 }
 
 // Snapshot copies the register state for query execution: the whole array,
 // as the paper's control plane reads it. Standalone experiments, codec
 // fixtures and benchmarks use it; the control plane retires Freeze's result.
-func (m *Monitor) Snapshot() *Snapshot {
-	entries := make([]Entry, len(m.entries))
-	copy(entries, m.entries)
-	return &Snapshot{cfg: m.cfg, entries: entries, top: m.top}
-}
+func (m *Monitor) Snapshot() *Snapshot { return m.read(len(m.regs)) }
 
 // Freeze is the frozen read the control plane retires: levels 0..top, which
 // is all any staircase walk will ever read of this freeze. A record above
@@ -155,9 +223,16 @@ func (m *Monitor) Snapshot() *Snapshot {
 // fall's record — lower down, with a larger sequence number — filters it out
 // of every later walk (DESIGN.md §13 has the argument across flips, Adopt
 // and the eviction carry).
-func (m *Monitor) Freeze() *Snapshot {
-	entries := make([]Entry, m.top+1)
-	copy(entries, m.entries)
+func (m *Monitor) Freeze() *Snapshot { return m.read(m.top + 1) }
+
+// read unpacks the first n registers, in place, into a snapshot.
+func (m *Monitor) read(n int) *Snapshot {
+	entries := make([]Entry, n)
+	regs := m.regs[:n]
+	for i := range regs {
+		regs[i].up.unpack(&entries[i].Up)
+		regs[i].down.unpack(&entries[i].Down)
+	}
 	return &Snapshot{cfg: m.cfg, entries: entries, top: m.top}
 }
 

@@ -206,11 +206,89 @@ func TestStaircaseInvariant(t *testing.T) {
 
 func TestStorageValidation(t *testing.T) {
 	cfg := Config{MaxDepthCells: 100, GranuleCells: 10}
-	if _, err := New(cfg, make([]Entry, 5)); err == nil {
+	if _, err := New(cfg, make([]Reg, 5)); err == nil {
 		t.Fatal("wrong storage length accepted")
 	}
-	if _, err := New(cfg, make([]Entry, cfg.Entries())); err != nil {
+	if _, err := New(cfg, make([]Reg, cfg.Entries())); err != nil {
 		t.Fatalf("exact storage rejected: %v", err)
+	}
+}
+
+// TestFastLevelIsConfigLevel: Observe's reciprocal multiply is Config.Level,
+// the definition, at every depth — the negative ones, the ones beyond the
+// array and beyond what the reciprocal is exact for included — for every
+// granule the presets could plausibly use, and for the geometries that take
+// the fallback (granule 1; an array reaching past 2^32 cells of depth).
+func TestFastLevelIsConfigLevel(t *testing.T) {
+	far := []int{1 << 31, 1<<32 - 1, 1 << 32, 1 << 62}
+	check := func(m *Monitor, depth int) {
+		t.Helper()
+		if got, want := m.level(depth), m.cfg.Level(depth); got != want {
+			t.Fatalf("%+v: level(%d) = %d, Config.Level says %d", m.cfg, depth, got, want)
+		}
+	}
+	for g := 1; g <= 64; g++ {
+		for _, maxDepth := range []int{64, 1000, 32768} {
+			m, err := New(Config{MaxDepthCells: maxDepth, GranuleCells: g}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (m.recip == 0) != (g == 1) {
+				t.Fatalf("%+v: reciprocal %#x", m.cfg, m.recip)
+			}
+			for depth := -5; depth <= maxDepth+1000; depth++ {
+				check(m, depth)
+			}
+			for _, depth := range far {
+				check(m, depth)
+			}
+		}
+	}
+	for _, cfg := range []Config{
+		{MaxDepthCells: 1 << 32, GranuleCells: 1 << 31}, // last level starts at 2^32: still exact
+		{MaxDepthCells: 1 << 33, GranuleCells: 1 << 31}, // beyond: the definition answers
+		{MaxDepthCells: 3<<32 + 5, GranuleCells: 1<<32 + 1},
+	} {
+		m, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantFast := cfg.MaxDepthCells == 1<<32; (m.recip != 0) != wantFast {
+			t.Fatalf("%+v: reciprocal %#x", cfg, m.recip)
+		}
+		for _, base := range append(far, 0, cfg.GranuleCells, 2*cfg.GranuleCells, cfg.MaxDepthCells) {
+			for d := -3; d <= 3; d++ {
+				check(m, base+d)
+			}
+		}
+	}
+}
+
+// TestRegHoldsWhatAnEntryHolds: what Observe wrote is what Snapshot and
+// Freeze unpack — the all-zero 5-tuple included, which the written mark
+// keeps apart from a register nothing was written to.
+func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
+	m := mon(t)
+	zero, k := flow.Key{}, flow.Key{SrcIP: [4]byte{255, 254, 253, 252}, DstIP: [4]byte{1, 2, 3, 4}, SrcPort: 65535, DstPort: 1, Proto: 255}
+	m.Observe(zero, 35) // seq 1: up at 3
+	m.Observe(k, 70)    // seq 2: up at 7
+	m.Observe(zero, 50) // seq 3: down at 5
+	m.Observe(k, 35)    // seq 4: down at 3
+	want := make([]Entry, m.cfg.Entries())
+	want[3] = Entry{Up: Half{Flow: zero, Seq: 1, Valid: true}, Down: Half{Flow: k, Seq: 4, Valid: true}}
+	want[7].Up = Half{Flow: k, Seq: 2, Valid: true}
+	want[5].Down = Half{Flow: zero, Seq: 3, Valid: true}
+	if got := m.Snapshot().Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot entries\n got %+v\nwant %+v", got, want)
+	}
+	if got := m.Freeze().Entries(); !reflect.DeepEqual(got, want[:4]) {
+		t.Fatalf("Freeze entries (top 3)\n got %+v\nwant %+v", got, want[:4])
+	}
+	// A half with a cleared written mark is never-written, whatever else it
+	// holds.
+	m.regs[7].up.b = 0
+	if got := m.Snapshot().Entries()[7]; got != (Entry{}) {
+		t.Fatalf("never-written register unpacked to %+v", got)
 	}
 }
 

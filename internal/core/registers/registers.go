@@ -7,8 +7,8 @@
 // A File holds the backing storage for one logical array across all
 // (dp, flip, port) partitions; views into a partition are plain slices, so
 // the data-plane algorithms read and write them exactly as P4 register
-// actions would, while the control plane copies partitions out ("frozen
-// register reads") with read-cost accounting.
+// actions would. The control plane's frozen reads, and the cost the paper's
+// Figure 13 budgets for them, are package control's.
 package registers
 
 import "fmt"
@@ -79,10 +79,6 @@ func (l Layout) Decompose(r int) (dp, flip bool, port, idx int) {
 type File[E any] struct {
 	layout Layout
 	cells  []E
-
-	// EntriesRead counts cells copied out by Read, modelling the
-	// control-plane I/O the paper's Figure 13 budget constrains.
-	EntriesRead int64
 }
 
 // NewFile allocates a register file with the given layout.
@@ -102,14 +98,4 @@ func (f *File[E]) Layout() Layout { return f.layout }
 func (f *File[E]) View(dp, flip bool, port int) []E {
 	base := f.layout.Compose(dp, flip, port, 0)
 	return f.cells[base : base+f.layout.PartitionSize() : base+f.layout.PartitionSize()]
-}
-
-// Read copies the (dp, flip, port) partition out, charging its size to the
-// read counter. It models one frozen register read.
-func (f *File[E]) Read(dp, flip bool, port int) []E {
-	src := f.View(dp, flip, port)
-	out := make([]E, len(src))
-	copy(out, src)
-	f.EntriesRead += int64(len(src))
-	return out
 }

@@ -96,20 +96,3 @@ func TestViewAliasing(t *testing.T) {
 		t.Fatalf("view len/cap = %d/%d, want 16/16", len(a), cap(a))
 	}
 }
-
-func TestReadAccounting(t *testing.T) {
-	f := NewFile[int](Layout{PortBits: 0, IndexBits: 3})
-	f.View(false, false, 0)[2] = 5
-	out := f.Read(false, false, 0)
-	if out[2] != 5 {
-		t.Fatalf("read content = %v", out)
-	}
-	if f.EntriesRead != 8 {
-		t.Fatalf("EntriesRead = %d, want 8", f.EntriesRead)
-	}
-	// Reads are copies: mutating the result leaves the file intact.
-	out[2] = 99
-	if got := f.View(false, false, 0)[2]; got != 5 {
-		t.Fatalf("read aliased storage: %d", got)
-	}
-}

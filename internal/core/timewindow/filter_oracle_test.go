@@ -243,7 +243,7 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 				}
 			}
 		}
-		w, err := New(cfg, storage)
+		w, err := New(cfg, packStorage(storage))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func TestFaultInjectionStaleRegisters(t *testing.T) {
 			}
 		}
 	}
-	w, err := New(cfg, storage)
+	w, err := New(cfg, packStorage(storage))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,18 +2,40 @@ package timewindow
 
 import (
 	"slices"
+	"unsafe"
 
 	"printqueue/internal/flow"
 )
 
-// Cell is one register entry of a time window: the stored packet's flow ID
-// and the cycle ID distinguishing which pass of the ring buffer wrote it.
-// Valid distinguishes a never-written cell from cycle 0 (hardware encodes
-// this in the flow ID being all-zero; we keep an explicit bit for clarity).
+// Cell is one register entry of a time window as a snapshot holds it: the
+// stored packet's flow ID and the cycle ID distinguishing which pass of the
+// ring buffer wrote it. Valid distinguishes a never-written cell from cycle
+// 0. The live registers hold the same three things as integers (Reg); a
+// frozen read unpacks them into cells.
 type Cell struct {
 	Flow    flow.Key
 	CycleID uint64
 	Valid   bool
+}
+
+// Reg is one live register of a time window: the packed flow ID and the
+// cycle ID, three words the per-packet path loads and stores without ever
+// assembling a struct of byte arrays. b is flow.Packed.B, whose bit 0 Pack
+// always sets, so b != 0 is the written mark — the hardware's own encoding
+// (a register whose flow ID is all-zero was never written) — and the zero
+// Reg is a never-written register. The cycle ID keeps its 64 bits:
+// truncating it to the paper's 32 would change answers at wrap.
+type Reg struct {
+	a, b  uint64
+	cycle uint64
+}
+
+// unpack writes a written register into *c field by field (see
+// flow.Packed.Unpack for why not by assigning a Cell built here).
+func (r *Reg) unpack(c *Cell) {
+	flow.Packed{A: r.a, B: r.b}.Unpack(&c.Flow)
+	c.CycleID = r.cycle
+	c.Valid = true
 }
 
 // Windows is one register set of T time windows. The data plane inserts
@@ -23,9 +45,23 @@ type Cell struct {
 // Storage is externally provided so that a register File partition (one
 // (dp, flip, port) view per window) can back it; New allocates private
 // storage when none is given.
+//
+// One goroutine inserts into a Windows while its neighbours in memory belong
+// to other ports, whose packets other goroutines insert. The struct is padded
+// to whole 64-byte lines — Go's size classes then start it on one — so the
+// word written per packet (inserted) shares a line with this set's own
+// constants and with nothing of a neighbour's; passes, written per passed
+// packet, is allocated in whole lines for the same reason.
 type Windows struct {
+	_ [(64 - unsafe.Sizeof(windowsFields{})%64) % 64]byte // first: a trailing zero-size field would itself be padded
+	windowsFields
+}
+
+var _ [0]struct{} = [unsafe.Sizeof(Windows{}) % 64]struct{}{}
+
+type windowsFields struct {
 	cfg     Config
-	windows [][]Cell // T slices of 2^k cells
+	windows [][]Reg // T slices of 2^k registers
 
 	// Hot-path constants hoisted out of Insert's per-window loop: every
 	// packet walks up to T windows, so the mask/shift values are computed
@@ -40,18 +76,18 @@ type Windows struct {
 }
 
 // New builds a window set over the given storage. storage must contain
-// exactly cfg.T slices of cfg.Cells() entries, or be nil to allocate
+// exactly cfg.T slices of cfg.Cells() registers, or be nil to allocate
 // privately. The storage is used as-is: pre-existing (stale) contents are
 // tolerated, exactly as re-used hardware register sets are, because the
 // passing rule and Algorithm 3 discriminate by cycle ID.
-func New(cfg Config, storage [][]Cell) (*Windows, error) {
+func New(cfg Config, storage [][]Reg) (*Windows, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if storage == nil {
-		storage = make([][]Cell, cfg.T)
+		storage = make([][]Reg, cfg.T)
 		for i := range storage {
-			storage[i] = make([]Cell, cfg.Cells())
+			storage[i] = make([]Reg, cfg.Cells())
 		}
 	}
 	if len(storage) != cfg.T {
@@ -62,15 +98,15 @@ func New(cfg Config, storage [][]Cell) (*Windows, error) {
 			return nil, errStorage(cfg, len(storage[i]))
 		}
 	}
-	return &Windows{
+	return &Windows{windowsFields: windowsFields{
 		cfg:     cfg,
 		windows: storage,
 		m0:      cfg.M0,
 		k:       cfg.K,
 		alpha:   cfg.Alpha,
 		kMask:   uint64(cfg.Cells() - 1),
-		passes:  make([]uint64, cfg.T),
-	}, nil
+		passes:  make([]uint64, cfg.T, (cfg.T+7)&^7), // whole lines of 8 words
+	}}, nil
 }
 
 func errStorage(cfg Config, got int) error {
@@ -118,18 +154,23 @@ func (w *Windows) Passes() []uint64 {
 // packet and pass the evicted one to the next window if and only if the new
 // packet's cycle ID exceeds the evicted one's by exactly one ("one shot" —
 // the window period immediately following the evicted packet's arrival).
-func (w *Windows) Insert(f flow.Key, deqTS uint64) {
+func (w *Windows) Insert(f flow.Key, deqTS uint64) { w.InsertPacked(f.Pack(), deqTS) }
+
+// InsertPacked is Insert for a caller that has packed the flow ID already:
+// the control plane packs it once per packet, for the windows and the
+// monitor both.
+func (w *Windows) InsertPacked(f flow.Packed, deqTS uint64) {
 	w.inserted++
 	tts := deqTS >> w.m0
 	kMask, k, alpha := w.kMask, w.k, w.alpha
 	windows := w.windows
 	for i := 0; i < len(windows); i++ {
-		cells := windows[i]
 		idx := int(tts & kMask)
 		cycle := tts >> k
-		evicted := cells[idx]
-		cells[idx] = Cell{Flow: f, CycleID: cycle, Valid: true}
-		if !evicted.Valid || cycle != evicted.CycleID+1 {
+		r := &windows[i][idx]
+		evicted := *r
+		r.a, r.b, r.cycle = f.A, f.B, cycle
+		if evicted.b == 0 || cycle != evicted.cycle+1 {
 			// Either nothing to pass, a same-cycle collision (drop the
 			// evicted record), or a record too far in the past (deleted
 			// asynchronously, as on hardware).
@@ -139,10 +180,10 @@ func (w *Windows) Insert(f flow.Key, deqTS uint64) {
 		if i+1 < len(windows) {
 			w.passes[i]++
 		}
-		f = evicted.Flow
+		f = flow.Packed{A: evicted.a, B: evicted.b}
 		// The evicted packet's own TTS in this window is (cycle-1)<<k | idx;
 		// shifting it right by alpha gives its position in the next window.
-		tts = (evicted.CycleID<<k | uint64(idx)) >> alpha
+		tts = (evicted.cycle<<k | uint64(idx)) >> alpha
 	}
 }
 
@@ -153,18 +194,19 @@ func (w *Windows) Insert(f flow.Key, deqTS uint64) {
 // on no longer holds.
 func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
 	w.inserted++
+	p := f.Pack()
 	tts := w.cfg.TTS(deqTS)
 	kMask := uint64(w.cfg.Cells() - 1)
 	for i := 0; i < w.cfg.T; i++ {
 		idx := int(tts & kMask)
 		cycle := tts >> w.cfg.K
 		evicted := w.windows[i][idx]
-		w.windows[i][idx] = Cell{Flow: f, CycleID: cycle, Valid: true}
-		if !evicted.Valid || cycle == evicted.CycleID {
+		w.windows[i][idx] = Reg{a: p.A, b: p.B, cycle: cycle}
+		if evicted.b == 0 || cycle == evicted.cycle {
 			return
 		}
-		f = evicted.Flow
-		tts = (evicted.CycleID<<w.cfg.K | uint64(idx)) >> w.cfg.Alpha
+		p = flow.Packed{A: evicted.a, B: evicted.b}
+		tts = (evicted.cycle<<w.cfg.K | uint64(idx)) >> w.cfg.Alpha
 	}
 }
 
@@ -173,7 +215,28 @@ func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
 // the paper's control-plane read — keeping every valid cell, stale ones
 // included: standalone experiments, codec fixtures and benchmarks use it.
 // The control plane retires Freeze's result instead.
-func (w *Windows) Snapshot() *Snapshot { return snapshotValid(w.cfg, w.windows) }
+func (w *Windows) Snapshot() *Snapshot {
+	s := &Snapshot{cfg: w.cfg, pos: make([][]uint32, w.cfg.T), cells: make([][]Cell, w.cfg.T)}
+	for i, regs := range w.windows {
+		n := 0
+		for j := range regs {
+			if regs[j].b != 0 {
+				n++
+			}
+		}
+		pos, cells := make([]uint32, n), make([]Cell, n)
+		at := 0
+		for j := range regs {
+			if r := &regs[j]; r.b != 0 {
+				pos[at] = uint32(j)
+				r.unpack(&cells[at])
+				at++
+			}
+		}
+		s.pos[i], s.cells[i] = pos, cells
+	}
+	return s
+}
 
 // Freeze is the frozen read the control plane retires at a flip: of the set's
 // registers it copies what a query on the checkpoint can read, and no more.
@@ -199,8 +262,8 @@ func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Snapshot {
 	found := false
 	w0 := w.windows[0]
 	for j := range w0 {
-		if c := &w0[j]; c.Valid {
-			if tts := c.CycleID<<w.k | uint64(j); !found || tts > latest {
+		if r := &w0[j]; r.b != 0 {
+			if tts := r.cycle<<w.k | uint64(j); !found || tts > latest {
 				latest, found = tts, true
 			}
 		}
@@ -216,26 +279,29 @@ func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Snapshot {
 			break // the deeper windows have no anchor
 		}
 	}
-	// As in snapshotValid, each window's runs are walked twice — count, then
-	// copy into lists allocated at their size.
+	// As in Snapshot, each window's runs are walked twice — count, then
+	// unpack in place into lists allocated at their length.
 	var buf [3]ringRun
 	for i, anchor := range anchors {
 		runs := w.coverageRuns(buf[:0], i, anchor, prevFreeze, freezeTime)
 		n := 0
-		for _, r := range runs {
-			run := w.windows[i][r.from : r.to+1]
+		for _, rr := range runs {
+			run := w.windows[i][rr.from : rr.to+1]
 			for j := range run {
-				if c := &run[j]; c.Valid && c.CycleID == r.cycle {
+				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
 					n++
 				}
 			}
 		}
-		pos, cells := make([]uint32, 0, n), make([]Cell, 0, n)
-		for _, r := range runs {
-			run := w.windows[i][r.from : r.to+1]
+		pos, cells := make([]uint32, n), make([]Cell, n)
+		at := 0
+		for _, rr := range runs {
+			run := w.windows[i][rr.from : rr.to+1]
 			for j := range run {
-				if c := &run[j]; c.Valid && c.CycleID == r.cycle {
-					pos, cells = append(pos, uint32(r.from+j)), append(cells, *c)
+				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
+					pos[at] = uint32(rr.from + j)
+					r.unpack(&cells[at])
+					at++
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"printqueue/internal/flow"
 )
@@ -29,14 +30,14 @@ func TestNewStorageValidation(t *testing.T) {
 		t.Fatalf("nil storage: %v", err)
 	}
 	bad := make([][]Cell, cfg.T-1)
-	if _, err := New(cfg, bad); err == nil {
+	if _, err := New(cfg, packStorage(bad)); err == nil {
 		t.Fatal("wrong window count accepted")
 	}
 	bad = make([][]Cell, cfg.T)
 	for i := range bad {
 		bad[i] = make([]Cell, 3) // not 2^k
 	}
-	if _, err := New(cfg, bad); err == nil {
+	if _, err := New(cfg, packStorage(bad)); err == nil {
 		t.Fatal("wrong cell count accepted")
 	}
 	if _, err := New(Config{}, nil); err == nil {
@@ -44,8 +45,84 @@ func TestNewStorageValidation(t *testing.T) {
 	}
 }
 
-// cell returns window i's cell j, for assertions.
-func cellAt(w *Windows, i, j int) Cell { return w.windows[i][j] }
+// cellAt returns window i's register j as the cell a frozen read would make
+// of it — the zero Cell for a never-written register — for assertions.
+func cellAt(w *Windows, i, j int) Cell {
+	var c Cell
+	if r := &w.windows[i][j]; r.b != 0 {
+		r.unpack(&c)
+	}
+	return c
+}
+
+// regOf packs a cell into its live-register form. An invalid cell keeps its
+// flow address word and cycle ID — the garbage a never-written register may
+// hold — under a cleared written mark.
+func regOf(c Cell) Reg {
+	p := c.Flow.Pack()
+	if !c.Valid {
+		p.B = 0
+	}
+	return Reg{a: p.A, b: p.B, cycle: c.CycleID}
+}
+
+// packStorage turns register contents written as cells — how the tests that
+// hand New pre-used storage describe them — into the registers New takes.
+func packStorage(cells [][]Cell) [][]Reg {
+	if cells == nil {
+		return nil
+	}
+	regs := make([][]Reg, len(cells))
+	for i, w := range cells {
+		regs[i] = make([]Reg, len(w))
+		for j, c := range w {
+			regs[i][j] = regOf(c)
+		}
+	}
+	return regs
+}
+
+// TestRegHoldsWhatACellHolds: a register unpacks to the cell that was packed
+// into it — whatever the key, the all-zero 5-tuple included — and a
+// never-written one to the zero Cell, whatever garbage its other words hold.
+func TestRegHoldsWhatACellHolds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	keys := []flow.Key{{}, {Proto: 255}, {SrcPort: 65535, DstPort: 65535}, fkey(7)}
+	for i := 0; i < 1000; i++ {
+		keys = append(keys, flow.Key{
+			SrcIP:   [4]byte{byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())},
+			DstIP:   [4]byte{byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())},
+			SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: flow.Proto(rng.Uint32()),
+		})
+	}
+	w, _ := New(smallConfig(), nil)
+	for _, k := range keys {
+		cycle := rng.Uint64()
+		want := Cell{Flow: k, CycleID: cycle, Valid: true}
+		w.windows[0][1] = regOf(want)
+		if got := cellAt(w, 0, 1); got != want {
+			t.Fatalf("packed %+v, unpacked %+v", want, got)
+		}
+		w.windows[0][1] = regOf(Cell{Flow: k, CycleID: cycle})
+		if got := cellAt(w, 0, 1); got != (Cell{}) {
+			t.Fatalf("never-written register (garbage %+v) unpacked to %+v", k, got)
+		}
+	}
+	// The same through the data path: the zero key is storable, and is what
+	// Snapshot and Freeze hand back.
+	w, _ = New(smallConfig(), nil)
+	w.Insert(flow.Key{}, 6)
+	want := Cell{CycleID: 1, Valid: true}
+	if got := cellAt(w, 0, 2); got != want {
+		t.Fatalf("zero key inserted, register reads %+v", got)
+	}
+	for name, s := range map[string]*Snapshot{"Snapshot": w.Snapshot(), "Freeze": w.Freeze(0, 7)} {
+		pos, cells := s.Window(0)
+		if len(pos) != 1 || pos[0] != 2 || cells[0] != want {
+			t.Fatalf("%s of a window holding the zero key: positions %v cells %+v", name, pos, cells)
+		}
+	}
+}
 
 func TestInsertPlacesByTTS(t *testing.T) {
 	w, _ := New(smallConfig(), nil)
@@ -277,5 +354,32 @@ func TestInsertNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Insert allocates %.1f objects per packet, want 0", allocs)
+	}
+}
+
+// TestHotWordsOwnTheirLines: a Windows and its passes array — the words an
+// insert writes besides the registers — occupy whole 64-byte cache lines,
+// whatever T is and whatever the allocator placed around them, so they share
+// none with a neighbouring set that another goroutine inserts into
+// (control's TestNoSharedLinesOnThePacketPath checks the rest of the path).
+func TestHotWordsOwnTheirLines(t *testing.T) {
+	var keep []*Windows // live neighbours, as a System's sets are
+	for T := 1; T <= 20; T++ {
+		for n := 0; n < 8; n++ {
+			w, err := New(Config{M0: 0, K: 3, Alpha: 1, T: T, MinPktTxDelayNs: 1.25}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep = append(keep, w)
+			if at, size := uintptr(unsafe.Pointer(w)), unsafe.Sizeof(*w); at%64 != 0 || size%64 != 0 {
+				t.Fatalf("T=%d: Windows at %#x, %d bytes: not whole cache lines", T, at, size)
+			}
+			if at, size := uintptr(unsafe.Pointer(unsafe.SliceData(w.passes))), cap(w.passes)*8; at%64 != 0 || size%64 != 0 || len(w.passes) != T {
+				t.Fatalf("T=%d: passes at %#x, %d of %d bytes in use: not whole cache lines", T, at, len(w.passes)*8, size)
+			}
+		}
+	}
+	if len(keep[0].Passes()) != 1 {
+		t.Fatal("Passes() exposes the padding")
 	}
 }

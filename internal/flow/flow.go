@@ -80,6 +80,51 @@ func (k Key) Reverse() Key {
 	}
 }
 
+// Packed is a Key in two machine words, the form the data-plane registers
+// hold and the per-packet path passes: a struct of two arrays, two uint16
+// and a byte is assembled on the stack field by field wherever it is copied,
+// two integers travel in registers.
+//
+//	A = SrcIP ‖ DstIP                      (big-endian, SrcIP in the high half)
+//	B = SrcPort ‖ DstPort ‖ Proto ‖ 0…01   (bits 63–48, 47–32, 31–24, bit 0 set)
+//
+// Bit 0 of B is set by Pack on every key, the all-zero 5-tuple included, so
+// B != 0 means "holds a key" and the zero Packed means "never written" —
+// how the hardware tells a written register from an empty one — without
+// costing the zero key its place.
+type Packed struct{ A, B uint64 }
+
+// Pack returns k in two words. It reads k where it lies: the per-packet path
+// packs the key inside the packet record, and a by-value receiver would first
+// copy those 14 bytes to the stack with two overlapping 8-byte stores, which
+// the loads below cannot be forwarded from.
+func (k *Key) Pack() Packed {
+	return Packed{
+		A: uint64(binary.BigEndian.Uint32(k.SrcIP[:]))<<32 | uint64(binary.BigEndian.Uint32(k.DstIP[:])),
+		B: uint64(k.SrcPort)<<48 | uint64(k.DstPort)<<32 | uint64(k.Proto)<<24 | 1,
+	}
+}
+
+// Key returns the key Pack packed. Of the zero Packed it returns the zero
+// key.
+func (p Packed) Key() Key {
+	var k Key
+	p.Unpack(&k)
+	return k
+}
+
+// Unpack writes the key Pack packed into *k, field by field. A frozen read
+// unpacks thousands of registers into snapshot cells that already exist;
+// writing the fields where they go skips the stack temporary and the copy
+// that assigning Key()'s result costs.
+func (p Packed) Unpack(k *Key) {
+	binary.BigEndian.PutUint32(k.SrcIP[:], uint32(p.A>>32))
+	binary.BigEndian.PutUint32(k.DstIP[:], uint32(p.A))
+	k.SrcPort = uint16(p.B >> 48)
+	k.DstPort = uint16(p.B >> 32)
+	k.Proto = Proto(p.B >> 24)
+}
+
 // Compare orders keys by (SrcIP, DstIP, SrcPort, DstPort, Proto) — the
 // same field order as the wire encoding. It is the deterministic tie-break
 // used by ranked reports; unlike comparing String() renderings it performs

@@ -166,3 +166,28 @@ func TestProtoString(t *testing.T) {
 		t.Fatal("proto names wrong")
 	}
 }
+
+// TestPackRoundTrip: the two-word form holds exactly a Key — random keys and
+// the corners, pairwise — and the zero Packed, a never-written register, is
+// no key's packing yet unpacks to the zero key.
+func TestPackRoundTrip(t *testing.T) {
+	for _, a := range packCorners {
+		for _, b := range packCorners {
+			checkPack(t, a, b)
+		}
+	}
+	f := func(a, b [4]byte, sp, dp uint16, proto uint8, a2, b2 [4]byte, sp2, dp2 uint16, proto2 uint8) bool {
+		checkPack(t, Key{a, b, sp, dp, Proto(proto)}, Key{a2, b2, sp2, dp2, Proto(proto2)})
+		checkPack(t, Key{a, b, sp, dp, Proto(proto)}, Key{a, b, sp, dp2, Proto(proto2)})
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := (Packed{}).Key(); got != Zero {
+		t.Fatalf("zero Packed unpacks to %#v", got)
+	}
+	if Zero.Pack() == (Packed{}) {
+		t.Fatal("the zero key packs to the never-written mark")
+	}
+}

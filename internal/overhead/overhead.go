@@ -2,6 +2,14 @@
 // (Figure 14(b), Figure 15, the §7.2 queue-monitor figure) and
 // control-plane read bandwidth (Figure 13's storage-overhead axis and
 // "data exchange limit" feasibility line).
+//
+// The byte counts here are the hardware's — an 8-byte time-window cell, a
+// 16-byte queue-monitor entry — not the simulator's. The reproduction keeps
+// the full 5-tuple and 64-bit cycle and sequence numbers in its live
+// registers, three machine words per record: timewindow.Reg is 24 bytes and
+// qmonitor.Reg 48 (32 and 64 before the registers became integers), so a
+// port's four UW register sets are 1.5 MB of time windows where the switch
+// spends 0.5 MB.
 package overhead
 
 import (

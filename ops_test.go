@@ -297,6 +297,67 @@ func TestPipelineAttachError(t *testing.T) {
 	}
 }
 
+// TestPipelineObserveAfterCloseCounted: Attach's egress hooks stay on the
+// switch when the pipeline closes. What the switch forwards afterwards, and
+// what a caller Observes afterwards, is refused and shows on /metrics and
+// /debug/pipeline instead of vanishing.
+func TestPipelineObserveAfterCloseCounted(t *testing.T) {
+	sw, err := NewSwitch(SwitchConfig{Ports: 2, LinkBps: 10e9, BufferCells: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := New(DefaultConfig(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := pq.ServeOps("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ops.Close()
+	pl, err := pq.StartPipeline(PipelineConfig{Shards: 2, BatchSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Attach(sw); err != nil {
+		t.Fatal(err)
+	}
+	f := FlowID{SrcIP: [4]byte{10, 0, 0, 9}, DstIP: [4]byte{10, 0, 0, 2}, SrcPort: 9, DstPort: 80, Proto: 17}
+	var ts uint64
+	forward := func(n int) {
+		for i := 0; i < n; i++ {
+			ts += 100
+			sw.Inject(Packet{Flow: f, Port: i & 1, Bytes: 100, Arrival: ts})
+		}
+		sw.Flush()
+	}
+	forward(2000)
+	pl.Close()
+	forward(1500) // the switch keeps forwarding into the closed pipeline's hooks
+	for i := 0; i < 500; i++ {
+		ts += 100
+		pl.Observe(Packet{Flow: f, Port: i & 1, Bytes: 100}, ts-40, ts, 30)
+	}
+	pl.Flush()
+
+	if got := pq.Stats().PacketsObserved; got != 2000 {
+		t.Fatalf("PacketsObserved = %d, want the 2000 forwarded before Close", got)
+	}
+	m := scrapeMetrics(t, ops)
+	if got := m["printqueue_pipeline_ingest_after_close_total"]; got != 2000 {
+		t.Fatalf("printqueue_pipeline_ingest_after_close_total = %d, want 2000", got)
+	}
+	resp, err := http.Get("http://" + ops.Addr() + "/debug/pipeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), `"ingest_after_close": 2000`) {
+		t.Fatalf("/debug/pipeline does not report the refused packets: %s", body)
+	}
+}
+
 // TestQueryClientTimeoutsExposed checks the public client's timeout
 // accounting against a listener that accepts and never answers.
 func TestQueryClientTimeoutsExposed(t *testing.T) {

@@ -30,10 +30,10 @@ type PipelineConfig struct {
 // software analogue of the paper's per-pipe packet processing and
 // double-buffered frozen reads (§6).
 //
-// Observe/Ingest must be called from a single goroutine with packets in
-// per-port dequeue order. Queries and Stats on the owning System remain
-// safe to call concurrently while the pipeline runs; Finalize and new
-// pipelines must wait until Close returns.
+// Observe, Flush and Close must be called from a single goroutine, Observe
+// with packets in per-port dequeue order. Queries and Stats on the owning
+// System remain safe to call concurrently while the pipeline runs; Finalize
+// and new pipelines must wait until Close returns.
 type Pipeline struct {
 	inner *control.Pipeline
 	sys   *System
@@ -82,6 +82,11 @@ func (p *Pipeline) Observe(pkt Packet, enqTime, deqTime uint64, enqDepthCells in
 // switch, no hooks are installed and the error names every missing port —
 // silently monitoring only a subset would corrupt any diagnosis that
 // assumed full coverage.
+//
+// The hooks stay on the switch after Close. Packets the switch forwards then
+// are refused and counted (printqueue_pipeline_ingest_after_close_total,
+// /debug/pipeline), not silently dropped: stop the switch, or attach the
+// System, before relying on what it observes next.
 func (p *Pipeline) Attach(sw *Switch) error {
 	ports := p.sys.inner.Config().Ports
 	var missing []int
@@ -112,5 +117,7 @@ func (p *Pipeline) Flush() { p.inner.Flush() }
 // Close flushes remaining batches, drains the shard workers and the
 // background snapshot goroutine, and returns the System to synchronous
 // ingestion. Every packet observed before Close is reflected in subsequent
-// queries. Close is idempotent.
+// queries; one observed after it — through Observe or a hook Attach
+// installed — is refused and counted in
+// printqueue_pipeline_ingest_after_close_total. Close is idempotent.
 func (p *Pipeline) Close() { p.inner.Close() }
