@@ -6,12 +6,8 @@
 //
 //	pqquery -addr 127.0.0.1:7171 interval -port 0 -start 1000000 -end 2000000
 //	pqquery -addr 127.0.0.1:7171 original -port 0 -queue 0 -at 1500000
-//	pqquery -addr 127.0.0.1:7171 -proto json interval -port 0 -start 0 -end 100
 //	pqquery -addr 127.0.0.1:7171 -batch < queries.txt
 //	pqquery -repeat 3 interval -port 0 -start 0 -end 1000   # cold-vs-warm latency
-//
-// By default pqquery speaks the binary multiplexed v2 wire protocol;
-// -proto json selects the newline-delimited JSON fallback.
 //
 // With -batch, query lines are read from stdin — one query per line in the
 // same syntax as the command line ("interval -port 0 -start 5 -end 9" or
@@ -21,8 +17,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -31,78 +29,108 @@ import (
 	"printqueue"
 )
 
-// queryClient is the part of the client surface pqquery uses, satisfied by
-// both printqueue.QueryClient (JSON) and printqueue.MuxQueryClient (binary).
-type queryClient interface {
-	Interval(port int, start, end uint64) (printqueue.Report, error)
-	Original(port, queue int, t uint64) (printqueue.Report, error)
-	Close() error
+const usage = "usage: pqquery [-addr host:port] [-timeout 5s] [-retries 2] [-repeat 1] [-trace] interval|original [flags], or -batch < queries"
+
+// options is the parsed command line.
+type options struct {
+	addr    string
+	top     int
+	timeout time.Duration
+	retries int
+	batch   bool
+	trace   bool
+	repeat  int
+	query   printqueue.BatchQuery // the single-shot query; unset with -batch
+}
+
+// parseArgs parses and checks the command line, before anything is dialled.
+// What is wrong with it is written to out (the flag package's own messages
+// and, for -h, the flag list go there too) and returned.
+func parseArgs(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("pqquery", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7171", "query service address")
+	fs.IntVar(&o.top, "top", 20, "flows to print")
+	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-round-trip I/O deadline")
+	fs.IntVar(&o.retries, "retries", 2, "retries after a retryable failure (-1 to disable)")
+	fs.BoolVar(&o.batch, "batch", false, "read one query per line from stdin, send as one frame")
+	fs.BoolVar(&o.trace, "trace", false, "trace every query end to end and print the joined client+server span tree")
+	fs.IntVar(&o.repeat, "repeat", 1, "run the query N times, printing per-attempt latency (shows the server's cold-tier decode cost amortizing into its LRU)")
+	if err := fs.Parse(args); err != nil {
+		return o, err // already written to out by the flag package
+	}
+	err := o.check(fs.Args())
+	if err != nil {
+		fmt.Fprintf(out, "%v\n%s\n", err, usage)
+	}
+	return o, err
+}
+
+// check validates the parsed flags and, unless -batch will read queries from
+// stdin, parses the query that follows them.
+func (o *options) check(rest []string) (err error) {
+	if o.repeat < 1 {
+		return fmt.Errorf("-repeat %d: want at least 1", o.repeat)
+	}
+	if o.batch {
+		return nil
+	}
+	if len(rest) < 1 {
+		return errors.New("no query given")
+	}
+	o.query, err = parseQuery(rest[0], rest[1:])
+	return err
 }
 
 func main() {
 	log.SetFlags(0)
-	addr := flag.String("addr", "127.0.0.1:7171", "query service address")
-	top := flag.Int("top", 20, "flows to print")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-round-trip I/O deadline")
-	retries := flag.Int("retries", 2, "retries after a retryable failure (-1 to disable)")
-	proto := flag.String("proto", "binary", "wire protocol: binary or json")
-	batch := flag.Bool("batch", false, "read one query per line from stdin, send as one frame (binary only)")
-	trace := flag.Bool("trace", false, "trace every query end to end and print the joined client+server span tree")
-	repeat := flag.Int("repeat", 1, "run the query N times, printing per-attempt latency (shows the server's cold-tier decode cost amortizing into its LRU)")
-	flag.Parse()
-	if flag.NArg() < 1 && !*batch {
-		log.Fatal("usage: pqquery [-addr host:port] [-proto binary|json] [-timeout 5s] [-retries 2] [-trace] interval|original [flags], or -batch < queries")
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *retries == 0 {
-		*retries = -1 // flag 0 means "no retries"; the option's 0 means default
+	if err != nil {
+		os.Exit(2)
 	}
-	opts := printqueue.DialOptions{Timeout: *timeout, MaxRetries: *retries}
+	if o.retries == 0 {
+		o.retries = -1 // flag 0 means "no retries"; the option's 0 means default
+	}
+	opts := printqueue.DialOptions{Timeout: o.timeout, MaxRetries: o.retries}
 	var tracer *printqueue.Tracer
-	if *trace {
+	if o.trace {
 		tracer = printqueue.NewTracer(1, 0) // sample every query
 		opts.Tracer = tracer
 	}
-
-	var client queryClient
-	var mux *printqueue.MuxQueryClient
-	var err error
-	switch *proto {
-	case "binary":
-		mux, err = printqueue.DialQueriesMuxOpts(*addr, opts)
-		client = mux
-	case "json":
-		client, err = printqueue.DialQueriesOpts(*addr, opts)
-	default:
-		log.Fatalf("unknown -proto %q (want binary or json)", *proto)
-	}
+	client, err := printqueue.DialQueriesMuxOpts(o.addr, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
-	if *batch {
-		if mux == nil {
-			log.Fatal("-batch requires -proto binary")
-		}
-		code := runBatch(mux, os.Stdin, *top)
+	if o.batch {
+		code := runBatch(client, os.Stdin, o.top)
 		client.Close()
 		printTraces(tracer)
 		os.Exit(code)
 	}
 
 	var report printqueue.Report
-	for i := 0; i < *repeat; i++ {
+	for i := 0; i < o.repeat; i++ {
 		t0 := time.Now()
-		report, err = runOne(client, flag.Arg(0), flag.Args()[1:])
+		if o.query.Kind == "interval" {
+			report, err = client.Interval(o.query.Port, o.query.Start, o.query.End)
+		} else {
+			report, err = client.Original(o.query.Port, o.query.Queue, o.query.At)
+		}
 		if err != nil {
 			printTraces(tracer)
 			log.Fatal(err)
 		}
-		if *repeat > 1 {
+		if o.repeat > 1 {
 			fmt.Printf("attempt %d: %v\n", i+1, time.Since(t0).Round(time.Microsecond))
 		}
 	}
-	printReport(report, *top)
+	printReport(report, o.top)
 	printTraces(tracer)
 }
 
@@ -118,26 +146,13 @@ func printTraces(tracer *printqueue.Tracer) {
 	}
 }
 
-// runOne executes a single query given its kind and flag-style arguments.
-func runOne(client queryClient, kind string, args []string) (printqueue.Report, error) {
-	q, err := parseQuery(kind, args)
-	if err != nil {
-		return nil, err
-	}
-	switch q.Kind {
-	case "interval":
-		return client.Interval(q.Port, q.Start, q.End)
-	default:
-		return client.Original(q.Port, q.Queue, q.At)
-	}
-}
-
 // parseQuery turns "interval -port 0 -start 5 -end 9" style arguments into
 // a BatchQuery, shared by the single-shot and -batch paths.
 func parseQuery(kind string, args []string) (printqueue.BatchQuery, error) {
 	switch kind {
 	case "interval":
 		fs := flag.NewFlagSet("interval", flag.ContinueOnError)
+		fs.SetOutput(io.Discard) // the caller reports the error
 		port := fs.Int("port", 0, "egress port")
 		start := fs.Uint64("start", 0, "interval start (ns)")
 		end := fs.Uint64("end", 0, "interval end (ns)")
@@ -147,6 +162,7 @@ func parseQuery(kind string, args []string) (printqueue.BatchQuery, error) {
 		return printqueue.BatchQuery{Kind: "interval", Port: *port, Start: *start, End: *end}, nil
 	case "original":
 		fs := flag.NewFlagSet("original", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
 		port := fs.Int("port", 0, "egress port")
 		queue := fs.Int("queue", 0, "priority queue")
 		at := fs.Uint64("at", 0, "query instant (ns)")

@@ -173,7 +173,7 @@ func serve(pq *printqueue.System) {
 		log.Fatal(err)
 	}
 	defer svc.Close()
-	fmt.Printf("serving queries on %s (newline-delimited JSON; ctrl-c to exit)\n", svc.Addr())
+	fmt.Printf("serving queries on %s (ask with pqquery; ctrl-c to exit)\n", svc.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig

@@ -52,7 +52,7 @@ func main() {
 
 	// ServeOpts bounds the listener: idle connections are reaped after two
 	// minutes and at most 64 queries execute at once — beyond that the
-	// server sheds load ({"error":"overloaded"}) instead of queueing.
+	// server sheds load (an "overloaded" reply) instead of queueing.
 	svc, err := pq.ServeOpts("127.0.0.1:0", 2, printqueue.ServeOptions{
 		IdleTimeout: 2 * time.Minute,
 		ShedLimit:   64,
@@ -71,9 +71,9 @@ func main() {
 	fmt.Printf("switch: ops endpoint on http://%s (curl /metrics)\n", ops.Addr())
 
 	// --- operator side (would normally be another machine) ---
-	// The operator speaks the binary multiplexed v2 wire protocol: one TCP
-	// connection carries any number of concurrent queries, and batches
-	// answer many questions with one frame each way. The client rides out
+	// The operator's client multiplexes: one TCP connection carries any
+	// number of concurrent queries, and batches answer many questions with
+	// one frame each way. The client rides out
 	// transient network trouble on its own: failed round trips are retried
 	// on a fresh connection with exponential backoff, and request/response
 	// ids keep a late answer from one query from being mistaken for the

@@ -1,8 +1,7 @@
 package control
 
-// This file holds the retry-backoff machinery shared by the JSON
-// QueryClient and the binary MuxClient. Two historical bugs live here,
-// fixed together:
+// This file holds MuxClient's retry-backoff machinery. Two historical bugs
+// live here, fixed together:
 //
 //   - The exponential doubling had no shift clamp: with a large enough
 //     BackoffMax (or attempt count) `d *= 2` overflowed time.Duration to a

@@ -44,18 +44,14 @@ func TestBackoffOverflowClamp(t *testing.T) {
 	}
 }
 
-// TestClientBackoffOverflow drives the same overflow through both clients'
-// backoff methods, as a caller with a huge BackoffMax would.
+// TestClientBackoffOverflow drives the same overflow through the client's
+// backoff method, as a caller with a huge BackoffMax would.
 func TestClientBackoffOverflow(t *testing.T) {
 	huge := time.Duration(math.MaxInt64)
 	mc := &MuxClient{backoffBase: DefaultBackoffBase, backoffMax: huge, jit: newJitterSource(1)}
-	qc := &QueryClient{backoffBase: DefaultBackoffBase, backoffMax: huge, jit: newJitterSource(1)}
 	for attempt := 1; attempt <= 128; attempt++ {
 		if d := mc.backoff(attempt); d <= 0 {
 			t.Fatalf("MuxClient attempt %d: backoff %v, want > 0", attempt, d)
-		}
-		if d := qc.backoff(attempt); d <= 0 {
-			t.Fatalf("QueryClient attempt %d: backoff %v, want > 0", attempt, d)
 		}
 	}
 }

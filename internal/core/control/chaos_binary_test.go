@@ -9,9 +9,9 @@ import (
 	"printqueue/internal/faultnet"
 )
 
-// The binary codec has to survive the same fault families PR 4 proved the
-// JSON plane against — with one extra hazard: frames cannot resynchronize,
-// so any torn frame must poison the connection rather than desync ids.
+// The fault families of chaos_test.go, aimed at the framing: frames cannot
+// resynchronize, so any torn frame must poison the connection rather than
+// desync ids.
 
 // TestChaosBinaryTornFramePoisons scripts the exact torn-frame hazard: a
 // server whose first reply is cut off mid-frame. The client must treat the
@@ -107,9 +107,9 @@ func proxyCopy(dst, src net.Conn, tear bool) {
 	}
 }
 
-// TestChaosBinaryFaultMatrix is TestChaosFaultMatrix for the mux client:
-// each fault family, fixed seed, and the invariant that a successful query
-// never returns another query's data.
+// TestChaosBinaryFaultMatrix is TestChaosFaultMatrix with single-query
+// frames: each fault family, fixed seed, and the invariant that a successful
+// query never returns another query's data.
 func TestChaosBinaryFaultMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	cases := []struct {
@@ -275,8 +275,8 @@ func TestChaosBinaryBatchUnderFaults(t *testing.T) {
 }
 
 // TestChaosBinaryMidFrameLatency delays the server's first reply past the
-// client's deadline (the PR 4 desync scenario, reframed): the waiter times
-// out, the connection is poisoned, and the retry — plus a follow-up
+// client's deadline with one query in flight (TestChaosDesyncFixedClient has
+// two): the waiter times out, the connection is poisoned, and the retry — plus a follow-up
 // empty-interval query — must both return their own answers.
 func TestChaosBinaryMidFrameLatency(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{

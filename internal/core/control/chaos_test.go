@@ -1,8 +1,6 @@
 package control
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -59,78 +57,31 @@ func chaosFixture(t *testing.T, fcfg faultnet.Config, opts ServeOptions) (*NetSe
 	return srv, ts
 }
 
-// legacyRoundTrip does what the pre-fix client did: encode the request with
-// no id, read one line, and trust it blindly. It is kept in test form to
-// prove the desync bug it suffers from.
-func legacyRoundTrip(t *testing.T, conn net.Conn, br *bufio.Reader, req NetRequest, deadline time.Duration) (NetResponse, error) {
-	t.Helper()
-	if err := conn.SetDeadline(time.Now().Add(deadline)); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return NetResponse{}, err
-	}
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return NetResponse{}, err
-	}
-	var resp NetResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp, nil
-}
-
-// TestChaosDesyncLegacyClient reproduces the framing-desync bug the id
-// protocol fixes: the server's first response is delayed past the client's
-// read deadline, the old-style client times out but keeps the connection,
-// and the next query then reads the previous query's counts as its own.
-func TestChaosDesyncLegacyClient(t *testing.T) {
-	srv, ts := chaosFixture(t, faultnet.Config{
-		Seed: chaosSeed(t), WriteLatency: 300 * time.Millisecond, SlowWrites: 1,
-	}, ServeOptions{})
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-
-	// Query A covers the whole trace (~60 packets); its response write is
-	// delayed 300ms, so the 50ms read deadline expires first.
-	_, err = legacyRoundTrip(t, conn, br, NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}, 50*time.Millisecond)
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("query A error %v, want an I/O timeout", err)
-	}
-
-	// Query B covers an interval after the trace: the true answer is zero
-	// flows. The legacy client instead receives query A's stale response.
-	resp, err := legacyRoundTrip(t, conn, br, NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}, 2*time.Second)
-	if err != nil {
-		t.Fatalf("query B: %v", err)
-	}
+// sumCounts totals a reply. The fixture's full-trace interval totals ~60 and
+// an interval after the trace 0, so a reply delivered to the wrong query
+// shows up as a wrong total.
+func sumCounts(counts map[string]float64) float64 {
 	var total float64
-	for _, n := range resp.Counts {
+	for _, n := range counts {
 		total += n
 	}
-	if total < 50 {
-		// If this starts failing, the stale-response hazard is gone at the
-		// transport level and the legacy reproduction can be retired.
-		t.Fatalf("legacy client read %v packets for the empty interval; expected the stale ~60-packet response (bug reproduction)", total)
-	}
+	return total
 }
 
-// TestChaosDesyncFixedClient is the same mid-read-timeout injection against
-// the fixed client: the timed-out connection is poisoned, the retry redials,
-// and the second query returns its own (empty) result — never query A's.
+// TestChaosDesyncFixedClient: a late reply never answers a later query, with
+// two round trips in flight when it happens. The server's first write is
+// delayed past the client's deadline; whichever waiter's deadline expires
+// first poisons the connection for both, both retry on a fresh one, and each
+// gets its own answer — the full-trace query ~60 packets, the empty-interval
+// query none. The resilience counters move, in the client and in the
+// registry counters wired to it.
 func TestChaosDesyncFixedClient(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{
 		Seed: chaosSeed(t), WriteLatency: 300 * time.Millisecond, SlowWrites: 1,
 	}, ServeOptions{})
 
 	reg := telemetry.NewRegistry()
-	c, err := DialOpts(srv.Addr().String(), DialOptions{
+	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 		Timeout:     50 * time.Millisecond,
 		MaxRetries:  4,
 		BackoffBase: time.Millisecond,
@@ -144,36 +95,28 @@ func TestChaosDesyncFixedClient(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Query A: first attempt times out mid-read (the response lands 300ms
-	// late); the retry runs on a fresh connection and must return A's own
-	// counts.
-	counts, err := c.Interval(0, 1000, ts+1)
-	if err != nil {
-		t.Fatalf("query A after retries: %v", err)
+	var wg sync.WaitGroup
+	var full, empty map[string]float64
+	var fullErr, emptyErr error
+	wg.Add(2)
+	go func() { defer wg.Done(); full, fullErr = c.Interval(0, 1000, ts+1) }()
+	go func() { defer wg.Done(); empty, emptyErr = c.Interval(0, ts+100, ts+200) }()
+	wg.Wait()
+	if fullErr != nil || emptyErr != nil {
+		t.Fatalf("after retries: full-trace query %v, empty-interval query %v", fullErr, emptyErr)
 	}
-	var total float64
-	for _, n := range counts {
-		total += n
-	}
-	if total < 50 || total > 70 {
-		t.Fatalf("query A total %v, want ~60", total)
-	}
-
-	// Query B: empty interval. The fixed client must never surface A's
-	// stale response: the result is an empty, non-nil map.
-	empty, err := c.Interval(0, ts+100, ts+200)
-	if err != nil {
-		t.Fatalf("query B: %v", err)
+	if total := sumCounts(full); total < 50 || total > 70 {
+		t.Fatalf("full-trace query total %v, want ~60", total)
 	}
 	if empty == nil {
 		t.Fatal("empty result is nil; want a non-nil empty map")
 	}
 	if len(empty) != 0 {
-		t.Fatalf("query B returned %d flows, want 0 (stale response leaked)", len(empty))
+		t.Fatalf("empty-interval query returned %d flows, want 0 (another query's reply leaked)", len(empty))
 	}
 
-	if c.Timeouts() == 0 || c.Retries() == 0 || c.Reconnects() == 0 {
-		t.Fatalf("resilience counters: timeouts=%d retries=%d reconnects=%d, want all > 0",
+	if c.Timeouts() == 0 || c.Retries() < 2 || c.Reconnects() == 0 {
+		t.Fatalf("resilience counters: timeouts=%d retries=%d reconnects=%d, want > 0, >= 2 (both waiters), > 0",
 			c.Timeouts(), c.Retries(), c.Reconnects())
 	}
 	for name, got := range map[string]int64{
@@ -192,7 +135,7 @@ func TestChaosDesyncFixedClient(t *testing.T) {
 // client's next query transparently reconnects.
 func TestChaosReconnectAfterIdleClose(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{}, ServeOptions{IdleTimeout: 50 * time.Millisecond})
-	c, err := DialOpts(srv.Addr().String(), DialOptions{
+	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 		Timeout: time.Second, MaxRetries: 2, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
@@ -208,11 +151,7 @@ func TestChaosReconnectAfterIdleClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after idle close: %v", err)
 	}
-	var total float64
-	for _, n := range counts {
-		total += n
-	}
-	if total < 50 || total > 70 {
+	if total := sumCounts(counts); total < 50 || total > 70 {
 		t.Fatalf("post-reconnect total %v, want ~60", total)
 	}
 	if c.Reconnects() == 0 {
@@ -225,7 +164,7 @@ func TestChaosReconnectAfterIdleClose(t *testing.T) {
 // loop retries through them and keeps serving.
 func TestChaosAcceptRetry(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{AcceptFailures: 3}, ServeOptions{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +178,15 @@ func TestChaosAcceptRetry(t *testing.T) {
 }
 
 // TestChaosShedOverload drives the load-shedding bound: with the backlog
-// artificially saturated the server answers {"error":"overloaded"}
-// immediately, a non-retrying client surfaces ErrOverloaded, and a retrying
-// client rides through once capacity frees up — without reconnecting, since
-// an overload reply leaves the framing intact.
+// artificially saturated the server answers overloaded immediately, a
+// non-retrying client surfaces ErrOverloaded, and a retrying client rides
+// through once capacity frees up — without reconnecting, since an overload
+// reply leaves the framing intact.
 func TestChaosShedOverload(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{}, ServeOptions{ShedLimit: 1})
 
 	srv.inflight.Add(1) // saturate the backlog
-	c, err := DialOpts(srv.Addr().String(), DialOptions{Timeout: time.Second, MaxRetries: -1})
+	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{Timeout: time.Second, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +199,7 @@ func TestChaosShedOverload(t *testing.T) {
 	}
 
 	// A retrying client backs off and succeeds once the backlog drains.
-	rc, err := DialOpts(srv.Addr().String(), DialOptions{
+	rc, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 		Timeout: time.Second, MaxRetries: 3, BackoffBase: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -282,10 +221,12 @@ func TestChaosShedOverload(t *testing.T) {
 	}
 }
 
-// TestChaosFaultMatrix runs the retrying client against each fault family
-// with a fixed seed. Chaos may cost round trips (errors after the budget),
-// but a successful query must NEVER return another query's data — the
-// correctness property the id protocol guarantees.
+// TestChaosFaultMatrix runs batch frames through each fault family with a
+// fixed seed (TestChaosBinaryFaultMatrix does the same with single-query
+// frames). Each batch pairs the full-trace query with an empty-interval one.
+// Chaos may cost round trips (errors after the budget), but a batch that
+// succeeds must answer both of its own queries, in request order — never
+// with another frame's data.
 func TestChaosFaultMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	cases := []struct {
@@ -300,7 +241,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := chaosFixture(t, tc.fcfg, ServeOptions{})
-			c, err := DialOpts(srv.Addr().String(), DialOptions{
+			c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 				Timeout:     100 * time.Millisecond,
 				MaxRetries:  8,
 				BackoffBase: time.Millisecond,
@@ -312,35 +253,32 @@ func TestChaosFaultMatrix(t *testing.T) {
 			}
 			defer c.Close()
 
+			full := BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1}
+			empty := BatchQuery{Kind: IntervalQuery, Port: 0, Start: ts + 100, End: ts + 200}
 			successes := 0
 			for i := 0; i < 20; i++ {
-				// Alternate a full-trace query with an empty-interval one so
-				// a stale response would be caught as a wrong total.
-				var counts map[string]float64
-				var err error
-				wantFull := i%2 == 0
-				if wantFull {
-					counts, err = c.Interval(0, 1000, ts+1)
-				} else {
-					counts, err = c.Interval(0, ts+100, ts+200)
-				}
+				// Alternate the order so a reply matched to the wrong slot
+				// (or the previous frame's reply) is caught as a wrong total.
+				fullAt := i % 2
+				qs := []BatchQuery{empty, empty}
+				qs[fullAt] = full
+				rs, err := c.Batch(qs)
 				if err != nil {
 					continue // chaos may exhaust the budget; wrong data may not
 				}
 				successes++
-				var total float64
-				for _, n := range counts {
-					total += n
+				if len(rs) != 2 || rs[0].Err != nil || rs[1].Err != nil {
+					t.Fatalf("batch %d: %+v", i, rs)
 				}
-				if wantFull && (total < 50 || total > 70) {
-					t.Fatalf("query %d: total %v, want ~60 (mismatched response?)", i, total)
+				if total := sumCounts(rs[fullAt].Counts); total < 50 || total > 70 {
+					t.Fatalf("batch %d: full-trace total %v, want ~60 (mismatched reply?)", i, total)
 				}
-				if !wantFull && total != 0 {
-					t.Fatalf("query %d: empty interval returned %v packets (stale response)", i, total)
+				if total := sumCounts(rs[1-fullAt].Counts); total != 0 {
+					t.Fatalf("batch %d: empty interval returned %v packets (stale reply)", i, total)
 				}
 			}
 			if successes < 15 {
-				t.Fatalf("only %d/20 queries succeeded under %s with an 8-retry budget", successes, tc.name)
+				t.Fatalf("only %d/20 batches succeeded under %s with an 8-retry budget", successes, tc.name)
 			}
 			t.Logf("%s: %d/20 ok, timeouts=%d retries=%d reconnects=%d",
 				tc.name, successes, c.Timeouts(), c.Retries(), c.Reconnects())
@@ -349,8 +287,9 @@ func TestChaosFaultMatrix(t *testing.T) {
 }
 
 // TestChaosConcurrentClientsUnderFaults hammers the server from several
-// goroutines while writes drop, under -race: every successful answer must
-// be the right one for the interval asked.
+// clients, a connection each, while writes drop, under -race
+// (TestChaosBinaryPipelinedUnderFaults is the one-connection counterpart):
+// every successful answer must be the right one for the interval asked.
 func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{Seed: chaosSeed(t), DropWrite: 0.15}, ServeOptions{})
 	var wg sync.WaitGroup
@@ -358,7 +297,7 @@ func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := DialOpts(srv.Addr().String(), DialOptions{
+			c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 				Timeout:     100 * time.Millisecond,
 				MaxRetries:  8,
 				BackoffBase: time.Millisecond,
@@ -381,10 +320,7 @@ func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				var total float64
-				for _, n := range counts {
-					total += n
-				}
+				total := sumCounts(counts)
 				if full && (total < 50 || total > 70) {
 					t.Errorf("client %d query %d: total %v, want ~60", g, i, total)
 				}

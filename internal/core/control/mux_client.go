@@ -1,7 +1,9 @@
 package control
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,15 +13,16 @@ import (
 	"printqueue/internal/tracing"
 )
 
-// MuxClient is the wire-protocol-v2 client: one TCP connection, many
-// requests in flight. Callers from any number of goroutines issue queries
+// MuxClient is the query client: one TCP connection, many requests in
+// flight. Callers from any number of goroutines issue queries
 // concurrently; each request is tagged with a monotonically increasing id,
 // written as one binary frame, and parked in a per-id pending map until
 // the reader goroutine delivers the matching reply — so a connection
 // sustains pipelined throughput bounded by the server's execution rate,
 // not by round-trip latency.
 //
-// The resilience model is PR 4's, adapted to multiplexing:
+// Queries are read-only and idempotent, so a failed round trip is always
+// safe to retry. The resilience model:
 //
 //   - Ids make late replies harmless: a reply whose id is no longer
 //     pending (its waiter timed out and moved on) is discarded, never
@@ -33,7 +36,7 @@ import (
 //     so a silent server almost always means a dead or wedged peer, and
 //     failing the other pending requests into their own retry loops is
 //     cheaper than letting them wait out their full deadlines.
-//   - Retries reuse the exponential backoff + jitter machinery, and an
+//   - Retries back off exponentially with jitter (backoff.go), and an
 //     overloaded reply stays retryable on the same connection (framing is
 //     intact; the server answered).
 type MuxClient struct {
@@ -81,8 +84,8 @@ type muxReply struct {
 }
 
 // muxTimeoutError is the round-trip deadline failure; it satisfies
-// net.Error so the shared retryable/noteTimeout logic treats it like any
-// other I/O timeout.
+// net.Error so retryable and noteTimeout treat it like any other I/O
+// timeout.
 type muxTimeoutError struct{}
 
 func (muxTimeoutError) Error() string   { return "control: mux round trip timed out" }
@@ -91,19 +94,134 @@ func (muxTimeoutError) Temporary() bool { return true }
 
 var errMuxTimeout net.Error = muxTimeoutError{}
 
+// errDesync marks a connection whose replies can no longer be matched to
+// requests. The connection is poisoned — its buffered bytes cannot be
+// trusted — and the attempt is retried on a fresh connection.
+var errDesync = errors.New("control: query response desynchronized from request")
+
 // errPoisoned is delivered to pending round trips when a concurrent
 // failure poisons the connection out from under them. It wraps errDesync
 // so it is retryable, without being counted as those waiters' own timeout.
 var errPoisoned = fmt.Errorf("%w: connection poisoned by a concurrent failure", errDesync)
 
-// DialMux connects a multiplexed binary-protocol client with default
-// options.
+// retryable reports whether a round-trip failure may be retried. Transport
+// failures and desyncs are retried on a fresh connection; an overload reply
+// is retried after backoff on the same connection. Application-level errors
+// (unknown port, empty interval, ...) are returned to the caller as-is.
+func retryable(err error) bool {
+	if errors.Is(err, ErrOverloaded) || errors.Is(err, errDesync) {
+		return true
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+		return true
+	}
+	var ne net.Error
+	return errors.As(err, &ne)
+}
+
+// Client-side resilience defaults.
+const (
+	// DefaultDialTimeout is the per-round-trip I/O deadline applied when
+	// DialOptions.Timeout is zero: long enough for any real query, short
+	// enough that a hung QueryService cannot block a diagnosis forever.
+	DefaultDialTimeout = 5 * time.Second
+	// DefaultMaxRetries is how many additional attempts a round trip makes
+	// after a retryable failure.
+	DefaultMaxRetries = 2
+	// DefaultBackoffBase is the first retry's backoff; it doubles per
+	// retry (with jitter) up to DefaultBackoffMax.
+	DefaultBackoffBase = 20 * time.Millisecond
+	// DefaultBackoffMax caps the exponential backoff between retries.
+	DefaultBackoffMax = time.Second
+)
+
+// DialOptions tunes a MuxClient (and, for its dial, a checkpoint
+// subscription: DialCheckpoints).
+type DialOptions struct {
+	// Timeout is the deadline applied to each round-trip attempt (write +
+	// await). 0 means DefaultDialTimeout; negative disables deadlines.
+	Timeout time.Duration
+	// MaxRetries is the retry budget per round trip: after the first
+	// attempt fails with a retryable error (I/O error, desync, overload),
+	// up to MaxRetries further attempts are made, redialing if the
+	// connection was poisoned. 0 means DefaultMaxRetries; negative
+	// disables retries.
+	MaxRetries int
+	// BackoffBase is the backoff before the first retry, doubling per
+	// subsequent retry with jitter in [d/2, d]. 0 means
+	// DefaultBackoffBase; negative disables backoff waits.
+	BackoffBase time.Duration
+	// BackoffMax caps the exponential backoff. 0 means DefaultBackoffMax;
+	// a value below BackoffBase (including negative) is clamped up to
+	// BackoffBase, so the cap can never invert the backoff window.
+	BackoffMax time.Duration
+	// Seed seeds the jitter PRNG so chaos tests are reproducible. 0 means
+	// a fixed default seed (the client's behavior is deterministic for a
+	// given fault sequence).
+	Seed int64
+	// Dialer, if non-nil, replaces net.DialTimeout for the initial dial
+	// and every reconnect — the hook fault-injection harnesses use.
+	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
+	// Timeouts, Retries, and Reconnects, if non-nil, are incremented for
+	// every round-trip timeout, retry attempt, and successful redial
+	// respectively — wire them to a telemetry registry's
+	// printqueue_query_client_{timeouts,retries,reconnects}_total to fold
+	// client-side resilience into the query metrics. The client also
+	// counts internally; see MuxClient.Timeouts/Retries/Reconnects.
+	Timeouts   *telemetry.Counter
+	Retries    *telemetry.Counter
+	Reconnects *telemetry.Counter
+	// Tracer, if non-nil, traces round trips: sampled queries carry
+	// their trace id on the wire and absorb the server's stage spans
+	// into one joined trace; unsampled queries still feed the tracer's
+	// always-on slowlog. nil (the default) keeps tracing entirely off
+	// the hot path.
+	Tracer *tracing.Tracer
+}
+
+// resolved applies the option defaults.
+func (o DialOptions) resolved() (timeout time.Duration, maxRetries int, backoffBase, backoffMax time.Duration, seed int64, dialer func(string, time.Duration) (net.Conn, error)) {
+	timeout = o.Timeout
+	if timeout == 0 {
+		timeout = DefaultDialTimeout
+	}
+	maxRetries = o.MaxRetries
+	if maxRetries == 0 {
+		maxRetries = DefaultMaxRetries
+	} else if maxRetries < 0 {
+		maxRetries = 0
+	}
+	backoffBase = o.BackoffBase
+	if backoffBase == 0 {
+		backoffBase = DefaultBackoffBase
+	} else if backoffBase < 0 {
+		backoffBase = 0
+	}
+	backoffMax = o.BackoffMax
+	if backoffMax == 0 {
+		backoffMax = DefaultBackoffMax
+	}
+	seed = o.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	dialer = o.Dialer
+	if dialer == nil {
+		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	return
+}
+
+// DialMux connects a client with default options.
 func DialMux(addr string) (*MuxClient, error) {
 	return DialMuxOpts(addr, DialOptions{})
 }
 
-// DialMuxOpts connects a MuxClient with explicit options. Like DialOpts,
-// the initial dial is not retried; the retry budget applies per round trip.
+// DialMuxOpts connects a MuxClient with explicit options. The initial dial
+// is not retried (so a misconfigured address fails fast); the retry budget
+// applies per round trip.
 func DialMuxOpts(addr string, opts DialOptions) (*MuxClient, error) {
 	timeout, maxRetries, backoffBase, backoffMax, seed, dialer := opts.resolved()
 	c := &MuxClient{
@@ -163,8 +281,7 @@ func (c *MuxClient) Timeouts() int64 { return c.timeouts.Load() }
 func (c *MuxClient) Retries() int64 { return c.retries.Load() }
 
 // Reconnects returns how many times the client redialed after poisoning a
-// connection — the per-connection redial count PR 4 surfaces on the JSON
-// client as well.
+// connection.
 func (c *MuxClient) Reconnects() int64 { return c.reconnects.Load() }
 
 // InFlight returns how many round trips are currently outstanding.
@@ -326,8 +443,7 @@ func (c *MuxClient) await(gen, id uint64, ch chan muxReply) (muxReply, error) {
 	}
 }
 
-// noteTimeout mirrors QueryClient.noteTimeout for transport errors
-// delivered through the pending map.
+// noteTimeout counts err if it is an I/O timeout, and passes it through.
 func (c *MuxClient) noteTimeout(err error) error {
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		c.timeouts.Add(1)
@@ -338,8 +454,9 @@ func (c *MuxClient) noteTimeout(err error) error {
 	return err
 }
 
-// backoff mirrors QueryClient.backoff; the jitter source is lock-free
-// because mux round trips retry from many goroutines at once.
+// backoff returns the jittered wait before retry attempt n (n >= 1), see
+// backoffDur; the jitter source is lock-free because round trips retry
+// from many goroutines at once.
 func (c *MuxClient) backoff(attempt int) time.Duration {
 	return backoffDur(c.backoffBase, c.backoffMax, attempt, c.jit)
 }
@@ -444,7 +561,7 @@ func (c *MuxClient) queryTraced(q BatchQuery, tr *tracing.Trace) (map[string]flo
 		func(r muxReply) (muxReply, error) {
 			if r.result.Err != nil {
 				// Application errors (unknown port, empty interval) come
-				// back as-is; ErrOverloaded stays retryable like PR 4.
+				// back as-is; ErrOverloaded stays retryable.
 				return muxReply{}, r.result.Err
 			}
 			return r, nil

@@ -1,9 +1,9 @@
 package control
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
-	"io"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -52,9 +52,6 @@ func TestMuxClientRoundTrip(t *testing.T) {
 	if _, err := c.Interval(0, 5, 5); err == nil {
 		t.Fatal("empty interval succeeded")
 	}
-	if got := srv.binaryConns.Load(); got == 0 {
-		t.Error("binary connection not counted; sniff fell back to JSON?")
-	}
 }
 
 // TestMuxClientPipelined hammers one connection from many goroutines with
@@ -101,8 +98,8 @@ func TestMuxClientPipelined(t *testing.T) {
 	}
 	wg.Wait()
 	// Only one TCP connection carried all of it.
-	if got := srv.binaryConns.Load(); got != 1 {
-		t.Errorf("binary connections = %d, want 1", got)
+	if got := srv.connections.Load(); got != 1 {
+		t.Errorf("connections = %d, want 1", got)
 	}
 }
 
@@ -156,7 +153,7 @@ func TestMuxClientBatch(t *testing.T) {
 
 // TestMuxClientLateReplyDiscarded forces a round-trip timeout, then
 // verifies the connection was poisoned and the next query — on a fresh
-// connection — gets its own answer, mirroring the PR 4 desync guarantee.
+// connection — gets its own answer.
 func TestMuxClientLateReplyDiscarded(t *testing.T) {
 	srv, ts := netFixture(t)
 	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
@@ -298,48 +295,112 @@ func TestMuxServerShedsSingleAndBatch(t *testing.T) {
 	}
 }
 
-// TestMuxServerDropsCorruptStream sends a valid query followed by garbage:
-// the server must answer the query, then drop the connection rather than
-// desync, and the client's pending map must fail cleanly.
+// TestMuxServerDropsCorruptStream: bytes that are not a frame cost the
+// connection that sent them and nothing else — counted as a bad request
+// where a whole header arrived, dropped without a reply, every handler
+// goroutine unwound, and the listener still answering a MuxClient.
 func TestMuxServerDropsCorruptStream(t *testing.T) {
 	srv, ts := netFixture(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	dial := func(t *testing.T) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
 	}
-	defer conn.Close()
+	// stillServing: the dropped connection's handler is gone (Close would
+	// wait for it forever otherwise) and a new client is answered.
+	stillServing := func(t *testing.T) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			srv.mu.Lock()
+			open := len(srv.conns)
+			srv.mu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d handlers still running after their connections were dropped", open)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		c, err := DialMux(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		counts, err := c.Interval(0, 1000, ts+1)
+		if err != nil || sumCounts(counts) < 50 {
+			t.Fatalf("query after the corrupt stream: %v, err %v", counts, err)
+		}
+	}
 
-	frame := appendQueryFrame(nil, 1, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	// Read the reply frame.
-	hdr := make([]byte, frameHeaderLen)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		t.Fatalf("no reply: %v", err)
-	}
-	n := int(binary.BigEndian.Uint32(hdr[2:]))
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	id, r, err := decodeReply(payload)
-	if err != nil || id != 1 || r.Err != nil {
-		t.Fatalf("reply id=%d err=%v decode=%v", id, r.Err, err)
-	}
+	// A valid query is answered; garbage where the next header should be
+	// then drops the connection rather than desyncing it.
+	t.Run("garbage after a frame", func(t *testing.T) {
+		conn := dial(t)
+		frame := appendQueryFrame(nil, 1, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_, payload := readReplyFrame(t, bufio.NewReader(conn), conn)
+		id, r, err := decodeReply(payload)
+		if err != nil || id != 1 || r.Err != nil {
+			t.Fatalf("reply id=%d err=%v decode=%v", id, r.Err, err)
+		}
+		before := srv.badRequests.Load()
+		if _, err := conn.Write([]byte("this is not a frame\n")); err != nil {
+			t.Fatal(err)
+		}
+		expectDropped(t, conn)
+		if got := srv.badRequests.Load() - before; got != 1 {
+			t.Errorf("corrupt frame counted as %d bad requests, want 1", got)
+		}
+		stillServing(t)
+	})
 
-	// Now send garbage where a frame header should be.
-	if _, err := conn.Write([]byte("this is not a frame\n")); err != nil {
-		t.Fatal(err)
-	}
-	// The server must close the connection.
-	one := make([]byte, 1)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(one); err == nil {
-		t.Fatal("server kept talking on a corrupt binary stream")
-	}
-	if srv.badRequests.Load() == 0 {
-		t.Error("corrupt frame not counted as a bad request")
+	// A request of the retired newline-delimited JSON protocol is bytes
+	// that are not a frame, like any other.
+	t.Run("a JSON request line", func(t *testing.T) {
+		conn := dial(t)
+		before := srv.badRequests.Load()
+		line := fmt.Sprintf(`{"id":1,"kind":"interval","port":0,"start":1000,"end":%d}`+"\n", ts+1)
+		if _, err := conn.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		expectDropped(t, conn)
+		if got := srv.badRequests.Load() - before; got != 1 {
+			t.Errorf("JSON line counted as %d bad requests, want 1", got)
+		}
+		stillServing(t)
+	})
+
+	// Less than a header, then gone: a peer that hung up, not a protocol
+	// error — nothing to count, nothing left running.
+	t.Run("three bytes then close", func(t *testing.T) {
+		conn := dial(t)
+		before := srv.badRequests.Load()
+		if _, err := conn.Write([]byte(`{"i`)); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		stillServing(t)
+		if got := srv.badRequests.Load() - before; got != 0 {
+			t.Errorf("a torn header counted as %d bad requests, want 0", got)
+		}
+	})
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close is waiting on a goroutine the corrupt streams left behind")
 	}
 }

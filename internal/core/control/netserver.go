@@ -1,12 +1,8 @@
 package control
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,37 +16,22 @@ import (
 // Figure-3 "Asynchronous Query" arrow: higher-layer applications send a
 // request to the analysis program running on the switch CPU.
 //
-// Two wire protocols share the listener, negotiated by the first byte of
-// each connection:
+// The listener speaks one protocol: length-prefixed binary frames (wire.go
+// has the layout) with true multiplexing — many requests in flight per
+// connection, dispatched concurrently to the query workers and answered in
+// completion order, plus a batch op carrying many queries in one frame.
+// MuxClient is the matching client. A connection whose bytes are not a
+// valid frame is counted as a bad request and dropped without a reply.
 //
-//   - Wire protocol v2 (first byte 0xB1): length-prefixed binary frames
-//     with true multiplexing — many requests in flight per connection,
-//     dispatched concurrently to the query workers and answered in
-//     completion order, plus a batch op carrying many queries in one
-//     frame. See wire.go for the frame layout and MuxClient for the
-//     matching client.
-//
-//   - v1 fallback (anything else): newline-delimited JSON, one response
-//     per request, in order. Request:
-//
-//     {"id":1,"kind":"interval","port":0,"start":1000,"end":2000}
-//     {"id":2,"kind":"original","port":0,"queue":0,"at":1500}
-//
-//     Response:
-//
-//     {"id":1,"counts":{"10.0.0.1:80>10.0.0.2:90/tcp":12.5,...}}
-//     {"id":2,"error":"control: port 9 not activated"}
-//
-// In both protocols the server echoes the request's id verbatim so a
-// client that abandoned an earlier round trip (e.g. after an I/O timeout)
-// can never mistake the late response for the answer to a newer query.
+// The server echoes each request's id verbatim so a client that abandoned
+// an earlier round trip (e.g. after a timeout) can never mistake the late
+// reply for the answer to a newer query.
 type NetServer struct {
 	qs   *QueryServer
 	ln   net.Listener
 	opts ServeOptions
 
 	connections   *telemetry.Counter
-	binaryConns   *telemetry.Counter
 	requests      *telemetry.Counter
 	badRequests   *telemetry.Counter
 	shed          *telemetry.Counter
@@ -73,40 +54,10 @@ type NetServer struct {
 	wg     sync.WaitGroup
 }
 
-// NetRequest is the wire form of a query request.
-type NetRequest struct {
-	// ID tags the request so its response can be matched unambiguously.
-	// The server echoes it verbatim; clients use monotonically increasing
-	// ids. 0 (legacy clients) is echoed as an omitted field.
-	ID    uint64 `json:"id,omitempty"`
-	Kind  string `json:"kind"` // "interval" or "original"
-	Port  int    `json:"port"`
-	Queue int    `json:"queue,omitempty"`
-	Start uint64 `json:"start,omitempty"`
-	End   uint64 `json:"end,omitempty"`
-	At    uint64 `json:"at,omitempty"`
-	// Trace, when non-zero, is the client's trace id: the server joins
-	// it, records its per-stage spans, and returns them on the response
-	// so both halves merge into one trace (the JSON twin of opQueryT).
-	Trace uint64 `json:"trace,omitempty"`
-}
-
-// NetResponse is the wire form of a query response.
-type NetResponse struct {
-	// ID echoes the request's id (omitted for id-less legacy requests and
-	// for replies to undecodable lines).
-	ID     uint64             `json:"id,omitempty"`
-	Counts map[string]float64 `json:"counts,omitempty"`
-	Error  string             `json:"error,omitempty"`
-	// Spans carries the server-side stage spans of a traced request back
-	// to the client (only set when the request carried a trace id).
-	Spans []tracing.Span `json:"spans,omitempty"`
-}
-
-// ErrOverloaded is returned (and sent on the wire as {"error":"overloaded"})
-// when the query backlog exceeds the server's shed limit. It is retryable:
-// the request was rejected before execution, so a client may back off and
-// resend on the same connection.
+// ErrOverloaded is returned (and sent on the wire as an error reply carrying
+// its text) when the query backlog exceeds the server's shed limit. It is
+// retryable: the request was rejected before execution, so a client may back
+// off and resend on the same connection.
 var ErrOverloaded = errors.New("overloaded")
 
 // Server-side resilience defaults. They bound how long a dead peer can pin
@@ -119,7 +70,7 @@ const (
 	// stopped reading cannot block a handler forever.
 	DefaultWriteTimeout = 10 * time.Second
 	// DefaultShedLimit is the request backlog beyond which the server
-	// replies {"error":"overloaded"} instead of queueing.
+	// replies ErrOverloaded instead of queueing.
 	DefaultShedLimit = 256
 )
 
@@ -133,7 +84,7 @@ type ServeOptions struct {
 	WriteTimeout time.Duration
 	// ShedLimit bounds requests concurrently in flight on the query server
 	// across all connections; excess requests are answered with
-	// {"error":"overloaded"} immediately. 0 means DefaultShedLimit;
+	// ErrOverloaded immediately. 0 means DefaultShedLimit;
 	// negative disables shedding.
 	ShedLimit int
 }
@@ -180,11 +131,9 @@ func ServeQueriesListener(ln net.Listener, qs *QueryServer, opts ServeOptions) *
 		badRequests: reg.Counter("printqueue_netserver_bad_requests_total",
 			"TCP query requests rejected as malformed."),
 		shed: reg.Counter("printqueue_netserver_shed_total",
-			"Query requests rejected with {\"error\":\"overloaded\"} because the backlog exceeded the shed limit."),
+			"Query requests rejected with an overloaded reply because the backlog exceeded the shed limit."),
 		acceptRetries: reg.Counter("printqueue_netserver_accept_retries_total",
 			"Transient accept failures survived by the listener's retry loop."),
-		binaryConns: reg.Counter("printqueue_netserver_binary_connections_total",
-			"TCP query connections negotiated to the binary (v2) framing."),
 		framesRx: reg.Counter("printqueue_netserver_frames_total",
 			"Binary protocol frames processed.", telemetry.L("dir", "rx")),
 		framesTx: reg.Counter("printqueue_netserver_frames_total",
@@ -269,10 +218,6 @@ func (s *NetServer) acceptLoop() {
 	}
 }
 
-// maxLine caps one request line; a query interval/point is ~100 bytes of
-// JSON, so a generous cap guards against hostile input.
-const maxLine = 1 << 16
-
 // admit reserves n units of query backlog, shedding if the limit would be
 // exceeded. release returns them.
 func (s *NetServer) admit(n int64) bool {
@@ -311,10 +256,12 @@ func (s *NetServer) release(n int64) {
 	s.inflightGauge.Add(-n)
 }
 
-// handle sniffs the connection's first byte to negotiate the protocol: a
-// binary frame's magic byte can never begin a JSON request, so v2 clients
-// are detected without a handshake round trip and v1 clients fall back to
-// the JSON line protocol transparently.
+// handle serves one connection: a reader loop decodes frames and dispatches
+// each request to the query workers concurrently, and a writer goroutine
+// streams replies back in completion order. A frame that fails to decode
+// means the stream can no longer be trusted (frames cannot resynchronize),
+// so the connection is dropped; the client treats that as poison and
+// redials.
 func (s *NetServer) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -325,88 +272,6 @@ func (s *NetServer) handle(conn net.Conn) {
 	}()
 	br := getReader(conn)
 	defer putReader(br)
-	if s.opts.IdleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
-			return
-		}
-	}
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == frameMagic {
-		s.binaryConns.Inc()
-		s.handleBinary(conn, br)
-		return
-	}
-	s.handleJSON(conn, br)
-}
-
-// handleJSON serves the v1 newline-delimited JSON protocol: one request,
-// one response, in order. Line scratch and response encode buffers are
-// pooled and reused across requests.
-func (s *NetServer) handleJSON(conn net.Conn, br *bufio.Reader) {
-	scratch := getBuf()
-	defer func() { putBuf(scratch) }()
-	for {
-		if s.opts.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		line, tooLong, err := readLine(br, scratch[:0], maxLine)
-		if err != nil {
-			return // peer gone, reset, or idle deadline expired
-		}
-		scratch = line[:0] // keep any capacity readLine grew
-		if tooLong {
-			s.badRequests.Inc()
-			if !s.reply(conn, NetResponse{Error: fmt.Sprintf("bad request: line exceeds %d bytes", maxLine)}) {
-				return
-			}
-			continue
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		s.requests.Inc()
-		var req NetRequest
-		var resp NetResponse
-		var tr *tracing.Trace
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.badRequests.Inc()
-			resp = NetResponse{Error: fmt.Sprintf("bad request: %v", err)}
-		} else {
-			if req.Trace != 0 {
-				tr = s.serverTrace(req.Kind, req.Trace)
-			}
-			sp := tr.StartSpan("server.dispatch", tracing.SrcServer)
-			if !s.admit(1) {
-				sp.End()
-				resp = NetResponse{ID: req.ID, Error: ErrOverloaded.Error()}
-			} else {
-				sp.End()
-				resp = s.execute(req, tr)
-				s.release(1)
-			}
-		}
-		if tr != nil {
-			resp.Spans = tr.Spans()
-		}
-		if !s.replyTrace(conn, resp, tr) {
-			return
-		}
-	}
-}
-
-// handleBinary serves wire protocol v2: a reader loop decodes frames and
-// dispatches each request to the query workers concurrently, and a writer
-// goroutine streams replies back in completion order. A frame that fails
-// to decode means the stream can no longer be trusted (unlike JSON lines,
-// frames cannot resynchronize), so the connection is dropped; the client
-// treats that as poison and redials.
-func (s *NetServer) handleBinary(conn net.Conn, br *bufio.Reader) {
 	out := make(chan outFrame, 64)
 	writerDone := make(chan struct{})
 	go s.connWriter(conn, out, writerDone)
@@ -666,9 +531,9 @@ func (s *NetServer) pushCheckpoints(sub *streamSub, since uint64, out chan<- out
 	}
 }
 
-// connWriter is the per-connection writer goroutine for the binary
-// protocol: it streams completed replies in the order they finish, under
-// the write deadline, recycling each frame buffer. After a write error it
+// connWriter is the per-connection writer goroutine: it streams completed
+// replies in the order they finish, under the write deadline, recycling
+// each frame buffer. After a write error it
 // keeps draining (and recycling) so dispatched requests never block, but
 // the connection is closed so the reader loop unwinds too. Traced
 // requests are orphan-closed here: whether the write succeeded or the
@@ -706,93 +571,6 @@ func (s *NetServer) connWriter(conn net.Conn, out <-chan outFrame, done chan<- s
 	}
 }
 
-// reply writes one v1 response line under the write deadline, reporting
-// whether the connection is still usable. The line is encoded into a
-// pooled buffer — no json.Marshal, no fresh slice per reply.
-func (s *NetServer) reply(conn net.Conn, resp NetResponse) bool {
-	return s.replyTrace(conn, resp, nil)
-}
-
-// replyTrace is reply plus trace closure: the write span is recorded
-// (server-side only; the spans already left in resp) and the trace is
-// finished whether or not the write succeeded.
-func (s *NetServer) replyTrace(conn net.Conn, resp NetResponse, tr *tracing.Trace) bool {
-	buf := appendJSONResponse(getBuf(), resp)
-	buf = append(buf, '\n')
-	defer putBuf(buf)
-	if s.opts.WriteTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)); err != nil {
-			tr.Finish("connection dead")
-			return false
-		}
-	}
-	spW := tr.StartSpan("server.write", tracing.SrcServer)
-	_, err := conn.Write(buf)
-	if err != nil {
-		tr.Finish("connection dead")
-		return false
-	}
-	spW.End()
-	tr.Finish(resp.Error)
-	return true
-}
-
-// readLine reads one newline-terminated line of at most max bytes,
-// appending into buf (typically pooled scratch, so steady-state requests
-// allocate nothing). An over-long line is consumed through its terminating
-// newline and reported via tooLong, so the connection can answer with an
-// error and keep serving instead of dying silently (the old bufio.Scanner
-// ErrTooLong behavior).
-func readLine(br *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool, err error) {
-	line = buf
-	for {
-		frag, err := br.ReadSlice('\n')
-		if !tooLong {
-			line = append(line, frag...)
-			if len(line) > max {
-				tooLong = true
-				line = line[:0]
-			}
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			return line[:0], false, err // EOF/timeout/reset; drop any partial line
-		}
-		return line, tooLong, nil
-	}
-}
-
-func (s *NetServer) execute(req NetRequest, tr *tracing.Trace) NetResponse {
-	resp := NetResponse{ID: req.ID}
-	var kind QueryKind
-	switch req.Kind {
-	case "interval":
-		kind = IntervalQuery
-	case "original":
-		kind = OriginalQuery
-	default:
-		s.badRequests.Inc()
-		resp.Error = fmt.Sprintf("unknown kind %q", req.Kind)
-		return resp
-	}
-	at := req.Start
-	if kind == OriginalQuery {
-		at = req.At
-	}
-	wire := s.executeWire(BatchQuery{Kind: kind, Port: req.Port, Queue: req.Queue, Start: at, End: req.End}, tr)
-	resp.Error = wire.Error
-	// The JSON line is this protocol's edge: flow keys become strings here.
-	if len(wire.Counts) > 0 {
-		resp.Counts = make(map[string]float64, len(wire.Counts))
-		for f, n := range wire.Counts {
-			resp.Counts[f.String()] = n
-		}
-	}
-	return resp
-}
-
 // executeWire runs one decoded query on the query workers, recording
 // stage spans into tr (nil for untraced requests). For OriginalQuery
 // the instant travels in Start.
@@ -811,407 +589,4 @@ func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) wireReply {
 		return wireReply{Error: res.Err.Error()}
 	}
 	return wireReply{Counts: res.Counts}
-}
-
-// Client-side resilience defaults. Queries are read-only and idempotent, so
-// retrying a failed round trip — on the same connection after an overload
-// reply, or on a fresh one after an I/O error — is always safe.
-const (
-	// DefaultDialTimeout is the per-round-trip I/O deadline applied when
-	// DialOptions.Timeout is zero: long enough for any real query, short
-	// enough that a hung QueryService cannot block a diagnosis forever.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultMaxRetries is how many additional attempts a round trip makes
-	// after a retryable failure.
-	DefaultMaxRetries = 2
-	// DefaultBackoffBase is the first retry's backoff; it doubles per
-	// retry (with jitter) up to DefaultBackoffMax.
-	DefaultBackoffBase = 20 * time.Millisecond
-	// DefaultBackoffMax caps the exponential backoff between retries.
-	DefaultBackoffMax = time.Second
-)
-
-// DialOptions tunes a QueryClient connection.
-type DialOptions struct {
-	// Timeout is the I/O deadline applied to each round-trip attempt
-	// (write + read). 0 means DefaultDialTimeout; negative disables
-	// deadlines.
-	Timeout time.Duration
-	// MaxRetries is the retry budget per round trip: after the first
-	// attempt fails with a retryable error (I/O error, desync, overload),
-	// up to MaxRetries further attempts are made, redialing if the
-	// connection was poisoned. 0 means DefaultMaxRetries; negative
-	// disables retries.
-	MaxRetries int
-	// BackoffBase is the backoff before the first retry, doubling per
-	// subsequent retry with jitter in [d/2, d]. 0 means
-	// DefaultBackoffBase; negative disables backoff waits.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff. 0 means DefaultBackoffMax;
-	// a value below BackoffBase (including negative) is clamped up to
-	// BackoffBase, so the cap can never invert the backoff window.
-	BackoffMax time.Duration
-	// Seed seeds the jitter PRNG so chaos tests are reproducible. 0 means
-	// a fixed default seed (the client's behavior is deterministic for a
-	// given fault sequence).
-	Seed int64
-	// Dialer, if non-nil, replaces net.DialTimeout for the initial dial
-	// and every reconnect — the hook fault-injection harnesses use.
-	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
-	// Timeouts, Retries, and Reconnects, if non-nil, are incremented for
-	// every round-trip I/O timeout, retry attempt, and successful redial
-	// respectively — wire them to a telemetry registry's
-	// printqueue_query_client_{timeouts,retries,reconnects}_total to fold
-	// client-side resilience into the query metrics. The client also
-	// counts internally; see QueryClient.Timeouts/Retries/Reconnects.
-	Timeouts   *telemetry.Counter
-	Retries    *telemetry.Counter
-	Reconnects *telemetry.Counter
-	// Tracer, if non-nil, traces round trips: sampled queries carry
-	// their trace id on the wire and absorb the server's stage spans
-	// into one joined trace; unsampled queries still feed the tracer's
-	// always-on slowlog. nil (the default) keeps tracing entirely off
-	// the hot path.
-	Tracer *tracing.Tracer
-}
-
-// errDesync marks a response that could not be matched to its request (a
-// mismatched id or an undecodable line). The connection is poisoned — its
-// buffered bytes can no longer be trusted — and the attempt is retried on a
-// fresh connection, which is safe because queries are idempotent.
-var errDesync = errors.New("control: query response desynchronized from request")
-
-// QueryClient is a client for the NetServer protocol.
-//
-// Every request carries a monotonically increasing id that the server
-// echoes; a response whose id does not match the in-flight request is never
-// returned to the caller. After any I/O error the connection is poisoned
-// and closed — its buffered bytes could belong to an abandoned round trip —
-// and the next attempt redials. This fixes the classic framing-desync bug
-// where a timed-out read left the previous query's response in the buffer
-// to be returned as the answer to the next query.
-type QueryClient struct {
-	addr        string
-	timeout     time.Duration
-	maxRetries  int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	dialer      func(addr string, timeout time.Duration) (net.Conn, error)
-
-	closed atomic.Bool
-
-	// mu serializes round trips: one request/response exchange owns the
-	// connection (and retry loop) at a time.
-	mu   sync.Mutex
-	conn net.Conn
-	// br and wbuf persist across redials: adopt resets the reader onto the
-	// new connection and the encode buffer is reused in place, so a
-	// flapping connection no longer allocates a fresh bufio.Reader +
-	// json.Encoder pair per redial while the old pair's buffers linger.
-	br     *bufio.Reader
-	wbuf   []byte
-	broken bool
-	lastID uint64
-	jit    *jitterSource
-	sleep  func(time.Duration) // test hook; time.Sleep
-
-	timeouts, retries, reconnects      atomic.Int64
-	timeoutCtr, retryCtr, reconnectCtr *telemetry.Counter
-
-	tracer *tracing.Tracer
-}
-
-// Dial connects to a NetServer with default options.
-func Dial(addr string) (*QueryClient, error) {
-	return DialOpts(addr, DialOptions{})
-}
-
-// resolved applies the option defaults shared by the JSON QueryClient and
-// the binary MuxClient.
-func (o DialOptions) resolved() (timeout time.Duration, maxRetries int, backoffBase, backoffMax time.Duration, seed int64, dialer func(string, time.Duration) (net.Conn, error)) {
-	timeout = o.Timeout
-	if timeout == 0 {
-		timeout = DefaultDialTimeout
-	}
-	maxRetries = o.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoffBase = o.BackoffBase
-	if backoffBase == 0 {
-		backoffBase = DefaultBackoffBase
-	} else if backoffBase < 0 {
-		backoffBase = 0
-	}
-	backoffMax = o.BackoffMax
-	if backoffMax == 0 {
-		backoffMax = DefaultBackoffMax
-	}
-	seed = o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	dialer = o.Dialer
-	if dialer == nil {
-		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	return
-}
-
-// DialOpts connects to a NetServer with explicit options. The initial dial
-// is not retried (so a misconfigured address fails fast); the retry budget
-// applies to round trips.
-func DialOpts(addr string, opts DialOptions) (*QueryClient, error) {
-	timeout, maxRetries, backoffBase, backoffMax, seed, dialer := opts.resolved()
-	c := &QueryClient{
-		addr:         addr,
-		timeout:      timeout,
-		maxRetries:   maxRetries,
-		backoffBase:  backoffBase,
-		backoffMax:   backoffMax,
-		dialer:       dialer,
-		jit:          newJitterSource(seed),
-		sleep:        time.Sleep,
-		timeoutCtr:   opts.Timeouts,
-		retryCtr:     opts.Retries,
-		reconnectCtr: opts.Reconnects,
-		tracer:       opts.Tracer,
-	}
-	conn, err := dialer(addr, max(timeout, 0))
-	if err != nil {
-		return nil, err
-	}
-	c.adopt(conn)
-	return c, nil
-}
-
-// adopt installs a fresh connection (caller holds mu, or the client is not
-// yet shared), reusing the previous connection's read buffer.
-func (c *QueryClient) adopt(conn net.Conn) {
-	c.conn = conn
-	if c.br == nil {
-		c.br = bufio.NewReaderSize(conn, 4096)
-	} else {
-		c.br.Reset(conn)
-	}
-	c.broken = false
-}
-
-// Close closes the connection. Subsequent round trips fail with
-// net.ErrClosed instead of redialing.
-func (c *QueryClient) Close() error {
-	c.closed.Store(true)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// Timeouts returns how many round-trip attempts have failed with an I/O
-// timeout.
-func (c *QueryClient) Timeouts() int64 { return c.timeouts.Load() }
-
-// Retries returns how many round-trip attempts were retries of a failed
-// attempt.
-func (c *QueryClient) Retries() int64 { return c.retries.Load() }
-
-// Reconnects returns how many times the client redialed after poisoning a
-// connection.
-func (c *QueryClient) Reconnects() int64 { return c.reconnects.Load() }
-
-// roundTrip performs one logical query, with retries and (when a tracer
-// is configured) end-to-end tracing: sampled queries get a client trace
-// whose id travels on the wire, and every trace — including ones whose
-// round trips fail permanently — is orphan-closed here. Unsampled
-// queries feed the tracer's always-on slowlog.
-func (c *QueryClient) roundTrip(req NetRequest) (map[string]float64, error) {
-	if c.tracer == nil {
-		return c.roundTripTraced(req, nil)
-	}
-	t0 := time.Now()
-	tr := c.tracer.Start(req.Kind)
-	req.Trace = tr.ID() // 0 when unsampled: the wire stays trace-free
-	counts, err := c.roundTripTraced(req, tr)
-	if tr != nil {
-		tr.FinishErr(err)
-	} else {
-		c.tracer.MaybeSlow(req.Kind, t0, time.Since(t0), err)
-	}
-	return counts, err
-}
-
-func (c *QueryClient) roundTripTraced(req NetRequest, tr *tracing.Trace) (map[string]float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if c.retryCtr != nil {
-				c.retryCtr.Inc()
-			}
-			if d := c.backoff(attempt); d > 0 {
-				c.sleep(d)
-			}
-		}
-		if c.closed.Load() {
-			return nil, net.ErrClosed
-		}
-		if c.conn == nil || c.broken {
-			if err := c.redialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		counts, err := c.attempt(req, tr)
-		if err == nil {
-			return counts, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// attempt performs one request/response exchange on the live connection.
-// Any failure that leaves the connection's framing untrustworthy poisons it.
-func (c *QueryClient) attempt(req NetRequest, tr *tracing.Trace) (map[string]float64, error) {
-	c.lastID++
-	req.ID = c.lastID
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			c.poison()
-			return nil, err
-		}
-	}
-	spE := tr.StartSpan("client.encode", tracing.SrcClient)
-	c.wbuf = appendJSONRequest(c.wbuf[:0], req)
-	c.wbuf = append(c.wbuf, '\n')
-	spE.End()
-	spW := tr.StartSpan("client.write", tracing.SrcClient)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		c.poison()
-		return nil, c.noteTimeout(err)
-	}
-	spW.End()
-	spA := tr.StartSpan("client.await", tracing.SrcClient)
-	for {
-		line, err := c.br.ReadBytes('\n')
-		if err != nil {
-			c.poison()
-			return nil, c.noteTimeout(err)
-		}
-		var resp NetResponse
-		if err := json.Unmarshal(line, &resp); err != nil {
-			c.poison()
-			return nil, fmt.Errorf("%w: undecodable response: %v", errDesync, err)
-		}
-		if resp.ID != 0 && resp.ID < req.ID {
-			// A late response to a round trip this client already
-			// abandoned: discard it and keep reading. (Poisoning on
-			// error makes this rare — it needs an error path that left
-			// the connection alive — but ids make it harmless.)
-			continue
-		}
-		if resp.ID != 0 && resp.ID != req.ID {
-			c.poison()
-			return nil, fmt.Errorf("%w: response id %d for request id %d", errDesync, resp.ID, req.ID)
-		}
-		spA.End()
-		tr.AddSpans(resp.Spans)
-		if resp.Error != "" {
-			if resp.Error == ErrOverloaded.Error() {
-				return nil, ErrOverloaded
-			}
-			return nil, errors.New(resp.Error)
-		}
-		if resp.Counts == nil {
-			// An empty result omits "counts" on the wire; normalize so
-			// callers can distinguish "no culprits" from a zero value.
-			resp.Counts = make(map[string]float64)
-		}
-		return resp.Counts, nil
-	}
-}
-
-// poison marks the connection unusable and closes it: after any I/O error
-// its buffered bytes may belong to an abandoned round trip.
-func (c *QueryClient) poison() {
-	c.broken = true
-	if c.conn != nil {
-		c.conn.Close()
-	}
-}
-
-// redialLocked replaces a poisoned (or never-established) connection.
-func (c *QueryClient) redialLocked() error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	conn, err := c.dialer(c.addr, max(c.timeout, 0))
-	if err != nil {
-		return err
-	}
-	c.adopt(conn)
-	c.reconnects.Add(1)
-	if c.reconnectCtr != nil {
-		c.reconnectCtr.Inc()
-	}
-	return nil
-}
-
-// backoff returns the jittered exponential backoff before retry attempt n
-// (n >= 1): base doubled per retry, capped at backoffMax with a
-// shift clamp so the doubling can never overflow, jittered uniformly in
-// [d/2, d]. See backoffDur.
-func (c *QueryClient) backoff(attempt int) time.Duration {
-	return backoffDur(c.backoffBase, c.backoffMax, attempt, c.jit)
-}
-
-// retryable reports whether a round-trip failure may be retried. Transport
-// failures and desyncs are retried on a fresh connection; an overload reply
-// is retried after backoff on the same connection. Application-level errors
-// (unknown port, empty interval, ...) are returned to the caller as-is.
-func retryable(err error) bool {
-	if errors.Is(err, ErrOverloaded) || errors.Is(err, errDesync) {
-		return true
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// noteTimeout counts err if it is an I/O timeout, and passes it through.
-func (c *QueryClient) noteTimeout(err error) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		c.timeouts.Add(1)
-		if c.timeoutCtr != nil {
-			c.timeoutCtr.Inc()
-		}
-	}
-	return err
-}
-
-// Interval queries per-flow packet counts over [start, end) on a port.
-func (c *QueryClient) Interval(port int, start, end uint64) (map[string]float64, error) {
-	return c.roundTrip(NetRequest{Kind: "interval", Port: port, Start: start, End: end})
-}
-
-// Original queries the original culprits at time t on a port/queue.
-func (c *QueryClient) Original(port, queue int, t uint64) (map[string]float64, error) {
-	return c.roundTrip(NetRequest{Kind: "original", Port: port, Queue: queue, At: t})
 }

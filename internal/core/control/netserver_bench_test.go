@@ -9,14 +9,14 @@ import (
 	"printqueue/internal/tracing"
 )
 
-// The BenchmarkNetQuery suite compares the JSON line protocol against the
-// binary wire (sequential, pipelined, batched) on one TCP connection.
+// The BenchmarkNetQuery suite measures the query wire sequential, pipelined
+// and batched on one TCP connection.
 //
-// Raw loopback has ~0 RTT, so on loopback every protocol degenerates to a
+// Raw loopback has ~0 RTT, so on loopback every mode degenerates to a
 // CPU benchmark and pipelining — whose entire purpose is keeping the pipe
 // full across the round trip — can't be observed. The suite therefore
 // injects a fixed one-way propagation delay (benchRTT/2, applied uniformly
-// to every protocol via the client dialer) the way pipelining benchmarks
+// to every mode via the client dialer) the way pipelining benchmarks
 // conventionally do: infinite bandwidth, fixed delay, order preserved,
 // writes never blocked. Per-connection queries/sec under that identical
 // network is the figure of merit.
@@ -133,28 +133,8 @@ func reportQPS(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
-// BenchmarkNetQueryJSON is the baseline: one JSON-line query per round
-// trip, strictly sequential on one connection.
-func BenchmarkNetQueryJSON(b *testing.B) {
-	srv := benchNetFixture(b)
-	c, err := DialOpts(srv.Addr().String(), benchDialOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Interval(0, 1000, 1050); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportQPS(b)
-}
-
-// BenchmarkNetQueryBinary: the binary codec, still one query in flight at
-// a time — isolates the encode/decode win from the pipelining win.
+// BenchmarkNetQueryBinary: one query in flight at a time — the baseline
+// the pipelining and batching wins are read against.
 func BenchmarkNetQueryBinary(b *testing.B) {
 	srv := benchNetFixture(b)
 	c, err := DialMuxOpts(srv.Addr().String(), benchDialOpts())
@@ -174,7 +154,7 @@ func BenchmarkNetQueryBinary(b *testing.B) {
 }
 
 // BenchmarkNetQueryBinaryPipelined keeps many requests in flight over ONE
-// connection — the headline number the wire v2 protocol exists for.
+// connection — the headline number the framing exists for.
 func BenchmarkNetQueryBinaryPipelined(b *testing.B) {
 	srv := benchNetFixture(b)
 	c, err := DialMuxOpts(srv.Addr().String(), benchDialOpts())
@@ -195,7 +175,7 @@ func BenchmarkNetQueryBinaryPipelined(b *testing.B) {
 	})
 	b.StopTimer()
 	reportQPS(b)
-	if got := srv.binaryConns.Load(); got != 1 {
+	if got := srv.connections.Load(); got != 1 {
 		b.Fatalf("pipelined benchmark used %d connections, want 1", got)
 	}
 }
@@ -203,7 +183,7 @@ func BenchmarkNetQueryBinaryPipelined(b *testing.B) {
 // BenchmarkNetQueryBinaryPipelinedTraced is the pipelined benchmark with
 // tracing sampling EVERY query on both sides — the worst-case tracing
 // overhead. Compare against BenchmarkNetQueryBinaryPipelined (sampling
-// off, which must stay within 2% of the untraced PR 6 baseline).
+// off).
 func BenchmarkNetQueryBinaryPipelinedTraced(b *testing.B) {
 	srv := benchNetFixture(b)
 	srv.qs.sys.EnableTracing(TraceOptions{SampleEvery: 1})

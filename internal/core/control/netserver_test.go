@@ -2,9 +2,9 @@ package control
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,126 +32,161 @@ func netFixture(t *testing.T) (*NetServer, uint64) {
 	return srv, ts
 }
 
+// readReplyFrame reads one frame off a raw connection, as a peer that is not
+// MuxClient would.
+func readReplyFrame(t *testing.T, br *bufio.Reader, conn net.Conn) (op byte, payload []byte) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	op, payload, err := readFrame(br, nil, maxFramePayload)
+	if err != nil {
+		t.Fatalf("no reply frame: %v", err)
+	}
+	return op, payload
+}
+
+// expectDropped requires the server to have closed conn without writing
+// anything to it.
+func expectDropped(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed without a reply", n, err)
+	}
+}
+
+// TestNetServerRoundTrip speaks raw frames to the server, several in flight
+// at once under ids no client would pick: every reply echoes its request's
+// id verbatim, whatever order the replies complete in, and the frame and
+// request counters account for exactly what crossed the wire.
 func TestNetServerRoundTrip(t *testing.T) {
 	srv, ts := netFixture(t)
-	client, err := Dial(srv.Addr().String())
+	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	defer conn.Close()
 
-	counts, err := client.Interval(0, 1000, ts+1)
-	if err != nil {
+	const fullID, origID, emptyID, badPortID, badIntervalID = 7, 3, 1 << 40, 900, 2
+	var sent []byte
+	sent = appendQueryFrame(sent, fullID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
+	sent = appendQueryFrame(sent, origID, BatchQuery{Kind: OriginalQuery, Port: 0, Queue: 0, Start: ts})
+	sent = appendQueryFrame(sent, emptyID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: ts + 100, End: ts + 200})
+	sent = appendQueryFrame(sent, badPortID, BatchQuery{Kind: IntervalQuery, Port: 9, Start: 0, End: 1})
+	sent = appendQueryFrame(sent, badIntervalID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 5, End: 5})
+	if _, err := conn.Write(sent); err != nil {
 		t.Fatal(err)
 	}
-	var total float64
-	for _, n := range counts {
-		total += n
-	}
-	if total < 50 || total > 70 {
-		t.Fatalf("remote interval total %v, want ~60", total)
+	br := bufio.NewReader(conn)
+	replies := make(map[uint64]BatchResult)
+	var received int
+	for len(replies) < 5 {
+		op, payload := readReplyFrame(t, br, conn)
+		received += frameHeaderLen + len(payload)
+		id, r, err := decodeReply(payload)
+		if op != opReply || err != nil {
+			t.Fatalf("reply op %#x, decode %v", op, err)
+		}
+		if _, dup := replies[id]; dup {
+			t.Fatalf("two replies for id %d", id)
+		}
+		replies[id] = r
 	}
 
-	orig, err := client.Original(0, 0, ts)
-	if err != nil {
-		t.Fatal(err)
+	if r := replies[fullID]; r.Err != nil || sumCounts(r.Counts) < 50 || sumCounts(r.Counts) > 70 {
+		t.Fatalf("interval reply %+v, want ~60 packets", r)
 	}
-	if len(orig) == 0 {
-		t.Fatal("remote original query returned nothing")
+	if r := replies[origID]; r.Err != nil || len(r.Counts) == 0 {
+		t.Fatalf("original reply %+v, want culprits", r)
 	}
-
-	// An interval with no traffic must come back as a non-nil empty map, so
+	// An interval with no traffic comes back as a non-nil empty map, so
 	// callers can distinguish "no culprits" from a failed query.
-	empty, err := client.Interval(0, ts+100, ts+200)
-	if err != nil {
-		t.Fatalf("empty-interval query: %v", err)
+	if r := replies[emptyID]; r.Err != nil || r.Counts == nil || len(r.Counts) != 0 {
+		t.Fatalf("empty-interval reply %+v, want a non-nil empty map", r)
 	}
-	if empty == nil {
-		t.Fatal("empty result is nil; want a non-nil empty map")
-	}
-	if len(empty) != 0 {
-		t.Fatalf("empty-interval query returned %d flows, want 0", len(empty))
-	}
-
 	// Errors travel back as errors.
-	if _, err := client.Interval(9, 0, 1); err == nil {
-		t.Fatal("remote unknown-port query succeeded")
+	if r := replies[badPortID]; r.Err == nil || r.Err.Error() != "control: port 9 not activated" {
+		t.Fatalf("unknown-port reply %+v", r)
 	}
-	if _, err := client.Interval(0, 5, 5); err == nil {
-		t.Fatal("remote empty interval succeeded")
+	if r := replies[badIntervalID]; r.Err == nil {
+		t.Fatal("empty interval [5,5) succeeded")
+	}
+
+	for name, c := range map[string]struct{ got, want int64 }{
+		"connections": {srv.connections.Load(), 1},
+		"requests":    {srv.requests.Load(), 5},
+		"frames rx":   {srv.framesRx.Load(), 5},
+		"bytes rx":    {srv.bytesRx.Load(), int64(len(sent))},
+		"bad":         {srv.badRequests.Load(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", name, c.got, c.want)
+		}
+	}
+	// The writer counts a frame after writing it, so the last reply can be
+	// read here a moment before it is counted.
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.framesTx.Load() != 5 || srv.bytesTx.Load() != int64(received) {
+		if time.Now().After(deadline) {
+			t.Fatalf("frames tx = %d (%d bytes), want 5 (%d bytes)", srv.framesTx.Load(), srv.bytesTx.Load(), received)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestNetServerOverlongLine sends a request line beyond the 64 KiB cap: the
-// server must answer with a bad-request error, count it, and keep the
-// connection serving (the old bufio.Scanner path dropped it silently).
-func TestNetServerOverlongLine(t *testing.T) {
-	srv, ts := netFixture(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-
-	big := make([]byte, 80*1024)
-	for i := range big {
-		big[i] = 'x'
-	}
-	big[len(big)-1] = '\n'
-	if _, err := conn.Write(big); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("no reply to the over-long line: %v", err)
-	}
-	if !strings.Contains(resp, "bad request") {
-		t.Fatalf("over-long line got %q, want a bad-request error", resp)
-	}
-	if got := srv.badRequests.Load(); got != 1 {
-		t.Errorf("badRequests = %d after over-long line, want 1", got)
-	}
-
-	// The connection survives: a well-formed request still gets answered.
-	if _, err := conn.Write([]byte(`{"kind":"interval","port":0,"start":1000,"end":` + strconv.FormatUint(ts+1, 10) + "}\n")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("request after over-long line got no reply: %v", err)
-	}
-	if !strings.Contains(resp, "counts") {
-		t.Fatalf("request after over-long line got %q, want counts", resp)
-	}
-}
-
+// TestNetServerMalformedInput sends frames that are framed but wrong. A
+// stream that failed to decode once cannot be trusted again, so each costs
+// its connection: counted as one bad request, closed without a reply — and
+// the listener goes on answering.
 func TestNetServerMalformedInput(t *testing.T) {
-	srv, _ := netFixture(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	srv, ts := netFixture(t)
+	frame := func(op byte, payload ...byte) []byte {
+		b, at := beginFrame(nil, op)
+		return endFrame(append(b, payload...), at)
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	for _, line := range []string{"not json", `{"kind":"bogus"}`, ""} {
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		if line == "" {
-			continue // blank lines are skipped, no response
-		}
-		resp, err := br.ReadString('\n')
+	body := appendQueryBody(nil, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
+	oversize := binary.BigEndian.AppendUint32([]byte{frameMagic, opQuery}, maxFramePayload+1)
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"unknown op", frame(0x7F)},
+		{"a reply op sent to the server", appendReplyFrame(nil, 1, wireReply{})},
+		{"query cut short", frame(opQuery, 1, byte(IntervalQuery), 0)},
+		{"unknown query kind", frame(opQuery, 1, 9, 0, 0, 0, 0)},
+		{"bytes after the query", frame(opQuery, append(append([]byte{1}, body...), 0)...)},
+		{"batch declaring more queries than it holds", frame(opBatch, append([]byte{1, 3}, body...)...)},
+		{"length beyond the frame limit", oversize},
+	} {
+		before := srv.badRequests.Load()
+		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(resp, "error") {
-			t.Fatalf("malformed input got %q, want an error response", resp)
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatal(err)
 		}
+		expectDropped(t, conn)
+		conn.Close()
+		if got := srv.badRequests.Load() - before; got != 1 {
+			t.Errorf("%s: counted as %d bad requests, want 1", tc.name, got)
+		}
+	}
+	if got := srv.requests.Load(); got != 0 {
+		t.Errorf("malformed frames counted as %d requests", got)
+	}
+	c, err := DialMux(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Interval(0, 1000, ts+1); err != nil {
+		t.Fatalf("query after the malformed connections: %v", err)
 	}
 }
 
+// TestNetServerConcurrentClients: eight clients, a connection each.
 func TestNetServerConcurrentClients(t *testing.T) {
 	srv, ts := netFixture(t)
 	var wg sync.WaitGroup
@@ -159,7 +194,7 @@ func TestNetServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := Dial(srv.Addr().String())
+			client, err := DialMux(srv.Addr().String())
 			if err != nil {
 				t.Error(err)
 				return
@@ -174,20 +209,36 @@ func TestNetServerConcurrentClients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := srv.connections.Load(); got != 8 {
+		t.Errorf("connections = %d, want 8", got)
+	}
+	if got := srv.requests.Load(); got != 8*50 {
+		t.Errorf("requests = %d, want %d", got, 8*50)
+	}
 }
 
+// TestNetServerClose: Close drops open connections and is idempotent; a
+// client that was connected fails its next query instead of hanging.
 func TestNetServerClose(t *testing.T) {
-	srv, _ := netFixture(t)
+	srv, ts := netFixture(t)
 	addr := srv.Addr().String()
+	c, err := DialMuxOpts(addr, DialOptions{Timeout: time.Second, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Interval(0, 1000, ts+1); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := net.Dial("tcp", addr); err == nil {
-		// A new listener may have grabbed the port; tolerate connection
-		// but expect no response server-side. Just ensure no panic.
-		t.Log("port rebound by another listener; skipping strict check")
+	if _, err := c.Interval(0, 1000, ts+1); err == nil {
+		// Another listener may have grabbed the port between Close and the
+		// client's redial; it would not speak this protocol, though.
+		t.Fatal("query answered after the server closed")
 	}
 }

@@ -202,7 +202,7 @@ func TestQueryClientTimeout(t *testing.T) {
 	ctr := reg.Counter("printqueue_query_client_timeouts_total", "Client round trips that timed out.")
 	// MaxRetries -1: this test counts exactly one attempt; the retry
 	// machinery has its own coverage in chaos_test.go.
-	c, err := DialOpts(ln.Addr().String(), DialOptions{Timeout: 50 * time.Millisecond, MaxRetries: -1, Timeouts: ctr})
+	c, err := DialMuxOpts(ln.Addr().String(), DialOptions{Timeout: 50 * time.Millisecond, MaxRetries: -1, Timeouts: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestResilienceMetricsParity(t *testing.T) {
 	defer srv.Close()
 
 	reg := sys.Telemetry()
-	c, err := DialOpts(srv.Addr().String(), DialOptions{
+	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 		Timeout:     time.Second,
 		MaxRetries:  3,
 		BackoffBase: time.Millisecond,
@@ -280,7 +280,9 @@ func TestResilienceMetricsParity(t *testing.T) {
 		t.Fatalf("query across overload window: %v", err)
 	}
 	// Drive a reconnect: sever the client's connection out from under it.
+	c.mu.Lock()
 	c.conn.Close()
+	c.mu.Unlock()
 	if _, err := c.Interval(0, 1000, ts+1); err != nil {
 		t.Fatalf("query across severed connection: %v", err)
 	}

@@ -138,32 +138,6 @@ func TestEndToEndTraceBatch(t *testing.T) {
 	}
 }
 
-// TestEndToEndTraceJSONFallback checks the JSON wire carries the trace id
-// out and the server spans back, like the binary path.
-func TestEndToEndTraceJSONFallback(t *testing.T) {
-	srv, ts := netFixture(t)
-	tracer := tracing.New(tracing.Config{SampleEvery: 1})
-	c, err := DialOpts(srv.Addr().String(), DialOptions{Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Interval(0, 1000, ts+1); err != nil {
-		t.Fatal(err)
-	}
-	waitTraceParity(t, tracer, "client")
-	traces := tracer.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces))
-	}
-	names := spanNames(traces[0])
-	for _, want := range []string{"client.encode", "client.write", "client.await", "server.execute"} {
-		if _, ok := names[want]; !ok {
-			t.Errorf("JSON trace missing stage %q (have %v)", want, names)
-		}
-	}
-}
-
 // TestServerTraceRingJoinsRemote verifies that when the server system has
 // tracing enabled, a remote traced query lands in the SERVER's trace ring
 // under the client's trace id, with the server.write span (which cannot
@@ -219,27 +193,22 @@ func TestServerTraceRingJoinsRemote(t *testing.T) {
 	}
 }
 
-// TestWireDifferentialJSONBinaryTraced reruns the JSON/binary differential
-// stream with tracing forced on for both clients and the server: results
+// TestWireDifferentialJSONBinaryTraced reruns the wire-vs-in-process
+// differential with tracing forced on for the client and the server (so every
+// frame is a traced one and the in-process reference is sampled too): results
 // must stay bit-equal — tracing must never perturb answers.
 func TestWireDifferentialJSONBinaryTraced(t *testing.T) {
 	srv, ts := netFixture(t)
-	srv.qs.sys.EnableTracing(TraceOptions{SampleEvery: 1})
-	jt := tracing.New(tracing.Config{SampleEvery: 1})
+	st, _ := srv.qs.sys.EnableTracing(TraceOptions{SampleEvery: 1})
 	bt := tracing.New(tracing.Config{SampleEvery: 1})
-	jc, err := DialOpts(srv.Addr().String(), DialOptions{Tracer: jt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
 	bc, err := DialMuxOpts(srv.Addr().String(), DialOptions{Tracer: bt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	runWireDifferential(t, ts, jc, bc)
-	if jt.Started() == 0 || bt.Started() == 0 {
-		t.Fatalf("tracing was not exercised: json=%d binary=%d", jt.Started(), bt.Started())
+	runWireDifferential(t, srv.qs.sys, ts, bc)
+	if st.Started() == 0 || bt.Started() == 0 {
+		t.Fatalf("tracing was not exercised: server=%d client=%d", st.Started(), bt.Started())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -16,14 +15,11 @@ import (
 	"printqueue/internal/tracing"
 )
 
-// Wire protocol v2: a length-prefixed binary framing for the query plane.
-//
-// The v1 protocol (newline-delimited JSON, one outstanding request per
-// connection) pays a full serialize/RTT/parse round trip per query, so a
-// narrow diagnosis query that takes ~1µs to *compute* costs tens of
-// microseconds to *deliver*. v2 frames allow true multiplexing — many
-// requests in flight over one connection, answered in completion order —
-// plus a batch op that carries many queries in a single frame.
+// The query wire: a length-prefixed binary framing. A narrow diagnosis
+// query takes ~1µs to compute, so what a round trip costs is delivery;
+// frames allow true multiplexing — many requests in flight over one
+// connection, answered in completion order — plus a batch op that carries
+// many queries in a single frame.
 //
 // Frame layout (both directions):
 //
@@ -32,10 +28,8 @@ import (
 //	| 0xB1  | 1 B  |  uint32 BE     | length bytes    |
 //	+-------+------+----------------+-----------------+
 //
-// The magic byte 0xB1 can never begin a JSON request (which starts with
-// '{' or whitespace), so a server can sniff the first byte of a connection
-// and fall back to the v1 JSON line protocol — the negotiated-fallback
-// path old clients keep using.
+// A stream whose next byte is not the magic has lost framing (or never
+// had it: text typed at the port) and is dropped, see isFrameErr.
 //
 // Payloads are varint-packed:
 //
@@ -60,11 +54,10 @@ const (
 	opReply      byte = 0x81
 	opBatchReply byte = 0x82
 
-	// Traced variants (PR 7). A traced request carries the client's
-	// 64-bit trace id after the request id; a traced reply carries the
-	// server-side span list before the reply body. Untraced frames stay
-	// byte-identical to v2, so tracing-off costs nothing on the wire and
-	// old peers are unaffected (they simply never send the traced ops).
+	// Traced variants. A traced request carries the client's 64-bit trace
+	// id after the request id; a traced reply carries the server-side span
+	// list before the reply body. Untraced frames are unchanged by them, so
+	// tracing-off costs nothing on the wire.
 	opQueryT      byte = 0x11
 	opBatchT      byte = 0x12
 	opReplyT      byte = 0x91
@@ -283,7 +276,7 @@ func decodeCounts(p []byte) (map[string]float64, []byte, error) {
 }
 
 // BatchQuery is one query inside a batch frame (and the internal form of a
-// single binary query). For OriginalQuery the instant goes in Start.
+// single query). For OriginalQuery the instant goes in Start.
 type BatchQuery struct {
 	Kind        QueryKind
 	Port, Queue int
@@ -407,8 +400,8 @@ func decodeBatchRequest(p []byte) (id uint64, qs []BatchQuery, err error) {
 
 // wireReply is one executed query's answer on the server side: an
 // application error, or the counts keyed by flow as the query engine
-// produced them. Flow keys become text only where a reply is encoded —
-// appendCounts for a frame, the JSON handler for a line.
+// produced them. Flow keys become text only where a reply is encoded
+// (appendCounts).
 type wireReply struct {
 	Counts flow.Counts
 	Error  string
@@ -429,8 +422,7 @@ func appendReplyBody(b []byte, resp wireReply) []byte {
 
 // decodeReplyBody decodes one reply body, returning the remainder. An
 // error reply comes back with a non-nil Err and nil Counts; an ok reply
-// always has a non-nil (possibly empty) Counts map, matching the JSON
-// client's normalization.
+// always has a non-nil (possibly empty) Counts map.
 func decodeReplyBody(p []byte) (BatchResult, []byte, error) {
 	var r BatchResult
 	if len(p) < 1 {
@@ -706,132 +698,4 @@ func decodeBatchReplyT(p []byte) (id uint64, rs []BatchResult, spans []tracing.S
 		return 0, nil, nil, errTruncated
 	}
 	return id, rs, spans, nil
-}
-
-// --- JSON fallback encode ---
-//
-// The v1 line protocol stays on the same listener, but its responses no
-// longer pay json.Marshal's fresh allocation per reply: the server encodes
-// into a pooled buffer with the append-style helpers below. The output is
-// plain JSON any v1 client decodes; floats use the shortest representation
-// that round-trips the exact bit pattern, so JSON and binary codecs return
-// bit-equal counts.
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted JSON string, escaping quotes,
-// backslashes, and control characters (flow strings are plain ASCII, but
-// the error path may carry arbitrary bytes).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < 0x20:
-			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
-}
-
-// appendJSONResponse appends a NetResponse with the same omitempty shape
-// json.Marshal produced.
-func appendJSONResponse(b []byte, resp NetResponse) []byte {
-	b = append(b, '{')
-	first := true
-	if resp.ID != 0 {
-		b = append(b, `"id":`...)
-		b = strconv.AppendUint(b, resp.ID, 10)
-		first = false
-	}
-	if len(resp.Counts) > 0 {
-		if !first {
-			b = append(b, ',')
-		}
-		b = append(b, `"counts":{`...)
-		firstKey := true
-		for k, v := range resp.Counts {
-			if !firstKey {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, k)
-			b = append(b, ':')
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
-			firstKey = false
-		}
-		b = append(b, '}')
-		first = false
-	}
-	if resp.Error != "" {
-		if !first {
-			b = append(b, ',')
-		}
-		b = append(b, `"error":`...)
-		b = appendJSONString(b, resp.Error)
-		first = false
-	}
-	if len(resp.Spans) > 0 {
-		if !first {
-			b = append(b, ',')
-		}
-		b = append(b, `"spans":[`...)
-		for i, sp := range resp.Spans {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"name":`...)
-			b = appendJSONString(b, sp.Name)
-			if sp.Src != "" {
-				b = append(b, `,"src":`...)
-				b = appendJSONString(b, sp.Src)
-			}
-			b = append(b, `,"start":`...)
-			b = strconv.AppendUint(b, sp.Start, 10)
-			b = append(b, `,"dur":`...)
-			b = strconv.AppendUint(b, sp.Dur, 10)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
-// appendJSONRequest appends a NetRequest with the same omitempty shape
-// json.Marshal produced, so the client's reused encode buffer speaks the
-// exact v1 wire format.
-func appendJSONRequest(b []byte, req NetRequest) []byte {
-	b = append(b, '{')
-	if req.ID != 0 {
-		b = append(b, `"id":`...)
-		b = strconv.AppendUint(b, req.ID, 10)
-		b = append(b, ',')
-	}
-	b = append(b, `"kind":`...)
-	b = appendJSONString(b, req.Kind)
-	b = append(b, `,"port":`...)
-	b = strconv.AppendInt(b, int64(req.Port), 10)
-	if req.Queue != 0 {
-		b = append(b, `,"queue":`...)
-		b = strconv.AppendInt(b, int64(req.Queue), 10)
-	}
-	if req.Start != 0 {
-		b = append(b, `,"start":`...)
-		b = strconv.AppendUint(b, req.Start, 10)
-	}
-	if req.End != 0 {
-		b = append(b, `,"end":`...)
-		b = strconv.AppendUint(b, req.End, 10)
-	}
-	if req.At != 0 {
-		b = append(b, `,"at":`...)
-		b = strconv.AppendUint(b, req.At, 10)
-	}
-	if req.Trace != 0 {
-		b = append(b, `,"trace":`...)
-		b = strconv.AppendUint(b, req.Trace, 10)
-	}
-	return append(b, '}')
 }

@@ -3,12 +3,10 @@ package control
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"net"
 	"reflect"
 	"testing"
 
@@ -132,63 +130,6 @@ func TestWireReplyFromFlowCounts(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Counts, want.Counts) {
 			t.Fatalf("case %d: decoded %v, string-map encoding decoded %v", i, got.Counts, want.Counts)
-		}
-	}
-}
-
-// TestNetServerJSONLineUnchanged: the v1 line protocol's reply to a query is
-// byte-equal, modulo key order, to the line the string-map server wrote.
-func TestNetServerJSONLineUnchanged(t *testing.T) {
-	srv, ts := netFixture(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	sys := srv.qs.sys
-	interval, err := sys.QueryInterval(0, 1000, ts+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	culprits, err := sys.QueryOriginal(0, 0, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	original := qmonitor.FlowCounts(culprits)
-	for i, tc := range []struct {
-		req  string
-		want NetResponse
-	}{
-		{fmt.Sprintf(`{"id":1,"kind":"interval","port":0,"start":1000,"end":%d}`, ts+1), NetResponse{ID: 1, Counts: sprintfCounts(interval)}},
-		{fmt.Sprintf(`{"id":2,"kind":"original","port":0,"at":%d}`, ts), NetResponse{ID: 2, Counts: sprintfCounts(original)}},
-		{fmt.Sprintf(`{"id":3,"kind":"interval","port":0,"start":%d,"end":%d}`, ts+100, ts+200), NetResponse{ID: 3}},
-		{`{"id":4,"kind":"interval","port":9,"start":0,"end":1}`, NetResponse{ID: 4, Error: "control: port 9 not activated"}},
-	} {
-		if _, err := fmt.Fprintln(conn, tc.req); err != nil {
-			t.Fatal(err)
-		}
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Raw messages keep every value's bytes; only the order of the
-		// counts object's members is forgotten.
-		type rawLine struct {
-			ID     json.RawMessage            `json:"id"`
-			Counts map[string]json.RawMessage `json:"counts"`
-			Error  json.RawMessage            `json:"error"`
-		}
-		var got, want rawLine
-		if err := json.Unmarshal(line, &got); err != nil {
-			t.Fatalf("line %d %q: %v", i, line, err)
-		}
-		wantLine := appendJSONResponse(nil, tc.want)
-		if err := json.Unmarshal(wantLine, &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(line) != len(wantLine)+1 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("line %d: server wrote %q, the string-map server wrote %q", i, line, wantLine)
 		}
 	}
 }
@@ -335,85 +276,16 @@ func TestWireBadMagic(t *testing.T) {
 	}
 }
 
-// TestWireJSONAppendParity checks the hand-rolled pooled JSON encoders
-// against encoding/json: every response/request form must decode to the
-// same value the marshal-based path produced.
-func TestWireJSONAppendParity(t *testing.T) {
-	resps := []NetResponse{
-		{},
-		{ID: 1},
-		{ID: 2, Counts: map[string]float64{"10.0.0.1:80>10.0.0.2:90/tcp": 12.5}},
-		{ID: 3, Counts: map[string]float64{"a": 1e21, "b": 0.30000000000000004}},
-		{Error: "bad request: line exceeds 65536 bytes"},
-		{ID: 4, Error: "with \"quotes\" and \\slashes\\ and \x01 control"},
-	}
-	for i, resp := range resps {
-		got := appendJSONResponse(nil, resp)
-		var back NetResponse
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("resp %d: hand-rolled output %q undecodable: %v", i, got, err)
-		}
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantBack NetResponse
-		if err := json.Unmarshal(want, &wantBack); err != nil {
-			t.Fatal(err)
-		}
-		if back.ID != wantBack.ID || back.Error != wantBack.Error || len(back.Counts) != len(wantBack.Counts) {
-			t.Fatalf("resp %d: %q decodes to %+v, json.Marshal %q to %+v", i, got, back, want, wantBack)
-		}
-		for k, v := range wantBack.Counts {
-			if math.Float64bits(back.Counts[k]) != math.Float64bits(v) {
-				t.Fatalf("resp %d key %q: %v != %v (not bit-equal)", i, k, back.Counts[k], v)
-			}
-		}
-	}
-
-	reqs := []NetRequest{
-		{Kind: "interval", Port: 0, Start: 1000, End: 2000},
-		{ID: 9, Kind: "original", Port: 3, Queue: 1, At: 777},
-		{ID: 1, Kind: "interval", Port: 2, Start: 0, End: 1},
-	}
-	for i, req := range reqs {
-		got := appendJSONRequest(nil, req)
-		var back NetRequest
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("req %d: %q undecodable: %v", i, got, err)
-		}
-		if back != req {
-			t.Fatalf("req %d: %q decodes to %+v, want %+v", i, got, back, req)
-		}
-	}
-}
-
 // TestWireEncodeAllocs pins the zero-allocation property of the pooled
-// encode paths: once a buffer has grown, encoding a reply (binary or JSON)
-// into it allocates nothing — the satellite requirement that responses
-// stop paying json.Marshal + fresh slices.
+// encode paths: once a buffer has grown, encoding a reply or a request into
+// it allocates nothing.
 func TestWireEncodeAllocs(t *testing.T) {
-	resp := NetResponse{ID: 42, Counts: map[string]float64{
-		"10.0.0.1:80>10.0.0.2:90/tcp": 12.5,
-		"10.0.0.3:81>10.0.0.4:91/udp": 60,
-	}}
 	reply := wireReply{Counts: flow.Counts{fkey(1): 12.5, fkey(2): 60, flow.Zero: 1}}
 	buf := make([]byte, 0, 1<<12)
 	if n := testing.AllocsPerRun(200, func() {
 		buf = appendReplyFrame(buf[:0], 42, reply)
 	}); n > 0 {
 		t.Errorf("appendReplyFrame allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		buf = appendJSONResponse(buf[:0], resp)
-	}); n > 0 {
-		t.Errorf("appendJSONResponse allocates %.1f/op, want 0", n)
-	}
-	req := NetRequest{ID: 7, Kind: "interval", Port: 1, Start: 5, End: 9}
-	if n := testing.AllocsPerRun(200, func() {
-		buf = appendJSONRequest(buf[:0], req)
-	}); n > 0 {
-		t.Errorf("appendJSONRequest allocates %.1f/op, want 0", n)
 	}
 	qs := []BatchQuery{{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}, {Kind: OriginalQuery, Start: 3}}
 	if n := testing.AllocsPerRun(200, func() {
@@ -423,29 +295,24 @@ func TestWireEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestWireDifferentialJSONBinary drives an identical query stream through
-// the v1 JSON client and the v2 binary client (single and batch ops)
-// against one server and requires bit-equal counts and matching errors —
-// the acceptance gate that the codecs agree.
+// TestWireDifferentialJSONBinary drives a query stream through the wire
+// (single and batch ops) and requires what arrives to be, bit for bit and
+// error text for error text, the answer the System gives in process with its
+// flow keys rendered by flow.Key.String — the codec adds and loses nothing.
+// (The name is from when the reference was a second, JSON wire.)
 func TestWireDifferentialJSONBinary(t *testing.T) {
 	srv, ts := netFixture(t)
-	jc, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
 	bc, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	runWireDifferential(t, ts, jc, bc)
+	runWireDifferential(t, srv.qs.sys, ts, bc)
 }
 
-// runWireDifferential drives the shared query stream through a JSON and a
-// binary client (also reused with tracing enabled) and requires bit-equal
-// answers.
-func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient) {
+// runWireDifferential holds bc's answers to sys's own (also reused with
+// tracing enabled).
+func runWireDifferential(t *testing.T, sys *System, ts uint64, bc *MuxClient) {
 	t.Helper()
 	stream := []BatchQuery{
 		{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1},       // full trace
@@ -455,58 +322,59 @@ func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient
 		{Kind: IntervalQuery, Port: 0, Start: 5, End: 5},               // empty interval error
 		{Kind: OriginalQuery, Port: 0, Queue: 0, Start: 10},            // quiet instant
 	}
-
-	run := func(q BatchQuery, do func() (map[string]float64, error)) (map[string]float64, error) {
-		t.Helper()
-		return do()
-	}
-	bitEqual := func(i int, jm, bm map[string]float64) {
-		t.Helper()
-		if len(jm) != len(bm) {
-			t.Fatalf("query %d: json %d flows, binary %d flows", i, len(jm), len(bm))
-		}
-		for k, jv := range jm {
-			bv, ok := bm[k]
-			if !ok {
-				t.Fatalf("query %d: binary lost flow %q", i, k)
-			}
-			if math.Float64bits(jv) != math.Float64bits(bv) {
-				t.Fatalf("query %d flow %q: json bits %#x, binary bits %#x", i, k, math.Float64bits(jv), math.Float64bits(bv))
-			}
-		}
-	}
-
-	var jsonResults []map[string]float64
-	var jsonErrs []error
-	for i, q := range stream {
-		var jm, bm map[string]float64
-		var jerr, berr error
+	// inProcess is the reference: no worker pool, no frames.
+	inProcess := func(q BatchQuery) (flow.Counts, error) {
 		if q.Kind == IntervalQuery {
-			jm, jerr = run(q, func() (map[string]float64, error) { return jc.Interval(q.Port, q.Start, q.End) })
-			bm, berr = run(q, func() (map[string]float64, error) { return bc.Interval(q.Port, q.Start, q.End) })
-		} else {
-			jm, jerr = run(q, func() (map[string]float64, error) { return jc.Original(q.Port, q.Queue, q.Start) })
-			bm, berr = run(q, func() (map[string]float64, error) { return bc.Original(q.Port, q.Queue, q.Start) })
+			return sys.QueryInterval(q.Port, q.Start, q.End)
 		}
-		jsonResults = append(jsonResults, jm)
-		jsonErrs = append(jsonErrs, jerr)
-		if (jerr == nil) != (berr == nil) {
-			t.Fatalf("query %d: json err %v, binary err %v", i, jerr, berr)
-		}
-		if jerr != nil {
-			if jerr.Error() != berr.Error() {
-				t.Fatalf("query %d: json err %q, binary err %q", i, jerr, berr)
+		culprits, err := sys.QueryOriginal(q.Port, q.Queue, q.Start)
+		return qmonitor.FlowCounts(culprits), err
+	}
+	same := func(what string, i int, want flow.Counts, wantErr error, got map[string]float64, gotErr error) {
+		t.Helper()
+		if wantErr != nil || gotErr != nil {
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s %d: in-process err %v, wire err %v", what, i, wantErr, gotErr)
 			}
-			continue
+			return
 		}
-		if (jm == nil) != (bm == nil) {
-			t.Fatalf("query %d: nil-ness differs (json %v, binary %v)", i, jm == nil, bm == nil)
+		if got == nil {
+			t.Fatalf("%s %d: an answered query came back as a nil map", what, i)
 		}
-		bitEqual(i, jm, bm)
+		if len(got) != len(want) {
+			t.Fatalf("%s %d: in-process %d flows, wire %d flows", what, i, len(want), len(got))
+		}
+		for k, wv := range want {
+			gv, ok := got[k.String()]
+			if !ok {
+				t.Fatalf("%s %d: wire lost flow %v", what, i, k)
+			}
+			if math.Float64bits(wv) != math.Float64bits(gv) {
+				t.Fatalf("%s %d flow %v: in-process bits %#x, wire bits %#x", what, i, k, math.Float64bits(wv), math.Float64bits(gv))
+			}
+		}
 	}
 
-	// The same stream as one batch frame must agree with the per-query
-	// JSON answers too.
+	var answered int
+	for i, q := range stream {
+		want, wantErr := inProcess(q)
+		var got map[string]float64
+		var gotErr error
+		if q.Kind == IntervalQuery {
+			got, gotErr = bc.Interval(q.Port, q.Start, q.End)
+		} else {
+			got, gotErr = bc.Original(q.Port, q.Queue, q.Start)
+		}
+		same("query", i, want, wantErr, got, gotErr)
+		if wantErr == nil && len(want) > 0 {
+			answered++
+		}
+	}
+	if answered < 2 {
+		t.Fatalf("only %d queries of the stream had flows to compare", answered)
+	}
+
+	// The same stream as one batch frame.
 	batch, err := bc.Batch(stream)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
@@ -515,15 +383,7 @@ func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient
 		t.Fatalf("batch returned %d results, want %d", len(batch), len(stream))
 	}
 	for i, r := range batch {
-		if (jsonErrs[i] == nil) != (r.Err == nil) {
-			t.Fatalf("batch %d: json err %v, batch err %v", i, jsonErrs[i], r.Err)
-		}
-		if r.Err != nil {
-			if r.Err.Error() != jsonErrs[i].Error() {
-				t.Fatalf("batch %d: err %q, want %q", i, r.Err, jsonErrs[i])
-			}
-			continue
-		}
-		bitEqual(i, jsonResults[i], r.Counts)
+		want, wantErr := inProcess(stream[i])
+		same("batch", i, want, wantErr, r.Counts, r.Err)
 	}
 }

@@ -1,11 +1,10 @@
 // Package fleet is the multi-switch collector tier of the reproduction:
 // the paper's higher-layer diagnosis applications (Fig. 2) that query the
 // per-switch analysis program on every hop of a packet's path. A
-// Collector maintains one multiplexed query session (MuxClient, wire
-// protocol v2 with the hardened retry/backoff substrate) per registered
-// switch, polls their liveness, and fans interval queries out to all
-// switches on a path concurrently under a bounded worker pool with a
-// per-hop deadline.
+// Collector maintains one multiplexed query session (MuxClient, with its
+// retry/backoff) per registered switch, polls their liveness, and fans
+// interval queries out to all switches on a path concurrently under a
+// bounded worker pool with a per-hop deadline.
 //
 // Partial-result semantics are the contract: every requested hop yields a
 // HopResult — a hop that errors or times out is reported with its error,

@@ -198,7 +198,7 @@ func TestServeOpsUnderPipelineLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	qc, err := DialQueries(svc.Addr())
+	qc, err := DialQueriesMux(svc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestQueryClientTimeoutsExposed(t *testing.T) {
 	}()
 
 	// MaxRetries -1: exactly one attempt so exactly one timeout is counted.
-	c, err := DialQueriesOpts(ln.Addr().String(), DialOptions{Timeout: 50 * time.Millisecond, MaxRetries: -1})
+	c, err := DialQueriesMuxOpts(ln.Addr().String(), DialOptions{Timeout: 50 * time.Millisecond, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,9 @@ import (
 
 // QueryService is a running TCP endpoint for asynchronous queries: the
 // paper's Figure-3 path where higher-layer applications send requests to
-// the analysis program on the switch CPU. One listener speaks two wire
-// protocols, negotiated by the first byte of each connection: the binary
-// multiplexed v2 protocol (see MuxQueryClient) and newline-delimited JSON
-// (see QueryClient), which remains as the fallback.
+// the analysis program on the switch CPU. The listener speaks one protocol,
+// length-prefixed binary frames with many requests in flight per connection;
+// MuxQueryClient is its client.
 type QueryService struct {
 	qs  *control.QueryServer
 	srv *control.NetServer
@@ -27,7 +26,7 @@ type ServeOptions struct {
 	// negative disables it.
 	WriteTimeout time.Duration
 	// ShedLimit bounds concurrently executing requests; beyond it the
-	// server replies {"error":"overloaded"} instead of queueing (counted in
+	// server replies "overloaded" instead of queueing (counted in
 	// printqueue_netserver_shed_total). 0 means the default of 256;
 	// negative disables shedding.
 	ShedLimit int
@@ -66,18 +65,7 @@ func (q *QueryService) Close() error {
 	return err
 }
 
-// QueryClient talks to a QueryService over TCP. Every round trip carries
-// an I/O deadline (default 5s) so a hung or partitioned QueryService fails
-// a diagnosis quickly instead of blocking it forever. Queries are
-// idempotent, so failed round trips are retried automatically on a fresh
-// connection with exponential backoff (default 2 retries); requests and
-// responses carry matching ids, so a response delayed past its deadline can
-// never be mistaken for the answer to a later query.
-type QueryClient struct {
-	inner *control.QueryClient
-}
-
-// DialOptions tunes a QueryClient connection.
+// DialOptions tunes a MuxQueryClient connection.
 type DialOptions struct {
 	// Timeout is the per-round-trip I/O deadline. 0 means the 5s default;
 	// negative disables deadlines entirely.
@@ -99,60 +87,26 @@ type DialOptions struct {
 	Tracer *Tracer
 }
 
-// DialQueries connects to a QueryService with default options.
-func DialQueries(addr string) (*QueryClient, error) {
-	return DialQueriesOpts(addr, DialOptions{})
-}
-
-// DialQueriesOpts connects to a QueryService with explicit options.
-func DialQueriesOpts(addr string, opts DialOptions) (*QueryClient, error) {
-	inner, err := control.DialOpts(addr, control.DialOptions{
-		Timeout:     opts.Timeout,
-		MaxRetries:  opts.MaxRetries,
-		BackoffBase: opts.BackoffBase,
-		BackoffMax:  opts.BackoffMax,
-		Tracer:      opts.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryClient{inner: inner}, nil
-}
-
-// Close closes the connection.
-func (c *QueryClient) Close() error { return c.inner.Close() }
-
-// Timeouts returns how many of this client's round trips have failed with
-// an I/O timeout. The server-side view of query health lives on the ops
-// endpoint (printqueue_query_* metrics).
-func (c *QueryClient) Timeouts() int64 { return c.inner.Timeouts() }
-
-// Retries returns how many retry attempts this client has made after
-// retryable failures.
-func (c *QueryClient) Retries() int64 { return c.inner.Retries() }
-
-// Reconnects returns how many times this client has redialed after a
-// connection was poisoned by an I/O error.
-func (c *QueryClient) Reconnects() int64 { return c.inner.Reconnects() }
-
-// MuxQueryClient talks to a QueryService over the binary v2 wire protocol
-// with true multiplexing: many queries may be in flight on one TCP
-// connection at once (call it concurrently from any number of goroutines),
-// and Batch answers many queries with a single frame in each direction.
-// It keeps the QueryClient resilience contract — per-round-trip deadlines,
-// automatic retries with backoff, and id-matched responses so a late reply
-// is never mistaken for a later query's answer.
+// MuxQueryClient talks to a QueryService over TCP with true multiplexing:
+// many queries may be in flight on one connection at once (call it
+// concurrently from any number of goroutines), and Batch answers many
+// queries with a single frame in each direction. Every round trip carries a
+// deadline (default 5s) so a hung or partitioned QueryService fails a
+// diagnosis quickly instead of blocking it forever. Queries are idempotent,
+// so failed round trips are retried automatically on a fresh connection with
+// exponential backoff (default 2 retries); requests and replies carry
+// matching ids, so a reply delayed past its deadline can never be mistaken
+// for the answer to a later query.
 type MuxQueryClient struct {
 	inner *control.MuxClient
 }
 
-// DialQueriesMux connects a multiplexed binary client with default options.
+// DialQueriesMux connects to a QueryService with default options.
 func DialQueriesMux(addr string) (*MuxQueryClient, error) {
 	return DialQueriesMuxOpts(addr, DialOptions{})
 }
 
-// DialQueriesMuxOpts connects a multiplexed binary client with explicit
-// options. The options have the same meaning as for DialQueriesOpts.
+// DialQueriesMuxOpts connects to a QueryService with explicit options.
 func DialQueriesMuxOpts(addr string, opts DialOptions) (*MuxQueryClient, error) {
 	inner, err := control.DialMuxOpts(addr, control.DialOptions{
 		Timeout:     opts.Timeout,
@@ -171,6 +125,8 @@ func DialQueriesMuxOpts(addr string, opts DialOptions) (*MuxQueryClient, error) 
 func (c *MuxQueryClient) Close() error { return c.inner.Close() }
 
 // Timeouts returns how many round trips have failed with an I/O timeout.
+// The server-side view of query health lives on the ops endpoint
+// (printqueue_query_* metrics).
 func (c *MuxQueryClient) Timeouts() int64 { return c.inner.Timeouts() }
 
 // Retries returns how many retry attempts this client has made.
@@ -270,23 +226,4 @@ func reportFromWire(counts map[string]float64) (Report, error) {
 	}
 	SortCulprits(out)
 	return out, nil
-}
-
-// Interval queries per-flow packet counts dequeued during [start, end) on a
-// port.
-func (c *QueryClient) Interval(port int, start, end uint64) (Report, error) {
-	counts, err := c.inner.Interval(port, start, end)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromWire(counts)
-}
-
-// Original queries the original causes of congestion at time t.
-func (c *QueryClient) Original(port, queue int, t uint64) (Report, error) {
-	counts, err := c.inner.Original(port, queue, t)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromWire(counts)
 }

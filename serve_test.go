@@ -40,7 +40,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	defer svc.Close()
 
-	client, err := DialQueries(svc.Addr())
+	client, err := DialQueriesMux(svc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeMuxEndToEnd drives the same fixture through the binary
-// multiplexed client: single queries, a mixed batch, and agreement with
-// the JSON client on the same listener.
+// TestServeMuxEndToEnd drives a small fixture through the public client:
+// single queries, traced and untraced, that agree entry for entry with the
+// in-process answer, and a mixed batch.
 func TestServeMuxEndToEnd(t *testing.T) {
 	pq, err := New(Config{
 		TimeWindows:  TimeWindowConfig{M0: 3, K: 6, Alpha: 1, T: 3, MinPktTxDelay: 10 * time.Nanosecond},
@@ -109,27 +109,36 @@ func TestServeMuxEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mux.Close()
-	jsonc, err := DialQueries(svc.Addr())
+	tracer := NewTracer(1, 0) // every query goes out as a traced frame
+	traced, err := DialQueriesMuxOpts(svc.Addr(), DialOptions{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jsonc.Close()
+	defer traced.Close()
 
-	viaMux, err := mux.Interval(0, 1000, ts+1)
+	local, err := pq.QueryInterval(0, 1000, ts+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaJSON, err := jsonc.Interval(0, 1000, ts+1)
-	if err != nil {
-		t.Fatal(err)
+	if local.Total() < 45 {
+		t.Fatalf("in-process answer recovered %v packets, want ~50", local.Total())
 	}
-	if len(viaMux) != len(viaJSON) {
-		t.Fatalf("mux %d flows, json %d", len(viaMux), len(viaJSON))
-	}
-	for i := range viaJSON {
-		if viaMux[i] != viaJSON[i] {
-			t.Fatalf("entry %d differs across protocols: %+v vs %+v", i, viaMux[i], viaJSON[i])
+	for name, c := range map[string]*MuxQueryClient{"untraced": mux, "traced": traced} {
+		remote, err := c.Interval(0, 1000, ts+1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(remote) != len(local) {
+			t.Fatalf("%s: remote %d flows, in-process %d", name, len(remote), len(local))
+		}
+		for i := range local {
+			if remote[i] != local[i] {
+				t.Fatalf("%s: entry %d differs from the in-process answer: %+v vs %+v", name, i, remote[i], local[i])
+			}
+		}
+	}
+	if len(tracer.Traces()) == 0 {
+		t.Fatal("the traced client sent no traced frame")
 	}
 
 	rs, err := mux.Batch([]BatchQuery{
@@ -143,7 +152,7 @@ func TestServeMuxEndToEnd(t *testing.T) {
 	if len(rs) != 3 {
 		t.Fatalf("batch returned %d results, want 3", len(rs))
 	}
-	if rs[0].Err != nil || rs[0].Report.Total() != viaJSON.Total() {
+	if rs[0].Err != nil || rs[0].Report.Total() != local.Total() {
 		t.Fatalf("batch[0] = %+v, want the interval report", rs[0])
 	}
 	if rs[1].Err != nil || rs[1].Report.Total() == 0 {
@@ -167,7 +176,7 @@ func TestServeMuxEndToEnd(t *testing.T) {
 }
 
 func TestDialQueriesError(t *testing.T) {
-	if _, err := DialQueries("127.0.0.1:1"); err == nil {
+	if _, err := DialQueriesMux("127.0.0.1:1"); err == nil {
 		t.Skip("something is listening on port 1")
 	}
 }
@@ -197,7 +206,7 @@ func TestServeResilienceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	client, err := DialQueriesOpts(svc.Addr(), DialOptions{
+	client, err := DialQueriesMuxOpts(svc.Addr(), DialOptions{
 		Timeout: 2 * time.Second, MaxRetries: 3, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
@@ -224,7 +233,10 @@ func TestServeResilienceEndToEnd(t *testing.T) {
 	if client.Reconnects() < 1 {
 		t.Errorf("Reconnects() = %d after idle disconnect, want >= 1", client.Reconnects())
 	}
-	if client.Retries() < 1 {
-		t.Errorf("Retries() = %d after idle disconnect, want >= 1", client.Retries())
+	// The client's reader saw the close when it happened, so the second query
+	// redialled before sending: the idle disconnect costs none of the retry
+	// budget.
+	if client.Retries() != 0 {
+		t.Errorf("Retries() = %d after idle disconnect, want 0", client.Retries())
 	}
 }

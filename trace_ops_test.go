@@ -102,7 +102,7 @@ func TestOpsTraceEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	qc, err := DialQueries(svc.Addr())
+	qc, err := DialQueriesMux(svc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
