@@ -289,7 +289,8 @@ func (c *MuxClient) InFlight() int64 { return c.inflight.Load() }
 
 // readLoop drains reply frames for one connection generation, delivering
 // each to its pending waiter. Any read or decode failure poisons the
-// connection.
+// connection; a frame the reader cannot make sense of fails the pending
+// round trips as a desync, which they retry on a fresh connection.
 func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
 	br := getReader(conn)
 	defer putReader(br)
@@ -298,6 +299,9 @@ func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
 	for {
 		op, payload, err := readFrame(br, scratch, maxFramePayload)
 		scratch = payload[:0]
+		if isFrameErr(err) {
+			err = fmt.Errorf("%w: %w", errDesync, err)
+		}
 		if err != nil {
 			c.poison(gen, err)
 			return
@@ -327,7 +331,7 @@ func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
 			err = errBadMagic
 		}
 		if err != nil {
-			c.poison(gen, err)
+			c.poison(gen, fmt.Errorf("%w: %w", errDesync, err))
 			return
 		}
 		c.mu.Lock()

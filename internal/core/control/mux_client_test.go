@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -249,6 +250,76 @@ func TestMuxClientReconnect(t *testing.T) {
 	}
 	if c.Reconnects() == 0 {
 		t.Error("reconnect not counted")
+	}
+}
+
+// TestMuxClientRetriesGarbledReply: a reply stream that loses framing fails
+// the round trips in flight on it as a desync, and they are retried on a
+// fresh connection. The peer's first connection waits for two requests and
+// answers them with a bad-magic frame; every later one is proxied to a real
+// server. (The reader used to fail the waiters with the bare frame error,
+// which is not retryable: both calls returned "control: bad frame magic".)
+func TestMuxClientRetriesGarbledReply(t *testing.T) {
+	srv, ts := netFixture(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for n := 0; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if n == 0 {
+				go func() {
+					defer conn.Close()
+					br := bufio.NewReader(conn)
+					for range 2 {
+						if _, _, err := readFrame(br, nil, maxFramePayload); err != nil {
+							return
+						}
+					}
+					conn.Write([]byte{^frameMagic, opReply, 0, 0, 0, 0})
+				}()
+				continue
+			}
+			up, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			go func() { io.Copy(up, conn); up.Close() }()
+			go func() { io.Copy(conn, up); conn.Close() }()
+		}
+	}()
+
+	c, err := DialMuxOpts(ln.Addr().String(), DialOptions{
+		Timeout: 2 * time.Second, MaxRetries: 2, BackoffBase: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts, err := c.Interval(0, 1000, ts+1)
+			if err != nil {
+				t.Errorf("round trip %d across a garbled reply: %v", g, err)
+				return
+			}
+			if total := sumCounts(counts); total < 50 || total > 70 {
+				t.Errorf("round trip %d: total %v, want ~60", g, total)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Retries() < 1 || c.Reconnects() < 1 {
+		t.Errorf("retries = %d, reconnects = %d; want both >= 1", c.Retries(), c.Reconnects())
 	}
 }
 

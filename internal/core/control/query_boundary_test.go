@@ -13,9 +13,12 @@ import (
 
 // scanInterval is the interval-query oracle: every hot checkpoint of the
 // port plus every cold one below the hot tier's coverage start, each clamped
-// to [start, end) and walked cell by cell (AccumulateScanInto) — no coverage
-// search against the interval, no cell index, no sharding. Every source the
-// engine answers from is compared with it.
+// to [start, end) and walked cell by cell (Snapshot.AccumulateScanInto) — no
+// coverage search against the interval, no cell index, no sharding. The cold
+// ones are read from the log record by record (ReplaySince + DecodeRecord),
+// not through the store's cache, so the cold tier's index is compared with
+// an independent decode. Every source the engine answers from is compared
+// with it.
 func scanInterval(s *System, port int, start, end uint64) flow.Counts {
 	hot := s.Checkpoints(port)
 	hotStart := ^uint64(0)
@@ -24,17 +27,23 @@ func scanInterval(s *System, port int, start, end uint64) flow.Counts {
 	}
 	acc := timewindow.NewAccumulator(s.cfg.TW.T, s.cfg.TW.Coefficients())
 	if s.hist != nil {
-		cold, err := s.hist.Covering(port, 0, hotStart)
+		err := s.hist.ReplaySince(0, func(payload []byte, p int, freeze, prev uint64, _ bool) error {
+			if p != port || prev >= hotStart {
+				return nil
+			}
+			rec, err := histstore.DecodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			rec.TW.AccumulateScanInto(acc, max(start, prev), min(end, freeze))
+			return nil
+		})
 		if err != nil {
 			panic(err)
 		}
-		for _, cc := range cold {
-			prev, freeze := cc.Coverage()
-			cc.Filtered().AccumulateScanInto(acc, max(start, prev), min(end, freeze))
-		}
 	}
 	for _, cp := range hot {
-		cp.Filtered().AccumulateScanInto(acc, max(start, cp.PrevFreeze), min(end, cp.FreezeTime))
+		cp.TW.AccumulateScanInto(acc, max(start, cp.PrevFreeze), min(end, cp.FreezeTime))
 	}
 	return acc.Counts()
 }

@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -21,8 +22,10 @@ func allocatedBy(f func()) uint64 {
 }
 
 // wireDecoders are the decoders that read a peer's bytes on the query
-// plane: a collector's MuxClient runs the reply ones on whatever a switch
-// (or whoever answers at its address) sends, a switch the request ones.
+// plane and the checkpoint stream: a collector's MuxClient runs the reply
+// ones on whatever a switch (or whoever answers at its address) sends, its
+// mirror streamer the push and resync ones; a switch runs the request and
+// subscribe ones.
 var wireDecoders = []struct {
 	name   string
 	decode func(p []byte) error
@@ -35,6 +38,9 @@ var wireDecoders = []struct {
 	{"batchRequest", func(p []byte) error { _, _, err := decodeBatchRequest(p); return err }},
 	{"batchRequestT", func(p []byte) error { _, _, _, err := decodeBatchRequestT(p); return err }},
 	{"spans", func(p []byte) error { _, _, err := decodeSpans(p, tracing.SrcServer); return err }},
+	{"subscribe", func(p []byte) error { _, err := decodeSubscribe(p); return err }},
+	{"checkpoint", func(p []byte) error { _, err := decodeCheckpointFrame(p); return err }},
+	{"resync", func(p []byte) error { _, err := decodeResync(p); return err }},
 }
 
 // wireAllocBound is what decoding n bytes may allocate: every element a
@@ -64,7 +70,10 @@ func TestWireOverDeclaredCountRefused(t *testing.T) {
 			"spans":         count,
 		}
 		for _, d := range wireDecoders {
-			body := bodies[d.name]
+			body, ok := bodies[d.name]
+			if !ok {
+				continue // a stream frame declares no count to size anything by
+			}
 			var err error
 			got := allocatedBy(func() { err = d.decode(body) })
 			if !errors.Is(err, errTruncated) {
@@ -105,13 +114,16 @@ func appendStringReplyBody(b []byte, r BatchResult) []byte {
 	return appendStringCounts(append(b, 0), r.Counts)
 }
 
-// FuzzWireReply feeds arbitrary bytes to every query-plane body decoder.
-// None may panic or allocate beyond a small multiple of the input; whatever
-// decodes must re-encode to bytes that decode to an equal value.
+// FuzzWireReply feeds arbitrary bytes to every query-plane and
+// checkpoint-stream body decoder. None may panic or allocate beyond a small
+// multiple of the input; whatever decodes must re-encode to bytes that
+// decode to an equal value.
 func FuzzWireReply(f *testing.F) {
 	// The seeds are the committed corpus (testdata/fuzz/FuzzWireReply):
 	// frame payloads of an empty, a one-flow and a 2000-flow reply, an error
-	// reply, a batch reply and request, and the over-declared counts.
+	// reply, a batch reply and request, the over-declared counts, a
+	// subscribe, a special replayed push, a resync, and a push whose
+	// prev-freeze delta runs past its freeze time.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One measurement around all of them: ReadMemStats stops the world,
@@ -160,6 +172,29 @@ func FuzzWireReply(f *testing.F) {
 				if qs[i] != qs2[i] {
 					t.Fatalf("batch request query %d: %+v re-encodes to %+v", i, qs[i], qs2[i])
 				}
+			}
+		}
+		if since, err := decodeSubscribe(data); err == nil {
+			if again, err := decodeSubscribe(appendSubscribeFrame(nil, since)[frameHeaderLen:]); err != nil || again != since {
+				t.Fatalf("subscribe since %d re-encodes to %d (err %v)", since, again, err)
+			}
+		}
+		if cf, err := decodeCheckpointFrame(data); err == nil {
+			var flags byte
+			if cf.Special {
+				flags |= pushFlagSpecial
+			}
+			if cf.Replay {
+				flags |= pushFlagReplay
+			}
+			again, err := decodeCheckpointFrame(appendCheckpointFrame(nil, cf.Seq, cf.Port, cf.FreezeTime, cf.PrevFreeze, flags, cf.Payload)[frameHeaderLen:])
+			if err != nil || !reflect.DeepEqual(again, cf) {
+				t.Fatalf("checkpoint push %+v re-encodes to %+v (err %v)", cf, again, err)
+			}
+		}
+		if dropped, err := decodeResync(data); err == nil {
+			if again, err := decodeResync(appendResyncFrame(nil, dropped)[frameHeaderLen:]); err != nil || again != dropped {
+				t.Fatalf("resync of %d dropped re-encodes to %d (err %v)", dropped, again, err)
 			}
 		}
 	})

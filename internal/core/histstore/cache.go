@@ -14,35 +14,35 @@ type cacheKey struct {
 	off int64
 }
 
-// cachedCheckpoint is one cold checkpoint resident in the LRU, holding what
-// interval queries read: the coverage and the time windows. The cache is
-// charged for exactly that — the cells the record holds (its sparse
-// snapshot, not the register geometry) on insert, then the Algorithm-3 cell
-// index (the Filtered form, which shares the cells) when the first
-// accumulate builds it.
-type cachedCheckpoint struct {
-	key        cacheKey
+// ColdCheckpoint is one checkpoint served from the cold tier, as far as an
+// interval query reads it: its coverage (PrevFreeze, FreezeTime], its window
+// configuration and its Algorithm-3 index. The cells the index was built
+// from, and the queue monitors (never decoded; see DecodeRecord for the
+// whole record), are not kept. It is immutable once built, so the LRU hands
+// out the resident entry itself.
+type ColdCheckpoint struct {
 	freezeTime uint64
 	prevFreeze uint64
-	tw         *timewindow.Snapshot
-
-	filterOnce sync.Once
+	cfg        timewindow.Config
 	filtered   *timewindow.Filtered
-
-	bytes int64 // current charge against the cache budget
 }
 
-// Filtered returns the checkpoint's filtered/indexed time-window form,
-// building it on first use and charging its footprint to the cache.
-func (c *cachedCheckpoint) Filtered(onGrow func(*cachedCheckpoint, int64)) *timewindow.Filtered {
-	c.filterOnce.Do(func() {
-		c.filtered = c.tw.Filter()
-		if onGrow != nil {
-			onGrow(c, c.filtered.MemBytes())
-		}
-	})
-	return c.filtered
+// Coverage returns the checkpoint's coverage (prevFreeze, freezeTime]. With
+// Filtered it makes a ColdCheckpoint a timewindow.Covered.
+func (c *ColdCheckpoint) Coverage() (prevFreeze, freezeTime uint64) {
+	return c.prevFreeze, c.freezeTime
 }
+
+// Config returns the checkpoint's time-window configuration.
+func (c *ColdCheckpoint) Config() timewindow.Config { return c.cfg }
+
+// Filtered returns the checkpoint's filtered, indexed time windows.
+func (c *ColdCheckpoint) Filtered() *timewindow.Filtered { return c.filtered }
+
+// memBytes is what an entry is charged against the cache budget: a fixed 64
+// for the entry and its bookkeeping, plus the index. An entry is immutable,
+// so its charge never changes after insert.
+func (c *ColdCheckpoint) memBytes() int64 { return 64 + c.filtered.MemBytes() }
 
 // lruCache is a byte-budgeted LRU of decoded cold checkpoints. It reports
 // its resident bytes to two gauges: the store's own cache gauge and the
@@ -60,7 +60,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key cacheKey
-	cp  *cachedCheckpoint
+	cp  *ColdCheckpoint
 }
 
 func newLRUCache(budget int64, onBytes func(int64)) *lruCache {
@@ -73,7 +73,7 @@ func newLRUCache(budget int64, onBytes func(int64)) *lruCache {
 }
 
 // get returns the cached checkpoint for key, marking it most recently used.
-func (c *lruCache) get(key cacheKey) (*cachedCheckpoint, bool) {
+func (c *lruCache) get(key cacheKey) (*ColdCheckpoint, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -87,7 +87,7 @@ func (c *lruCache) get(key cacheKey) (*cachedCheckpoint, bool) {
 // put inserts a freshly decoded checkpoint, evicting least-recently-used
 // entries until the budget holds. If key is already present (a racing
 // decode), the existing entry wins and the new one is discarded.
-func (c *lruCache) put(key cacheKey, cp *cachedCheckpoint) *cachedCheckpoint {
+func (c *lruCache) put(key cacheKey, cp *ColdCheckpoint) *ColdCheckpoint {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
@@ -97,31 +97,12 @@ func (c *lruCache) put(key cacheKey, cp *cachedCheckpoint) *cachedCheckpoint {
 	}
 	el := c.order.PushFront(&lruEntry{key: key, cp: cp})
 	c.entries[key] = el
-	delta := cp.bytes + c.evictLocked(cp.bytes)
+	delta := cp.memBytes() + c.evictLocked(cp.memBytes())
 	c.mu.Unlock()
 	if c.onBytes != nil && delta != 0 {
 		c.onBytes(delta)
 	}
 	return cp
-}
-
-// grow charges extra bytes to an entry (its lazily built index) and evicts
-// to stay within budget. If the entry has already been evicted — the index
-// was built after a racing eviction — the charge is skipped: its bytes are
-// no longer counted in the pool.
-func (c *lruCache) grow(cp *cachedCheckpoint, extra int64) {
-	c.mu.Lock()
-	el, live := c.entries[cp.key]
-	if !live || el.Value.(*lruEntry).cp != cp {
-		c.mu.Unlock()
-		return
-	}
-	cp.bytes += extra
-	delta := extra + c.evictLocked(extra)
-	c.mu.Unlock()
-	if c.onBytes != nil && delta != 0 {
-		c.onBytes(delta)
-	}
 }
 
 // evictLocked frees least-recently-used entries until bytes+incoming fits
@@ -138,8 +119,8 @@ func (c *lruCache) evictLocked(incoming int64) int64 {
 		ent := el.Value.(*lruEntry)
 		c.order.Remove(el)
 		delete(c.entries, ent.key)
-		c.bytes -= ent.cp.bytes
-		delta -= ent.cp.bytes
+		c.bytes -= ent.cp.memBytes()
+		delta -= ent.cp.memBytes()
 	}
 	c.bytes += incoming
 	return delta
@@ -156,8 +137,8 @@ func (c *lruCache) dropSegment(seg uint64) {
 		if ent.key.seg == seg {
 			c.order.Remove(el)
 			delete(c.entries, ent.key)
-			c.bytes -= ent.cp.bytes
-			delta -= ent.cp.bytes
+			c.bytes -= ent.cp.memBytes()
+			delta -= ent.cp.memBytes()
 		}
 		el = next
 	}

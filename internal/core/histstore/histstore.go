@@ -8,8 +8,8 @@
 // checkpoints Covering its interval; the store locates them via the
 // per-segment time-indexed footers (loaded lazily, on first touch), decodes
 // on miss the part of them an interval query reads — coverage and time
-// windows, not the queue monitors — and keeps that, with the lazily built
-// Algorithm-3 cell index, in the LRU so repeated narrow queries over deep
+// windows, not the queue monitors — builds their Algorithm-3 cell index and
+// keeps only that index in the LRU, so repeated narrow queries over deep
 // history stay sub-millisecond while resident memory stays bounded.
 package histstore
 
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"printqueue/internal/core/timewindow"
 	"printqueue/internal/telemetry"
 )
 
@@ -136,7 +135,7 @@ func Open(opts Options, reg *telemetry.Registry) (*Store, error) {
 		segments:     reg.Gauge("printqueue_hist_segments", "History segment files currently on disk."),
 		cacheBytes:   reg.Gauge("printqueue_hist_cache_bytes", "Resident bytes of the decoded cold-checkpoint LRU."),
 		historyBytes: reg.Gauge("printqueue_history_bytes", "Resident bytes of checkpoint history (hot tier + cold LRU)."),
-		decodeNs:     reg.Histogram("printqueue_hist_decode_ns", "Nanoseconds to decode one cold checkpoint from its segment.", telemetry.LatencyBuckets),
+		decodeNs:     reg.Histogram("printqueue_hist_decode_ns", "Nanoseconds a cold-cache miss takes: read one checkpoint from its segment, decode it and build its Algorithm-3 index.", telemetry.LatencyBuckets),
 	}
 	s.cache = newLRUCache(opts.CacheBytes, func(delta int64) {
 		s.cacheBytes.Add(delta)
@@ -451,34 +450,11 @@ func (s *Store) updateDiskGaugesLocked() {
 	s.segments.Set(n)
 }
 
-// ColdCheckpoint is one checkpoint served from the cold tier, decoded as far
-// as an interval query reads it: its coverage (PrevFreeze, FreezeTime], its
-// window configuration, and the filtered, indexed time windows. The queue
-// monitors are not decoded (see DecodeRecord for the whole record).
-type ColdCheckpoint struct {
-	store *Store
-	cp    *cachedCheckpoint
-}
-
-// Coverage returns the checkpoint's coverage (prevFreeze, freezeTime]. With
-// Filtered it makes a ColdCheckpoint a timewindow.Covered.
-func (c *ColdCheckpoint) Coverage() (prevFreeze, freezeTime uint64) {
-	return c.cp.prevFreeze, c.cp.freezeTime
-}
-
-// Config returns the checkpoint's time-window configuration.
-func (c *ColdCheckpoint) Config() timewindow.Config { return c.cp.tw.Config() }
-
-// Filtered returns the checkpoint's filtered, indexed time-window form,
-// built lazily and charged to the store's cache budget.
-func (c *ColdCheckpoint) Filtered() *timewindow.Filtered {
-	return c.cp.Filtered(c.store.cache.grow)
-}
-
 // Covering returns the cold checkpoints for port whose coverage interval
 // (PrevFreeze, FreezeTime] overlaps the query interval [start, end), in
 // ascending freeze-time order. Sealed-segment indexes are loaded lazily on
-// first touch; records are decoded on cache miss and retained in the LRU.
+// first touch; records are decoded and indexed on cache miss and their index
+// retained in the LRU.
 func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error) {
 	if end <= start {
 		return nil, nil
@@ -525,7 +501,7 @@ func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error)
 		key := cacheKey{seg: l.seg, off: l.entry.offset}
 		if cp, ok := s.cache.get(key); ok {
 			s.cacheHits.Inc()
-			out = append(out, &ColdCheckpoint{store: s, cp: cp})
+			out = append(out, cp)
 			continue
 		}
 		s.cacheMisses.Inc()
@@ -539,10 +515,10 @@ func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error)
 			s.decodeErrs.Inc()
 			return nil, err
 		}
-		out = append(out, &ColdCheckpoint{store: s, cp: cp})
+		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].cp.freezeTime < out[j].cp.freezeTime
+		return out[i].freezeTime < out[j].freezeTime
 	})
 	return out, nil
 }
@@ -632,10 +608,11 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 }
 
 // decodeAt reads the record at the given location, decodes what queries read
-// of it — everything up to the queue-monitor section — and inserts that
-// into the LRU. A racing decode of the same record is deduplicated: the
-// first insert wins.
-func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*cachedCheckpoint, error) {
+// of it — everything up to the queue-monitor section — builds its Algorithm-3
+// index, and inserts the index alone into the LRU: the decoded cells are
+// garbage once it is built. A racing decode of the same record is
+// deduplicated: the first insert wins.
+func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*ColdCheckpoint, error) {
 	t0 := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
@@ -650,14 +627,13 @@ func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*cachedCh
 	if err != nil {
 		return nil, err
 	}
-	s.decodeNs.Observe(uint64(time.Since(t0).Nanoseconds()))
-	cp := &cachedCheckpoint{
-		key:        key,
+	cp := &ColdCheckpoint{
 		freezeTime: rec.FreezeTime,
 		prevFreeze: rec.PrevFreeze,
-		tw:         rec.TW,
-		bytes:      rec.MemBytes(),
+		cfg:        rec.TW.Config(),
+		filtered:   rec.TW.Filter(),
 	}
+	s.decodeNs.Observe(uint64(time.Since(t0).Nanoseconds()))
 	return s.cache.put(key, cp), nil
 }
 

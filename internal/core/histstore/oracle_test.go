@@ -465,7 +465,7 @@ func assertLogAnswersLikeRecords(t *testing.T, st *Store, recs []*Record, ports 
 		want := timewindow.NewAccumulator(cfg.T, coeff)
 		for _, rec := range recs {
 			if rec.Port == port {
-				rec.TW.Filter().AccumulateScanInto(want, max(lo, rec.PrevFreeze), min(hi, rec.FreezeTime))
+				rec.TW.AccumulateScanInto(want, max(lo, rec.PrevFreeze), min(hi, rec.FreezeTime))
 			}
 		}
 		cps, err := st.Covering(port, lo, hi)

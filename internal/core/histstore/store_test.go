@@ -328,13 +328,13 @@ func TestStoreOpenIgnoresForeignFiles(t *testing.T) {
 }
 
 // TestStoreCacheChargesWhatQueriesRead pins the cold cache's accounting on
-// the paper's register geometry: an entry is charged the time-window cells
-// it holds plus, once built, the cell index — not the queue monitors (never
-// decoded) and not a second copy of the cells — and therefore a fixed budget
-// keeps at least 2.5x the checkpoints it kept when it was charged for those
-// too.
+// the paper's register geometry: an entry is its Algorithm-3 index and is
+// charged 64 bytes plus that index, once, at insert — not the cells the
+// index was built from, nor the queue monitors (never decoded) — and never
+// grows after it, however it is queried. A fixed budget therefore keeps at
+// least 2.5x the entries it kept when an entry held the cells as well.
 func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
-	const budget = 32 << 20
+	const budget = 8 << 20
 	base := seededRecords(t, true)[0].rec // many flows: the largest index
 	st := openTestStore(t, t.TempDir(), Options{CacheBytes: budget})
 	defer st.Close()
@@ -355,40 +355,45 @@ func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
 	if len(cps) != n {
 		t.Fatalf("got %d checkpoints, want %d", len(cps), n)
 	}
-	for _, cp := range cps {
-		cp.Filtered()
-	}
 
-	tw := base.TW.MemBytes()
 	index := base.TW.Filter().MemBytes()
+	charged := st.cache.residentBytes()
 	var sum int64
 	for _, el := range st.cache.entries {
-		cp := el.Value.(*lruEntry).cp
-		if want := 64 + tw + index; cp.bytes != want {
-			t.Fatalf("entry charged %d bytes, want header 64 + windows %d + index %d = %d", cp.bytes, tw, index, want)
+		charge := el.Value.(*lruEntry).cp.memBytes()
+		if want := 64 + index; charge != want {
+			t.Fatalf("entry charged %d bytes, want header 64 + index %d = %d", charge, index, want)
 		}
-		sum += cp.bytes
+		sum += charge
 	}
-	if got := st.cache.residentBytes(); got != sum || got > budget {
-		t.Fatalf("cache reports %d resident bytes; entries sum to %d, budget %d", got, sum, budget)
+	if charged != sum || charged > budget {
+		t.Fatalf("cache reports %d resident bytes; entries sum to %d, budget %d", charged, sum, budget)
 	}
 	if got := st.Stats().CacheBytes; got != sum {
 		t.Fatalf("Stats.CacheBytes %d, entries sum to %d", got, sum)
 	}
+	for _, cp := range cps {
+		if cp.Filtered().Query(0, ^uint64(0)).Total() == 0 {
+			t.Fatal("a resident entry answers nothing over all time")
+		}
+	}
+	if got := st.cache.residentBytes(); got != charged {
+		t.Fatalf("querying every entry moved the cache's charge from %d to %d bytes", charged, got)
+	}
 
-	// What the seed charged per entry: the whole decoded record (windows and
-	// queue monitors), and a Filtered that carried its own copy of the
-	// windows beside the index.
-	seedCharge := base.MemBytes() + tw + index
-	seedKept := budget / seedCharge
+	// What the parent charged per entry: the decoded cells (the record's
+	// 64-byte header and its windows) plus, once the first query built it,
+	// the index beside them.
+	parentCharge := 64 + base.TW.MemBytes() + index
+	parentKept := budget / parentCharge
 	kept := int64(len(st.cache.entries))
-	t.Logf("per entry %d B (seed %d B); a %d MiB budget keeps %d entries (seed %d)",
-		64+tw+index, seedCharge, budget>>20, kept, seedKept)
+	t.Logf("per entry %d B (parent %d B); a %d MiB budget keeps %d entries (parent %d)",
+		64+index, parentCharge, budget>>20, kept, parentKept)
 	if kept >= n {
 		t.Fatalf("all %d entries fit: the test no longer exercises the budget", n)
 	}
-	if float64(kept) < 2.5*float64(seedKept) {
-		t.Fatalf("budget keeps %d entries, want at least 2.5x the seed's %d", kept, seedKept)
+	if float64(kept) < 2.5*float64(parentKept) {
+		t.Fatalf("budget keeps %d entries, want at least 2.5x the parent's %d", kept, parentKept)
 	}
 }
 

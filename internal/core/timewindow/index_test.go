@@ -31,7 +31,8 @@ func TestIndexedQueryMatchesScan(t *testing.T) {
 			ts += uint64(1 + rng.IntN(200))
 			w.Insert(fkey(uint32(rng.IntN(40))), ts)
 		}
-		f := w.Snapshot().Filter()
+		s := w.Snapshot()
+		f := s.Filter()
 		horizon := ts + cfg.SetPeriod()
 		for q := 0; q < 40; q++ {
 			var lo, hi uint64
@@ -50,7 +51,7 @@ func TestIndexedQueryMatchesScan(t *testing.T) {
 				lo = rng.Uint64N(horizon + 1)
 				hi = lo + rng.Uint64N(horizon/4+2)
 			}
-			want := f.QueryScan(lo, hi)
+			want := s.QueryScan(lo, hi)
 			got := f.Query(lo, hi)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d cfg %+v interval [%d,%d): indexed %v != scan %v",
@@ -76,9 +77,10 @@ func TestIndexedQueryEmptyAndSingleCell(t *testing.T) {
 
 	w2, _ := New(cfg, nil)
 	w2.Insert(fkey(1), 5)
-	f2 := w2.Snapshot().Filter()
+	s2 := w2.Snapshot()
+	f2 := s2.Filter()
 	for _, iv := range [][2]uint64{{0, 1000}, {5, 6}, {0, 5}, {6, 1000}, {0, 1}} {
-		want := f2.QueryScan(iv[0], iv[1])
+		want := s2.QueryScan(iv[0], iv[1])
 		got := f2.Query(iv[0], iv[1])
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("single-cell interval %v: indexed %v != scan %v", iv, got, want)
@@ -97,9 +99,10 @@ func TestIndexedQueryWrapAtZero(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		w.Insert(fkey(uint32(i)), i)
 	}
-	f := w.Snapshot().Filter()
+	s := w.Snapshot()
+	f := s.Filter()
 	for _, iv := range [][2]uint64{{0, 1}, {0, 4}, {1, 3}, {3, 4}, {0, 1000}, {4, 1000}} {
-		want := f.QueryScan(iv[0], iv[1])
+		want := s.QueryScan(iv[0], iv[1])
 		got := f.Query(iv[0], iv[1])
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("wrap interval %v: indexed %v != scan %v", iv, got, want)
@@ -166,7 +169,7 @@ func TestIndexedVisitsOnlyHits(t *testing.T) {
 	idxAcc := NewAccumulator(cfg.T, cfg.Coefficients())
 	scanAcc := NewAccumulator(cfg.T, cfg.Coefficients())
 	idxCells := f.AccumulateInto(idxAcc, lo, hi)
-	scanCells := f.AccumulateScanInto(scanAcc, lo, hi)
+	scanCells := s.AccumulateScanInto(scanAcc, lo, hi)
 	if scanCells != s.KeptCells() || scanCells < cfg.T*cfg.Cells()*3/4 {
 		t.Fatalf("scan visited %d cells, want all %d the snapshot holds of %d registers", scanCells, s.KeptCells(), cfg.T*cfg.Cells())
 	}

@@ -147,12 +147,10 @@ func (s *Snapshot) KeptCells() int {
 	return n
 }
 
-// MemBytes estimates what the filtered snapshot owns: the ordered cell
-// index, the interned flow table, the anchors and the coefficient vectors.
-// The cells themselves belong to the source Snapshot (which every holder of
-// a Filtered also holds, and accounts for) and are not counted. The
-// checkpoint history's byte gauge charges this when a checkpoint's filter
-// result is built and refunds it when the result is dropped.
+// MemBytes estimates the filtered snapshot's whole footprint: the ordered
+// cell index, the interned flow table, the anchors and the coefficient
+// vectors. The hot tier's history gauge charges it beside the snapshot when
+// a checkpoint's index is built; the cold cache charges it alone.
 func (f *Filtered) MemBytes() int64 {
 	n := int64(len(f.anchorTTS))*8 +
 		int64(len(f.coeff)+len(f.ones))*8 + int64(len(f.flows))*16
@@ -184,15 +182,13 @@ type cellRef struct {
 	flow  int32
 }
 
-// Filtered is a snapshot with Algorithm 3 applied: each window's retained
-// anchor recorded and the cells that survive it indexed. Queries run against
-// it. It does not copy the registers: pos and cells are the source snapshot's
-// own lists (shared, read-only), and survives tells a retained cell from a
-// stale one wherever they are walked.
+// Filtered is a snapshot with Algorithm 3 applied, reduced to what interval
+// queries read: each window's retained anchor and its surviving cells as an
+// index in ascending span start, their flows interned. It holds no cells and
+// keeps no reference to the snapshot it was built from, so a holder may drop
+// that snapshot — the cold cache keeps nothing else.
 type Filtered struct {
-	cfg   Config
-	pos   [][]uint32
-	cells [][]Cell
+	cfg Config
 	// anchorTTS[i] is the TTS (in window-i coordinates) of the newest cell
 	// period retained in window i; window i retains TTS range
 	// (anchorTTS[i] - 2^k, anchorTTS[i]]. Only windows below live have one.
@@ -225,10 +221,17 @@ type Filtered struct {
 // TTS' = (TTS - 2^k) >> alpha. It also builds, once, the per-window ordered
 // cell index queries binary-search.
 func (s *Snapshot) Filter() *Filtered {
+	f := s.anchors()
+	f.buildIndex(s)
+	return f
+}
+
+// anchors derives Algorithm 3's per-window anchors: everything of Filter but
+// the index, and all the reference scan needs to tell a retained cell from a
+// stale one.
+func (s *Snapshot) anchors() *Filtered {
 	f := &Filtered{
 		cfg:       s.cfg,
-		pos:       s.pos,
-		cells:     s.cells,
 		anchorTTS: make([]uint64, s.cfg.T),
 		coeff:     s.cfg.Coefficients(),
 		ones:      make([]float64, s.cfg.T),
@@ -252,7 +255,6 @@ func (s *Snapshot) Filter() *Filtered {
 		}
 		tts = (tts - cells) >> s.cfg.Alpha
 	}
-	f.buildIndex()
 	return f
 }
 
@@ -271,17 +273,17 @@ func (f *Filtered) survives(i, j int, c *Cell) bool {
 	return c.CycleID+1 == cid
 }
 
-// buildIndex interns the surviving flows and lists each window's surviving
+// buildIndex interns s's surviving flows and lists each window's surviving
 // cells in ascending span start. No sort is needed: with the anchor at
 // (cid, idx), the survivors are the cells beyond idx, all of cycle cid-1,
 // then the cells up to idx, all of cycle cid. A cell's span starts at
 // (cycle<<k | j) << shift, so reading the ring from idx+1 around to idx —
 // the position list rotated to start past idx — visits strictly ascending
 // starts.
-func (f *Filtered) buildIndex() {
+func (f *Filtered) buildIndex(s *Snapshot) {
 	ids := flow.AcquireInterner()
 	for i := 0; i < f.live; i++ {
-		pos, cells := f.pos[i], f.cells[i]
+		pos, cells := s.pos[i], s.cells[i]
 		n := 0
 		for m := range cells {
 			if f.survives(i, int(pos[m]), &cells[m]) {
@@ -337,6 +339,19 @@ func (f *Filtered) WindowSpan(i int) (start, end uint64) {
 	return end - wp, end
 }
 
+// overlapping returns window i's index cells whose periods overlap
+// [start, end). A cell [s, s+cp) overlaps iff s+cp > start and s < end; with
+// starts ascending both predicates are monotone, so the overlapping cells
+// are one contiguous run, found by two binary searches — O(log 2^k) however
+// many cells the window holds.
+func (f *Filtered) overlapping(i int, start, end uint64) []cellRef {
+	refs := f.index[i]
+	cp := f.cfg.CellPeriod(i)
+	first := sort.Search(len(refs), func(j int) bool { return refs[j].start+cp > start })
+	last := first + sort.Search(len(refs)-first, func(j int) bool { return refs[first+j].start >= end })
+	return refs[first:last]
+}
+
 // RawWindowCounts returns, for each window, the observed (un-recovered)
 // per-flow packet counts among surviving cells whose periods overlap
 // [start, end). These are the direct register observations; Query applies
@@ -346,37 +361,23 @@ func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
 	for i := range out {
 		out[i] = make(flow.Counts)
 	}
-	if f.live == 0 || end <= start {
+	if end <= start {
 		return out
 	}
 	for i := 0; i < f.live; i++ {
-		f.walkSurvivors(i, start, end, func(c *Cell) { out[i].Add(c.Flow, 1) })
+		for _, ref := range f.overlapping(i, start, end) {
+			out[i].Add(f.flows[ref.flow], 1)
+		}
 	}
 	return out
 }
 
-// walkSurvivors calls fn for every surviving cell of window i whose period
-// overlaps [start, end), in ring-position order, straight from the
-// snapshot's lists — no index. It is what the reference walks share.
-func (f *Filtered) walkSurvivors(i int, start, end uint64, fn func(c *Cell)) {
-	pos, cells := f.pos[i], f.cells[i]
-	for m := range cells {
-		c, j := &cells[m], int(pos[m])
-		if !f.survives(i, j, c) {
-			continue
-		}
-		if lo, hi := f.cellSpan(i, c.CycleID, j); lo < end && hi > start {
-			fn(c)
-		}
-	}
-}
-
 // AccumulateInto adds the surviving cells overlapping [start, end) into acc
-// as integer per-window counts, binary-searching each window's sorted cell
-// index so only overlapping cells are touched — O(log 2^k + hits) per
-// window instead of O(2^k). A dense per-flow scratch (interned ids, no map
-// writes) gathers each window's counts before they are flushed to acc. It
-// returns the number of index cells visited.
+// as integer per-window counts, touching only each window's overlapping run
+// of the index — O(log 2^k + hits) per window instead of O(2^k). A dense
+// per-flow scratch (interned ids, no map writes) gathers each window's
+// counts before they are flushed to acc. It returns the number of index
+// cells visited.
 func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 	if f.live == 0 || end <= start {
 		return 0
@@ -389,22 +390,16 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 	cnt := make([]int64, len(f.flows)*t)
 	seen := make([]bool, len(f.flows))
 	touched := make([]int32, 0, 64)
-	for i := 0; i < t; i++ {
-		refs := f.index[i]
-		cp := f.cfg.CellPeriod(i)
-		// A cell [s, s+cp) overlaps [start, end) iff s+cp > start and
-		// s < end; with starts ascending both predicates are monotone, so
-		// the overlapping cells are exactly refs[first:last].
-		first := sort.Search(len(refs), func(j int) bool { return refs[j].start+cp > start })
-		last := first + sort.Search(len(refs)-first, func(j int) bool { return refs[first+j].start >= end })
-		for _, ref := range refs[first:last] {
+	for i := 0; i < f.live; i++ {
+		run := f.overlapping(i, start, end)
+		for _, ref := range run {
 			if !seen[ref.flow] {
 				seen[ref.flow] = true
 				touched = append(touched, ref.flow)
 			}
 			cnt[int(ref.flow)*t+i]++
 		}
-		visited += last - first
+		visited += len(run)
 	}
 	for _, id := range touched {
 		acc.addRow(f.flows[id], cnt[int(id)*t:int(id)*t+t])
@@ -412,19 +407,31 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 	return visited
 }
 
-// AccumulateScanInto is the reference implementation of AccumulateInto: a
-// linear walk of every cell the snapshot holds, in every window, kept for
-// differential testing. Because both paths feed the same integer
-// accumulator, their results are bit-identical. It returns the number of
-// cells visited (all of them).
-func (f *Filtered) AccumulateScanInto(acc *Accumulator, start, end uint64) int {
+// AccumulateScanInto is the reference implementation of
+// Filtered.AccumulateInto, kept for differential testing: a linear walk of
+// every cell the snapshot holds, in every window, that keeps the cells the
+// anchors Filter derives retain and counts those overlapping [start, end) —
+// no index. Because both paths feed the same integer accumulator, their
+// results are bit-identical. It returns the number of cells visited (all of
+// them).
+func (s *Snapshot) AccumulateScanInto(acc *Accumulator, start, end uint64) int {
+	f := s.anchors()
 	if f.live == 0 || end <= start {
 		return 0
 	}
 	visited := 0
-	for i := 0; i < f.cfg.T; i++ {
-		visited += len(f.cells[i])
-		f.walkSurvivors(i, start, end, func(c *Cell) { acc.add(c.Flow, i, 1) })
+	for i := 0; i < s.cfg.T; i++ {
+		pos, cells := s.pos[i], s.cells[i]
+		visited += len(cells)
+		for m := range cells {
+			c, j := &cells[m], int(pos[m])
+			if !f.survives(i, j, c) {
+				continue
+			}
+			if lo, hi := f.cellSpan(i, c.CycleID, j); lo < end && hi > start {
+				acc.add(c.Flow, i, 1)
+			}
+		}
 	}
 	return visited
 }
@@ -441,11 +448,11 @@ func (f *Filtered) Query(start, end uint64) flow.Counts {
 	return acc.Counts()
 }
 
-// QueryScan is Query on the reference scan path (every cell of every
-// window). Results are bit-identical to Query; only the work differs.
-func (f *Filtered) QueryScan(start, end uint64) flow.Counts {
-	acc := NewAccumulator(f.cfg.T, f.coeff)
-	f.AccumulateScanInto(acc, start, end)
+// QueryScan is Filter().Query on the reference scan path (every cell of
+// every window). Results are bit-identical to it; only the work differs.
+func (s *Snapshot) QueryScan(start, end uint64) flow.Counts {
+	acc := NewAccumulator(s.cfg.T, s.cfg.Coefficients())
+	s.AccumulateScanInto(acc, start, end)
 	return acc.Counts()
 }
 
@@ -460,14 +467,17 @@ func (f *Filtered) QueryWithoutCoefficients(start, end uint64) flow.Counts {
 
 // QueryWindow estimates per-flow counts using only window i — the paper's
 // Figure-12 per-window accuracy experiment queries a single window's full
-// retained period this way.
+// retained period this way. Every addend is the same 1/coefficient[i], so
+// the index's order gives the float sums a cell walk would.
 func (f *Filtered) QueryWindow(i int, start, end uint64) flow.Counts {
 	out := make(flow.Counts)
-	if f.live == 0 || end <= start || i < 0 || i >= f.cfg.T {
+	if end <= start || i < 0 || i >= f.live {
 		return out
 	}
 	coeff := f.coeff[i]
-	f.walkSurvivors(i, start, end, func(c *Cell) { out.Add(c.Flow, 1/coeff) })
+	for _, ref := range f.overlapping(i, start, end) {
+		out.Add(f.flows[ref.flow], 1/coeff)
+	}
 	return out
 }
 
