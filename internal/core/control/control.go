@@ -263,7 +263,7 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.entriesRead = reg.Counter("printqueue_checkpoint_entries_read_total",
 		"Register entries a hardware control plane reads for the checkpoints taken (whole arrays; the modelled PCIe cost).")
 	sc.cellsKept = reg.Counter("printqueue_checkpoint_cells_kept_total",
-		"Time-window cells and queue-monitor entries actually copied into retired checkpoints (coverage and top trimmed).")
+		"Time-window cells and queue-monitor entries actually copied into retired checkpoints (coverage- and staircase-trimmed).")
 	sc.tsRegressions = reg.Counter("printqueue_timestamp_regressions_total",
 		"Dequeues stamped before their port's last flip: inserted, never allowed to flip.")
 	sc.ingestAfterClose = reg.Counter("printqueue_pipeline_ingest_after_close_total",
@@ -698,7 +698,7 @@ func (s *System) dequeue(p *pktrec.Packet) *portState {
 // reads.
 //
 // The checkpoint holds what a query on it can read: the time-window cells
-// its coverage can count and the queue-monitor levels up to the top
+// its coverage can count and the queue monitors' staircase up to the top
 // (timewindow.Windows.Freeze, qmonitor.Monitor.Freeze). The read cost charged
 // is still the hardware's — whole arrays over PCIe, which is what EntriesRead,
 // readLatencyNs and the Figure-13 feasibility model are about; what was
@@ -717,7 +717,8 @@ func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint
 	kept := cp.TW.KeptCells()
 	for q := range cp.QM {
 		cp.QM[q] = ps.qm[q][sel].Freeze()
-		kept += len(cp.QM[q].Entries())
+		levels, _ := cp.QM[q].Levels()
+		kept += len(levels)
 	}
 	s.stats.entriesRead.Add(int64(s.entriesPerCheckpoint()))
 	s.stats.cellsKept.Add(int64(kept))

@@ -153,7 +153,7 @@ func (s *System) HistoryBytes() int64 { return s.histBytes.Load() }
 // a hardware control plane would have read (whole arrays — Stats.EntriesRead)
 // and the cells and monitor entries the checkpoints actually hold
 // (printqueue_checkpoint_cells_kept_total). kept/read is what trimming a
-// checkpoint to its coverage and top saves.
+// checkpoint to its coverage and its monitors' staircase saves.
 func (s *System) CheckpointEntries() (read, kept int64) {
 	return s.stats.entriesRead.Load(), s.stats.cellsKept.Load()
 }

@@ -13,20 +13,27 @@ import (
 	"printqueue/internal/pktrec"
 )
 
-var updateSeedlog = flag.Bool("update-seedlog", false, "rewrite ../histstore/testdata/seedlog_v2 from this build's control plane")
+var updateSeedlog = flag.Bool("update-seedlog", false, "rewrite ../histstore/testdata/seedlog_v3 from this build's control plane")
 
-// seedlogV2Dir is the second committed log generation. seedlog_v1 holds
-// whole-register records written by the histstore of PR 11; this one was
-// written by the control plane of the commit that trimmed checkpoints to
-// their coverage and top: two ports, a three-checkpoint hot ring over the
-// log, periodic and data-plane freezes. The histstore package opens it and
-// answers from it (TestSeedlogV2OpensAndAnswers); this package holds the
-// control plane to writing it again, byte for byte.
-const seedlogV2Dir = "../histstore/testdata/seedlog_v2"
+// The committed log generations the control plane writes or wrote, each fed
+// seedlogTrace through seedlogConfig: two ports, a three-checkpoint hot ring
+// over the log, periodic and data-plane freezes. (seedlog_v1 is older still:
+// whole-register records an early histstore wrote from other inputs.)
+// seedlog_v2 was written by the commit that trimmed checkpoints to
+// their coverage and top; it is read-only now, and a System reopened on it
+// must still answer as one that kept everything in RAM. seedlog_v3 is
+// today's writer, monitors trimmed to their staircase: this package holds
+// the control plane to writing it again, byte for byte. The histstore
+// package opens and answers from both (TestSeedlogV2OpensAndAnswers,
+// TestSeedlogV3OpensAndAnswers).
+const (
+	seedlogV2Dir = "../histstore/testdata/seedlog_v2"
+	seedlogV3Dir = "../histstore/testdata/seedlog_v3"
+)
 
-// seedlogV2Config is the fixture's System: a three-checkpoint hot ring over
+// seedlogConfig is the fixtures' System: a three-checkpoint hot ring over
 // a log in dir, or — with no dir — the same System keeping everything in RAM.
-func seedlogV2Config(dir string) Config {
+func seedlogConfig(dir string) Config {
 	cfg := testConfig(0, 2)
 	cfg.QueuesPerPort = 2
 	cfg.PollPeriodNs = 256
@@ -38,7 +45,7 @@ func seedlogV2Config(dir string) Config {
 	return cfg
 }
 
-func seedlogV2Trace() []*pktrec.Packet {
+func seedlogTrace() []*pktrec.Packet {
 	rng := rand.New(rand.NewPCG(2, 2022))
 	ts := map[int]uint64{0: 1000, 2: 1200}
 	pkts := make([]*pktrec.Packet, 0, 1600)
@@ -57,26 +64,29 @@ func seedlogV2Trace() []*pktrec.Packet {
 	return pkts
 }
 
-// TestSeedlogV2WrittenBitIdentically: fed the fixture's trace, today's
+// feedSeedlog feeds seedlogTrace to s, finalizes it and returns the last
+// dequeue time.
+func feedSeedlog(s *System) (horizon uint64) {
+	for _, p := range seedlogTrace() {
+		s.OnDequeue(p)
+		horizon = max(horizon, p.Meta.DeqTimestamp())
+	}
+	s.Finalize(horizon + 1)
+	return horizon
+}
+
+// TestSeedlogV3WrittenBitIdentically: fed the fixture's trace, today's
 // control plane writes the fixture's segments byte for byte — what a freeze
 // keeps, how it is encoded and how it is framed are all pinned — and a
 // System reopened on the committed files answers every interval as a System
 // that kept the whole history in RAM does.
-func TestSeedlogV2WrittenBitIdentically(t *testing.T) {
-	feed := func(s *System) (horizon uint64) {
-		for _, p := range seedlogV2Trace() {
-			s.OnDequeue(p)
-			horizon = max(horizon, p.Meta.DeqTimestamp())
-		}
-		s.Finalize(horizon + 1)
-		return horizon
-	}
+func TestSeedlogV3WrittenBitIdentically(t *testing.T) {
 	dir := t.TempDir()
-	written, err := New(seedlogV2Config(dir))
+	written, err := New(seedlogConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := feed(written)
+	feedSeedlog(written)
 	if err := written.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,24 +98,23 @@ func TestSeedlogV2WrittenBitIdentically(t *testing.T) {
 		t.Fatalf("wrote %d segments, %v", len(segs), err)
 	}
 	if *updateSeedlog {
-		if err := os.RemoveAll(seedlogV2Dir); err != nil {
+		if err := os.RemoveAll(seedlogV3Dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(seedlogV2Dir, 0o755); err != nil {
+		if err := os.MkdirAll(seedlogV3Dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	committed, _ := filepath.Glob(filepath.Join(seedlogV2Dir, "*.seg"))
+	committed, _ := filepath.Glob(filepath.Join(seedlogV3Dir, "*.seg"))
 	if !*updateSeedlog && len(committed) != len(segs) {
 		t.Fatalf("wrote %d segments, the fixture has %d", len(segs), len(committed))
 	}
-	reopenDir := t.TempDir()
 	for _, seg := range segs {
 		got, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixture := filepath.Join(seedlogV2Dir, filepath.Base(seg))
+		fixture := filepath.Join(seedlogV3Dir, filepath.Base(seg))
 		if *updateSeedlog {
 			if err := os.WriteFile(fixture, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -118,17 +127,42 @@ func TestSeedlogV2WrittenBitIdentically(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: today's control plane writes %d bytes, the fixture holds %d different ones", filepath.Base(seg), len(got), len(want))
 		}
-		if err := os.WriteFile(filepath.Join(reopenDir, filepath.Base(seg)), want, 0o644); err != nil {
+	}
+	assertSeedlogAnswersLikeRAM(t, seedlogV3Dir)
+}
+
+// TestSeedlogV2ReopensAndAnswers: a System reopened on the log an older
+// writer left — monitors trimmed to their top, not their staircase —
+// answers every interval as a System that kept the whole history in RAM.
+func TestSeedlogV2ReopensAndAnswers(t *testing.T) {
+	assertSeedlogAnswersLikeRAM(t, seedlogV2Dir)
+}
+
+// assertSeedlogAnswersLikeRAM reopens a System on a copy of the committed
+// log in fixture and holds 200 seeded intervals to a System fed the same
+// trace that keeps everything in RAM.
+func assertSeedlogAnswersLikeRAM(t *testing.T, fixture string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(fixture, "*.seg"))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("%s: %d segments, %v", fixture, len(segs), err)
+	}
+	dir := t.TempDir()
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	ram, err := New(seedlogV2Config(""))
+	ram, err := New(seedlogConfig(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(ram)
-	reopened, err := New(seedlogV2Config(reopenDir))
+	horizon := feedSeedlog(ram)
+	reopened, err := New(seedlogConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +181,7 @@ func TestSeedlogV2WrittenBitIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("port %d [%d,%d): the reopened fixture answers %v, the in-RAM history %v", port, lo, hi, got, want)
+			t.Fatalf("%s: port %d [%d,%d): the reopened fixture answers %v, the in-RAM history %v", fixture, port, lo, hi, got, want)
 		}
 	}
 }

@@ -64,14 +64,11 @@ func (r *Record) MemBytes() int64 {
 const recFlagSpecial = 1 << 0
 
 // maxRegisterEntries bounds the register geometry a record may declare: the
-// time-window cells (T × 2^k) and, separately, the queue-monitor entries
-// summed over its queues. The monitor decoder allocates by the declared
-// geometry — an empty monitor encodes in a few bytes — so without a bound a
-// few hostile bytes could demand gigabytes; the encoder refuses the same
-// geometry so that whatever is written can be read back. (The window decoder
-// allocates by the valid cells the payload has room for, whatever geometry it
-// declares.) The paper's configuration is 2^14 cells and ~2^14 entries per
-// queue.
+// time-window cells (T × 2^k) and each queue monitor's entries. The decoder
+// allocates by what the payload has room for, whatever geometry it declares;
+// the bound keeps the geometry a reader must accept sane, and the encoder
+// refuses the same geometry so that whatever is written can be read back.
+// The paper's configuration is 2^14 cells and ~2^14 entries per queue.
 const maxRegisterEntries = 1 << 20
 
 // appendUvarint / appendZigzag are the primitive writers.
@@ -159,13 +156,12 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	if n := rec.TW.Config().EntriesPerSnapshot(); n > maxRegisterEntries {
 		return dst, fmt.Errorf("histstore: %d time-window cells exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
-	qmEntries := 0
 	for _, qm := range rec.QM {
 		if qm == nil {
 			return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
 		}
-		if qmEntries += len(qm.Entries()); qmEntries > maxRegisterEntries {
-			return dst, fmt.Errorf("histstore: queue-monitor entries exceed the codec's limit of %d", maxRegisterEntries)
+		if n := qm.Config().Entries(); n > maxRegisterEntries {
+			return dst, fmt.Errorf("histstore: %d queue-monitor entries exceed the codec's limit of %d", n, maxRegisterEntries)
 		}
 	}
 	dst = append(dst, codecVersion)
@@ -199,7 +195,7 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 		}
 	}
 	for _, qm := range rec.QM {
-		entries := qm.Entries()
+		_, entries := qm.Levels()
 		for i := range entries {
 			e := &entries[i]
 			if e.Up.Valid {
@@ -263,32 +259,24 @@ func encodeWindow(dst []byte, pos []uint32, cells []timewindow.Cell, ids []uint3
 }
 
 // encodeMonitor emits one queue monitor snapshot: config, top pointer, and
-// the occupied entries as (skip, halves) pairs with sequence numbers
+// the occupied entries as (skip, halves) pairs — the gap in levels before an
+// entry, and which of its halves follow — with sequence numbers
 // delta-encoded in level order (the staircase makes them near-monotonic).
-// ids is consumed as in encodeWindow, one id per valid half.
+// The pairs come straight from the snapshot's level list. ids is consumed as
+// in encodeWindow, one id per valid half.
 func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []uint32) {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
 	dst = appendUvarint(dst, uint64(cfg.GranuleCells))
 	dst = appendUvarint(dst, uint64(qm.Top()))
-	entries := qm.Entries()
-	nOcc := 0
-	for i := range entries {
-		if entries[i].Up.Valid || entries[i].Down.Valid {
-			nOcc++
-		}
-	}
-	dst = appendUvarint(dst, uint64(nOcc))
+	levels, entries := qm.Levels()
+	dst = appendUvarint(dst, uint64(len(levels)))
 	var predSeq uint64
-	skip := 0
-	for i := range entries {
+	next := uint32(0) // the level after the previous entry
+	for i, level := range levels {
 		e := &entries[i]
-		if !e.Up.Valid && !e.Down.Valid {
-			skip++
-			continue
-		}
-		dst = appendUvarint(dst, uint64(skip))
-		skip = 0
+		dst = appendUvarint(dst, uint64(level-next))
+		next = level + 1
 		var halves byte
 		if e.Up.Valid {
 			halves |= 1
@@ -329,14 +317,10 @@ func DecodeRecord(b []byte) (*Record, error) {
 		return nil, fmt.Errorf("histstore: %d queue monitors exceeds payload", nQueues)
 	}
 	rec.QM = make([]*qmonitor.Snapshot, nQueues)
-	budget := maxRegisterEntries
 	for q := range rec.QM {
-		qm, err := decodeMonitor(r, flows, budget)
-		if err != nil {
+		if rec.QM[q], err = decodeMonitor(r, flows); err != nil {
 			return nil, err
 		}
-		budget -= len(qm.Entries())
-		rec.QM[q] = qm
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -459,9 +443,12 @@ func decodeWindow(r *reader, ring int, flows []flow.Key) ([]uint32, []timewindow
 	return pos, cells, nil
 }
 
-// decodeMonitor decodes one queue monitor; budget is what is left of
-// maxRegisterEntries for it.
-func decodeMonitor(r *reader, flows []flow.Key, budget int) (*qmonitor.Snapshot, error) {
+// decodeMonitor decodes one queue monitor into the sparse form a Snapshot
+// holds: the occupied levels, ascending, and the entries at them. It
+// allocates for the occupied entries the monitor declares, and an entry takes
+// at least four payload bytes (skip, halves, one half's id and sequence
+// delta), so never for more than the payload has left.
+func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 	maxDepth, granule, top := r.uvarint(), r.uvarint(), r.uvarint()
 	nOcc := r.uvarint()
 	if r.err != nil {
@@ -474,26 +461,28 @@ func decodeMonitor(r *reader, flows []flow.Key, budget int) (*qmonitor.Snapshot,
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("histstore: bad monitor config in record: %w", err)
 	}
-	if cfg.Entries() > budget {
-		return nil, fmt.Errorf("histstore: queue-monitor entries exceed the codec's limit of %d", maxRegisterEntries)
+	n := cfg.Entries()
+	if n > maxRegisterEntries {
+		return nil, fmt.Errorf("histstore: %d queue-monitor entries exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
-	entries := make([]qmonitor.Entry, cfg.Entries())
-	if nOcc > uint64(len(entries)) {
-		return nil, fmt.Errorf("histstore: monitor claims %d occupied of %d entries", nOcc, len(entries))
+	if top >= uint64(n) || nOcc > uint64(n) || nOcc > uint64(len(r.b)-r.off)/4 {
+		return nil, fmt.Errorf("histstore: monitor claims top %d and %d occupied of %d entries with %d bytes left", top, nOcc, n, len(r.b)-r.off)
 	}
+	levels := make([]uint32, nOcc)
+	entries := make([]qmonitor.Entry, nOcc)
 	i := 0
 	var predSeq uint64
-	for n := uint64(0); n < nOcc; n++ {
+	for o := range entries {
 		skip := r.uvarint()
 		halves := r.byte()
 		if r.err != nil {
 			return nil, r.err
 		}
-		if i >= len(entries) || skip > uint64(len(entries)-i-1) || halves == 0 || halves > 3 {
+		if i >= n || skip > uint64(n-i-1) || halves == 0 || halves > 3 {
 			return nil, fmt.Errorf("histstore: monitor entry (skip %d, halves %#x) overflows at level %d", skip, halves, i)
 		}
 		i += int(skip)
-		var e qmonitor.Entry
+		e := &entries[o]
 		if halves&1 != 0 {
 			h, err := decodeHalf(r, flows, &predSeq)
 			if err != nil {
@@ -508,10 +497,10 @@ func decodeMonitor(r *reader, flows []flow.Key, budget int) (*qmonitor.Snapshot,
 			}
 			e.Down = h
 		}
-		entries[i] = e
+		levels[o] = uint32(i)
 		i++
 	}
-	return qmonitor.NewSnapshot(cfg, entries, int(top))
+	return qmonitor.NewSnapshot(cfg, levels, entries, int(top))
 }
 
 func decodeHalf(r *reader, flows []flow.Key, predSeq *uint64) (qmonitor.Half, error) {

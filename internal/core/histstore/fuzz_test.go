@@ -17,9 +17,10 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 const fuzzCorpusDir = "testdata/fuzz/FuzzDecodeRecord"
 
 // fuzzMemBound is the most a decoded record may occupy whatever the payload
-// says: the codec's geometry limit in window cells and in monitor entries,
-// plus slack for headers.
-var fuzzMemBound = int64(maxRegisterEntries)*(32+64) + 1<<20
+// says: the codec's geometry limit in window cells, plus slack for headers.
+// Monitor entries need no term of their own: the decoder allocates for the
+// entries the payload holds, which decodeAllocBound covers.
+var fuzzMemBound = int64(maxRegisterEntries)*32 + 1<<20
 
 // allocatedBy returns the heap bytes f allocated. ReadMemStats stops the
 // world and flushes every allocation cache, so the delta is exact up to what
@@ -32,10 +33,11 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// windowsAllocBound is what the windows-only decode of n bytes may allocate:
-// a valid cell takes two payload bytes and 36 in memory, a dictionary flow 13
-// and 14, and the rest is headers — whatever geometry the payload declares.
-func windowsAllocBound(n int) uint64 { return 64*uint64(n) + 64<<10 }
+// decodeAllocBound is what a decode of n bytes may allocate, whole or
+// windows-only: a valid cell takes two payload bytes and 36 in memory, a
+// dictionary flow 13 and 14, an occupied monitor entry four and 68, and the
+// rest is headers — whatever geometry the payload declares.
+func decodeAllocBound(n int) uint64 { return 64*uint64(n) + 64<<10 }
 
 // emptyWindowsPayload is a record header declaring the largest geometry the
 // codec accepts — 16 windows of 2^16 cells — with every window empty: one
@@ -54,6 +56,18 @@ func emptyWindowsPayload() []byte {
 	return appendUvarint(b, 0)         // no queues
 }
 
+// emptyMonitorPayload is emptyWindowsPayload with one queue monitor of the
+// largest geometry the codec accepts — 2^20 levels — and none occupied. The
+// decoder used to allocate all 2^20 entries, 64 MB, for it.
+func emptyMonitorPayload() []byte {
+	b := emptyWindowsPayload()
+	b = appendUvarint(b[:len(b)-1], 1)         // one queue
+	b = appendUvarint(b, maxRegisterEntries-1) // max depth: 2^20 levels of one cell
+	b = appendUvarint(b, 1)                    // granule
+	b = appendUvarint(b, 0)                    // top
+	return appendUvarint(b, 0)                 // no occupied levels
+}
+
 // TestDecodeWindowsAllocatesByPayload: what a decode allocates follows the
 // bytes it is given, not the register geometry they declare.
 func TestDecodeWindowsAllocatesByPayload(t *testing.T) {
@@ -67,7 +81,7 @@ func TestDecodeWindowsAllocatesByPayload(t *testing.T) {
 	if cfg := rec.TW.Config(); cfg.EntriesPerSnapshot() != maxRegisterEntries || rec.TW.KeptCells() != 0 {
 		t.Fatalf("decoded %d registers holding %d cells, want %d empty ones", cfg.EntriesPerSnapshot(), rec.TW.KeptCells(), maxRegisterEntries)
 	}
-	if bound := windowsAllocBound(len(b)); got > bound {
+	if bound := decodeAllocBound(len(b)); got > bound {
 		t.Fatalf("decoding %d bytes that declare %d empty cells allocated %d bytes, bound %d", len(b), maxRegisterEntries, got, bound)
 	}
 	for _, sr := range seededRecords(t, true) {
@@ -76,7 +90,39 @@ func TestDecodeWindowsAllocatesByPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := allocatedBy(func() { _, _, err = decodeWindows(&reader{b: enc}) })
-		if bound := windowsAllocBound(len(enc)); err != nil || got > bound {
+		if bound := decodeAllocBound(len(enc)); err != nil || got > bound {
+			t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d (err %v)", sr.name, len(enc), got, bound, err)
+		}
+	}
+}
+
+// TestDecodeMonitorAllocatesByPayload: so does a full decode — a monitor
+// allocates for the occupied levels it holds, not for the levels its
+// geometry declares.
+func TestDecodeMonitorAllocatesByPayload(t *testing.T) {
+	b := emptyMonitorPayload()
+	var rec *Record
+	var err error
+	got := allocatedBy(func() { rec, err = DecodeRecord(b) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := rec.QM[0].Config(); len(rec.QM) != 1 || cfg.Entries() != maxRegisterEntries {
+		t.Fatalf("decoded %d monitors of %d entries, want one of %d", len(rec.QM), cfg.Entries(), maxRegisterEntries)
+	}
+	if levels, _ := rec.QM[0].Levels(); len(levels) != 0 {
+		t.Fatalf("decoded %d occupied levels, want none", len(levels))
+	}
+	if bound := decodeAllocBound(len(b)); got > bound {
+		t.Fatalf("decoding %d bytes that declare %d empty monitor entries allocated %d bytes, bound %d", len(b), maxRegisterEntries, got, bound)
+	}
+	for _, sr := range seededRecords(t, true) {
+		enc, err := EncodeRecord(nil, sr.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := allocatedBy(func() { _, err = DecodeRecord(enc) })
+		if bound := decodeAllocBound(len(enc)); err != nil || got > bound {
 			t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d (err %v)", sr.name, len(enc), got, bound, err)
 		}
 	}
@@ -84,8 +130,9 @@ func TestDecodeWindowsAllocatesByPayload(t *testing.T) {
 
 // FuzzDecodeRecord feeds the checkpoint decoder arbitrary bytes — it reads
 // them from disk and, on a collector, from the network. It must never panic
-// or allocate beyond the geometry limit, and the windows-only decode not
-// beyond a multiple of its input; whatever decodes must re-encode to bytes
+// or hold more than the geometry limit, and neither the full nor the
+// windows-only decode may allocate beyond a multiple of its input; whatever
+// decodes must re-encode to bytes
 // that decode to an equal record; and the windows-only decode the cold cache
 // uses must agree with the full decode on everything it returns.
 func FuzzDecodeRecord(f *testing.F) {
@@ -97,12 +144,15 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add(emptyWindowsPayload())
+	f.Add(emptyMonitorPayload())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, err := DecodeRecord(b)
-		var tw *Record
-		var twErr error
-		got := allocatedBy(func() { tw, _, twErr = decodeWindows(&reader{b: b}) })
-		if bound := windowsAllocBound(len(b)); got > bound {
+		var rec, tw *Record
+		var err, twErr error
+		bound := decodeAllocBound(len(b))
+		if got := allocatedBy(func() { rec, err = DecodeRecord(b) }); got > bound {
+			t.Fatalf("decode of %d bytes allocated %d, bound %d", len(b), got, bound)
+		}
+		if got := allocatedBy(func() { tw, _, twErr = decodeWindows(&reader{b: b}) }); got > bound {
 			t.Fatalf("windows-only decode of %d bytes allocated %d, bound %d", len(b), got, bound)
 		}
 		if twErr == nil && tw.MemBytes() > fuzzMemBound {

@@ -209,7 +209,7 @@ const (
 	freezeWhole    = iota // Windows.Snapshot + Monitor.Snapshot
 	freezeWrapping        // Windows.Freeze over a coverage that wraps window 0's ring: two short spans there
 	freezeAnchor          // Windows.Freeze over an empty coverage: window 0's anchor cell and nothing else
-	freezeToTop           // Windows.Snapshot + Monitor.Freeze: entries end at the top, below cfg.Entries()
+	freezeToTop           // Windows.Snapshot + Monitor.Freeze: the staircase, nothing above the top
 )
 
 // seededRecords drives live register structures with seeded traces shaped
@@ -276,15 +276,17 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		default:
 			rec.TW = tw.Snapshot()
 		}
+		gaps := 0
 		for _, qm := range qms {
 			if freeze == freezeWhole {
 				rec.QM = append(rec.QM, qm.Snapshot())
 				continue
 			}
 			rec.QM = append(rec.QM, qm.Freeze())
-			if n := len(rec.QM[len(rec.QM)-1].Entries()); n >= qmc.Entries() {
-				tb.Fatalf("monitor frozen to its top holds all %d entries", n)
-			}
+			gaps += staircaseGaps(qm.Snapshot(), rec.QM[len(rec.QM)-1])
+		}
+		if freeze == freezeToTop && gaps == 0 {
+			tb.Fatalf("monitors frozen to their staircase leave no gap below a top")
 		}
 		return rec
 	}
@@ -302,7 +304,21 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		{"coverage_wraps_ring", build(7, 300, 2, n, 1, false, freezeWrapping)},
 		{"anchor_only", build(8, 40, 1, n/4, 2, true, freezeAnchor)},
 		{"monitor_ends_at_top", build(9, 40, 3, n/4, 2, false, freezeToTop)},
+		{"monitor_staircase", build(10, 300, 1, n, 3, true, freezeToTop)},
 	}
+}
+
+// staircaseGaps counts the levels below the top that a whole read occupies
+// and a freeze does not list: the interior gaps the staircase trim leaves.
+func staircaseGaps(whole, frozen *qmonitor.Snapshot) int {
+	all, kept := whole.Entries(), frozen.Entries()
+	gaps := 0
+	for level := 0; level < frozen.Top(); level++ {
+		if all[level] != (qmonitor.Entry{}) && kept[level] == (qmonitor.Entry{}) {
+			gaps++
+		}
+	}
+	return gaps
 }
 
 // TestEncodeMatchesTwoPassOracle is the byte-identity property of the
@@ -491,15 +507,50 @@ func assertLogAnswersLikeRecords(t *testing.T, st *Store, recs []*Record, ports 
 // TestSeedlogV2OpensAndAnswers opens the second committed log generation
 // (testdata/seedlog_v2: written by the control plane of the commit that
 // trimmed checkpoints to their coverage and top — two ports, periodic and
-// data-plane freezes; control's TestSeedlogV2WrittenBitIdentically holds the
-// writer to it). Every stored payload must decode, hold less than the
-// register arrays and nothing above a monitor's top, and re-encode to the
-// bytes it came from; and the reopened log must answer interval queries
-// exactly as the decoded records, walked cell by cell, do.
+// data-plane freezes; read-only since monitors are trimmed to their
+// staircase). Every stored payload must decode, hold less than the register
+// arrays and nothing above a monitor's top, and re-encode to the bytes it
+// came from; and the reopened log must answer interval queries exactly as
+// the decoded records, walked cell by cell, do.
 func TestSeedlogV2OpensAndAnswers(t *testing.T) {
-	dir, segments := copySeedlog(t, "seedlog_v2")
+	assertSeedlogOpensAndAnswers(t, "seedlog_v2", 78, func(qm *qmonitor.Snapshot) error {
+		if levels, _ := qm.Levels(); len(levels) > 0 && int(levels[len(levels)-1]) > qm.Top() {
+			return fmt.Errorf("level %d is occupied above the top %d", levels[len(levels)-1], qm.Top())
+		}
+		return nil
+	})
+}
+
+// TestSeedlogV3OpensAndAnswers is TestSeedlogV2OpensAndAnswers for the third
+// generation (testdata/seedlog_v3: the same trace through today's control
+// plane, which control's TestSeedlogV3WrittenBitIdentically holds to it):
+// every monitor holds only its staircase — every kept half raises the
+// running maximum of the levels below it, up to the top.
+func TestSeedlogV3OpensAndAnswers(t *testing.T) {
+	assertSeedlogOpensAndAnswers(t, "seedlog_v3", 79, func(qm *qmonitor.Snapshot) error {
+		levels, entries := qm.Levels()
+		var run uint64
+		for n, level := range levels {
+			e := entries[n]
+			if int(level) > qm.Top() || (e.Up.Valid && e.Up.Seq <= run) || (e.Down.Valid && e.Down.Seq <= run) {
+				return fmt.Errorf("level %d (top %d) keeps %+v, which does not raise the staircase's %d", level, qm.Top(), e, run)
+			}
+			run = max(run, e.Up.Seq, e.Down.Seq)
+		}
+		return nil
+	})
+}
+
+// assertSeedlogOpensAndAnswers opens the committed control-plane log in
+// testdata/name: every payload must decode, pass checkMonitor for each of
+// its monitors and re-encode to the bytes it came from, the records must
+// chain per port and include data-plane and coverage-trimmed ones, and the
+// reopened log must answer interval queries as the decoded records do.
+func assertSeedlogOpensAndAnswers(t *testing.T, name string, seed int64, checkMonitor func(*qmonitor.Snapshot) error) {
+	t.Helper()
+	dir, segments := copySeedlog(t, name)
 	if segments < 3 {
-		t.Fatalf("seed log fixture: %d segments", segments)
+		t.Fatalf("%s fixture: %d segments", name, segments)
 	}
 	st := openTestStore(t, dir, Options{})
 	defer st.Close()
@@ -533,18 +584,16 @@ func TestSeedlogV2OpensAndAnswers(t *testing.T) {
 			trimmed++
 		}
 		for q, qm := range rec.QM {
-			for level, e := range qm.Entries() {
-				if level > qm.Top() && (e.Up.Valid || e.Down.Valid) {
-					return fmt.Errorf("record %d queue %d: level %d is occupied above the top %d", len(recs), q, level, qm.Top())
-				}
+			if err := checkMonitor(qm); err != nil {
+				return fmt.Errorf("record %d queue %d: %w", len(recs), q, err)
 			}
 		}
 		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil || len(recs) < 40 || specials < 3 || trimmed < len(recs)/2 || len(last) != 2 {
-		t.Fatalf("replayed %d records (%d special, %d coverage-trimmed, %d ports): %v", len(recs), specials, trimmed, len(last), err)
+		t.Fatalf("%s: replayed %d records (%d special, %d coverage-trimmed, %d ports): %v", name, len(recs), specials, trimmed, len(last), err)
 	}
 
-	assertLogAnswersLikeRecords(t, st, recs, []int{0, 2}, last, 78)
+	assertLogAnswersLikeRecords(t, st, recs, []int{0, 2}, last, seed)
 }

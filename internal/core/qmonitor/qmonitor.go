@@ -44,6 +44,9 @@ func (c Config) Validate() error {
 	if c.Entries() < 2 {
 		return fmt.Errorf("qmonitor: fewer than 2 entries (max depth %d, granule %d)", c.MaxDepthCells, c.GranuleCells)
 	}
+	if c.Entries() > math.MaxUint32 {
+		return fmt.Errorf("qmonitor: %d entries do not fit 32-bit levels (max depth %d, granule %d)", c.Entries(), c.MaxDepthCells, c.GranuleCells)
+	}
 	return nil
 }
 
@@ -212,39 +215,104 @@ func (m *Monitor) ObservePacked(f flow.Packed, enqDepthCells int) {
 	m.top = l2
 }
 
-// Snapshot copies the register state for query execution: the whole array,
-// as the paper's control plane reads it. Standalone experiments, codec
-// fixtures and benchmarks use it; the control plane retires Freeze's result.
-func (m *Monitor) Snapshot() *Snapshot { return m.read(len(m.regs)) }
-
-// Freeze is the frozen read the control plane retires: levels 0..top, which
-// is all any staircase walk will ever read of this freeze. A record above
-// the top at freeze time was left behind by a fall to a lower level, and that
-// fall's record — lower down, with a larger sequence number — filters it out
-// of every later walk (DESIGN.md §13 has the argument across flips, Adopt
-// and the eviction carry).
-func (m *Monitor) Freeze() *Snapshot { return m.read(m.top + 1) }
-
-// read unpacks the first n registers, in place, into a snapshot.
-func (m *Monitor) read(n int) *Snapshot {
-	entries := make([]Entry, n)
-	regs := m.regs[:n]
-	for i := range regs {
-		regs[i].up.unpack(&entries[i].Up)
-		regs[i].down.unpack(&entries[i].Down)
+// Snapshot copies the register state for query execution: every occupied
+// level of the array, as the paper's control plane reads it. Standalone
+// experiments, codec fixtures and benchmarks use it; the control plane
+// retires Freeze's result.
+func (m *Monitor) Snapshot() *Snapshot {
+	n := 0
+	for i := range m.regs {
+		if m.regs[i].up.b != 0 || m.regs[i].down.b != 0 {
+			n++
+		}
 	}
-	return &Snapshot{cfg: m.cfg, entries: entries, top: m.top}
+	s := m.newSnapshot(n)
+	for i := range m.regs {
+		if r := &m.regs[i]; r.up.b != 0 || r.down.b != 0 {
+			s.appendLevel(i, &r.up, &r.down)
+		}
+	}
+	return s
+}
+
+// Freeze is the frozen read the control plane retires: the staircase, which
+// is all any staircase walk will ever read of this freeze. Below the top it
+// keeps a half only if its sequence number exceeds every one at lower levels
+// of the same read: a half that does not can neither be a culprit nor raise
+// the running maximum of any walk over this snapshot and others. Above the
+// top it keeps nothing: such a record was left behind by a fall to a lower
+// level, and that fall's record — lower down, with a larger sequence number —
+// filters it out of every later walk. DESIGN.md §13 has both arguments
+// across flips, Adopt, Merge and the eviction carry.
+func (m *Monitor) Freeze() *Snapshot {
+	regs := m.regs[:m.top+1]
+	n := 0
+	for i, run := 0, uint64(0); i < len(regs); i++ {
+		var up, down *regHalf
+		if up, down, run = regs[i].stair(run); up != nil || down != nil {
+			n++
+		}
+	}
+	s := m.newSnapshot(n)
+	for i, run := 0, uint64(0); i < len(regs); i++ {
+		var up, down *regHalf
+		if up, down, run = regs[i].stair(run); up != nil || down != nil {
+			s.appendLevel(i, up, down)
+		}
+	}
+	return s
+}
+
+// stair returns the halves of r a staircase walk can use once the levels
+// below have shown sequence numbers up to run — the written ones above it,
+// nil for the others — and the running maximum after r's level.
+func (r *Reg) stair(run uint64) (up, down *regHalf, next uint64) {
+	next = run
+	if r.up.b != 0 && r.up.seq > run {
+		up, next = &r.up, r.up.seq
+	}
+	if r.down.b != 0 && r.down.seq > run {
+		down, next = &r.down, max(next, r.down.seq)
+	}
+	return up, down, next
+}
+
+// newSnapshot returns an empty snapshot of the monitor's current top with
+// room for n levels.
+func (m *Monitor) newSnapshot(n int) *Snapshot {
+	return &Snapshot{cfg: m.cfg, levels: make([]uint32, 0, n), entries: make([]Entry, 0, n), top: m.top}
+}
+
+// appendLevel lists level with the given halves unpacked; a nil or
+// never-written half stays invalid.
+func (s *Snapshot) appendLevel(level int, up, down *regHalf) {
+	s.levels = append(s.levels, uint32(level))
+	s.entries = append(s.entries, Entry{})
+	e := &s.entries[len(s.entries)-1]
+	if up != nil {
+		up.unpack(&e.Up)
+	}
+	if down != nil {
+		down.unpack(&e.Down)
+	}
 }
 
 // EntriesPerSnapshot returns the register entries read per snapshot (the
 // array plus the top-pointer register).
 func (c Config) EntriesPerSnapshot() int { return c.Entries() + 1 }
 
-// Snapshot is a frozen copy of a queue monitor register set. entries may end
-// before the array does: levels at or beyond len(entries) are empty.
+// Snapshot is a frozen copy of a queue monitor register set. It stores the
+// entries it keeps only: their levels, ascending, and the entries at them,
+// each with at least one valid half. Every level it does not list is empty.
+//
+// Two reads produce one. Monitor.Snapshot lists every occupied level — the
+// paper's whole-register read. Monitor.Freeze lists the staircase up to the
+// top, which is what the control plane retires; every walk over such
+// snapshots names the culprits the whole reads would.
 type Snapshot struct {
 	cfg     Config
-	entries []Entry
+	levels  []uint32
+	entries []Entry // entries[n] is the entry at levels[n]
 	top     int
 }
 
@@ -254,40 +322,56 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // Top returns the snapshot's stack-top level.
 func (s *Snapshot) Top() int { return s.top }
 
-// Entries exposes the snapshot's raw register entries, indexed by level —
-// all cfg.Entries() of them, or fewer when the levels beyond are empty. The
-// caller must treat them as read-only; the checkpoint codec walks them to
-// build its compact on-disk encoding.
-func (s *Snapshot) Entries() []Entry { return s.entries }
+// Levels returns the kept entries: their levels, ascending, and the entries
+// at them. The caller must treat both as read-only; the checkpoint codec
+// walks them to build its on-disk encoding.
+func (s *Snapshot) Levels() (levels []uint32, entries []Entry) { return s.levels, s.entries }
+
+// Entries materialises the snapshot as the whole register array, indexed by
+// level, with the entries it does not hold empty. It allocates cfg.Entries()
+// entries and exists for tests and oracles; nothing on a query or checkpoint
+// path calls it.
+func (s *Snapshot) Entries() []Entry {
+	out := make([]Entry, s.cfg.Entries())
+	for n, level := range s.levels {
+		out[level] = s.entries[n]
+	}
+	return out
+}
 
 // NewSnapshot reconstitutes a Snapshot from decoded register contents — the
-// inverse of Entries(), used by the on-disk checkpoint codec. The entries
-// slice is adopted, not copied, and holds at most cfg.Entries() entries, the
-// top level among them. A snapshot rebuilt this way answers like the one it
-// was encoded from: Merge, OriginalCulprits, and the staircase filter see the
-// same state.
-func NewSnapshot(cfg Config, entries []Entry, top int) (*Snapshot, error) {
+// inverse of Levels(), used by the on-disk checkpoint codec. The slices are
+// adopted, not copied: levels ascending below cfg.Entries(), each entry with
+// a valid half. A snapshot rebuilt this way answers like the one it was
+// encoded from: Merge, OriginalCulprits and CulpritsAcross see the same
+// state.
+func NewSnapshot(cfg Config, levels []uint32, entries []Entry, top int) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(entries) > cfg.Entries() {
-		return nil, fmt.Errorf("qmonitor: snapshot length %d, want at most %d", len(entries), cfg.Entries())
+	if top < 0 || top >= cfg.Entries() {
+		return nil, fmt.Errorf("qmonitor: snapshot top %d out of range [0,%d)", top, cfg.Entries())
 	}
-	if top < 0 || top >= len(entries) {
-		return nil, fmt.Errorf("qmonitor: snapshot top %d out of range [0,%d)", top, len(entries))
+	if len(levels) != len(entries) {
+		return nil, fmt.Errorf("qmonitor: snapshot lists %d levels for %d entries", len(levels), len(entries))
 	}
-	return &Snapshot{cfg: cfg, entries: entries, top: top}, nil
+	for n, level := range levels {
+		if int64(level) >= int64(cfg.Entries()) || (n > 0 && level <= levels[n-1]) || !(entries[n].Up.Valid || entries[n].Down.Valid) {
+			return nil, fmt.Errorf("qmonitor: snapshot entry %d (level %d) is out of range, out of order or empty", n, level)
+		}
+	}
+	return &Snapshot{cfg: cfg, levels: levels, entries: entries, top: top}, nil
 }
 
-// entryMemBytes is the in-memory footprint of one register entry, used by
-// the MemBytes estimate.
-var entryMemBytes = int64(unsafe.Sizeof(Entry{}))
+// entryMemBytes is the in-memory footprint of one kept entry and its level,
+// used by the MemBytes estimate.
+var entryMemBytes = int64(unsafe.Sizeof(Entry{}) + unsafe.Sizeof(uint32(0)))
 
-// MemBytes estimates the resident size of the snapshot — the register copy
-// plus its slice header — for the history byte budget and the on-disk
-// compression ratio.
+// MemBytes estimates the resident size of the snapshot — the kept entries,
+// their levels and the slice headers — for the history byte budget and the
+// on-disk compression ratio.
 func (s *Snapshot) MemBytes() int64 {
-	return int64(len(s.entries))*entryMemBytes + 24
+	return int64(len(s.entries))*entryMemBytes + 48
 }
 
 // Culprit is one original culprit: the packet whose arrival raised the
@@ -298,7 +382,7 @@ type Culprit struct {
 	Seq   uint64
 }
 
-// OriginalCulprits walks the array from level 0 to the top pointer,
+// OriginalCulprits walks the kept levels from 0 to the top pointer,
 // tracking the largest sequence number seen so far (over both halves);
 // an increase entry survives only if its sequence number exceeds every
 // sequence number at lower levels. The surviving entries are exactly the
@@ -307,10 +391,13 @@ type Culprit struct {
 func (s *Snapshot) OriginalCulprits() []Culprit {
 	var out []Culprit
 	var maxSeq uint64
-	for level := 0; level <= s.top && level < len(s.entries); level++ {
-		e := s.entries[level]
+	for n, level := range s.levels {
+		if int(level) > s.top {
+			break
+		}
+		e := &s.entries[n]
 		if e.Up.Valid && e.Up.Seq > maxSeq {
-			out = append(out, Culprit{Flow: e.Up.Flow, Level: level, Seq: e.Up.Seq})
+			out = append(out, Culprit{Flow: e.Up.Flow, Level: int(level), Seq: e.Up.Seq})
 			maxSeq = e.Up.Seq
 		}
 		if e.Down.Valid && e.Down.Seq > maxSeq {
@@ -321,10 +408,11 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 }
 
 // CulpritsAcross is OriginalCulprits over the merge of several register
-// sets' snapshots, without building that merge: at every level it takes,
-// per half, the record with the largest sequence number across snaps and
-// feeds it to the same staircase. snaps[0] must be the most recent snapshot;
-// the walk stops at its top pointer.
+// sets' snapshots, without building that merge: it merges the snapshots'
+// level lists, at every level takes, per half, the record with the largest
+// sequence number across snaps and feeds it to the same staircase.
+// snaps[0] must be the most recent snapshot; the walk stops at its top
+// pointer.
 //
 // For the snapshots the control plane passes — the newest one of each
 // register set at or before a freeze, newest first — the result equals
@@ -333,8 +421,8 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 // overwrites a half with a larger sequence number, so an older snapshot of a
 // set adds nothing to its newest one, and the sequence number that Merge
 // picks its top by belongs to the last level change, which every later
-// snapshot's top still points at. The cost follows the levels below the
-// top, not the array length, and the only allocation is the result.
+// snapshot's top still points at. The cost follows the kept entries, not the
+// levels, and the only allocation is the result (for at most four snaps).
 func CulpritsAcross(snaps []*Snapshot) []Culprit {
 	if len(snaps) == 0 {
 		return nil
@@ -345,18 +433,38 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 			panic("qmonitor: walking snapshots with different configs")
 		}
 	}
+	// next[i] is the first of snaps[i]'s entries not yet walked; up to four
+	// fit the array on the stack.
+	var cursors [4]int
+	next := cursors[:0]
+	for range snaps {
+		next = append(next, 0)
+	}
 	var out []Culprit
 	var maxSeq uint64
-	for level := 0; level <= newest.top && level < len(newest.entries); level++ {
+	for {
+		// The lowest level any snapshot lists next; top+1 when none is left
+		// at or below the top (a level fits 32 bits, see Validate).
+		level := uint32(newest.top) + 1
+		for i, s := range snaps {
+			if n := next[i]; n < len(s.levels) && s.levels[n] < level {
+				level = s.levels[n]
+			}
+		}
+		if int(level) > newest.top {
+			return out
+		}
 		// The newest rise record and the newest fall's sequence number at
 		// this level; a valid record's sequence number is at least 1.
 		var up *Half
 		var upSeq, downSeq uint64
-		for _, s := range snaps {
-			if level >= len(s.entries) {
-				continue // frozen with its top below this level
+		for i, s := range snaps {
+			n := next[i]
+			if n >= len(s.levels) || s.levels[n] != level {
+				continue
 			}
-			e := &s.entries[level]
+			next[i]++
+			e := &s.entries[n]
 			if e.Up.Valid && e.Up.Seq > upSeq {
 				up, upSeq = &e.Up, e.Up.Seq
 			}
@@ -365,24 +473,27 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 			}
 		}
 		if upSeq > maxSeq {
-			out = append(out, Culprit{Flow: up.Flow, Level: level, Seq: upSeq})
+			out = append(out, Culprit{Flow: up.Flow, Level: int(level), Seq: upSeq})
 			maxSeq = upSeq
 		}
 		if downSeq > maxSeq {
 			maxSeq = downSeq
 		}
 	}
-	return out
 }
 
 // OriginalCulpritsNoFilter is the ablation variant that returns every valid
 // increase entry at or below the top pointer, without the sequence-number
-// staircase. Stale peaks then wrongly implicate long-gone packets.
+// staircase. Stale peaks then wrongly implicate long-gone packets. Only a
+// whole read (Monitor.Snapshot) still holds them.
 func (s *Snapshot) OriginalCulpritsNoFilter() []Culprit {
 	var out []Culprit
-	for level := 0; level <= s.top && level < len(s.entries); level++ {
-		if e := s.entries[level]; e.Up.Valid {
-			out = append(out, Culprit{Flow: e.Up.Flow, Level: level, Seq: e.Up.Seq})
+	for n, level := range s.levels {
+		if int(level) > s.top {
+			break
+		}
+		if e := &s.entries[n]; e.Up.Valid {
+			out = append(out, Culprit{Flow: e.Up.Flow, Level: int(level), Seq: e.Up.Seq})
 		}
 	}
 	return out
@@ -400,9 +511,9 @@ func FlowCounts(culprits []Culprit) flow.Counts {
 // Merge combines two snapshots of the same configuration by keeping, per
 // level and half, the record with the larger sequence number, and the later
 // top pointer (by the monitor's global sequence ordering), so original
-// culprits recorded before a register-set flip are not lost. It builds a
-// full-size snapshot per call; queries use CulpritsAcross, and Merge is the
-// reference that walk is tested against.
+// culprits recorded before a register-set flip are not lost. It builds a new
+// snapshot listing every level either lists; queries use CulpritsAcross, and
+// Merge is the reference that walk is tested against.
 func Merge(a, b *Snapshot) *Snapshot {
 	if a == nil {
 		return b
@@ -413,17 +524,24 @@ func Merge(a, b *Snapshot) *Snapshot {
 	if a.cfg != b.cfg {
 		panic("qmonitor: merging snapshots with different configs")
 	}
-	out := &Snapshot{cfg: a.cfg, entries: make([]Entry, max(len(a.entries), len(b.entries)))}
-	for i := range out.entries {
-		var ea, eb Entry // empty beyond a snapshot's last level
-		if i < len(a.entries) {
-			ea = a.entries[i]
+	n := len(a.levels) + len(b.levels)
+	out := &Snapshot{cfg: a.cfg, levels: make([]uint32, 0, n), entries: make([]Entry, 0, n)}
+	i, j := 0, 0
+	for i < len(a.levels) || j < len(b.levels) {
+		switch {
+		case j == len(b.levels) || (i < len(a.levels) && a.levels[i] < b.levels[j]):
+			out.levels, out.entries = append(out.levels, a.levels[i]), append(out.entries, a.entries[i])
+			i++
+		case i == len(a.levels) || b.levels[j] < a.levels[i]:
+			out.levels, out.entries = append(out.levels, b.levels[j]), append(out.entries, b.entries[j])
+			j++
+		default:
+			ea, eb := &a.entries[i], &b.entries[j]
+			out.levels = append(out.levels, a.levels[i])
+			out.entries = append(out.entries, Entry{Up: newerHalf(ea.Up, eb.Up), Down: newerHalf(ea.Down, eb.Down)})
+			i++
+			j++
 		}
-		if i < len(b.entries) {
-			eb = b.entries[i]
-		}
-		out.entries[i].Up = newerHalf(ea.Up, eb.Up)
-		out.entries[i].Down = newerHalf(ea.Down, eb.Down)
 	}
 	// The snapshot with the larger maximum sequence number is the more
 	// recent one; its top pointer reflects the current queue level.

@@ -3,6 +3,7 @@ package qmonitor
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"printqueue/internal/flow"
@@ -281,8 +282,11 @@ func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
 	if got := m.Snapshot().Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot entries\n got %+v\nwant %+v", got, want)
 	}
-	if got := m.Freeze().Entries(); !reflect.DeepEqual(got, want[:4]) {
-		t.Fatalf("Freeze entries (top 3)\n got %+v\nwant %+v", got, want[:4])
+	// Freeze keeps the staircase up to the top (3): both halves at level 3.
+	frozen := slices.Clone(want)
+	frozen[5], frozen[7] = Entry{}, Entry{}
+	if got := m.Freeze().Entries(); !reflect.DeepEqual(got, frozen) {
+		t.Fatalf("Freeze entries (top 3)\n got %+v\nwant %+v", got, frozen)
 	}
 	// A half with a cleared written mark is never-written, whatever else it
 	// holds.
@@ -313,7 +317,7 @@ type setRotation struct {
 type frozenSet struct {
 	set     int
 	snaps   []*Snapshot // one per queue: the whole array
-	trimmed []*Snapshot // the same freezes as the control plane takes them, levels 0..top
+	trimmed []*Snapshot // the same freezes as the control plane takes them: the staircase up to the top
 }
 
 func newSetRotation(t *testing.T, cfg Config, queues int) *setRotation {
@@ -350,7 +354,7 @@ func (r *setRotation) freeze(bit int) {
 func (r *setRotation) newestPerSet(q int) []*Snapshot { return r.newest(q, false) }
 
 // newest is newestPerSet over the whole-array snapshots or, with trimmed
-// set, over the top-trimmed freezes of the same moments.
+// set, over the staircase freezes of the same moments.
 func (r *setRotation) newest(q int, trimmed bool) []*Snapshot {
 	var out []*Snapshot
 	var seen [4]bool
@@ -451,16 +455,18 @@ func TestCulpritsAcrossMatchesMergeChain(t *testing.T) {
 	}
 }
 
-// TestFreezeAnswersLikeSnapshot: freezing levels 0..top loses nothing a walk
-// reads. On the same rotation, after every freeze, the staircase over the
-// newest top-trimmed freeze of each set names the culprits the staircase over
-// the whole arrays names, and so does the Merge reference over the trimmed
-// chain — whose snapshots have different lengths. The sequences must
-// actually leave records above the top, or nothing was trimmed.
+// TestFreezeAnswersLikeSnapshot: freezing the staircase loses nothing a walk
+// reads. On the same rotation, after every freeze, the trimmed freeze lists
+// only levels up to the top, only halves that raise its own running maximum,
+// and every such half of the whole read; the staircase over the newest
+// trimmed freeze of each set names the culprits the staircase over the whole
+// arrays names, and so does the Merge reference over the trimmed chain. The
+// sequences must actually leave halves above the top and halves below it
+// that raise nothing, or nothing was trimmed.
 func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 	cfg := Config{MaxDepthCells: 96, GranuleCells: 2}
 	const queues = 3
-	dropped := 0
+	droppedAbove, droppedBelow := 0, 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		// The Merge reference over the trimmed chain, kept up freeze by freeze.
 		var merged [queues]*Snapshot
@@ -469,13 +475,31 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 			last := r.chain[len(r.chain)-1]
 			for q := 0; q < queues; q++ {
 				whole, trimmed := last.snaps[q], last.trimmed[q]
-				if len(trimmed.Entries()) != trimmed.Top()+1 || trimmed.Top() != whole.Top() {
-					t.Fatalf("seed %d op %d queue %d: froze %d levels with top %d (whole read: top %d)",
-						seed, op, q, len(trimmed.Entries()), trimmed.Top(), whole.Top())
+				if trimmed.Top() != whole.Top() {
+					t.Fatalf("seed %d op %d queue %d: froze with top %d, whole read top %d", seed, op, q, trimmed.Top(), whole.Top())
 				}
-				for _, e := range whole.Entries()[whole.Top()+1:] {
-					if e.Up.Valid || e.Down.Valid {
-						dropped++
+				kept := trimmed.Entries()
+				var run uint64
+				for level, e := range whole.Entries() {
+					k := kept[level]
+					for _, h := range [2][2]Half{{e.Up, k.Up}, {e.Down, k.Down}} {
+						w, kh := h[0], h[1]
+						switch raises := w.Valid && w.Seq > run; {
+						case kh.Valid && kh != w:
+							t.Fatalf("seed %d op %d queue %d: level %d keeps %+v, the register holds %+v", seed, op, q, level, kh, w)
+						case level > whole.Top() && kh.Valid:
+							t.Fatalf("seed %d op %d queue %d: level %d kept above the top %d", seed, op, q, level, whole.Top())
+						case level <= whole.Top() && kh.Valid != raises:
+							t.Fatalf("seed %d op %d queue %d: level %d half %+v kept=%v, raises the running maximum %d=%v",
+								seed, op, q, level, w, kh.Valid, run, raises)
+						case w.Valid && !kh.Valid && level > whole.Top():
+							droppedAbove++
+						case w.Valid && !kh.Valid:
+							droppedBelow++
+						}
+					}
+					if level <= whole.Top() {
+						run = max(run, e.Up.Seq, e.Down.Seq)
 					}
 				}
 				want := CulpritsAcross(r.newestPerSet(q))
@@ -491,8 +515,10 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 			}
 		})
 	}
-	if dropped < 1000 {
-		t.Fatalf("only %d occupied levels lay above a top at freeze time; the sequences do not exercise the trim", dropped)
+	t.Logf("halves dropped: %d above a top, %d below it", droppedAbove, droppedBelow)
+	if droppedAbove < 1000 || droppedBelow < 1000 {
+		t.Fatalf("only %d halves lay above a top and %d below it without raising the staircase; the sequences do not exercise the trim",
+			droppedAbove, droppedBelow)
 	}
 }
 
