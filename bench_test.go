@@ -431,8 +431,8 @@ func BenchmarkAblationPassingRule(b *testing.B) {
 		}
 		start, end := benchOldInterval(cfg, stream)
 		truth := gt.CountsInInterval(start, end)
-		pOne, rOne = metrics.PrecisionRecall(one.Snapshot().Filter().Query(start, end), truth)
-		pAlways, rAlways = metrics.PrecisionRecall(always.Snapshot().Filter().Query(start, end), truth)
+		pOne, rOne = metrics.PrecisionRecall(one.Snapshot().Query(start, end), truth)
+		pAlways, rAlways = metrics.PrecisionRecall(always.Snapshot().Query(start, end), truth)
 	}
 	b.ReportMetric(pOne, "oneshot-P")
 	b.ReportMetric(rOne, "oneshot-R")
@@ -454,7 +454,7 @@ func BenchmarkAblationCoefficients(b *testing.B) {
 		}
 		start, end := benchOldInterval(cfg, stream)
 		truth := gt.CountsInInterval(start, end)
-		f := w.Snapshot().Filter()
+		f := w.Snapshot()
 		_, rWith = metrics.PrecisionRecall(f.Query(start, end), truth)
 		_, rWithout = metrics.PrecisionRecall(f.QueryWithoutCoefficients(start, end), truth)
 	}
@@ -486,8 +486,8 @@ func BenchmarkAblationUniformWindows(b *testing.B) {
 		end := last - uni.SetPeriod() - 200000
 		start := end - 100000
 		truth := gt.CountsInInterval(start, end)
-		_, rExp = metrics.PrecisionRecall(we.Snapshot().Filter().Query(start, end), truth)
-		_, rUni = metrics.PrecisionRecall(wu.Snapshot().Filter().Query(start, end), truth)
+		_, rExp = metrics.PrecisionRecall(we.Snapshot().Query(start, end), truth)
+		_, rUni = metrics.PrecisionRecall(wu.Snapshot().Query(start, end), truth)
 	}
 	b.ReportMetric(float64(exp.SetPeriod())/float64(uni.SetPeriod()), "coverage-ratio")
 	b.ReportMetric(rExp, "exponential-R")
@@ -714,7 +714,7 @@ func BenchmarkAblationDigestWidth(b *testing.B) {
 	for _, r := range stream {
 		w.Insert(r.Flow, r.DeqTimestamp())
 	}
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	last := stream[len(stream)-1].DeqTimestamp()
 	start, end := last-200000, last
 	truth := gt.CountsInInterval(start, end)

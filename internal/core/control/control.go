@@ -121,68 +121,29 @@ type Checkpoint struct {
 	// rather than the periodic poll.
 	Special bool
 
-	TW *timewindow.Snapshot
+	// TW is the time windows' Algorithm-3 index, as Windows.Freeze emits
+	// it; the log and the stream carry it as it is.
+	TW *timewindow.Filtered
 	QM []*qmonitor.Snapshot // one per queue
 
 	// set is the register set (setSel.index()) this checkpoint froze.
 	// QueryOriginal needs the newest snapshot of each set, not every
 	// checkpoint; the field lives in memory only.
 	set uint8
-
-	// filtered is the lazily built Algorithm-3 result. It is droppable:
-	// when the checkpoint falls out of the hot tier its index can be
-	// released (DropFiltered) and rebuilt on demand if the checkpoint is
-	// ever queried again, so evicted history stops pinning query indexes.
-	filtered atomic.Pointer[timewindow.Filtered]
-	// indexNs, when set (by snapshotSet), receives the one-time cost of the
-	// Algorithm-3 filter plus cell-index build.
-	indexNs *telemetry.Histogram
-	// histBytes, when set, tracks the filtered form's resident bytes in the
-	// shared printqueue_history_bytes gauge.
-	histBytes *telemetry.Gauge
 }
 
-// Filtered returns the checkpoint's time windows with Algorithm 3 applied
-// and the per-window cell index built, computing both on first use. It is
-// safe for concurrent use, so query goroutines may share checkpoints. Two
-// racing first uses may both build; the CAS winner's result is kept and
-// charged to the history gauge.
-func (c *Checkpoint) Filtered() *timewindow.Filtered {
-	if f := c.filtered.Load(); f != nil {
-		return f
-	}
-	start := time.Now()
-	f := c.TW.Filter()
-	if c.filtered.CompareAndSwap(nil, f) {
-		if c.indexNs != nil {
-			c.indexNs.Observe(uint64(time.Since(start).Nanoseconds()))
-		}
-		if c.histBytes != nil {
-			c.histBytes.Add(f.MemBytes())
-		}
-		return f
-	}
-	return c.Filtered()
-}
+// Filtered returns the checkpoint's time windows, the index interval
+// queries search. With Coverage it makes a Checkpoint a timewindow.Covered.
+func (c *Checkpoint) Filtered() *timewindow.Filtered { return c.TW }
 
 // Coverage returns the dequeue-time span (PrevFreeze, FreezeTime] the
-// checkpoint covers. With Filtered it makes a Checkpoint a
-// timewindow.Covered.
+// checkpoint covers.
 func (c *Checkpoint) Coverage() (prevFreeze, freezeTime uint64) {
 	return c.PrevFreeze, c.FreezeTime
 }
 
-// DropFiltered releases the memoized filtered form (if built), refunding
-// its bytes. Queries holding the old pointer keep working; a later
-// Filtered() call rebuilds.
-func (c *Checkpoint) DropFiltered() {
-	if f := c.filtered.Swap(nil); f != nil && c.histBytes != nil {
-		c.histBytes.Add(-f.MemBytes())
-	}
-}
-
-// memBytes is the checkpoint's raw register-copy footprint (excluding the
-// separately tracked filtered form).
+// memBytes is the checkpoint's resident footprint: its index and its
+// monitors.
 func (c *Checkpoint) memBytes() int64 {
 	n := qmMemBytes(c.QM)
 	if c.TW != nil {
@@ -263,7 +224,7 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.entriesRead = reg.Counter("printqueue_checkpoint_entries_read_total",
 		"Register entries a hardware control plane reads for the checkpoints taken (whole arrays; the modelled PCIe cost).")
 	sc.cellsKept = reg.Counter("printqueue_checkpoint_cells_kept_total",
-		"Time-window cells and queue-monitor entries actually copied into retired checkpoints (coverage- and staircase-trimmed).")
+		"Time-window index cells and queue-monitor levels actually copied into retired checkpoints (coverage- and staircase-trimmed).")
 	sc.tsRegressions = reg.Counter("printqueue_timestamp_regressions_total",
 		"Dequeues stamped before their port's last flip: inserted, never allowed to flip.")
 	sc.ingestAfterClose = reg.Counter("printqueue_pipeline_ingest_after_close_total",
@@ -279,13 +240,12 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 
 // queryPathCounters instruments the interval-query execution path: how much
 // of the checkpoint history pruning eliminated, how many index cells the
-// surviving run touched, the one-time index build cost, and how often a
-// query fanned out across the worker pool.
+// surviving run touched, and how often a query fanned out across the worker
+// pool.
 type queryPathCounters struct {
 	checkpointsScanned *telemetry.Counter
 	checkpointsPruned  *telemetry.Counter
 	cellsVisited       *telemetry.Counter
-	indexBuildNs       *telemetry.Histogram
 	parallelFanouts    *telemetry.Counter
 	coldCheckpoints    *telemetry.Counter
 }
@@ -297,9 +257,6 @@ func (qc *queryPathCounters) register(reg *telemetry.Registry) {
 		"Checkpoints skipped by the coverage binary search without being touched.")
 	qc.cellsVisited = reg.Counter("printqueue_query_cells_visited_total",
 		"Time-window index cells visited by interval queries.")
-	qc.indexBuildNs = reg.Histogram("printqueue_query_index_build_ns",
-		"One-time cost of filtering a checkpoint and building its sorted cell index.",
-		telemetry.LatencyBuckets)
 	qc.parallelFanouts = reg.Counter("printqueue_query_parallel_fanouts_total",
 		"Interval queries whose checkpoint run was sharded across query workers.")
 	qc.coldCheckpoints = reg.Counter("printqueue_query_cold_checkpoints_total",
@@ -697,12 +654,13 @@ func (s *System) dequeue(p *pktrec.Packet) *portState {
 // path — the software analogue of the paper's asynchronous PCIe register
 // reads.
 //
-// The checkpoint holds what a query on it can read: the time-window cells
-// its coverage can count and the queue monitors' staircase up to the top
-// (timewindow.Windows.Freeze, qmonitor.Monitor.Freeze). The read cost charged
-// is still the hardware's — whole arrays over PCIe, which is what EntriesRead,
-// readLatencyNs and the Figure-13 feasibility model are about; what was
-// copied is counted beside it.
+// The checkpoint holds what a query on it can read: the Algorithm-3 index of
+// the time-window cells its coverage can count and the queue monitors'
+// staircase up to the top (timewindow.Windows.Freeze,
+// qmonitor.Monitor.Freeze). The read cost charged is still the hardware's —
+// whole arrays over PCIe, which is what EntriesRead, readLatencyNs and the
+// Figure-13 feasibility model are about; what was copied is counted beside
+// it.
 func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint64, special bool) *Checkpoint {
 	cp := &Checkpoint{
 		FreezeTime: freezeTime,
@@ -711,8 +669,6 @@ func (s *System) snapshotSet(ps *portState, sel int, freezeTime, prevFreeze uint
 		TW:         ps.tw[sel].Freeze(prevFreeze, freezeTime),
 		QM:         make([]*qmonitor.Snapshot, s.cfg.QueuesPerPort),
 		set:        uint8(sel),
-		indexNs:    s.qpath.indexBuildNs,
-		histBytes:  s.histBytes,
 	}
 	kept := cp.TW.KeptCells()
 	for q := range cp.QM {
@@ -743,16 +699,15 @@ func (ps *portState) retire(cp *Checkpoint, max int) (evicted *Checkpoint, displ
 }
 
 // retireCheckpoint is the full retirement path: ring insert, hot-tier byte
-// accounting, the evicted checkpoint's index drop, and the durable-log
-// append (when the tiered history is enabled). Callers must invoke it off
-// the per-packet hot path (it is: flips and DP freezes only).
+// accounting, and the durable-log append (when the tiered history is
+// enabled). Callers must invoke it off the per-packet hot path (it is: flips
+// and DP freezes only).
 func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 	evicted, displaced := ps.retire(cp, s.cfg.MaxCheckpoints)
 	s.histBytes.Add(cp.memBytes())
 	if evicted != nil {
 		// The evicted queue-monitor snapshots stay resident as the carry.
 		s.histBytes.Add(qmMemBytes(evicted.QM) - evicted.memBytes() - qmMemBytes(displaced))
-		evicted.DropFiltered()
 	}
 	if s.hist != nil {
 		rec := &histstore.Record{

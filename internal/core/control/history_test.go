@@ -147,9 +147,9 @@ func TestColdQueryRestart(t *testing.T) {
 	}
 }
 
-// TestHistoryBytesGauge: the shared gauge tracks hot-tier checkpoint bytes,
-// grows when a Filtered index is built, and is refunded by DropFiltered and
-// by hot-tier eviction.
+// TestHistoryBytesGauge: the shared gauge tracks the hot tier's bytes — each
+// checkpoint's index and monitors, charged once at retirement — and a
+// query, which builds nothing, leaves it where it is.
 func TestHistoryBytesGauge(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.PollPeriodNs = 256
@@ -159,34 +159,21 @@ func TestHistoryBytesGauge(t *testing.T) {
 	}
 	buildDeepHistory(t, s, 0, 8)
 
-	base := s.HistoryBytes()
-	if base <= 0 {
-		t.Fatalf("history bytes gauge is %d with a deep hot tier", base)
+	var want int64
+	for _, cp := range s.Checkpoints(0) {
+		if cp.Filtered() != cp.TW {
+			t.Fatal("Filtered is not the checkpoint's index")
+		}
+		want += cp.memBytes()
 	}
-	cp := s.Checkpoints(0)[0]
-	f := cp.Filtered()
-	if f == nil {
-		t.Fatal("nil filtered view")
+	if got := s.HistoryBytes(); got != want || got <= 0 {
+		t.Fatalf("history bytes gauge %d, the hot checkpoints hold %d", got, want)
 	}
-	withIndex := s.HistoryBytes()
-	if withIndex != base+f.MemBytes() {
-		t.Fatalf("gauge %d after index build, want %d + %d", withIndex, base, f.MemBytes())
+	if _, err := s.QueryInterval(0, 0, ^uint64(0)); err != nil {
+		t.Fatal(err)
 	}
-	// Memoized: a second call must not double-charge.
-	if cp.Filtered() != f {
-		t.Fatal("Filtered not memoized")
-	}
-	if got := s.HistoryBytes(); got != withIndex {
-		t.Fatalf("gauge moved to %d on memoized access", got)
-	}
-	cp.DropFiltered()
-	if got := s.HistoryBytes(); got != base {
-		t.Fatalf("gauge %d after DropFiltered, want %d", got, base)
-	}
-	// Dropping twice is a no-op, not a double refund.
-	cp.DropFiltered()
-	if got := s.HistoryBytes(); got != base {
-		t.Fatalf("gauge %d after second DropFiltered, want %d", got, base)
+	if got := s.HistoryBytes(); got != want {
+		t.Fatalf("gauge moved from %d to %d on a query", want, got)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // scanInterval is the interval-query oracle: every hot checkpoint of the
 // port plus every cold one below the hot tier's coverage start, each clamped
-// to [start, end) and walked cell by cell (Snapshot.AccumulateScanInto) — no
-// coverage search against the interval, no cell index, no sharding. The cold
+// to [start, end) and walked cell by cell (scanInto) — no coverage search
+// against the interval, no binary search of the index, no sharding. The cold
 // ones are read from the log record by record (ReplaySince + DecodeRecord),
 // not through the store's cache, so the cold tier's index is compared with
 // an independent decode. Every source the engine answers from is compared
@@ -25,7 +25,7 @@ func scanInterval(s *System, port int, start, end uint64) flow.Counts {
 	if len(hot) > 0 {
 		hotStart = hot[0].PrevFreeze
 	}
-	acc := timewindow.NewAccumulator(s.cfg.TW.T, s.cfg.TW.Coefficients())
+	rows := make(map[flow.Key][]int64)
 	if s.hist != nil {
 		err := s.hist.ReplaySince(0, func(payload []byte, p int, freeze, prev uint64, _ bool) error {
 			if p != port || prev >= hotStart {
@@ -35,7 +35,7 @@ func scanInterval(s *System, port int, start, end uint64) flow.Counts {
 			if err != nil {
 				return err
 			}
-			rec.TW.AccumulateScanInto(acc, max(start, prev), min(end, freeze))
+			scanInto(rows, rec.TW, max(start, prev), min(end, freeze))
 			return nil
 		})
 		if err != nil {
@@ -43,9 +43,52 @@ func scanInterval(s *System, port int, start, end uint64) flow.Counts {
 		}
 	}
 	for _, cp := range hot {
-		cp.TW.AccumulateScanInto(acc, max(start, cp.PrevFreeze), min(end, cp.FreezeTime))
+		scanInto(rows, cp.TW, max(start, cp.PrevFreeze), min(end, cp.FreezeTime))
 	}
-	return acc.Counts()
+	return foldRows(rows, s.cfg.TW.Coefficients())
+}
+
+// scanInto counts into rows, per flow and window, every cell f keeps whose
+// period overlaps [start, end), walking each window's cells one by one — and
+// checks on the way that each lies in the span Algorithm 3 retains behind
+// its window's anchor.
+func scanInto(rows map[flow.Key][]int64, f *timewindow.Filtered, start, end uint64) {
+	cfg := f.Config()
+	for i := 0; i < cfg.T; i++ {
+		anchor, _ := f.Anchor(i)
+		shift := cfg.M0 + cfg.Alpha*uint(i)
+		for _, ref := range f.Window(i) {
+			if tts := ref.Start >> shift; tts > anchor || anchor-tts >= uint64(cfg.Cells()) {
+				panic(fmt.Sprintf("window %d keeps a cell at TTS %d, outside the span its anchor %d retains", i, tts, anchor))
+			}
+			if end <= start || ref.Start >= end || ref.Start+cfg.CellPeriod(i) <= start {
+				continue
+			}
+			k := f.Flows()[ref.Flow]
+			if rows[k] == nil {
+				rows[k] = make([]int64, cfg.T)
+			}
+			rows[k][i]++
+		}
+	}
+}
+
+// foldRows turns per-window cell counts into estimates as Algorithm 2 does:
+// each flow's is the ascending-window sum of count/coefficient.
+func foldRows(rows map[flow.Key][]int64, coeff []float64) flow.Counts {
+	out := make(flow.Counts, len(rows))
+	for k, row := range rows {
+		var est float64
+		for i, n := range row {
+			if n != 0 {
+				est += float64(n) / coeff[i]
+			}
+		}
+		if est != 0 {
+			out.Add(k, est)
+		}
+	}
+	return out
 }
 
 // tieredConfig is a tiny hot tier backed by the segment log in dir: nearly

@@ -16,10 +16,11 @@ type cacheKey struct {
 
 // ColdCheckpoint is one checkpoint served from the cold tier, as far as an
 // interval query reads it: its coverage (PrevFreeze, FreezeTime], its window
-// configuration and its Algorithm-3 index. The cells the index was built
-// from, and the queue monitors (never decoded; see DecodeRecord for the
-// whole record), are not kept. It is immutable once built, so the LRU hands
-// out the resident entry itself.
+// configuration and its Algorithm-3 index, decoded as the record holds it
+// (or, for a version-1 record, built once from the cells it lists). The
+// queue monitors are never decoded; see DecodeRecord for the whole record.
+// It is immutable once built, so the LRU hands out the resident entry
+// itself.
 type ColdCheckpoint struct {
 	freezeTime uint64
 	prevFreeze uint64

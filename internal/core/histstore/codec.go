@@ -13,41 +13,65 @@ import (
 
 // This file implements the compact binary checkpoint codec: a lossless,
 // self-describing encoding of one frozen register read (time windows + queue
-// monitors). Two structural facts make the encoding small:
+// monitors). A record holds what a query can read of the checkpoint and no
+// more, and three structural facts make it small:
 //
-//   - cell timestamps are near-monotonic: within one window, the cycle IDs
-//     of consecutive valid cells differ by 0 or ±1 (the ring buffer is
-//     written in time order), so cycle IDs compress to zigzag varint deltas
-//     against the previous cell, almost always one byte;
+//   - a kept cell's cycle ID is not written: every kept cell survives
+//     Algorithm 3, so its TTS lies in its window's retained span, (anchor -
+//     2^k, anchor], and within that span its ring position alone determines
+//     its TTS and with it its cycle. The record writes window 0's anchor
+//     (the deeper ones follow by Algorithm 3's chain) and per window the
+//     kept cells' TTSes as runs of adjacent ones;
 //   - consecutive checkpoints — and the cells within one — share most of
 //     their flows, so flow keys are interned into a per-record dictionary
-//     and cells refer to them by small varint index.
+//     and cells refer to them by small varint index; the dictionary is the
+//     index's flow table followed by the flows only the monitors name, so
+//     a decoded index adopts its prefix as is;
+//   - no staircase walk reports the packet that lowered the queue, so a
+//     monitor's fall records its sequence number alone, and sequence numbers
+//     are deltas in level order.
 //
-// Invalid cells are run-length skipped, valid runs are batched, and the
-// queue-monitor staircase stores sequence numbers as deltas in level order.
-// The result is typically 4-20x smaller than the resident register copy
-// (see Record.MemBytes) while round-tripping bit-exactly: a decoded record
-// filters, indexes, and accumulates identically to the original.
+// The result is typically 6-12x smaller than the resident form (see
+// Record.MemBytes) while round-tripping exactly: a decoded record is the
+// index and monitors it was encoded from.
+//
+// Layout, version 2 (all integers uvarints unless noted; z = zigzag varint):
+//
+//	version byte (2), flags byte (bit 0 special, bit 1 empty: no cell kept)
+//	port, freezeTime, freezeTime - prevFreeze
+//	m0, k, alpha, T, minPktTxDelayNs (8 bytes, float64 LE)
+//	anchor: window 0's anchor TTS (absent when empty)
+//	nIndexFlows, nMonitorFlows, then that many 13-byte flow keys
+//	per live window: n, then if n > 0: anchor_i - first TTS, then runs of
+//	    adjacent TTSes, each but the first preceded by the gap before it:
+//	    run length, one flow id per cell
+//	nQueues, per queue: maxDepthCells, granuleCells, top, nLevels, then per
+//	    level: levelGap<<2 | halves (1 rise, 2 fall), rise: flow id and z
+//	    seq delta, fall: z seq delta
+//
+// Version 1 records, which list cells with their ring positions and cycle
+// IDs and falls with a flow id, still decode (codec_v1.go); nothing writes
+// them.
 
-// codecVersion is the record payload format version.
-const codecVersion = 1
+// codecVersion is the record payload format version this build writes.
+const codecVersion = 2
 
 // Record is one checkpoint as the store sees it: the port it was frozen on,
-// its coverage interval (PrevFreeze, FreezeTime], and the frozen snapshots.
-// It is the neutral form exchanged with the control plane, which owns the
-// richer Checkpoint type.
+// its coverage interval (PrevFreeze, FreezeTime], and the frozen reads. It is
+// the neutral form exchanged with the control plane, which owns the richer
+// Checkpoint type.
 type Record struct {
 	Port       int
 	FreezeTime uint64
 	PrevFreeze uint64
 	Special    bool
 
-	TW *timewindow.Snapshot
+	TW *timewindow.Filtered
 	QM []*qmonitor.Snapshot
 }
 
-// MemBytes estimates the in-memory footprint of the record's snapshots —
-// the baseline the encoded size is compared against.
+// MemBytes estimates the in-memory footprint of the record's reads — the
+// baseline the encoded size is compared against.
 func (r *Record) MemBytes() int64 {
 	n := int64(64) // record header + slice
 	if r.TW != nil {
@@ -61,7 +85,32 @@ func (r *Record) MemBytes() int64 {
 	return n
 }
 
-const recFlagSpecial = 1 << 0
+const (
+	recFlagSpecial = 1 << 0
+	recFlagEmpty   = 1 << 1 // version 2: the read kept no cell, so no anchor follows
+)
+
+// VersionError is a record of a version this build does not read: written by
+// a newer build, or not a record at all. A log or a stream holding one is not
+// corrupt, and must not be repaired as if it were.
+type VersionError struct{ Version byte }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("histstore: record version %d, this build reads versions 1 to %d", e.Version, codecVersion)
+}
+
+// CheckVersion returns nil if payload is a record of a version this build
+// reads, a *VersionError if it is of another one, and an error if it is
+// empty. It reads the version byte and nothing else.
+func CheckVersion(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("histstore: empty record")
+	}
+	if v := payload[0]; v < 1 || v > codecVersion {
+		return &VersionError{Version: v}
+	}
+	return nil
+}
 
 // maxRegisterEntries bounds the register geometry a record may declare: the
 // time-window cells (T × 2^k) and each queue monitor's entries. The decoder
@@ -142,8 +191,8 @@ func (r *reader) bytes(n int) []byte {
 	return out
 }
 
-// idsPool recycles the encoder's id stream: the dictionary id of every valid
-// cell and monitor half, in emission order.
+// idsPool recycles the encoder's id stream: the dictionary id of every
+// monitor rise, in emission order.
 var idsPool = sync.Pool{New: func() any { return new([]uint32) }}
 
 // EncodeRecord appends the compact encoding of rec to dst and returns the
@@ -151,9 +200,10 @@ var idsPool = sync.Pool{New: func() any { return new([]uint32) }}
 // produces the same bytes.
 func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	if rec.TW == nil {
-		return dst, fmt.Errorf("histstore: record without time-window snapshot")
+		return dst, fmt.Errorf("histstore: record without time-window read")
 	}
-	if n := rec.TW.Config().EntriesPerSnapshot(); n > maxRegisterEntries {
+	cfg := rec.TW.Config()
+	if n := cfg.EntriesPerSnapshot(); n > maxRegisterEntries {
 		return dst, fmt.Errorf("histstore: %d time-window cells exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
 	for _, qm := range rec.QM {
@@ -164,60 +214,68 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 			return dst, fmt.Errorf("histstore: %d queue-monitor entries exceed the codec's limit of %d", n, maxRegisterEntries)
 		}
 	}
+	anchor, live := rec.TW.Anchor(0)
 	dst = append(dst, codecVersion)
 	var flags byte
 	if rec.Special {
 		flags |= recFlagSpecial
 	}
+	if !live {
+		flags |= recFlagEmpty
+	}
 	dst = append(dst, flags)
 	dst = appendUvarint(dst, uint64(rec.Port))
 	dst = appendUvarint(dst, rec.FreezeTime)
 	dst = appendUvarint(dst, rec.FreezeTime-rec.PrevFreeze)
-
-	cfg := rec.TW.Config()
 	dst = appendUvarint(dst, uint64(cfg.M0))
 	dst = appendUvarint(dst, uint64(cfg.K))
 	dst = appendUvarint(dst, uint64(cfg.Alpha))
 	dst = appendUvarint(dst, uint64(cfg.T))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.MinPktTxDelayNs))
+	if live {
+		dst = appendUvarint(dst, anchor)
+	}
 
-	// The dictionary precedes the cell streams, so every flow is interned
-	// first — one walk over windows then monitors, in the order the streams
-	// are emitted — and each id is remembered: the emitters below read the
-	// ids back instead of looking the flows up a second time.
+	// The dictionary: the index's flow table, then the rise flows no kept
+	// cell holds. Each rise's id is remembered for the monitor streams.
+	flows := rec.TW.Flows()
 	dict := flow.AcquireInterner()
+	for _, k := range flows {
+		dict.Intern(k)
+	}
+	nIndex := dict.Len()
+	if nIndex != len(flows) {
+		// A freeze interns each flow once; only a forged record's table
+		// lists one twice, and its cells' ids would not survive the
+		// dictionary.
+		dict.Release()
+		return dst, fmt.Errorf("histstore: the index's flow table lists %d flows, %d of them distinct", len(flows), nIndex)
+	}
 	idsp := idsPool.Get().(*[]uint32)
 	ids := (*idsp)[:0]
-	for i := 0; i < cfg.T; i++ {
-		_, cells := rec.TW.Window(i)
-		for n := range cells {
-			ids = append(ids, uint32(dict.Intern(cells[n].Flow)))
-		}
-	}
 	for _, qm := range rec.QM {
 		_, entries := qm.Levels()
 		for i := range entries {
-			e := &entries[i]
-			if e.Up.Valid {
+			if e := &entries[i]; e.Up.Valid {
 				ids = append(ids, uint32(dict.Intern(e.Up.Flow)))
-			}
-			if e.Down.Valid {
-				ids = append(ids, uint32(dict.Intern(e.Down.Flow)))
 			}
 		}
 	}
-	dst = appendUvarint(dst, uint64(dict.Len()))
+	dst = appendUvarint(dst, uint64(nIndex))
+	dst = appendUvarint(dst, uint64(dict.Len()-nIndex))
 	for _, k := range dict.Keys() {
 		dst = k.AppendBinary(dst)
 	}
 
-	next := ids
 	for i := 0; i < cfg.T; i++ {
-		pos, cells := rec.TW.Window(i)
-		dst = encodeWindow(dst, pos, cells, next[:len(cells)])
-		next = next[len(cells):]
+		a, ok := rec.TW.Anchor(i)
+		if !ok {
+			break
+		}
+		dst = encodeWindow(dst, rec.TW.Window(i), a, cfg.M0+cfg.Alpha*uint(i))
 	}
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
+	next := ids
 	for _, qm := range rec.QM {
 		dst, next = encodeMonitor(dst, qm, next)
 	}
@@ -227,43 +285,42 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// encodeWindow emits one window's cells: the valid-cell count, the base
-// cycle, then (skip, run) pairs — the gap in ring positions before a run of
-// adjacent ones, and its length — where each run's cells carry a flow id and
-// a zigzag cycle delta against the previous valid cell. pos and cells are the
-// snapshot's list for the window, ids the cells' flow ids.
-func encodeWindow(dst []byte, pos []uint32, cells []timewindow.Cell, ids []uint32) []byte {
-	dst = appendUvarint(dst, uint64(len(cells)))
-	if len(cells) == 0 {
+// encodeWindow emits one live window's index: the cell count, the first
+// cell's TTS as its distance below the window's anchor, then the cells as
+// runs of adjacent TTSes — the gap before each run but the first, the run's
+// length, and a flow id per cell. A cell's span start is its TTS << shift.
+func encodeWindow(dst []byte, refs []timewindow.CellRef, anchor uint64, shift uint) []byte {
+	dst = appendUvarint(dst, uint64(len(refs)))
+	if len(refs) == 0 {
 		return dst
 	}
-	pred := cells[0].CycleID
-	dst = appendUvarint(dst, pred)
-	next := uint32(0) // the ring position after the previous run
-	for n := 0; n < len(cells); {
+	next := refs[0].Start >> shift // the TTS after the previous run
+	dst = appendUvarint(dst, anchor-next)
+	for n := 0; n < len(refs); {
+		tts := refs[n].Start >> shift
 		run := 1
-		for n+run < len(cells) && pos[n+run] == pos[n]+uint32(run) {
+		for n+run < len(refs) && refs[n+run].Start>>shift == tts+uint64(run) {
 			run++
 		}
-		dst = appendUvarint(dst, uint64(pos[n]-next))
-		dst = appendUvarint(dst, uint64(run))
-		for m := n; m < n+run; m++ {
-			dst = appendUvarint(dst, uint64(ids[m]))
-			dst = appendZigzag(dst, int64(cells[m].CycleID)-int64(pred))
-			pred = cells[m].CycleID
+		if n > 0 {
+			dst = appendUvarint(dst, tts-next)
 		}
-		next = pos[n] + uint32(run)
+		dst = appendUvarint(dst, uint64(run))
+		for _, ref := range refs[n : n+run] {
+			dst = appendUvarint(dst, uint64(ref.Flow))
+		}
+		next = tts + uint64(run)
 		n += run
 	}
 	return dst
 }
 
 // encodeMonitor emits one queue monitor snapshot: config, top pointer, and
-// the occupied entries as (skip, halves) pairs — the gap in levels before an
-// entry, and which of its halves follow — with sequence numbers
-// delta-encoded in level order (the staircase makes them near-monotonic).
-// The pairs come straight from the snapshot's level list. ids is consumed as
-// in encodeWindow, one id per valid half.
+// the kept levels, each as the gap in levels before it and which of its
+// halves follow, packed in one varint — a rise as its flow id and sequence
+// number, a fall as its sequence number, the sequence numbers delta-encoded
+// in level order (the staircase makes them near-monotonic). ids holds the
+// rises' dictionary ids in order; what is left of it is returned.
 func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []uint32) {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
@@ -275,37 +332,35 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []u
 	next := uint32(0) // the level after the previous entry
 	for i, level := range levels {
 		e := &entries[i]
-		dst = appendUvarint(dst, uint64(level-next))
-		next = level + 1
-		var halves byte
+		var halves uint64
 		if e.Up.Valid {
 			halves |= 1
 		}
-		if e.Down.Valid {
+		if e.Down != 0 {
 			halves |= 2
 		}
-		dst = append(dst, halves)
+		dst = appendUvarint(dst, uint64(level-next)<<2|halves)
+		next = level + 1
 		if e.Up.Valid {
 			dst = appendUvarint(dst, uint64(ids[0]))
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
 			ids = ids[1:]
 		}
-		if e.Down.Valid {
-			dst = appendUvarint(dst, uint64(ids[0]))
-			dst = appendZigzag(dst, int64(e.Down.Seq)-int64(predSeq))
-			predSeq = e.Down.Seq
-			ids = ids[1:]
+		if e.Down != 0 {
+			dst = appendZigzag(dst, int64(e.Down)-int64(predSeq))
+			predSeq = e.Down
 		}
 	}
 	return dst, ids
 }
 
-// DecodeRecord decodes a payload produced by EncodeRecord. The returned
-// record owns freshly allocated snapshots; the input buffer may be reused.
+// DecodeRecord decodes a payload produced by EncodeRecord, or by a build
+// that wrote version 1. The returned record owns freshly allocated reads; the
+// input buffer may be reused.
 func DecodeRecord(b []byte) (*Record, error) {
 	r := &reader{b: b}
-	rec, flows, err := decodeWindows(r)
+	rec, flows, err := decodeWindows(r, true)
 	if err != nil {
 		return nil, err
 	}
@@ -316,9 +371,11 @@ func DecodeRecord(b []byte) (*Record, error) {
 	if nQueues > uint64(len(b)) {
 		return nil, fmt.Errorf("histstore: %d queue monitors exceeds payload", nQueues)
 	}
-	rec.QM = make([]*qmonitor.Snapshot, nQueues)
+	if nQueues > 0 {
+		rec.QM = make([]*qmonitor.Snapshot, nQueues)
+	}
 	for q := range rec.QM {
-		if rec.QM[q], err = decodeMonitor(r, flows); err != nil {
+		if rec.QM[q], err = decodeMonitor(r, flows, b[0] == 1); err != nil {
 			return nil, err
 		}
 	}
@@ -331,11 +388,17 @@ func DecodeRecord(b []byte) (*Record, error) {
 // decodeWindows decodes the leading part of a payload — header, flow
 // dictionary, time windows — and leaves r at the queue-monitor section,
 // which is last. It is all an interval query reads of a checkpoint, so the
-// cold cache stops here (rec.QM stays nil); DecodeRecord goes on with flows,
-// the dictionary the monitor halves refer to.
-func decodeWindows(r *reader) (rec *Record, flows []flow.Key, err error) {
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, nil, fmt.Errorf("histstore: unknown record version %d", v)
+// cold cache stops here (rec.QM stays nil) and asks for no monitors: the
+// flows only they name are skipped, not kept beside the index. DecodeRecord
+// asks for them and goes on with flows, the dictionary the monitor halves
+// refer to.
+func decodeWindows(r *reader, monitors bool) (rec *Record, flows []flow.Key, err error) {
+	version := r.byte()
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	if version < 1 || version > codecVersion {
+		return nil, nil, &VersionError{Version: version}
 	}
 	flags := r.byte()
 	rec = &Record{Special: flags&recFlagSpecial != 0}
@@ -363,92 +426,128 @@ func decodeWindows(r *reader) (rec *Record, flows []flow.Key, err error) {
 	if n := cfg.EntriesPerSnapshot(); n > maxRegisterEntries {
 		return nil, nil, fmt.Errorf("histstore: %d time-window cells exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
-
-	nFlows := r.uvarint()
-	if r.err == nil && nFlows > uint64(len(r.b)/flow.KeyWireSize+1) {
-		return nil, nil, fmt.Errorf("histstore: flow dictionary of %d entries exceeds payload", nFlows)
-	}
-	flows = make([]flow.Key, nFlows)
-	for i := range flows {
-		raw := r.bytes(flow.KeyWireSize)
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		k, _, err := flow.DecodeKey(raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		flows[i] = k
+	if version == 1 {
+		rec.TW, flows, err = decodeWindowsV1(r, cfg)
+		return rec, flows, err
 	}
 
-	pos := make([][]uint32, cfg.T)
-	cells := make([][]timewindow.Cell, cfg.T)
-	for i := range pos {
-		if pos[i], cells[i], err = decodeWindow(r, cfg.Cells(), flows); err != nil {
-			return nil, nil, err
+	if flags&^(recFlagSpecial|recFlagEmpty) != 0 {
+		return nil, nil, fmt.Errorf("histstore: unknown record flags %#x", flags)
+	}
+	live := flags&recFlagEmpty == 0
+	var anchor uint64
+	if live {
+		anchor = r.uvarint()
+		if r.err == nil && anchor > math.MaxUint64>>cfg.M0 {
+			return nil, nil, fmt.Errorf("histstore: anchor %d past the last timestamp", anchor)
 		}
 	}
-	rec.TW, err = timewindow.NewSparseSnapshot(cfg, pos, cells)
+	nIndex, nMonitor := r.uvarint(), r.uvarint()
+	flows, err = decodeFlows(r, nIndex, nMonitor, monitors)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.TW, err = timewindow.NewFiltered(cfg, anchor, live, flows[:nIndex:nIndex], func(i int, anchor uint64) ([]timewindow.CellRef, error) {
+		return decodeWindow(r, cfg, i, anchor, nIndex)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return rec, flows, nil
 }
 
-// decodeWindow decodes one window of ring cells into the sparse form a
-// Snapshot holds: the valid cells and their ring positions, ascending. It
-// allocates for the valid cells the window declares, and a cell takes at
-// least two payload bytes, so never for more than the payload has left.
-func decodeWindow(r *reader, ring int, flows []flow.Key) ([]uint32, []timewindow.Cell, error) {
-	nValid := r.uvarint()
+// decodeFlows reads a flow dictionary of n1+n2 keys, refusing one the payload
+// has no room for; unless all, the last n2 are skipped.
+func decodeFlows(r *reader, n1, n2 uint64, all bool) ([]flow.Key, error) {
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, r.err
 	}
-	if nValid == 0 {
-		return nil, nil, nil
+	if room := uint64(len(r.b)-r.off) / flow.KeyWireSize; n1 > room || n2 > room-n1 {
+		return nil, fmt.Errorf("histstore: flow dictionary of %d+%d entries exceeds payload", n1, n2)
 	}
-	if nValid > uint64(ring) || nValid > uint64(len(r.b)-r.off)/2 {
-		return nil, nil, fmt.Errorf("histstore: window claims %d valid cells of %d with %d bytes left", nValid, ring, len(r.b)-r.off)
+	n := n1
+	if all {
+		n += n2
 	}
-	pos := make([]uint32, 0, nValid)
-	cells := make([]timewindow.Cell, 0, nValid)
-	pred := r.uvarint()
-	i := 0
-	for uint64(len(cells)) < nValid {
-		skip := r.uvarint()
+	flows := make([]flow.Key, n)
+	for i := range flows {
+		k, _, err := flow.DecodeKey(r.bytes(flow.KeyWireSize))
+		if err != nil {
+			return nil, err
+		}
+		flows[i] = k
+	}
+	if !all {
+		r.bytes(int(n2) * flow.KeyWireSize)
+	}
+	return flows, nil
+}
+
+// decodeWindow decodes live window i's index, anchored at anchor, into the
+// refs a Filtered holds: every cell's TTS within the span the window
+// retains, (anchor-2^k, anchor], ascending, and its flow id below nFlows. It
+// allocates for the cells the window declares, and a cell takes at least one
+// payload byte, so never for more than the payload has left.
+func decodeWindow(r *reader, cfg timewindow.Config, i int, anchor, nFlows uint64) ([]timewindow.CellRef, error) {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n > uint64(cfg.Cells()) || n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("histstore: window %d claims %d cells of %d with %d bytes left", i, n, cfg.Cells(), len(r.b)-r.off)
+	}
+	d := r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if d > anchor || d >= uint64(cfg.Cells()) {
+		return nil, fmt.Errorf("histstore: window %d starts %d below its anchor %d", i, d, anchor)
+	}
+	shift := cfg.M0 + cfg.Alpha*uint(i)
+	refs := make([]timewindow.CellRef, 0, n)
+	next := anchor - d // where the next run may start
+	for uint64(len(refs)) < n {
+		if len(refs) > 0 {
+			skip := r.uvarint()
+			if r.err != nil {
+				return nil, r.err
+			}
+			if next > anchor || skip > anchor-next {
+				return nil, fmt.Errorf("histstore: window %d run after TTS %d skips %d past its anchor %d", i, next, skip, anchor)
+			}
+			next += skip
+		}
 		run := r.uvarint()
 		if r.err != nil {
-			return nil, nil, r.err
+			return nil, r.err
 		}
-		if skip > uint64(ring-i) || run == 0 || run > uint64(ring-i)-skip || uint64(len(cells))+run > nValid {
-			return nil, nil, fmt.Errorf("histstore: window run (skip %d, run %d) overflows at cell %d", skip, run, i)
+		if run == 0 || run > anchor-next+1 || run > n-uint64(len(refs)) {
+			return nil, fmt.Errorf("histstore: window %d run of %d at TTS %d overflows", i, run, next)
 		}
-		i += int(skip)
-		for j := 0; j < int(run); j++ {
+		for tts := next; tts < next+run; tts++ {
 			id := r.uvarint()
-			delta := r.zigzag()
 			if r.err != nil {
-				return nil, nil, r.err
+				return nil, r.err
 			}
-			if id >= uint64(len(flows)) {
-				return nil, nil, fmt.Errorf("histstore: cell flow id %d out of dictionary (%d flows)", id, len(flows))
+			if id >= nFlows {
+				return nil, fmt.Errorf("histstore: cell flow id %d out of the index's %d flows", id, nFlows)
 			}
-			cycle := uint64(int64(pred) + delta)
-			pos = append(pos, uint32(i))
-			cells = append(cells, timewindow.Cell{Flow: flows[id], CycleID: cycle, Valid: true})
-			pred = cycle
-			i++
+			refs = append(refs, timewindow.CellRef{Start: tts << shift, Flow: int32(id)})
 		}
+		next += run
 	}
-	return pos, cells, nil
+	return refs, nil
 }
 
 // decodeMonitor decodes one queue monitor into the sparse form a Snapshot
-// holds: the occupied levels, ascending, and the entries at them. It
-// allocates for the occupied entries the monitor declares, and an entry takes
-// at least four payload bytes (skip, halves, one half's id and sequence
-// delta), so never for more than the payload has left.
-func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
+// holds: the kept levels, ascending, and the entries at them. It allocates
+// for the levels the monitor declares, and a level takes at least two
+// payload bytes (four in version 1), so never for more than the payload has
+// left.
+func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, error) {
 	maxDepth, granule, top := r.uvarint(), r.uvarint(), r.uvarint()
 	nOcc := r.uvarint()
 	if r.err != nil {
@@ -465,7 +564,11 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 	if n > maxRegisterEntries {
 		return nil, fmt.Errorf("histstore: %d queue-monitor entries exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
-	if top >= uint64(n) || nOcc > uint64(n) || nOcc > uint64(len(r.b)-r.off)/4 {
+	minLevel := uint64(2)
+	if v1 {
+		minLevel = 4
+	}
+	if top >= uint64(n) || nOcc > uint64(n) || nOcc > uint64(len(r.b)-r.off)/minLevel {
 		return nil, fmt.Errorf("histstore: monitor claims top %d and %d occupied of %d entries with %d bytes left", top, nOcc, n, len(r.b)-r.off)
 	}
 	levels := make([]uint32, nOcc)
@@ -473,8 +576,13 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 	i := 0
 	var predSeq uint64
 	for o := range entries {
-		skip := r.uvarint()
-		halves := r.byte()
+		var skip, halves uint64
+		if v1 {
+			skip, halves = r.uvarint(), uint64(r.byte())
+		} else {
+			v := r.uvarint()
+			skip, halves = v>>2, v&3
+		}
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -484,18 +592,27 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 		i += int(skip)
 		e := &entries[o]
 		if halves&1 != 0 {
-			h, err := decodeHalf(r, flows, &predSeq)
-			if err != nil {
-				return nil, err
+			id := r.uvarint()
+			seq := nextSeq(r, &predSeq)
+			if r.err != nil {
+				return nil, r.err
 			}
-			e.Up = h
+			if id >= uint64(len(flows)) {
+				return nil, fmt.Errorf("histstore: monitor flow id %d out of dictionary (%d flows)", id, len(flows))
+			}
+			e.Up = qmonitor.Half{Flow: flows[id], Seq: seq, Valid: true}
 		}
 		if halves&2 != 0 {
-			h, err := decodeHalf(r, flows, &predSeq)
-			if err != nil {
-				return nil, err
+			if v1 {
+				// The fall's flow id: checked, then dropped — no walk reads it.
+				if id := r.uvarint(); r.err == nil && id >= uint64(len(flows)) {
+					return nil, fmt.Errorf("histstore: monitor flow id %d out of dictionary (%d flows)", id, len(flows))
+				}
 			}
-			e.Down = h
+			e.Down = nextSeq(r, &predSeq)
+			if r.err != nil {
+				return nil, r.err
+			}
 		}
 		levels[o] = uint32(i)
 		i++
@@ -503,16 +620,9 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 	return qmonitor.NewSnapshot(cfg, levels, entries, int(top))
 }
 
-func decodeHalf(r *reader, flows []flow.Key, predSeq *uint64) (qmonitor.Half, error) {
-	id := r.uvarint()
-	delta := r.zigzag()
-	if r.err != nil {
-		return qmonitor.Half{}, r.err
-	}
-	if id >= uint64(len(flows)) {
-		return qmonitor.Half{}, fmt.Errorf("histstore: monitor flow id %d out of dictionary (%d flows)", id, len(flows))
-	}
-	seq := uint64(int64(*predSeq) + delta)
-	*predSeq = seq
-	return qmonitor.Half{Flow: flows[id], Seq: seq, Valid: true}, nil
+// nextSeq reads a sequence number as a delta against *predSeq and makes it
+// the new predecessor.
+func nextSeq(r *reader, predSeq *uint64) uint64 {
+	*predSeq = uint64(int64(*predSeq) + r.zigzag())
+	return *predSeq
 }

@@ -8,8 +8,8 @@
 // checkpoints Covering its interval; the store locates them via the
 // per-segment time-indexed footers (loaded lazily, on first touch), decodes
 // on miss the part of them an interval query reads — coverage and time
-// windows, not the queue monitors — builds their Algorithm-3 cell index and
-// keeps only that index in the LRU, so repeated narrow queries over deep
+// windows, not the queue monitors — straight into their Algorithm-3 cell
+// index and keeps that index in the LRU, so repeated narrow queries over deep
 // history stay sub-millisecond while resident memory stays bounded.
 package histstore
 
@@ -110,8 +110,11 @@ type Store struct {
 
 // Open opens (or creates) the history directory, recovering from any torn
 // tail left by a crash: the last segment is scanned record by record and
-// truncated back to its intact prefix. Metrics are registered on reg (which
-// must be non-nil; use telemetry.NewRegistry() when running standalone).
+// truncated back to its intact prefix. A record of a version this build does
+// not read is not a torn tail: Open fails, naming the segment and the
+// version, and leaves the file as it is. Metrics are registered on reg
+// (which must be non-nil; use telemetry.NewRegistry() when running
+// standalone).
 func Open(opts Options, reg *telemetry.Registry) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -135,7 +138,7 @@ func Open(opts Options, reg *telemetry.Registry) (*Store, error) {
 		segments:     reg.Gauge("printqueue_hist_segments", "History segment files currently on disk."),
 		cacheBytes:   reg.Gauge("printqueue_hist_cache_bytes", "Resident bytes of the decoded cold-checkpoint LRU."),
 		historyBytes: reg.Gauge("printqueue_history_bytes", "Resident bytes of checkpoint history (hot tier + cold LRU)."),
-		decodeNs:     reg.Histogram("printqueue_hist_decode_ns", "Nanoseconds a cold-cache miss takes: read one checkpoint from its segment, decode it and build its Algorithm-3 index.", telemetry.LatencyBuckets),
+		decodeNs:     reg.Histogram("printqueue_hist_decode_ns", "Nanoseconds a cold-cache miss takes: read one checkpoint from its segment and decode its Algorithm-3 index.", telemetry.LatencyBuckets),
 	}
 	s.cache = newLRUCache(opts.CacheBytes, func(delta int64) {
 		s.cacheBytes.Add(delta)
@@ -453,8 +456,8 @@ func (s *Store) updateDiskGaugesLocked() {
 // Covering returns the cold checkpoints for port whose coverage interval
 // (PrevFreeze, FreezeTime] overlaps the query interval [start, end), in
 // ascending freeze-time order. Sealed-segment indexes are loaded lazily on
-// first touch; records are decoded and indexed on cache miss and their index
-// retained in the LRU.
+// first touch; records are decoded on cache miss and their index retained in
+// the LRU.
 func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error) {
 	if end <= start {
 		return nil, nil
@@ -608,9 +611,8 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 }
 
 // decodeAt reads the record at the given location, decodes what queries read
-// of it — everything up to the queue-monitor section — builds its Algorithm-3
-// index, and inserts the index alone into the LRU: the decoded cells are
-// garbage once it is built. A racing decode of the same record is
+// of it — everything up to the queue-monitor section, its Algorithm-3 index —
+// and inserts that into the LRU. A racing decode of the same record is
 // deduplicated: the first insert wins.
 func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*ColdCheckpoint, error) {
 	t0 := time.Now()
@@ -623,7 +625,7 @@ func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*ColdChec
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := decodeWindows(&reader{b: payload})
+	rec, _, err := decodeWindows(&reader{b: payload}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -631,7 +633,7 @@ func (s *Store) decodeAt(key cacheKey, path string, off, limit int64) (*ColdChec
 		freezeTime: rec.FreezeTime,
 		prevFreeze: rec.PrevFreeze,
 		cfg:        rec.TW.Config(),
-		filtered:   rec.TW.Filter(),
+		filtered:   rec.TW,
 	}
 	s.decodeNs.Observe(uint64(time.Since(t0).Nanoseconds()))
 	return s.cache.put(key, cp), nil

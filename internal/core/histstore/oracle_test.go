@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"printqueue/internal/core/qmonitor"
@@ -35,165 +36,145 @@ func (d *flowDict) id(k flow.Key) uint64 {
 	return id
 }
 
-// encodeRecordTwoPass is the seed's EncodeRecord, kept verbatim as the byte
-// oracle: it interns every flow in a first walk, writes the dictionary, then
-// walks everything again looking each flow up a second time.
+// encodeRecordTwoPass is the byte oracle, written from the layout in
+// codec.go and sharing nothing with EncodeRecord: a map dictionary filled in
+// a first walk — every kept cell's flow, window by window in ascending span
+// start, then every monitor rise in level order — then a second walk that
+// looks every flow up again and emits the streams, the monitors from their
+// whole register arrays.
 func encodeRecordTwoPass(dst []byte, rec *Record) ([]byte, error) {
 	if rec.TW == nil {
-		return dst, fmt.Errorf("histstore: record without time-window snapshot")
+		return dst, fmt.Errorf("histstore: record without time-window read")
 	}
-	dst = append(dst, codecVersion)
+	f := rec.TW
+	anchor, live := f.Anchor(0)
+	dst = append(dst, 2)
 	var flags byte
 	if rec.Special {
-		flags |= recFlagSpecial
+		flags |= 1
+	}
+	if !live {
+		flags |= 2
 	}
 	dst = append(dst, flags)
 	dst = appendUvarint(dst, uint64(rec.Port))
 	dst = appendUvarint(dst, rec.FreezeTime)
 	dst = appendUvarint(dst, rec.FreezeTime-rec.PrevFreeze)
 
-	cfg := rec.TW.Config()
+	cfg := f.Config()
 	dst = appendUvarint(dst, uint64(cfg.M0))
 	dst = appendUvarint(dst, uint64(cfg.K))
 	dst = appendUvarint(dst, uint64(cfg.Alpha))
 	dst = appendUvarint(dst, uint64(cfg.T))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.MinPktTxDelayNs))
+	if live {
+		dst = appendUvarint(dst, anchor)
+	}
 
-	// Two passes over the windows: intern every flow first so the
-	// dictionary precedes the cell streams, then emit the streams.
 	dict := &flowDict{ids: make(map[flow.Key]uint64, 64)}
-	windows := rec.TW.Windows()
-	for _, w := range windows {
-		for i := range w {
-			if w[i].Valid {
-				dict.id(w[i].Flow)
-			}
+	for i := 0; i < cfg.T; i++ {
+		for _, c := range resolved(f, i) {
+			dict.id(c.flow)
 		}
 	}
+	nIndex := len(dict.flows)
 	for _, qm := range rec.QM {
 		if qm == nil {
-			continue
+			return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
 		}
 		for _, e := range qm.Entries() {
 			if e.Up.Valid {
 				dict.id(e.Up.Flow)
 			}
-			if e.Down.Valid {
-				dict.id(e.Down.Flow)
-			}
 		}
 	}
-	dst = appendUvarint(dst, uint64(len(dict.flows)))
+	dst = appendUvarint(dst, uint64(nIndex))
+	dst = appendUvarint(dst, uint64(len(dict.flows)-nIndex))
 	for _, k := range dict.flows {
 		dst = k.AppendBinary(dst)
 	}
 
-	for _, w := range windows {
-		dst = encodeWindowTwoPass(dst, w, dict)
+	for i := 0; i < cfg.T; i++ {
+		a, ok := f.Anchor(i)
+		if !ok {
+			break
+		}
+		dst = encodeWindowTwoPass(dst, resolved(f, i), a, cfg.M0+cfg.Alpha*uint(i), dict)
 	}
-
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
 	for _, qm := range rec.QM {
-		var err error
-		dst, err = encodeMonitorTwoPass(dst, qm, dict)
-		if err != nil {
-			return dst, err
-		}
+		dst = encodeMonitorTwoPass(dst, qm, dict)
 	}
 	return dst, nil
 }
 
-func encodeWindowTwoPass(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
-	nValid := 0
-	for i := range w {
-		if w[i].Valid {
-			nValid++
-		}
-	}
-	dst = appendUvarint(dst, uint64(nValid))
-	if nValid == 0 {
+func encodeWindowTwoPass(dst []byte, cells []resolvedRef, anchor uint64, shift uint, dict *flowDict) []byte {
+	dst = appendUvarint(dst, uint64(len(cells)))
+	if len(cells) == 0 {
 		return dst
 	}
-	first := 0
-	for !w[first].Valid {
-		first++
+	tts := make([]uint64, len(cells))
+	for n, c := range cells {
+		tts[n] = c.start >> shift
 	}
-	base := w[first].CycleID
-	dst = appendUvarint(dst, base)
-	pred := base
-	i := 0
-	for i < len(w) {
-		// Skip the invalid gap.
-		skip := 0
-		for i < len(w) && !w[i].Valid {
-			i++
-			skip++
+	dst = appendUvarint(dst, anchor-tts[0])
+	for n := 0; n < len(cells); {
+		end := n + 1
+		for end < len(cells) && tts[end] == tts[end-1]+1 {
+			end++
 		}
-		if i >= len(w) {
-			break
+		if n > 0 {
+			dst = appendUvarint(dst, tts[n]-tts[n-1]-1)
 		}
-		run := 0
-		for i+run < len(w) && w[i+run].Valid {
-			run++
+		dst = appendUvarint(dst, uint64(end-n))
+		for _, c := range cells[n:end] {
+			dst = appendUvarint(dst, dict.id(c.flow))
 		}
-		dst = appendUvarint(dst, uint64(skip))
-		dst = appendUvarint(dst, uint64(run))
-		for j := i; j < i+run; j++ {
-			dst = appendUvarint(dst, dict.id(w[j].Flow))
-			dst = appendZigzag(dst, int64(w[j].CycleID)-int64(pred))
-			pred = w[j].CycleID
-		}
-		i += run
+		n = end
 	}
 	return dst
 }
 
-func encodeMonitorTwoPass(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, error) {
-	if qm == nil {
-		return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
-	}
+func encodeMonitorTwoPass(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) []byte {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
 	dst = appendUvarint(dst, uint64(cfg.GranuleCells))
 	dst = appendUvarint(dst, uint64(qm.Top()))
 	entries := qm.Entries()
 	nOcc := 0
-	for i := range entries {
-		if entries[i].Up.Valid || entries[i].Down.Valid {
+	for _, e := range entries {
+		if e != (qmonitor.Entry{}) {
 			nOcc++
 		}
 	}
 	dst = appendUvarint(dst, uint64(nOcc))
 	var predSeq uint64
-	skip := 0
-	for i := range entries {
-		e := entries[i]
-		if !e.Up.Valid && !e.Down.Valid {
+	skip := uint64(0)
+	for _, e := range entries {
+		if e == (qmonitor.Entry{}) {
 			skip++
 			continue
 		}
-		dst = appendUvarint(dst, uint64(skip))
-		skip = 0
-		var halves byte
+		halves := uint64(0)
 		if e.Up.Valid {
 			halves |= 1
 		}
-		if e.Down.Valid {
+		if e.Down != 0 {
 			halves |= 2
 		}
-		dst = append(dst, halves)
+		dst = appendUvarint(dst, skip<<2|halves)
+		skip = 0
 		if e.Up.Valid {
 			dst = appendUvarint(dst, dict.id(e.Up.Flow))
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
 		}
-		if e.Down.Valid {
-			dst = appendUvarint(dst, dict.id(e.Down.Flow))
-			dst = appendZigzag(dst, int64(e.Down.Seq)-int64(predSeq))
-			predSeq = e.Down.Seq
+		if e.Down != 0 {
+			dst = appendZigzag(dst, int64(e.Down)-int64(predSeq))
+			predSeq = e.Down
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // seededRecord names one record shape the codec must handle.
@@ -210,13 +191,14 @@ const (
 	freezeWrapping        // Windows.Freeze over a coverage that wraps window 0's ring: two short spans there
 	freezeAnchor          // Windows.Freeze over an empty coverage: window 0's anchor cell and nothing else
 	freezeToTop           // Windows.Snapshot + Monitor.Freeze: the staircase, nothing above the top
+	freezeFallOnly        // freezeToTop over a queue that jumps: staircase levels holding a fall and no rise
 )
 
 // seededRecords drives live register structures with seeded traces shaped
 // like the paper's workloads: UW-like (thousands of flows, so the dictionary
 // and the interner's growth matter), WS-like (a handful of flows in long
 // runs, the last-key shortcut), untouched registers, a data-plane (Special)
-// checkpoint, a multi-queue port, and the three shapes a trimmed freeze adds.
+// checkpoint, a multi-queue port, and the four shapes a trimmed freeze adds.
 // paper selects the paper's register geometry (2^12 cells x 4 windows,
 // 2^14-entry monitors) over the small one the rest of this package's tests
 // use.
@@ -248,6 +230,9 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		for i := 0; i < packets || (freeze == freezeWrapping && (ts%ring < ring/8 || ts%ring > ring/4)); i++ {
 			ts += uint64(rng.Intn(int(twc.CellPeriod(0))*3) + 1)
 			depth += rng.Intn(17) - 8
+			if freeze == freezeFallOnly && i%5 == 0 {
+				depth = rng.Intn(qmc.MaxDepthCells)
+			}
 			if depth < 0 {
 				depth = 0
 			}
@@ -264,7 +249,11 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		case freezeWrapping:
 			rec.PrevFreeze = ts - ts%ring - ring/8
 			rec.TW = tw.Freeze(rec.PrevFreeze, rec.FreezeTime)
-			if pos, _ := rec.TW.Window(0); len(pos) < 4 || pos[0] > uint32(twc.Cells()/4) || pos[len(pos)-1] < uint32(twc.Cells()*7/8) {
+			var pos []int
+			for _, ref := range rec.TW.Window(0) {
+				pos = append(pos, int(ref.Start>>twc.M0)%twc.Cells())
+			}
+			if len(pos) < 4 || slices.Min(pos) > twc.Cells()/4 || slices.Max(pos) < twc.Cells()*7/8 {
 				tb.Fatalf("coverage (%d,%d] does not wrap window 0's ring: positions %v", rec.PrevFreeze, rec.FreezeTime, pos)
 			}
 		case freezeAnchor:
@@ -276,7 +265,7 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		default:
 			rec.TW = tw.Snapshot()
 		}
-		gaps := 0
+		gaps, fallOnly := 0, 0
 		for _, qm := range qms {
 			if freeze == freezeWhole {
 				rec.QM = append(rec.QM, qm.Snapshot())
@@ -284,9 +273,18 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 			}
 			rec.QM = append(rec.QM, qm.Freeze())
 			gaps += staircaseGaps(qm.Snapshot(), rec.QM[len(rec.QM)-1])
+			_, entries := rec.QM[len(rec.QM)-1].Levels()
+			for _, e := range entries {
+				if !e.Up.Valid {
+					fallOnly++
+				}
+			}
 		}
 		if freeze == freezeToTop && gaps == 0 {
 			tb.Fatalf("monitors frozen to their staircase leave no gap below a top")
+		}
+		if freeze == freezeFallOnly && fallOnly < 2 {
+			tb.Fatalf("a jumping queue's staircase keeps %d levels with a fall alone", fallOnly)
 		}
 		return rec
 	}
@@ -305,6 +303,7 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		{"anchor_only", build(8, 40, 1, n/4, 2, true, freezeAnchor)},
 		{"monitor_ends_at_top", build(9, 40, 3, n/4, 2, false, freezeToTop)},
 		{"monitor_staircase", build(10, 300, 1, n, 3, true, freezeToTop)},
+		{"fall_only", build(11, 40, 2, n/4, 1, false, freezeFallOnly)},
 	}
 }
 
@@ -323,9 +322,9 @@ func staircaseGaps(whole, frozen *qmonitor.Snapshot) int {
 
 // TestEncodeMatchesTwoPassOracle is the byte-identity property of the
 // one-pass encoder: for every seeded record shape, in both geometries, it
-// writes exactly the bytes the seed's two-pass encoder wrote — so
-// codecVersion stays 1 and old logs and new logs are the same logs — and a
-// decoded record re-encodes to the bytes it came from.
+// writes exactly the bytes the layout prescribes, as the two-pass oracle
+// writes them, and a decoded record is the record encoded and re-encodes to
+// the bytes it came from.
 func TestEncodeMatchesTwoPassOracle(t *testing.T) {
 	for _, paper := range []bool{false, true} {
 		for _, sr := range seededRecords(t, paper) {
@@ -347,6 +346,9 @@ func TestEncodeMatchesTwoPassOracle(t *testing.T) {
 				t.Fatalf("%s: decode: %v", sr.name, err)
 			}
 			assertRecordsEqual(t, sr.rec, dec)
+			if !reflect.DeepEqual(dec, sr.rec) {
+				t.Fatalf("%s (paper=%v): the decoded record is not the encoded one", sr.name, paper)
+			}
 			again, err := EncodeRecord(nil, dec)
 			if err != nil {
 				t.Fatalf("%s: re-encode: %v", sr.name, err)
@@ -384,11 +386,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 // allocate for, the encoder refuses to write.
 func TestEncodeRefusesOversizeGeometry(t *testing.T) {
 	cfg := timewindow.Config{M0: 3, K: 20, Alpha: 1, T: 2, MinPktTxDelayNs: 10}
-	windows := make([][]timewindow.Cell, cfg.T)
-	for i := range windows {
-		windows[i] = make([]timewindow.Cell, cfg.Cells())
-	}
-	tw, err := timewindow.NewSnapshot(cfg, windows)
+	tw, err := timewindow.NewFiltered(cfg, 0, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,11 +396,13 @@ func TestEncodeRefusesOversizeGeometry(t *testing.T) {
 }
 
 // TestSeedWrittenLogOpensBitIdentically opens a log written by the code
-// before the one-pass encoder (testdata/seedlog_v1: nine records in four
-// sealed segments, two ports, each port's coverage chained; written by the
-// seed commit's Store from buildRecord(seed i+1, 300+200i packets)). The
-// same records rebuilt in memory must encode to exactly the stored payloads,
-// and the reopened log must answer interval queries exactly as the
+// before the one-pass encoder (testdata/seedlog_v1: nine version-1 records
+// in four sealed segments, two ports, each port's coverage chained; written
+// by the seed commit's Store from buildRecord(seed i+1, 300+200i packets),
+// whole registers, stale cells included). Every stored payload must decode
+// through the v1 path to exactly the record rebuilt in memory today — the
+// index Algorithm 3 leaves of the whole registers, the monitors' sequence
+// numbers — and the reopened log must answer interval queries exactly as the
 // in-memory records do.
 func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 	dir, segments := copySeedlog(t, "seedlog_v1")
@@ -423,12 +423,15 @@ func TestSeedWrittenLogOpensBitIdentically(t *testing.T) {
 	defer st.Close()
 	n := 0
 	err := st.ReplaySince(0, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
-		want, err := EncodeRecord(nil, recs[n])
+		if payload[0] != 1 {
+			return fmt.Errorf("record %d: version %d", n, payload[0])
+		}
+		got, err := DecodeRecord(payload)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(payload, want) {
-			return fmt.Errorf("record %d: the seed wrote %d bytes, today's encoder writes %d different ones", n, len(payload), len(want))
+		if !reflect.DeepEqual(got, recs[n]) {
+			return fmt.Errorf("record %d: the seed's payload decodes to another record than today's registers freeze", n)
 		}
 		if port != recs[n].Port || freezeTime != recs[n].FreezeTime || prevFreeze != recs[n].PrevFreeze || special != recs[n].Special {
 			return fmt.Errorf("record %d: indexed as port %d (%d,%d] special=%v", n, port, prevFreeze, freezeTime, special)
@@ -466,23 +469,26 @@ func copySeedlog(t *testing.T, name string) (dir string, segments int) {
 
 // assertLogAnswersLikeRecords holds an opened log to the records it stores:
 // 200 seeded intervals on the given ports (last[port] is the port's final
-// freeze), answered by Covering + FoldInterval, must equal the records'
-// own cells clamped to their coverage and walked one by one.
+// freeze), answered by Covering + FoldInterval, must equal the fold of the
+// records themselves, each clamped to its coverage.
 func assertLogAnswersLikeRecords(t *testing.T, st *Store, recs []*Record, ports []int, last map[int]uint64, seed int64) {
 	t.Helper()
 	cfg := recs[0].TW.Config()
-	coeff := cfg.Coefficients()
 	rng := rand.New(rand.NewSource(seed))
 	nonEmpty := 0
 	for q := 0; q < 200; q++ {
 		port := ports[rng.Intn(len(ports))]
 		lo := 900 + uint64(rng.Intn(int(last[port])))
 		hi := lo + 1 + uint64(rng.Intn(int(last[port])/2))
-		want := timewindow.NewAccumulator(cfg.T, coeff)
+		var run []recordCovered
 		for _, rec := range recs {
 			if rec.Port == port {
-				rec.TW.AccumulateScanInto(want, max(lo, rec.PrevFreeze), min(hi, rec.FreezeTime))
+				run = append(run, recordCovered{rec})
 			}
+		}
+		want := timewindow.NewAccumulator(cfg.T, nil)
+		if _, err := timewindow.FoldInterval(want, cfg, run, lo, hi); err != nil {
+			t.Fatal(err)
 		}
 		cps, err := st.Covering(port, lo, hi)
 		if err != nil {
@@ -504,16 +510,25 @@ func assertLogAnswersLikeRecords(t *testing.T, st *Store, recs []*Record, ports 
 	}
 }
 
+// recordCovered is a decoded record as the interval fold reads it.
+type recordCovered struct{ *Record }
+
+func (r recordCovered) Coverage() (prevFreeze, freezeTime uint64) {
+	return r.PrevFreeze, r.FreezeTime
+}
+
+func (r recordCovered) Filtered() *timewindow.Filtered { return r.TW }
+
 // TestSeedlogV2OpensAndAnswers opens the second committed log generation
-// (testdata/seedlog_v2: written by the control plane of the commit that
-// trimmed checkpoints to their coverage and top — two ports, periodic and
-// data-plane freezes; read-only since monitors are trimmed to their
-// staircase). Every stored payload must decode, hold less than the register
-// arrays and nothing above a monitor's top, and re-encode to the bytes it
-// came from; and the reopened log must answer interval queries exactly as
-// the decoded records, walked cell by cell, do.
+// (testdata/seedlog_v2: version-1 records written by the control plane of the
+// commit that trimmed checkpoints to their coverage and top — two ports,
+// periodic and data-plane freezes; read-only since). Every stored payload
+// must decode, hold less than the register arrays and nothing above a
+// monitor's top, and re-encode to a record that decodes to the same one; and
+// the reopened log must answer interval queries exactly as the decoded
+// records do.
 func TestSeedlogV2OpensAndAnswers(t *testing.T) {
-	assertSeedlogOpensAndAnswers(t, "seedlog_v2", 78, func(qm *qmonitor.Snapshot) error {
+	assertSeedlogOpensAndAnswers(t, "seedlog_v2", 1, 78, func(qm *qmonitor.Snapshot) error {
 		if levels, _ := qm.Levels(); len(levels) > 0 && int(levels[len(levels)-1]) > qm.Top() {
 			return fmt.Errorf("level %d is occupied above the top %d", levels[len(levels)-1], qm.Top())
 		}
@@ -522,31 +537,44 @@ func TestSeedlogV2OpensAndAnswers(t *testing.T) {
 }
 
 // TestSeedlogV3OpensAndAnswers is TestSeedlogV2OpensAndAnswers for the third
-// generation (testdata/seedlog_v3: the same trace through today's control
-// plane, which control's TestSeedlogV3WrittenBitIdentically holds to it):
-// every monitor holds only its staircase — every kept half raises the
-// running maximum of the levels below it, up to the top.
+// generation (testdata/seedlog_v3: version-1 records of the same trace
+// through the control plane that trimmed monitors to their staircase;
+// read-only since): every monitor holds only its staircase.
 func TestSeedlogV3OpensAndAnswers(t *testing.T) {
-	assertSeedlogOpensAndAnswers(t, "seedlog_v3", 79, func(qm *qmonitor.Snapshot) error {
-		levels, entries := qm.Levels()
-		var run uint64
-		for n, level := range levels {
-			e := entries[n]
-			if int(level) > qm.Top() || (e.Up.Valid && e.Up.Seq <= run) || (e.Down.Valid && e.Down.Seq <= run) {
-				return fmt.Errorf("level %d (top %d) keeps %+v, which does not raise the staircase's %d", level, qm.Top(), e, run)
-			}
-			run = max(run, e.Up.Seq, e.Down.Seq)
+	assertSeedlogOpensAndAnswers(t, "seedlog_v3", 1, 79, staircaseOnly)
+}
+
+// TestSeedlogV4OpensAndAnswers is the same for the fourth generation
+// (testdata/seedlog_v4: version-2 records of the same trace through today's
+// control plane, which control's TestSeedlogV4WrittenBitIdentically holds to
+// it), whose payloads re-encode to their own bytes.
+func TestSeedlogV4OpensAndAnswers(t *testing.T) {
+	assertSeedlogOpensAndAnswers(t, "seedlog_v4", 2, 80, staircaseOnly)
+}
+
+// staircaseOnly checks that a monitor keeps only its staircase: every kept
+// half raises the running maximum of the levels below it, up to the top.
+func staircaseOnly(qm *qmonitor.Snapshot) error {
+	levels, entries := qm.Levels()
+	var run uint64
+	for n, level := range levels {
+		e := entries[n]
+		if int(level) > qm.Top() || (e.Up.Valid && e.Up.Seq <= run) || (e.Down != 0 && e.Down <= run) {
+			return fmt.Errorf("level %d (top %d) keeps %+v, which does not raise the staircase's %d", level, qm.Top(), e, run)
 		}
-		return nil
-	})
+		run = max(run, e.Up.Seq, e.Down)
+	}
+	return nil
 }
 
 // assertSeedlogOpensAndAnswers opens the committed control-plane log in
-// testdata/name: every payload must decode, pass checkMonitor for each of
-// its monitors and re-encode to the bytes it came from, the records must
-// chain per port and include data-plane and coverage-trimmed ones, and the
-// reopened log must answer interval queries as the decoded records do.
-func assertSeedlogOpensAndAnswers(t *testing.T, name string, seed int64, checkMonitor func(*qmonitor.Snapshot) error) {
+// testdata/name, whose records are all of the given version: every payload
+// must decode, pass checkMonitor for each of its monitors and re-encode to a
+// payload that decodes to the same record — to the bytes it came from, if
+// it is of today's version — the records must chain per port and include
+// data-plane and coverage-trimmed ones, and the reopened log must answer
+// interval queries as the decoded records do.
+func assertSeedlogOpensAndAnswers(t *testing.T, name string, version byte, seed int64, checkMonitor func(*qmonitor.Snapshot) error) {
 	t.Helper()
 	dir, segments := copySeedlog(t, name)
 	if segments < 3 {
@@ -559,6 +587,9 @@ func assertSeedlogOpensAndAnswers(t *testing.T, name string, seed int64, checkMo
 	specials, trimmed := 0, 0
 	last := map[int]uint64{}
 	err := st.ReplaySince(0, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
+		if payload[0] != version {
+			return fmt.Errorf("record %d: version %d, the fixture's is %d", len(recs), payload[0], version)
+		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return err
@@ -567,8 +598,11 @@ func assertSeedlogOpensAndAnswers(t *testing.T, name string, seed int64, checkMo
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(again, payload) {
+		if version == codecVersion && !bytes.Equal(again, payload) {
 			return fmt.Errorf("record %d: stored as %d bytes, decodes and re-encodes to %d different ones", len(recs), len(payload), len(again))
+		}
+		if dec, err := DecodeRecord(again); err != nil || !reflect.DeepEqual(dec, rec) {
+			return fmt.Errorf("record %d: re-encoded as version %d, decodes to another record (%v)", len(recs), codecVersion, err)
 		}
 		if port != rec.Port || freezeTime != rec.FreezeTime || prevFreeze != rec.PrevFreeze || special != rec.Special {
 			return fmt.Errorf("record %d: indexed as port %d (%d,%d] special=%v", len(recs), port, prevFreeze, freezeTime, special)

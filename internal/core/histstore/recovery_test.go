@@ -1,10 +1,15 @@
 package histstore
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"printqueue/internal/telemetry"
 )
 
 // crashedStore writes n records into a single unsealed segment and then
@@ -216,5 +221,99 @@ func TestRecoveryGarbageHeader(t *testing.T) {
 	}
 	if err := st.Append(smallRecord(t, 0, 1000, 1100)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mixedSegment writes, as segment 1 of a fresh directory, an unsealed
+// segment holding the first records of the version-1 log seedlog_v3 followed
+// by records this build writes, then the extra payloads given, framed as an
+// append frames them. It returns the directory and the number of records of
+// the first two kinds.
+func mixedSegment(t *testing.T, extra ...[]byte) (dir string, n int) {
+	t.Helper()
+	src, _ := copySeedlog(t, "seedlog_v3")
+	old := openTestStore(t, src, Options{})
+	var payloads [][]byte
+	err := old.ReplaySince(0, func(payload []byte, _ int, _, _ uint64, _ bool) error {
+		if len(payloads) < 5 {
+			payloads = append(payloads, bytes.Clone(payload))
+		}
+		return nil
+	})
+	old.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		enc, err := EncodeRecord(nil, smallRecord(t, 5, 1000+100*i, 1100+100*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, enc)
+	}
+	n = len(payloads)
+	dir = t.TempDir()
+	f, err := os.Create(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(segHeader[:]); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range append(payloads, extra...) {
+		if want := byte(1 + i/5); i < n && p[0] != want {
+			t.Fatalf("record %d is of version %d, want %d", i, p[0], want)
+		}
+		if _, err := appendFrame(f, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, n
+}
+
+// TestRecoveryMixedVersions: an unsealed segment whose version-1 records an
+// older build appended and whose version-2 ones this build appended after it
+// reopened recovers whole; and a record after them of a version this build
+// does not read — a newer build appended it — stops Open, naming the segment
+// and the version, and leaves the file byte for byte as it was instead of
+// truncating it, and every record in it, away.
+func TestRecoveryMixedVersions(t *testing.T) {
+	dir, n := mixedSegment(t)
+	st := openTestStore(t, dir, Options{})
+	if stats := st.Stats(); stats.RecoveredRecords != n || stats.TruncatedBytes != 0 {
+		t.Fatalf("recovered %d of %d records, truncated %d bytes", stats.RecoveredRecords, n, stats.TruncatedBytes)
+	}
+	if cps, err := st.Covering(5, 1000, 1300); err != nil || len(cps) != 3 {
+		t.Fatalf("%d version-2 checkpoints after recovery, want 3 (%v)", len(cps), err)
+	}
+	st.Close()
+
+	v3, err := EncodeRecord(nil, smallRecord(t, 5, 1300, 1400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3[0] = 3
+	dir, _ = mixedSegment(t, v3)
+	path := segPath(dir, 1)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(Options{Dir: dir}, telemetry.NewRegistry())
+	if err == nil {
+		st.Close()
+		t.Fatal("a log holding a version-3 record opened")
+	}
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Version != 3 || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open failed with %q, want a version-3 error naming %s", err, path)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("the refused segment changed on disk: %d bytes, was %d", len(after), len(before))
 	}
 }

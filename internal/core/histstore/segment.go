@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -31,7 +32,8 @@ import (
 // The active (last) segment has no footer. On startup it is scanned record
 // by record; the first record whose length or checksum fails marks a torn
 // tail from a crash mid-write, and the file is truncated back to the last
-// intact record.
+// intact record. An intact record of a version this build does not read
+// stops Open instead, and the file is left alone.
 
 const (
 	segVersion    = 1
@@ -313,7 +315,8 @@ func (s *segment) loadIndex() error {
 // rebuilding the index and detecting a torn tail: the first record with a
 // bad length or checksum ends the intact prefix. It returns the segment
 // with the in-memory index populated and the number of bytes past the
-// intact prefix (0 when the file is clean).
+// intact prefix (0 when the file is clean), or an error — and no truncation
+// point — at an intact record of a version this build does not read.
 func recoverScan(path string, seq uint64) (*segment, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -351,6 +354,13 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 			break
 		}
 		rec, err := DecodeRecord(payload)
+		var verr *VersionError
+		if errors.As(err, &verr) {
+			// Intact, but written by a build that knows more versions than
+			// this one: truncating would destroy it, reading past it is
+			// impossible. Leave the segment to a build that reads it.
+			return nil, 0, fmt.Errorf("histstore: %s: record at offset %d: %w", path, off, err)
+		}
 		if err != nil {
 			// The frame checksum passed but the payload is not a valid
 			// record — corruption, not a torn append. Stop here too.

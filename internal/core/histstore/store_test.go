@@ -263,7 +263,8 @@ func TestStoreCloseRemovesEmptyActive(t *testing.T) {
 }
 
 // TestStoreEncodedSmallerThanRaw: the store's raw and encoded byte counters
-// show the codec's ratio (measured: 9.0x on this record).
+// show the codec's ratio against the resident index and monitors (measured:
+// 5.9x on this record).
 func TestStoreEncodedSmallerThanRaw(t *testing.T) {
 	st := openTestStore(t, t.TempDir(), Options{})
 	defer st.Close()
@@ -272,8 +273,8 @@ func TestStoreEncodedSmallerThanRaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
-	if stats.EncodedBytes*17 > stats.RawBytes*2 {
-		t.Fatalf("encoded %d vs raw %d: less than 8.5x smaller", stats.EncodedBytes, stats.RawBytes)
+	if stats.EncodedBytes*5 > stats.RawBytes {
+		t.Fatalf("encoded %d vs raw %d: less than 5x smaller", stats.EncodedBytes, stats.RawBytes)
 	}
 }
 
@@ -331,12 +332,10 @@ func TestStoreOpenIgnoresForeignFiles(t *testing.T) {
 
 // TestStoreCacheChargesWhatQueriesRead pins the cold cache's accounting on
 // the paper's register geometry: an entry is its Algorithm-3 index and is
-// charged 64 bytes plus that index, once, at insert — not the cells the
-// index was built from, nor the queue monitors (never decoded) — and never
-// grows after it, however it is queried. A fixed budget therefore keeps at
-// least 2.5x the entries it kept when an entry held the cells as well.
+// charged 64 bytes plus that index, once, at insert — not the queue monitors
+// (never decoded) — and never grows after it, however it is queried.
 func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
-	const budget = 8 << 20
+	const budget = 2 << 20
 	base := seededRecords(t, true)[0].rec // many flows: the largest index
 	st := openTestStore(t, t.TempDir(), Options{CacheBytes: budget})
 	defer st.Close()
@@ -358,7 +357,7 @@ func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
 		t.Fatalf("got %d checkpoints, want %d", len(cps), n)
 	}
 
-	index := base.TW.Filter().MemBytes()
+	index := base.TW.MemBytes()
 	charged := st.cache.residentBytes()
 	var sum int64
 	for _, el := range st.cache.entries {
@@ -382,20 +381,10 @@ func TestStoreCacheChargesWhatQueriesRead(t *testing.T) {
 	if got := st.cache.residentBytes(); got != charged {
 		t.Fatalf("querying every entry moved the cache's charge from %d to %d bytes", charged, got)
 	}
-
-	// What the parent charged per entry: the decoded cells (the record's
-	// 64-byte header and its windows) plus, once the first query built it,
-	// the index beside them.
-	parentCharge := 64 + base.TW.MemBytes() + index
-	parentKept := budget / parentCharge
 	kept := int64(len(st.cache.entries))
-	t.Logf("per entry %d B (parent %d B); a %d MiB budget keeps %d entries (parent %d)",
-		64+index, parentCharge, budget>>20, kept, parentKept)
-	if kept >= n {
-		t.Fatalf("all %d entries fit: the test no longer exercises the budget", n)
-	}
-	if float64(kept) < 2.5*float64(parentKept) {
-		t.Fatalf("budget keeps %d entries, want at least 2.5x the parent's %d", kept, parentKept)
+	t.Logf("per entry %d B; a %d MiB budget keeps %d entries", 64+index, budget>>20, kept)
+	if kept >= n || kept < budget/(64+index)-1 {
+		t.Fatalf("budget keeps %d of %d entries of %d bytes", kept, n, 64+index)
 	}
 }
 

@@ -76,10 +76,13 @@ type Half struct {
 }
 
 // Entry is one register entry as a snapshot holds it: the upper half records
-// depth increases landing at this level, the lower half records decreases.
+// depth increases landing at this level, the lower half decreases. A frozen
+// read keeps of a decrease only its sequence number, Down (0: none; a
+// written half's is at least 1): no walk reports the packet that lowered the
+// queue, every walk reads how recently it did.
 type Entry struct {
 	Up   Half
-	Down Half
+	Down uint64
 }
 
 // Reg is one live register of the monitor: an Entry's two halves as
@@ -283,8 +286,8 @@ func (m *Monitor) newSnapshot(n int) *Snapshot {
 	return &Snapshot{cfg: m.cfg, levels: make([]uint32, 0, n), entries: make([]Entry, 0, n), top: m.top}
 }
 
-// appendLevel lists level with the given halves unpacked; a nil or
-// never-written half stays invalid.
+// appendLevel lists level with the given halves unpacked, of the fall its
+// sequence number; a nil or never-written half stays invalid.
 func (s *Snapshot) appendLevel(level int, up, down *regHalf) {
 	s.levels = append(s.levels, uint32(level))
 	s.entries = append(s.entries, Entry{})
@@ -292,8 +295,8 @@ func (s *Snapshot) appendLevel(level int, up, down *regHalf) {
 	if up != nil {
 		up.unpack(&e.Up)
 	}
-	if down != nil {
-		down.unpack(&e.Down)
+	if down != nil && down.b != 0 {
+		e.Down = down.seq
 	}
 }
 
@@ -342,7 +345,7 @@ func (s *Snapshot) Entries() []Entry {
 // NewSnapshot reconstitutes a Snapshot from decoded register contents — the
 // inverse of Levels(), used by the on-disk checkpoint codec. The slices are
 // adopted, not copied: levels ascending below cfg.Entries(), each entry with
-// a valid half. A snapshot rebuilt this way answers like the one it was
+// a valid rise or a fall's sequence number. A snapshot rebuilt this way answers like the one it was
 // encoded from: Merge, OriginalCulprits and CulpritsAcross see the same
 // state.
 func NewSnapshot(cfg Config, levels []uint32, entries []Entry, top int) (*Snapshot, error) {
@@ -356,7 +359,7 @@ func NewSnapshot(cfg Config, levels []uint32, entries []Entry, top int) (*Snapsh
 		return nil, fmt.Errorf("qmonitor: snapshot lists %d levels for %d entries", len(levels), len(entries))
 	}
 	for n, level := range levels {
-		if int64(level) >= int64(cfg.Entries()) || (n > 0 && level <= levels[n-1]) || !(entries[n].Up.Valid || entries[n].Down.Valid) {
+		if int64(level) >= int64(cfg.Entries()) || (n > 0 && level <= levels[n-1]) || !(entries[n].Up.Valid || entries[n].Down != 0) {
 			return nil, fmt.Errorf("qmonitor: snapshot entry %d (level %d) is out of range, out of order or empty", n, level)
 		}
 	}
@@ -400,9 +403,7 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 			out = append(out, Culprit{Flow: e.Up.Flow, Level: int(level), Seq: e.Up.Seq})
 			maxSeq = e.Up.Seq
 		}
-		if e.Down.Valid && e.Down.Seq > maxSeq {
-			maxSeq = e.Down.Seq
-		}
+		maxSeq = max(maxSeq, e.Down)
 	}
 	return out
 }
@@ -468,9 +469,7 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 			if e.Up.Valid && e.Up.Seq > upSeq {
 				up, upSeq = &e.Up, e.Up.Seq
 			}
-			if e.Down.Valid && e.Down.Seq > downSeq {
-				downSeq = e.Down.Seq
-			}
+			downSeq = max(downSeq, e.Down)
 		}
 		if upSeq > maxSeq {
 			out = append(out, Culprit{Flow: up.Flow, Level: int(level), Seq: upSeq})
@@ -538,7 +537,7 @@ func Merge(a, b *Snapshot) *Snapshot {
 		default:
 			ea, eb := &a.entries[i], &b.entries[j]
 			out.levels = append(out.levels, a.levels[i])
-			out.entries = append(out.entries, Entry{Up: newerHalf(ea.Up, eb.Up), Down: newerHalf(ea.Down, eb.Down)})
+			out.entries = append(out.entries, Entry{Up: newerHalf(ea.Up, eb.Up), Down: max(ea.Down, eb.Down)})
 			i++
 			j++
 		}
@@ -572,9 +571,7 @@ func maxSeq(s *Snapshot) uint64 {
 		if e.Up.Valid && e.Up.Seq > m {
 			m = e.Up.Seq
 		}
-		if e.Down.Valid && e.Down.Seq > m {
-			m = e.Down.Seq
-		}
+		m = max(m, e.Down)
 	}
 	return m
 }

@@ -267,7 +267,8 @@ func TestFastLevelIsConfigLevel(t *testing.T) {
 
 // TestRegHoldsWhatAnEntryHolds: what Observe wrote is what Snapshot and
 // Freeze unpack — the all-zero 5-tuple included, which the written mark
-// keeps apart from a register nothing was written to.
+// keeps apart from a register nothing was written to — and of a fall its
+// sequence number alone.
 func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
 	m := mon(t)
 	zero, k := flow.Key{}, flow.Key{SrcIP: [4]byte{255, 254, 253, 252}, DstIP: [4]byte{1, 2, 3, 4}, SrcPort: 65535, DstPort: 1, Proto: 255}
@@ -276,9 +277,9 @@ func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
 	m.Observe(zero, 50) // seq 3: down at 5
 	m.Observe(k, 35)    // seq 4: down at 3
 	want := make([]Entry, m.cfg.Entries())
-	want[3] = Entry{Up: Half{Flow: zero, Seq: 1, Valid: true}, Down: Half{Flow: k, Seq: 4, Valid: true}}
+	want[3] = Entry{Up: Half{Flow: zero, Seq: 1, Valid: true}, Down: 4}
 	want[7].Up = Half{Flow: k, Seq: 2, Valid: true}
-	want[5].Down = Half{Flow: zero, Seq: 3, Valid: true}
+	want[5].Down = 3
 	if got := m.Snapshot().Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot entries\n got %+v\nwant %+v", got, want)
 	}
@@ -291,8 +292,9 @@ func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
 	// A half with a cleared written mark is never-written, whatever else it
 	// holds.
 	m.regs[7].up.b = 0
-	if got := m.Snapshot().Entries()[7]; got != (Entry{}) {
-		t.Fatalf("never-written register unpacked to %+v", got)
+	m.regs[5].down.b = 0
+	if got := m.Snapshot().Entries(); got[7] != (Entry{}) || got[5] != (Entry{}) {
+		t.Fatalf("never-written registers unpacked to %+v and %+v", got[7], got[5])
 	}
 }
 
@@ -482,7 +484,7 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 				var run uint64
 				for level, e := range whole.Entries() {
 					k := kept[level]
-					for _, h := range [2][2]Half{{e.Up, k.Up}, {e.Down, k.Down}} {
+					for _, h := range [2][2]Half{{e.Up, k.Up}, {fall(e.Down), fall(k.Down)}} {
 						w, kh := h[0], h[1]
 						switch raises := w.Valid && w.Seq > run; {
 						case kh.Valid && kh != w:
@@ -499,7 +501,7 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 						}
 					}
 					if level <= whole.Top() {
-						run = max(run, e.Up.Seq, e.Down.Seq)
+						run = max(run, e.Up.Seq, e.Down)
 					}
 				}
 				want := CulpritsAcross(r.newestPerSet(q))
@@ -521,6 +523,9 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 			droppedAbove, droppedBelow)
 	}
 }
+
+// fall is a frozen fall as a Half with no flow, for comparing halves alike.
+func fall(seq uint64) Half { return Half{Seq: seq, Valid: seq != 0} }
 
 // TestCulpritsAcrossAllocs: the walk allocates the result slice and nothing
 // else — the same appends OriginalCulprits makes on an already merged

@@ -71,37 +71,50 @@ func referenceFilter(s *Snapshot) (index [][]refCell, flows int) {
 	return index, len(ids)
 }
 
-// coldForm is what the cold cache keeps of s: the Filtered of a sparse copy
-// of its lists (what the codec decodes), after which the copy's cells are
-// overwritten — the cache drops them — so a query that still read cells
+// reassembled is f rebuilt by NewFiltered from the parts the checkpoint
+// codec writes — window 0's anchor, the flow table, each window's index —
+// after which f's own index is overwritten, so a query that still read it
 // would read garbage.
-func coldForm(t *testing.T, s *Snapshot) *Filtered {
+func reassembled(t *testing.T, f *Filtered) *Filtered {
 	t.Helper()
-	pos, cells := make([][]uint32, s.cfg.T), make([][]Cell, s.cfg.T)
-	for i := range pos {
-		pos[i] = append([]uint32(nil), s.pos[i]...)
-		cells[i] = append([]Cell(nil), s.cells[i]...)
+	anchor, ok := f.Anchor(0)
+	index := make([][]CellRef, len(f.index))
+	for i := range index {
+		index[i] = append([]CellRef(nil), f.index[i]...)
 	}
-	c, err := NewSparseSnapshot(s.cfg, pos, cells)
+	g, err := NewFiltered(f.cfg, anchor, ok, append([]flow.Key(nil), f.flows...), func(i int, a uint64) ([]CellRef, error) {
+		if a != f.anchorTTS[i] {
+			t.Fatalf("window %d: reassembled anchor %d, read %d", i, a, f.anchorTTS[i])
+		}
+		return index[i], nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := c.Filter()
-	for i := range cells {
-		for n := range cells[i] {
-			cells[i][n] = Cell{Flow: fkey(1 << 20), CycleID: ^uint64(0) >> 1, Valid: true}
+	if !reflect.DeepEqual(g, f) {
+		t.Fatal("reassembled read differs from the read")
+	}
+	for i := range f.index {
+		for n := range f.index[i] {
+			f.index[i][n] = CellRef{Start: ^uint64(0) >> 1, Flow: 1 << 20}
 		}
 	}
-	return f
+	return g
 }
 
-// checkAgainstReference holds both forms of s's Filtered — built beside the
-// snapshot (the hot tier) and left alone after its cells are gone (the cold
-// cache) — to the oracle.
-func checkAgainstReference(t *testing.T, name string, s *Snapshot, rng *rand.Rand) {
+// checkAgainstReference holds every form of w's whole read to the oracle: the
+// index Snapshot emits, the v1 path's Filter over the same registers as cell
+// lists, and the read reassembled from its parts as a decoder does.
+func checkAgainstReference(t *testing.T, name string, w *Windows, rng *rand.Rand) {
 	t.Helper()
-	checkFilteredAgainstReference(t, name+"/hot", s, s.Filter(), rng)
-	checkFilteredAgainstReference(t, name+"/cold", s, coldForm(t, s), rng)
+	s := wholeCells(w)
+	read, v1 := w.Snapshot(), s.Filter()
+	if !reflect.DeepEqual(read, v1) {
+		t.Fatalf("%s: the whole read's index differs from Filter over its cells", name)
+	}
+	checkFilteredAgainstReference(t, name+"/read", s, read, rng)
+	checkFilteredAgainstReference(t, name+"/v1", s, v1, rng)
+	checkFilteredAgainstReference(t, name+"/reassembled", s, reassembled(t, w.Snapshot()), rng)
 }
 
 // checkFilteredAgainstReference holds f, the Filtered of s, to the oracle:
@@ -126,7 +139,7 @@ func checkFilteredAgainstReference(t *testing.T, name string, s *Snapshot, f *Fi
 	for i := 0; i < cfg.T; i++ {
 		got := make([]refCell, 0, len(f.index[i]))
 		for _, ref := range f.index[i] {
-			got = append(got, refCell{start: ref.start, flow: f.flows[ref.flow]})
+			got = append(got, refCell{start: ref.Start, flow: f.flows[ref.Flow]})
 		}
 		if len(got) != len(refIndex[i]) || (len(got) > 0 && !reflect.DeepEqual(got, refIndex[i])) {
 			t.Fatalf("%s: window %d index differs from the sorted reference\n got %v\nwant %v", name, i, got, refIndex[i])
@@ -224,13 +237,13 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 34))
 
 	w, _ := New(smallConfig(), nil)
-	checkAgainstReference(t, "empty", w.Snapshot(), rng)
+	checkAgainstReference(t, "empty", w, rng)
 
 	w, _ = New(smallConfig(), nil)
 	for i := uint64(0); i < 4; i++ {
 		w.Insert(fkey(uint32(i)), i)
 	}
-	checkAgainstReference(t, "cycle 0 only", w.Snapshot(), rng)
+	checkAgainstReference(t, "cycle 0 only", w, rng)
 
 	// The anchor chain stops at window 1: window 0's anchor is past one
 	// window period, window 1's is not.
@@ -239,11 +252,10 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 	for ts := uint64(0); ts < 20; ts++ {
 		w.Insert(fkey(uint32(ts%5)), ts)
 	}
-	f := w.Snapshot().Filter()
-	if f.live != 2 {
+	if f := w.Snapshot(); f.live != 2 {
 		t.Fatalf("early-break fixture reached %d windows, want 2", f.live)
 	}
-	checkAgainstReference(t, "early break", w.Snapshot(), rng)
+	checkAgainstReference(t, "early break", w, rng)
 
 	for trial := 0; trial < 80; trial++ {
 		cfg := Config{
@@ -281,14 +293,14 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 			ts += uint64(1 + rng.IntN(50))
 			w.Insert(fkey(uint32(rng.IntN(60))), ts)
 		}
-		checkAgainstReference(t, "random", w.Snapshot(), rng)
+		checkAgainstReference(t, "random", w, rng)
 	}
 }
 
 // TestFilteredOwnsOnlyItsIndex: the history gauge and the cold cache charge
 // a Filtered for MemBytes, which must be its whole footprint — index, flows,
-// anchors and coefficients; it holds no cells — and smaller than the
-// snapshot it indexes.
+// anchors and coefficients; it holds no cells — and smaller than the cell
+// lists it indexes.
 func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 	w, _ := New(cfg, nil)
@@ -298,8 +310,7 @@ func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 		ts += uint64(40 + rng.IntN(120))
 		w.Insert(fkey(uint32(rng.IntN(3000))), ts)
 	}
-	s := w.Snapshot()
-	f := s.Filter()
+	s, f := wholeCells(w), w.Snapshot()
 	var refs int64
 	for _, n := range f.SurvivingCells() {
 		refs += int64(n)
@@ -313,9 +324,9 @@ func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkFilter prices one Algorithm-3 filter plus index build at the
-// paper's geometry over a many-flow (UW-like) and a few-flow (WS-like)
-// snapshot.
+// BenchmarkFilter prices one Algorithm-3 index build at the paper's geometry
+// over a many-flow (UW-like) and a few-flow (WS-like) register set: the whole
+// read emitting it, and the v1 path filtering the same registers' cell lists.
 func BenchmarkFilter(b *testing.B) {
 	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 	for _, shape := range []struct {
@@ -333,8 +344,16 @@ func BenchmarkFilter(b *testing.B) {
 			}
 			w.Insert(f, ts)
 		}
-		s := w.Snapshot()
-		b.Run(shape.name, func(b *testing.B) {
+		s := wholeCells(w)
+		b.Run(shape.name+"/read", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w.Snapshot().Empty() {
+					b.Fatal("empty")
+				}
+			}
+		})
+		b.Run(shape.name+"/v1", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if s.Filter().Empty() {

@@ -13,12 +13,14 @@ import (
 // active set, a flip at now freezes it with coverage (lastFlip, now) and
 // activates the other, never clearing anything — under seeded traffic with
 // idle gaps, at poll periods below, at and above window 0's period. At every
-// freeze Freeze(prev, now).Filter() and Snapshot().Filter() must derive the
-// same anchors and give the same integer rows and raw window counts for 100
-// random [lo, hi) inside the coverage. Every so often a freeze follows a
-// flip directly, with one packet (stamped at the freeze, as a data-plane
-// freeze's trigger packet is) or none in between: the set then holds nothing
-// of its coverage and its anchor is a leftover.
+// freeze, Freeze(prev, now) must be exactly the index the v1 path builds over
+// the cells the freeze keeps by definition, and must derive the anchors
+// Snapshot() does and give the same integer rows and raw window counts as it,
+// and as the cell scan of the whole registers, for 100 random [lo, hi) inside
+// the coverage. Every so often a freeze follows a flip directly, with one
+// packet (stamped at the freeze, as a data-plane freeze's trigger packet is)
+// or none in between: the set then holds nothing of its coverage and its
+// anchor is a leftover.
 func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 	cfg := Config{M0: 3, K: 6, Alpha: 1, T: 3, MinPktTxDelayNs: 10}
 	for _, poll := range []uint64{cfg.WindowPeriod(0) / 4, cfg.WindowPeriod(0), cfg.SetPeriod(), 3 * cfg.SetPeriod()} {
@@ -64,26 +66,19 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 	}
 }
 
-// checkFreeze compares one coverage freeze of w with its whole-register
-// snapshot and returns how many cells each holds.
+// checkFreeze compares one coverage freeze of w with the cells it keeps by
+// definition and with the whole-register read, and returns how many cells
+// the freeze and the whole registers hold.
 func checkFreeze(t *testing.T, rng *rand.Rand, w *Windows, prev, freeze uint64) (kept, all int) {
 	t.Helper()
 	cfg := w.cfg
-	fs, ws := w.Freeze(prev, freeze), w.Snapshot()
-	if _, err := NewSparseSnapshot(cfg, fs.pos, fs.cells); err != nil {
-		t.Fatalf("freeze (%d,%d]: %v", prev, freeze, err)
+	ff, wf, cells := w.Freeze(prev, freeze), w.Snapshot(), wholeCells(w)
+	if want := freezeCells(w, prev, freeze).Filter(); !reflect.DeepEqual(ff, want) {
+		t.Fatalf("freeze (%d,%d]: the index differs from Filter over the cells a freeze keeps", prev, freeze)
 	}
-	ff, wf := fs.Filter(), ws.Filter()
 	if ff.live != wf.live || !reflect.DeepEqual(ff.anchorTTS, wf.anchorTTS) {
 		t.Fatalf("freeze (%d,%d]: anchors %v (live %d), whole-register read %v (live %d)",
 			prev, freeze, ff.anchorTTS, ff.live, wf.anchorTTS, wf.live)
-	}
-	for i := range fs.cells {
-		for n := range fs.cells[i] {
-			if !ff.survives(i, int(fs.pos[i][n]), &fs.cells[i][n]) {
-				t.Fatalf("freeze (%d,%d]: window %d keeps a cell at %d that Algorithm 3 drops", prev, freeze, i, fs.pos[i][n])
-			}
-		}
 	}
 	coeff := cfg.Coefficients()
 	for q := 0; q < 100 && freeze > prev; q++ {
@@ -97,15 +92,19 @@ func checkFreeze(t *testing.T, rng *rand.Rand, w *Windows, prev, freeze uint64) 
 		case 2:
 			lo, hi = freeze-1, freeze
 		}
-		a, b := NewAccumulator(cfg.T, coeff), NewAccumulator(cfg.T, coeff)
+		a, b, c := NewAccumulator(cfg.T, coeff), NewAccumulator(cfg.T, coeff), NewAccumulator(cfg.T, coeff)
 		ff.AccumulateInto(a, lo, hi)
 		wf.AccumulateInto(b, lo, hi)
+		cells.AccumulateScanInto(c, lo, hi)
 		if got, want := rowsOf(a), rowsOf(b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("freeze (%d,%d]: rows over [%d,%d) = %v, whole-register read %v", prev, freeze, lo, hi, got, want)
+		}
+		if got, want := rowsOf(a), rowsOf(c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("freeze (%d,%d]: rows over [%d,%d) = %v, cell scan %v", prev, freeze, lo, hi, got, want)
 		}
 		if got, want := ff.RawWindowCounts(lo, hi), wf.RawWindowCounts(lo, hi); !reflect.DeepEqual(got, want) {
 			t.Fatalf("freeze (%d,%d]: raw counts over [%d,%d) = %v, whole-register read %v", prev, freeze, lo, hi, got, want)
 		}
 	}
-	return fs.KeptCells(), ws.KeptCells()
+	return ff.KeptCells(), cells.KeptCells()
 }

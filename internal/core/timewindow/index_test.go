@@ -31,8 +31,7 @@ func TestIndexedQueryMatchesScan(t *testing.T) {
 			ts += uint64(1 + rng.IntN(200))
 			w.Insert(fkey(uint32(rng.IntN(40))), ts)
 		}
-		s := w.Snapshot()
-		f := s.Filter()
+		s, f := wholeCells(w), w.Snapshot()
 		horizon := ts + cfg.SetPeriod()
 		for q := 0; q < 40; q++ {
 			var lo, hi uint64
@@ -66,7 +65,7 @@ func TestIndexedQueryMatchesScan(t *testing.T) {
 func TestIndexedQueryEmptyAndSingleCell(t *testing.T) {
 	cfg := smallConfig()
 	w, _ := New(cfg, nil)
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	if got := f.Query(0, 1000); len(got) != 0 {
 		t.Fatalf("indexed query on empty snapshot returned %v", got)
 	}
@@ -77,8 +76,7 @@ func TestIndexedQueryEmptyAndSingleCell(t *testing.T) {
 
 	w2, _ := New(cfg, nil)
 	w2.Insert(fkey(1), 5)
-	s2 := w2.Snapshot()
-	f2 := s2.Filter()
+	s2, f2 := wholeCells(w2), w2.Snapshot()
 	for _, iv := range [][2]uint64{{0, 1000}, {5, 6}, {0, 5}, {6, 1000}, {0, 1}} {
 		want := s2.QueryScan(iv[0], iv[1])
 		got := f2.Query(iv[0], iv[1])
@@ -99,8 +97,7 @@ func TestIndexedQueryWrapAtZero(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		w.Insert(fkey(uint32(i)), i)
 	}
-	s := w.Snapshot()
-	f := s.Filter()
+	s, f := wholeCells(w), w.Snapshot()
 	for _, iv := range [][2]uint64{{0, 1}, {0, 4}, {1, 3}, {3, 4}, {0, 1000}, {4, 1000}} {
 		want := s.QueryScan(iv[0], iv[1])
 		got := f.Query(iv[0], iv[1])
@@ -126,7 +123,7 @@ func TestAccumulatorMergeExact(t *testing.T) {
 			ts += uint64(1 + rng.IntN(20))
 			w.Insert(fkey(uint32(rng.IntN(12))), ts)
 		}
-		filtered = append(filtered, w.Snapshot().Filter())
+		filtered = append(filtered, w.Snapshot())
 	}
 	lo, hi := uint64(0), ts+1
 	coeff := cfg.Coefficients()
@@ -163,8 +160,7 @@ func TestIndexedVisitsOnlyHits(t *testing.T) {
 		ts += 2
 		w.Insert(fkey(uint32(i%64)), ts)
 	}
-	s := w.Snapshot()
-	f := s.Filter()
+	s, f := wholeCells(w), w.Snapshot()
 	lo, hi := ts-16, ts // a handful of window-0 cells
 	idxAcc := NewAccumulator(cfg.T, cfg.Coefficients())
 	scanAcc := NewAccumulator(cfg.T, cfg.Coefficients())
@@ -192,7 +188,7 @@ func TestQueryWithoutCoefficientsCached(t *testing.T) {
 		ts += 2
 		w.Insert(fkey(uint32(i%5)), ts)
 	}
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	got := f.QueryWithoutCoefficients(0, ts+1)
 	// Oracle: sum the per-window raw counts directly.
 	want := make(flow.Counts)

@@ -10,7 +10,7 @@ import (
 
 func TestFilterEmpty(t *testing.T) {
 	w, _ := New(smallConfig(), nil)
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	if !f.Empty() {
 		t.Fatal("empty window set not reported empty")
 	}
@@ -29,7 +29,7 @@ func TestFilterStaleCells(t *testing.T) {
 		w.Insert(fkey(uint32(i)), uint64(i))
 	}
 	w.Insert(fkey(99), 9)
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	// Latest TTS = 9 (cycle 2, idx 1). Retained: idx <= 1 with cycle 2,
 	// idx > 1 with cycle 1. The cycle-0 cells all die except... none:
 	// cell 0 holds cycle 0 (!= 2) -> dead; cell 1 holds flow 99 (cycle 2)
@@ -48,7 +48,7 @@ func TestFilterRetainsOneWindowPeriod(t *testing.T) {
 	for i, ts := range []uint64{5, 6, 7, 8} {
 		w.Insert(fkey(uint32(i)), ts)
 	}
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	counts := f.Query(0, 100)
 	if len(counts) != 4 {
 		t.Fatalf("retained %d flows, want 4: %v", len(counts), counts)
@@ -61,7 +61,7 @@ func TestFilterAnchorChain(t *testing.T) {
 	cfg := Config{M0: 2, K: 3, Alpha: 1, T: 3, MinPktTxDelayNs: 5}
 	w, _ := New(cfg, nil)
 	w.Insert(fkey(1), 400) // TTS 100: anchors the chain
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	// anchor[0] = 100; anchor[1] = (100-8)>>1 = 46; anchor[2] = (46-8)>>1 = 19.
 	want := []uint64{100, 46, 19}
 	for i, a := range want {
@@ -86,7 +86,7 @@ func TestQueryIntervalSelectivity(t *testing.T) {
 	w, _ := New(cfg, nil)
 	w.Insert(fkey(1), 4)
 	w.Insert(fkey(2), 7)
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	// Query covering only TTS 4.
 	counts := f.Query(4, 5)
 	if counts[fkey(1)] != 1 || counts[fkey(2)] != 0 {
@@ -104,7 +104,7 @@ func TestQueryIntervalSelectivity(t *testing.T) {
 func TestQueryWindowBounds(t *testing.T) {
 	w, _ := New(smallConfig(), nil)
 	w.Insert(fkey(1), 4)
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	if c := f.QueryWindow(-1, 0, 100); len(c) != 0 {
 		t.Fatalf("negative window returned %v", c)
 	}
@@ -137,7 +137,7 @@ func TestProportionalRecovery(t *testing.T) {
 		w.Insert(f, ts)
 		log = append(log, rec{f, ts})
 	}
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	// Pick an interval that lands in window 2 (cell period 32 ns, window
 	// period 8192 ns): 2-3 window-0 periods back from the end.
 	end := ts - 2*cfg.WindowPeriod(0)
@@ -177,7 +177,7 @@ func TestSurvivingCellsDecreases(t *testing.T) {
 		ts += uint64(5 + rng.IntN(11))
 		w.Insert(fkey(uint32(rng.IntN(8))), ts)
 	}
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	surv := f.SurvivingCells()
 	if surv[0] == 0 {
 		t.Fatal("window 0 empty after 100k inserts")
@@ -230,7 +230,7 @@ func TestFaultInjectionStaleRegisters(t *testing.T) {
 		w.Insert(f, ts)
 		truth[f]++
 	}
-	counts := w.Snapshot().Filter().Query(base, ts+1)
+	counts := w.Snapshot().Query(base, ts+1)
 	for f, cnt := range counts {
 		if _, ours := truth[f]; !ours {
 			t.Fatalf("stale flow %v leaked into the query with %v packets", f, cnt)

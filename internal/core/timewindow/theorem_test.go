@@ -73,7 +73,7 @@ func TestTheorem2Coefficients(t *testing.T) {
 	cfg := Config{M0: 3, K: 10, Alpha: 2, T: 3, MinPktTxDelayNs: 10}
 	w := lineRateStream(t, cfg, 600000, 3)
 	coeff := cfg.Coefficients()
-	f := w.Snapshot().Filter()
+	f := w.Snapshot()
 	for i := 0; i < cfg.T; i++ {
 		lo, hi := f.WindowSpan(i)
 		if hi <= lo {
@@ -114,7 +114,7 @@ func TestTheorem2ProportionalRecovery(t *testing.T) {
 		}
 		w.Insert(f, ts)
 	}
-	filtered := w.Snapshot().Filter()
+	filtered := w.Snapshot()
 	for i := 1; i < cfg.T; i++ {
 		lo, hi := filtered.WindowSpan(i)
 		counts := filtered.RawWindowCounts(lo, hi)[i]
@@ -145,7 +145,7 @@ func TestRecoveredCountUnbiased(t *testing.T) {
 			w.Insert(fkey(uint32(rng.IntN(32))), ts)
 			times = append(times, ts)
 		}
-		f := w.Snapshot().Filter()
+		f := w.Snapshot()
 		lo, hi := f.WindowSpan(1)
 		est := f.Query(lo, hi).Total()
 		var truth float64

@@ -1,22 +1,10 @@
 package timewindow
 
 import (
-	"slices"
 	"unsafe"
 
 	"printqueue/internal/flow"
 )
-
-// Cell is one register entry of a time window as a snapshot holds it: the
-// stored packet's flow ID and the cycle ID distinguishing which pass of the
-// ring buffer wrote it. Valid distinguishes a never-written cell from cycle
-// 0. The live registers hold the same three things as integers (Reg); a
-// frozen read unpacks them into cells.
-type Cell struct {
-	Flow    flow.Key
-	CycleID uint64
-	Valid   bool
-}
 
 // Reg is one live register of a time window: the packed flow ID and the
 // cycle ID, three words the per-packet path loads and stores without ever
@@ -28,14 +16,6 @@ type Cell struct {
 type Reg struct {
 	a, b  uint64
 	cycle uint64
-}
-
-// unpack writes a written register into *c field by field (see
-// flow.Packed.Unpack for why not by assigning a Cell built here).
-func (r *Reg) unpack(c *Cell) {
-	flow.Packed{A: r.a, B: r.b}.Unpack(&c.Flow)
-	c.CycleID = r.cycle
-	c.Valid = true
 }
 
 // Windows is one register set of T time windows. The data plane inserts
@@ -210,54 +190,40 @@ func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
 	}
 }
 
-// Snapshot copies the current register contents into an immutable Snapshot
-// for query execution. It models one frozen register read of the whole set —
-// the paper's control-plane read — keeping every valid cell, stale ones
-// included: standalone experiments, codec fixtures and benchmarks use it.
-// The control plane retires Freeze's result instead.
-func (w *Windows) Snapshot() *Snapshot {
-	s := &Snapshot{cfg: w.cfg, pos: make([][]uint32, w.cfg.T), cells: make([][]Cell, w.cfg.T)}
-	for i, regs := range w.windows {
-		n := 0
-		for j := range regs {
-			if regs[j].b != 0 {
-				n++
-			}
-		}
-		pos, cells := make([]uint32, n), make([]Cell, n)
-		at := 0
-		for j := range regs {
-			if r := &regs[j]; r.b != 0 {
-				pos[at] = uint32(j)
-				r.unpack(&cells[at])
-				at++
-			}
-		}
-		s.pos[i], s.cells[i] = pos, cells
-	}
-	return s
-}
+// Snapshot is the paper's whole-register read of the set, with Algorithm 3
+// applied: every window keeps the cells it retains behind its anchor, stale
+// ones dropped, in the index form Freeze emits. Standalone experiments,
+// fixtures and benchmarks use it; the control plane retires Freeze's result.
+func (w *Windows) Snapshot() *Filtered { return w.read(0, 0, true) }
 
 // Freeze is the frozen read the control plane retires at a flip: of the set's
-// registers it copies what a query on the checkpoint can read, and no more.
-// Interval queries clamp to the checkpoint's coverage — the dequeues in
-// [prevFreeze, freezeTime) went to this set — and count only cells that
-// survive Algorithm 3, so a cell is kept iff its TTS lies both in the
-// coverage, [prevFreeze>>shift_i, (freezeTime-1)>>shift_i], and in the span
-// window i retains, (anchor_i - 2^k, anchor_i], and its cycle ID is that
-// TTS's: a survivor whose period overlaps the coverage. Everything else —
-// stale cells of earlier activations, survivors that ended at or before
-// prevFreeze — can never be counted. Window 0's anchor cell is kept even
-// when the coverage misses it, so Filter on the result derives the same
-// anchors, by the same chain, as on Snapshot()'s.
+// registers it copies what a query on the checkpoint can read, and no more,
+// straight into the Algorithm-3 index queries search. Interval queries clamp
+// to the checkpoint's coverage — the dequeues in [prevFreeze, freezeTime)
+// went to this set — and count only cells that survive Algorithm 3, so a cell
+// is kept iff its TTS lies both in the coverage, [prevFreeze>>shift_i,
+// (freezeTime-1)>>shift_i], and in the span window i retains, (anchor_i -
+// 2^k, anchor_i], and its cycle ID is that TTS's: a survivor whose period
+// overlaps the coverage. Everything else — stale cells of earlier
+// activations, survivors that ended at or before prevFreeze — can never be
+// counted. Window 0's anchor cell is kept even when the coverage misses it:
+// it is where the anchors come from, for this read and for the codec.
 //
-// A cell's ring position is its TTS's low k bits, so the positions to read
-// follow from the coverage arithmetically: nothing is tracked per packet.
-// The cost is one scan of window 0 for the latest cell plus the cells the
-// coverage spans.
-func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Snapshot {
-	t := w.cfg.T
-	s := &Snapshot{cfg: w.cfg, pos: make([][]uint32, t), cells: make([][]Cell, t)}
+// A kept cell's cycle ID follows from its TTS, and its TTS from its ring
+// position and the anchor, so the index holds of a cell its span start and
+// its interned flow, nothing else. The positions to read follow from the
+// coverage arithmetically: nothing is tracked per packet. The cost is one
+// scan of window 0 for the latest cell plus the cells the coverage spans.
+func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Filtered {
+	return w.read(prevFreeze, freezeTime, false)
+}
+
+// read is Freeze over the coverage (prevFreeze, freezeTime], or Snapshot
+// when whole. Each window's runs are walked twice — count, then intern into
+// an index allocated at its length — and its flows are interned once, into
+// the flow table the index refers to.
+func (w *Windows) read(prevFreeze, freezeTime uint64, whole bool) *Filtered {
+	f := newFiltered(w.cfg)
 	var latest uint64
 	found := false
 	w0 := w.windows[0]
@@ -269,86 +235,83 @@ func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Snapshot {
 		}
 	}
 	if !found {
-		return s
+		return f
 	}
-	// The anchors, by Filter's chain.
-	anchors := make([]uint64, 0, t)
-	for tts := latest; len(anchors) < t; tts = (tts - (w.kMask + 1)) >> w.alpha {
-		anchors = append(anchors, tts)
-		if tts <= w.kMask {
-			break // the deeper windows have no anchor
-		}
-	}
-	// As in Snapshot, each window's runs are walked twice — count, then
-	// unpack in place into lists allocated at their length.
+	f.setAnchors(latest)
+	ids := flow.AcquireInterner()
 	var buf [3]ringRun
-	for i, anchor := range anchors {
-		runs := w.coverageRuns(buf[:0], i, anchor, prevFreeze, freezeTime)
+	for i := 0; i < f.live; i++ {
+		regs := w.windows[i]
+		runs := w.runs(buf[:0], i, f.anchorTTS[i], prevFreeze, freezeTime, whole)
 		n := 0
 		for _, rr := range runs {
-			run := w.windows[i][rr.from : rr.to+1]
+			run := regs[rr.from : rr.to+1]
 			for j := range run {
 				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
 					n++
 				}
 			}
 		}
-		pos, cells := make([]uint32, n), make([]Cell, n)
-		at := 0
+		if n == 0 {
+			continue
+		}
+		shift := w.m0 + w.alpha*uint(i)
+		refs := make([]CellRef, 0, n)
 		for _, rr := range runs {
-			run := w.windows[i][rr.from : rr.to+1]
+			run := regs[rr.from : rr.to+1]
+			first := rr.cycle<<w.k | uint64(rr.from)
 			for j := range run {
 				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
-					pos[at] = uint32(rr.from + j)
-					r.unpack(&cells[at])
-					at++
+					id := ids.InternPacked(flow.Packed{A: r.a, B: r.b})
+					refs = append(refs, CellRef{Start: (first + uint64(j)) << shift, Flow: id})
 				}
 			}
 		}
-		s.pos[i], s.cells[i] = pos, cells
+		f.index[i] = refs
 	}
-	return s
+	f.flows = append([]flow.Key(nil), ids.Keys()...)
+	ids.Release()
+	return f
 }
 
 // ringRun is a run of ring positions (inclusive) with the one cycle ID a
-// cell there must carry for Freeze to keep it.
+// cell there must carry for a read to keep it.
 type ringRun struct {
 	from, to int
 	cycle    uint64
 }
 
-// coverageRuns appends to rs, in ascending position, the runs of window i
-// that Freeze reads: the TTS range common to the coverage and to the span the
-// window retains behind its anchor — cut in two where it wraps the ring — and,
-// in window 0, the anchor's own cell when that range misses it.
-func (w *Windows) coverageRuns(rs []ringRun, i int, anchor, prevFreeze, freezeTime uint64) []ringRun {
-	shift := w.m0 + w.alpha*uint(i)
-	lo, hi := prevFreeze>>shift, anchor
+// runs appends to rs, in ascending TTS, the runs of window i a read keeps:
+// the span the window retains behind its anchor, (anchor-2^k, anchor] —
+// clipped to the coverage unless whole, and cut in two where it wraps the
+// ring, the older part first — and, in window 0, the anchor's own cell when
+// the clipped span misses it.
+func (w *Windows) runs(rs []ringRun, i int, anchor, prevFreeze, freezeTime uint64, whole bool) []ringRun {
+	lo, hi := uint64(0), anchor
 	if anchor > w.kMask {
-		lo = max(lo, anchor-w.kMask) // the window retains (anchor-2^k, anchor]
+		lo = anchor - w.kMask
 	}
-	if freezeTime > prevFreeze {
-		hi = min(hi, (freezeTime-1)>>shift)
-	} else {
-		lo = hi + 1 // an empty coverage
+	span := true
+	if !whole {
+		shift := w.m0 + w.alpha*uint(i)
+		lo = max(lo, prevFreeze>>shift)
+		if freezeTime > prevFreeze {
+			hi = min(hi, (freezeTime-1)>>shift)
+		}
+		span = freezeTime > prevFreeze && lo <= hi
 	}
-	if lo <= hi {
+	if span {
 		pl, ph := int(lo&w.kMask), int(hi&w.kMask)
 		if pl <= ph {
 			rs = append(rs, ringRun{pl, ph, lo >> w.k})
 		} else {
-			rs = append(rs, ringRun{0, ph, hi >> w.k}, ringRun{pl, int(w.kMask), lo >> w.k})
+			rs = append(rs, ringRun{pl, int(w.kMask), lo >> w.k}, ringRun{0, ph, hi >> w.k})
 		}
 	}
-	if i == 0 && (lo > hi || hi < anchor) {
-		// No other retained TTS shares the anchor's position, so it joins the
-		// runs wherever ascending position puts it.
+	if i == 0 && (!span || hi < anchor) {
+		// The anchor is the newest TTS the window holds: its cell goes last.
 		p := int(anchor & w.kMask)
-		at := 0
-		for at < len(rs) && rs[at].from < p {
-			at++
-		}
-		rs = slices.Insert(rs, at, ringRun{p, p, anchor >> w.k})
+		rs = append(rs, ringRun{p, p, anchor >> w.k})
 	}
 	return rs
 }

@@ -116,10 +116,9 @@ func TestRegHoldsWhatACellHolds(t *testing.T) {
 	if got := cellAt(w, 0, 2); got != want {
 		t.Fatalf("zero key inserted, register reads %+v", got)
 	}
-	for name, s := range map[string]*Snapshot{"Snapshot": w.Snapshot(), "Freeze": w.Freeze(0, 7)} {
-		pos, cells := s.Window(0)
-		if len(pos) != 1 || pos[0] != 2 || cells[0] != want {
-			t.Fatalf("%s of a window holding the zero key: positions %v cells %+v", name, pos, cells)
+	for name, f := range map[string]*Filtered{"Snapshot": w.Snapshot(), "Freeze": w.Freeze(0, 7)} {
+		if refs := f.Window(0); len(refs) != 1 || refs[0] != (CellRef{Start: 6}) || len(f.Flows()) != 1 || f.Flows()[0] != (flow.Key{}) {
+			t.Fatalf("%s of a window holding the zero key: index %v flows %v", name, refs, f.Flows())
 		}
 	}
 }
@@ -237,8 +236,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	w.Insert(fkey(1), 1)
 	snap := w.Snapshot()
 	w.Insert(fkey(2), 1) // overwrite after snapshot
-	f := snap.Filter()
-	counts := f.Query(0, 16)
+	counts := snap.Query(0, 16)
 	if counts[fkey(1)] != 1 || counts[fkey(2)] != 0 {
 		t.Fatalf("snapshot not isolated: %v", counts)
 	}
@@ -315,8 +313,8 @@ func TestAblationAlwaysPass(t *testing.T) {
 		oneShot.Insert(fkey(uint32(i)), ts)
 		always.InsertAblationAlwaysPass(fkey(uint32(i)), ts)
 	}
-	oneDeep := oneShot.Snapshot()
-	alwaysDeep := always.Snapshot()
+	oneDeep := wholeCells(oneShot)
+	alwaysDeep := wholeCells(always)
 	countValid := func(s *Snapshot, i int) int { return len(s.cells[i]) }
 	if got := countValid(oneDeep, 1); got != 0 {
 		t.Fatalf("one-shot passed %d packets to window 1 under sparse traffic, want 0", got)

@@ -172,6 +172,7 @@ type Collector struct {
 	streamMirrorQueries *telemetry.Counter
 	streamFallbacks     *telemetry.Counter
 	streamStaleServed   *telemetry.Counter
+	streamRefused       *telemetry.Counter
 }
 
 // New builds a Collector. Register switches before querying.
@@ -227,6 +228,9 @@ func New(opts Options) *Collector {
 			"Hop queries that fell back to the network fan-out (mirror cold or lagged past the staleness bound)."),
 		streamStaleServed: reg.Counter("printqueue_fleet_stream_stale_served_total",
 			"Mirror answers served with an explicit staleness annotation."),
+		streamRefused: reg.Counter("printqueue_fleet_stream_refused_total",
+			"Checkpoint frames a mirror refused to store: a record of a codec version this build does not read.",
+			telemetry.L("reason", "codec_version")),
 	}
 }
 

@@ -282,12 +282,20 @@ func (m *Mirror) sleep(d time.Duration) bool {
 // append happens first so the cover never claims data the store does not
 // hold. Duplicates (the live subscription overlaps the replay, and the
 // reconnect watermark is the minimum across ports) are skipped by freeze
-// time.
+// time. A record of a codec version this build does not read — a switch
+// upgraded before its collector — is refused and counted, not stored: every
+// query touching it would fail. The cover then has a hole where it was,
+// which keeps the mirror from answering across it; the hop goes to the
+// switch instead.
 func (m *Mirror) ingest(f control.CheckpointFrame) {
 	m.c.streamFrames.Inc()
 	m.c.streamBytes.Add(int64(len(f.Payload)))
 	if f.Replay {
 		m.c.streamReplayed.Inc()
+	}
+	if histstore.CheckVersion(f.Payload) != nil {
+		m.c.streamRefused.Inc()
+		return
 	}
 	m.mu.Lock()
 	if cov := m.covers[f.Port]; cov != nil && f.FreezeTime <= cov.end {

@@ -419,9 +419,9 @@ func TestFleetCoalescedQueries(t *testing.T) {
 }
 
 // TestFleetStreamMetricsParity is the registry audit: every metric family
-// the collector registers — including the nine streaming/coalescing
-// families added with mirror mode — must appear in the Prometheus
-// exposition after a mirrored query.
+// the collector registers — including the ten streaming/coalescing
+// families of mirror mode — must appear in the Prometheus exposition after
+// a mirrored query.
 func TestFleetStreamMetricsParity(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c, _, horizon := newMirroredFleet(t, 1, Options{Telemetry: reg})
@@ -444,6 +444,7 @@ func TestFleetStreamMetricsParity(t *testing.T) {
 		"printqueue_fleet_stream_mirror_queries_total",
 		"printqueue_fleet_stream_fallbacks_total",
 		"printqueue_fleet_stream_stale_served_total",
+		"printqueue_fleet_stream_refused_total",
 	} {
 		found := false
 		for _, n := range names {

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"math/rand/v2"
 	"sync"
@@ -14,7 +13,9 @@ import (
 // of the checkpoint path (the codec's per-record dictionary, the
 // Algorithm-3 cell index): open addressing with linear probing over a
 // power-of-two slot table, which spares the per-lookup overhead of the
-// general-purpose map.
+// general-purpose map. Keys are hashed and compared in their two-word packed
+// form (Pack is a bijection), so a caller holding that form — a frozen read
+// of the registers — interns without unpacking a key it has seen before.
 //
 // The hash is seeded once per process with a random value, so a crafted
 // flow set cannot force long probe chains (the property the Go map's own
@@ -24,7 +25,9 @@ type Interner struct {
 	// slots holds id+1 of the key living there, 0 when empty. Its length is
 	// a power of two, at least twice len(keys).
 	slots []int32
-	keys  []Key
+	// packed[id] is keys[id] packed: what a lookup hashes and compares.
+	packed []Packed
+	keys   []Key
 	// last is the id Intern returned most recently, checked first: a burst
 	// fills consecutive cells with one flow. Valid while len(keys) > 0.
 	last int32
@@ -33,15 +36,13 @@ type Interner struct {
 // internSeed randomizes slot placement per process. Ids do not depend on it.
 var internSeed = [2]uint64{rand.Uint64(), rand.Uint64()}
 
-// internHash mixes the key's 13 bytes into 64 bits with one 64x64→128
-// multiply of the seeded halves, folded — the scheme Go's runtime uses to
+// internHash mixes a packed key's two words into 64 bits with one 64x64→128
+// multiply of the seeded words, folded — the scheme Go's runtime uses to
 // hash short map keys where it has no hardware hash. Key.Hash is a stronger
 // avalanche but costs ten times as much, and it is fixed-key on purpose
 // (reproducible baselines) where this one must not be.
-func internHash(k *Key) uint64 {
-	a := uint64(binary.LittleEndian.Uint32(k.SrcIP[:])) | uint64(binary.LittleEndian.Uint32(k.DstIP[:]))<<32
-	b := uint64(k.SrcPort) | uint64(k.DstPort)<<16 | uint64(k.Proto)<<32
-	hi, lo := bits.Mul64(a^internSeed[0], b^internSeed[1])
+func internHash(p Packed) uint64 {
+	hi, lo := bits.Mul64(p.A^internSeed[0], p.B^internSeed[1])
 	return hi ^ lo
 }
 
@@ -62,25 +63,38 @@ func (in *Interner) Release() {
 }
 
 // Intern returns the dense id of k, assigning the next one on first sight.
-func (in *Interner) Intern(k Key) int32 {
-	if len(in.keys) > 0 && in.keys[in.last] == k {
+func (in *Interner) Intern(k Key) int32 { return in.intern(k.Pack(), &k) }
+
+// InternPacked is Intern for a key in its packed form, unpacked only the
+// first time it is seen.
+func (in *Interner) InternPacked(k Packed) int32 { return in.intern(k, nil) }
+
+// intern is Intern of k packed; key is k unpacked, or nil to unpack it if
+// it is new.
+func (in *Interner) intern(k Packed, key *Key) int32 {
+	if len(in.packed) > 0 && in.packed[in.last] == k {
 		return in.last
 	}
-	if 2*(len(in.keys)+1) > len(in.slots) {
+	if 2*(len(in.packed)+1) > len(in.slots) {
 		in.grow()
 	}
 	mask := uint64(len(in.slots) - 1)
-	p := internHash(&k) & mask
+	p := internHash(k) & mask
 	for in.slots[p] != 0 {
 		id := in.slots[p] - 1
-		if in.keys[id] == k {
+		if in.packed[id] == k {
 			in.last = id
 			return id
 		}
 		p = (p + 1) & mask
 	}
-	id := int32(len(in.keys))
-	in.keys = append(in.keys, k)
+	id := int32(len(in.packed))
+	in.packed = append(in.packed, k)
+	if key != nil {
+		in.keys = append(in.keys, *key)
+	} else {
+		in.keys = append(in.keys, k.Key())
+	}
 	in.slots[p] = id + 1
 	in.last = id
 	return id
@@ -94,8 +108,8 @@ func (in *Interner) grow() {
 	}
 	in.slots = make([]int32, n)
 	mask := uint64(n - 1)
-	for id := range in.keys {
-		p := internHash(&in.keys[id]) & mask
+	for id := range in.packed {
+		p := internHash(in.packed[id]) & mask
 		for in.slots[p] != 0 {
 			p = (p + 1) & mask
 		}
@@ -117,15 +131,15 @@ func (in *Interner) Keys() []Key { return in.keys }
 // ones.
 func (in *Interner) Reset() {
 	mask := uint64(len(in.slots) - 1)
-	for id := range in.keys {
+	for id := range in.packed {
 		// The key is in the table, so the probe ends at its slot; slots
 		// already cleared on the way cannot stop it because it matches on
 		// the id, not on emptiness.
-		p := internHash(&in.keys[id]) & mask
+		p := internHash(in.packed[id]) & mask
 		for in.slots[p] != int32(id)+1 {
 			p = (p + 1) & mask
 		}
 		in.slots[p] = 0
 	}
-	in.keys = in.keys[:0]
+	in.packed, in.keys = in.packed[:0], in.keys[:0]
 }

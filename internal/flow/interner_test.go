@@ -60,7 +60,7 @@ func TestInternerForcedCollisions(t *testing.T) {
 	const slots = 1 << 10
 	var colliding []Key
 	for n := uint32(0); len(colliding) < slots/2-1; n++ {
-		if k := internKey(n); internHash(&k)&(slots-1) == 7 {
+		if k := internKey(n); internHash(k.Pack())&(slots-1) == 7 {
 			colliding = append(colliding, k)
 		}
 	}
