@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -36,6 +37,9 @@ var (
 	csvOut  = flag.Bool("csv", false, "emit comma-separated rows instead of aligned tables")
 )
 
+// stdout is where every experiment prints; the golden test captures it.
+var stdout io.Writer = os.Stdout
+
 // printer renders experiment rows either as aligned tables or CSV.
 type printer struct {
 	tw  *tabwriter.Writer
@@ -46,13 +50,13 @@ func newPrinter() *printer {
 	if *csvOut {
 		return &printer{csv: true}
 	}
-	return &printer{tw: tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)}
+	return &printer{tw: tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)}
 }
 
 // row emits one row of cells.
 func (p *printer) row(cells ...string) {
 	if p.csv {
-		fmt.Println(strings.Join(cells, ","))
+		fmt.Fprintln(stdout, strings.Join(cells, ","))
 		return
 	}
 	fmt.Fprintln(p.tw, strings.Join(cells, "\t"))
@@ -69,10 +73,10 @@ func (p *printer) flush() {
 // line is used so files remain machine-readable).
 func section(format string, args ...interface{}) {
 	if *csvOut {
-		fmt.Printf("# "+format+"\n", args...)
+		fmt.Fprintf(stdout, "# "+format+"\n", args...)
 		return
 	}
-	fmt.Printf(format+"\n", args...)
+	fmt.Fprintf(stdout, format+"\n", args...)
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
@@ -82,8 +86,16 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func main() {
 	log.SetFlags(0)
 	flag.Parse()
+	if err := run(*runFlag); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the comma-separated selection of experiments ("all" for every
+// one), in the order they are listed here.
+func run(selection string) error {
 	want := map[string]bool{}
-	for _, name := range strings.Split(*runFlag, ",") {
+	for _, name := range strings.Split(selection, ",") {
 		want[strings.TrimSpace(name)] = true
 	}
 	all := want["all"]
@@ -111,13 +123,14 @@ func main() {
 		ran++
 		section("==== %s ====", exp.name)
 		if err := exp.fn(); err != nil {
-			log.Fatalf("%s: %v", exp.name, err)
+			return fmt.Errorf("%s: %v", exp.name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if ran == 0 {
-		log.Fatalf("unknown experiment selection %q", *runFlag)
+		return fmt.Errorf("unknown experiment selection %q", selection)
 	}
+	return nil
 }
 
 func fig9() error {
@@ -322,8 +335,8 @@ func printFig16(r *experiments.Fig16Result, variant string) error {
 	section("original culprit packets burst:background = %.0f:%.0f",
 		r.OriginalBurst, r.OriginalBackground)
 	if !*csvOut {
-		fmt.Println("queue depth over time (figure 16a):")
-		fmt.Println(sparkline(r.Depth, 100))
+		fmt.Fprintln(stdout, "queue depth over time (figure 16a):")
+		fmt.Fprintln(stdout, sparkline(r.Depth, 100))
 	}
 	return nil
 }

@@ -428,6 +428,18 @@ func New(cfg Config) (*System, error) {
 		}
 		s.ports[port] = ps
 		s.portTab[port] = ps
+		if s.hist != nil {
+			// A reopened switch's history goes on where its log ends: the
+			// port's first freeze chains to the newest one logged, whether a
+			// packet or a Finalize takes it.
+			last, ok, err := s.hist.LastFreeze(port)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				ps.lastFlip = last
+			}
+		}
 	}
 	return s, nil
 }
@@ -760,15 +772,24 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 // whole checkpoint list. Also returns the total history length for the
 // pruning counters and the hot tier's coverage start (the oldest retained
 // checkpoint's PrevFreeze; ^uint64(0) when the history is empty), below
-// which the interval is the cold tier's.
-func (ps *portState) snapshotRun(start, end uint64) (run []timewindow.Covered, total int, hotStart uint64) {
-	ps.mu.RLock()
+// which the interval is the cold tier's. tr (nil = untraced) records the
+// wait for the read lock as "server.lock_wait".
+func (ps *portState) snapshotRun(start, end uint64, tr *tracing.Trace) (run []timewindow.Covered, total int, hotStart uint64) {
+	ps.rlock(tr)
 	defer ps.mu.RUnlock()
 	hotStart = ^uint64(0)
 	if ps.checkpoints.len() > 0 {
 		hotStart = ps.checkpoints.at(0).PrevFreeze
 	}
 	return ps.checkpoints.pruneCopy(start, end), ps.checkpoints.len(), hotStart
+}
+
+// rlock takes the history's read lock — which a retiring checkpoint holds
+// for writing — recording the wait as a "server.lock_wait" span of tr.
+func (ps *portState) rlock(tr *tracing.Trace) {
+	sp := tr.StartSpan("server.lock_wait", tracing.SrcServer)
+	ps.mu.RLock()
+	sp.End()
 }
 
 // markPending records that register set sel has a frozen read in flight.
@@ -917,6 +938,16 @@ func (s *System) FinalizePort(port int, now uint64) error {
 	if !ok {
 		return fmt.Errorf("control: port %d not activated", port)
 	}
+	// The freeze covers (lastFlip, now]. On a port that has taken no packet
+	// since New, lastFlip is its last Finalize or the log's newest freeze for
+	// it (0 when there is neither), so a reopened switch's idle port chains
+	// to its log instead of claiming (0, now] and hiding it from every
+	// interval. A Finalize that would not end after the coverage starts takes
+	// no freeze and is counted, like a late dequeue.
+	if now < ps.lastFlip || (!ps.started && ps.lastFlip > 0 && now == ps.lastFlip) {
+		s.stats.tsRegressions.Add(1)
+		return nil
+	}
 	s.flip(ps, now)
 	if s.snap != nil {
 		ps.drainPending()
@@ -1013,7 +1044,7 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 // concurrently by the workers) and a "server.merge" span for the merge, or a
 // single "server.accumulate" span when the run is folded whole.
 func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
-	run, histLen, hotStart := ps.snapshotRun(start, end)
+	run, histLen, hotStart := ps.snapshotRun(start, end, tr)
 	s.qpath.checkpointsPruned.Add(int64(histLen - len(run)))
 	s.qpath.checkpointsScanned.Add(int64(len(run)))
 	if cold := s.coldRun(ps.id, start, end, hotStart); len(cold) > 0 {
@@ -1100,42 +1131,66 @@ const parallelMinRun = 8
 
 // QueryOriginal executes a queue-monitor query: the original causes of
 // congestion at the time instant closest to t, for the given port and
-// priority queue, as of the checkpoint frozen nearest to t.
+// priority queue, as of the checkpoint frozen nearest to t, counted per flow
+// (the paper's reporting format; OriginalLevels lists them one by one).
 // With tracing enabled, the query may be sampled into a local trace.
-func (s *System) QueryOriginal(port, queue int, t uint64) ([]qmonitor.Culprit, error) {
+func (s *System) QueryOriginal(port, queue int, t uint64) (flow.Counts, error) {
 	tracer := s.Tracer()
 	if tracer == nil {
 		return s.queryOriginal(port, queue, t, nil)
 	}
 	t0 := time.Now()
 	tr := tracer.Start("original")
-	culprits, err := s.queryOriginal(port, queue, t, tr)
+	counts, err := s.queryOriginal(port, queue, t, tr)
 	if tr != nil {
 		tr.FinishErr(err)
 	} else {
 		tracer.MaybeSlow("original", t0, time.Since(t0), err)
 	}
-	return culprits, err
+	return counts, err
 }
 
-// queryOriginal is QueryOriginal's traced core.
-func (s *System) queryOriginal(port, queue int, t uint64, tr *tracing.Trace) ([]qmonitor.Culprit, error) {
-	ps, ok := s.ports[port]
-	if !ok {
-		return nil, fmt.Errorf("control: port %d not activated", port)
-	}
-	if queue < 0 || queue >= s.cfg.QueuesPerPort {
-		return nil, fmt.Errorf("control: queue %d out of range", queue)
-	}
+// queryOriginal is QueryOriginal's traced core: the staircase walk counts
+// each culprit's flow as it names it, so no culprit list is built.
+func (s *System) queryOriginal(port, queue int, t uint64, tr *tracing.Trace) (flow.Counts, error) {
 	var sets [4]*qmonitor.Snapshot
-	n := ps.originalSets(queue, t, &sets)
-	if n == 0 {
-		return nil, fmt.Errorf("control: no checkpoints for port %d", port)
+	n, err := s.originalSets(port, queue, t, &sets, tr)
+	if err != nil {
+		return nil, err
 	}
 	sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-	culprits := qmonitor.CulpritsAcross(sets[:n])
+	counts := qmonitor.CountsAcross(sets[:n])
 	sp.End()
-	return culprits, nil
+	return counts, nil
+}
+
+// OriginalLevels is QueryOriginal's answer as the staircase itself: every
+// original culprit with the queue level it raised the queue to and its
+// sequence number, lowest level first.
+func (s *System) OriginalLevels(port, queue int, t uint64) ([]qmonitor.Culprit, error) {
+	var sets [4]*qmonitor.Snapshot
+	n, err := s.originalSets(port, queue, t, &sets, nil)
+	if err != nil {
+		return nil, err
+	}
+	return qmonitor.CulpritsAcross(sets[:n]), nil
+}
+
+// originalSets checks port and queue and fills sets from the port's history
+// (portState.originalSets), failing when it holds no checkpoint.
+func (s *System) originalSets(port, queue int, t uint64, sets *[4]*qmonitor.Snapshot, tr *tracing.Trace) (int, error) {
+	ps, ok := s.ports[port]
+	if !ok {
+		return 0, fmt.Errorf("control: port %d not activated", port)
+	}
+	if queue < 0 || queue >= s.cfg.QueuesPerPort {
+		return 0, fmt.Errorf("control: queue %d out of range", queue)
+	}
+	n := ps.originalSets(queue, t, sets, tr)
+	if n == 0 {
+		return 0, fmt.Errorf("control: no checkpoints for port %d", port)
+	}
+	return n, nil
 }
 
 // originalSets fills sets with the snapshots QueryOriginal walks for time t
@@ -1151,9 +1206,10 @@ func (s *System) queryOriginal(port, queue int, t uint64, tr *tracing.Trace) ([]
 // snapshot of a set holds nothing its newest one lacks. The walk back stops
 // once all four sets are seen; sets whose checkpoints the hot ring has all
 // evicted are served from their carry, which makes the answer independent
-// of where the ring happens to start.
-func (ps *portState) originalSets(queue int, t uint64, sets *[4]*qmonitor.Snapshot) int {
-	ps.mu.RLock()
+// of where the ring happens to start. tr (nil = untraced) records the wait
+// for the read lock.
+func (ps *portState) originalSets(queue int, t uint64, sets *[4]*qmonitor.Snapshot, tr *tracing.Trace) int {
+	ps.rlock(tr)
 	defer ps.mu.RUnlock()
 	if ps.checkpoints.len() == 0 {
 		return 0

@@ -253,7 +253,7 @@ func TestQueryOriginalAcrossFlips(t *testing.T) {
 		s.OnDequeue(deq(fkey(byte(i)), 0, ts-10, ts, (i+1)*4))
 	}
 	s.Finalize(ts + 1)
-	culprits, err := s.QueryOriginal(0, 0, ts)
+	culprits, err := s.OriginalLevels(0, 0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,9 +263,16 @@ func goldenAnswers(t *testing.T, g goldenSystems) []string {
 			var want uint64
 			var n int
 			for i, ns := range answering {
-				cs, err := ns.s.QueryOriginal(port, queue, at)
+				cs, err := ns.s.OriginalLevels(port, queue, at)
+				if err != nil {
+					t.Fatalf("%s OriginalLevels(%d, %d, %d): %v", ns.name, port, queue, at, err)
+				}
+				counts, err := ns.s.QueryOriginal(port, queue, at)
 				if err != nil {
 					t.Fatalf("%s QueryOriginal(%d, %d, %d): %v", ns.name, port, queue, at, err)
+				}
+				if want := qmonitor.FlowCounts(cs); countsDigest(counts) != countsDigest(want) || len(counts) != len(want) {
+					t.Fatalf("QueryOriginal(%d, %d, %d): %s counts %v, its levels count %v", port, queue, at, ns.name, counts, want)
 				}
 				d := culpritsDigest(cs)
 				if i == 0 {

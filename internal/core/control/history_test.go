@@ -286,3 +286,91 @@ func TestColdCheckpointCounter(t *testing.T) {
 		t.Error("all-history query touched no cold checkpoints")
 	}
 }
+
+// TestRestartedIdlePortFinalize: a restarted System's Finalize on a port that
+// has taken no packet since the restart chains its freeze to the log's newest
+// one for that port. Before, it froze (0, now]: that empty checkpoint became
+// the port's oldest hot one, every interval took the hot tier's coverage to
+// start at 0 and skipped the log, and the switch answered nothing where its
+// log — and a mirror of it — held the history. Finalizes at or before the
+// logged freeze take no freeze and are counted; a port the log knows nothing
+// of still freezes (0, now].
+func TestRestartedIdlePortFinalize(t *testing.T) {
+	dir := t.TempDir()
+	mk := func(hist bool) *System {
+		cfg := testConfig(0, 1, 2)
+		cfg.PollPeriodNs = 256
+		if hist {
+			cfg.MaxCheckpoints = 3
+			cfg.History = &histstore.Options{Dir: dir}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ram, logged := mk(false), mk(true)
+	var ts uint64 = 1000
+	for i := 0; i < 9000; i++ {
+		ts += 5
+		port := i % 2 // port 2 never sees a packet
+		for _, s := range []*System{ram, logged} {
+			s.OnDequeue(deq(fkey(byte(i%29)), port, ts-16, ts, 8+i%13))
+		}
+	}
+	horizon := ts + 1
+	for _, port := range []int{0, 1} {
+		for _, s := range []*System{ram, logged} {
+			if err := s.FinalizePort(port, horizon); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := logged.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reborn := mk(true)
+	defer reborn.Close()
+	for _, at := range []uint64{horizon, horizon - 7} {
+		if err := reborn.FinalizePort(0, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, late := len(reborn.Checkpoints(0)), reborn.stats.tsRegressions.Load(); n != 0 || late != 2 {
+		t.Fatalf("finalizing at and before the logged freeze took %d freezes and counted %d, want 0 and 2", n, late)
+	}
+	reborn.Finalize(horizon + 5000)
+	for port, wantPrev := range map[int]uint64{0: horizon, 1: horizon, 2: 0} {
+		cps := reborn.Checkpoints(port)
+		if len(cps) != 1 || cps[0].PrevFreeze != wantPrev || cps[0].FreezeTime != horizon+5000 {
+			t.Fatalf("port %d: %d hot checkpoints after Finalize, first %+v; want one covering (%d, %d]",
+				port, len(cps), cps, wantPrev, horizon+5000)
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(29, 5))
+	for q := 0; q < 100; q++ {
+		port := q % 2
+		lo := rng.Uint64N(horizon)
+		hi := lo + 1 + rng.Uint64N(horizon/3)
+		if q < 2 {
+			lo, hi = 0, horizon+6000
+		}
+		want, err := ram.QueryInterval(port, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reborn.QueryInterval(port, lo, hi)
+		if err != nil {
+			t.Fatalf("reopened port %d [%d,%d): %v", port, lo, hi, err)
+		}
+		if len(want) == 0 && q < 2 {
+			t.Fatalf("port %d: the whole history counts nothing", port)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("reopened port %d [%d,%d): %d flows, the in-RAM twin %d", port, lo, hi, len(got), len(want))
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/flow"
 	"printqueue/internal/telemetry"
 	"printqueue/internal/tracing"
@@ -196,14 +195,14 @@ func (q *QueryServer) execute(req queryRequest) QueryResult {
 		sp.End()
 	case OriginalQuery:
 		sp := req.tr.StartSpan("server.execute", tracing.SrcServer)
-		culprits, err := q.sys.queryOriginal(req.port, req.queue, req.start, req.tr)
+		counts, err := q.sys.queryOriginal(req.port, req.queue, req.start, req.tr)
 		if err != nil {
 			sp.End()
 			res.Err = err
 			q.met.errors[req.kind].Inc()
 			return res
 		}
-		res.Counts = qmonitor.FlowCounts(culprits)
+		res.Counts = counts
 		sp.End()
 	default:
 		res.Err = fmt.Errorf("control: unknown query kind %d", req.kind)

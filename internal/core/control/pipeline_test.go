@@ -134,11 +134,11 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 
 		for q := 0; q < queues; q++ {
 			for _, at := range []uint64{last / 2, last} {
-				a, err := serial.QueryOriginal(port, q, at)
+				a, err := serial.OriginalLevels(port, q, at)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := piped.QueryOriginal(port, q, at)
+				b, err := piped.OriginalLevels(port, q, at)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -275,3 +275,107 @@ func FuzzIntervalMatchesOracle(f *testing.F) {
 		}
 	})
 }
+
+// TestFoldScratchReuse: AccumulateInto's pooled scratch must come back
+// zeroed whatever it last counted. Checkpoints alternate between hundreds of
+// flows and two; folding a many-flow one, then a few-flow one, then the
+// many-flow one again — serially, and as sharded folds on concurrent query
+// workers — must give the oracle's answer every time. A scratch returned with
+// a row or a seen flag left set carries one fold's counts into the next.
+func TestFoldScratchReuse(t *testing.T) {
+	key := func(n int) flow.Key {
+		return flow.Key{SrcIP: [4]byte{10, 1, byte(n >> 8), byte(n)}, DstIP: [4]byte{10, 0, 1, 1}, SrcPort: 7, DstPort: 80, Proto: flow.ProtoTCP}
+	}
+	cfg := testConfig(0)
+	cfg.PollPeriodNs = 1024
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ts uint64 = 1000
+	for i := 0; i < 12000; i++ {
+		ts += 4
+		f := key(i % 997)
+		if i/1024%2 == 1 {
+			f = key(i % 2)
+		}
+		s.OnDequeue(deq(f, 0, ts-20, ts, 8))
+	}
+	s.Finalize(ts + 1)
+	horizon := ts + 1
+
+	var many, few []*Checkpoint
+	for _, cp := range s.Checkpoints(0) {
+		switch n := len(cp.TW.Flows()); {
+		case n >= 40:
+			many = append(many, cp)
+		case n > 0 && n <= 2:
+			few = append(few, cp)
+		}
+	}
+	if len(many) < 4 || len(few) < 4 {
+		t.Fatalf("%d many-flow and %d few-flow checkpoints; the trace must alternate", len(many), len(few))
+	}
+	check := func(what string, got flow.Counts, err error, lo, hi uint64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s [%d,%d): %v", what, lo, hi, err)
+		}
+		if want := scanInterval(s, 0, lo, hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s [%d,%d): %d flows, the oracle %d", what, lo, hi, len(got), len(want))
+		}
+	}
+	for i := range min(len(many), len(few)) {
+		for _, cp := range []*Checkpoint{many[i], few[i], many[(i+1)%len(many)]} {
+			lo, hi := cp.PrevFreeze, cp.FreezeTime+1
+			got, err := s.QueryInterval(0, lo, hi)
+			check("serial fold", got, err, lo, hi)
+		}
+	}
+
+	qs := NewQueryServer(s)
+	qs.Start(4)
+	defer qs.Stop()
+	type query struct {
+		lo, hi uint64
+		want   flow.Counts
+	}
+	var queries []query
+	rng := rand.New(rand.NewPCG(41, 3))
+	for q := 0; q < 40; q++ {
+		lo := rng.Uint64N(horizon)
+		hi := lo + 1 + rng.Uint64N(horizon/2)
+		if q%4 == 0 { // one checkpoint: no sharding
+			cp := few[rng.IntN(len(few))]
+			if q%8 == 0 {
+				cp = many[rng.IntN(len(many))]
+			}
+			lo, hi = cp.PrevFreeze, cp.FreezeTime+1
+		}
+		queries = append(queries, query{lo, hi, scanInterval(s, 0, lo, hi)})
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for r := 0; r < 3; r++ {
+				for i := range queries {
+					q := queries[(i*(g+1)+r)%len(queries)]
+					res := qs.Interval(0, q.lo, q.hi)
+					if res.Err != nil || !reflect.DeepEqual(res.Counts, q.want) {
+						errs <- fmt.Errorf("worker fold [%d,%d): %d flows (%v), the oracle %d", q.lo, q.hi, len(res.Counts), res.Err, len(q.want))
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.qpath.parallelFanouts.Load() == 0 {
+		t.Fatal("no query sharded its fold; the concurrent half tests nothing")
+	}
+}

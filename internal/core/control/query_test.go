@@ -225,20 +225,25 @@ func TestQueryOriginalBoundedTwin(t *testing.T) {
 		for k, cp := range kept {
 			for q := 0; q < queues; q++ {
 				for _, at := range []uint64{cp.FreezeTime, cp.FreezeTime + 1, cp.FreezeTime + 100, cp.FreezeTime + 1_000_000} {
-					got, err := bounded.QueryOriginal(0, q, at)
+					got, err := bounded.OriginalLevels(0, q, at)
 					if err != nil {
-						t.Fatalf("bounded QueryOriginal(queue %d, %d): %v", q, at, err)
+						t.Fatalf("bounded OriginalLevels(queue %d, %d): %v", q, at, err)
 					}
-					want, err := unbounded.QueryOriginal(0, q, at)
+					want, err := unbounded.OriginalLevels(0, q, at)
 					if err != nil {
-						t.Fatalf("unbounded QueryOriginal(queue %d, %d): %v", q, at, err)
+						t.Fatalf("unbounded OriginalLevels(queue %d, %d): %v", q, at, err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("queue %d at %d: bounded System names %d culprits, unbounded twin %d",
 							q, at, len(got), len(want))
 					}
+					counts, err := bounded.QueryOriginal(0, q, at)
+					if err != nil || !reflect.DeepEqual(counts, qmonitor.FlowCounts(want)) {
+						t.Fatalf("queue %d at %d: bounded QueryOriginal %v (%v), the twin's levels count %v",
+							q, at, counts, err, qmonitor.FlowCounts(want))
+					}
 				}
-				got, _ := unbounded.QueryOriginal(0, q, cp.FreezeTime)
+				got, _ := unbounded.OriginalLevels(0, q, cp.FreezeTime)
 				var chain *qmonitor.Snapshot
 				for _, u := range all {
 					if u.FreezeTime > cp.FreezeTime {
@@ -247,7 +252,7 @@ func TestQueryOriginalBoundedTwin(t *testing.T) {
 					chain = qmonitor.Merge(chain, u.QM[q])
 				}
 				if want := chain.OriginalCulprits(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("queue %d at %d: QueryOriginal %v, merge of the whole chain %v", q, cp.FreezeTime, got, want)
+					t.Fatalf("queue %d at %d: OriginalLevels %v, merge of the whole chain %v", q, cp.FreezeTime, got, want)
 				}
 				if k == 0 && !reflect.DeepEqual(got, cp.QM[q].OriginalCulprits()) {
 					carried = true
@@ -484,7 +489,7 @@ func TestDataPlaneQueryCopiesOnlyItsRun(t *testing.T) {
 	if len(dqs) != diagnoses {
 		t.Fatalf("%d data-plane queries ran, want %d", len(dqs), diagnoses)
 	}
-	if run, _, _ := deep.ports[0].snapshotRun(dqs[diagnoses-1].EnqTS, dqs[diagnoses-1].DeqTS); len(run) != 2 {
+	if run, _, _ := deep.ports[0].snapshotRun(dqs[diagnoses-1].EnqTS, dqs[diagnoses-1].DeqTS, nil); len(run) != 2 {
 		t.Fatalf("the victim's interval overlaps %d checkpoints, want 2", len(run))
 	}
 	if minDeep > minShallow+64 {

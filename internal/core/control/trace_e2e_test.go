@@ -126,15 +126,19 @@ func TestEndToEndTraceBatch(t *testing.T) {
 	if _, ok := names["server.execute"]; !ok {
 		t.Fatalf("batch trace missing server.execute: %v", names)
 	}
-	// Two queries executed under one batch trace: server.execute twice.
-	var execs int
+	// Two queries executed under one batch trace: server.execute twice, and
+	// each waited for the history's read lock once.
+	var execs, lockWaits int
 	for _, sp := range tr.Spans() {
-		if sp.Name == "server.execute" {
+		switch sp.Name {
+		case "server.execute":
 			execs++
+		case "server.lock_wait":
+			lockWaits++
 		}
 	}
-	if execs != 2 {
-		t.Fatalf("batch trace has %d server.execute spans, want 2", execs)
+	if execs != 2 || lockWaits != 2 {
+		t.Fatalf("batch trace has %d server.execute and %d server.lock_wait spans, want 2 of each", execs, lockWaits)
 	}
 }
 
@@ -331,7 +335,8 @@ func itoa(n int64) string {
 
 // TestTracingDisabledZeroOverheadPaths pins the disabled-tracing fast
 // paths at zero allocations: the untraced wire encoders are unchanged, the
-// nil tracer/trace receivers are free, and a nil event log Record no-ops.
+// nil tracer/trace receivers are free, a nil event log Record no-ops, and an
+// untraced query takes the history's read lock without a lock-wait span.
 func TestTracingDisabledZeroOverheadPaths(t *testing.T) {
 	q := BatchQuery{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}
 	buf := make([]byte, 0, 256)
@@ -353,5 +358,12 @@ func TestTracingDisabledZeroOverheadPaths(t *testing.T) {
 		log.Record(tracing.EventShed, "s", 1, 0)
 	}); n > 0 {
 		t.Errorf("nil tracing receivers allocate %.1f/op, want 0", n)
+	}
+	ps := &portState{}
+	if n := testing.AllocsPerRun(200, func() {
+		ps.rlock(nil)
+		ps.mu.RUnlock()
+	}); n > 0 {
+		t.Errorf("untraced history read lock allocates %.1f/op, want 0", n)
 	}
 }

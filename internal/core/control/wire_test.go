@@ -327,7 +327,7 @@ func runWireDifferential(t *testing.T, sys *System, ts uint64, bc *MuxClient) {
 		if q.Kind == IntervalQuery {
 			return sys.QueryInterval(q.Port, q.Start, q.End)
 		}
-		culprits, err := sys.QueryOriginal(q.Port, q.Queue, q.Start)
+		culprits, err := sys.OriginalLevels(q.Port, q.Queue, q.Start)
 		return qmonitor.FlowCounts(culprits), err
 	}
 	same := func(what string, i int, want flow.Counts, wantErr error, got map[string]float64, gotErr error) {

@@ -526,6 +526,40 @@ func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error)
 	return out, nil
 }
 
+// LastFreeze returns the newest FreezeTime logged for port; ok is false when
+// the log holds no record of it. Segments are searched newest first, and a
+// sealed one's index is loaded as Covering loads it, so a reopened store
+// reads the footers of its newest segments only.
+func (s *Store) LastFreeze(port int) (freeze uint64, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, false, fmt.Errorf("histstore: store is closed")
+	}
+	segs := append(s.sealed[:len(s.sealed):len(s.sealed)], s.activeSeg)
+	for i := len(segs) - 1; i >= 0; i-- {
+		seg := segs[i]
+		if seg == nil || seg.count == 0 {
+			continue
+		}
+		if seg.index == nil {
+			if err := seg.loadIndex(); err != nil {
+				return 0, false, err
+			}
+			s.indexLoads.Inc()
+		}
+		for _, e := range seg.index {
+			if e.port == port && (!ok || e.freezeTime > freeze) {
+				freeze, ok = e.freezeTime, true
+			}
+		}
+		if ok {
+			return freeze, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
 // ReplaySince streams every stored record whose FreezeTime is strictly
 // greater than since to fn, in append order (segment sequence, then
 // intra-segment offset), passing the raw encoded payload and the indexed

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"printqueue/internal/flow"
@@ -425,8 +426,54 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 // snapshot's top still points at. The cost follows the kept entries, not the
 // levels, and the only allocation is the result (for at most four snaps).
 func CulpritsAcross(snaps []*Snapshot) []Culprit {
+	var out []Culprit
+	walkAcross(snaps, func(f *flow.Key, level int, seq uint64) {
+		out = append(out, Culprit{Flow: *f, Level: level, Seq: seq})
+	})
+	return out
+}
+
+// CountsAcross is FlowCounts(CulpritsAcross(snaps)) from the same walk,
+// without the list: each culprit's flow is interned as the walk names it (a
+// staircase names one flow many times over, in runs) and counted in a dense
+// per-id slice, and the result holds one entry per distinct flow. The
+// interner and the slice come from a pool, so a warm call allocates only the
+// result. Both forms sum 1.0 per culprit, so the counts are bit-identical.
+func CountsAcross(snaps []*Snapshot) flow.Counts {
+	sc := countPool.Get().(*countScratch)
+	walkAcross(snaps, func(f *flow.Key, _ int, _ uint64) {
+		id := sc.in.Intern(*f)
+		if int(id) == len(sc.n) {
+			sc.n = append(sc.n, 0)
+		}
+		sc.n[id]++
+	})
+	keys := sc.in.Keys()
+	out := make(flow.Counts, len(keys))
+	for id, k := range keys {
+		out[k] = float64(sc.n[id])
+	}
+	sc.in.Reset()
+	sc.n = sc.n[:0]
+	countPool.Put(sc)
+	return out
+}
+
+// countScratch is CountsAcross's pooled state: the flows a walk named, and
+// n[id], the culprits of each.
+type countScratch struct {
+	in flow.Interner
+	n  []int
+}
+
+var countPool = sync.Pool{New: func() any { return new(countScratch) }}
+
+// walkAcross is the staircase CulpritsAcross and CountsAcross share: it calls
+// visit with every culprit over snaps, in ascending level order. visit must
+// not keep f.
+func walkAcross(snaps []*Snapshot, visit func(f *flow.Key, level int, seq uint64)) {
 	if len(snaps) == 0 {
-		return nil
+		return
 	}
 	newest := snaps[0]
 	for _, s := range snaps[1:] {
@@ -441,7 +488,6 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 	for range snaps {
 		next = append(next, 0)
 	}
-	var out []Culprit
 	var maxSeq uint64
 	for {
 		// The lowest level any snapshot lists next; top+1 when none is left
@@ -453,7 +499,7 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 			}
 		}
 		if int(level) > newest.top {
-			return out
+			return
 		}
 		// The newest rise record and the newest fall's sequence number at
 		// this level; a valid record's sequence number is at least 1.
@@ -472,7 +518,7 @@ func CulpritsAcross(snaps []*Snapshot) []Culprit {
 			downSeq = max(downSeq, e.Down)
 		}
 		if upSeq > maxSeq {
-			out = append(out, Culprit{Flow: up.Flow, Level: int(level), Seq: upSeq})
+			visit(&up.Flow, int(level), upSeq)
 			maxSeq = upSeq
 		}
 		if downSeq > maxSeq {
@@ -499,6 +545,8 @@ func (s *Snapshot) OriginalCulpritsNoFilter() []Culprit {
 }
 
 // FlowCounts aggregates culprits per flow, the paper's reporting format.
+// Queries count with CountsAcross; FlowCounts serves the ablations and the
+// tests that hold CountsAcross to the list.
 func FlowCounts(culprits []Culprit) flow.Counts {
 	c := make(flow.Counts, len(culprits))
 	for _, cu := range culprits {

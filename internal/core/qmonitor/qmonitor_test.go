@@ -554,3 +554,77 @@ func TestCulpritsAcrossAllocs(t *testing.T) {
 		t.Errorf("walk across 4 sets allocates %.0f/op, the staircase over one merged snapshot %.0f", got, want)
 	}
 }
+
+// TestCountsAcrossMatchesCulprits: the counted walk is the list walk folded
+// per flow. On the rotation fixture, after every freeze, CountsAcross over
+// the newest snapshot of each set equals FlowCounts of CulpritsAcross over
+// them and FlowCounts of the Merge chain's staircase — float for float,
+// empty snapshots and clamped depths included — and is never nil.
+func TestCountsAcrossMatchesCulprits(t *testing.T) {
+	cfg := Config{MaxDepthCells: 96, GranuleCells: 2}
+	const queues = 3
+	empty := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		driveRotation(t, seed, cfg, queues, func(op int, r *setRotation) {
+			for q := 0; q < queues; q++ {
+				for _, snaps := range [][]*Snapshot{r.newestPerSet(q), r.newest(q, true)} {
+					got := CountsAcross(snaps)
+					if got == nil {
+						t.Fatalf("seed %d op %d queue %d: nil counts", seed, op, q)
+					}
+					if len(got) == 0 {
+						empty++
+					}
+					if want := FlowCounts(CulpritsAcross(snaps)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d op %d queue %d: counted walk %v, list walk %v", seed, op, q, got, want)
+					}
+					if want := FlowCounts(r.chainMerge(q).OriginalCulprits()); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d op %d queue %d: counted walk %v, merge chain %v", seed, op, q, got, want)
+					}
+				}
+			}
+		})
+	}
+	if empty == 0 {
+		t.Fatal("no walk counted nothing; the fixture no longer freezes empty sets")
+	}
+	if got := CountsAcross(nil); got == nil || len(got) != 0 {
+		t.Fatalf("no snapshots counted %v, want an empty map", got)
+	}
+}
+
+var countsSink flow.Counts
+
+// TestCountsAcrossAllocs: with the pool warm, the counted walk allocates what
+// building its result map allocates and nothing else — no culprit list, no
+// interner, no count slice.
+func TestCountsAcrossAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries on purpose under the race detector")
+	}
+	cfg := Config{MaxDepthCells: 4096, GranuleCells: 1}
+	r := newSetRotation(t, cfg, 1)
+	for i := 0; i < 900; i++ {
+		r.mons[0][r.active].Observe(fkey(byte(i%37)), i)
+		if i%50 == 49 {
+			r.freeze(1 + i/50%2)
+		}
+	}
+	r.freeze(1)
+	snaps := r.newestPerSet(0)
+	want := FlowCounts(CulpritsAcross(snaps))
+	if len(snaps) != 4 || len(want) != 37 {
+		t.Fatalf("%d sets, %d flows; want 4 and 37", len(snaps), len(want))
+	}
+	build := testing.AllocsPerRun(100, func() {
+		m := make(flow.Counts, len(want))
+		for k, n := range want {
+			m[k] = n
+		}
+		countsSink = m // escapes, as the result does
+	})
+	CountsAcross(snaps) // warm the pool
+	if got := testing.AllocsPerRun(100, func() { CountsAcross(snaps) }); got != build {
+		t.Errorf("counted walk allocates %.0f/op, its result map %.0f", got, build)
+	}
+}

@@ -2,6 +2,7 @@ package timewindow
 
 import (
 	"sort"
+	"sync"
 
 	"printqueue/internal/flow"
 )
@@ -220,27 +221,65 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 	}
 	t := f.cfg.T
 	visited := 0
-	// Dense per-flow scratch rows (local interned ids, no map writes); each
-	// touched flow is flushed to acc with a single interning lookup after all
-	// windows are gathered.
-	cnt := make([]int64, len(f.flows)*t)
-	seen := make([]bool, len(f.flows))
-	touched := make([]int32, 0, 64)
+	sc := acquireFoldScratch(len(f.flows), t)
 	for i := 0; i < f.live; i++ {
 		run := f.overlapping(i, start, end)
 		for _, ref := range run {
-			if !seen[ref.Flow] {
-				seen[ref.Flow] = true
-				touched = append(touched, ref.Flow)
+			if !sc.seen[ref.Flow] {
+				sc.seen[ref.Flow] = true
+				sc.touched = append(sc.touched, ref.Flow)
 			}
-			cnt[int(ref.Flow)*t+i]++
+			sc.cnt[int(ref.Flow)*t+i]++
 		}
 		visited += len(run)
 	}
-	for _, id := range touched {
-		acc.addRow(f.flows[id], cnt[int(id)*t:int(id)*t+t])
+	for _, id := range sc.touched {
+		acc.addRow(f.flows[id], sc.cnt[int(id)*t:int(id)*t+t])
 	}
+	sc.release(t)
 	return visited
+}
+
+// foldScratch is AccumulateInto's dense per-flow scratch: cnt holds a row of
+// T counts per flow id, seen marks the ids a fold has counted and touched
+// lists them in first-counted order. Between folds every row and every flag
+// is zero and touched is empty — release clears what the fold wrote, so
+// neither taking nor returning one costs more than the cells visited, however
+// large the biggest checkpoint a pooled scratch ever served.
+type foldScratch struct {
+	cnt     []int64
+	seen    []bool
+	touched []int32
+}
+
+var foldScratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+// acquireFoldScratch returns a zeroed scratch sized for flows ids of t
+// windows. Each fold takes its own, so concurrent folds share nothing.
+func acquireFoldScratch(flows, t int) *foldScratch {
+	sc := foldScratchPool.Get().(*foldScratch)
+	if n := flows * t; n <= cap(sc.cnt) {
+		sc.cnt = sc.cnt[:n]
+	} else {
+		sc.cnt = make([]int64, n)
+	}
+	if flows <= cap(sc.seen) {
+		sc.seen = sc.seen[:flows]
+	} else {
+		sc.seen = make([]bool, flows)
+	}
+	return sc
+}
+
+// release zeroes the rows and flags the fold touched and returns the scratch
+// to the pool.
+func (sc *foldScratch) release(t int) {
+	for _, id := range sc.touched {
+		clear(sc.cnt[int(id)*t : int(id)*t+t])
+		sc.seen[id] = false
+	}
+	sc.touched = sc.touched[:0]
+	foldScratchPool.Put(sc)
 }
 
 // Query estimates the per-flow packet counts dequeued during [start, end):

@@ -177,11 +177,10 @@ func fig16Analyze(gt *groundtruth.Collector, sys *control.System, port int, fs t
 	}
 
 	// Original culprits: queue-monitor query at the victim's enqueue.
-	culprits, err := sys.QueryOriginal(port, 0, v.EnqTimestamp)
+	orig, err := sys.QueryOriginal(port, 0, v.EnqTimestamp)
 	if err != nil {
 		return nil, err
 	}
-	orig := qmonitor.FlowCounts(culprits)
 	res.Original = classify(orig, fs)
 	res.OriginalBurst = orig[fs.Burst]
 	res.OriginalBackground = orig[fs.Background]

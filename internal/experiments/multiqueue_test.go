@@ -51,11 +51,10 @@ func TestPerQueueMonitors(t *testing.T) {
 	// Query each queue's original culprits mid-run.
 	mid := pkts[len(pkts)/2].Arrival
 	for q, want := range map[int]flow.Key{0: hi, 1: lo} {
-		culprits, err := run.Sys.QueryOriginal(run.Port, q, mid)
+		counts, err := run.Sys.QueryOriginal(run.Port, q, mid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := qmonitor.FlowCounts(culprits)
 		if counts[want] == 0 {
 			t.Fatalf("queue %d monitor missed its own flow %v: %v", q, want, counts)
 		}

@@ -406,17 +406,17 @@ func (s *System) QueryInterval(port int, start, end uint64) (Report, error) {
 // QueryOriginal returns the original causes of congestion on a port/queue
 // at the instant closest to t, aggregated per flow.
 func (s *System) QueryOriginal(port, queue int, t uint64) (Report, error) {
-	culprits, err := s.inner.QueryOriginal(port, queue, t)
+	counts, err := s.inner.QueryOriginal(port, queue, t)
 	if err != nil {
 		return nil, err
 	}
-	return reportFromCounts(qmonitor.FlowCounts(culprits)), nil
+	return reportFromCounts(counts), nil
 }
 
 // OriginalLevels returns the original culprits with their queue levels, for
 // callers that want the raw staircase rather than per-flow aggregates.
 func (s *System) OriginalLevels(port, queue int, t uint64) ([]OriginalCulprit, error) {
-	culprits, err := s.inner.QueryOriginal(port, queue, t)
+	culprits, err := s.inner.OriginalLevels(port, queue, t)
 	if err != nil {
 		return nil, err
 	}
