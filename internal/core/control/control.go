@@ -46,9 +46,13 @@ type Config struct {
 	// counted as infeasible — the regime above the paper's Figure-13
 	// "data exchange limit" line.
 	ReadRateEntriesPerSec float64
-	// DPTrigger, if non-nil, is evaluated for every dequeued packet; when
-	// it returns true (and no data-plane query is in flight) the packet
-	// triggers an on-demand freeze and query of its own queuing interval.
+	// DPTrigger, if non-nil, is evaluated for every dequeued packet that is
+	// not late; when it returns true (and no data-plane query is in flight)
+	// the packet triggers an on-demand freeze and query of its own queuing
+	// interval. It runs on the goroutine that feeds the packet — the caller
+	// of OnDequeue or of Pipeline.Ingest — before the packet is inserted,
+	// never on a shard worker. It must be a predicate of the packet alone;
+	// then where it runs changes no answer.
 	DPTrigger func(p *pktrec.Packet) bool
 	// MaxCheckpoints bounds the retained checkpoint history per port
 	// (0 = unlimited). Older checkpoints are discarded FIFO.
@@ -213,6 +217,11 @@ type statsCounters struct {
 	// plus the background register copy; in synchronous mode it is the
 	// inline copy alone.
 	freezeRetireNs *telemetry.Histogram
+	// ingestRetireNs runs from the wall time the feeding goroutine decided
+	// the freeze (decision.at) to retirement: under a Pipeline it adds the
+	// trigger packet's wait in the shard ring and the worker's batch ahead
+	// of it to freezeRetireNs; in synchronous mode the two are equal.
+	ingestRetireNs *telemetry.Histogram
 }
 
 // register binds the counters into a registry under their exported names.
@@ -236,6 +245,18 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.freezeRetireNs = reg.Histogram("printqueue_checkpoint_freeze_to_retire_ns",
 		"Latency from freezing a register set to its checkpoint retiring into the history.",
 		telemetry.LatencyBuckets)
+	sc.ingestRetireNs = reg.Histogram("printqueue_checkpoint_ingest_to_retire_ns",
+		"Latency from feeding a checkpoint's trigger packet (the freeze decision) to its checkpoint retiring into the history.",
+		telemetry.LatencyBuckets)
+}
+
+// observeRetire records a checkpoint's retirement in both latency
+// histograms: frozenAt is when its register set froze, decidedAt when the
+// feeding goroutine decided the freeze.
+func (sc *statsCounters) observeRetire(frozenAt, decidedAt time.Time) {
+	now := time.Now()
+	sc.freezeRetireNs.Observe(uint64(now.Sub(frozenAt).Nanoseconds()))
+	sc.ingestRetireNs.Observe(uint64(now.Sub(decidedAt).Nanoseconds()))
 }
 
 // queryPathCounters instruments the interval-query execution path: how much
@@ -279,10 +300,12 @@ type portState struct {
 	tw [4]*timewindow.Windows // by setSel.index()
 	qm [][4]*qmonitor.Monitor // [queue][set]
 
-	writeSel      setSel
-	lastFlip      uint64
-	started       bool
-	dpLockedUntil uint64
+	// writeSel is the active register set. The goroutine that inserts the
+	// port's packets owns it: a shard worker under a Pipeline.
+	writeSel setSel
+	// feed is the port's decision state; the goroutine that feeds the
+	// port's packets owns it (decide).
+	feed *feedState
 
 	// packets counts dequeues observed on this port. Per-port so that each
 	// ingestion worker increments an uncontended counter; Stats() sums them
@@ -309,6 +332,56 @@ type portState struct {
 	// Guarded by mu.
 	qmCarry [4][]*qmonitor.Snapshot
 }
+
+// feedState is what a port's flip and trigger decisions are taken from
+// (System.decide). Only the goroutine that feeds the port's packets reads or
+// writes it — the caller of OnDequeue, of Pipeline.Ingest, or of FinalizePort
+// after Close — so it is allocated apart from the portState and padded to
+// one 64-byte line, which Go's size classes start on a line: under a
+// Pipeline that goroutine writes it per packet, beside shard workers that
+// write their own lines per packet.
+type feedState struct {
+	// lastFlip is the newest freeze decided: the coverage start of the
+	// active register set. New seeds it from the log on a reopened switch.
+	lastFlip uint64
+	// quiet is how long after lastFlip a packet decides nothing (quietAt):
+	// the poll period once the port has started, when no DPTrigger is
+	// configured; 0 otherwise.
+	quiet uint64
+	// dpLockedUntil is when the in-flight special read completes; a trigger
+	// before it is suppressed.
+	dpLockedUntil uint64
+	// started is set by the port's first packet that is not late.
+	started bool
+	_       [64 - 3*8 - 1]byte
+}
+
+// quietAt reports whether a packet dequeued at now decides nothing, so
+// that a caller on the hot path may skip decide for it: it is not late, the
+// port has started, and no poll period has passed since the last freeze,
+// with no DPTrigger to ask.
+func (f *feedState) quietAt(now uint64) bool {
+	return now >= f.lastFlip && now-f.lastFlip < f.quiet
+}
+
+// decision is what the feeding goroutine decided for one packet (decide).
+// The zero decision is "insert the packet, nothing more".
+type decision struct {
+	// flip freezes the active periodic set before the packet is inserted,
+	// with coverage (prevFreeze, the packet's dequeue time].
+	flip bool
+	// dp runs a data-plane query after the packet is inserted. Its freeze
+	// covers (prevFreeze, dequeue time] — or, when flip is set too, the
+	// empty span at the dequeue time.
+	dp         bool
+	prevFreeze uint64
+	// at is the wall time the decision was taken, set when flip or dp is:
+	// where printqueue_checkpoint_ingest_to_retire_ns starts.
+	at time.Time
+}
+
+// freezes reports whether the decision takes a freeze.
+func (d *decision) freezes() bool { return d.flip || d.dp }
 
 // System is the per-switch PrintQueue instance: the data-plane structures
 // for every activated port plus the analysis program's state.
@@ -399,7 +472,7 @@ func New(cfg Config) (*System, error) {
 	s.portTab = make([]*portState, maxPort+1)
 
 	for rank, port := range cfg.Ports {
-		ps := &portState{id: port, prefix: rank, subject: "port=" + strconv.Itoa(port)}
+		ps := &portState{id: port, prefix: rank, subject: "port=" + strconv.Itoa(port), feed: new(feedState)}
 		ps.pendCond = sync.NewCond(&ps.pendMu)
 		ps.packets = s.telemetry.Counter("printqueue_port_packets_total",
 			"Dequeued packets observed per activated port.",
@@ -437,7 +510,7 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 			if ok {
-				ps.lastFlip = last
+				ps.feed.lastFlip = last
 			}
 		}
 	}
@@ -576,28 +649,116 @@ func (s *System) readLatencyNs() uint64 {
 
 // OnDequeue is the egress-pipeline entry point: it is called for every
 // packet leaving an activated port, in dequeue order, with metadata filled
-// in. It updates the active register set, performs due periodic flips, and
-// evaluates the data-plane query trigger. Packets for ports without
-// PrintQueue are ignored (the ingress flow table found no match).
+// in. It takes the packet's decisions (decide), then updates the active
+// register set, performing a due periodic flip before the insert and a
+// data-plane query after it. Packets for ports without PrintQueue are
+// ignored (the ingress flow table found no match).
 func (s *System) OnDequeue(p *pktrec.Packet) {
-	if ps := s.dequeue(p); ps != nil {
-		ps.packets.Add(1)
+	if p.Port < 0 || p.Port >= len(s.portTab) {
+		return
+	}
+	ps := s.portTab[p.Port]
+	if ps == nil {
+		return
+	}
+	var d decision
+	s.decide(ps.feed, p, &d)
+	s.take(ps, p, &d)
+	ps.packets.Add(1)
+}
+
+// decide takes a packet's decisions from its port's feedState into *d, on
+// the goroutine that feeds the port: whether the port flips before the
+// packet is inserted, and whether a data-plane query follows it. *d must be
+// the zero decision; a packet that decides no freeze leaves it so. decide
+// is the one flip and trigger rule; OnDequeue applies its decision inline,
+// Pipeline.Ingest ends a batch with it.
+//
+// A packet stamped before the port's newest freeze is late: it is counted,
+// inserted into the active set — whose coverage starts after it, so no
+// interval query will count it — and takes no freeze, periodic or
+// data-plane. Otherwise the unsigned difference below would wrap and flip,
+// retiring a checkpoint that ends before it starts and breaking the
+// ascending, chained coverage every search relies on. That holds on a port
+// no packet has started too, when its newest freeze came from a Finalize or
+// from the log of a reopened switch: a packet from before it would start
+// the next checkpoint inside the logged coverage.
+func (s *System) decide(f *feedState, p *pktrec.Packet, d *decision) {
+	now := p.Meta.DeqTimestamp()
+	if now < f.lastFlip {
+		s.stats.tsRegressions.Add(1)
+		return
+	}
+	switch {
+	case !f.started:
+		f.started = true
+		f.lastFlip = now
+		if s.cfg.DPTrigger == nil {
+			f.quiet = s.cfg.PollPeriodNs
+		}
+	case now-f.lastFlip >= s.cfg.PollPeriodNs:
+		d.flip, d.prevFreeze = true, f.lastFlip
+		f.lastFlip = now
+	}
+	if s.cfg.DPTrigger != nil && s.cfg.DPTrigger(p) {
+		if now < f.dpLockedUntil {
+			s.stats.dpSuppressed.Add(1)
+		} else {
+			if !d.flip {
+				d.prevFreeze = f.lastFlip
+			}
+			d.dp = true
+			f.lastFlip = now
+			f.dpLockedUntil = now + s.readLatencyNs()
+		}
+	}
+	if d.freezes() {
+		d.at = time.Now()
 	}
 }
 
-// onDequeueBatch is OnDequeue over a shard worker's batch, with the port
-// packet counters moved once per run of one port's packets instead of once
-// per packet: an atomic add per packet is a locked instruction per packet,
-// and two ports' counters on one cache line — they are 8-byte objects, the
-// allocator packs them — make two workers trade that line per packet for
-// the System's life. A batch may interleave the shard's ports. Between
-// batches the counters lag by at most the batch in hand; they are exact once
-// the workers have drained (Pipeline.Close).
-func (s *System) onDequeueBatch(pkts []pktrec.Packet) {
+// take inserts a packet into its port's active register set, applying the
+// packet's decision around the insert in the serial order: flip, insert,
+// then the data-plane query. It runs on the goroutine that owns the port's
+// registers — OnDequeue's caller, or the port's shard worker for the last
+// packet of a batch.
+func (s *System) take(ps *portState, p *pktrec.Packet, d *decision) {
+	now := p.Meta.DeqTimestamp()
+	if d.flip {
+		s.flip(ps, now, d.prevFreeze, d.at)
+	}
+	queue := s.insert(ps, p)
+	if d.dp {
+		prev := d.prevFreeze
+		if d.flip {
+			prev = now
+		}
+		s.dataPlaneQuery(ps, p, queue, now, prev, d.at)
+	}
+}
+
+// onDequeueBatch is the shard worker's body over one batch: it inserts every
+// packet and applies the decision the batch ends at (Pipeline.Ingest) to its
+// last one. The port packet counters move once per run of one port's
+// packets instead of once per packet: an atomic add per packet is a locked
+// instruction per packet, and two ports' counters on one cache line — they
+// are 8-byte objects, the allocator packs them — make two workers trade
+// that line per packet for the System's life. A batch may interleave the
+// shard's ports; it holds only activated ports' packets. Between batches the
+// counters lag by at most the batch in hand; they are exact once the
+// workers have drained (Pipeline.Close).
+func (s *System) onDequeueBatch(pkts []pktrec.Packet, d *decision) {
 	var run *portState
 	n := int64(0)
+	last := len(pkts) - 1
 	for i := range pkts {
-		ps := s.dequeue(&pkts[i])
+		p := &pkts[i]
+		ps := s.portTab[p.Port]
+		if i == last {
+			s.take(ps, p, d)
+		} else {
+			s.insert(ps, p)
+		}
 		if ps != run {
 			if run != nil {
 				run.packets.Add(n)
@@ -611,53 +772,20 @@ func (s *System) onDequeueBatch(pkts []pktrec.Packet) {
 	}
 }
 
-// dequeue is the per-packet body of OnDequeue and onDequeueBatch, short of
-// counting the packet: it returns the packet's port, nil when PrintQueue is
-// not activated on it. Of memory another port's goroutine touches it writes
-// nothing.
-func (s *System) dequeue(p *pktrec.Packet) *portState {
-	if p.Port < 0 || p.Port >= len(s.portTab) {
-		return nil
-	}
-	ps := s.portTab[p.Port]
-	if ps == nil {
-		return nil
-	}
-	now := p.Meta.DeqTimestamp()
-	// A timestamp from before the last flip would wrap the unsigned
-	// difference below and flip, retiring a checkpoint that ends before it
-	// starts and breaking the ascending, chained coverage every search relies
-	// on. Such a packet is recorded in the active set and counted; it takes
-	// no freeze, periodic or data-plane.
-	late := ps.started && now < ps.lastFlip
-	switch {
-	case !ps.started:
-		ps.started = true
-		ps.lastFlip = now
-	case late:
-		s.stats.tsRegressions.Add(1)
-	case now-ps.lastFlip >= s.cfg.PollPeriodNs:
-		s.flip(ps, now)
-	}
-
+// insert records one packet in its port's active register set — the time
+// windows and its queue's monitor — and returns the queue. Of memory
+// another port's goroutine touches it writes nothing.
+func (s *System) insert(ps *portState, p *pktrec.Packet) int {
 	// The flow ID goes to both structures in two machine words.
 	f := p.Flow.Pack()
 	sel := ps.writeSel.index()
-	ps.tw[sel].InsertPacked(f, now)
+	ps.tw[sel].InsertPacked(f, p.Meta.DeqTimestamp())
 	queue := p.Queue
 	if queue < 0 || queue >= s.cfg.QueuesPerPort {
 		queue = s.cfg.QueuesPerPort - 1
 	}
 	ps.qm[queue][sel].ObservePacked(f, p.Meta.EnqQdepth)
-
-	if s.cfg.DPTrigger != nil && !late && s.cfg.DPTrigger(p) {
-		if now < ps.dpLockedUntil {
-			s.stats.dpSuppressed.Add(1)
-		} else {
-			s.dataPlaneQuery(ps, p, queue, now)
-		}
-	}
-	return ps
+	return queue
 }
 
 // snapshotSet freezes register set sel of a port into a checkpoint and
@@ -850,9 +978,11 @@ func (ps *portState) drainPending() {
 // the snapshotter is more than one poll period behind — the flip blocks
 // until the read retires and the stall is charged to InfeasibleFlips,
 // mirroring the paper's Figure-13 data-exchange limit.
-func (s *System) flip(ps *portState, now uint64) {
+//
+// The freeze covers (prevFreeze, now]; decidedAt is when the feeding
+// goroutine decided it (decision.at).
+func (s *System) flip(ps *portState, now, prevFreeze uint64, decidedAt time.Time) {
 	oldSel := ps.writeSel.index()
-	prevFreeze := ps.lastFlip
 	s.stats.checkpoints.Add(1)
 	if lat := s.readLatencyNs(); lat > s.cfg.PollPeriodNs {
 		s.stats.infeasibleFlips.Add(1)
@@ -861,39 +991,39 @@ func (s *System) flip(ps *portState, now uint64) {
 	if sn := s.snap; sn != nil {
 		ps.waitSetFree(newSel.index(), s)
 		ps.markPending(oldSel)
-		sn.enqueue(snapJob{ps: ps, sel: oldSel, freezeTime: now, prevFreeze: prevFreeze, frozenAt: time.Now()})
+		sn.enqueue(snapJob{ps: ps, sel: oldSel, freezeTime: now, prevFreeze: prevFreeze, frozenAt: time.Now(), decidedAt: decidedAt})
 	} else {
-		start := time.Now()
 		cp := s.snapshotSet(ps, oldSel, now, prevFreeze, false)
 		s.retireCheckpoint(ps, cp)
-		s.stats.freezeRetireNs.Observe(uint64(time.Since(start).Nanoseconds()))
+		s.stats.observeRetire(decidedAt, decidedAt)
 	}
 	ps.writeSel = newSel
 	ni := newSel.index()
 	for q := 0; q < s.cfg.QueuesPerPort; q++ {
 		ps.qm[q][ni].Adopt(ps.qm[q][oldSel].Top(), ps.qm[q][oldSel].Seq())
 	}
-	ps.lastFlip = now
 }
 
 // dataPlaneQuery performs the §6.2 on-demand read: freeze the current data
 // into the "special" set position, direct updates to the set with the
-// highest-order bit flipped, lock further data-plane queries until the
-// special read completes, and execute the victim's own queuing interval as
-// the query.
-func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now uint64) {
+// highest-order bit flipped, and execute the victim's own queuing interval
+// as the query. The freeze covers (prevFreeze, now]; decidedAt is when the
+// feeding goroutine decided it, locking further data-plane queries until
+// the special read completes (decide).
+func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now, prevFreeze uint64, decidedAt time.Time) {
 	// Under a Pipeline, periodic checkpoints may still be in flight on the
 	// snapshot goroutine. The special read is prioritized on hardware but
 	// the query below walks the whole checkpoint chain, so drain pending
 	// reads first: the history stays ordered by freeze time and the query
 	// sees the same chain the serial path would.
+	frozenAt := decidedAt
 	if s.snap != nil {
 		ps.drainPending()
+		frozenAt = time.Now()
 	}
-	start := time.Now()
-	cp := s.snapshotSet(ps, ps.writeSel.index(), now, ps.lastFlip, true)
+	cp := s.snapshotSet(ps, ps.writeSel.index(), now, prevFreeze, true)
 	s.retireCheckpoint(ps, cp)
-	s.stats.freezeRetireNs.Observe(uint64(time.Since(start).Nanoseconds()))
+	s.stats.observeRetire(frozenAt, decidedAt)
 	s.stats.specialFreezes.Add(1)
 	oldSel := ps.writeSel.index()
 	ps.writeSel = ps.writeSel.toggleDP()
@@ -901,9 +1031,7 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now 
 	for q := 0; q < s.cfg.QueuesPerPort; q++ {
 		ps.qm[q][newSel].Adopt(ps.qm[q][oldSel].Top(), ps.qm[q][oldSel].Seq())
 	}
-	ps.lastFlip = now
 	lat := s.readLatencyNs()
-	ps.dpLockedUntil = now + lat
 
 	dq := &DPQuery{
 		Port:        ps.id,
@@ -931,8 +1059,8 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now 
 
 // FinalizePort forces a final checkpoint of a port's live registers at the
 // given time, so post-run asynchronous queries can reach the most recent
-// traffic. Typically called once after the simulation drains (and, under a
-// Pipeline, after the pipeline is closed).
+// traffic. Typically called once after the simulation drains; under a
+// Pipeline, only after Close.
 func (s *System) FinalizePort(port int, now uint64) error {
 	ps, ok := s.ports[port]
 	if !ok {
@@ -943,12 +1071,16 @@ func (s *System) FinalizePort(port int, now uint64) error {
 	// it (0 when there is neither), so a reopened switch's idle port chains
 	// to its log instead of claiming (0, now] and hiding it from every
 	// interval. A Finalize that would not end after the coverage starts takes
-	// no freeze and is counted, like a late dequeue.
-	if now < ps.lastFlip || (!ps.started && ps.lastFlip > 0 && now == ps.lastFlip) {
+	// no freeze and is counted, like a late dequeue. The caller feeds the
+	// port here, so the decision is taken and its state written on it.
+	f := ps.feed
+	if now < f.lastFlip || (!f.started && f.lastFlip > 0 && now == f.lastFlip) {
 		s.stats.tsRegressions.Add(1)
 		return nil
 	}
-	s.flip(ps, now)
+	prevFreeze := f.lastFlip
+	f.lastFlip = now
+	s.flip(ps, now, prevFreeze, time.Now())
 	if s.snap != nil {
 		ps.drainPending()
 	}

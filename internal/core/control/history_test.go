@@ -374,3 +374,105 @@ func TestRestartedIdlePortFinalize(t *testing.T) {
 		}
 	}
 }
+
+// TestReopenedPortEarlyPacket: on a reopened switch, a port's first packet
+// stamped before the log's newest freeze for it is late, like any packet
+// stamped before its port's last freeze. Were it to start the port, the
+// next checkpoint's coverage would begin at the early packet, inside the
+// logged coverage, and the history would no longer ascend. The early packet
+// is counted and inserted, the new checkpoints chain on from the logged
+// freeze, and intervals answer as on a twin that never restarted. The
+// reopened switch is fed through a Pipeline, the twin serially.
+func TestReopenedPortEarlyPacket(t *testing.T) {
+	dir := t.TempDir()
+	mk := func(hist bool) *System {
+		cfg := testConfig(0)
+		cfg.PollPeriodNs = 256
+		if hist {
+			cfg.MaxCheckpoints = 3
+			cfg.History = &histstore.Options{Dir: dir}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ram, logged := mk(false), mk(true)
+	var ts uint64 = 1000
+	for i := 0; i < 6000; i++ {
+		ts += 5
+		for _, s := range []*System{ram, logged} {
+			s.OnDequeue(deq(fkey(byte(i%29)), 0, ts-16, ts, 8+i%13))
+		}
+	}
+	logFreeze := ts + 1
+	ram.Finalize(logFreeze)
+	logged.Finalize(logFreeze)
+	if err := logged.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reborn := mk(true)
+	defer reborn.Close()
+	pl, err := NewPipeline(reborn, PipelineConfig{Shards: 1, BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := deq(fkey(30), 0, logFreeze-40, logFreeze-20, 9)
+	ram.OnDequeue(early)
+	pl.Ingest(early)
+	ts = logFreeze + 300 // past a poll period, so the twin flips at the first packet too
+	for i := 0; i < 3000; i++ {
+		ts += 5
+		p := deq(fkey(byte(i%31)), 0, ts-16, ts, 8+i%11)
+		ram.OnDequeue(p)
+		pl.Ingest(p)
+	}
+	pl.Close()
+	horizon := ts + 1
+	ram.Finalize(horizon)
+	reborn.Finalize(horizon)
+
+	if late := reborn.stats.tsRegressions.Load(); late != 1 {
+		t.Fatalf("reopened switch counted %d late packets, want 1", late)
+	}
+	if got := reborn.Stats().PacketsObserved; got != 3001 {
+		t.Fatalf("reopened switch observed %d packets, want 3001", got)
+	}
+	cps := reborn.Checkpoints(0)
+	if len(cps) == 0 || cps[0].PrevFreeze < logFreeze {
+		t.Fatalf("first new checkpoint %+v starts inside the logged coverage, which ends at %d", cps[0], logFreeze)
+	}
+	for i := 1; i < len(cps); i++ {
+		if cps[i].PrevFreeze != cps[i-1].FreezeTime || cps[i].FreezeTime <= cps[i].PrevFreeze {
+			t.Fatalf("checkpoint %d covers (%d, %d] after one ending at %d", i, cps[i].PrevFreeze, cps[i].FreezeTime, cps[i-1].FreezeTime)
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(31, 7))
+	for q := 0; q < 100; q++ {
+		lo := rng.Uint64N(horizon)
+		hi := lo + 1 + rng.Uint64N(horizon/3)
+		switch q {
+		case 0:
+			lo, hi = 0, horizon+1
+		case 1:
+			lo, hi = logFreeze-100, logFreeze+400
+		}
+		want, err := ram.QueryInterval(0, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reborn.QueryInterval(0, lo, hi)
+		if err != nil {
+			t.Fatalf("reopened [%d,%d): %v", lo, hi, err)
+		}
+		if len(want) == 0 && q == 0 {
+			t.Fatal("the whole history counts nothing")
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("reopened [%d,%d): %d flows, the in-RAM twin %d", lo, hi, len(got), len(want))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package control
 import (
 	"fmt"
 	"testing"
+	"time"
 	"unsafe"
 
 	"printqueue/internal/pktrec"
@@ -50,18 +51,14 @@ type workerSpans struct {
 
 // ingestSpans builds a System and a Pipeline and collects, per shard worker,
 // the memory its per-packet path touches, and what the one producer goroutine
-// (Pipeline.Ingest) touches per packet. Whether the port packet counters
-// belong to perPacket is not assumed but observed: a data-plane trigger, which
-// runs inside the per-packet body, watches the counter over one batch.
+// (Pipeline.Ingest, which takes every port's decisions) touches per packet.
+// Whether the port packet counters belong to perPacket is not assumed but
+// observed: a worker stopped between a batch's last insert and the end of
+// the batch shows whether it counted the batch's packets on the way.
 func ingestSpans(t *testing.T, cfg Config, shards int) (workers []workerSpans, producer []span) {
 	t.Helper()
 	const batch = 32
-	var sys *System
-	var seen []int64
-	cfg.DPTrigger = func(p *pktrec.Packet) bool {
-		seen = append(seen, sys.ports[p.Port].packets.Load())
-		return false
-	}
+	cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth == 99 }
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,16 +68,31 @@ func ingestSpans(t *testing.T, cfg Config, shards int) (workers []workerSpans, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One full batch for the first port, then drain: the trigger saw the
-	// counter before, or after, each of its packets was counted.
+	// One batch for the first port, ended by a data-plane query. The worker
+	// inserts the batch, then freezes the special set and waits to retire it
+	// for the history lock held here: a counter that moves per packet has
+	// moved by then.
+	ps := sys.ports[cfg.Ports[0]]
+	ps.mu.Lock()
 	for i := 0; i < batch; i++ {
-		pl.Ingest(deq(fkey(1), cfg.Ports[0], uint64(100+i), uint64(200+i), 10))
+		depth := 10
+		if i == batch-1 {
+			depth = 99
+		}
+		pl.Ingest(deq(fkey(1), cfg.Ports[0], uint64(100+i), uint64(200+i), depth))
 	}
+	for deadline := time.Now().Add(10 * time.Second); sys.stats.entriesRead.Load() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch's data-plane query never froze")
+		}
+	}
+	countedOnTheWay := ps.packets.Load()
+	ps.mu.Unlock()
 	pl.Close()
-	if len(seen) != batch || sys.Stats().PacketsObserved != batch {
-		t.Fatalf("trigger saw %d packets, System counted %d, of %d", len(seen), sys.Stats().PacketsObserved, batch)
+	if st := sys.Stats(); st.SpecialFreezes != 1 || st.PacketsObserved != batch {
+		t.Fatalf("%d special freezes and %d packets counted, want 1 and %d", st.SpecialFreezes, st.PacketsObserved, batch)
 	}
-	counterPerPacket := seen[batch-1] != seen[0]
+	counterPerPacket := countedOnTheWay != 0
 
 	pl, err = NewPipeline(sys, PipelineConfig{Shards: shards, BatchSize: batch})
 	if err != nil {
@@ -88,7 +100,10 @@ func ingestSpans(t *testing.T, cfg Config, shards int) (workers []workerSpans, p
 	}
 	defer pl.Close()
 	workers = make([]workerSpans, shards)
-	producer = append(producer, spanOf(pl, "Pipeline"), spanOfSlice(pl.shardOf, "Pipeline.shardOf"))
+	producer = append(producer, spanOf(pl, "Pipeline"), spanOfSlice(pl.shardOf, "Pipeline.shardOf"),
+		spanOfSlice(sys.portTab, "System.portTab"),
+		spanOf(sys.stats.tsRegressions, "timestamp regressions counter"),
+		spanOf(sys.stats.dpSuppressed, "DP suppressed counter"))
 	for i, sh := range pl.shards {
 		w := &workers[i]
 		name := fmt.Sprintf("shard %d ", i)
@@ -104,6 +119,11 @@ func ingestSpans(t *testing.T, cfg Config, shards int) (workers []workerSpans, p
 		w := &workers[rank%shards]
 		name := fmt.Sprintf("port %d ", port)
 		w.touched = append(w.touched, spanOf(ps, name+"portState"))
+		feed := spanOf(ps.feed, name+"decision state")
+		if !wholeLines(feed) {
+			t.Errorf("%s at %#x, %d bytes: not whole cache lines", feed.what, feed.lo, feed.hi-feed.lo)
+		}
+		producer = append(producer, spanOf(ps, name+"portState"), feed)
 		counter := spanOf(ps.packets, name+"packet counter")
 		if counterPerPacket {
 			w.perPacket = append(w.perPacket, counter)
@@ -138,7 +158,8 @@ func ingestSpans(t *testing.T, cfg Config, shards int) (workers []workerSpans, p
 
 // TestNoSharedLinesOnThePacketPath: in every System, whatever the allocator
 // did while it was built, no line a shard worker writes per packet is touched
-// by another worker's ingest path or by the producer's. (A Windows' passes
+// by another worker's ingest path or by the producer's — the ports' decision
+// state, which the producer writes per packet, included. (A Windows' passes
 // array, which this package cannot reach, is held to whole lines of its own
 // by timewindow's TestHotWordsOwnTheirLines.)
 func TestNoSharedLinesOnThePacketPath(t *testing.T) {

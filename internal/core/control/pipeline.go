@@ -21,6 +21,13 @@ import (
 // depends on. Checkpoint register copies run on a separate snapshot
 // goroutine (snapshotter), mirroring the paper's double-buffered frozen
 // reads over PCIe: the packet path only toggles the write selector.
+//
+// The per-packet decisions — flip this port now, this packet is late, fire
+// a data-plane query — are taken on the producer (System.decide), the one
+// goroutine that owns every port's decision state. A batch ends at a packet
+// that decides a freeze and carries the decision to the worker, so the
+// checkpoint reaches the snapshotter as soon as its trigger packet is fed,
+// at any feed rate, rather than when its shard's batch fills.
 
 // PipelineConfig tunes the sharded ingestion pipeline.
 type PipelineConfig struct {
@@ -28,7 +35,8 @@ type PipelineConfig struct {
 	// assigned round-robin by activation rank. Default (0):
 	// min(#ports, GOMAXPROCS).
 	Shards int
-	// BatchSize is the number of packets per ring batch. Default 256.
+	// BatchSize is the most packets a ring batch holds. A batch also ends
+	// at a packet that decides a flip or a data-plane query. Default 256.
 	BatchSize int
 	// RingDepth is the number of batches buffered per shard before the
 	// producer blocks. Default 8.
@@ -184,10 +192,13 @@ func (pl *Pipeline) pushBatch(sh *shard, b *packetBatch) {
 	}
 }
 
-// Ingest hands one dequeued packet to its port's shard. The packet is
-// copied by value into the current batch; the caller may reuse *p. Packets
-// for ports without PrintQueue are dropped, as in OnDequeue. After Close a
-// packet for an activated port is refused and counted in
+// Ingest takes one dequeued packet's decisions (System.decide: the
+// DPTrigger runs here) and hands the packet to its port's shard. The packet
+// is copied by value into the current batch; the caller may reuse *p. A
+// packet that decides a flip or a data-plane query ends its batch, which is
+// pushed at once with the decision; otherwise the batch is pushed when
+// full. Packets for ports without PrintQueue are dropped, as in OnDequeue.
+// After Close a packet for an activated port is refused and counted in
 // printqueue_pipeline_ingest_after_close_total: the workers are gone, and an
 // egress hook that outlives its pipeline (Attach's do) must not look like
 // monitoring.
@@ -209,7 +220,14 @@ func (pl *Pipeline) Ingest(p *pktrec.Packet) {
 		sh.cur = b
 	}
 	b.pkts = append(b.pkts, *p)
-	if len(b.pkts) == cap(b.pkts) {
+	// Decide on the batch's copy, which is on the heap already: a pointer
+	// handed to the DPTrigger, a func value, escapes, and *p is the
+	// caller's, often a local. The batch's cut is zero until a packet
+	// decides a freeze, and then the batch ends.
+	if f := pl.sys.portTab[p.Port].feed; !f.quietAt(p.Meta.DeqTimestamp()) {
+		pl.sys.decide(f, &b.pkts[len(b.pkts)-1], &b.cut)
+	}
+	if b.cut.freezes() || len(b.pkts) == cap(b.pkts) {
 		pl.pushBatch(sh, b)
 		sh.cur = nil
 	}
@@ -246,9 +264,9 @@ func (pl *Pipeline) Close() {
 	pl.sys.pipe.CompareAndSwap(pl, nil)
 }
 
-// worker is one shard's ingestion goroutine: it owns its ports exclusively,
-// so the per-port serial path (register updates, flips, DP queries) runs
-// unmodified and in dequeue order.
+// worker is one shard's ingestion goroutine: it owns its ports' registers
+// exclusively, so it inserts their packets, and applies the flips and DP
+// queries the producer decided, in dequeue order — the serial order.
 func (pl *Pipeline) worker(sh *shard) {
 	defer pl.wg.Done()
 	sys := pl.sys
@@ -258,10 +276,10 @@ func (pl *Pipeline) worker(sh *shard) {
 			return
 		}
 		sh.occupancy.Set(sh.ring.len())
-		sys.onDequeueBatch(b.pkts)
+		sys.onDequeueBatch(b.pkts, &b.cut)
 		sh.batches.Inc()
 		sh.packets.Add(int64(len(b.pkts)))
-		b.pkts = b.pkts[:0]
+		b.pkts, b.cut = b.pkts[:0], decision{}
 		pl.pool.Put(b)
 	}
 }
@@ -275,8 +293,9 @@ type snapJob struct {
 	prevFreeze uint64
 	// frozenAt is the wall-clock instant of the flip, for the
 	// freeze-to-retire latency histogram: queueing delay behind earlier
-	// jobs plus the register copy itself.
-	frozenAt time.Time
+	// jobs plus the register copy itself. decidedAt is when the producer
+	// decided the flip, for the ingest-to-retire one.
+	frozenAt, decidedAt time.Time
 }
 
 // snapshotter is the background checkpoint goroutine. A single goroutine
@@ -325,6 +344,6 @@ func (sn *snapshotter) run() {
 		// therefore never append its (newer) checkpoint ahead of this one.
 		sn.sys.retireCheckpoint(job.ps, cp)
 		job.ps.clearPending(job.sel)
-		sn.sys.stats.freezeRetireNs.Observe(uint64(time.Since(job.frozenAt).Nanoseconds()))
+		sn.sys.stats.observeRetire(job.frozenAt, job.decidedAt)
 	}
 }

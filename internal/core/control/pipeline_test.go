@@ -42,19 +42,39 @@ func genMultiPortTrace(ports []int, queues, n int, seed uint64) []*pktrec.Packet
 // TestPipelineSerialEquivalence feeds the same multi-port trace through the
 // sharded pipeline and through direct serial OnDequeue calls and requires
 // identical QueryInterval and QueryOriginal reports per port, identical
-// checkpoint chains, and identical deterministic counters — the per-port
-// packet counters among them, which the pipeline moves once per run of a
-// port's packets in a batch: ports 0 and 5 share a shard and interleave in
-// its batches, ports 1 and 9 are not activated (one inside the port table,
-// one beyond it) and count nothing, and the stream ends mid-batch.
+// checkpoint chains and data-plane queries, and identical deterministic
+// counters — the per-port packet counters among them, which the pipeline
+// moves once per run of a port's packets in a batch: ports 0 and 5 share a
+// shard and interleave in its batches, ports 1 and 9 are not activated (one
+// inside the port table, one beyond it) and count nothing, and the stream
+// ends mid-batch. Batches end where a packet decides a freeze, so the trace
+// runs at batch sizes where no batch fills (4096), where every batch is one
+// packet, and with a trigger that cuts one batch in twenty.
 func TestPipelineSerialEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		batch   int
+		trigger int // EnqQdepth at or above which the DP trigger fires
+	}{
+		{"batch16", 16, 295},
+		{"batch1", 1, 295},
+		{"batch4096", 4096, 295},
+		{"frequent-trigger", 16, 285},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testPipelineSerialEquivalence(t, tc.batch, tc.trigger)
+		})
+	}
+}
+
+func testPipelineSerialEquivalence(t *testing.T, batch, trigger int) {
 	ports := []int{0, 2, 3, 5}
 	const queues = 2
 	mk := func() *System {
 		cfg := testConfig(ports...)
 		cfg.QueuesPerPort = queues
 		cfg.PollPeriodNs = 1500
-		cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth >= 295 }
+		cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth >= trigger }
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +82,7 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 		return s
 	}
 	serial, piped := mk(), mk()
-	pl, err := NewPipeline(piped, PipelineConfig{Shards: 3, BatchSize: 16, RingDepth: 4})
+	pl, err := NewPipeline(piped, PipelineConfig{Shards: 3, BatchSize: batch, RingDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +112,12 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 			t.Fatalf("port %d: %d packets fed, serial counted %d, pipeline %d", port, perPort[port], s, p)
 		}
 	}
-	ss, sp := serial.Stats(), piped.Stats()
-	if ss.PacketsObserved != activated {
-		t.Fatalf("PacketsObserved %d, %d fed to activated ports", ss.PacketsObserved, activated)
+	if ss := serial.Stats(); ss.PacketsObserved != activated || ss.SpecialFreezes == 0 {
+		t.Fatalf("PacketsObserved %d, %d fed to activated ports; %d special freezes", ss.PacketsObserved, activated, ss.SpecialFreezes)
 	}
-	if ss.PacketsObserved != sp.PacketsObserved || ss.Checkpoints != sp.Checkpoints ||
-		ss.EntriesRead != sp.EntriesRead || ss.SpecialFreezes != sp.SpecialFreezes {
-		t.Fatalf("stats diverge: serial %+v pipeline %+v", ss, sp)
-	}
+	requireSameHistory(t, serial, piped, ports)
 
 	for _, port := range ports {
-		scp, pcp := serial.Checkpoints(port), piped.Checkpoints(port)
-		if len(scp) != len(pcp) {
-			t.Fatalf("port %d: %d serial checkpoints, %d pipelined", port, len(scp), len(pcp))
-		}
-		for i := range scp {
-			if scp[i].FreezeTime != pcp[i].FreezeTime || scp[i].PrevFreeze != pcp[i].PrevFreeze ||
-				scp[i].Special != pcp[i].Special {
-				t.Fatalf("port %d checkpoint %d differs: serial %+v pipelined %+v",
-					port, i, scp[i], pcp[i])
-			}
-		}
-
 		// Full-range and sub-range interval queries must match exactly.
 		for _, iv := range [][2]uint64{{1000, last + 1}, {2000, last / 2}, {last / 3, 2 * last / 3}} {
 			if iv[1] <= iv[0] {
@@ -148,7 +152,36 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
+// requireSameHistory fails unless two Systems fed the same packets — one
+// serially, one through a Pipeline — hold the same deterministic counters
+// (all of Stats but InfeasibleFlips, which a pipeline also charges for
+// snapshotter stalls, plus the late-packet count), the same checkpoint
+// coverage lists, and the same data-plane queries with the same answers.
+func requireSameHistory(t testing.TB, serial, piped *System, ports []int) {
+	t.Helper()
+	ss, sp := serial.Stats(), piped.Stats()
+	ss.InfeasibleFlips, sp.InfeasibleFlips = 0, 0
+	if ss != sp {
+		t.Fatalf("stats diverge: serial %+v pipeline %+v", ss, sp)
+	}
+	if a, b := serial.stats.tsRegressions.Load(), piped.stats.tsRegressions.Load(); a != b {
+		t.Fatalf("serial counted %d late packets, pipeline %d", a, b)
+	}
+	for _, port := range ports {
+		scp, pcp := serial.Checkpoints(port), piped.Checkpoints(port)
+		if len(scp) != len(pcp) {
+			t.Fatalf("port %d: %d serial checkpoints, %d pipelined", port, len(scp), len(pcp))
+		}
+		for i := range scp {
+			if scp[i].FreezeTime != pcp[i].FreezeTime || scp[i].PrevFreeze != pcp[i].PrevFreeze ||
+				scp[i].Special != pcp[i].Special {
+				t.Fatalf("port %d checkpoint %d differs: serial %+v pipelined %+v",
+					port, i, scp[i], pcp[i])
+			}
+		}
 		// Data-plane queries triggered at the same packets with the same
 		// culprit reports.
 		sd, pd := serial.DPQueries(port), piped.DPQueries(port)
@@ -156,14 +189,120 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 			t.Fatalf("port %d: %d serial DP queries, %d pipelined", port, len(sd), len(pd))
 		}
 		for i := range sd {
-			if sd[i].Victim != pd[i].Victim || sd[i].FreezeTime != pd[i].FreezeTime {
-				t.Fatalf("port %d DP query %d differs: %+v vs %+v", port, i, sd[i], pd[i])
+			a, b := *sd[i], *pd[i]
+			if a.Checkpoint.PrevFreeze != b.Checkpoint.PrevFreeze || a.Checkpoint.FreezeTime != b.Checkpoint.FreezeTime {
+				t.Fatalf("port %d DP query %d froze (%d, %d] serially, (%d, %d] pipelined", port, i,
+					a.Checkpoint.PrevFreeze, a.Checkpoint.FreezeTime, b.Checkpoint.PrevFreeze, b.Checkpoint.FreezeTime)
 			}
-			if !reflect.DeepEqual(sd[i].Result, pd[i].Result) {
-				t.Fatalf("port %d DP query %d results differ", port, i)
+			a.Checkpoint, b.Checkpoint = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("port %d DP query %d differs: %+v vs %+v", port, i, a, b)
 			}
 		}
 	}
+}
+
+// TestPipelineTrickleCheckpoint: a checkpoint leaves for the snapshotter with
+// its trigger packet, not when its shard's batch fills. A port fed fewer
+// packets than a batch holds, ending at a flip and then at a data-plane
+// trigger, shows both freezes without a Flush, long before 255 more packets
+// could reach the shard.
+func TestPipelineTrickleCheckpoint(t *testing.T) {
+	cfg := testConfig(0, 1)
+	cfg.PollPeriodNs = 1000
+	cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth == 99 }
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPipeline(sys, PipelineConfig{Shards: 1, BatchSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	await := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not seen within 1 s", what)
+			}
+		}
+	}
+	// Port 0 starts at 1000 and flips at 2000, the 101st packet.
+	for ts := uint64(1000); ts <= 2000; ts += 10 {
+		pl.Ingest(deq(fkey(byte(ts%7)), 0, ts-5, ts, 10))
+	}
+	await("the flip at 2000", func() bool { return len(sys.Checkpoints(0)) == 1 })
+	if cp := sys.Checkpoints(0)[0]; cp.PrevFreeze != 1000 || cp.FreezeTime != 2000 || cp.Special {
+		t.Fatalf("checkpoint covers (%d, %d] special=%v, want the periodic (1000, 2000]", cp.PrevFreeze, cp.FreezeTime, cp.Special)
+	}
+	pl.Ingest(deq(fkey(1), 0, 2000, 2010, 99))
+	await("the data-plane query at 2010", func() bool { return len(sys.DPQueries(0)) == 1 })
+	if dq := sys.DPQueries(0)[0]; dq.FreezeTime != 2010 || dq.Checkpoint.PrevFreeze != 2000 {
+		t.Fatalf("data-plane query froze (%d, %d], want (2000, 2010]", dq.Checkpoint.PrevFreeze, dq.FreezeTime)
+	}
+}
+
+// FuzzPipelineMatchesSerial feeds random port, timestamp (regressions
+// included), queue and queue-depth sequences at a random batch size both
+// ways — serially and through a Pipeline — and requires the same history
+// (requireSameHistory) and the same whole-range interval answers. The first
+// byte picks the batch size; every three bytes after it are one packet.
+func FuzzPipelineMatchesSerial(f *testing.F) {
+	f.Add([]byte{15, 0, 40, 10, 1, 40, 250, 0, 200, 20, 2, 0xf3, 30, 0, 90, 245})
+	f.Add([]byte{0, 0, 100, 0, 0, 100, 0, 3, 100, 250, 3, 0xff, 250, 3, 200, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 || len(data) > 3*4096 {
+			return
+		}
+		ports := []int{0, 2, 3}
+		mk := func() *System {
+			cfg := testConfig(ports...)
+			cfg.QueuesPerPort = 2
+			cfg.PollPeriodNs = 300
+			cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth >= 240 }
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		serial, piped := mk(), mk()
+		pl, err := NewPipeline(piped, PipelineConfig{Shards: 2, BatchSize: 1 + int(data[0]), RingDepth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := [5]uint64{1000, 1000, 1000, 1000, 1000}
+		var last uint64
+		for in := data[1:]; len(in) >= 3; in = in[3:] {
+			port := int(in[0] % 5) // 1 and 4 are not activated
+			if step := in[1]; step >= 0xf0 {
+				ts[port] -= min(ts[port]-100, uint64(step&0x0f)*40)
+			} else {
+				ts[port] += uint64(step)
+			}
+			last = max(last, ts[port])
+			p := &pktrec.Packet{
+				Flow:  fkey(in[0] >> 4),
+				Port:  port,
+				Queue: int(in[0]>>3) & 1,
+				Meta:  pktrec.Metadata{EnqTimestamp: ts[port] - 50, DeqTimedelta: 50, EnqQdepth: int(in[2])},
+			}
+			serial.OnDequeue(p)
+			pl.Ingest(p)
+		}
+		pl.Close()
+		serial.Finalize(last + 1)
+		piped.Finalize(last + 1)
+		requireSameHistory(t, serial, piped, ports)
+		for _, port := range ports {
+			a, errA := serial.QueryInterval(port, 0, last+2)
+			b, errB := piped.QueryInterval(port, 0, last+2)
+			if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("port %d whole range: serial %v (%v), pipelined %v (%v)", port, a, errA, b, errB)
+			}
+		}
+	})
 }
 
 // TestPipelineConcurrentQueries exercises Stats and asynchronous queries

@@ -9,9 +9,13 @@ import (
 
 // packetBatch is a run of dequeued packets bound for one shard worker.
 // Packets are stored by value so the producer never allocates per packet
-// and batches recycle cleanly through the pipeline's pool.
+// and batches recycle cleanly through the pipeline's pool. A batch ends at
+// the first packet whose decision takes a freeze (Pipeline.Ingest), so it
+// carries at most one such decision: cut, the decision of its last packet
+// (the zero decision when the batch ended full or was flushed).
 type packetBatch struct {
 	pkts []pktrec.Packet
+	cut  decision
 }
 
 // spscRing is a bounded single-producer/single-consumer ring of packet

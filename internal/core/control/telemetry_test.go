@@ -62,6 +62,14 @@ func TestPipelineTelemetry(t *testing.T) {
 	if got := sys.stats.freezeRetireNs.Count(); got != int64(st.Checkpoints) {
 		t.Errorf("freeze-to-retire histogram has %d observations, want %d (checkpoints)", got, st.Checkpoints)
 	}
+	// A pipelined checkpoint's ingest-to-retire latency adds the trigger
+	// packet's way to the shard worker to its freeze-to-retire latency.
+	if got := sys.stats.ingestRetireNs.Count(); got != int64(st.Checkpoints) {
+		t.Errorf("ingest-to-retire histogram has %d observations, want %d (checkpoints)", got, st.Checkpoints)
+	}
+	if ingest, freeze := sys.stats.ingestRetireNs.Sum(), sys.stats.freezeRetireNs.Sum(); ingest < freeze {
+		t.Errorf("ingest-to-retire sums to %d ns, less than freeze-to-retire's %d", ingest, freeze)
+	}
 
 	out := scrape(t, sys)
 	for _, want := range []string{
@@ -70,6 +78,7 @@ func TestPipelineTelemetry(t *testing.T) {
 		"printqueue_pipeline_backpressure_wait_ns_total{shard=\"0\"}",
 		"printqueue_pipeline_flushes_total",
 		"printqueue_checkpoint_freeze_to_retire_ns_bucket",
+		"printqueue_checkpoint_ingest_to_retire_ns_bucket",
 		"printqueue_port_packets_total{port=\"0\"}",
 	} {
 		if !strings.Contains(out, want) {

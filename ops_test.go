@@ -145,6 +145,14 @@ func TestStatsMetricsParity(t *testing.T) {
 	if got := m["printqueue_checkpoint_freeze_to_retire_ns_count"]; got != int64(st.Checkpoints+st.SpecialFreezes) {
 		t.Errorf("freeze-to-retire count = %d, want %d", got, st.Checkpoints+st.SpecialFreezes)
 	}
+	// Observed serially, a freeze is decided, taken and retired on the
+	// caller: the ingest-to-retire histogram is the freeze-to-retire one.
+	for _, part := range []string{"_count", "_sum"} {
+		ingest, freeze := m["printqueue_checkpoint_ingest_to_retire_ns"+part], m["printqueue_checkpoint_freeze_to_retire_ns"+part]
+		if ingest != freeze {
+			t.Errorf("ingest-to-retire%s = %d, freeze-to-retire%s = %d; serially they are one", part, ingest, part, freeze)
+		}
+	}
 }
 
 // TestServeOpsUnderPipelineLoad is the acceptance check: with the sharded

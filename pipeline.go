@@ -16,7 +16,10 @@ type PipelineConfig struct {
 	// are always processed by exactly one worker, in dequeue order.
 	// 0 means min(#ports, GOMAXPROCS).
 	Shards int
-	// BatchSize is the number of packets handed to a shard per ring slot.
+	// BatchSize is the most packets handed to a shard per ring slot. A
+	// batch also ends at a packet that takes a freeze — a periodic flip or a
+	// data-plane query — so a checkpoint leaves for the snapshot goroutine
+	// as soon as its trigger packet is observed, whatever the feed rate.
 	// 0 means 256.
 	BatchSize int
 	// RingDepth is the number of batches buffered per shard before Observe
@@ -57,8 +60,12 @@ func (s *System) StartPipeline(cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // Observe feeds one dequeued packet to its port's shard. It mirrors
-// System.Observe but returns immediately once the packet is buffered;
-// processing happens on the shard worker.
+// System.Observe but returns once the packet is buffered. The packet's
+// decisions are taken here, on the caller: whether its port flips, whether
+// it is late, and whether it fires a data-plane query (the configured
+// DPTrigger conditions are evaluated here). A packet that flips or fires
+// ends its batch, which goes to the shard at once; inserting the packets
+// into the registers, and the freeze and query, happen on the shard worker.
 func (p *Pipeline) Observe(pkt Packet, enqTime, deqTime uint64, enqDepthCells int) {
 	rec := pktrec.Packet{
 		Flow:    pkt.Flow.internal(),
