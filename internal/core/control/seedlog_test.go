@@ -15,7 +15,7 @@ import (
 	"printqueue/internal/pktrec"
 )
 
-var updateSeedlog = flag.Bool("update-seedlog", false, "rewrite ../histstore/testdata/seedlog_v4 from this build's control plane")
+var updateSeedlog = flag.Bool("update-seedlog", false, "rewrite ../histstore/testdata/seedlog_v5 from this build's control plane")
 
 // The committed log generations the control plane writes or wrote, each fed
 // seedlogTrace through seedlogConfig: two ports, a three-checkpoint hot ring
@@ -23,15 +23,20 @@ var updateSeedlog = flag.Bool("update-seedlog", false, "rewrite ../histstore/tes
 // whole-register records an early histstore wrote from other inputs.)
 // seedlog_v2 was written by the commit that trimmed checkpoints to their
 // coverage and top, seedlog_v3 by the one that trimmed monitors to their
-// staircase; both hold version-1 records and are read-only now, and a System
-// reopened on either must still answer as one that kept everything in RAM.
-// seedlog_v4 is today's writer, version-2 records: this package holds the
-// control plane to writing it again, byte for byte. The histstore package
-// opens and answers from all of them (TestSeedlogV2OpensAndAnswers and on).
+// staircase; both hold version-1 records. seedlog_v4 holds the version-2
+// records the commit that made a checkpoint its Algorithm-3 index wrote. All
+// three are read-only now, and a System reopened on any must still answer as
+// one that kept everything in RAM. seedlog_v5 is today's writer, version-3
+// records, fed seedlogV5Trace — the same traffic with a building queue on
+// every port and queue, which version 3 writes as runs: this package holds
+// the control plane to writing it again, byte for byte. The histstore
+// package opens and answers from all of them (TestSeedlogV2OpensAndAnswers
+// and on).
 const (
 	seedlogV2Dir = "../histstore/testdata/seedlog_v2"
 	seedlogV3Dir = "../histstore/testdata/seedlog_v3"
 	seedlogV4Dir = "../histstore/testdata/seedlog_v4"
+	seedlogV5Dir = "../histstore/testdata/seedlog_v5"
 )
 
 // seedlogConfig is the fixtures' System: a three-checkpoint hot ring over
@@ -50,6 +55,27 @@ func seedlogConfig(dir string) Config {
 
 func seedlogTrace() []*pktrec.Packet {
 	return seedlogTraceFrom(2022, map[int]uint64{0: 1000, 2: 1200}, 1600)
+}
+
+// seedlogV5Trace is seedlogTrace with a ramp appended per port and queue:
+// the queue building from empty one granule per packet for 16 packets, the
+// staircase of adjacent rises, each one sequence number above the level
+// below, that a version-3 record writes as a run.
+func seedlogV5Trace() []*pktrec.Packet {
+	ts := map[int]uint64{0: 1000, 2: 1200}
+	pkts := seedlogTraceFrom(2022, ts, 1600)
+	granule := seedlogConfig("").QM.GranuleCells
+	for _, port := range []int{0, 2} {
+		for q := 0; q < 2; q++ {
+			for j := 0; j < 16; j++ {
+				ts[port] += 7
+				p := deq(fkey(byte(j)), port, ts[port]-60, ts[port], granule*j)
+				p.Queue = q
+				pkts = append(pkts, p)
+			}
+		}
+	}
+	return pkts
 }
 
 // seedlogTraceFrom is n packets of the fixtures' traffic on ports 0 and 2,
@@ -88,18 +114,18 @@ func feed(s *System, pkts []*pktrec.Packet) (horizon uint64) {
 	return horizon
 }
 
-// TestSeedlogV4WrittenBitIdentically: fed the fixture's trace, today's
+// TestSeedlogV5WrittenBitIdentically: fed the fixture's trace, today's
 // control plane writes the fixture's segments byte for byte — what a freeze
 // keeps, how it is encoded and how it is framed are all pinned — and a
 // System reopened on the committed files answers every interval as a System
 // that kept the whole history in RAM does.
-func TestSeedlogV4WrittenBitIdentically(t *testing.T) {
+func TestSeedlogV5WrittenBitIdentically(t *testing.T) {
 	dir := t.TempDir()
 	written, err := New(seedlogConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedSeedlog(written)
+	feed(written, seedlogV5Trace())
 	if err := written.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +137,14 @@ func TestSeedlogV4WrittenBitIdentically(t *testing.T) {
 		t.Fatalf("wrote %d segments, %v", len(segs), err)
 	}
 	if *updateSeedlog {
-		if err := os.RemoveAll(seedlogV4Dir); err != nil {
+		if err := os.RemoveAll(seedlogV5Dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(seedlogV4Dir, 0o755); err != nil {
+		if err := os.MkdirAll(seedlogV5Dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	committed, _ := filepath.Glob(filepath.Join(seedlogV4Dir, "*.seg"))
+	committed, _ := filepath.Glob(filepath.Join(seedlogV5Dir, "*.seg"))
 	if !*updateSeedlog && len(committed) != len(segs) {
 		t.Fatalf("wrote %d segments, the fixture has %d", len(segs), len(committed))
 	}
@@ -127,7 +153,7 @@ func TestSeedlogV4WrittenBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixture := filepath.Join(seedlogV4Dir, filepath.Base(seg))
+		fixture := filepath.Join(seedlogV5Dir, filepath.Base(seg))
 		if *updateSeedlog {
 			if err := os.WriteFile(fixture, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -141,7 +167,7 @@ func TestSeedlogV4WrittenBitIdentically(t *testing.T) {
 			t.Fatalf("%s: today's control plane writes %d bytes, the fixture holds %d different ones", filepath.Base(seg), len(got), len(want))
 		}
 	}
-	assertSeedlogAnswersLikeRAM(t, seedlogV4Dir)
+	assertSeedlogAnswersLikeRAM(t, seedlogV5Dir, seedlogV5Trace())
 }
 
 // TestSeedlogV2ReopensAndAnswers: a System reopened on the log an older
@@ -149,19 +175,25 @@ func TestSeedlogV4WrittenBitIdentically(t *testing.T) {
 // staircase — answers every interval as a System that kept the whole
 // history in RAM.
 func TestSeedlogV2ReopensAndAnswers(t *testing.T) {
-	assertSeedlogAnswersLikeRAM(t, seedlogV2Dir)
+	assertSeedlogAnswersLikeRAM(t, seedlogV2Dir, seedlogTrace())
 }
 
 // TestSeedlogV3ReopensAndAnswers: so does one reopened on the version-1 log
-// the writer before today's left, monitors trimmed to their staircase.
+// a later writer left, monitors trimmed to their staircase.
 func TestSeedlogV3ReopensAndAnswers(t *testing.T) {
-	assertSeedlogAnswersLikeRAM(t, seedlogV3Dir)
+	assertSeedlogAnswersLikeRAM(t, seedlogV3Dir, seedlogTrace())
+}
+
+// TestSeedlogV4ReopensAndAnswers: and so does one reopened on the
+// version-2 log the writer before today's left.
+func TestSeedlogV4ReopensAndAnswers(t *testing.T) {
+	assertSeedlogAnswersLikeRAM(t, seedlogV4Dir, seedlogTrace())
 }
 
 // assertSeedlogAnswersLikeRAM reopens a System on a copy of the committed
-// log in fixture and holds 200 seeded intervals to a System fed the same
-// trace that keeps everything in RAM.
-func assertSeedlogAnswersLikeRAM(t *testing.T, fixture string) {
+// log in fixture and holds 200 seeded intervals to a System fed trace, the
+// one the log was written from, that keeps everything in RAM.
+func assertSeedlogAnswersLikeRAM(t *testing.T, fixture string, trace []*pktrec.Packet) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(fixture, "*.seg"))
 	if err != nil || len(segs) < 3 {
@@ -181,7 +213,7 @@ func assertSeedlogAnswersLikeRAM(t *testing.T, fixture string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := feedSeedlog(ram)
+	horizon := feed(ram, trace)
 	reopened, err := New(seedlogConfig(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -206,17 +238,30 @@ func assertSeedlogAnswersLikeRAM(t *testing.T, fixture string) {
 	}
 }
 
-// TestSeedlogMixedVersions: a switch upgraded in place reads the version-1
-// log it wrote before and writes version 2 after it. A System is reopened on
-// seedlog_v3 whose last segment lost its seal in the crash before the
-// upgrade, so it resumes appending to that segment, and fed more of the
-// fixture's traffic: version-2 records follow the version-1 ones in the same
-// segment and in new ones. 200 seeded intervals, most of them straddling the
-// boundary, must be answered as the two runs' checkpoints kept in RAM answer
-// them.
+// TestSeedlogMixedVersions: a switch upgraded in place reads the log it
+// wrote before and writes version 3 after it. A System is reopened on
+// seedlog_v3 (version 1) or seedlog_v4 (version 2), whose last segment lost
+// its seal in the crash before the upgrade, so it resumes appending to that
+// segment, and fed more of the fixture's traffic: version-3 records follow
+// the older ones in the same segment and in new ones. 200 seeded intervals,
+// most of them straddling the boundary, must be answered as the two runs'
+// checkpoints kept in RAM answer them.
 func TestSeedlogMixedVersions(t *testing.T) {
+	for _, old := range []struct {
+		fixture string
+		version byte
+	}{{seedlogV3Dir, 1}, {seedlogV4Dir, 2}} {
+		t.Run(filepath.Base(old.fixture), func(t *testing.T) {
+			assertResumedLogAnswers(t, old.fixture, old.version)
+		})
+	}
+}
+
+// assertResumedLogAnswers is TestSeedlogMixedVersions over the fixture, a
+// log of records of the given version.
+func assertResumedLogAnswers(t *testing.T, fixture string, version byte) {
 	dir := t.TempDir()
-	segs, err := filepath.Glob(filepath.Join(seedlogV3Dir, "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(fixture, "*.seg"))
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("%d segments, %v", len(segs), err)
 	}
@@ -255,8 +300,8 @@ func TestSeedlogMixedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := filepath.Join(dir, filepath.Base(segs[len(segs)-1]))
-	if v := frameVersions(t, last); v[1] == 0 || v[2] == 0 {
-		t.Fatalf("the resumed segment holds %d version-1 and %d version-2 records", v[1], v[2])
+	if v := frameVersions(t, last); v[version] == 0 || v[3] == 0 || len(v) != 2 {
+		t.Fatalf("the resumed segment holds records of versions %v, want %d and 3", v, version)
 	}
 	later, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if len(later) < len(segs)+2 {

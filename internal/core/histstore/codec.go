@@ -29,15 +29,19 @@ import (
 //     a decoded index adopts its prefix as is;
 //   - no staircase walk reports the packet that lowered the queue, so a
 //     monitor's fall records its sequence number alone, and sequence numbers
-//     are deltas in level order.
+//     are deltas in level order;
+//   - a queue that builds one granule per packet leaves a staircase of
+//     adjacent rises whose sequence numbers go up by one from each level to
+//     the next, so such a run is written as its length, its first sequence
+//     number and its flows.
 //
-// The result is typically 6-12x smaller than the resident form (see
+// The result is typically 6-13x smaller than the resident form (see
 // Record.MemBytes) while round-tripping exactly: a decoded record is the
 // index and monitors it was encoded from.
 //
-// Layout, version 2 (all integers uvarints unless noted; z = zigzag varint):
+// Layout, version 3 (all integers uvarints unless noted; z = zigzag varint):
 //
-//	version byte (2), flags byte (bit 0 special, bit 1 empty: no cell kept)
+//	version byte (3), flags byte (bit 0 special, bit 1 empty: no cell kept)
 //	port, freezeTime, freezeTime - prevFreeze
 //	m0, k, alpha, T, minPktTxDelayNs (8 bytes, float64 LE)
 //	anchor: window 0's anchor TTS (absent when empty)
@@ -45,16 +49,24 @@ import (
 //	per live window: n, then if n > 0: anchor_i - first TTS, then runs of
 //	    adjacent TTSes, each but the first preceded by the gap before it:
 //	    run length, one flow id per cell
-//	nQueues, per queue: maxDepthCells, granuleCells, top, nLevels, then per
-//	    level: levelGap<<2 | halves (1 rise, 2 fall), rise: flow id and z
-//	    seq delta, fall: z seq delta
+//	nQueues, per queue: maxDepthCells, granuleCells, top, nLevels, then the
+//	    levels in order, each group led by levelGap<<2 | halves:
+//	    halves 1 (rise): flow id, z seq delta
+//	    halves 2 (fall): z seq delta
+//	    halves 3: both, rise first
+//	    halves 0 (a run of r >= 2 adjacent rises with no fall, each one
+//	        sequence number above the level below it): r - 2, z delta of
+//	        the first one's seq, then r flow ids
+//	    every seq delta against the last seq the levels below hold
 //
+// Version 2 is version 3 without runs (a header's halves are never 0); the
+// encoder writes a level v2's way unless it starts a run of two or more.
 // Version 1 records, which list cells with their ring positions and cycle
-// IDs and falls with a flow id, still decode (codec_v1.go); nothing writes
-// them.
+// IDs and falls with a flow id, decode too (codec_v1.go). Nothing writes
+// either; they are read paths for the logs older builds left.
 
 // codecVersion is the record payload format version this build writes.
-const codecVersion = 2
+const codecVersion = 3
 
 // Record is one checkpoint as the store sees it: the port it was frozen on,
 // its coverage interval (PrevFreeze, FreezeTime], and the frozen reads. It is
@@ -87,7 +99,7 @@ func (r *Record) MemBytes() int64 {
 
 const (
 	recFlagSpecial = 1 << 0
-	recFlagEmpty   = 1 << 1 // version 2: the read kept no cell, so no anchor follows
+	recFlagEmpty   = 1 << 1 // versions 2 and 3: the read kept no cell, so no anchor follows
 )
 
 // VersionError is a record of a version this build does not read: written by
@@ -256,8 +268,8 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	for _, qm := range rec.QM {
 		_, entries := qm.Levels()
 		for i := range entries {
-			if e := &entries[i]; e.Up.Valid {
-				ids = append(ids, uint32(dict.Intern(e.Up.Flow)))
+			if e := &entries[i]; e.Up.Written() {
+				ids = append(ids, uint32(dict.InternPacked(e.Up.Flow)))
 			}
 		}
 	}
@@ -319,8 +331,11 @@ func encodeWindow(dst []byte, refs []timewindow.CellRef, anchor uint64, shift ui
 // the kept levels, each as the gap in levels before it and which of its
 // halves follow, packed in one varint — a rise as its flow id and sequence
 // number, a fall as its sequence number, the sequence numbers delta-encoded
-// in level order (the staircase makes them near-monotonic). ids holds the
-// rises' dictionary ids in order; what is left of it is returned.
+// in level order (the staircase makes them near-monotonic) — except that a
+// run of adjacent rises, each one sequence number above the level below,
+// is written once: its length, its first sequence number and its flow ids.
+// ids holds the rises' dictionary ids in order; what is left of it is
+// returned.
 func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []uint32) {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
@@ -330,18 +345,31 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []u
 	dst = appendUvarint(dst, uint64(len(levels)))
 	var predSeq uint64
 	next := uint32(0) // the level after the previous entry
-	for i, level := range levels {
+	for i := 0; i < len(levels); {
 		e := &entries[i]
+		gap := uint64(levels[i]-next) << 2 // the header's level gap, halves still 0
+		if run := riseRun(levels[i:], entries[i:]); run >= 2 {
+			dst = appendUvarint(dst, gap)
+			dst = appendUvarint(dst, uint64(run-2))
+			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
+			for _, id := range ids[:run] {
+				dst = appendUvarint(dst, uint64(id))
+			}
+			ids = ids[run:]
+			i += run
+			predSeq = entries[i-1].Up.Seq
+			next = levels[i-1] + 1
+			continue
+		}
 		var halves uint64
-		if e.Up.Valid {
+		if e.Up.Written() {
 			halves |= 1
 		}
 		if e.Down != 0 {
 			halves |= 2
 		}
-		dst = appendUvarint(dst, uint64(level-next)<<2|halves)
-		next = level + 1
-		if e.Up.Valid {
+		dst = appendUvarint(dst, gap|halves)
+		if e.Up.Written() {
 			dst = appendUvarint(dst, uint64(ids[0]))
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
@@ -351,13 +379,34 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, ids []uint32) ([]byte, []u
 			dst = appendZigzag(dst, int64(e.Down)-int64(predSeq))
 			predSeq = e.Down
 		}
+		next = levels[i] + 1
+		i++
 	}
 	return dst, ids
 }
 
+// riseRun returns how many of the leading levels form a run: adjacent
+// levels, each a rise with no fall, each rise one sequence number above the
+// one below it. It is 0 if the first level is not such a rise.
+func riseRun(levels []uint32, entries []qmonitor.Entry) int {
+	if e := &entries[0]; !e.Up.Written() || e.Down != 0 {
+		return 0
+	}
+	run := 1
+	for run < len(levels) {
+		e, below := &entries[run], &entries[run-1]
+		if !e.Up.Written() || e.Down != 0 || levels[run] != levels[run-1]+1 ||
+			below.Up.Seq == math.MaxUint64 || e.Up.Seq != below.Up.Seq+1 {
+			break
+		}
+		run++
+	}
+	return run
+}
+
 // DecodeRecord decodes a payload produced by EncodeRecord, or by a build
-// that wrote version 1. The returned record owns freshly allocated reads; the
-// input buffer may be reused.
+// that wrote version 1 or 2. The returned record owns freshly allocated
+// reads; the input buffer may be reused.
 func DecodeRecord(b []byte) (*Record, error) {
 	r := &reader{b: b}
 	rec, flows, err := decodeWindows(r, true)
@@ -371,11 +420,18 @@ func DecodeRecord(b []byte) (*Record, error) {
 	if nQueues > uint64(len(b)) {
 		return nil, fmt.Errorf("histstore: %d queue monitors exceeds payload", nQueues)
 	}
+	var packed []flow.Packed
 	if nQueues > 0 {
 		rec.QM = make([]*qmonitor.Snapshot, nQueues)
+		// A monitor half holds its flow packed, as the registers do: each
+		// dictionary key is packed once, not once per rise naming it.
+		packed = make([]flow.Packed, len(flows))
+		for i := range flows {
+			packed[i] = flows[i].Pack()
+		}
 	}
 	for q := range rec.QM {
-		if rec.QM[q], err = decodeMonitor(r, flows, b[0] == 1); err != nil {
+		if rec.QM[q], err = decodeMonitor(r, packed, b[0]); err != nil {
 			return nil, err
 		}
 	}
@@ -542,12 +598,13 @@ func decodeWindow(r *reader, cfg timewindow.Config, i int, anchor, nFlows uint64
 	return refs, nil
 }
 
-// decodeMonitor decodes one queue monitor into the sparse form a Snapshot
-// holds: the kept levels, ascending, and the entries at them. It allocates
-// for the levels the monitor declares, and a level takes at least two
-// payload bytes (four in version 1), so never for more than the payload has
-// left.
-func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, error) {
+// decodeMonitor decodes one queue monitor of a record of the given version
+// into the sparse form a Snapshot holds: the kept levels, ascending, and the
+// entries at them, a rise's flow from the packed dictionary flows. It
+// allocates for the levels the monitor declares, and a level takes at least
+// one payload byte (a run's level its flow id; two bytes in version 2, four
+// in version 1), so never for more than the payload has left.
+func decodeMonitor(r *reader, flows []flow.Packed, version byte) (*qmonitor.Snapshot, error) {
 	maxDepth, granule, top := r.uvarint(), r.uvarint(), r.uvarint()
 	nOcc := r.uvarint()
 	if r.err != nil {
@@ -564,9 +621,12 @@ func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, er
 	if n > maxRegisterEntries {
 		return nil, fmt.Errorf("histstore: %d queue-monitor entries exceed the codec's limit of %d", n, maxRegisterEntries)
 	}
-	minLevel := uint64(2)
-	if v1 {
+	minLevel := uint64(1) // version 3: a run's level is its flow id
+	switch version {
+	case 1:
 		minLevel = 4
+	case 2:
+		minLevel = 2
 	}
 	if top >= uint64(n) || nOcc > uint64(n) || nOcc > uint64(len(r.b)-r.off)/minLevel {
 		return nil, fmt.Errorf("histstore: monitor claims top %d and %d occupied of %d entries with %d bytes left", top, nOcc, n, len(r.b)-r.off)
@@ -575,9 +635,9 @@ func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, er
 	entries := make([]qmonitor.Entry, nOcc)
 	i := 0
 	var predSeq uint64
-	for o := range entries {
+	for o := 0; o < len(entries); {
 		var skip, halves uint64
-		if v1 {
+		if version == 1 {
 			skip, halves = r.uvarint(), uint64(r.byte())
 		} else {
 			v := r.uvarint()
@@ -586,10 +646,19 @@ func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, er
 		if r.err != nil {
 			return nil, r.err
 		}
-		if i >= n || skip > uint64(n-i-1) || halves == 0 || halves > 3 {
+		if i >= n || skip > uint64(n-i-1) || halves > 3 || (halves == 0 && version < 3) {
 			return nil, fmt.Errorf("histstore: monitor entry (skip %d, halves %#x) overflows at level %d", skip, halves, i)
 		}
 		i += int(skip)
+		if halves == 0 {
+			run, err := decodeRiseRun(r, flows, levels[o:], entries[o:], i, n, &predSeq)
+			if err != nil {
+				return nil, err
+			}
+			i += run
+			o += run
+			continue
+		}
 		e := &entries[o]
 		if halves&1 != 0 {
 			id := r.uvarint()
@@ -600,10 +669,10 @@ func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, er
 			if id >= uint64(len(flows)) {
 				return nil, fmt.Errorf("histstore: monitor flow id %d out of dictionary (%d flows)", id, len(flows))
 			}
-			e.Up = qmonitor.Half{Flow: flows[id], Seq: seq, Valid: true}
+			e.Up = qmonitor.Half{Flow: flows[id], Seq: seq}
 		}
 		if halves&2 != 0 {
-			if v1 {
+			if version == 1 {
 				// The fall's flow id: checked, then dropped — no walk reads it.
 				if id := r.uvarint(); r.err == nil && id >= uint64(len(flows)) {
 					return nil, fmt.Errorf("histstore: monitor flow id %d out of dictionary (%d flows)", id, len(flows))
@@ -616,8 +685,43 @@ func decodeMonitor(r *reader, flows []flow.Key, v1 bool) (*qmonitor.Snapshot, er
 		}
 		levels[o] = uint32(i)
 		i++
+		o++
 	}
 	return qmonitor.NewSnapshot(cfg, levels, entries, int(top))
+}
+
+// decodeRiseRun decodes a version-3 run of rises, r past its header, into
+// the leading levels and entries, the first at level i of n: its length
+// less two, its first sequence number as a delta against *predSeq, then a
+// flow id per level. It refuses a run past the levels left to fill or the
+// register array, whose last sequence number overflows, or naming a flow
+// outside the dictionary, and returns the run's length.
+func decodeRiseRun(r *reader, flows []flow.Packed, levels []uint32, entries []qmonitor.Entry, i, n int, predSeq *uint64) (int, error) {
+	extra := r.uvarint()
+	seq := nextSeq(r, predSeq)
+	if r.err != nil {
+		return 0, r.err
+	}
+	if extra > uint64(len(entries)) || extra+2 > uint64(len(entries)) || extra+2 > uint64(n-i) {
+		return 0, fmt.Errorf("histstore: monitor run of %d rises at level %d overflows (%d levels left to fill, %d in the array)", extra+2, i, len(entries), n)
+	}
+	run := int(extra + 2)
+	if seq > math.MaxUint64-uint64(run-1) {
+		return 0, fmt.Errorf("histstore: monitor run of %d rises from sequence number %d overflows", run, seq)
+	}
+	for j := range run {
+		id := r.uvarint()
+		if r.err != nil {
+			return 0, r.err
+		}
+		if id >= uint64(len(flows)) {
+			return 0, fmt.Errorf("histstore: monitor run flow id %d out of dictionary (%d flows)", id, len(flows))
+		}
+		levels[j] = uint32(i + j)
+		entries[j].Up = qmonitor.Half{Flow: flows[id], Seq: seq + uint64(j)}
+	}
+	*predSeq = seq + uint64(run-1)
+	return run, nil
 }
 
 // nextSeq reads a sequence number as a delta against *predSeq and makes it

@@ -41,14 +41,15 @@ func (d *flowDict) id(k flow.Key) uint64 {
 // a first walk — every kept cell's flow, window by window in ascending span
 // start, then every monitor rise in level order — then a second walk that
 // looks every flow up again and emits the streams, the monitors from their
-// whole register arrays.
+// whole register arrays, a monitor's occupied levels grouped into maximal
+// runs of rises before anything is written.
 func encodeRecordTwoPass(dst []byte, rec *Record) ([]byte, error) {
 	if rec.TW == nil {
 		return dst, fmt.Errorf("histstore: record without time-window read")
 	}
 	f := rec.TW
 	anchor, live := f.Anchor(0)
-	dst = append(dst, 2)
+	dst = append(dst, 3)
 	var flags byte
 	if rec.Special {
 		flags |= 1
@@ -83,8 +84,8 @@ func encodeRecordTwoPass(dst []byte, rec *Record) ([]byte, error) {
 			return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
 		}
 		for _, e := range qm.Entries() {
-			if e.Up.Valid {
-				dict.id(e.Up.Flow)
+			if e.Up.Written() {
+				dict.id(e.Up.Flow.Key())
 			}
 		}
 	}
@@ -135,37 +136,76 @@ func encodeWindowTwoPass(dst []byte, cells []resolvedRef, anchor uint64, shift u
 	return dst
 }
 
+// occupiedLevel is a level of a monitor's register array that holds a
+// record.
+type occupiedLevel struct {
+	level int
+	e     qmonitor.Entry
+}
+
+// occupied lists the occupied levels of qm's whole register array.
+func occupied(qm *qmonitor.Snapshot) []occupiedLevel {
+	var occ []occupiedLevel
+	for level, e := range qm.Entries() {
+		if e != (qmonitor.Entry{}) {
+			occ = append(occ, occupiedLevel{level, e})
+		}
+	}
+	return occ
+}
+
+// runGroups splits occupied levels into the groups the layout writes, each
+// as [first, end) indices into occ: a level joins the one below it if both
+// are a rise with no fall, they are adjacent, and its rise is one sequence
+// number above the one below. A group of two or more is a run.
+func runGroups(occ []occupiedLevel) [][2]int {
+	runOnly := func(e qmonitor.Entry) bool { return e.Up.Written() && e.Down == 0 }
+	var groups [][2]int
+	for n := range occ {
+		if n > 0 && runOnly(occ[n-1].e) && runOnly(occ[n].e) &&
+			occ[n].level == occ[n-1].level+1 && occ[n].e.Up.Seq == occ[n-1].e.Up.Seq+1 {
+			groups[len(groups)-1][1] = n + 1
+			continue
+		}
+		groups = append(groups, [2]int{n, n + 1})
+	}
+	return groups
+}
+
 func encodeMonitorTwoPass(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) []byte {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
 	dst = appendUvarint(dst, uint64(cfg.GranuleCells))
 	dst = appendUvarint(dst, uint64(qm.Top()))
-	entries := qm.Entries()
-	nOcc := 0
-	for _, e := range entries {
-		if e != (qmonitor.Entry{}) {
-			nOcc++
-		}
-	}
-	dst = appendUvarint(dst, uint64(nOcc))
+	occ := occupied(qm)
+	dst = appendUvarint(dst, uint64(len(occ)))
 	var predSeq uint64
-	skip := uint64(0)
-	for _, e := range entries {
-		if e == (qmonitor.Entry{}) {
-			skip++
+	below := -1 // the level of the previous group's last level
+	for _, g := range runGroups(occ) {
+		first := occ[g[0]]
+		skip := uint64(first.level - below - 1)
+		below = occ[g[1]-1].level
+		if run := occ[g[0]:g[1]]; len(run) >= 2 {
+			dst = appendUvarint(dst, skip<<2)
+			dst = appendUvarint(dst, uint64(len(run)-2))
+			dst = appendZigzag(dst, int64(first.e.Up.Seq)-int64(predSeq))
+			for _, o := range run {
+				dst = appendUvarint(dst, dict.id(o.e.Up.Flow.Key()))
+			}
+			predSeq = run[len(run)-1].e.Up.Seq
 			continue
 		}
+		e := first.e
 		halves := uint64(0)
-		if e.Up.Valid {
+		if e.Up.Written() {
 			halves |= 1
 		}
 		if e.Down != 0 {
 			halves |= 2
 		}
 		dst = appendUvarint(dst, skip<<2|halves)
-		skip = 0
-		if e.Up.Valid {
-			dst = appendUvarint(dst, dict.id(e.Up.Flow))
+		if e.Up.Written() {
+			dst = appendUvarint(dst, dict.id(e.Up.Flow.Key()))
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
 		}
@@ -192,13 +232,14 @@ const (
 	freezeAnchor          // Windows.Freeze over an empty coverage: window 0's anchor cell and nothing else
 	freezeToTop           // Windows.Snapshot + Monitor.Freeze: the staircase, nothing above the top
 	freezeFallOnly        // freezeToTop over a queue that jumps: staircase levels holding a fall and no rise
+	freezeRamp            // freezeToTop over a queue that builds one granule per packet in ramps: runs of rises
 )
 
 // seededRecords drives live register structures with seeded traces shaped
 // like the paper's workloads: UW-like (thousands of flows, so the dictionary
 // and the interner's growth matter), WS-like (a handful of flows in long
 // runs, the last-key shortcut), untouched registers, a data-plane (Special)
-// checkpoint, a multi-queue port, and the four shapes a trimmed freeze adds.
+// checkpoint, a multi-queue port, and the five shapes a trimmed freeze adds.
 // paper selects the paper's register geometry (2^12 cells x 4 windows,
 // 2^14-entry monitors) over the small one the rest of this package's tests
 // use.
@@ -229,7 +270,14 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		ring := twc.WindowPeriod(0)
 		for i := 0; i < packets || (freeze == freezeWrapping && (ts%ring < ring/8 || ts%ring > ring/4)); i++ {
 			ts += uint64(rng.Intn(int(twc.CellPeriod(0))*3) + 1)
-			depth += rng.Intn(17) - 8
+			switch {
+			case freeze == freezeRamp && i%200 == 180:
+				depth = rng.Intn(qmc.MaxDepthCells / 2)
+			case freeze == freezeRamp && i%200 > 180:
+				depth += qmc.GranuleCells
+			default:
+				depth += rng.Intn(17) - 8
+			}
 			if freeze == freezeFallOnly && i%5 == 0 {
 				depth = rng.Intn(qmc.MaxDepthCells)
 			}
@@ -265,7 +313,7 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		default:
 			rec.TW = tw.Snapshot()
 		}
-		gaps, fallOnly := 0, 0
+		gaps, fallOnly, runs := 0, 0, 0
 		for _, qm := range qms {
 			if freeze == freezeWhole {
 				rec.QM = append(rec.QM, qm.Snapshot())
@@ -275,16 +323,20 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 			gaps += staircaseGaps(qm.Snapshot(), rec.QM[len(rec.QM)-1])
 			_, entries := rec.QM[len(rec.QM)-1].Levels()
 			for _, e := range entries {
-				if !e.Up.Valid {
+				if !e.Up.Written() {
 					fallOnly++
 				}
 			}
+			runs += riseRuns(rec.QM[len(rec.QM)-1])
 		}
 		if freeze == freezeToTop && gaps == 0 {
 			tb.Fatalf("monitors frozen to their staircase leave no gap below a top")
 		}
 		if freeze == freezeFallOnly && fallOnly < 2 {
 			tb.Fatalf("a jumping queue's staircase keeps %d levels with a fall alone", fallOnly)
+		}
+		if freeze == freezeRamp && runs == 0 {
+			tb.Fatalf("a queue built one granule per packet leaves no run of rises in its staircase")
 		}
 		return rec
 	}
@@ -304,7 +356,19 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 		{"monitor_ends_at_top", build(9, 40, 3, n/4, 2, false, freezeToTop)},
 		{"monitor_staircase", build(10, 300, 1, n, 3, true, freezeToTop)},
 		{"fall_only", build(11, 40, 2, n/4, 1, false, freezeFallOnly)},
+		{"monitor_rise_run", build(12, 300, 1, n, 1, false, freezeRamp)},
 	}
+}
+
+// riseRuns counts the runs a version-3 record writes of a monitor.
+func riseRuns(qm *qmonitor.Snapshot) int {
+	runs := 0
+	for _, g := range runGroups(occupied(qm)) {
+		if g[1]-g[0] >= 2 {
+			runs++
+		}
+	}
+	return runs
 }
 
 // staircaseGaps counts the levels below the top that a whole read occupies
@@ -545,11 +609,29 @@ func TestSeedlogV3OpensAndAnswers(t *testing.T) {
 }
 
 // TestSeedlogV4OpensAndAnswers is the same for the fourth generation
-// (testdata/seedlog_v4: version-2 records of the same trace through today's
-// control plane, which control's TestSeedlogV4WrittenBitIdentically holds to
-// it), whose payloads re-encode to their own bytes.
+// (testdata/seedlog_v4: version-2 records of the same trace through the
+// control plane that made a checkpoint its Algorithm-3 index; read-only
+// since).
 func TestSeedlogV4OpensAndAnswers(t *testing.T) {
 	assertSeedlogOpensAndAnswers(t, "seedlog_v4", 2, 80, staircaseOnly)
+}
+
+// TestSeedlogV5OpensAndAnswers is the same for the fifth generation
+// (testdata/seedlog_v5: version-3 records of the same trace with a building
+// queue appended on every port and queue, through today's control plane,
+// which control's TestSeedlogV5WrittenBitIdentically holds to it), whose
+// payloads re-encode to their own bytes and whose monitors hold runs of
+// rises.
+func TestSeedlogV5OpensAndAnswers(t *testing.T) {
+	runs := 0
+	assertSeedlogOpensAndAnswers(t, "seedlog_v5", 3, 81, func(qm *qmonitor.Snapshot) error {
+		runs += riseRuns(qm)
+		return staircaseOnly(qm)
+	})
+	if runs == 0 {
+		t.Fatal("seedlog_v5 decodes to no run of rises")
+	}
+	t.Logf("%d runs of rises", runs)
 }
 
 // staircaseOnly checks that a monitor keeps only its staircase: every kept
@@ -559,7 +641,7 @@ func staircaseOnly(qm *qmonitor.Snapshot) error {
 	var run uint64
 	for n, level := range levels {
 		e := entries[n]
-		if int(level) > qm.Top() || (e.Up.Valid && e.Up.Seq <= run) || (e.Down != 0 && e.Down <= run) {
+		if int(level) > qm.Top() || (e.Up.Written() && e.Up.Seq <= run) || (e.Down != 0 && e.Down <= run) {
 			return fmt.Errorf("level %d (top %d) keeps %+v, which does not raise the staircase's %d", level, qm.Top(), e, run)
 		}
 		run = max(run, e.Up.Seq, e.Down)

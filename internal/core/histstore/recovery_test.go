@@ -225,24 +225,30 @@ func TestRecoveryGarbageHeader(t *testing.T) {
 }
 
 // mixedSegment writes, as segment 1 of a fresh directory, an unsealed
-// segment holding the first records of the version-1 log seedlog_v3 followed
-// by records this build writes, then the extra payloads given, framed as an
-// append frames them. It returns the directory and the number of records of
-// the first two kinds.
+// segment holding records of every version this build reads, as a switch
+// upgraded twice in place appends them: the first five records of the
+// version-1 log seedlog_v3, the next five of the version-2 log seedlog_v4,
+// and three records this build writes; then the extra payloads given, framed
+// as an append frames them. It returns the directory and the number of
+// records of the first three kinds.
 func mixedSegment(t *testing.T, extra ...[]byte) (dir string, n int) {
 	t.Helper()
-	src, _ := copySeedlog(t, "seedlog_v3")
-	old := openTestStore(t, src, Options{})
 	var payloads [][]byte
-	err := old.ReplaySince(0, func(payload []byte, _ int, _, _ uint64, _ bool) error {
-		if len(payloads) < 5 {
-			payloads = append(payloads, bytes.Clone(payload))
+	for _, log := range []string{"seedlog_v3", "seedlog_v4"} {
+		src, _ := copySeedlog(t, log)
+		old := openTestStore(t, src, Options{})
+		from, i := len(payloads), 0
+		err := old.ReplaySince(0, func(payload []byte, _ int, _, _ uint64, _ bool) error {
+			if i >= from && i < from+5 {
+				payloads = append(payloads, bytes.Clone(payload))
+			}
+			i++
+			return nil
+		})
+		old.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	old.Close()
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i := uint64(0); i < 3; i++ {
 		enc, err := EncodeRecord(nil, smallRecord(t, 5, 1000+100*i, 1100+100*i))
@@ -272,12 +278,12 @@ func mixedSegment(t *testing.T, extra ...[]byte) (dir string, n int) {
 	return dir, n
 }
 
-// TestRecoveryMixedVersions: an unsealed segment whose version-1 records an
-// older build appended and whose version-2 ones this build appended after it
-// reopened recovers whole; and a record after them of a version this build
-// does not read — a newer build appended it — stops Open, naming the segment
-// and the version, and leaves the file byte for byte as it was instead of
-// truncating it, and every record in it, away.
+// TestRecoveryMixedVersions: an unsealed segment whose version-1 and
+// version-2 records older builds appended and whose version-3 ones this
+// build appended after them reopened recovers whole; and a record after
+// them of a version this build does not read — a newer build appended it —
+// stops Open, naming the segment and the version, and leaves the file byte
+// for byte as it was instead of truncating it, and every record in it, away.
 func TestRecoveryMixedVersions(t *testing.T) {
 	dir, n := mixedSegment(t)
 	st := openTestStore(t, dir, Options{})
@@ -285,16 +291,16 @@ func TestRecoveryMixedVersions(t *testing.T) {
 		t.Fatalf("recovered %d of %d records, truncated %d bytes", stats.RecoveredRecords, n, stats.TruncatedBytes)
 	}
 	if cps, err := st.Covering(5, 1000, 1300); err != nil || len(cps) != 3 {
-		t.Fatalf("%d version-2 checkpoints after recovery, want 3 (%v)", len(cps), err)
+		t.Fatalf("%d version-3 checkpoints after recovery, want 3 (%v)", len(cps), err)
 	}
 	st.Close()
 
-	v3, err := EncodeRecord(nil, smallRecord(t, 5, 1300, 1400))
+	v4, err := EncodeRecord(nil, smallRecord(t, 5, 1300, 1400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3[0] = 3
-	dir, _ = mixedSegment(t, v3)
+	v4[0] = 4
+	dir, _ = mixedSegment(t, v4)
 	path := segPath(dir, 1)
 	before, err := os.ReadFile(path)
 	if err != nil {
@@ -303,11 +309,11 @@ func TestRecoveryMixedVersions(t *testing.T) {
 	st, err = Open(Options{Dir: dir}, telemetry.NewRegistry())
 	if err == nil {
 		st.Close()
-		t.Fatal("a log holding a version-3 record opened")
+		t.Fatal("a log holding a version-4 record opened")
 	}
 	var verr *VersionError
-	if !errors.As(err, &verr) || verr.Version != 3 || !strings.Contains(err.Error(), path) {
-		t.Fatalf("Open failed with %q, want a version-3 error naming %s", err, path)
+	if !errors.As(err, &verr) || verr.Version != 4 || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open failed with %q, want a version-4 error naming %s", err, path)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

@@ -148,6 +148,11 @@ func readFrame(f io.ReaderAt, off, limit int64) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("histstore: bad record length at offset %d", off)
 	}
+	// A length past the segment is refused before it is narrowed: one of
+	// 2^63 or more would turn negative.
+	if plen > uint64(limit-off) {
+		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end", off)
+	}
 	body := int64(plen) + 4
 	if off+int64(n)+body > limit {
 		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end", off)

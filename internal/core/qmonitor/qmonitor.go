@@ -69,12 +69,15 @@ func (c Config) Level(depthCells int) int {
 
 // Half is one half of a register entry as a snapshot holds it: the record of
 // the packet that most recently moved the queue depth to this level in the
-// given direction.
+// given direction. Flow keeps the register's packed form, whose B has bit 0
+// set on every key (flow.Packed): a half with Flow.B == 0 was never written.
 type Half struct {
-	Flow  flow.Key
-	Seq   uint64
-	Valid bool
+	Flow flow.Packed
+	Seq  uint64
 }
+
+// Written reports whether the half holds a record.
+func (h *Half) Written() bool { return h.Flow.B != 0 }
 
 // Entry is one register entry as a snapshot holds it: the upper half records
 // depth increases landing at this level, the lower half decreases. A frozen
@@ -95,18 +98,6 @@ type Entry struct {
 type Reg struct{ up, down regHalf }
 
 type regHalf struct{ a, b, seq uint64 }
-
-// unpack writes a written half into *to, which must be zero, field by field
-// (see flow.Packed.Unpack for why not by assigning a Half built here); a
-// never-written half leaves it zero.
-func (h *regHalf) unpack(to *Half) {
-	if h.b == 0 {
-		return
-	}
-	flow.Packed{A: h.a, B: h.b}.Unpack(&to.Flow)
-	to.Seq = h.seq
-	to.Valid = true
-}
 
 // Monitor is one register set of the queue monitor. As with the time
 // windows, storage may be supplied externally (a register-file partition)
@@ -287,18 +278,19 @@ func (m *Monitor) newSnapshot(n int) *Snapshot {
 	return &Snapshot{cfg: m.cfg, levels: make([]uint32, 0, n), entries: make([]Entry, 0, n), top: m.top}
 }
 
-// appendLevel lists level with the given halves unpacked, of the fall its
-// sequence number; a nil or never-written half stays invalid.
+// appendLevel lists level with the given halves: of the rise its packed flow
+// and sequence number, of the fall its sequence number; a nil or
+// never-written half stays unwritten.
 func (s *Snapshot) appendLevel(level int, up, down *regHalf) {
-	s.levels = append(s.levels, uint32(level))
-	s.entries = append(s.entries, Entry{})
-	e := &s.entries[len(s.entries)-1]
-	if up != nil {
-		up.unpack(&e.Up)
+	var e Entry
+	if up != nil && up.b != 0 {
+		e.Up = Half{Flow: flow.Packed{A: up.a, B: up.b}, Seq: up.seq}
 	}
 	if down != nil && down.b != 0 {
 		e.Down = down.seq
 	}
+	s.levels = append(s.levels, uint32(level))
+	s.entries = append(s.entries, e)
 }
 
 // EntriesPerSnapshot returns the register entries read per snapshot (the
@@ -307,7 +299,7 @@ func (c Config) EntriesPerSnapshot() int { return c.Entries() + 1 }
 
 // Snapshot is a frozen copy of a queue monitor register set. It stores the
 // entries it keeps only: their levels, ascending, and the entries at them,
-// each with at least one valid half. Every level it does not list is empty.
+// each with at least one written half. Every level it does not list is empty.
 //
 // Two reads produce one. Monitor.Snapshot lists every occupied level — the
 // paper's whole-register read. Monitor.Freeze lists the staircase up to the
@@ -346,9 +338,9 @@ func (s *Snapshot) Entries() []Entry {
 // NewSnapshot reconstitutes a Snapshot from decoded register contents — the
 // inverse of Levels(), used by the on-disk checkpoint codec. The slices are
 // adopted, not copied: levels ascending below cfg.Entries(), each entry with
-// a valid rise or a fall's sequence number. A snapshot rebuilt this way answers like the one it was
-// encoded from: Merge, OriginalCulprits and CulpritsAcross see the same
-// state.
+// a written rise or a fall's sequence number. A snapshot rebuilt this way
+// answers like the one it was encoded from: Merge, OriginalCulprits and
+// CulpritsAcross see the same state.
 func NewSnapshot(cfg Config, levels []uint32, entries []Entry, top int) (*Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -360,7 +352,7 @@ func NewSnapshot(cfg Config, levels []uint32, entries []Entry, top int) (*Snapsh
 		return nil, fmt.Errorf("qmonitor: snapshot lists %d levels for %d entries", len(levels), len(entries))
 	}
 	for n, level := range levels {
-		if int64(level) >= int64(cfg.Entries()) || (n > 0 && level <= levels[n-1]) || !(entries[n].Up.Valid || entries[n].Down != 0) {
+		if int64(level) >= int64(cfg.Entries()) || (n > 0 && level <= levels[n-1]) || !(entries[n].Up.Written() || entries[n].Down != 0) {
 			return nil, fmt.Errorf("qmonitor: snapshot entry %d (level %d) is out of range, out of order or empty", n, level)
 		}
 	}
@@ -400,8 +392,8 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 			break
 		}
 		e := &s.entries[n]
-		if e.Up.Valid && e.Up.Seq > maxSeq {
-			out = append(out, Culprit{Flow: e.Up.Flow, Level: int(level), Seq: e.Up.Seq})
+		if e.Up.Written() && e.Up.Seq > maxSeq {
+			out = append(out, Culprit{Flow: e.Up.Flow.Key(), Level: int(level), Seq: e.Up.Seq})
 			maxSeq = e.Up.Seq
 		}
 		maxSeq = max(maxSeq, e.Down)
@@ -427,22 +419,23 @@ func (s *Snapshot) OriginalCulprits() []Culprit {
 // levels, and the only allocation is the result (for at most four snaps).
 func CulpritsAcross(snaps []*Snapshot) []Culprit {
 	var out []Culprit
-	walkAcross(snaps, func(f *flow.Key, level int, seq uint64) {
-		out = append(out, Culprit{Flow: *f, Level: level, Seq: seq})
+	walkAcross(snaps, func(f flow.Packed, level int, seq uint64) {
+		out = append(out, Culprit{Flow: f.Key(), Level: level, Seq: seq})
 	})
 	return out
 }
 
 // CountsAcross is FlowCounts(CulpritsAcross(snaps)) from the same walk,
-// without the list: each culprit's flow is interned as the walk names it (a
-// staircase names one flow many times over, in runs) and counted in a dense
+// without the list: each culprit's packed flow is interned as the walk names
+// it (a staircase names one flow many times over, in runs; a key is unpacked
+// once, the first time its flow is seen) and counted in a dense
 // per-id slice, and the result holds one entry per distinct flow. The
 // interner and the slice come from a pool, so a warm call allocates only the
 // result. Both forms sum 1.0 per culprit, so the counts are bit-identical.
 func CountsAcross(snaps []*Snapshot) flow.Counts {
 	sc := countPool.Get().(*countScratch)
-	walkAcross(snaps, func(f *flow.Key, _ int, _ uint64) {
-		id := sc.in.Intern(*f)
+	walkAcross(snaps, func(f flow.Packed, _ int, _ uint64) {
+		id := sc.in.InternPacked(f)
 		if int(id) == len(sc.n) {
 			sc.n = append(sc.n, 0)
 		}
@@ -469,9 +462,8 @@ type countScratch struct {
 var countPool = sync.Pool{New: func() any { return new(countScratch) }}
 
 // walkAcross is the staircase CulpritsAcross and CountsAcross share: it calls
-// visit with every culprit over snaps, in ascending level order. visit must
-// not keep f.
-func walkAcross(snaps []*Snapshot, visit func(f *flow.Key, level int, seq uint64)) {
+// visit with every culprit over snaps, in ascending level order.
+func walkAcross(snaps []*Snapshot, visit func(f flow.Packed, level int, seq uint64)) {
 	if len(snaps) == 0 {
 		return
 	}
@@ -502,7 +494,7 @@ func walkAcross(snaps []*Snapshot, visit func(f *flow.Key, level int, seq uint64
 			return
 		}
 		// The newest rise record and the newest fall's sequence number at
-		// this level; a valid record's sequence number is at least 1.
+		// this level; a written record's sequence number is at least 1.
 		var up *Half
 		var upSeq, downSeq uint64
 		for i, s := range snaps {
@@ -512,13 +504,13 @@ func walkAcross(snaps []*Snapshot, visit func(f *flow.Key, level int, seq uint64
 			}
 			next[i]++
 			e := &s.entries[n]
-			if e.Up.Valid && e.Up.Seq > upSeq {
+			if e.Up.Written() && e.Up.Seq > upSeq {
 				up, upSeq = &e.Up, e.Up.Seq
 			}
 			downSeq = max(downSeq, e.Down)
 		}
 		if upSeq > maxSeq {
-			visit(&up.Flow, int(level), upSeq)
+			visit(up.Flow, int(level), upSeq)
 			maxSeq = upSeq
 		}
 		if downSeq > maxSeq {
@@ -527,7 +519,7 @@ func walkAcross(snaps []*Snapshot, visit func(f *flow.Key, level int, seq uint64
 	}
 }
 
-// OriginalCulpritsNoFilter is the ablation variant that returns every valid
+// OriginalCulpritsNoFilter is the ablation variant that returns every written
 // increase entry at or below the top pointer, without the sequence-number
 // staircase. Stale peaks then wrongly implicate long-gone packets. Only a
 // whole read (Monitor.Snapshot) still holds them.
@@ -537,8 +529,8 @@ func (s *Snapshot) OriginalCulpritsNoFilter() []Culprit {
 		if int(level) > s.top {
 			break
 		}
-		if e := &s.entries[n]; e.Up.Valid {
-			out = append(out, Culprit{Flow: e.Up.Flow, Level: int(level), Seq: e.Up.Seq})
+		if e := &s.entries[n]; e.Up.Written() {
+			out = append(out, Culprit{Flow: e.Up.Flow.Key(), Level: int(level), Seq: e.Up.Seq})
 		}
 	}
 	return out
@@ -602,9 +594,9 @@ func Merge(a, b *Snapshot) *Snapshot {
 
 func newerHalf(a, b Half) Half {
 	switch {
-	case !a.Valid:
+	case !a.Written():
 		return b
-	case !b.Valid:
+	case !b.Written():
 		return a
 	case b.Seq > a.Seq:
 		return b
@@ -616,7 +608,7 @@ func newerHalf(a, b Half) Half {
 func maxSeq(s *Snapshot) uint64 {
 	var m uint64
 	for _, e := range s.entries {
-		if e.Up.Valid && e.Up.Seq > m {
+		if e.Up.Written() && e.Up.Seq > m {
 			m = e.Up.Seq
 		}
 		m = max(m, e.Down)

@@ -277,8 +277,8 @@ func TestRegHoldsWhatAnEntryHolds(t *testing.T) {
 	m.Observe(zero, 50) // seq 3: down at 5
 	m.Observe(k, 35)    // seq 4: down at 3
 	want := make([]Entry, m.cfg.Entries())
-	want[3] = Entry{Up: Half{Flow: zero, Seq: 1, Valid: true}, Down: 4}
-	want[7].Up = Half{Flow: k, Seq: 2, Valid: true}
+	want[3] = Entry{Up: Half{Flow: zero.Pack(), Seq: 1}, Down: 4}
+	want[7].Up = Half{Flow: k.Pack(), Seq: 2}
 	want[5].Down = 3
 	if got := m.Snapshot().Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot entries\n got %+v\nwant %+v", got, want)
@@ -486,17 +486,17 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 					k := kept[level]
 					for _, h := range [2][2]Half{{e.Up, k.Up}, {fall(e.Down), fall(k.Down)}} {
 						w, kh := h[0], h[1]
-						switch raises := w.Valid && w.Seq > run; {
-						case kh.Valid && kh != w:
+						switch raises := w.Written() && w.Seq > run; {
+						case kh.Written() && kh != w:
 							t.Fatalf("seed %d op %d queue %d: level %d keeps %+v, the register holds %+v", seed, op, q, level, kh, w)
-						case level > whole.Top() && kh.Valid:
+						case level > whole.Top() && kh.Written():
 							t.Fatalf("seed %d op %d queue %d: level %d kept above the top %d", seed, op, q, level, whole.Top())
-						case level <= whole.Top() && kh.Valid != raises:
+						case level <= whole.Top() && kh.Written() != raises:
 							t.Fatalf("seed %d op %d queue %d: level %d half %+v kept=%v, raises the running maximum %d=%v",
-								seed, op, q, level, w, kh.Valid, run, raises)
-						case w.Valid && !kh.Valid && level > whole.Top():
+								seed, op, q, level, w, kh.Written(), run, raises)
+						case w.Written() && !kh.Written() && level > whole.Top():
 							droppedAbove++
-						case w.Valid && !kh.Valid:
+						case w.Written() && !kh.Written():
 							droppedBelow++
 						}
 					}
@@ -524,8 +524,14 @@ func TestFreezeAnswersLikeSnapshot(t *testing.T) {
 	}
 }
 
-// fall is a frozen fall as a Half with no flow, for comparing halves alike.
-func fall(seq uint64) Half { return Half{Seq: seq, Valid: seq != 0} }
+// fall is a frozen fall as a Half, for comparing halves alike: of a written
+// fall the zero key's packed form (just the written mark), of none nothing.
+func fall(seq uint64) Half {
+	if seq == 0 {
+		return Half{}
+	}
+	return Half{Flow: flow.Packed{B: 1}, Seq: seq}
+}
 
 // TestCulpritsAcrossAllocs: the walk allocates the result slice and nothing
 // else — the same appends OriginalCulprits makes on an already merged

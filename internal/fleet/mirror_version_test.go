@@ -31,7 +31,7 @@ func seedlogSwitchConfig(dir string) control.Config {
 }
 
 // TestFleetMirrorMixedVersions: a switch upgraded in place serves the
-// version-1 log it wrote before and streams version-2 records after it. A
+// version-1 log it wrote before and streams version-3 records after it. A
 // mirror subscribed across the upgrade replays the one and ingests the
 // other live, and answers every interval — before, after and across the
 // upgrade — as the switch does.
@@ -143,7 +143,7 @@ func TestFleetMirrorRefusesUnknownVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := horizon + 1
-	newer := append([]byte{3}, payload[1:]...)
+	newer := append([]byte{4}, payload[1:]...)
 	mir.ingest(control.CheckpointFrame{Port: 0, PrevFreeze: end, FreezeTime: end + 100, Payload: newer})
 	if got := c.streamRefused.Load(); got != 1 {
 		t.Fatalf("refused %d frames, want 1", got)
