@@ -21,6 +21,12 @@ import (
 type Accumulator struct {
 	t     int
 	coeff []float64
+	// ids finds a flow's row. It stays nil while the rows are one
+	// checkpoint's fold, appended in the order that fold counted them: that
+	// checkpoint's flow table interns each flow once, so they are distinct
+	// and no row needs finding. A Merge, or a fold that adds to rows already
+	// held, builds it. (A forged record whose table lists a flow
+	// twice gives that flow two rows, which Counts adds.)
 	ids   map[flow.Key]int32
 	flows []flow.Key
 	// counts is row-major per flow: counts[id*t+i] is the number of
@@ -34,7 +40,7 @@ type Accumulator struct {
 // paper's estimate, all-ones for the ablation without recovery, or nil for
 // an accumulator FoldInterval fills.
 func NewAccumulator(t int, coeff []float64) *Accumulator {
-	return &Accumulator{t: t, coeff: coeff, ids: make(map[flow.Key]int32)}
+	return &Accumulator{t: t, coeff: coeff}
 }
 
 // add records n overlapping cells of window i for flow k.
@@ -46,6 +52,7 @@ func (a *Accumulator) add(k flow.Key, i int, n int64) {
 // sight. The row is grown in place (fresh capacity from make is already
 // zero, and rows are never truncated) to avoid a temporary slice per flow.
 func (a *Accumulator) intern(k flow.Key) int32 {
+	a.index()
 	id, ok := a.ids[k]
 	if !ok {
 		id = int32(len(a.flows))
@@ -61,6 +68,40 @@ func (a *Accumulator) intern(k flow.Key) int32 {
 		}
 	}
 	return id
+}
+
+// index builds ids over the rows held, if it is not built yet.
+func (a *Accumulator) index() {
+	if a.ids != nil {
+		return
+	}
+	a.ids = make(map[flow.Key]int32, len(a.flows))
+	for id, k := range a.flows {
+		a.ids[k] = int32(id)
+	}
+}
+
+// begin readies a for one checkpoint's fold of n distinct flows. It reports
+// whether their rows may go in by appendRow, unhashed — they may when a
+// holds no row yet — or must go in by addRow.
+func (a *Accumulator) begin(n int) (fresh bool) {
+	if len(a.flows) > 0 {
+		return false
+	}
+	if cap(a.flows) < n {
+		a.flows = make([]flow.Key, 0, n)
+	}
+	if cap(a.counts) < n*a.t {
+		a.counts = make([]int64, 0, n*a.t)
+	}
+	return true
+}
+
+// appendRow appends flow k's per-window count row after begin reported
+// fresh. len(row) must be a.t.
+func (a *Accumulator) appendRow(k flow.Key, row []int64) {
+	a.flows = append(a.flows, k)
+	a.counts = append(a.counts, row...)
 }
 
 // addRow records a full per-window count row for flow k with a single
@@ -84,12 +125,7 @@ func (a *Accumulator) Merge(b *Accumulator) {
 		a.coeff = b.coeff // a has folded no checkpoint yet
 	}
 	for id, k := range b.flows {
-		row := b.counts[id*b.t : (id+1)*b.t]
-		for i, n := range row {
-			if n != 0 {
-				a.add(k, i, n)
-			}
-		}
+		a.addRow(k, b.counts[id*b.t:(id+1)*b.t])
 	}
 }
 

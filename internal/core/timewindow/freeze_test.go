@@ -108,3 +108,34 @@ func checkFreeze(t *testing.T, rng *rand.Rand, w *Windows, prev, freeze uint64) 
 	}
 	return ff.KeptCells(), cells.KeptCells()
 }
+
+// BenchmarkFreeze prices one coverage freeze of 1 ms at the paper's UW and
+// WS geometries (100 B and MTU packets at 10 Gbps), over registers that
+// have run long past a set period.
+func BenchmarkFreeze(b *testing.B) {
+	for _, g := range []struct {
+		name  string
+		cfg   Config
+		gap   uint64
+		flows int
+	}{
+		{"UW", Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}, 80, 3000},
+		{"WS", Config{M0: 10, K: 12, Alpha: 1, T: 4, MinPktTxDelayNs: 1200}, 1200, 30},
+	} {
+		w, _ := New(g.cfg, nil)
+		rng := rand.New(rand.NewPCG(7, 8))
+		var ts uint64
+		for ts < 4*g.cfg.SetPeriod() {
+			ts += g.gap + rng.Uint64N(g.gap)
+			w.Insert(fkey(uint32(rng.IntN(g.flows))), ts)
+		}
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w.Freeze(ts-1_000_000, ts+1).Empty() {
+					b.Fatal("empty")
+				}
+			}
+		})
+	}
+}

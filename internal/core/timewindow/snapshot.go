@@ -213,8 +213,10 @@ func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
 // as integer per-window counts, touching only each window's overlapping run
 // of the index — O(log 2^k + hits) per window instead of O(2^k). A dense
 // per-flow scratch (interned ids, no map writes) gathers each window's
-// counts before they are flushed to acc. It returns the number of index
-// cells visited.
+// counts before they are flushed to acc: into an accumulator that holds no
+// row yet they are appended as they are, hashing no flow, because the
+// checkpoint's flow table lists each flow once. It returns the number of
+// index cells visited.
 func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 	if f.live == 0 || end <= start {
 		return 0
@@ -233,8 +235,14 @@ func (f *Filtered) AccumulateInto(acc *Accumulator, start, end uint64) int {
 		}
 		visited += len(run)
 	}
+	fresh := acc.begin(len(sc.touched))
 	for _, id := range sc.touched {
-		acc.addRow(f.flows[id], sc.cnt[int(id)*t:int(id)*t+t])
+		row := sc.cnt[int(id)*t : int(id)*t+t]
+		if fresh {
+			acc.appendRow(f.flows[id], row)
+		} else {
+			acc.addRow(f.flows[id], row)
+		}
 	}
 	sc.release(t)
 	return visited

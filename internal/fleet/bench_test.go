@@ -250,3 +250,87 @@ func BenchmarkFleetQueryMirrored(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(benchRTT.Nanoseconds()), "rtt-ns/leg")
 }
+
+// BenchmarkFleetDiagnoseMirrored prices a narrow 3-hop diagnosis served
+// from warm mirrors, the paper's per-hop culprit ranking along a path: each
+// hop holds 96 flows, and a 4 µs interval sees most of them. "fold" moves
+// the interval every iteration, so each hop folds its checkpoints afresh
+// (the memo is wiped long before an interval recurs); "memo" repeats one
+// interval, so each hop is a memo hit and the ranking is what is left.
+func BenchmarkFleetDiagnoseMirrored(b *testing.B) {
+	const nHops, nFlows = 3, 96
+	c := New(Options{Mirror: true, MirrorDir: b.TempDir()})
+	defer c.Close()
+	hops := make([]HopRef, nHops)
+	var horizon uint64
+	for h := 0; h < nHops; h++ {
+		cfg := fleetConfig()
+		cfg.TW.K = 10
+		cfg.History = &histstore.Options{Dir: b.TempDir()}
+		sys, err := control.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sys.Close()
+		ts := uint64(1000)
+		for i := 0; i < 20000; i++ {
+			ts += 10
+			sys.OnDequeue(&pktrec.Packet{
+				Flow: fleetKey(byte(h), byte(i*7%nFlows)),
+				Port: 0,
+				Meta: pktrec.Metadata{EnqTimestamp: ts - 40, DeqTimedelta: 40, EnqQdepth: 8 + i%9},
+			})
+		}
+		sys.Finalize(ts + 1)
+		horizon = ts + 1
+		qs := control.NewQueryServer(sys)
+		qs.Start(2)
+		defer qs.Stop()
+		srv, err := control.ServeQueries("127.0.0.1:0", qs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		id := fmt.Sprintf("sw%d", h)
+		if err := c.Register(SwitchInfo{ID: id, Hop: h, Addr: srv.Addr().String()}); err != nil {
+			b.Fatal(err)
+		}
+		hops[h] = HopRef{SwitchID: id, Port: 0}
+	}
+	for h := range hops {
+		m := c.lookup(hops[h].SwitchID)
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if cov, ok := m.mirror.coverage(0); ok && cov.end >= horizon {
+				break
+			}
+			if time.Now().After(deadline) {
+				b.Fatalf("mirror %d never warmed", h)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	diagnose := func(b *testing.B, lo uint64) {
+		d, err := c.Diagnose("victim", hops, lo, lo+4000, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, hd := range d.Hops {
+			if hd.Err != nil || !hd.Mirrored || len(hd.Culprits) != 10 {
+				b.Fatalf("hop %s: err %v, mirrored %v, %d culprits", hd.SwitchID, hd.Err, hd.Mirrored, len(hd.Culprits))
+			}
+		}
+	}
+	b.Run("fold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			diagnose(b, 2000+uint64(i%150_000))
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			diagnose(b, 100_000)
+		}
+	})
+}

@@ -51,9 +51,9 @@ func (d *PathDiagnosis) FailedHops() []string {
 }
 
 // Diagnose fans the victim's interval out across the path and ranks the
-// top-k culprit flows per hop. Hops that fail keep partial-result
-// semantics: they appear in the report with their error and an empty
-// ranking, and Partial is set.
+// top-k culprit flows per hop, from the counts keyed by flow that each hop
+// answered with. Hops that fail keep partial-result semantics: they appear
+// in the report with their error and an empty ranking, and Partial is set.
 func (c *Collector) Diagnose(victim string, hops []HopRef, start, end uint64, k int) (*PathDiagnosis, error) {
 	if end <= start {
 		return nil, fmt.Errorf("fleet: empty diagnosis interval [%d, %d)", start, end)
@@ -71,15 +71,11 @@ func (c *Collector) Diagnose(victim string, hops []HopRef, start, end uint64, k 
 	}
 	for i, res := range results {
 		hd := HopDiagnosis{HopResult: res}
-		if res.Err == nil {
-			cul, err := topCulprits(res.Counts, k)
-			if err != nil {
-				// A malformed flow key in the wire reply is a hop-level
-				// failure, not a fatal one: report it in place.
-				hd.Err = err
-				hd.Counts = nil
-			} else {
-				hd.Culprits = cul
+		if res.Err == nil && len(res.Flows) > 0 {
+			top := res.Flows.TopK(k)
+			hd.Culprits = make([]Culprit, len(top))
+			for j, e := range top {
+				hd.Culprits[j] = Culprit{Flow: e.Flow, Count: e.Count}
 			}
 		}
 		if hd.Err != nil {
@@ -89,26 +85,4 @@ func (c *Collector) Diagnose(victim string, hops []HopRef, start, end uint64, k 
 	}
 	d.Elapsed = time.Since(t0)
 	return d, nil
-}
-
-// topCulprits parses the wire-form counts back into flow keys and ranks
-// the top k by count.
-func topCulprits(counts map[string]float64, k int) ([]Culprit, error) {
-	if len(counts) == 0 {
-		return nil, nil
-	}
-	fc := make(flow.Counts, len(counts))
-	for s, n := range counts {
-		key, err := flow.ParseKey(s)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: malformed flow key %q in hop reply: %w", s, err)
-		}
-		fc[key] += n
-	}
-	top := fc.TopK(k)
-	out := make([]Culprit, len(top))
-	for i, e := range top {
-		out[i] = Culprit{Flow: e.Flow, Count: e.Count}
-	}
-	return out, nil
 }

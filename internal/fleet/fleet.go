@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"printqueue/internal/core/control"
+	"printqueue/internal/flow"
 	"printqueue/internal/telemetry"
 	"printqueue/internal/tracing"
 )
@@ -356,13 +357,19 @@ type HopRef struct {
 
 // HopResult is one hop's answer to a path query. Every requested hop
 // yields exactly one HopResult — partial-result semantics — with either
-// Counts (the wire-form per-flow packet counts) or Err set.
+// its per-flow packet counts or Err set.
 type HopResult struct {
 	SwitchID string
 	Hop      int
 	Port     int
-	Counts   map[string]float64
-	Err      error
+	// Flows is the hop's per-flow packet counts, keyed by flow: what the
+	// mirror's fold counted, or the switch's reply parsed once where it
+	// entered the collector. Diagnose ranks it.
+	Flows flow.Counts
+	// Counts is Flows in the switch's wire form, flow keys as text:
+	// Counts[k.String()] == Flows[k] for every flow.
+	Counts map[string]float64
+	Err    error
 	// Latency is the hop's round-trip wall time (including retries), up
 	// to the per-hop deadline. Mirror-served answers report the local
 	// query time.
@@ -523,7 +530,12 @@ func (c *Collector) queryHopDirect(m *member, port int, start, end uint64, tr *t
 	select {
 	case a := <-ch:
 		res.Counts, res.Err = a.counts, a.err
-		if a.err != nil {
+		if a.err == nil {
+			if res.Flows, res.Err = parseCounts(a.counts); res.Err != nil {
+				res.Counts = nil
+			}
+		}
+		if res.Err != nil {
 			c.hopErrors.Inc()
 		}
 	case <-deadlineC:
@@ -534,6 +546,20 @@ func (c *Collector) queryHopDirect(m *member, port int, start, end uint64, tr *t
 	sp.End()
 	m.note(res.Err)
 	return res
+}
+
+// parseCounts keys a switch's wire reply by flow. This is the one place the
+// collector parses a flow key: a malformed one fails the hop.
+func parseCounts(counts map[string]float64) (flow.Counts, error) {
+	flows := make(flow.Counts, len(counts))
+	for s, n := range counts {
+		k, err := flow.ParseKey(s)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: malformed flow key %q in hop reply: %w", s, err)
+		}
+		flows[k] += n
+	}
+	return flows, nil
 }
 
 // Status is one switch's collector-side health.

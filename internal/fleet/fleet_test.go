@@ -113,6 +113,7 @@ func TestFleetQueryPathBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(res.Counts, want) {
 			t.Fatalf("hop %d: fleet counts %v != direct counts %v", i, res.Counts, want)
 		}
+		checkForms(t, res)
 		// Flows are hop-namespaced: hop i must only see its own.
 		for k := range res.Counts {
 			if !strings.HasPrefix(k, fmt.Sprintf("10.%d.0.", i)) {
@@ -288,6 +289,14 @@ func TestFleetDiagnoseMalformedKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	res := c.QueryPath([]HopRef{{"ok", 0}, {"bad", 0}}, 0, 100)
+	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "malformed flow key") || res[1].Counts != nil || res[1].Flows != nil {
+		t.Fatalf("QueryPath let the malformed reply through: %+v", res[1])
+	}
+	if res[0].Err != nil {
+		t.Fatalf("healthy hop failed beside a malformed one: %v", res[0].Err)
+	}
+	checkForms(t, res[0])
 	d, err := c.Diagnose("v", []HopRef{{"ok", 0}, {"bad", 0}}, 0, 100, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +309,23 @@ func TestFleetDiagnoseMalformedKey(t *testing.T) {
 	}
 	if len(d.Hops[0].Culprits) != 1 || d.Hops[0].Err != nil {
 		t.Fatalf("healthy hop corrupted by sibling failure: %+v", d.Hops[0])
+	}
+}
+
+// checkForms holds an answered hop's two forms of its counts to each other:
+// the same flows, and each text count the count keyed by that flow.
+func checkForms(t *testing.T, res HopResult) {
+	t.Helper()
+	if res.Err != nil {
+		return
+	}
+	if len(res.Flows) != len(res.Counts) {
+		t.Fatalf("hop %s: %d flows, %d text counts", res.SwitchID, len(res.Flows), len(res.Counts))
+	}
+	for k, n := range res.Flows {
+		if got, ok := res.Counts[k.String()]; !ok || got != n {
+			t.Fatalf("hop %s flow %v: text count %v (present %v), keyed count %v", res.SwitchID, k, got, ok, n)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"printqueue/internal/core/control"
 	"printqueue/internal/core/histstore"
 	"printqueue/internal/core/timewindow"
+	"printqueue/internal/flow"
 	"printqueue/internal/telemetry"
 )
 
@@ -80,12 +81,13 @@ type mirrorQKey struct {
 }
 
 // mirrorQVal is a memoized answer, valid while the port's cover still has
-// the same end and record count. The counts map is shared with every
-// caller that hits the entry and must be treated as read-only (the same
-// contract the singleflight result already carries).
+// the same end and record count. Both forms of the counts are shared with
+// every caller that hits the entry and must be treated as read-only (the
+// same contract the singleflight result already carries).
 type mirrorQVal struct {
 	covEnd uint64
 	covN   int
+	flows  flow.Counts
 	counts map[string]float64
 }
 
@@ -96,24 +98,24 @@ const mirrorQCacheCap = 1024
 
 // cachedQuery returns the memoized answer for the interval if the port's
 // cover has not advanced since it was computed.
-func (m *Mirror) cachedQuery(key mirrorQKey, cov mirrorCover) (map[string]float64, bool) {
+func (m *Mirror) cachedQuery(key mirrorQKey, cov mirrorCover) (mirrorQVal, bool) {
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
 	v, ok := m.qcache[key]
 	if !ok || v.covEnd != cov.end || v.covN != cov.n {
-		return nil, false
+		return mirrorQVal{}, false
 	}
-	return v.counts, true
+	return v, true
 }
 
 // storeQuery memoizes one computed answer.
-func (m *Mirror) storeQuery(key mirrorQKey, cov mirrorCover, counts map[string]float64) {
+func (m *Mirror) storeQuery(key mirrorQKey, v mirrorQVal) {
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
 	if m.qcache == nil || len(m.qcache) >= mirrorQCacheCap {
 		m.qcache = make(map[mirrorQKey]mirrorQVal, 64)
 	}
-	m.qcache[key] = mirrorQVal{covEnd: cov.end, covN: cov.n, counts: counts}
+	m.qcache[key] = v
 }
 
 // mirrorDirName maps a switch ID to a safe directory component.
@@ -347,7 +349,7 @@ func (m *Mirror) coverage(port int) (mirrorCover, bool) {
 // (timewindow.FoldInterval), under the window configuration the records
 // themselves carry. Callers gate on coverage first; this method just
 // computes over whatever records the store holds.
-func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) {
+func (m *Mirror) Query(port int, start, end uint64) (flow.Counts, error) {
 	if end <= start {
 		return nil, fmt.Errorf("fleet: empty interval [%d, %d)", start, end)
 	}
@@ -356,19 +358,23 @@ func (m *Mirror) Query(port int, start, end uint64) (map[string]float64, error) 
 		return nil, err
 	}
 	if len(cps) == 0 {
-		return map[string]float64{}, nil
+		return flow.Counts{}, nil
 	}
 	cfg := cps[0].Config()
 	acc := timewindow.NewAccumulator(cfg.T, nil)
 	if _, err := timewindow.FoldInterval(acc, cfg, cps, start, end); err != nil {
 		return nil, err
 	}
-	counts := acc.Counts()
+	return acc.Counts(), nil
+}
+
+// textCounts is counts in the wire form a switch replies with.
+func textCounts(counts flow.Counts) map[string]float64 {
 	res := make(map[string]float64, len(counts))
 	for f, n := range counts {
 		res[f.String()] = n
 	}
-	return res, nil
+	return res
 }
 
 // tryMirror attempts to serve one hop query from the member's mirror.
@@ -406,16 +412,16 @@ func (c *Collector) tryMirror(m *member, port int, start, end uint64, degraded b
 	}
 	t0 := time.Now()
 	key := mirrorQKey{port: port, start: start, end: end}
-	counts, hit := mir.cachedQuery(key, cov)
+	v, hit := mir.cachedQuery(key, cov)
 	if !hit {
-		var err error
-		counts, err = mir.Query(port, start, end)
+		flows, err := mir.Query(port, start, end)
 		if err != nil {
 			return res, false
 		}
-		mir.storeQuery(key, cov, counts)
+		v = mirrorQVal{covEnd: cov.end, covN: cov.n, flows: flows, counts: textCounts(flows)}
+		mir.storeQuery(key, v)
 	}
-	res.Counts = counts
+	res.Flows, res.Counts = v.flows, v.counts
 	res.Latency = time.Since(t0)
 	res.Mirrored = true
 	res.LagNs = lag

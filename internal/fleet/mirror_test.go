@@ -155,6 +155,7 @@ func TestFleetMirrorBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(res.Counts, want) {
 			t.Fatalf("hop %d: mirror counts %v != direct counts %v", i, res.Counts, want)
 		}
+		checkForms(t, res)
 	}
 	if got := c.streamMirrorQueries.Load(); got != 3 {
 		t.Fatalf("mirror queries counter = %d, want 3", got)
@@ -215,7 +216,8 @@ func TestFleetMirrorRandomIntervals(t *testing.T) {
 	}
 	mir := c.lookup("sw0").mirror
 	for _, iv := range intervals {
-		got, err := mir.Query(0, iv[0], iv[1])
+		flows, err := mir.Query(0, iv[0], iv[1])
+		got := textCounts(flows)
 		if err != nil {
 			t.Fatalf("[%d,%d) mirror: %v", iv[0], iv[1], err)
 		}
@@ -259,6 +261,67 @@ func TestFleetMirrorRandomIntervals(t *testing.T) {
 		if !reflect.DeepEqual(res.Counts, want) {
 			t.Fatalf("[%d,%d): mirror %v != direct %v", start, end, res.Counts, want)
 		}
+		checkForms(t, res)
+	}
+}
+
+// TestDiagnoseMirroredEqualsNetwork: on the 3-hop fixture, a collector that
+// ranks its mirrors' folds and one with no mirror, which ranks the switches'
+// parsed replies, return the same culprits — flow, count and order, ties
+// included (each hop's three flows often tie) — and the same text counts,
+// over random intervals, for k below, at and above the flows a hop holds.
+func TestDiagnoseMirroredEqualsNetwork(t *testing.T) {
+	mirrored, addrs, horizon := newMirroredFleet(t, 3, Options{})
+	network := New(Options{})
+	t.Cleanup(func() { network.Close() })
+	for i, addr := range addrs {
+		if err := network.Register(SwitchInfo{ID: fmt.Sprintf("sw%d", i), Hop: i, Addr: addr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hops := []HopRef{{"sw0", 0}, {"sw1", 0}, {"sw2", 0}}
+	rng := rand.New(rand.NewPCG(33, 7))
+	ties := 0
+	for q := 0; q < 240; q++ {
+		lo := 900 + rng.Uint64N(horizon+1-900)
+		hi := lo + 1 + rng.Uint64N(horizon+1-lo)
+		if q%4 == 0 {
+			hi = min(lo+1+rng.Uint64N(40), horizon+1) // narrow
+		}
+		k := 1 + q%4
+		dm, err := mirrored.Diagnose("v", hops, lo, hi, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dn, err := network.Diagnose("v", hops, lo, hi, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := range hops {
+			m, n := dm.Hops[h], dn.Hops[h]
+			if m.Err != nil || n.Err != nil {
+				t.Fatalf("[%d,%d) hop %d: mirrored err %v, network err %v", lo, hi, h, m.Err, n.Err)
+			}
+			if !m.Mirrored || n.Mirrored {
+				t.Fatalf("[%d,%d) hop %d: mirrored collector served it mirrored=%v, network collector mirrored=%v", lo, hi, h, m.Mirrored, n.Mirrored)
+			}
+			checkForms(t, m.HopResult)
+			checkForms(t, n.HopResult)
+			if !reflect.DeepEqual(m.Culprits, n.Culprits) {
+				t.Fatalf("[%d,%d) hop %d k=%d: mirrored culprits %v, network %v", lo, hi, h, k, m.Culprits, n.Culprits)
+			}
+			if !reflect.DeepEqual(m.Counts, n.Counts) {
+				t.Fatalf("[%d,%d) hop %d: mirrored counts %v, network %v", lo, hi, h, m.Counts, n.Counts)
+			}
+			for j := 1; j < len(m.Culprits); j++ {
+				if m.Culprits[j].Count == m.Culprits[j-1].Count {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no ranking held a tie; the fixture must exercise the tie-break")
 	}
 }
 

@@ -112,7 +112,8 @@ func TestFleetMirrorMixedVersions(t *testing.T) {
 		case 3:
 			port = 2
 		}
-		got, err := mir.Query(port, lo, hi)
+		flows, err := mir.Query(port, lo, hi)
+		got := textCounts(flows)
 		if err != nil {
 			t.Fatalf("port %d [%d,%d) mirror: %v", port, lo, hi, err)
 		}
