@@ -494,18 +494,15 @@ func decodeWindows(r *reader, monitors bool) (rec *Record, flows []flow.Key, err
 	var anchor uint64
 	if live {
 		anchor = r.uvarint()
-		if r.err == nil && anchor > math.MaxUint64>>cfg.M0 {
-			return nil, nil, fmt.Errorf("histstore: anchor %d past the last timestamp", anchor)
-		}
 	}
 	nIndex, nMonitor := r.uvarint(), r.uvarint()
 	flows, err = decodeFlows(r, nIndex, nMonitor, monitors)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.TW, err = timewindow.NewFiltered(cfg, anchor, live, flows[:nIndex:nIndex], func(i int, anchor uint64) ([]timewindow.CellRef, error) {
+	rec.TW, err = timewindow.NewFiltered(cfg, anchor, live, func(i int, anchor uint64) ([]timewindow.CellRef, error) {
 		return decodeWindow(r, cfg, i, anchor, nIndex)
-	})
+	}, func() []flow.Key { return flows[:nIndex:nIndex] })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -289,7 +289,7 @@ func TestDecodeMonitorAllocatesByPayload(t *testing.T) {
 // with the full decode on everything it returns. The committed corpus holds
 // every seeded record as this build writes it and, under v1_ and v2_ names,
 // as the version-1 and version-2 writers did, so the read-only paths are
-// fuzzed too, and the hostile runs of hostileRuns.
+// fuzzed too, and the hostile payloads of hostileRuns and hostileV1.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, sr := range seededRecords(f, false) {
 		enc, err := EncodeRecord(nil, sr.rec)
@@ -349,9 +349,10 @@ func FuzzDecodeRecord(f *testing.F) {
 // TestFuzzCorpusCurrent keeps the committed corpus honest: one file per
 // seeded record, holding exactly the bytes the encoder writes for it today
 // (run with -update-corpus after a deliberate format change), and one per
-// hostile run (TestDecodeRefusesHostileRuns); and, under the v1_ and v2_
-// names, the encodings older writers left of the same records, which must
-// still decode to exactly those records.
+// hostile run (TestDecodeRefusesHostileRuns) and hostile v1 payload
+// (hostileV1); and, under the v1_ and v2_ names, the encodings older writers
+// left of the same records, which must still decode to exactly those
+// records.
 func TestFuzzCorpusCurrent(t *testing.T) {
 	old := map[byte]int{}
 	for _, sr := range seededRecords(t, false) {
@@ -378,7 +379,7 @@ func TestFuzzCorpusCurrent(t *testing.T) {
 		}
 		current = append(current, namedPayload{sr.name, enc})
 	}
-	for _, h := range hostileRuns() {
+	for _, h := range append(hostileRuns(), hostileV1()...) {
 		current = append(current, namedPayload{"hostile_" + h.name, h.payload})
 	}
 	for _, c := range current {

@@ -82,12 +82,12 @@ func reassembled(t *testing.T, f *Filtered) *Filtered {
 	for i := range index {
 		index[i] = append([]CellRef(nil), f.index[i]...)
 	}
-	g, err := NewFiltered(f.cfg, anchor, ok, append([]flow.Key(nil), f.flows...), func(i int, a uint64) ([]CellRef, error) {
+	g, err := NewFiltered(f.cfg, anchor, ok, func(i int, a uint64) ([]CellRef, error) {
 		if a != f.anchorTTS[i] {
 			t.Fatalf("window %d: reassembled anchor %d, read %d", i, a, f.anchorTTS[i])
 		}
 		return index[i], nil
-	})
+	}, func() []flow.Key { return append([]flow.Key(nil), f.flows...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +103,17 @@ func reassembled(t *testing.T, f *Filtered) *Filtered {
 }
 
 // checkAgainstReference holds every form of w's whole read to the oracle: the
-// index Snapshot emits, the v1 path's Filter over the same registers as cell
-// lists, and the read reassembled from its parts as a decoder does.
+// index Snapshot emits, the cell-list reference's Filter over the same
+// registers, and the read reassembled from its parts as a decoder does.
 func checkAgainstReference(t *testing.T, name string, w *Windows, rng *rand.Rand) {
 	t.Helper()
 	s := wholeCells(w)
-	read, v1 := w.Snapshot(), s.Filter()
-	if !reflect.DeepEqual(read, v1) {
+	read, byCells := w.Snapshot(), s.Filter()
+	if !reflect.DeepEqual(read, byCells) {
 		t.Fatalf("%s: the whole read's index differs from Filter over its cells", name)
 	}
 	checkFilteredAgainstReference(t, name+"/read", s, read, rng)
-	checkFilteredAgainstReference(t, name+"/v1", s, v1, rng)
+	checkFilteredAgainstReference(t, name+"/cells", s, byCells, rng)
 	checkFilteredAgainstReference(t, name+"/reassembled", s, reassembled(t, w.Snapshot()), rng)
 }
 
@@ -326,7 +326,7 @@ func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 
 // BenchmarkFilter prices one Algorithm-3 index build at the paper's geometry
 // over a many-flow (UW-like) and a few-flow (WS-like) register set: the whole
-// read emitting it, and the v1 path filtering the same registers' cell lists.
+// read emitting it, and the cell-list reference filtering the same registers.
 func BenchmarkFilter(b *testing.B) {
 	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 	for _, shape := range []struct {
@@ -353,7 +353,7 @@ func BenchmarkFilter(b *testing.B) {
 				}
 			}
 		})
-		b.Run(shape.name+"/v1", func(b *testing.B) {
+		b.Run(shape.name+"/cells", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if s.Filter().Empty() {

@@ -13,8 +13,8 @@ import (
 // active set, a flip at now freezes it with coverage (lastFlip, now) and
 // activates the other, never clearing anything — under seeded traffic with
 // idle gaps, at poll periods below, at and above window 0's period. At every
-// freeze, Freeze(prev, now) must be exactly the index the v1 path builds over
-// the cells the freeze keeps by definition, and must derive the anchors
+// freeze, Freeze(prev, now) must be exactly the index the cell-list
+// reference builds over the cells the freeze keeps by definition, and must derive the anchors
 // Snapshot() does and give the same integer rows and raw window counts as it,
 // and as the cell scan of the whole registers, for 100 random [lo, hi) inside
 // the coverage. Every so often a freeze follows a flip directly, with one

@@ -7,7 +7,7 @@ import (
 )
 
 // The cell-list reference: what the reads of a window set keep, written as
-// the v1 path's cell lists and by definition rather than by coverage
+// cell lists (cells_test.go) and by definition rather than by coverage
 // arithmetic, and the linear scan that counts them. The index every read
 // emits is held to these.
 

@@ -1,6 +1,7 @@
 package timewindow
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -84,21 +85,22 @@ func (f *Filtered) setAnchors(tts uint64) {
 }
 
 // NewFiltered assembles a read from the parts a checkpoint decoder reads
-// back: window 0's anchor TTS (ok false for a read that found no cell), the
-// flow table, adopted as is, and each live window's index, which window
-// returns given the window's own anchor. The decoder guarantees what Freeze
+// back: window 0's anchor TTS (ok false for a read that found no cell), each
+// live window's index, which window returns given the window's own anchor,
+// then the flow table, adopted as is. The decoder guarantees what Freeze
 // does: a window's refs ascend within its retained span, (anchor-2^k,
-// anchor] in window coordinates, and refer into flows.
-func NewFiltered(cfg Config, anchor uint64, ok bool, flows []flow.Key, window func(i int, anchor uint64) ([]CellRef, error)) (*Filtered, error) {
+// anchor] in window coordinates, and refer into the flow table. An anchor
+// past the last timestamp, whose span starts would wrap, is refused.
+func NewFiltered(cfg Config, anchor uint64, ok bool, window func(i int, anchor uint64) ([]CellRef, error), flows func() []flow.Key) (*Filtered, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	f := newFiltered(cfg)
-	if len(flows) > 0 {
-		f.flows = flows
-	}
 	if !ok {
 		return f, nil
+	}
+	if anchor > cfg.TTS(^uint64(0)) {
+		return nil, fmt.Errorf("timewindow: anchor %d past the last timestamp", anchor)
 	}
 	f.setAnchors(anchor)
 	for i := 0; i < f.live; i++ {
@@ -107,6 +109,9 @@ func NewFiltered(cfg Config, anchor uint64, ok bool, flows []flow.Key, window fu
 			return nil, err
 		}
 		f.index[i] = refs
+	}
+	if fl := flows(); len(fl) > 0 {
+		f.flows = fl
 	}
 	return f, nil
 }
@@ -187,26 +192,6 @@ func (f *Filtered) overlapping(i int, start, end uint64) []CellRef {
 	first := sort.Search(len(refs), func(j int) bool { return refs[j].Start+cp > start })
 	last := first + sort.Search(len(refs)-first, func(j int) bool { return refs[first+j].Start >= end })
 	return refs[first:last]
-}
-
-// RawWindowCounts returns, for each window, the observed (un-recovered)
-// per-flow packet counts among surviving cells whose periods overlap
-// [start, end). These are the direct register observations; Query applies
-// the Algorithm-2 coefficients on top.
-func (f *Filtered) RawWindowCounts(start, end uint64) []flow.Counts {
-	out := make([]flow.Counts, f.cfg.T)
-	for i := range out {
-		out[i] = make(flow.Counts)
-	}
-	if end <= start {
-		return out
-	}
-	for i := 0; i < f.live; i++ {
-		for _, ref := range f.overlapping(i, start, end) {
-			out[i].Add(f.flows[ref.Flow], 1)
-		}
-	}
-	return out
 }
 
 // AccumulateInto adds the surviving cells overlapping [start, end) into acc
@@ -323,17 +308,6 @@ func (f *Filtered) QueryWindow(i int, start, end uint64) flow.Counts {
 	coeff := f.coeff[i]
 	for _, ref := range f.overlapping(i, start, end) {
 		out.Add(f.flows[ref.Flow], 1/coeff)
-	}
-	return out
-}
-
-// SurvivingCells returns the number of valid cells per window after
-// filtering — a direct observable of the compression process used by tests
-// and the ablation benchmarks.
-func (f *Filtered) SurvivingCells() []int {
-	out := make([]int, f.cfg.T)
-	for i := range f.index {
-		out[i] = len(f.index[i])
 	}
 	return out
 }
