@@ -279,7 +279,7 @@ func (qc *queryPathCounters) register(reg *telemetry.Registry) {
 	qc.cellsVisited = reg.Counter("printqueue_query_cells_visited_total",
 		"Time-window index cells visited by interval queries.")
 	qc.parallelFanouts = reg.Counter("printqueue_query_parallel_fanouts_total",
-		"Interval queries whose checkpoint run was sharded across query workers.")
+		"Interval queries whose checkpoint run was sharded across goroutines.")
 	qc.coldCheckpoints = reg.Counter("printqueue_query_cold_checkpoints_total",
 		"Checkpoints served from the cold (on-disk) history tier by interval queries.")
 }
@@ -1167,13 +1167,13 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 // keeps the coverages disjoint across tiers too. timewindow.FoldInterval
 // does the rest.
 //
-// When sem (a semaphore whose capacity is the query-worker count) is non-nil
-// and the run is long, it is split into contiguous shards folded
+// When sem (a semaphore whose capacity is the query server's slot count) is
+// non-nil and the run is long, it is split into contiguous shards folded
 // concurrently and merged in shard order. Shards that cannot acquire a slot
-// run inline on the caller, so fan-out never blocks on a busy pool. The
+// run inline on the caller, so fan-out never blocks on a full semaphore. The
 // shards' accumulators are exact integers, so the result is bit-identical
 // for any sharding. tr collects one "server.shard" span per shard (recorded
-// concurrently by the workers) and a "server.merge" span for the merge, or a
+// concurrently by the shards) and a "server.merge" span for the merge, or a
 // single "server.accumulate" span when the run is folded whole.
 func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
 	run, histLen, hotStart := ps.snapshotRun(start, end, tr)
@@ -1256,8 +1256,8 @@ func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{
 	return accs[0].Counts(), nil
 }
 
-// parallelMinRun is the smallest checkpoint run worth sharding across query
-// workers; below it goroutine handoff costs more than the accumulation it
+// parallelMinRun is the smallest checkpoint run worth sharding across
+// goroutines; below it goroutine handoff costs more than the accumulation it
 // parallelizes.
 const parallelMinRun = 8
 

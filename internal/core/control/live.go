@@ -24,13 +24,15 @@ type QueryServer struct {
 
 	mu      sync.Mutex
 	started bool
-	reqs    chan queryRequest
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// slots bounds how many queries execute at once: a query holds one
+	// while it runs on the goroutine that submitted it.
+	slots chan struct{}
+	done  chan struct{}
+	wg    sync.WaitGroup
 	// sem bounds the extra goroutines interval queries may fan out across:
-	// its capacity is the worker count, so a query sharding a deep
-	// checkpoint run never exceeds the pool the operator sized. Shards that
-	// cannot acquire a slot run inline on the issuing worker.
+	// its capacity is the slot count, so a query sharding a deep
+	// checkpoint run never exceeds the concurrency the operator sized.
+	// Shards that find it full run inline on the query's own goroutine.
 	sem chan struct{}
 }
 
@@ -52,7 +54,7 @@ func newQueryMetrics(reg *telemetry.Registry) queryMetrics {
 			"Queries that returned an error.", telemetry.L("op", op))
 	}
 	m.inflight = reg.Gauge("printqueue_query_inflight",
-		"Queries currently executing on the query workers.")
+		"Queries currently executing, each holding a query-server slot.")
 	return m
 }
 
@@ -70,26 +72,8 @@ const (
 
 // QueryResult carries one answered query.
 type QueryResult struct {
-	Kind   QueryKind
-	Port   int
-	Queue  int
-	Start  uint64
-	End    uint64
 	Counts flow.Counts // for OriginalQuery, culprits per flow
 	Err    error
-}
-
-type queryRequest struct {
-	kind       QueryKind
-	port       int
-	queue      int
-	start, end uint64
-	resp       chan QueryResult
-	// tr joins the request to an end-to-end trace (nil when untraced);
-	// submitted is stamped at submit so the worker can record the
-	// "server.queue" span (time spent waiting for a worker).
-	tr        *tracing.Trace
-	submitted time.Time
 }
 
 // NewQueryServer builds a server over an existing System, registering the
@@ -98,7 +82,8 @@ func NewQueryServer(sys *System) *QueryServer {
 	return &QueryServer{sys: sys, met: newQueryMetrics(sys.telemetry)}
 }
 
-// Start launches n worker goroutines. It is idempotent until Stop.
+// Start lets up to workers queries execute at once, each on the goroutine
+// that submitted it. It is idempotent until Stop.
 func (q *QueryServer) Start(workers int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -108,17 +93,14 @@ func (q *QueryServer) Start(workers int) {
 	if workers <= 0 {
 		workers = 1
 	}
-	q.reqs = make(chan queryRequest)
+	q.slots = make(chan struct{}, workers)
 	q.done = make(chan struct{})
 	q.sem = make(chan struct{}, workers)
 	q.started = true
-	for i := 0; i < workers; i++ {
-		q.wg.Add(1)
-		go q.worker()
-	}
 }
 
-// Stop shuts the workers down, waiting for in-flight queries.
+// Stop fails the queries still waiting for a slot and returns once the
+// executing ones finish.
 func (q *QueryServer) Stop() {
 	q.mu.Lock()
 	if !q.started {
@@ -131,128 +113,81 @@ func (q *QueryServer) Stop() {
 	q.wg.Wait()
 }
 
-func (q *QueryServer) worker() {
-	defer q.wg.Done()
-	for {
-		select {
-		case <-q.done:
-			return
-		case req := <-q.reqs:
-			req.resp <- q.execute(req)
-		}
+// submit runs one query on the caller's goroutine once a slot is free,
+// failing fast if the server is stopped. tr joins the query to an
+// end-to-end trace (nil when untraced); its "server.queue" span is the
+// wait for a slot.
+func (q *QueryServer) submit(b BatchQuery, tr *tracing.Trace) QueryResult {
+	var submitted time.Time
+	if tr != nil {
+		submitted = time.Now()
 	}
+	q.mu.Lock()
+	if !q.started {
+		q.mu.Unlock()
+		return QueryResult{Err: fmt.Errorf("control: query server not running")}
+	}
+	slots, done, sem := q.slots, q.done, q.sem
+	q.wg.Add(1)
+	q.mu.Unlock()
+	defer q.wg.Done()
+	select {
+	case slots <- struct{}{}:
+	case <-done:
+		return QueryResult{Err: fmt.Errorf("control: query server stopped")}
+	}
+	defer func() { <-slots }()
+	if tr != nil {
+		tr.Span("server.queue", tracing.SrcServer, submitted, time.Since(submitted))
+	}
+	return q.execute(b, sem, tr)
 }
 
-func (q *QueryServer) execute(req queryRequest) QueryResult {
-	// A request with no remote trace may still be sampled locally, so
+func (q *QueryServer) execute(b BatchQuery, sem chan struct{}, tr *tracing.Trace) (res QueryResult) {
+	// A query with no remote trace may still be sampled locally, so
 	// server-only queries (tests, pqsim, fleet internals) show up in the
 	// trace ring too. Traces we open here we also close here; remote
 	// traces are closed by the netserver writer after the reply goes out.
 	own := false
-	if req.tr == nil {
+	if tr == nil {
 		if t := q.sys.Tracer(); t != nil {
-			req.tr = t.Start(kindName(req.kind))
-			own = req.tr != nil
+			tr = t.Start(kindName(b.Kind))
+			own = tr != nil
 		}
 	}
-	if req.tr != nil && !req.submitted.IsZero() {
-		req.tr.Span("server.queue", tracing.SrcServer, req.submitted, time.Since(req.submitted))
-	}
-	res := QueryResult{
-		Kind:  req.kind,
-		Port:  req.port,
-		Queue: req.queue,
-		Start: req.start,
-		End:   req.end,
-	}
-	if req.kind == IntervalQuery || req.kind == OriginalQuery {
-		q.met.inflight.Add(1)
-		start := time.Now()
-		defer func() {
-			dur := time.Since(start)
-			q.met.latencyNs[req.kind].ObserveEx(uint64(dur.Nanoseconds()), req.tr.ID())
-			q.met.inflight.Add(-1)
-			if own {
-				req.tr.FinishErr(res.Err)
-			} else if req.tr == nil {
-				// Unsampled but over the slow threshold: promote into the
-				// tracer's always-on slowlog.
-				q.sys.Tracer().MaybeSlow(kindName(req.kind), start, dur, res.Err)
-			}
-		}()
-	}
-	switch req.kind {
-	case IntervalQuery:
-		sp := req.tr.StartSpan("server.execute", tracing.SrcServer)
-		counts, err := q.sys.queryIntervalSharded(req.port, req.start, req.end, q.sem, req.tr)
-		if err != nil {
-			sp.End()
-			res.Err = err
-			q.met.errors[req.kind].Inc()
-			return res
+	q.met.inflight.Add(1)
+	start := time.Now()
+	defer func() {
+		dur := time.Since(start)
+		q.met.latencyNs[b.Kind].ObserveEx(uint64(dur.Nanoseconds()), tr.ID())
+		q.met.inflight.Add(-1)
+		if own {
+			tr.FinishErr(res.Err)
+		} else if tr == nil {
+			// Unsampled but over the slow threshold: promote into the
+			// tracer's always-on slowlog.
+			q.sys.Tracer().MaybeSlow(kindName(b.Kind), start, dur, res.Err)
 		}
-		res.Counts = counts
-		sp.End()
-	case OriginalQuery:
-		sp := req.tr.StartSpan("server.execute", tracing.SrcServer)
-		counts, err := q.sys.queryOriginal(req.port, req.queue, req.start, req.tr)
-		if err != nil {
-			sp.End()
-			res.Err = err
-			q.met.errors[req.kind].Inc()
-			return res
-		}
-		res.Counts = counts
-		sp.End()
-	default:
-		res.Err = fmt.Errorf("control: unknown query kind %d", req.kind)
+	}()
+	sp := tr.StartSpan("server.execute", tracing.SrcServer)
+	if b.Kind == OriginalQuery {
+		res.Counts, res.Err = q.sys.queryOriginal(b.Port, b.Queue, b.Start, tr)
+	} else {
+		res.Counts, res.Err = q.sys.queryIntervalSharded(b.Port, b.Start, b.End, sem, tr)
+	}
+	sp.End()
+	if res.Err != nil {
+		q.met.errors[b.Kind].Inc()
 	}
 	return res
 }
 
-// submit dispatches a request, failing fast if the server is stopped.
-func (q *QueryServer) submit(req queryRequest) QueryResult {
-	q.mu.Lock()
-	started := q.started
-	reqs := q.reqs
-	done := q.done
-	q.mu.Unlock()
-	if !started {
-		return QueryResult{Err: fmt.Errorf("control: query server not running")}
-	}
-	req.resp = make(chan QueryResult, 1)
-	select {
-	case reqs <- req:
-		return <-req.resp
-	case <-done:
-		return QueryResult{Err: fmt.Errorf("control: query server stopped")}
-	}
-}
-
 // Interval executes an interval (direct/indirect culprit) query.
 func (q *QueryServer) Interval(port int, start, end uint64) QueryResult {
-	return q.intervalTraced(port, start, end, nil)
+	return q.submit(BatchQuery{Kind: IntervalQuery, Port: port, Start: start, End: end}, nil)
 }
 
 // Original executes an original-culprit query at time t.
 func (q *QueryServer) Original(port, queue int, t uint64) QueryResult {
-	return q.originalTraced(port, queue, t, nil)
-}
-
-// intervalTraced is Interval joined to an end-to-end trace (nil = untraced).
-func (q *QueryServer) intervalTraced(port int, start, end uint64, tr *tracing.Trace) QueryResult {
-	req := queryRequest{kind: IntervalQuery, port: port, start: start, end: end, tr: tr}
-	if tr != nil {
-		req.submitted = time.Now()
-	}
-	return q.submit(req)
-}
-
-// originalTraced is Original joined to an end-to-end trace (nil = untraced).
-func (q *QueryServer) originalTraced(port, queue int, t uint64, tr *tracing.Trace) QueryResult {
-	req := queryRequest{kind: OriginalQuery, port: port, queue: queue, start: t, tr: tr}
-	if tr != nil {
-		req.submitted = time.Now()
-	}
-	return q.submit(req)
+	return q.submit(BatchQuery{Kind: OriginalQuery, Port: port, Queue: queue, Start: t}, nil)
 }

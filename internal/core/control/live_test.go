@@ -2,8 +2,11 @@ package control
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestQueryServerBasics(t *testing.T) {
@@ -102,7 +105,7 @@ func TestQueryServerConcurrentWithDataPlane(t *testing.T) {
 }
 
 // TestQueryServerParallelFanout checks that a wide interval over a deep
-// checkpoint history is sharded across the worker pool and that the
+// checkpoint history is sharded across goroutines and that the
 // parallel merge returns exactly the serial result.
 func TestQueryServerParallelFanout(t *testing.T) {
 	cfg := testConfig(0)
@@ -170,5 +173,118 @@ func TestQueryServerStartStopIdempotent(t *testing.T) {
 	defer qs.Stop()
 	if res := qs.Interval(0, 5, 4); res.Err == nil {
 		t.Fatal("empty interval accepted")
+	}
+}
+
+// pollUntil polls until cond holds, failing the test after two seconds.
+func pollUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitingForSlot counts goroutines blocked on a channel inside submit
+// without having reached execute: those waiting for a slot.
+func waitingForSlot() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		onChan := strings.Contains(header, "[select") || strings.Contains(header, "[chan send")
+		if onChan && strings.Contains(g, "(*QueryServer).submit(") && !strings.Contains(g, "(*QueryServer).execute(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestQueryServerSlots holds port 0's history lock so queries block inside
+// execute, and checks the slot contract: at most Start's count execute at
+// once, Stop fails a query still waiting for a slot at once, and Stop
+// returns only after the executing queries finish — with their answers.
+func TestQueryServerSlots(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.PollPeriodNs = 500
+	s, _ := New(cfg)
+	var ts uint64 = 1000
+	for i := 0; i < 100; i++ {
+		ts += 10
+		s.OnDequeue(deq(fkey(byte(i%3)), 0, ts-40, ts, 8))
+	}
+	s.Finalize(ts + 1)
+	wantInterval, err := s.QueryInterval(0, 1000, ts+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOriginal, err := s.QueryOriginal(0, 0, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qs := NewQueryServer(s)
+	qs.Start(2)
+	ps := s.ports[0]
+	ps.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			ps.mu.Unlock()
+		}
+		qs.Stop()
+	}()
+
+	interval := make(chan QueryResult, 1)
+	original := make(chan QueryResult, 1)
+	go func() { interval <- qs.Interval(0, 1000, ts+1) }()
+	go func() { original <- qs.Original(0, 0, ts) }()
+	pollUntil(t, "two queries executing", func() bool { return qs.met.inflight.Load() == 2 })
+
+	third := make(chan QueryResult, 1)
+	go func() { third <- qs.Interval(0, 1000, ts+1) }()
+	pollUntil(t, "a third query waiting for a slot", func() bool { return waitingForSlot() == 1 })
+	if got := qs.met.inflight.Load(); got != 2 {
+		t.Fatalf("inflight = %d with a query waiting, want 2", got)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		qs.Stop()
+		close(stopped)
+	}()
+	select {
+	case res := <-third:
+		if res.Err == nil || res.Err.Error() != "control: query server stopped" {
+			t.Fatalf("waiting query after Stop: %+v, want query server stopped", res)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop left the waiting query waiting")
+	}
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while two queries were still executing")
+	case res := <-interval:
+		t.Fatalf("interval answered while the history was locked: %+v", res)
+	case res := <-original:
+		t.Fatalf("original answered while the history was locked: %+v", res)
+	default:
+	}
+
+	ps.mu.Unlock()
+	locked = false
+	<-stopped
+	if res := <-interval; res.Err != nil || !reflect.DeepEqual(res.Counts, wantInterval) {
+		t.Fatalf("interval = %+v, want %v", res, wantInterval)
+	}
+	if res := <-original; res.Err != nil || !reflect.DeepEqual(res.Counts, wantOriginal) {
+		t.Fatalf("original = %+v, want %v", res, wantOriginal)
+	}
+	if got := qs.met.inflight.Load(); got != 0 {
+		t.Fatalf("inflight = %d after Stop, want 0", got)
 	}
 }

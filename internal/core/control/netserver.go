@@ -2,7 +2,6 @@ package control
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,8 +17,9 @@ import (
 //
 // The listener speaks one protocol: length-prefixed binary frames (wire.go
 // has the layout) with true multiplexing — many requests in flight per
-// connection, dispatched concurrently to the query workers and answered in
-// completion order, plus a batch op carrying many queries in one frame.
+// connection, each executed on a goroutine of its own (the query server
+// bounds how many run at once) and answered in completion order, plus a
+// batch op carrying many queries in one frame.
 // MuxClient is the matching client. A connection whose bytes are not a
 // valid frame is counted as a bad request and dropped without a reply.
 //
@@ -256,12 +256,12 @@ func (s *NetServer) release(n int64) {
 	s.inflightGauge.Add(-n)
 }
 
-// handle serves one connection: a reader loop decodes frames and dispatches
-// each request to the query workers concurrently, and a writer goroutine
-// streams replies back in completion order. A frame that fails to decode
-// means the stream can no longer be trusted (frames cannot resynchronize),
-// so the connection is dropped; the client treats that as poison and
-// redials.
+// handle serves one connection: a reader loop decodes frames and starts a
+// goroutine per request, which executes it under a query-server slot, and
+// a writer goroutine streams replies back in completion order. A frame
+// that fails to decode means the stream can no longer be trusted (frames
+// cannot resynchronize), so the connection is dropped; the client treats
+// that as poison and redials.
 func (s *NetServer) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -437,7 +437,7 @@ func (s *NetServer) encodeBatchReply(id uint64, resps []wireReply, tr *tracing.T
 	return appendBatchReplyFrame(getBuf(), id, resps)
 }
 
-// serveBatch fans a batch's queries out to the query workers concurrently
+// serveBatch runs a batch's queries concurrently, one goroutine each,
 // and answers with one frame once every query completes, in request order.
 func (s *NetServer) serveBatch(id uint64, qs []BatchQuery, tr *tracing.Trace, spD tracing.SpanHandle, out chan<- outFrame, reqWG *sync.WaitGroup, perConn *atomic.Int64) {
 	defer reqWG.Done()
@@ -571,20 +571,11 @@ func (s *NetServer) connWriter(conn net.Conn, out <-chan outFrame, done chan<- s
 	}
 }
 
-// executeWire runs one decoded query on the query workers, recording
-// stage spans into tr (nil for untraced requests). For OriginalQuery
-// the instant travels in Start.
+// executeWire runs one decoded query on the calling goroutine once the
+// query server grants it a slot, recording stage spans into tr (nil for
+// untraced requests). For OriginalQuery the instant travels in Start.
 func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) wireReply {
-	var res QueryResult
-	switch q.Kind {
-	case IntervalQuery:
-		res = s.qs.intervalTraced(q.Port, q.Start, q.End, tr)
-	case OriginalQuery:
-		res = s.qs.originalTraced(q.Port, q.Queue, q.Start, tr)
-	default:
-		s.badRequests.Inc()
-		return wireReply{Error: fmt.Sprintf("unknown kind %d", q.Kind)}
-	}
+	res := s.qs.submit(q, tr)
 	if res.Err != nil {
 		return wireReply{Error: res.Err.Error()}
 	}

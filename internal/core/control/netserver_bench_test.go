@@ -99,7 +99,7 @@ func delayDialer(d time.Duration) func(string, time.Duration) (net.Conn, error) 
 	}
 }
 
-// benchNetFixture is netFixture with more query workers and a shed limit
+// benchNetFixture is netFixture with more query slots and a shed limit
 // high enough that pipelined benchmarks measure throughput, not admission.
 func benchNetFixture(b *testing.B) *NetServer {
 	b.Helper()

@@ -95,8 +95,8 @@ func BenchmarkQueryInterval(b *testing.B) {
 }
 
 // BenchmarkQueryIntervalParallel measures the same wide query through the
-// QueryServer fan-out path, where long checkpoint runs shard across the
-// worker pool.
+// QueryServer fan-out path, where long checkpoint runs shard across
+// goroutines.
 func BenchmarkQueryIntervalParallel(b *testing.B) {
 	s, end := benchDeepSystem(b)
 	qs := NewQueryServer(s)

@@ -155,7 +155,7 @@ func boundaryIntervals(horizon, hotStart uint64) []interval {
 // TestQueryPathBoundaryDifferential pins the engine against the scan oracle
 // across the hot/cold partition, for every source an interval is answered
 // from on a switch: a bounded hot ring over the log, the same run sharded
-// across query workers, and the log alone after a restart. (The scan path
+// across goroutines, and the log alone after a restart. (The scan path
 // this test was written for once ignored the segment log entirely, so any
 // interval reaching below the oldest hot checkpoint silently lost the cold
 // contribution; the fleet package holds a Mirror to the same intervals.)

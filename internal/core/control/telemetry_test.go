@@ -121,7 +121,7 @@ func TestIntrospectLivePipeline(t *testing.T) {
 }
 
 // TestQueryServerMetrics checks the per-op latency histograms and error
-// counters around the query workers.
+// counters around query execution.
 func TestQueryServerMetrics(t *testing.T) {
 	sys, err := New(testConfig(0))
 	if err != nil {

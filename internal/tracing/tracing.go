@@ -221,20 +221,21 @@ func (t *Tracer) MaybeSlow(name string, start time.Time, dur time.Duration, err 
 	tr.finishDur(dur, errString(err))
 }
 
-// finish retains a completed trace.
+// finish retains a completed trace. It is counted only once both rings
+// hold it, so a caller that sees Started() == Finished() can Find it.
 func (t *Tracer) finish(tr *Trace) {
-	t.finished.Add(1)
-	if t.cfg.Finished != nil {
-		t.cfg.Finished.Inc()
-	}
+	tr.slow = tr.durNs >= t.cfg.SlowNs
 	t.ring.put(tr)
-	if tr.durNs >= t.cfg.SlowNs {
-		tr.slow = true
+	if tr.slow {
+		t.slow.put(tr)
 		t.slowN.Add(1)
 		if t.cfg.Slow != nil {
 			t.cfg.Slow.Inc()
 		}
-		t.slow.put(tr)
+	}
+	t.finished.Add(1)
+	if t.cfg.Finished != nil {
+		t.cfg.Finished.Inc()
 	}
 }
 

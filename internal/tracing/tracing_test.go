@@ -279,6 +279,44 @@ func TestCounterHooks(t *testing.T) {
 	}
 }
 
+// findOnFinish is a Finished hook that, whenever the tracer's totals say
+// every started trace has finished, looks the trace up the way a caller
+// waiting for that parity would.
+type findOnFinish struct {
+	tr     *Tracer
+	id     uint64
+	ring   bool // Find returned the trace
+	slowed bool // the slowlog held it, if it counted as slow
+}
+
+func (f *findOnFinish) Inc() {
+	if f.tr.Finished() != f.tr.Started() {
+		return
+	}
+	f.ring = f.tr.Find(f.id) != nil
+	f.slowed = f.tr.SlowCount() == 0
+	for _, s := range f.tr.Slow() {
+		f.slowed = f.slowed || s.ID() == f.id
+	}
+}
+
+// A trace is counted finished only once it can be found, so
+// Started() == Finished() followed by Find never misses it.
+func TestFinishedCountedAfterRetained(t *testing.T) {
+	for _, slowNs := range []uint64{1, uint64(time.Hour)} {
+		hook := &findOnFinish{}
+		tr := New(Config{SampleEvery: 1, SlowNs: slowNs, Finished: hook})
+		hook.tr = tr
+		trace := tr.Start("q")
+		hook.id = trace.ID()
+		time.Sleep(10 * time.Microsecond)
+		trace.Finish("")
+		if !hook.ring || !hook.slowed {
+			t.Fatalf("slowNs=%d: counted finished before retained (found=%v slowlog=%v)", slowNs, hook.ring, hook.slowed)
+		}
+	}
+}
+
 func TestEventLog(t *testing.T) {
 	el := NewEventLog(4)
 	var shed testCounter

@@ -32,9 +32,10 @@ type ServeOptions struct {
 	ShedLimit int
 }
 
-// Serve starts query workers plus a TCP listener on addr (use
-// "127.0.0.1:0" to pick a free port). Queries run concurrently with the
-// data plane; the per-packet path stays lock-free.
+// Serve starts a TCP listener on addr (use "127.0.0.1:0" to pick a free
+// port) and lets up to workers queries execute at once, each on the
+// goroutine that received it. Queries run concurrently with the data
+// plane; the per-packet path stays lock-free.
 func (s *System) Serve(addr string, workers int) (*QueryService, error) {
 	return s.ServeOpts(addr, workers, ServeOptions{})
 }
@@ -58,7 +59,8 @@ func (s *System) ServeOpts(addr string, workers int, opts ServeOptions) (*QueryS
 // Addr returns the listening address.
 func (q *QueryService) Addr() string { return q.srv.Addr().String() }
 
-// Close stops the listener and the query workers.
+// Close stops the listener and the query server, waiting for executing
+// queries.
 func (q *QueryService) Close() error {
 	err := q.srv.Close()
 	q.qs.Stop()
