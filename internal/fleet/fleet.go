@@ -2,9 +2,10 @@
 // the paper's higher-layer diagnosis applications (Fig. 2) that query the
 // per-switch analysis program on every hop of a packet's path. A
 // Collector maintains one multiplexed query session (MuxClient, with its
-// retry/backoff) per registered switch, polls their liveness, and fans
-// interval queries out to all switches on a path concurrently under a
-// bounded worker pool with a per-hop deadline.
+// retry/backoff) per registered switch and answers a path's interval
+// queries hop by hop: from the switch's mirror when it covers the
+// interval, otherwise by a network leg under a bounded worker pool with a
+// per-hop deadline.
 //
 // Partial-result semantics are the contract: every requested hop yields a
 // HopResult — a hop that errors or times out is reported with its error,
@@ -40,9 +41,7 @@ type SwitchInfo struct {
 // queryConn is the slice of the mux client the collector uses; a seam so
 // tests can substitute a stub without a listener.
 type queryConn interface {
-	Interval(port int, start, end uint64) (map[string]float64, error)
 	IntervalTraced(port int, start, end uint64, tr *tracing.Trace) (map[string]float64, error)
-	Reconnects() int64
 	Close() error
 }
 
@@ -53,24 +52,6 @@ type member struct {
 	// mirror is the switch's local checkpoint replica (nil unless
 	// Options.Mirror is set).
 	mirror *Mirror
-
-	mu      sync.Mutex
-	lastErr error
-	lastOK  time.Time
-}
-
-// note records the outcome of a round trip against the member's health.
-func (m *member) note(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err == nil || !transportError(err) {
-		// An application-level reply (even an error like "port not
-		// activated") proves the switch's query plane round-trips.
-		m.lastOK = time.Now()
-		m.lastErr = nil
-		return
-	}
-	m.lastErr = err
 }
 
 // transportError reports whether err is a transport-level failure (the
@@ -150,20 +131,12 @@ type Collector struct {
 	members map[string]*member
 	closed  bool
 
-	// flights coalesces identical in-flight network legs (singleflight
-	// per switch+port+interval): a thundering herd of dashboards asking
-	// the same question costs one upstream query.
-	flightMu sync.Mutex
-	flights  map[flightKey]*flightCall
-
 	queries     *telemetry.Counter
 	fanoutLat   *telemetry.Histogram
 	hopErrors   *telemetry.Counter
 	hopTimeouts *telemetry.Counter
 	partials    *telemetry.Counter
-	polls       *telemetry.Counter
 	switchesG   *telemetry.Gauge
-	coalesced   *telemetry.Counter
 
 	streamFrames        *telemetry.Counter
 	streamBytes         *telemetry.Counter
@@ -195,7 +168,6 @@ func New(opts Options) *Collector {
 		},
 		sem:     make(chan struct{}, opts.Workers),
 		members: make(map[string]*member),
-		flights: make(map[flightKey]*flightCall),
 		queries: reg.Counter("printqueue_fleet_queries_total",
 			"Fleet-level path queries fanned out by the collector."),
 		fanoutLat: reg.Histogram("printqueue_fleet_fanout_latency_ns",
@@ -207,12 +179,8 @@ func New(opts Options) *Collector {
 			"Per-hop failures inside fleet fan-outs.", telemetry.L("kind", "timeout")),
 		partials: reg.Counter("printqueue_fleet_partial_results_total",
 			"Fleet queries that returned with at least one failed hop alongside surviving answers."),
-		polls: reg.Counter("printqueue_fleet_polls_total",
-			"Liveness poll rounds issued to the registered switches."),
 		switchesG: reg.Gauge("printqueue_fleet_switches",
 			"Switches currently registered with the collector."),
-		coalesced: reg.Counter("printqueue_fleet_coalesced_queries_total",
-			"Hop queries answered by joining an identical in-flight network leg."),
 		streamFrames: reg.Counter("printqueue_fleet_stream_frames_total",
 			"Checkpoint frames ingested by the collector's mirrors."),
 		streamBytes: reg.Counter("printqueue_fleet_stream_bytes_total",
@@ -447,68 +415,14 @@ func (c *Collector) QueryPath(hops []HopRef, start, end uint64) []HopResult {
 	return results
 }
 
-// queryHop runs one hop's network leg (the mirror fast path, if any,
-// already declined inline in QueryPath), coalesced with identical
-// in-flight legs. A leg that dies with a transport error falls back to the
-// mirror as an explicit last resort — annotated stale, never silent —
-// which is how a blackholed switch keeps answering.
+// queryHop runs one hop's network leg (the mirror, if any, already
+// declined inline in QueryPath) under the per-hop deadline. The leg's
+// client spans and the hop's server spans land in tr (shared across legs;
+// span recording is lock-free and concurrent-safe). A leg that dies with a
+// transport error falls back to the mirror as an explicit last resort —
+// annotated stale, never silent — which is how a blackholed switch keeps
+// answering.
 func (c *Collector) queryHop(m *member, port int, start, end uint64, tr *tracing.Trace) HopResult {
-	res := c.queryHopNet(m, port, start, end, tr)
-	if res.Err != nil && transportError(res.Err) && m.mirror != nil {
-		if degraded, ok := c.tryMirror(m, port, start, end, true); ok {
-			if !degraded.Stale {
-				// Unreachable switch: annotate even a fully covered answer.
-				degraded.Stale = true
-				c.streamStaleServed.Inc()
-			}
-			return degraded
-		}
-	}
-	return res
-}
-
-// flightKey identifies one coalescable network leg.
-type flightKey struct {
-	id         string
-	port       int
-	start, end uint64
-}
-
-// flightCall is one in-flight leader; followers block on done and share
-// its result (including the counts map, which is read-only downstream).
-type flightCall struct {
-	done chan struct{}
-	res  HopResult
-}
-
-// queryHopNet coalesces identical concurrent network legs: the first
-// caller (the leader) performs the round trip, later callers wait for its
-// result. The leader already holds a fan-out pool slot, so followers
-// waiting never starve it.
-func (c *Collector) queryHopNet(m *member, port int, start, end uint64, tr *tracing.Trace) HopResult {
-	key := flightKey{id: m.info.ID, port: port, start: start, end: end}
-	c.flightMu.Lock()
-	if fc, ok := c.flights[key]; ok {
-		c.flightMu.Unlock()
-		c.coalesced.Inc()
-		<-fc.done
-		return fc.res
-	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flights[key] = fc
-	c.flightMu.Unlock()
-	fc.res = c.queryHopDirect(m, port, start, end, tr)
-	c.flightMu.Lock()
-	delete(c.flights, key)
-	c.flightMu.Unlock()
-	close(fc.done)
-	return fc.res
-}
-
-// queryHopDirect runs one fan-out leg under the per-hop deadline. The
-// leg's client spans and the hop's server spans land in tr (shared across
-// legs; span recording is lock-free and concurrent-safe).
-func (c *Collector) queryHopDirect(m *member, port int, start, end uint64, tr *tracing.Trace) HopResult {
 	res := HopResult{SwitchID: m.info.ID, Hop: m.info.Hop, Port: port}
 	sp := tr.StartSpan("fleet.hop."+m.info.ID, tracing.SrcClient)
 	t0 := time.Now()
@@ -544,7 +458,16 @@ func (c *Collector) queryHopDirect(m *member, port int, start, end uint64, tr *t
 	}
 	res.Latency = time.Since(t0)
 	sp.End()
-	m.note(res.Err)
+	if transportError(res.Err) && m.mirror != nil {
+		if degraded, ok := c.tryMirror(m, port, start, end, true); ok {
+			if !degraded.Stale {
+				// Unreachable switch: annotate even a fully covered answer.
+				degraded.Stale = true
+				c.streamStaleServed.Inc()
+			}
+			return degraded
+		}
+	}
 	return res
 }
 
@@ -560,93 +483,4 @@ func parseCounts(counts map[string]float64) (flow.Counts, error) {
 		flows[k] += n
 	}
 	return flows, nil
-}
-
-// Status is one switch's collector-side health.
-type Status struct {
-	Info SwitchInfo
-	// LastOK is when the switch last answered a round trip (application
-	// errors count: they prove the query plane is alive).
-	LastOK time.Time
-	// LastErr is the most recent transport failure, nil when healthy.
-	LastErr error
-	// Reconnects is the session's lifetime redial count — how often the
-	// connection was poisoned and re-established.
-	Reconnects int64
-}
-
-// Health snapshots every registered switch's state, sorted by hop.
-func (c *Collector) Health() []Status {
-	c.mu.Lock()
-	members := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		members = append(members, m)
-	}
-	c.mu.Unlock()
-	out := make([]Status, 0, len(members))
-	for _, m := range members {
-		m.mu.Lock()
-		out = append(out, Status{
-			Info:       m.info,
-			LastOK:     m.lastOK,
-			LastErr:    m.lastErr,
-			Reconnects: m.conn.Reconnects(),
-		})
-		m.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Info.Hop != out[j].Info.Hop {
-			return out[i].Info.Hop < out[j].Info.Hop
-		}
-		return out[i].Info.ID < out[j].Info.ID
-	})
-	return out
-}
-
-// Poll issues one cheap liveness query to every registered switch (an
-// interval probe on the given port) and records the outcomes; Health
-// reflects them. Probes run under the fan-out pool like any query.
-func (c *Collector) Poll(port int) {
-	c.polls.Inc()
-	c.mu.Lock()
-	members := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		members = append(members, m)
-	}
-	c.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			c.sem <- struct{}{}
-			defer func() { <-c.sem }()
-			_, err := m.conn.Interval(port, 0, 1)
-			m.note(err)
-		}(m)
-	}
-	wg.Wait()
-}
-
-// StartPolling launches a background liveness poller at the given period,
-// returning its stop function (idempotent).
-func (c *Collector) StartPolling(period time.Duration, port int) (stop func()) {
-	if period <= 0 {
-		period = time.Second
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				c.Poll(port)
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,23 +151,21 @@ func TestFleetPartialResults(t *testing.T) {
 	}
 }
 
-// slowConn stubs the query session seam: answers after a fixed delay.
+// slowConn stubs the query session seam: answers after a fixed delay and
+// counts the queries it was asked.
 type slowConn struct {
 	delay  time.Duration
 	counts map[string]float64
 	err    error
-}
-
-func (s *slowConn) Interval(port int, start, end uint64) (map[string]float64, error) {
-	time.Sleep(s.delay)
-	return s.counts, s.err
+	calls  atomic.Int64
 }
 
 func (s *slowConn) IntervalTraced(port int, start, end uint64, tr *tracing.Trace) (map[string]float64, error) {
-	return s.Interval(port, start, end)
+	s.calls.Add(1)
+	time.Sleep(s.delay)
+	return s.counts, s.err
 }
-func (s *slowConn) Reconnects() int64 { return 0 }
-func (s *slowConn) Close() error      { return nil }
+func (s *slowConn) Close() error { return nil }
 
 // stubDial points the collector's dial seam at canned connections by
 // address.
@@ -327,25 +326,6 @@ func checkForms(t *testing.T, res HopResult) {
 			t.Fatalf("hop %s flow %v: text count %v (present %v), keyed count %v", res.SwitchID, k, got, ok, n)
 		}
 	}
-}
-
-// TestFleetHealthPolling: polls mark switches healthy; a dead switch's
-// transport error surfaces in Health.
-func TestFleetHealthPolling(t *testing.T) {
-	c, addrs, _ := newFleet(t, 2, Options{
-		Dial: control.DialOptions{Timeout: 300 * time.Millisecond, MaxRetries: 1, BackoffBase: time.Microsecond},
-	})
-	_ = addrs
-	c.Poll(0)
-	for _, st := range c.Health() {
-		if st.LastOK.IsZero() || st.LastErr != nil {
-			t.Fatalf("healthy switch %s reported unhealthy: %+v", st.Info.ID, st)
-		}
-	}
-	stop := c.StartPolling(10*time.Millisecond, 0)
-	time.Sleep(35 * time.Millisecond)
-	stop()
-	stop() // idempotent
 }
 
 // TestFleetTracingJoined: a sampled fleet query produces one trace whose

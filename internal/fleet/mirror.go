@@ -82,8 +82,7 @@ type mirrorQKey struct {
 
 // mirrorQVal is a memoized answer, valid while the port's cover still has
 // the same end and record count. Both forms of the counts are shared with
-// every caller that hits the entry and must be treated as read-only (the
-// same contract the singleflight result already carries).
+// every caller that hits the entry and must be treated as read-only.
 type mirrorQVal struct {
 	covEnd uint64
 	covN   int
@@ -118,20 +117,19 @@ func (m *Mirror) storeQuery(key mirrorQKey, v mirrorQVal) {
 	m.qcache[key] = v
 }
 
-// mirrorDirName maps a switch ID to a safe directory component.
+// mirrorDirName maps a switch ID to a safe directory component, one to
+// one: [A-Za-z0-9-] stay as they are and every other byte, '_' included,
+// becomes '_' and two hex digits, so no two IDs share a replica directory.
+// Register refuses the empty ID, which would name the mirror root itself.
 func mirrorDirName(id string) string {
 	var b strings.Builder
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_':
-			b.WriteRune(r)
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-':
+			b.WriteByte(c)
 		default:
-			b.WriteByte('_')
+			fmt.Fprintf(&b, "_%02x", c)
 		}
-	}
-	if b.Len() == 0 {
-		return "switch"
 	}
 	return b.String()
 }

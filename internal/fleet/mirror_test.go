@@ -436,15 +436,15 @@ func TestFleetMirrorColdFallback(t *testing.T) {
 	}
 }
 
-// TestFleetCoalescedQueries: identical concurrent network legs collapse to
-// one upstream round trip; followers share the leader's result.
-func TestFleetCoalescedQueries(t *testing.T) {
+// TestFleetConcurrentIdenticalQueries: identical concurrent path queries
+// that the mirror cannot answer each send their own network leg, and every
+// caller gets the switch's answer.
+func TestFleetConcurrentIdenticalQueries(t *testing.T) {
 	want := map[string]float64{"10.0.0.1:5>10.0.1.1:80/tcp": 3}
+	slow := &slowConn{delay: 100 * time.Millisecond, counts: want}
 	c := New(Options{Workers: 16})
 	defer c.Close()
-	c.dial = stubDial(map[string]queryConn{
-		"slow": &slowConn{delay: 100 * time.Millisecond, counts: want},
-	})
+	c.dial = stubDial(map[string]queryConn{"slow": slow})
 	if err := c.Register(SwitchInfo{ID: "slow", Hop: 0, Addr: "slow"}); err != nil {
 		t.Fatal(err)
 	}
@@ -464,26 +464,53 @@ func TestFleetCoalescedQueries(t *testing.T) {
 			t.Fatalf("caller %d: %+v", i, rs[0])
 		}
 	}
-	coalesced := c.coalesced.Load()
-	if coalesced == 0 {
-		t.Fatal("no coalescing despite identical concurrent legs")
+	if got := slow.calls.Load(); got != callers {
+		t.Fatalf("switch asked %d times for %d identical path queries, want one leg each", got, callers)
 	}
-	if coalesced > callers-1 {
-		t.Fatalf("coalesced %d legs, more than the %d possible followers", coalesced, callers-1)
+}
+
+// TestFleetMirrorIDsShareNoDirectory: two switch IDs that differ only in a
+// byte the directory name must escape get replicas of their own, so each
+// hop's mirrored answer is its own switch's answer.
+func TestFleetMirrorIDsShareNoDirectory(t *testing.T) {
+	c := New(Options{Mirror: true, MirrorDir: t.TempDir()})
+	t.Cleanup(func() { c.Close() })
+	ids := []string{"a/b", "a_b"}
+	addrs := make([]string, len(ids))
+	var horizon uint64
+	for i, id := range ids {
+		addr, _, h, _ := startHistSwitch(t, i)
+		addrs[i], horizon = addr, h
+		if err := c.Register(SwitchInfo{ID: id, Hop: i, Addr: addr}); err != nil {
+			t.Fatalf("register %q: %v", id, err)
+		}
 	}
-	// A different interval must NOT join the flight.
-	res := c.QueryPath([]HopRef{{"slow", 0}}, 0, 101)[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	for _, id := range ids {
+		waitMirrorWarm(t, c, id, 0, horizon+1)
 	}
-	if got := c.coalesced.Load(); got != coalesced {
-		t.Fatalf("distinct interval coalesced: counter %d -> %d", coalesced, got)
+	results := c.QueryPath([]HopRef{{ids[0], 0}, {ids[1], 0}}, 1000, horizon+1)
+	for i, res := range results {
+		if res.Err != nil || !res.Mirrored {
+			t.Fatalf("hop %q not answered by its mirror: %+v", ids[i], res)
+		}
+		direct, err := control.DialMux(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := direct.Interval(0, 1000, horizon+1)
+		direct.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(res.Counts, want) {
+			t.Fatalf("hop %q: mirror counts %v != its switch's counts %v", ids[i], res.Counts, want)
+		}
 	}
 }
 
 // TestFleetStreamMetricsParity is the registry audit: every metric family
-// the collector registers — including the ten streaming/coalescing
-// families of mirror mode — must appear in the Prometheus exposition after
+// the collector registers — including the nine streaming families of
+// mirror mode — must appear in the Prometheus exposition after
 // a mirrored query.
 func TestFleetStreamMetricsParity(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -498,7 +525,6 @@ func TestFleetStreamMetricsParity(t *testing.T) {
 	exposition := buf.String()
 	names := reg.Names()
 	for _, want := range []string{
-		"printqueue_fleet_coalesced_queries_total",
 		"printqueue_fleet_stream_frames_total",
 		"printqueue_fleet_stream_bytes_total",
 		"printqueue_fleet_stream_resyncs_total",
