@@ -338,10 +338,14 @@ func (s *Store) AppendEncoded(payload []byte, port int, freezeTime, prevFreeze u
 }
 
 // appendPayloadLocked frames one encoded record into the active segment:
-// rotate when full, write, index, advance retention bookkeeping, fsync per
-// policy. Shared by the encode (AppendWith) and pre-encoded
-// (AppendEncoded) paths.
+// refuse it when it is out of its port's freeze order, rotate when full,
+// write, index, advance retention bookkeeping, fsync per policy. Shared by
+// the encode (AppendWith) and pre-encoded (AppendEncoded) paths.
 func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFreeze uint64, flags byte) error {
+	if err := s.checkOrderLocked(port, freezeTime, prevFreeze); err != nil {
+		s.appendErrs.Inc()
+		return err
+	}
 	if s.activeSeg.count > 0 &&
 		s.activeSeg.recordEnd+int64(len(payload))+8 > s.opts.SegmentBytes {
 		if err := s.rotateLocked(); err != nil {
@@ -361,7 +365,7 @@ func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFr
 		}
 		return err
 	}
-	s.activeSeg.index = append(s.activeSeg.index, indexEntry{
+	s.activeSeg.add(indexEntry{
 		port:       port,
 		freezeTime: freezeTime,
 		prevFreeze: prevFreeze,
@@ -369,7 +373,6 @@ func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFr
 		payloadLen: uint32(len(payload)),
 		flags:      flags,
 	})
-	s.activeSeg.noteRecord(freezeTime, prevFreeze)
 	s.activeSeg.recordEnd += int64(n)
 	s.activeSeg.fileSize = s.activeSeg.recordEnd
 	if freezeTime > s.maxFreezeSeen {
@@ -388,6 +391,24 @@ func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFr
 		}
 	}
 	s.updateDiskGaugesLocked()
+	return nil
+}
+
+// checkOrderLocked refuses a record of port covering (prevFreeze,
+// freezeTime] that would break the port's freeze order: its coverage is
+// inverted, or it starts before the port's newest logged record ends.
+// Covering's binary search rests on that order.
+func (s *Store) checkOrderLocked(port int, freezeTime, prevFreeze uint64) error {
+	if freezeTime < prevFreeze {
+		return fmt.Errorf("histstore: port %d record covers (%d, %d], an inverted interval", port, prevFreeze, freezeTime)
+	}
+	last, ok, err := s.lastFreezeLocked(port)
+	if err != nil {
+		return err
+	}
+	if ok && prevFreeze < last {
+		return fmt.Errorf("histstore: port %d record covers (%d, %d], before the port's newest freeze %d", port, prevFreeze, freezeTime, last)
+	}
 	return nil
 }
 
@@ -453,62 +474,97 @@ func (s *Store) updateDiskGaugesLocked() {
 	s.segments.Set(n)
 }
 
+// segAt returns the i-th segment in log order: the sealed ones, then the
+// active one at i == len(s.sealed) (nil once the store is closed).
+func (s *Store) segAt(i int) *segment {
+	if i < len(s.sealed) {
+		return s.sealed[i]
+	}
+	return s.activeSeg
+}
+
+// indexLocked loads a sealed segment's index on first touch.
+func (s *Store) indexLocked(seg *segment) error {
+	if seg.index != nil {
+		return nil
+	}
+	if err := seg.loadIndex(); err != nil {
+		return err
+	}
+	s.indexLoads.Inc()
+	return nil
+}
+
 // Covering returns the cold checkpoints for port whose coverage interval
 // (PrevFreeze, FreezeTime] overlaps the query interval [start, end), in
-// ascending freeze-time order. Sealed-segment indexes are loaded lazily on
-// first touch; records are decoded on cache miss and their index retained in
-// the LRU.
+// ascending freeze-time order. Each overlapping segment's view of the port
+// is binary-searched for its first record ending after start and read up to
+// the first one starting at or after end, so a segment costs O(log n + hits)
+// however many records of other ports it holds. A segment an older build
+// left out of freeze order is scanned instead, and the hits sorted.
+// Sealed-segment indexes are loaded lazily on first touch; records are
+// decoded on cache miss and their index retained in the LRU.
 func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error) {
 	if end <= start {
 		return nil, nil
 	}
 	type locator struct {
-		seg   uint64
-		path  string
-		limit int64
-		entry indexEntry
+		seg    uint64
+		path   string
+		limit  int64
+		off    int64
+		freeze uint64
 	}
 	var locs []locator
+	sorted := true
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("histstore: store is closed")
 	}
-	segs := make([]*segment, 0, len(s.sealed)+1)
-	segs = append(segs, s.sealed...)
-	if s.activeSeg != nil {
-		segs = append(segs, s.activeSeg)
-	}
-	for _, seg := range segs {
+	for i := 0; i <= len(s.sealed); i++ {
+		seg := s.segAt(i)
 		if !seg.overlaps(start, end) {
 			continue
 		}
-		if seg.index == nil {
-			if err := seg.loadIndex(); err != nil {
-				s.mu.Unlock()
-				return nil, err
-			}
-			s.indexLoads.Inc()
+		if err := s.indexLocked(seg); err != nil {
+			s.mu.Unlock()
+			return nil, err
 		}
-		for _, e := range seg.index {
-			if e.port == port && e.freezeTime > start && e.prevFreeze < end {
-				locs = append(locs, locator{seg: seg.seq, path: seg.path, limit: seg.recordEnd, entry: e})
+		view, j := seg.ports[port], 0
+		if !seg.unordered {
+			j = seg.firstEndingAfter(view, start)
+		}
+		for ; j < len(view); j++ {
+			e := &seg.index[view[j]]
+			if e.prevFreeze >= end && !seg.unordered {
+				break
 			}
+			if e.freezeTime <= start || e.prevFreeze >= end {
+				continue
+			}
+			if n := len(locs); n > 0 && e.freezeTime < locs[n-1].freeze {
+				sorted = false
+			}
+			locs = append(locs, locator{seg: seg.seq, path: seg.path, limit: seg.recordEnd, off: e.offset, freeze: e.freezeTime})
 		}
 	}
 	s.mu.Unlock()
+	if !sorted {
+		sort.SliceStable(locs, func(i, j int) bool { return locs[i].freeze < locs[j].freeze })
+	}
 
 	out := make([]*ColdCheckpoint, 0, len(locs))
 	for _, l := range locs {
-		key := cacheKey{seg: l.seg, off: l.entry.offset}
+		key := cacheKey{seg: l.seg, off: l.off}
 		if cp, ok := s.cache.get(key); ok {
 			s.cacheHits.Inc()
 			out = append(out, cp)
 			continue
 		}
 		s.cacheMisses.Inc()
-		cp, err := s.decodeAt(key, l.path, l.entry.offset, l.limit)
+		cp, err := s.decodeAt(key, l.path, l.off, l.limit)
 		if err != nil {
 			if os.IsNotExist(err) {
 				// Segment pruned between index snapshot and read: the data
@@ -520,9 +576,6 @@ func (s *Store) Covering(port int, start, end uint64) ([]*ColdCheckpoint, error)
 		}
 		out = append(out, cp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].freezeTime < out[j].freezeTime
-	})
 	return out, nil
 }
 
@@ -536,24 +589,21 @@ func (s *Store) LastFreeze(port int) (freeze uint64, ok bool, err error) {
 	if s.closed {
 		return 0, false, fmt.Errorf("histstore: store is closed")
 	}
-	segs := append(s.sealed[:len(s.sealed):len(s.sealed)], s.activeSeg)
-	for i := len(segs) - 1; i >= 0; i-- {
-		seg := segs[i]
+	return s.lastFreezeLocked(port)
+}
+
+// lastFreezeLocked is LastFreeze under the store lock: the largest freeze
+// time of the port in the newest segment that has a record of it.
+func (s *Store) lastFreezeLocked(port int) (uint64, bool, error) {
+	for i := len(s.sealed); i >= 0; i-- {
+		seg := s.segAt(i)
 		if seg == nil || seg.count == 0 {
 			continue
 		}
-		if seg.index == nil {
-			if err := seg.loadIndex(); err != nil {
-				return 0, false, err
-			}
-			s.indexLoads.Inc()
+		if err := s.indexLocked(seg); err != nil {
+			return 0, false, err
 		}
-		for _, e := range seg.index {
-			if e.port == port && (!ok || e.freezeTime > freeze) {
-				freeze, ok = e.freezeTime, true
-			}
-		}
-		if ok {
+		if freeze, ok := seg.lastFreeze(port); ok {
 			return freeze, true, nil
 		}
 	}
@@ -583,23 +633,16 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 		s.mu.Unlock()
 		return fmt.Errorf("histstore: store is closed")
 	}
-	segs := make([]*segment, 0, len(s.sealed)+1)
-	segs = append(segs, s.sealed...)
-	if s.activeSeg != nil {
-		segs = append(segs, s.activeSeg)
-	}
-	for _, seg := range segs {
+	for i := 0; i <= len(s.sealed); i++ {
+		seg := s.segAt(i)
 		// An empty segment (the fresh active one) has nothing to replay and
 		// no footer to load an index from.
 		if seg.count == 0 || seg.maxFreeze <= since {
 			continue
 		}
-		if seg.index == nil {
-			if err := seg.loadIndex(); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-			s.indexLoads.Inc()
+		if err := s.indexLocked(seg); err != nil {
+			s.mu.Unlock()
+			return err
 		}
 		for _, e := range seg.index {
 			if e.freezeTime > since {

@@ -207,6 +207,47 @@ func TestRecoveryMultiSegmentCrash(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsPortOutOfOrder: an intact record of an unsealed segment
+// that starts, and ends, before its port's previous record ends — builds
+// that did not refuse such an append wrote them — is recovered, not
+// truncated: the store opens with every record, answers Covering and
+// LastFreeze as the linear scan does (the port's newest freeze is not its
+// last record's), and appends after that freeze.
+func TestRecoveryKeepsPortOutOfOrder(t *testing.T) {
+	dir, bounds, end := crashedStore(t, 5)
+	payload, err := EncodeRecord(nil, smallRecord(t, 0, end-250, end-50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := appendFrame(f, payload)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir, Options{})
+	defer st.Close()
+	if stats := st.Stats(); stats.RecoveredRecords != 6 || stats.TruncatedBytes != 0 {
+		t.Fatalf("recovered %d records, truncated %d bytes; want 6 and none", stats.RecoveredRecords, stats.TruncatedBytes)
+	}
+	if fi, err := os.Stat(segPath(dir, 1)); err != nil || fi.Size() != bounds[5]+int64(n) {
+		t.Fatalf("segment left at %v bytes (%v), want %d", fi.Size(), err, bounds[5]+int64(n))
+	}
+	checkCoveringMatchesScan(t, st, []int{0}, [][2]uint64{{0, end + 200}, {end - 120, end - 110}, {end - 60, end - 40}, {end, end + 1}})
+	if freeze, _, err := st.LastFreeze(0); err != nil || freeze != end {
+		t.Fatalf("LastFreeze(0) = %d, %v; want %d", freeze, err, end)
+	}
+	if err := st.Append(smallRecord(t, 0, end-50, end+100)); err == nil {
+		t.Fatal("appended a record starting before the port's newest freeze")
+	}
+	if err := st.Append(smallRecord(t, 0, end, end+100)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryGarbageHeader: a segment whose header is trash recovers to
 // zero records (fully truncated) rather than failing the open.
 func TestRecoveryGarbageHeader(t *testing.T) {

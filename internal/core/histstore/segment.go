@@ -62,7 +62,7 @@ type indexEntry struct {
 }
 
 // segment is the in-memory handle for one segment file. For sealed
-// segments, index is nil until loadIndex is called.
+// segments, index and ports are nil until loadIndex is called.
 type segment struct {
 	seq       uint64
 	path      string
@@ -73,6 +73,73 @@ type segment struct {
 	minPrev   uint64 // min PrevFreeze over records; ^0 when empty
 	maxFreeze uint64 // max FreezeTime over records; 0 when empty
 	index     []indexEntry
+	// ports is the per-port view of index: for each port, the positions
+	// of its records in index, in log order. One port's coverages ascend
+	// and are disjoint — an append that would break this is refused — so
+	// each view is in freeze order, with FreezeTime and PrevFreeze both
+	// nondecreasing, and Covering binary-searches it.
+	ports map[int][]uint32
+	// unordered is set when some port's view is not in that order: a
+	// record's coverage is inverted, or starts before its port's previous
+	// record ends. Builds that did not refuse such appends wrote them (a
+	// reopened switch logged (0, now] after its ports' older records), and
+	// the records are kept; Covering and LastFreeze scan this segment's
+	// views instead of searching them.
+	unordered bool
+}
+
+// add indexes one record at the end of the segment and its port's view,
+// marking the segment unordered when the record breaks its port's freeze
+// order.
+func (s *segment) add(e indexEntry) {
+	view := s.ports[e.port]
+	if e.prevFreeze > e.freezeTime || len(view) > 0 && s.index[view[len(view)-1]].freezeTime > e.prevFreeze {
+		s.unordered = true
+	}
+	if s.ports == nil {
+		s.ports = make(map[int][]uint32)
+	}
+	s.ports[e.port] = append(view, uint32(len(s.index)))
+	s.index = append(s.index, e)
+	s.count++
+	if e.prevFreeze < s.minPrev {
+		s.minPrev = e.prevFreeze
+	}
+	if e.freezeTime > s.maxFreeze {
+		s.maxFreeze = e.freezeTime
+	}
+}
+
+// lastFreeze returns the largest FreezeTime of port's records in the
+// segment, whose index must be loaded: the last entry of its view, or the
+// largest one in an unordered segment.
+func (s *segment) lastFreeze(port int) (freeze uint64, ok bool) {
+	view := s.ports[port]
+	if len(view) == 0 {
+		return 0, false
+	}
+	if !s.unordered {
+		return s.index[view[len(view)-1]].freezeTime, true
+	}
+	for _, i := range view {
+		freeze = max(freeze, s.index[i].freezeTime)
+	}
+	return freeze, true
+}
+
+// firstEndingAfter returns the position in view of the first record whose
+// FreezeTime is past t, or len(view) when there is none.
+func (s *segment) firstEndingAfter(view []uint32, t uint64) int {
+	lo, hi := 0, len(view)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.index[view[m]].freezeTime > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 func segPath(dir string, seq uint64) string {
@@ -312,7 +379,11 @@ func (s *segment) loadIndex() error {
 	if len(index) != s.count {
 		return fmt.Errorf("histstore: %s footer has %d records, trailer says %d", s.path, len(index), s.count)
 	}
-	s.index = index
+	v := segment{index: make([]indexEntry, 0, len(index))}
+	for _, e := range index {
+		v.add(e)
+	}
+	s.index, s.ports, s.unordered = v.index, v.ports, v.unordered
 	return nil
 }
 
@@ -373,7 +444,7 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 		}
 		var hlen [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(hlen[:], uint64(len(payload)))
-		seg.index = append(seg.index, indexEntry{
+		seg.add(indexEntry{
 			port:       rec.Port,
 			freezeTime: rec.FreezeTime,
 			prevFreeze: rec.PrevFreeze,
@@ -381,7 +452,6 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 			payloadLen: uint32(len(payload)),
 			flags:      recFlags(rec),
 		})
-		seg.noteRecord(rec.FreezeTime, rec.PrevFreeze)
 		off += int64(n) + int64(len(payload)) + 4
 	}
 	seg.recordEnd = off
@@ -395,16 +465,6 @@ func recFlags(rec *Record) byte {
 		fl |= recFlagSpecial
 	}
 	return fl
-}
-
-func (s *segment) noteRecord(freeze, prev uint64) {
-	s.count++
-	if prev < s.minPrev {
-		s.minPrev = prev
-	}
-	if freeze > s.maxFreeze {
-		s.maxFreeze = freeze
-	}
 }
 
 // overlaps reports whether any record in the segment can cover part of the

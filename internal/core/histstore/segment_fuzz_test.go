@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"printqueue/internal/telemetry"
@@ -77,6 +80,13 @@ func segmentSeeds(tb testing.TB) []namedPayload {
 	badCRC[trailer+24] ^= 1
 	frameLenPast63 := binary.AppendUvarint(bytes.Clone(segHeader[:]), 1<<63)
 	frameLenPast63 = append(frameLenPast63, seg[segHeaderSize:footer]...)
+	// The footer lists port 1's first two records the other way round:
+	// each entry still locates its own record, but out of freeze order.
+	index, err := decodeFooter(seg[footer:trailer])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	index[0], index[1] = index[1], index[0]
 	return []namedPayload{
 		{"v3_records", seg},
 		{"torn_tail", seg[:footer-7]},
@@ -84,6 +94,7 @@ func segmentSeeds(tb testing.TB) []namedPayload {
 		{"footer_len_past_file", footerLenPastFile},
 		{"bad_footer_crc", badCRC},
 		{"frame_len_past_2_63", frameLenPast63}, // a length that turns negative as an int64
+		{"footer_port_out_of_order", reseal(encodeFooter(index))},
 	}
 }
 
@@ -95,8 +106,9 @@ func segmentSeeds(tb testing.TB) []namedPayload {
 // multiple of the file; it either fails or yields a store whose every
 // record the recovery scan indexed decodes. A segment Open takes on its
 // trailer's word has its footer read on first use: the read may fail, but
-// it too must not panic or allocate beyond the bound. The committed corpus
-// holds segmentSeeds.
+// it too must not panic or allocate beyond the bound. Every store Open
+// yields answers Covering and LastFreeze as the linear scans do, on each
+// port its records name. The committed corpus holds segmentSeeds.
 func FuzzOpenSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, older := range []bool{false, true} {
@@ -124,17 +136,21 @@ func FuzzOpenSegment(f *testing.F) {
 				continue
 			}
 			n := 0
+			ports, bounds := []int{0, 1}, []uint64{0, math.MaxUint64}
 			var undecodable, replayErr error
 			got := allocatedBy(func() {
-				replayErr = st.ReplaySince(0, func(payload []byte, _ int, _, _ uint64, _ bool) error {
+				replayErr = st.ReplaySince(0, func(payload []byte, port int, freeze, prev uint64, _ bool) error {
 					n++
 					if _, err := DecodeRecord(payload); err != nil && undecodable == nil {
 						undecodable = fmt.Errorf("record %d: %w", n, err)
 					}
+					ports, bounds = append(ports, port), append(bounds, prev, freeze)
 					return nil
 				})
 			})
 			recovered := st.Stats().RecoveredRecords
+			slices.Sort(ports)
+			checkCoveringMatchesScan(t, st, slices.Compact(ports), boundIntervals(bounds))
 			st.Close()
 			if got > bound {
 				t.Fatalf("replaying a %d-byte segment allocated %d bytes, bound %d", len(b), got, bound)
@@ -149,13 +165,29 @@ func FuzzOpenSegment(f *testing.F) {
 	})
 }
 
+// boundIntervals are the intervals between any two of the first few
+// boundaries given.
+func boundIntervals(bounds []uint64) [][2]uint64 {
+	bounds = bounds[:min(len(bounds), 12)]
+	var ivs [][2]uint64
+	for _, a := range bounds {
+		for _, b := range bounds {
+			if a < b {
+				ivs = append(ivs, [2]uint64{a, b})
+			}
+		}
+	}
+	return ivs
+}
+
 // TestSegmentCorpusCurrent: the committed FuzzOpenSegment corpus holds the
 // seeds segmentSeeds builds from today's writer (rerun with -update-corpus
 // after a deliberate format change), and each opens as its damage says: the
 // intact segment with every record, the torn tail with every intact one,
-// the damaged footers with a refusal to read them, the footer length past
-// the file as a recovered segment, and a frame length past 2^63 as a torn
-// tail from the header on.
+// the damaged footers with a refusal to read them, a footer listing a
+// port's records out of freeze order with every record, the footer length
+// past the file as a recovered segment, and a frame length past 2^63 as a
+// torn tail from the header on.
 func TestSegmentCorpusCurrent(t *testing.T) {
 	for _, seed := range segmentSeeds(t) {
 		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.payload))
@@ -190,7 +222,7 @@ func TestSegmentCorpusCurrent(t *testing.T) {
 		stats := st.Stats()
 		st.Close()
 		switch seed.name {
-		case "v3_records":
+		case "v3_records", "footer_port_out_of_order":
 			if err != nil || n != 3 {
 				t.Fatalf("%s: replayed %d records: %v", seed.name, n, err)
 			}
@@ -211,5 +243,42 @@ func TestSegmentCorpusCurrent(t *testing.T) {
 				t.Fatalf("%s: recovered %d records, replayed %d: %v", seed.name, stats.RecoveredRecords, n, err)
 			}
 		}
+	}
+}
+
+// TestOpenSegmentFooterOutOfOrder pins the committed corpus entry whose
+// footer lists port 1's records out of freeze order, as the footer of a
+// segment an older build wrote can: the store reads the footer, answers
+// Covering and LastFreeze as the linear scan does, with port 1's records in
+// freeze order, and appends after the port's newest freeze.
+func TestOpenSegmentFooterOutOfOrder(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join(segmentCorpusDir, "footer_port_out_of_order"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	if _, err := fmt.Sscanf(strings.TrimPrefix(string(b), "go test fuzz v1\n"), "[]byte(%q)", &seg); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir, Options{})
+	defer st.Close()
+	cps, err := st.Covering(1, 0, math.MaxUint64)
+	if err != nil || coverages(cps) != "[(50,100](100,200](200,300]]" {
+		t.Fatalf("Covering(1) = %s, %v; want port 1's three records in freeze order", coverages(cps), err)
+	}
+	if !st.sealed[0].unordered {
+		t.Fatal("the footer read as in order")
+	}
+	checkCoveringMatchesScan(t, st, []int{0, 1, 2}, boundIntervals([]uint64{0, 50, 99, 100, 150, 200, 300, math.MaxUint64}))
+	last, _, err := st.LastFreeze(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(smallRecord(t, 1, last, last+100)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -472,7 +472,9 @@ func (c *Collector) queryHop(m *member, port int, start, end uint64, tr *tracing
 }
 
 // parseCounts keys a switch's wire reply by flow. This is the one place the
-// collector parses a flow key: a malformed one fails the hop.
+// collector parses a flow key: a malformed one fails the hop. ParseKey reads
+// a key from its one text form only, so no two reply keys name one flow and
+// Counts[k.String()] == Flows[k] holds.
 func parseCounts(counts map[string]float64) (flow.Counts, error) {
 	flows := make(flow.Counts, len(counts))
 	for s, n := range counts {
@@ -480,7 +482,7 @@ func parseCounts(counts map[string]float64) (flow.Counts, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: malformed flow key %q in hop reply: %w", s, err)
 		}
-		flows[k] += n
+		flows[k] = n
 	}
 	return flows, nil
 }

@@ -273,6 +273,27 @@ func TestFleetDiagnose(t *testing.T) {
 	}
 }
 
+// TestFleetReplyKeySpelledTwice: a reply naming one flow under two texts —
+// its protocol as a name and as a number — fails the hop as malformed
+// instead of summing both into one Flows entry beside two Counts entries.
+func TestFleetReplyKeySpelledTwice(t *testing.T) {
+	c := New(Options{})
+	defer c.Close()
+	c.dial = stubDial(map[string]queryConn{
+		"sw": &slowConn{counts: map[string]float64{
+			"10.0.0.1:5>10.0.1.1:80/tcp":    3,
+			"10.0.0.1:5>10.0.1.1:80/proto6": 2,
+		}},
+	})
+	if err := c.Register(SwitchInfo{ID: "sw", Addr: "sw"}); err != nil {
+		t.Fatal(err)
+	}
+	res := c.QueryPath([]HopRef{{"sw", 0}}, 0, 100)
+	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "malformed flow key") || res[0].Flows != nil {
+		t.Fatalf("QueryPath took a flow under two keys: %+v", res[0])
+	}
+}
+
 // TestFleetDiagnoseMalformedKey: a hop replying with an unparseable flow
 // key degrades to a per-hop error, not a fatal diagnosis failure.
 func TestFleetDiagnoseMalformedKey(t *testing.T) {

@@ -5,8 +5,9 @@ package fleet
 // CheckpointStream subscription. Frames arrive carrying the switch's
 // already-encoded record payload plus its index metadata, so replication
 // costs one segment-log append and zero codec work; interval queries then
-// run the same coverage-binary-search + cell-index machinery the switch
-// itself uses, at local speed, with no per-query network round trip.
+// run the switch's own cold-tier path — histstore.Covering's per-port
+// binary search over each segment's records, then the cell-index fold — at
+// local speed, with no per-query network round trip.
 //
 // Soundness is coverage-based, not wall-clock-based: per-port freeze times
 // are monotone, so once a record covering (PrevFreeze, FreezeTime] has

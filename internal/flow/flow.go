@@ -200,8 +200,10 @@ func appendIPv4(b []byte, ip [4]byte) []byte {
 	return b
 }
 
-// ParseKey parses the format produced by String. It accepts "<none>" for the
-// zero key.
+// ParseKey parses the text AppendText writes — that text and no other
+// spelling of the same key, such as one with a leading zero or a protocol
+// number where AppendText names the protocol, so two distinct texts never
+// name one flow. It accepts "<none>" for the zero key.
 func ParseKey(s string) (Key, error) {
 	if s == "<none>" {
 		return Zero, nil
@@ -220,11 +222,13 @@ func ParseKey(s string) (Key, error) {
 		if !strings.HasPrefix(ps, "proto") {
 			return Zero, fmt.Errorf("flow: bad protocol %q", ps)
 		}
-		n, err := strconv.ParseUint(ps[len("proto"):], 10, 8)
+		n, err := parseDecimal(ps[len("proto"):], 8)
 		if err != nil {
 			return Zero, fmt.Errorf("flow: bad protocol %q: %v", ps, err)
 		}
-		proto = Proto(n)
+		if proto = Proto(n); proto == ProtoTCP || proto == ProtoUDP {
+			return Zero, fmt.Errorf("flow: protocol %q is written %q", ps, proto.String())
+		}
 	}
 	gt := strings.IndexByte(s, '>')
 	if gt < 0 {
@@ -238,7 +242,21 @@ func ParseKey(s string) (Key, error) {
 	if err != nil {
 		return Zero, err
 	}
-	return NewKey(src, sport, dst, dport, proto), nil
+	k := NewKey(src, sport, dst, dport, proto)
+	if k.IsZero() {
+		return Zero, fmt.Errorf("flow: the zero key is written %q, not %q", "<none>", s)
+	}
+	return k, nil
+}
+
+// parseDecimal parses a decimal number of at most bits bits, written as
+// AppendText writes one: digits only, no leading zero. (netip.ParseAddr
+// already holds an IPv4 address to that.)
+func parseDecimal(s string, bits int) (uint64, error) {
+	if len(s) > 1 && s[0] == '0' {
+		return 0, fmt.Errorf("leading zero in %q", s)
+	}
+	return strconv.ParseUint(s, 10, bits)
 }
 
 func parseHostPort(s string) (netip.Addr, uint16, error) {
@@ -253,7 +271,7 @@ func parseHostPort(s string) (netip.Addr, uint16, error) {
 	if !addr.Is4() {
 		return netip.Addr{}, 0, fmt.Errorf("flow: only IPv4 keys supported, got %q", s)
 	}
-	port, err := strconv.ParseUint(s[colon+1:], 10, 16)
+	port, err := parseDecimal(s[colon+1:], 16)
 	if err != nil {
 		return netip.Addr{}, 0, fmt.Errorf("flow: bad port in %q: %v", s, err)
 	}

@@ -38,6 +38,72 @@ func sprintfKey(k Key) string {
 	return fmt.Sprintf("%s:%d>%s:%d/%s", k.Src(), k.SrcPort, k.Dst(), k.DstPort, k.Proto)
 }
 
+// TestParseKeyRefusesOtherSpellings: ParseKey reads the text AppendText
+// writes and nothing else, so one flow never arrives under two text keys —
+// a protocol number where AppendText names the protocol, leading zeros, a
+// sign, and the zero key spelled out are all refused.
+func TestParseKeyRefusesOtherSpellings(t *testing.T) {
+	for _, s := range []string{
+		"1.2.3.4:0443>5.6.7.8:2/tcp",
+		"1.2.3.4:443>5.6.7.8:2/proto6",
+		"1.2.3.4:443>5.6.7.8:2/proto017",
+		"1.2.3.4:443>5.6.7.8:2/proto17",
+		"1.2.3.4:443>5.6.7.8:2/proto089",
+		"01.2.3.4:443>5.6.7.8:2/tcp",
+		"1.2.3.4:443>5.6.7.008:2/udp",
+		"1.2.3.4:443>5.6.7.8:00/udp",
+		"1.2.3.4:+443>5.6.7.8:2/tcp",
+		"1.2.3.4:443>5.6.7.8:2/TCP",
+		"1.2.3.4:443>5.6.7.8:2/tcp ",
+		"1.2.3.4:65536>5.6.7.8:2/tcp",
+		"1.2.3.256:1>5.6.7.8:2/tcp",
+		"1.2.3:1>5.6.7.8:2/tcp",
+		"1.2.3.4.5:1>5.6.7.8:2/tcp",
+		"::ffff:1.2.3.4:1>5.6.7.8:2/tcp",
+		"1.2.3.4:1>5.6.7.8:2/proto256",
+		"1.2.3.4:1>5.6.7.8:2/proto",
+		"0.0.0.0:0>0.0.0.0:0/proto0",
+		"",
+	} {
+		if k, err := ParseKey(s); err == nil {
+			t.Errorf("ParseKey(%q) = %v, want an error: AppendText writes that key %q", s, k, k.String())
+		}
+	}
+	for _, s := range []string{
+		"1.2.3.4:443>5.6.7.8:2/tcp",
+		"1.2.3.4:0>5.6.7.8:65535/udp",
+		"0.0.0.0:0>0.0.0.0:0/proto1",
+		"255.255.255.255:65535>255.255.255.255:65535/proto255",
+		"<none>",
+	} {
+		if k, err := ParseKey(s); err != nil || k.String() != s {
+			t.Errorf("ParseKey(%q) = %v, %v", s, k, err)
+		}
+	}
+}
+
+// BenchmarkKeyText is one key's text each way: written into a sized buffer,
+// and parsed back.
+func BenchmarkKeyText(b *testing.B) {
+	k := NewKey(netip.MustParseAddr("10.1.200.3"), 12345, netip.MustParseAddr("192.168.0.9"), 443, ProtoTCP)
+	b.Run("AppendText", func(b *testing.B) {
+		buf := make([]byte, 0, MaxKeyTextLen)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = k.AppendText(buf[:0])
+		}
+	})
+	b.Run("ParseKey", func(b *testing.B) {
+		s := k.String()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseKey(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestAppendTextMatchesSprintf: AppendText (and String over it) is
 // byte-identical to the fmt rendering for random keys, the zero key, every
 // protocol number and the longest key; ParseKey inverts it; it appends after
