@@ -45,6 +45,13 @@ var fences = []fence{
 		pattern: regexp.MustCompile(`\bhandleJSON\b|\bQueryClient\b`),
 	},
 	{
+		// Every query travels in one request frame and is answered in one
+		// reply frame: neither the single-query ops, the batch ops, nor
+		// their traced twins come back.
+		name: "one request frame, one reply frame", root: "internal/core/control",
+		pattern: regexp.MustCompile(`\bop(Query|Reply|Batch)\w*|\bop[A-Z]\w*T\b`),
+	},
+	{
 		// A hop answer carries its counts keyed by flow from the fold to
 		// the ranking. The collector parses a flow key only where a
 		// switch's reply enters it (fleet.go), never to rank it.

@@ -27,7 +27,8 @@ import (
 //   - Ids make late replies harmless: a reply whose id is no longer
 //     pending (its waiter timed out and moved on) is discarded, never
 //     surfaced to the wrong caller.
-//   - Any transport failure — an I/O error, a torn or undecodable frame —
+//   - Any transport failure — an I/O error, a torn or undecodable frame, a
+//     reply whose result count is not its request's query count —
 //     poisons the connection: every pending request fails with a
 //     retryable error, the socket is closed, and the next attempt
 //     redials. Frames cannot resynchronize mid-stream, so poisoning is
@@ -57,7 +58,7 @@ type MuxClient struct {
 	gen     uint64 // bumped per adopted connection; stale poisons no-op
 	broken  bool
 	nextID  uint64
-	pending map[uint64]chan muxReply
+	pending map[uint64]muxWaiter
 
 	// wmu serializes frame writes (a frame must hit the wire contiguously).
 	wmu sync.Mutex
@@ -70,17 +71,23 @@ type MuxClient struct {
 	timeoutCtr, retryCtr, reconnectCtr *telemetry.Counter
 
 	// tracer samples round trips into end-to-end traces (nil = off). A
-	// sampled query is sent as a traced frame carrying the trace id, and the
-	// reply's server-side spans are folded into the client trace.
+	// sampled request carries its trace id, and the reply's server-side
+	// spans are folded into the client trace.
 	tracer *tracing.Tracer
+}
+
+// muxWaiter is a round trip parked in the pending map: where its reply goes
+// and how many results that reply must carry.
+type muxWaiter struct {
+	ch chan muxReply
+	n  int
 }
 
 // muxReply is what the reader goroutine delivers to a waiting round trip.
 type muxReply struct {
-	result BatchResult    // single-query replies
-	batch  []BatchResult  // batch replies
-	spans  []tracing.Span // server-side spans from a traced reply
-	err    error          // transport-level failure (the connection died)
+	results []BatchResult  // one per query, in request order
+	spans   []tracing.Span // server-side spans from a traced request
+	err     error          // transport-level failure (the connection died)
 }
 
 // muxTimeoutError is the round-trip deadline failure; it satisfies
@@ -231,7 +238,7 @@ func DialMuxOpts(addr string, opts DialOptions) (*MuxClient, error) {
 		backoffBase:  backoffBase,
 		backoffMax:   backoffMax,
 		dialer:       dialer,
-		pending:      make(map[uint64]chan muxReply),
+		pending:      make(map[uint64]muxWaiter),
 		jit:          newJitterSource(seed),
 		sleep:        time.Sleep,
 		timeoutCtr:   opts.Timeouts,
@@ -306,42 +313,34 @@ func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
 			c.poison(gen, err)
 			return
 		}
+		if op != opResponse {
+			err = fmt.Errorf("unknown op %#x", op)
+		}
 		var id uint64
 		var reply muxReply
-		switch op {
-		case opReply:
-			var r BatchResult
-			id, r, err = decodeReply(payload)
-			reply = muxReply{result: r}
-		case opBatchReply:
-			var rs []BatchResult
-			id, rs, err = decodeBatchReply(payload)
-			reply = muxReply{batch: rs}
-		case opReplyT:
-			var r BatchResult
-			var sp []tracing.Span
-			id, r, sp, err = decodeReplyT(payload)
-			reply = muxReply{result: r, spans: sp}
-		case opBatchReplyT:
-			var rs []BatchResult
-			var sp []tracing.Span
-			id, rs, sp, err = decodeBatchReplyT(payload)
-			reply = muxReply{batch: rs, spans: sp}
-		default:
-			err = errBadMagic
+		if err == nil {
+			id, reply.spans, reply.results, err = decodeResponse(payload)
 		}
 		if err != nil {
 			c.poison(gen, fmt.Errorf("%w: %w", errDesync, err))
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[id]
-		if ok {
+		w, ok := c.pending[id]
+		matched := ok && len(reply.results) == w.n
+		if matched {
 			delete(c.pending, id)
 		}
 		c.mu.Unlock()
+		if ok && !matched {
+			// A reply that does not answer its request query for query is
+			// no answer to it: the stream is no longer matched to the
+			// requests, as after an undecodable frame.
+			c.poison(gen, fmt.Errorf("%w: %d results answer a request of %d queries", errDesync, len(reply.results), w.n))
+			return
+		}
 		if ok {
-			ch <- reply // buffered; a late reply with no waiter is discarded
+			w.ch <- reply // buffered; a late reply with no waiter is discarded
 		}
 	}
 }
@@ -363,15 +362,16 @@ func (c *MuxClient) poison(gen uint64, err error) {
 }
 
 func (c *MuxClient) failPendingLocked(err error) {
-	for id, ch := range c.pending {
+	for id, w := range c.pending {
 		delete(c.pending, id)
-		ch <- muxReply{err: err}
+		w.ch <- muxReply{err: err}
 	}
 }
 
-// register ensures a live connection and parks a new id in the pending
-// map, returning the connection to write to and its generation.
-func (c *MuxClient) register() (conn net.Conn, gen, id uint64, ch chan muxReply, err error) {
+// register ensures a live connection and parks a new id for a request of n
+// queries in the pending map, returning the connection to write to and its
+// generation.
+func (c *MuxClient) register(n int) (conn net.Conn, gen, id uint64, ch chan muxReply, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -394,7 +394,7 @@ func (c *MuxClient) register() (conn net.Conn, gen, id uint64, ch chan muxReply,
 	c.nextID++
 	id = c.nextID
 	ch = make(chan muxReply, 1)
-	c.pending[id] = ch
+	c.pending[id] = muxWaiter{ch: ch, n: n}
 	return c.conn, c.gen, id, ch, nil
 }
 
@@ -465,13 +465,15 @@ func (c *MuxClient) backoff(attempt int) time.Duration {
 	return backoffDur(c.backoffBase, c.backoffMax, attempt, c.jit)
 }
 
-// roundTrip performs one query with the retry budget. encode builds the
-// request frame for a given id; decode extracts the caller's answer from
-// the delivered reply. When tr is non-nil the attempt's encode, write, and
-// await phases are recorded as client spans and the reply's server spans
+// roundTrip sends qs as one request under the retry budget and returns
+// their results in request order. A reply whose every result is
+// ErrOverloaded is a whole-request shed and is retried like a transport
+// failure; other per-query errors come back in the results. When tr is
+// non-nil the request carries its id, each attempt's encode, write, and
+// await phases are recorded as client spans, and the reply's server spans
 // are folded in (retried attempts each leave their own spans, so a trace
-// shows every wire attempt the query cost).
-func (c *MuxClient) roundTrip(tr *tracing.Trace, encode func(b []byte, id uint64) []byte, decode func(muxReply) (muxReply, error)) (muxReply, error) {
+// shows every wire attempt the request cost).
+func (c *MuxClient) roundTrip(qs []BatchQuery, tr *tracing.Trace) ([]BatchResult, error) {
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	var lastErr error
@@ -486,18 +488,18 @@ func (c *MuxClient) roundTrip(tr *tracing.Trace, encode func(b []byte, id uint64
 			}
 		}
 		if c.closed.Load() {
-			return muxReply{}, net.ErrClosed
+			return nil, net.ErrClosed
 		}
-		conn, gen, id, ch, err := c.register()
+		conn, gen, id, ch, err := c.register(len(qs))
 		if err != nil {
 			lastErr = err
 			if !retryable(err) {
-				return muxReply{}, err
+				return nil, err
 			}
 			continue
 		}
 		spE := tr.StartSpan("client.encode", tracing.SrcClient)
-		buf := encode(getBuf(), id)
+		buf := appendRequest(getBuf(), id, tr.ID(), qs)
 		spE.End()
 		spW := tr.StartSpan("client.write", tracing.SrcClient)
 		err = c.writeFrame(conn, buf)
@@ -507,7 +509,7 @@ func (c *MuxClient) roundTrip(tr *tracing.Trace, encode func(b []byte, id uint64
 			c.poison(gen, err)
 			lastErr = c.noteTimeout(err)
 			if !retryable(err) {
-				return muxReply{}, err
+				return nil, err
 			}
 			continue
 		}
@@ -516,94 +518,81 @@ func (c *MuxClient) roundTrip(tr *tracing.Trace, encode func(b []byte, id uint64
 		spA.End()
 		if err == nil {
 			tr.AddSpans(reply.spans)
-			reply, err = decode(reply)
-			if err == nil {
-				return reply, nil
+			if !allShed(reply.results) {
+				return reply.results, nil
 			}
+			err = ErrOverloaded
 		}
 		lastErr = err
 		if !retryable(err) {
-			return muxReply{}, err
+			return nil, err
 		}
 	}
-	return muxReply{}, lastErr
+	return nil, lastErr
 }
 
-// query runs one single-query round trip. Sampled queries go out as traced
-// frames (opQueryT) carrying the trace id; unsampled ones stay on the
-// byte-identical untraced path and only feed the slow-query log.
-func (c *MuxClient) query(q BatchQuery) (map[string]float64, error) {
-	var (
-		tr *tracing.Trace
-		t0 time.Time
-	)
-	name := kindName(q.Kind)
-	if c.tracer != nil {
-		t0 = time.Now()
-		tr = c.tracer.Start(name)
+// allShed reports whether every result of a reply is ErrOverloaded.
+func allShed(rs []BatchResult) bool {
+	for i := range rs {
+		if rs[i].Err != ErrOverloaded {
+			return false
+		}
 	}
-	counts, err := c.queryTraced(q, tr)
-	if tr != nil {
-		tr.FinishErr(err)
-	} else if c.tracer != nil {
-		c.tracer.MaybeSlow(name, t0, time.Since(t0), err)
-	}
-	return counts, err
+	return true
 }
 
-// queryTraced runs one single-query round trip recording into tr, a
-// caller-owned trace that is NOT finished here — callers that fan one
-// logical operation out to many switches (the fleet collector) pass the
-// same trace to every leg so the per-hop client spans and each hop's
-// server-side spans all join under one id. tr may be nil (untraced).
-func (c *MuxClient) queryTraced(q BatchQuery, tr *tracing.Trace) (map[string]float64, error) {
-	encode := func(b []byte, id uint64) []byte { return appendQueryFrame(b, id, q) }
-	if tr != nil {
-		encode = func(b []byte, id uint64) []byte { return appendQueryTFrame(b, id, tr.ID(), q) }
+// do runs one request under the client's tracer, if any: a sampled request
+// is traced end to end, an unsampled one only feeds the slow-query log.
+func (c *MuxClient) do(qs []BatchQuery) ([]BatchResult, error) {
+	if c.tracer == nil {
+		return c.roundTrip(qs, nil)
 	}
-	reply, err := c.roundTrip(tr, encode,
-		func(r muxReply) (muxReply, error) {
-			if r.result.Err != nil {
-				// Application errors (unknown port, empty interval) come
-				// back as-is; ErrOverloaded stays retryable.
-				return muxReply{}, r.result.Err
-			}
-			return r, nil
-		},
-	)
+	name := requestName(qs)
+	t0 := time.Now()
+	tr := c.tracer.Start(name)
+	rs, err := c.roundTrip(qs, tr)
+	traceErr := err
+	if err == nil && len(rs) == 1 {
+		traceErr = rs[0].Err
+	}
+	if tr != nil {
+		tr.FinishErr(traceErr)
+	} else {
+		c.tracer.MaybeSlow(name, t0, time.Since(t0), traceErr)
+	}
+	return rs, err
+}
+
+// one unpacks the reply to a request of one query.
+func one(rs []BatchResult, err error) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := reply.result.Counts
-	if counts == nil {
-		counts = make(map[string]float64)
-	}
-	return counts, nil
+	return rs[0].Counts, rs[0].Err
 }
 
 // Interval queries per-flow packet counts over [start, end) on a port.
 func (c *MuxClient) Interval(port int, start, end uint64) (map[string]float64, error) {
-	return c.query(BatchQuery{Kind: IntervalQuery, Port: port, Start: start, End: end})
+	return one(c.do([]BatchQuery{{Kind: IntervalQuery, Port: port, Start: start, End: end}}))
 }
 
 // IntervalTraced is Interval recording into a caller-owned trace (nil =
-// untraced). The trace's id travels on the wire so the server's spans fold
-// into it; the caller finishes the trace — this lets one fleet-level trace
-// absorb every hop's round trip.
+// untraced) that is NOT finished here. The trace's id travels on the wire
+// so the server's spans fold into it; the caller finishes the trace — this
+// lets one fleet-level trace absorb every hop's round trip.
 func (c *MuxClient) IntervalTraced(port int, start, end uint64, tr *tracing.Trace) (map[string]float64, error) {
-	return c.queryTraced(BatchQuery{Kind: IntervalQuery, Port: port, Start: start, End: end}, tr)
+	return one(c.roundTrip([]BatchQuery{{Kind: IntervalQuery, Port: port, Start: start, End: end}}, tr))
 }
 
 // Original queries the original culprits at time t on a port/queue.
 func (c *MuxClient) Original(port, queue int, t uint64) (map[string]float64, error) {
-	return c.query(BatchQuery{Kind: OriginalQuery, Port: port, Queue: queue, Start: t})
+	return one(c.do([]BatchQuery{{Kind: OriginalQuery, Port: port, Queue: queue, Start: t}}))
 }
 
 // Batch sends many queries in a single frame and returns their answers in
 // request order, one frame back. Transport failures (and whole-batch
 // overload) are retried under the usual budget; per-query application
-// errors come back in the matching BatchResult. An all-overloaded reply is
-// treated as a whole-batch shed and retried.
+// errors come back in the matching BatchResult.
 func (c *MuxClient) Batch(queries []BatchQuery) ([]BatchResult, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -611,48 +600,5 @@ func (c *MuxClient) Batch(queries []BatchQuery) ([]BatchResult, error) {
 	if len(queries) > maxBatch {
 		return nil, errFrameSize
 	}
-	var (
-		tr *tracing.Trace
-		t0 time.Time
-	)
-	if c.tracer != nil {
-		t0 = time.Now()
-		tr = c.tracer.Start("batch")
-	}
-	encode := func(b []byte, id uint64) []byte { return appendBatchFrame(b, id, queries) }
-	if tr != nil {
-		encode = func(b []byte, id uint64) []byte { return appendBatchTFrame(b, id, tr.ID(), queries) }
-	}
-	reply, err := c.roundTrip(tr, encode,
-		func(r muxReply) (muxReply, error) {
-			if len(r.batch) != len(queries) {
-				return muxReply{}, errTruncated // poisoned by the reader already if torn; defensive
-			}
-			shed := true
-			for i := range r.batch {
-				if r.batch[i].Err != ErrOverloaded {
-					shed = false
-					break
-				}
-			}
-			if shed {
-				return muxReply{}, ErrOverloaded
-			}
-			return r, nil
-		},
-	)
-	if tr != nil {
-		tr.FinishErr(err)
-	} else if c.tracer != nil {
-		c.tracer.MaybeSlow("batch", t0, time.Since(t0), err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range reply.batch {
-		if reply.batch[i].Counts == nil && reply.batch[i].Err == nil {
-			reply.batch[i].Counts = make(map[string]float64)
-		}
-	}
-	return reply.batch, nil
+	return c.do(queries)
 }

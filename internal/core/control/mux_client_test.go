@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"printqueue/internal/flow"
 )
 
 func TestMuxClientRoundTrip(t *testing.T) {
@@ -143,12 +145,13 @@ func TestMuxClientBatch(t *testing.T) {
 		t.Fatalf("batch[3] = %+v, want original culprits", rs[3])
 	}
 
-	// Zero-query batch is a local no-op.
+	// Zero-query batch is a local no-op: a request of no query is
+	// malformed on the wire.
 	if rs, err := c.Batch(nil); err != nil || rs != nil {
 		t.Fatalf("empty batch = %v, %v", rs, err)
 	}
-	if got := srv.batched.Load(); got != int64(len(qs)) {
-		t.Errorf("batched counter = %d, want %d", got, len(qs))
+	if got := srv.requests.Load(); got != int64(len(qs)) {
+		t.Errorf("requests counter = %d, want %d", got, len(qs))
 	}
 }
 
@@ -281,17 +284,11 @@ func TestMuxClientRetriesGarbledReply(t *testing.T) {
 							return
 						}
 					}
-					conn.Write([]byte{^frameMagic, opReply, 0, 0, 0, 0})
+					conn.Write([]byte{^frameMagic, opResponse, 0, 0, 0, 0})
 				}()
 				continue
 			}
-			up, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			go func() { io.Copy(up, conn); up.Close() }()
-			go func() { io.Copy(conn, up); conn.Close() }()
+			proxy(conn, srv.Addr().String())
 		}
 	}()
 
@@ -320,6 +317,140 @@ func TestMuxClientRetriesGarbledReply(t *testing.T) {
 	wg.Wait()
 	if c.Retries() < 1 || c.Reconnects() < 1 {
 		t.Errorf("retries = %d, reconnects = %d; want both >= 1", c.Retries(), c.Reconnects())
+	}
+}
+
+// proxy relays conn to a new connection to addr, both ways.
+func proxy(conn net.Conn, addr string) {
+	up, err := net.Dial("tcp", addr)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	go func() { io.Copy(up, conn); up.Close() }()
+	go func() { io.Copy(conn, up); conn.Close() }()
+}
+
+// TestMuxClientReplyCountMismatch: a reply that carries more or fewer
+// results than its request has queries answers nothing. The client poisons
+// the connection and retries on a fresh one, as after an undecodable frame;
+// once the retries run out it returns a desync error — never an empty or a
+// partial answer. The peer answers each request on its first bad
+// connections with delta results too many, every 42-packet result for one
+// flow, and proxies later connections to a real server. (A single query
+// used to take such a reply as an empty answer, and a batch to fail with an
+// error that was not retried, on a connection left in use.)
+func TestMuxClientReplyCountMismatch(t *testing.T) {
+	srv, ts := netFixture(t)
+	peer := func(t *testing.T, bad, delta int) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for n := 0; ; n++ {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				if n >= bad {
+					proxy(conn, srv.Addr().String())
+					continue
+				}
+				go func() {
+					defer conn.Close()
+					br := bufio.NewReader(conn)
+					for {
+						_, payload, err := readFrame(br, nil, maxFramePayload)
+						if err != nil {
+							return
+						}
+						id, _, qs, err := decodeRequest(payload)
+						if err != nil {
+							return
+						}
+						resps := make([]wireReply, len(qs)+delta)
+						for i := range resps {
+							resps[i].Counts = flow.Counts{fkey(1): 42}
+						}
+						conn.Write(appendResponse(nil, id, nil, resps))
+					}
+				}()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	full := BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1}
+	for _, tc := range []struct {
+		name  string
+		delta int
+		ask   func(t *testing.T, c *MuxClient) ([]float64, error) // each answer's packet total
+	}{
+		{"one query answered with two results", 1, func(t *testing.T, c *MuxClient) ([]float64, error) {
+			counts, err := c.Interval(full.Port, full.Start, full.End)
+			if counts != nil && err != nil {
+				t.Errorf("an error came with an answer: %v", counts)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return []float64{sumCounts(counts)}, nil
+		}},
+		{"a batch of two answered with one result", -1, func(t *testing.T, c *MuxClient) ([]float64, error) {
+			rs, err := c.Batch([]BatchQuery{full, full})
+			if rs != nil && err != nil {
+				t.Errorf("an error came with %d results", len(rs))
+			}
+			var totals []float64
+			for _, r := range rs {
+				if r.Err != nil {
+					return nil, r.Err
+				}
+				totals = append(totals, sumCounts(r.Counts))
+			}
+			return totals, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every connection miscounts: the retry redials, and the last
+			// attempt's desync is returned.
+			c, err := DialMuxOpts(peer(t, 1<<30, tc.delta), DialOptions{
+				Timeout: 2 * time.Second, MaxRetries: 1, BackoffBase: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if totals, err := tc.ask(t, c); !errors.Is(err, errDesync) || totals != nil {
+				t.Fatalf("answers %v, err %v; want no answer and a desync error", totals, err)
+			}
+			if c.Retries() != 1 || c.Reconnects() != 1 {
+				t.Errorf("retries = %d, reconnects = %d; want 1 and 1", c.Retries(), c.Reconnects())
+			}
+
+			// Only the first connection miscounts: the retry on a fresh one
+			// is answered by the server.
+			c2, err := DialMuxOpts(peer(t, 1, tc.delta), DialOptions{
+				Timeout: 2 * time.Second, MaxRetries: 1, BackoffBase: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			totals, err := tc.ask(t, c2)
+			if err != nil || len(totals) == 0 {
+				t.Fatalf("answers %v, err %v after a retry on a fresh connection", totals, err)
+			}
+			for i, total := range totals {
+				if total < 50 || total > 70 {
+					t.Errorf("answer %d: total %v, want ~60", i, total)
+				}
+			}
+			if c2.Reconnects() != 1 {
+				t.Errorf("reconnects = %d, want 1", c2.Reconnects())
+			}
+		})
 	}
 }
 
@@ -413,14 +544,14 @@ func TestMuxServerDropsCorruptStream(t *testing.T) {
 	// then drops the connection rather than desyncing it.
 	t.Run("garbage after a frame", func(t *testing.T) {
 		conn := dial(t)
-		frame := appendQueryFrame(nil, 1, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
+		frame := appendRequest(nil, 1, 0, []BatchQuery{{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1}})
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 		_, payload := readReplyFrame(t, bufio.NewReader(conn), conn)
-		id, r, err := decodeReply(payload)
-		if err != nil || id != 1 || r.Err != nil {
-			t.Fatalf("reply id=%d err=%v decode=%v", id, r.Err, err)
+		id, _, rs, err := decodeResponse(payload)
+		if err != nil || id != 1 || len(rs) != 1 || rs[0].Err != nil {
+			t.Fatalf("reply id=%d results=%+v decode=%v", id, rs, err)
 		}
 		before := srv.badRequests.Load()
 		if _, err := conn.Write([]byte("this is not a frame\n")); err != nil {

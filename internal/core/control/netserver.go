@@ -18,8 +18,8 @@ import (
 // The listener speaks one protocol: length-prefixed binary frames (wire.go
 // has the layout) with true multiplexing — many requests in flight per
 // connection, each executed on a goroutine of its own (the query server
-// bounds how many run at once) and answered in completion order, plus a
-// batch op carrying many queries in one frame.
+// bounds how many run at once) and answered in completion order. A request
+// carries one query or many and is answered by one reply frame.
 // MuxClient is the matching client. A connection whose bytes are not a
 // valid frame is counted as a bad request and dropped without a reply.
 //
@@ -40,7 +40,6 @@ type NetServer struct {
 	framesTx      *telemetry.Counter
 	bytesRx       *telemetry.Counter
 	bytesTx       *telemetry.Counter
-	batched       *telemetry.Counter
 	inflightGauge *telemetry.Gauge
 	connInflight  *telemetry.Gauge
 
@@ -127,7 +126,7 @@ func ServeQueriesListener(ln net.Listener, qs *QueryServer, opts ServeOptions) *
 		connections: reg.Counter("printqueue_netserver_connections_total",
 			"TCP query connections accepted."),
 		requests: reg.Counter("printqueue_netserver_requests_total",
-			"Query requests received over TCP."),
+			"Queries received over TCP, one per query of a request."),
 		badRequests: reg.Counter("printqueue_netserver_bad_requests_total",
 			"TCP query requests rejected as malformed."),
 		shed: reg.Counter("printqueue_netserver_shed_total",
@@ -142,8 +141,6 @@ func ServeQueriesListener(ln net.Listener, qs *QueryServer, opts ServeOptions) *
 			"Binary protocol bytes processed, headers included.", telemetry.L("dir", "rx")),
 		bytesTx: reg.Counter("printqueue_netserver_frame_bytes_total",
 			"Binary protocol bytes processed, headers included.", telemetry.L("dir", "tx")),
-		batched: reg.Counter("printqueue_netserver_batched_queries_total",
-			"Queries that arrived inside a batch frame."),
 		inflightGauge: reg.Gauge("printqueue_netserver_inflight",
 			"Query requests admitted and currently executing, across all connections."),
 		connInflight: reg.Gauge("printqueue_netserver_conn_inflight_max",
@@ -251,6 +248,15 @@ func kindName(k QueryKind) string {
 	return "interval"
 }
 
+// requestName is the trace root name of a request: its query's kind for a
+// request of one query, "batch" for more.
+func requestName(qs []BatchQuery) string {
+	if len(qs) == 1 {
+		return kindName(qs[0].Kind)
+	}
+	return "batch"
+}
+
 func (s *NetServer) release(n int64) {
 	s.inflight.Add(-n)
 	s.inflightGauge.Add(-n)
@@ -300,81 +306,34 @@ loop:
 		s.framesRx.Inc()
 		s.bytesRx.Add(int64(frameHeaderLen + len(payload)))
 		switch op {
-		case opQuery, opQueryT:
-			var id, traceID uint64
-			var q BatchQuery
-			var err error
-			if op == opQueryT {
-				id, traceID, q, err = decodeQueryRequestT(payload)
-			} else {
-				id, q, err = decodeQueryRequest(payload)
-			}
+		case opRequest:
+			id, traceID, qs, err := decodeRequest(payload)
 			if err != nil {
 				s.badRequests.Inc()
 				break loop
 			}
-			s.requests.Inc()
+			n := int64(len(qs))
+			s.requests.Add(n)
 			var tr *tracing.Trace
-			if op == opQueryT {
-				tr = s.serverTrace(kindName(q.Kind), traceID)
+			if traceID != 0 {
+				tr = s.serverTrace(requestName(qs), traceID)
 			}
 			spD := tr.StartSpan("server.dispatch", tracing.SrcServer)
-			if !s.admit(1) {
-				spD.End()
-				resp := wireReply{Error: ErrOverloaded.Error()}
-				out <- outFrame{buf: s.encodeReply(id, resp, tr), tr: tr, errStr: resp.Error}
-				continue
-			}
-			reqWG.Add(1)
-			s.connInflight.Max(perConn.Add(1))
-			go func() {
-				defer reqWG.Done()
-				spD.End() // dispatch = decode + admit + handoff to this goroutine
-				resp := s.executeWire(q, tr)
-				s.release(1)
-				perConn.Add(-1)
-				out <- outFrame{buf: s.encodeReply(id, resp, tr), tr: tr, errStr: resp.Error}
-			}()
-		case opBatch, opBatchT:
-			var id, traceID uint64
-			var qs []BatchQuery
-			var err error
-			if op == opBatchT {
-				id, traceID, qs, err = decodeBatchRequestT(payload)
-			} else {
-				id, qs, err = decodeBatchRequest(payload)
-			}
-			if err != nil {
-				s.badRequests.Inc()
-				break loop
-			}
-			s.requests.Add(int64(len(qs)))
-			s.batched.Add(int64(len(qs)))
-			var tr *tracing.Trace
-			if op == opBatchT {
-				tr = s.serverTrace("batch", traceID)
-			}
-			spD := tr.StartSpan("server.dispatch", tracing.SrcServer)
-			if len(qs) == 0 {
-				spD.End()
-				out <- outFrame{buf: s.encodeBatchReply(id, nil, tr), tr: tr}
-				continue
-			}
-			// A batch is admitted whole: each query counts one unit
-			// against the shed limit, and an over-limit batch sheds in a
+			// A request is admitted whole: each query counts one unit
+			// against the shed limit, and an over-limit request sheds in a
 			// single reply rather than executing partially.
-			if !s.admit(int64(len(qs))) {
+			if !s.admit(n) {
 				spD.End()
-				resps := make([]wireReply, len(qs))
+				resps := make([]wireReply, n)
 				for i := range resps {
 					resps[i].Error = ErrOverloaded.Error()
 				}
-				out <- outFrame{buf: s.encodeBatchReply(id, resps, tr), tr: tr, errStr: ErrOverloaded.Error()}
+				out <- outFrame{buf: appendResponse(getBuf(), id, tr.Spans(), resps), tr: tr, errStr: ErrOverloaded.Error()}
 				continue
 			}
 			reqWG.Add(1)
-			s.connInflight.Max(perConn.Add(int64(len(qs))))
-			go s.serveBatch(id, qs, tr, spD, out, &reqWG, &perConn)
+			s.connInflight.Max(perConn.Add(n))
+			go s.serve(id, qs, tr, spD, out, &reqWG, &perConn)
 		case opSubscribe:
 			since, err := decodeSubscribe(payload)
 			if err != nil || subscribed {
@@ -419,42 +378,37 @@ type outFrame struct {
 	errStr string // the reply's application error, annotated at Finish
 }
 
-// encodeReply encodes a single-query reply, traced or not. For a traced
-// request the reply carries the trace's spans recorded so far (the write
-// span lands afterwards and is only visible server-side).
-func (s *NetServer) encodeReply(id uint64, resp wireReply, tr *tracing.Trace) []byte {
-	if tr != nil {
-		return appendReplyTFrame(getBuf(), id, resp, tr.Spans())
-	}
-	return appendReplyFrame(getBuf(), id, resp)
-}
-
-// encodeBatchReply is encodeReply for batch replies.
-func (s *NetServer) encodeBatchReply(id uint64, resps []wireReply, tr *tracing.Trace) []byte {
-	if tr != nil {
-		return appendBatchReplyTFrame(getBuf(), id, resps, tr.Spans())
-	}
-	return appendBatchReplyFrame(getBuf(), id, resps)
-}
-
-// serveBatch runs a batch's queries concurrently, one goroutine each,
-// and answers with one frame once every query completes, in request order.
-func (s *NetServer) serveBatch(id uint64, qs []BatchQuery, tr *tracing.Trace, spD tracing.SpanHandle, out chan<- outFrame, reqWG *sync.WaitGroup, perConn *atomic.Int64) {
+// serve executes one admitted request and answers it with one frame, in
+// query order. A request of one query runs on this goroutine; a larger
+// one runs its queries concurrently, one goroutine each.
+func (s *NetServer) serve(id uint64, qs []BatchQuery, tr *tracing.Trace, spD tracing.SpanHandle, out chan<- outFrame, reqWG *sync.WaitGroup, perConn *atomic.Int64) {
 	defer reqWG.Done()
-	spD.End()
-	resps := make([]wireReply, len(qs))
-	var wg sync.WaitGroup
-	for i := range qs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i] = s.executeWire(qs[i], tr)
-		}(i)
+	spD.End() // dispatch = decode + admit + handoff to this goroutine
+	var resps []wireReply
+	var errStr string
+	if len(qs) == 1 {
+		resps = []wireReply{s.executeWire(qs[0], tr)}
+		errStr = resps[0].Error
+	} else {
+		// A variable of its own, so that the goroutines capturing it do not
+		// move the one-query slice above to the heap.
+		all := make([]wireReply, len(qs))
+		var wg sync.WaitGroup
+		for i := range qs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				all[i] = s.executeWire(qs[i], tr)
+			}(i)
+		}
+		wg.Wait()
+		resps = all
 	}
-	wg.Wait()
 	s.release(int64(len(qs)))
 	perConn.Add(int64(-len(qs)))
-	out <- outFrame{buf: s.encodeBatchReply(id, resps, tr), tr: tr}
+	// A traced reply carries the spans recorded so far; the write span
+	// lands afterwards and is only visible server-side.
+	out <- outFrame{buf: appendResponse(getBuf(), id, tr.Spans(), resps), tr: tr, errStr: errStr}
 }
 
 // errPushStopped aborts a segment-log replay when the subscriber's

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -70,11 +71,18 @@ func TestNetServerRoundTrip(t *testing.T) {
 
 	const fullID, origID, emptyID, badPortID, badIntervalID = 7, 3, 1 << 40, 900, 2
 	var sent []byte
-	sent = appendQueryFrame(sent, fullID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
-	sent = appendQueryFrame(sent, origID, BatchQuery{Kind: OriginalQuery, Port: 0, Queue: 0, Start: ts})
-	sent = appendQueryFrame(sent, emptyID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: ts + 100, End: ts + 200})
-	sent = appendQueryFrame(sent, badPortID, BatchQuery{Kind: IntervalQuery, Port: 9, Start: 0, End: 1})
-	sent = appendQueryFrame(sent, badIntervalID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 5, End: 5})
+	for _, req := range []struct {
+		id uint64
+		q  BatchQuery
+	}{
+		{fullID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1}},
+		{origID, BatchQuery{Kind: OriginalQuery, Port: 0, Queue: 0, Start: ts}},
+		{emptyID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: ts + 100, End: ts + 200}},
+		{badPortID, BatchQuery{Kind: IntervalQuery, Port: 9, Start: 0, End: 1}},
+		{badIntervalID, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 5, End: 5}},
+	} {
+		sent = appendRequest(sent, req.id, 0, []BatchQuery{req.q})
+	}
 	if _, err := conn.Write(sent); err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +92,14 @@ func TestNetServerRoundTrip(t *testing.T) {
 	for len(replies) < 5 {
 		op, payload := readReplyFrame(t, br, conn)
 		received += frameHeaderLen + len(payload)
-		id, r, err := decodeReply(payload)
-		if op != opReply || err != nil {
-			t.Fatalf("reply op %#x, decode %v", op, err)
+		id, spans, rs, err := decodeResponse(payload)
+		if op != opResponse || err != nil || len(spans) != 0 || len(rs) != 1 {
+			t.Fatalf("reply op %#x, %d spans, %d results, decode %v", op, len(spans), len(rs), err)
 		}
 		if _, dup := replies[id]; dup {
 			t.Fatalf("two replies for id %d", id)
 		}
-		replies[id] = r
+		replies[id] = rs[0]
 	}
 
 	if r := replies[fullID]; r.Err != nil || sumCounts(r.Counts) < 50 || sumCounts(r.Counts) > 70 {
@@ -146,19 +154,32 @@ func TestNetServerMalformedInput(t *testing.T) {
 		return endFrame(append(b, payload...), at)
 	}
 	body := appendQueryBody(nil, BatchQuery{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1})
-	oversize := binary.BigEndian.AppendUint32([]byte{frameMagic, opQuery}, maxFramePayload+1)
-	for _, tc := range []struct {
+	// request is an untraced request payload (id 1) declaring n queries.
+	request := func(n byte, rest ...byte) []byte { return frame(opRequest, append([]byte{1, 0, n}, rest...)...) }
+	oversize := binary.BigEndian.AppendUint32([]byte{frameMagic, opRequest}, maxFramePayload+1)
+	cases := []struct {
 		name  string
 		bytes []byte
 	}{
 		{"unknown op", frame(0x7F)},
-		{"a reply op sent to the server", appendReplyFrame(nil, 1, wireReply{})},
-		{"query cut short", frame(opQuery, 1, byte(IntervalQuery), 0)},
-		{"unknown query kind", frame(opQuery, 1, 9, 0, 0, 0, 0)},
-		{"bytes after the query", frame(opQuery, append(append([]byte{1}, body...), 0)...)},
-		{"batch declaring more queries than it holds", frame(opBatch, append([]byte{1, 3}, body...)...)},
+		{"a reply op sent to the server", appendResponse(nil, 1, nil, []wireReply{{}})},
+		{"a request of no query", request(0)},
+		{"query cut short", request(1, byte(IntervalQuery), 0)},
+		{"unknown query kind", request(1, 9, 0, 0, 0, 0)},
+		{"bytes after the query", request(1, append(body, 0)...)},
+		{"request declaring more queries than it holds", request(3, body...)},
 		{"length beyond the frame limit", oversize},
-	} {
+	}
+	// The ops of the earlier layout (single query, batch, and their traced
+	// twins, then the four replies) are unknown ops now, each sent with the
+	// payload it used to carry: an id, then one query body.
+	for _, op := range []byte{0x01, 0x02, 0x11, 0x12, 0x81, 0x82, 0x91, 0x92} {
+		cases = append(cases, struct {
+			name  string
+			bytes []byte
+		}{fmt.Sprintf("retired op %#x", op), frame(op, append([]byte{1}, body...)...)})
+	}
+	for _, tc := range cases {
 		before := srv.badRequests.Load()
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {

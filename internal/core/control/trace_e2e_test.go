@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"printqueue/internal/faultnet"
+	"printqueue/internal/flow"
 	"printqueue/internal/tracing"
 )
 
@@ -197,11 +198,12 @@ func TestServerTraceRingJoinsRemote(t *testing.T) {
 	}
 }
 
-// TestWireDifferentialJSONBinaryTraced reruns the wire-vs-in-process
-// differential with tracing forced on for the client and the server (so every
-// frame is a traced one and the in-process reference is sampled too): results
-// must stay bit-equal — tracing must never perturb answers.
-func TestWireDifferentialJSONBinaryTraced(t *testing.T) {
+// TestWireDifferentialTraced reruns the wire-vs-in-process differential with
+// tracing forced on for the client and the server (so every request carries
+// a trace id, every reply the server's spans, and the in-process reference
+// is sampled too): results must stay bit-equal — tracing must never perturb
+// answers.
+func TestWireDifferentialTraced(t *testing.T) {
 	srv, ts := netFixture(t)
 	st, _ := srv.qs.sys.EnableTracing(TraceOptions{SampleEvery: 1})
 	bt := tracing.New(tracing.Config{SampleEvery: 1})
@@ -334,16 +336,20 @@ func itoa(n int64) string {
 }
 
 // TestTracingDisabledZeroOverheadPaths pins the disabled-tracing fast
-// paths at zero allocations: the untraced wire encoders are unchanged, the
-// nil tracer/trace receivers are free, a nil event log Record no-ops, and an
-// untraced query takes the history's read lock without a lock-wait span.
+// paths at zero allocations: an untraced request and its reply encode for
+// free, the nil tracer/trace receivers are free, a nil event log Record
+// no-ops, and an untraced query takes the history's read lock without a
+// lock-wait span.
 func TestTracingDisabledZeroOverheadPaths(t *testing.T) {
-	q := BatchQuery{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}
+	qs := []BatchQuery{{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}}
+	resps := []wireReply{{Counts: flow.Counts{fkey(1): 2}}}
+	var untraced *tracing.Trace
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendQueryFrame(buf[:0], 7, q)
+		buf = appendRequest(buf[:0], 7, untraced.ID(), qs)
+		buf = appendResponse(buf[:0], 7, untraced.Spans(), resps)
 	}); n > 0 {
-		t.Errorf("appendQueryFrame allocates %.1f/op with tracing disabled, want 0", n)
+		t.Errorf("an untraced request and reply allocate %.1f/op to encode, want 0", n)
 	}
 	var tracer *tracing.Tracer
 	var trace *tracing.Trace

@@ -18,8 +18,8 @@ import (
 // The query wire: a length-prefixed binary framing. A narrow diagnosis
 // query takes ~1µs to compute, so what a round trip costs is delivery;
 // frames allow true multiplexing — many requests in flight over one
-// connection, answered in completion order — plus a batch op that carries
-// many queries in a single frame.
+// connection, answered in completion order — and a request carries one
+// query or many.
 //
 // Frame layout (both directions):
 //
@@ -31,13 +31,20 @@ import (
 // A stream whose next byte is not the magic has lost framing (or never
 // had it: text typed at the port) and is dropped, see isFrameErr.
 //
-// Payloads are varint-packed:
+// The query plane has one request frame and one reply frame, whatever the
+// number of queries and whether the request is traced. Payloads are
+// varint-packed:
 //
-//	opQuery:      id, kind(1B), port, queue, start, end
-//	opBatch:      id, n, then n × (kind(1B), port, queue, start, end)
-//	opReply:      id, status(1B); status 1 → errlen, error bytes
-//	                              status 0 → counts (below)
-//	opBatchReply: id, n, then n × reply body (status + error/counts)
+//	opRequest:  id, traceID, n ≥ 1, then n × (kind(1B), port, queue, start, end)
+//	opResponse: id, spans, n, then n × reply body, in request order
+//
+// A trace id of 0 means untraced (tracing.Tracer.NewID never issues it). A
+// reply body is status(1B): status 0 → counts (below), status 1 → errlen,
+// error bytes. spans is the server-side span list of a traced request,
+// n × (namelen, name bytes, startNs, durNs), and a lone 0 on an untraced
+// one. The ops of earlier layouts (0x01/0x02/0x11/0x12 requests,
+// 0x81/0x82/0x91/0x92 replies) are unknown ops here: a peer still speaking
+// them is dropped as malformed, never misread as another valid request.
 //
 // Count maps encode as n × (keylen, key bytes, countbits) where countbits
 // is ReverseBytes64(Float64bits(v)) varint-packed: typical counts are
@@ -49,19 +56,8 @@ import (
 const (
 	frameMagic byte = 0xB1
 
-	opQuery      byte = 0x01
-	opBatch      byte = 0x02
-	opReply      byte = 0x81
-	opBatchReply byte = 0x82
-
-	// Traced variants. A traced request carries the client's 64-bit trace
-	// id after the request id; a traced reply carries the server-side span
-	// list before the reply body. Untraced frames are unchanged by them, so
-	// tracing-off costs nothing on the wire.
-	opQueryT      byte = 0x11
-	opBatchT      byte = 0x12
-	opReplyT      byte = 0x91
-	opBatchReplyT byte = 0x92
+	opRequest  byte = 0x03
+	opResponse byte = 0x83
 
 	// frameHeaderLen is magic + op + uint32 payload length.
 	frameHeaderLen = 6
@@ -71,10 +67,10 @@ const (
 	// length field cannot make a peer allocate unbounded memory.
 	maxFramePayload = 1 << 24
 
-	// maxBatch bounds the query count in one batch frame.
+	// maxBatch bounds the query count in one request.
 	maxBatch = 1 << 16
 
-	// maxWireSpans bounds the span count in one traced reply so hostile
+	// maxWireSpans bounds the span count in one reply so hostile
 	// input cannot force a huge allocation.
 	maxWireSpans = 1 << 10
 )
@@ -275,21 +271,21 @@ func decodeCounts(p []byte) (map[string]float64, []byte, error) {
 	return m, p, nil
 }
 
-// BatchQuery is one query inside a batch frame (and the internal form of a
-// single query). For OriginalQuery the instant goes in Start.
+// BatchQuery is one query of a request. For OriginalQuery the instant goes
+// in Start.
 type BatchQuery struct {
 	Kind        QueryKind
 	Port, Queue int
 	Start, End  uint64
 }
 
-// BatchResult is one query's answer inside a batch reply.
+// BatchResult is one query's answer inside a reply.
 type BatchResult struct {
 	Counts map[string]float64
 	Err    error
 }
 
-// appendQueryBody encodes one query tuple (shared by opQuery and opBatch).
+// appendQueryBody encodes one query tuple.
 func appendQueryBody(b []byte, q BatchQuery) []byte {
 	b = append(b, byte(q.Kind))
 	b = appendUvarint(b, uint64(q.Port))
@@ -331,52 +327,12 @@ func decodeQueryBody(p []byte) (BatchQuery, []byte, error) {
 // and four varints.
 const minQueryBody = 5
 
-// decodeQueryBodies decodes a batch's count and query tuples (shared by
-// opBatch and opBatchT), returning the remainder.
-func decodeQueryBodies(p []byte) ([]BatchQuery, []byte, error) {
-	n, p, err := uvarintCount(p, minQueryBody)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxBatch {
-		return nil, nil, fmt.Errorf("%w: batch of %d queries", errFrameSize, n)
-	}
-	qs := make([]BatchQuery, n)
-	for i := range qs {
-		if qs[i], p, err = decodeQueryBody(p); err != nil {
-			return nil, nil, err
-		}
-	}
-	return qs, p, nil
-}
-
-// appendQueryFrame encodes a single-query request frame.
-func appendQueryFrame(b []byte, id uint64, q BatchQuery) []byte {
-	b, at := beginFrame(b, opQuery)
+// appendRequest encodes a request frame: one id and one round trip for
+// every query in qs, traced under traceID (0 = untraced).
+func appendRequest(b []byte, id, traceID uint64, qs []BatchQuery) []byte {
+	b, at := beginFrame(b, opRequest)
 	b = appendUvarint(b, id)
-	b = appendQueryBody(b, q)
-	return endFrame(b, at)
-}
-
-// decodeQueryRequest decodes an opQuery payload.
-func decodeQueryRequest(p []byte) (id uint64, q BatchQuery, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, q, err
-	}
-	if q, p, err = decodeQueryBody(p); err != nil {
-		return 0, q, err
-	}
-	if len(p) != 0 {
-		return 0, q, errTruncated
-	}
-	return id, q, nil
-}
-
-// appendBatchFrame encodes a batch request frame: many queries, one id,
-// one round trip.
-func appendBatchFrame(b []byte, id uint64, qs []BatchQuery) []byte {
-	b, at := beginFrame(b, opBatch)
-	b = appendUvarint(b, id)
+	b = appendUvarint(b, traceID)
 	b = appendUvarint(b, uint64(len(qs)))
 	for _, q := range qs {
 		b = appendQueryBody(b, q)
@@ -384,18 +340,35 @@ func appendBatchFrame(b []byte, id uint64, qs []BatchQuery) []byte {
 	return endFrame(b, at)
 }
 
-// decodeBatchRequest decodes an opBatch payload.
-func decodeBatchRequest(p []byte) (id uint64, qs []BatchQuery, err error) {
+// decodeRequest decodes an opRequest payload. A request of no query is
+// malformed.
+func decodeRequest(p []byte) (id, traceID uint64, qs []BatchQuery, err error) {
 	if id, p, err = uvarint(p); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	if qs, p, err = decodeQueryBodies(p); err != nil {
-		return 0, nil, err
+	if traceID, p, err = uvarint(p); err != nil {
+		return 0, 0, nil, err
+	}
+	n, p, err := uvarintCount(p, minQueryBody)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if n == 0 {
+		return 0, 0, nil, fmt.Errorf("%w: request of no query", errTruncated)
+	}
+	if n > maxBatch {
+		return 0, 0, nil, fmt.Errorf("%w: request of %d queries", errFrameSize, n)
+	}
+	qs = make([]BatchQuery, n)
+	for i := range qs {
+		if qs[i], p, err = decodeQueryBody(p); err != nil {
+			return 0, 0, nil, err
+		}
 	}
 	if len(p) != 0 {
-		return 0, nil, errTruncated
+		return 0, 0, nil, errTruncated
 	}
-	return id, qs, nil
+	return id, traceID, qs, nil
 }
 
 // wireReply is one executed query's answer on the server side: an
@@ -461,52 +434,13 @@ func decodeReplyBody(p []byte) (BatchResult, []byte, error) {
 // and an error length or flow count.
 const minReplyBody = 2
 
-// decodeReplyBodies decodes a batch reply's count and bodies (shared by
-// opBatchReply and opBatchReplyT), returning the remainder.
-func decodeReplyBodies(p []byte) ([]BatchResult, []byte, error) {
-	n, p, err := uvarintCount(p, minReplyBody)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxBatch {
-		return nil, nil, fmt.Errorf("%w: batch reply of %d results", errFrameSize, n)
-	}
-	rs := make([]BatchResult, n)
-	for i := range rs {
-		if rs[i], p, err = decodeReplyBody(p); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rs, p, nil
-}
-
-// appendReplyFrame encodes a single-query reply frame.
-func appendReplyFrame(b []byte, id uint64, resp wireReply) []byte {
-	b, at := beginFrame(b, opReply)
+// appendResponse encodes a reply frame: the server-side spans of a traced
+// request (none for an untraced one), then one body per query, in request
+// order.
+func appendResponse(b []byte, id uint64, spans []tracing.Span, resps []wireReply) []byte {
+	b, at := beginFrame(b, opResponse)
 	b = appendUvarint(b, id)
-	b = appendReplyBody(b, resp)
-	return endFrame(b, at)
-}
-
-// decodeReply decodes an opReply payload.
-func decodeReply(p []byte) (id uint64, r BatchResult, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, r, err
-	}
-	if r, p, err = decodeReplyBody(p); err != nil {
-		return 0, r, err
-	}
-	if len(p) != 0 {
-		return 0, r, errTruncated
-	}
-	return id, r, nil
-}
-
-// appendBatchReplyFrame encodes a batch reply frame: one body per query,
-// in request order.
-func appendBatchReplyFrame(b []byte, id uint64, resps []wireReply) []byte {
-	b, at := beginFrame(b, opBatchReply)
-	b = appendUvarint(b, id)
+	b = appendSpans(b, spans)
 	b = appendUvarint(b, uint64(len(resps)))
 	for _, resp := range resps {
 		b = appendReplyBody(b, resp)
@@ -514,27 +448,38 @@ func appendBatchReplyFrame(b []byte, id uint64, resps []wireReply) []byte {
 	return endFrame(b, at)
 }
 
-// decodeBatchReply decodes an opBatchReply payload.
-func decodeBatchReply(p []byte) (id uint64, rs []BatchResult, err error) {
+// decodeResponse decodes an opResponse payload.
+func decodeResponse(p []byte) (id uint64, spans []tracing.Span, rs []BatchResult, err error) {
 	if id, p, err = uvarint(p); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	if rs, p, err = decodeReplyBodies(p); err != nil {
-		return 0, nil, err
+	if spans, p, err = decodeSpans(p, tracing.SrcServer); err != nil {
+		return 0, nil, nil, err
+	}
+	n, p, err := uvarintCount(p, minReplyBody)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if n > maxBatch {
+		return 0, nil, nil, fmt.Errorf("%w: reply of %d results", errFrameSize, n)
+	}
+	rs = make([]BatchResult, n)
+	for i := range rs {
+		if rs[i], p, err = decodeReplyBody(p); err != nil {
+			return 0, nil, nil, err
+		}
 	}
 	if len(p) != 0 {
-		return 0, nil, errTruncated
+		return 0, nil, nil, errTruncated
 	}
-	return id, rs, nil
+	return id, spans, rs, nil
 }
 
-// --- Traced frames ---
-//
 // Span lists encode as n × (namelen, name bytes, startNs, durNs), all
 // varint-packed. Src is implied: spans on a reply were recorded by the
-// server, so the decoder stamps tracing.SrcServer. Traced frames are
-// only emitted for sampled queries, so their (small) per-span
-// allocations never touch the untraced hot path.
+// server, so the decoder stamps tracing.SrcServer. Only a traced request's
+// reply carries spans, so their (small) per-span allocations never touch
+// the untraced hot path.
 
 // appendSpans encodes a span list.
 func appendSpans(b []byte, spans []tracing.Span) []byte {
@@ -585,117 +530,4 @@ func decodeSpans(p []byte, src string) ([]tracing.Span, []byte, error) {
 		}
 	}
 	return spans, p, nil
-}
-
-// appendQueryTFrame encodes a traced single-query request frame:
-// id, traceID, query body.
-func appendQueryTFrame(b []byte, id, traceID uint64, q BatchQuery) []byte {
-	b, at := beginFrame(b, opQueryT)
-	b = appendUvarint(b, id)
-	b = appendUvarint(b, traceID)
-	b = appendQueryBody(b, q)
-	return endFrame(b, at)
-}
-
-// decodeQueryRequestT decodes an opQueryT payload.
-func decodeQueryRequestT(p []byte) (id, traceID uint64, q BatchQuery, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, 0, q, err
-	}
-	if traceID, p, err = uvarint(p); err != nil {
-		return 0, 0, q, err
-	}
-	if q, p, err = decodeQueryBody(p); err != nil {
-		return 0, 0, q, err
-	}
-	if len(p) != 0 {
-		return 0, 0, q, errTruncated
-	}
-	return id, traceID, q, nil
-}
-
-// appendBatchTFrame encodes a traced batch request frame.
-func appendBatchTFrame(b []byte, id, traceID uint64, qs []BatchQuery) []byte {
-	b, at := beginFrame(b, opBatchT)
-	b = appendUvarint(b, id)
-	b = appendUvarint(b, traceID)
-	b = appendUvarint(b, uint64(len(qs)))
-	for _, q := range qs {
-		b = appendQueryBody(b, q)
-	}
-	return endFrame(b, at)
-}
-
-// decodeBatchRequestT decodes an opBatchT payload.
-func decodeBatchRequestT(p []byte) (id, traceID uint64, qs []BatchQuery, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, 0, nil, err
-	}
-	if traceID, p, err = uvarint(p); err != nil {
-		return 0, 0, nil, err
-	}
-	if qs, p, err = decodeQueryBodies(p); err != nil {
-		return 0, 0, nil, err
-	}
-	if len(p) != 0 {
-		return 0, 0, nil, errTruncated
-	}
-	return id, traceID, qs, nil
-}
-
-// appendReplyTFrame encodes a traced single-query reply frame:
-// id, spans, reply body.
-func appendReplyTFrame(b []byte, id uint64, resp wireReply, spans []tracing.Span) []byte {
-	b, at := beginFrame(b, opReplyT)
-	b = appendUvarint(b, id)
-	b = appendSpans(b, spans)
-	b = appendReplyBody(b, resp)
-	return endFrame(b, at)
-}
-
-// decodeReplyT decodes an opReplyT payload.
-func decodeReplyT(p []byte) (id uint64, r BatchResult, spans []tracing.Span, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, r, nil, err
-	}
-	if spans, p, err = decodeSpans(p, tracing.SrcServer); err != nil {
-		return 0, r, nil, err
-	}
-	if r, p, err = decodeReplyBody(p); err != nil {
-		return 0, r, nil, err
-	}
-	if len(p) != 0 {
-		return 0, r, nil, errTruncated
-	}
-	return id, r, spans, nil
-}
-
-// appendBatchReplyTFrame encodes a traced batch reply frame:
-// id, spans, n, reply bodies.
-func appendBatchReplyTFrame(b []byte, id uint64, resps []wireReply, spans []tracing.Span) []byte {
-	b, at := beginFrame(b, opBatchReplyT)
-	b = appendUvarint(b, id)
-	b = appendSpans(b, spans)
-	b = appendUvarint(b, uint64(len(resps)))
-	for _, resp := range resps {
-		b = appendReplyBody(b, resp)
-	}
-	return endFrame(b, at)
-}
-
-// decodeBatchReplyT decodes an opBatchReplyT payload.
-func decodeBatchReplyT(p []byte) (id uint64, rs []BatchResult, spans []tracing.Span, err error) {
-	if id, p, err = uvarint(p); err != nil {
-		return 0, nil, nil, err
-	}
-	if spans, p, err = decodeSpans(p, tracing.SrcServer); err != nil {
-		return 0, nil, nil, err
-	}
-	if rs, p, err = decodeReplyBodies(p); err != nil {
-		return 0, nil, nil, err
-	}
-	if len(p) != 0 {
-		return 0, nil, nil, errTruncated
-	}
-	return id, rs, spans, nil
 }

@@ -23,7 +23,7 @@ func allocatedBy(f func()) uint64 {
 
 // wireDecoders are the decoders that read a peer's bytes on the query
 // plane and the checkpoint stream: a collector's MuxClient runs the reply
-// ones on whatever a switch (or whoever answers at its address) sends, its
+// one on whatever a switch (or whoever answers at its address) sends, its
 // mirror streamer the push and resync ones; a switch runs the request and
 // subscribe ones.
 var wireDecoders = []struct {
@@ -31,12 +31,8 @@ var wireDecoders = []struct {
 	decode func(p []byte) error
 }{
 	{"counts", func(p []byte) error { _, _, err := decodeCounts(p); return err }},
-	{"reply", func(p []byte) error { _, _, err := decodeReply(p); return err }},
-	{"replyT", func(p []byte) error { _, _, _, err := decodeReplyT(p); return err }},
-	{"batchReply", func(p []byte) error { _, _, err := decodeBatchReply(p); return err }},
-	{"batchReplyT", func(p []byte) error { _, _, _, err := decodeBatchReplyT(p); return err }},
-	{"batchRequest", func(p []byte) error { _, _, err := decodeBatchRequest(p); return err }},
-	{"batchRequestT", func(p []byte) error { _, _, _, err := decodeBatchRequestT(p); return err }},
+	{"request", func(p []byte) error { _, _, _, err := decodeRequest(p); return err }},
+	{"response", func(p []byte) error { _, _, _, err := decodeResponse(p); return err }},
 	{"spans", func(p []byte) error { _, _, err := decodeSpans(p, tracing.SrcServer); return err }},
 	{"subscribe", func(p []byte) error { _, err := decodeSubscribe(p); return err }},
 	{"checkpoint", func(p []byte) error { _, err := decodeCheckpointFrame(p); return err }},
@@ -56,31 +52,32 @@ func wireAllocBound(n int) uint64 { return 64*uint64(n) + 64<<10 }
 // kill for 2^31-1. Every count-sized allocation on the decode paths must
 // refuse such a count without allocating for it.
 func TestWireOverDeclaredCountRefused(t *testing.T) {
+	decoders := make(map[string]func([]byte) error)
+	for _, d := range wireDecoders {
+		decoders[d.name] = d.decode
+	}
 	for _, declared := range []uint64{1 << 26, math.MaxInt32, maxBatch, maxWireSpans} {
 		count := appendUvarint(nil, declared)
-		withID := append(appendUvarint(nil, 7), count...)
-		bodies := map[string][]byte{
-			"counts":        count,
-			"reply":         append(appendUvarint(nil, 7), append([]byte{0}, count...)...),
-			"replyT":        append(append(appendUvarint(nil, 7), 0), append([]byte{0}, count...)...),
-			"batchReply":    withID,
-			"batchReplyT":   append(append(appendUvarint(nil, 7), 0), count...),
-			"batchRequest":  withID,
-			"batchRequestT": append(append(appendUvarint(nil, 7), 9), count...),
-			"spans":         count,
-		}
-		for _, d := range wireDecoders {
-			body, ok := bodies[d.name]
-			if !ok {
-				continue // a stream frame declares no count to size anything by
-			}
+		// Each body is an id (7), then what precedes the declared count.
+		body := func(prefix ...byte) []byte { return append(append([]byte{7}, prefix...), count...) }
+		for _, tc := range []struct {
+			what, decoder string
+			body          []byte
+		}{
+			{"flows", "counts", count},
+			{"queries", "request", body(9)},                  // trace id 9
+			{"spans", "response", body()},                    // the span list
+			{"results", "response", body(0)},                 // no spans
+			{"flows of a result", "response", body(0, 1, 0)}, // no spans, one ok body
+			{"spans", "spans", count},
+		} {
 			var err error
-			got := allocatedBy(func() { err = d.decode(body) })
+			got := allocatedBy(func() { err = decoders[tc.decoder](tc.body) })
 			if !errors.Is(err, errTruncated) {
-				t.Errorf("%s: %d entries declared in a %d-byte body: err = %v, want errTruncated", d.name, declared, len(body), err)
+				t.Errorf("%s: %d %s declared in a %d-byte body: err = %v, want errTruncated", tc.decoder, declared, tc.what, len(tc.body), err)
 			}
-			if bound := wireAllocBound(len(body)); got > bound {
-				t.Errorf("%s: %d entries declared in a %d-byte body allocated %d bytes, bound %d", d.name, declared, len(body), got, bound)
+			if bound := wireAllocBound(len(tc.body)); got > bound {
+				t.Errorf("%s: %d %s declared in a %d-byte body allocated %d bytes, bound %d", tc.decoder, declared, tc.what, len(tc.body), got, bound)
 			}
 		}
 	}
@@ -117,13 +114,15 @@ func appendStringReplyBody(b []byte, r BatchResult) []byte {
 // FuzzWireReply feeds arbitrary bytes to every query-plane and
 // checkpoint-stream body decoder. None may panic or allocate beyond a small
 // multiple of the input; whatever decodes must re-encode to bytes that
-// decode to an equal value.
+// decode to an equal value — a request's trace id and a reply's span list
+// included.
 func FuzzWireReply(f *testing.F) {
 	// The seeds are the committed corpus (testdata/fuzz/FuzzWireReply):
-	// frame payloads of an empty, a one-flow and a 2000-flow reply, an error
-	// reply, a batch reply and request, the over-declared counts, a
-	// subscribe, a special replayed push, a resync, and a push whose
-	// prev-freeze delta runs past its freeze time.
+	// payloads of replies to a request of one query (an empty, a one-flow
+	// and a 2000-flow answer, an error), of a three-query reply, of a
+	// traced reply with server spans, of a request, of over-declared
+	// counts, of a subscribe, a special replayed push, a resync, and a push
+	// whose prev-freeze delta runs past its freeze time.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One measurement around all of them: ReadMemStats stops the world,
@@ -142,35 +141,25 @@ func FuzzWireReply(f *testing.F) {
 				t.Fatalf("counts %v re-encode to %v (err %v)", counts, again, err)
 			}
 		}
-		if id, r, err := decodeReply(data); err == nil {
-			id2, r2, err := decodeReply(appendStringReplyBody(appendUvarint(nil, id), r))
-			if err != nil || id2 != id || !sameResult(r, r2) {
-				t.Fatalf("reply %d %+v re-encodes to %d %+v (err %v)", id, r, id2, r2, err)
+		if id, traceID, qs, err := decodeRequest(data); err == nil {
+			id2, traceID2, qs2, err := decodeRequest(appendRequest(nil, id, traceID, qs)[frameHeaderLen:])
+			if err != nil || id2 != id || traceID2 != traceID || !reflect.DeepEqual(qs2, qs) {
+				t.Fatalf("request %d trace %d %+v re-encodes to %d trace %d %+v (err %v)", id, traceID, qs, id2, traceID2, qs2, err)
 			}
 		}
-		if id, rs, err := decodeBatchReply(data); err == nil {
-			b := appendUvarint(appendUvarint(nil, id), uint64(len(rs)))
+		if id, spans, rs, err := decodeResponse(data); err == nil {
+			b := appendUvarint(appendSpans(appendUvarint(nil, id), spans), uint64(len(rs)))
 			for _, r := range rs {
 				b = appendStringReplyBody(b, r)
 			}
-			id2, rs2, err := decodeBatchReply(b)
-			if err != nil || id2 != id || len(rs2) != len(rs) {
-				t.Fatalf("batch reply %d of %d re-encodes to %d of %d (err %v)", id, len(rs), id2, len(rs2), err)
+			id2, spans2, rs2, err := decodeResponse(b)
+			if err != nil || id2 != id || !reflect.DeepEqual(spans2, spans) || len(rs2) != len(rs) {
+				t.Fatalf("reply %d with spans %+v and %d results re-encodes to %d with spans %+v and %d results (err %v)",
+					id, spans, len(rs), id2, spans2, len(rs2), err)
 			}
 			for i := range rs {
 				if !sameResult(rs[i], rs2[i]) {
-					t.Fatalf("batch reply result %d: %+v re-encodes to %+v", i, rs[i], rs2[i])
-				}
-			}
-		}
-		if id, qs, err := decodeBatchRequest(data); err == nil {
-			id2, qs2, err := decodeBatchRequest(appendBatchFrame(nil, id, qs)[frameHeaderLen:])
-			if err != nil || id2 != id || len(qs2) != len(qs) {
-				t.Fatalf("batch request %d of %d re-encodes to %d of %d (err %v)", id, len(qs), id2, len(qs2), err)
-			}
-			for i := range qs {
-				if qs[i] != qs2[i] {
-					t.Fatalf("batch request query %d: %+v re-encodes to %+v", i, qs[i], qs2[i])
+					t.Fatalf("reply result %d: %+v re-encodes to %+v", i, rs[i], rs2[i])
 				}
 			}
 		}

@@ -12,6 +12,7 @@ import (
 
 	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/flow"
+	"printqueue/internal/tracing"
 )
 
 // roundTripFrame encodes with enc, then reads the frame back through a
@@ -24,29 +25,6 @@ func roundTripFrame(t *testing.T, frame []byte) (op byte, payload []byte) {
 		t.Fatalf("readFrame: %v", err)
 	}
 	return op, payload
-}
-
-func TestWireQueryFrameRoundTrip(t *testing.T) {
-	queries := []BatchQuery{
-		{Kind: IntervalQuery, Port: 0, Start: 1000, End: 2000},
-		{Kind: IntervalQuery, Port: 7, Start: 0, End: 1},
-		{Kind: OriginalQuery, Port: 3, Queue: 2, Start: 1500},
-		{Kind: OriginalQuery},
-	}
-	for i, q := range queries {
-		frame := appendQueryFrame(nil, uint64(i+1), q)
-		op, payload := roundTripFrame(t, frame)
-		if op != opQuery {
-			t.Fatalf("op = %#x, want opQuery", op)
-		}
-		id, got, err := decodeQueryRequest(payload)
-		if err != nil {
-			t.Fatalf("decode query %d: %v", i, err)
-		}
-		if id != uint64(i+1) || got != q {
-			t.Fatalf("query %d round-tripped to id=%d %+v, want id=%d %+v", i, id, got, i+1, q)
-		}
-	}
 }
 
 // appendStringCounts is the reply encoder as it was while the server built a
@@ -63,13 +41,36 @@ func appendStringCounts(b []byte, counts map[string]float64) []byte {
 	return b
 }
 
-// stringReplyFrame is an ok opReply frame around appendStringCounts.
+// stringReplyFrame is an untraced reply frame of one ok body around
+// appendStringCounts.
 func stringReplyFrame(id uint64, counts map[string]float64) []byte {
-	b, at := beginFrame(nil, opReply)
+	b, at := beginFrame(nil, opResponse)
 	b = appendUvarint(b, id)
+	b = appendSpans(b, nil)
+	b = appendUvarint(b, 1)
 	b = append(b, 0)
 	b = appendStringCounts(b, counts)
 	return endFrame(b, at)
+}
+
+// replyFrame is a reply frame answering a request of one query.
+func replyFrame(id uint64, resp wireReply) []byte {
+	return appendResponse(nil, id, nil, []wireReply{resp})
+}
+
+// decodeOne reads a reply frame back as a peer would and requires it to
+// answer exactly one query.
+func decodeOne(t *testing.T, frame []byte) (uint64, BatchResult) {
+	t.Helper()
+	op, payload := roundTripFrame(t, frame)
+	if op != opResponse {
+		t.Fatalf("op = %#x, want opResponse", op)
+	}
+	id, spans, rs, err := decodeResponse(payload)
+	if err != nil || len(spans) != 0 || len(rs) != 1 {
+		t.Fatalf("decode: %d spans, %d results, err %v; want 0 spans, 1 result", len(spans), len(rs), err)
+	}
+	return id, rs[0]
 }
 
 // sprintfKey is the fmt rendering flow.Key.String had when those strings
@@ -113,21 +114,17 @@ func TestWireReplyFromFlowCounts(t *testing.T) {
 		big,
 	}
 	for i, counts := range cases {
-		frame := appendReplyFrame(nil, 9, wireReply{Counts: counts})
+		frame := replyFrame(9, wireReply{Counts: counts})
 		oracle := stringReplyFrame(9, sprintfCounts(counts))
 		if len(frame) != len(oracle) || (len(counts) <= 1 && !bytes.Equal(frame, oracle)) {
 			t.Fatalf("case %d: frame from flow.Counts is %d bytes %x, from the string map %d bytes %x",
 				i, len(frame), frame[:min(len(frame), 80)], len(oracle), oracle[:min(len(oracle), 80)])
 		}
-		_, payload := roundTripFrame(t, frame)
-		id, got, err := decodeReply(payload)
-		if err != nil || id != 9 || got.Err != nil {
-			t.Fatalf("case %d: decode id=%d err=%v reply err=%v", i, id, err, got.Err)
+		id, got := decodeOne(t, frame)
+		if id != 9 || got.Err != nil {
+			t.Fatalf("case %d: decode id=%d reply err=%v", i, id, got.Err)
 		}
-		_, want, err := decodeReply(oracle[frameHeaderLen:])
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, want := decodeOne(t, oracle)
 		if !reflect.DeepEqual(got.Counts, want.Counts) {
 			t.Fatalf("case %d: decoded %v, string-map encoding decoded %v", i, got.Counts, want.Counts)
 		}
@@ -144,15 +141,7 @@ func TestWireCountsRoundTripBitEqual(t *testing.T) {
 		{"flow\twith\"specials\\": 7},
 	}
 	for i, counts := range cases {
-		frame := stringReplyFrame(9, counts)
-		op, payload := roundTripFrame(t, frame)
-		if op != opReply {
-			t.Fatalf("op = %#x, want opReply", op)
-		}
-		id, r, err := decodeReply(payload)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
+		id, r := decodeOne(t, stringReplyFrame(9, counts))
 		if id != 9 || r.Err != nil {
 			t.Fatalf("case %d: id=%d err=%v", i, id, r.Err)
 		}
@@ -172,91 +161,94 @@ func TestWireCountsRoundTripBitEqual(t *testing.T) {
 }
 
 func TestWireErrorReplyRoundTrip(t *testing.T) {
-	frame := appendReplyFrame(nil, 3, wireReply{Error: "control: port 9 not activated"})
-	_, payload := roundTripFrame(t, frame)
-	id, r, err := decodeReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 3 || r.Err == nil || r.Err.Error() != "control: port 9 not activated" {
-		t.Fatalf("got id=%d err=%v", id, r.Err)
+	id, r := decodeOne(t, replyFrame(3, wireReply{Error: "control: port 9 not activated"}))
+	if id != 3 || r.Err == nil || r.Err.Error() != "control: port 9 not activated" || r.Counts != nil {
+		t.Fatalf("got id=%d %+v", id, r)
 	}
 
 	// The overload sentinel survives the wire as the canonical value, so
 	// the client's retry logic can match it with errors.Is.
-	frame = appendReplyFrame(nil, 4, wireReply{Error: ErrOverloaded.Error()})
-	_, payload = roundTripFrame(t, frame)
-	_, r, err = decodeReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(r.Err, ErrOverloaded) {
+	if _, r := decodeOne(t, replyFrame(4, wireReply{Error: ErrOverloaded.Error()})); !errors.Is(r.Err, ErrOverloaded) {
 		t.Fatalf("overload reply decoded to %v, want ErrOverloaded", r.Err)
 	}
 }
 
+// TestWireBatchRoundTrip: a request of one query and one of many, traced
+// and not, decode to what was encoded, and so does a reply of one body
+// and of many, with and without server spans.
 func TestWireBatchRoundTrip(t *testing.T) {
-	qs := []BatchQuery{
-		{Kind: IntervalQuery, Port: 0, Start: 1, End: 2},
-		{Kind: OriginalQuery, Port: 1, Queue: 3, Start: 9},
-	}
-	frame := appendBatchFrame(nil, 77, qs)
-	op, payload := roundTripFrame(t, frame)
-	if op != opBatch {
-		t.Fatalf("op = %#x, want opBatch", op)
-	}
-	id, got, err := decodeBatchRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 77 || len(got) != 2 || got[0] != qs[0] || got[1] != qs[1] {
-		t.Fatalf("batch round-tripped to id=%d %+v", id, got)
+	for i, req := range []struct {
+		id, traceID uint64
+		qs          []BatchQuery
+	}{
+		{1, 0, []BatchQuery{{Kind: IntervalQuery, Port: 0, Start: 1000, End: 2000}}},
+		{2, 0, []BatchQuery{{Kind: IntervalQuery, Port: 7, Start: 0, End: 1}}},
+		{3, 0, []BatchQuery{{Kind: OriginalQuery, Port: 3, Queue: 2, Start: 1500}}},
+		{4, 0, []BatchQuery{{Kind: OriginalQuery}}},
+		{77, 0, []BatchQuery{{Kind: IntervalQuery, Port: 0, Start: 1, End: 2}, {Kind: OriginalQuery, Port: 1, Queue: 3, Start: 9}}},
+		{5, 1<<63 + 5, []BatchQuery{{Kind: IntervalQuery, Port: 5, Start: 1 << 40, End: 1<<40 + 9}}},
+		{1 << 40, 1, []BatchQuery{{Kind: OriginalQuery, Port: 1, Start: 3}, {Kind: IntervalQuery, Port: 2, Start: 4, End: 8}}},
+	} {
+		op, payload := roundTripFrame(t, appendRequest(nil, req.id, req.traceID, req.qs))
+		if op != opRequest {
+			t.Fatalf("request %d: op = %#x, want opRequest", i, op)
+		}
+		id, traceID, qs, err := decodeRequest(payload)
+		if err != nil || id != req.id || traceID != req.traceID || !reflect.DeepEqual(qs, req.qs) {
+			t.Fatalf("request %d round-tripped to id=%d trace=%d %+v (err %v), want id=%d trace=%d %+v",
+				i, id, traceID, qs, err, req.id, req.traceID, req.qs)
+		}
 	}
 
-	resps := []wireReply{
-		{Counts: flow.Counts{fkey(7): 1.5}},
-		{Error: "nope"},
+	spans := []tracing.Span{
+		{Name: "server.dispatch", Src: tracing.SrcServer, Start: 10, Dur: 5},
+		{Name: "server.execute", Src: tracing.SrcServer, Start: 20, Dur: 300},
 	}
-	frame = appendBatchReplyFrame(nil, 77, resps)
-	op, payload = roundTripFrame(t, frame)
-	if op != opBatchReply {
-		t.Fatalf("op = %#x, want opBatchReply", op)
-	}
-	id, rs, err := decodeBatchReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 77 || len(rs) != 2 {
-		t.Fatalf("id=%d results=%d", id, len(rs))
-	}
-	if rs[0].Err != nil || len(rs[0].Counts) != 1 || rs[0].Counts[fkey(7).String()] != 1.5 {
-		t.Fatalf("result 0 = %+v", rs[0])
-	}
-	if rs[1].Err == nil || rs[1].Err.Error() != "nope" || rs[1].Counts != nil {
-		t.Fatalf("result 1 = %+v", rs[1])
+	for _, withSpans := range [][]tracing.Span{nil, spans} {
+		resps := []wireReply{
+			{Counts: flow.Counts{fkey(7): 1.5}},
+			{Error: "nope"},
+		}
+		op, payload := roundTripFrame(t, appendResponse(nil, 77, withSpans, resps))
+		if op != opResponse {
+			t.Fatalf("op = %#x, want opResponse", op)
+		}
+		id, gotSpans, rs, err := decodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 77 || len(rs) != 2 || len(gotSpans) != len(withSpans) || (len(withSpans) > 0 && !reflect.DeepEqual(gotSpans, withSpans)) {
+			t.Fatalf("id=%d results=%d spans=%+v, want 77, 2, %+v", id, len(rs), gotSpans, withSpans)
+		}
+		if rs[0].Err != nil || len(rs[0].Counts) != 1 || rs[0].Counts[fkey(7).String()] != 1.5 {
+			t.Fatalf("result 0 = %+v", rs[0])
+		}
+		if rs[1].Err == nil || rs[1].Err.Error() != "nope" || rs[1].Counts != nil {
+			t.Fatalf("result 1 = %+v", rs[1])
+		}
 	}
 }
 
 // TestWireTruncationNeverPanics feeds every proper prefix of valid frames
 // through the decoders: each must fail cleanly, never panic or succeed.
 func TestWireTruncationNeverPanics(t *testing.T) {
+	spans := []tracing.Span{{Name: "server.execute", Start: 1, Dur: 2}}
 	frames := [][]byte{
-		appendQueryFrame(nil, 123456, BatchQuery{Kind: IntervalQuery, Port: 5, Start: 1 << 40, End: 1<<40 + 9}),
-		appendBatchFrame(nil, 7, []BatchQuery{{Kind: OriginalQuery, Port: 1, Queue: 1, Start: 3}}),
-		appendReplyFrame(nil, 99, wireReply{Counts: flow.Counts{fkey(1): 2.5, fkey(2): 7}}),
-		appendReplyFrame(nil, 99, wireReply{Error: "boom"}),
-		appendBatchReplyFrame(nil, 42, []wireReply{{Counts: flow.Counts{fkey(1): 1}}, {Error: "e"}}),
+		appendRequest(nil, 123456, 0, []BatchQuery{{Kind: IntervalQuery, Port: 5, Start: 1 << 40, End: 1<<40 + 9}}),
+		appendRequest(nil, 7, 1<<50, []BatchQuery{{Kind: OriginalQuery, Port: 1, Queue: 1, Start: 3}, {Kind: IntervalQuery, End: 1}}),
+		replyFrame(99, wireReply{Counts: flow.Counts{fkey(1): 2.5, fkey(2): 7}}),
+		replyFrame(99, wireReply{Error: "boom"}),
+		appendResponse(nil, 42, spans, []wireReply{{Counts: flow.Counts{fkey(1): 1}}, {Error: "e"}}),
 	}
 	for fi, frame := range frames {
 		payload := frame[frameHeaderLen:]
 		for cut := 0; cut < len(payload); cut++ {
 			p := payload[:cut]
-			if _, _, err := decodeQueryRequest(p); err == nil && frame[1] == opQuery && cut < len(payload) {
-				t.Fatalf("frame %d: truncated query at %d decoded successfully", fi, cut)
+			_, _, _, reqErr := decodeRequest(p)
+			_, _, _, respErr := decodeResponse(p)
+			if (frame[1] == opRequest && reqErr == nil) || (frame[1] == opResponse && respErr == nil) {
+				t.Fatalf("frame %d: truncated at %d of %d bytes decoded successfully", fi, cut, len(payload))
 			}
-			decodeBatchRequest(p)
-			decodeReply(p)
-			decodeBatchReply(p)
 		}
 	}
 }
@@ -269,7 +261,7 @@ func TestWireBadMagic(t *testing.T) {
 		t.Fatalf("err = %v, want errBadMagic", err)
 	}
 	// Oversized length field: rejected before allocating.
-	big := []byte{frameMagic, opReply, 0xFF, 0xFF, 0xFF, 0xFF}
+	big := []byte{frameMagic, opResponse, 0xFF, 0xFF, 0xFF, 0xFF}
 	br = bufio.NewReader(bytes.NewReader(big))
 	if _, _, err := readFrame(br, nil, maxFramePayload); !errors.Is(err, errFrameSize) {
 		t.Fatalf("err = %v, want errFrameSize", err)
@@ -280,27 +272,27 @@ func TestWireBadMagic(t *testing.T) {
 // encode paths: once a buffer has grown, encoding a reply or a request into
 // it allocates nothing.
 func TestWireEncodeAllocs(t *testing.T) {
-	reply := wireReply{Counts: flow.Counts{fkey(1): 12.5, fkey(2): 60, flow.Zero: 1}}
+	resps := []wireReply{{Counts: flow.Counts{fkey(1): 12.5, fkey(2): 60, flow.Zero: 1}}}
 	buf := make([]byte, 0, 1<<12)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendReplyFrame(buf[:0], 42, reply)
+		buf = appendResponse(buf[:0], 42, nil, resps)
 	}); n > 0 {
-		t.Errorf("appendReplyFrame allocates %.1f/op, want 0", n)
+		t.Errorf("appendResponse allocates %.1f/op, want 0", n)
 	}
 	qs := []BatchQuery{{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}, {Kind: OriginalQuery, Start: 3}}
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendBatchFrame(buf[:0], 7, qs)
+		buf = appendRequest(buf[:0], 7, 0, qs)
 	}); n > 0 {
-		t.Errorf("appendBatchFrame allocates %.1f/op, want 0", n)
+		t.Errorf("appendRequest allocates %.1f/op, want 0", n)
 	}
 }
 
-// TestWireDifferentialJSONBinary drives a query stream through the wire
-// (single and batch ops) and requires what arrives to be, bit for bit and
-// error text for error text, the answer the System gives in process with its
-// flow keys rendered by flow.Key.String — the codec adds and loses nothing.
-// (The name is from when the reference was a second, JSON wire.)
-func TestWireDifferentialJSONBinary(t *testing.T) {
+// TestWireDifferential drives a query stream through the wire (requests of
+// one query and one of all of them) and requires what arrives to be, bit
+// for bit and error text for error text, the answer the System gives in
+// process with its flow keys rendered by flow.Key.String — the codec adds
+// and loses nothing.
+func TestWireDifferential(t *testing.T) {
 	srv, ts := netFixture(t)
 	bc, err := DialMux(srv.Addr().String())
 	if err != nil {
@@ -374,7 +366,7 @@ func runWireDifferential(t *testing.T, sys *System, ts uint64, bc *MuxClient) {
 		t.Fatalf("only %d queries of the stream had flows to compare", answered)
 	}
 
-	// The same stream as one batch frame.
+	// The same stream as one request.
 	batch, err := bc.Batch(stream)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
