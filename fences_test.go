@@ -65,6 +65,14 @@ var fences = []fence{
 		name: "a query runs where it was asked", root: "internal/core/control/live.go",
 		pattern: regexp.MustCompile(`^\s*go `),
 	},
+	{
+		// Concurrent queries run side by side, one query is never split:
+		// an interval folds into one accumulator on the goroutine running
+		// it, so neither the shard threshold, the shard and merge spans,
+		// the fan-out counter nor the accumulator merge comes back.
+		name: "an interval fold runs on one goroutine", root: "internal/core",
+		pattern: regexp.MustCompile(`\bparallelMinRun\b|"server\.(shard|merge)"|parallel_fanouts|func \(a \*Accumulator\) Merge\b`),
+	},
 }
 
 // TestFences scans the non-test Go files under each fence's root, line by

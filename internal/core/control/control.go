@@ -189,7 +189,7 @@ type Stats struct {
 	Checkpoints     int   // periodic freezes taken
 	SpecialFreezes  int   // data-plane query freezes
 	EntriesRead     int64 // register entries a hardware control plane reads for these freezes (whole arrays)
-	InfeasibleFlips int   // freezes whose read exceeded the poll period or overran the snapshotter
+	InfeasibleFlips int   // freezes whose modelled read exceeded the poll period (Config.ReadRateEntriesPerSec)
 	DPSuppressed    int   // data-plane triggers ignored because a read was in flight
 	PacketsObserved int64
 }
@@ -205,8 +205,12 @@ type statsCounters struct {
 	entriesRead     *telemetry.Counter
 	cellsKept       *telemetry.Counter
 	infeasibleFlips *telemetry.Counter
-	dpSuppressed    *telemetry.Counter
-	tsRegressions   *telemetry.Counter
+	// snapshotStalls counts flips that waited for the host snapshotter to
+	// retire the set they were about to write: a property of the host,
+	// not of the modelled switch, so it is kept out of Stats.
+	snapshotStalls *telemetry.Counter
+	dpSuppressed   *telemetry.Counter
+	tsRegressions  *telemetry.Counter
 	// ingestAfterClose counts packets handed to a Pipeline after its Close.
 	// It lives here, not on the Pipeline, so /debug/pipeline still shows it
 	// once the pipeline is gone.
@@ -239,7 +243,9 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.ingestAfterClose = reg.Counter("printqueue_pipeline_ingest_after_close_total",
 		"Packets for activated ports handed to an ingestion pipeline after its Close: refused, observed by nothing.")
 	sc.infeasibleFlips = reg.Counter("printqueue_infeasible_flips_total",
-		"Freezes whose read exceeded the poll period or stalled on the snapshotter.")
+		"Freezes whose modelled register read exceeded the poll period (the Fig. 13 data-exchange limit).")
+	sc.snapshotStalls = reg.Counter("printqueue_snapshot_stalls_total",
+		"Flips that waited for the background snapshotter to retire the register set they were about to write.")
 	sc.dpSuppressed = reg.Counter("printqueue_dp_suppressed_total",
 		"Data-plane query triggers ignored because a special read was in flight.")
 	sc.freezeRetireNs = reg.Histogram("printqueue_checkpoint_freeze_to_retire_ns",
@@ -261,13 +267,11 @@ func (sc *statsCounters) observeRetire(frozenAt, decidedAt time.Time) {
 
 // queryPathCounters instruments the interval-query execution path: how much
 // of the checkpoint history pruning eliminated, how many index cells the
-// surviving run touched, and how often a query fanned out across the worker
-// pool.
+// surviving run touched, and how much of it came from the cold tier.
 type queryPathCounters struct {
 	checkpointsScanned *telemetry.Counter
 	checkpointsPruned  *telemetry.Counter
 	cellsVisited       *telemetry.Counter
-	parallelFanouts    *telemetry.Counter
 	coldCheckpoints    *telemetry.Counter
 }
 
@@ -278,8 +282,6 @@ func (qc *queryPathCounters) register(reg *telemetry.Registry) {
 		"Checkpoints skipped by the coverage binary search without being touched.")
 	qc.cellsVisited = reg.Counter("printqueue_query_cells_visited_total",
 		"Time-window index cells visited by interval queries.")
-	qc.parallelFanouts = reg.Counter("printqueue_query_parallel_fanouts_total",
-		"Interval queries whose checkpoint run was sharded across goroutines.")
 	qc.coldCheckpoints = reg.Counter("printqueue_query_cold_checkpoints_total",
 		"Checkpoints served from the cold (on-disk) history tier by interval queries.")
 }
@@ -940,12 +942,13 @@ func (ps *portState) clearPending(sel int) {
 
 // waitSetFree blocks until set sel has no frozen read in flight. Having to
 // wait at all means the snapshotter fell a full poll period behind — the
-// backpressure regime — so the stall is charged to InfeasibleFlips and
-// recorded as a freeze-stall event (the stall duration in ns).
+// backpressure regime of the host, not a modelled switch limit — so the
+// stall is counted in printqueue_snapshot_stalls_total and recorded as a
+// freeze-stall event (the stall duration in ns).
 func (ps *portState) waitSetFree(sel int, s *System) {
 	ps.pendMu.Lock()
 	if ps.pendingSet[sel] {
-		s.stats.infeasibleFlips.Add(1)
+		s.stats.snapshotStalls.Add(1)
 		start := time.Now()
 		for ps.pendingSet[sel] {
 			ps.pendCond.Wait()
@@ -976,8 +979,9 @@ func (ps *portState) drainPending() {
 // snapshot goroutine; the full-set register copy happens off the hot path.
 // If the set about to become the write target still has a read in flight —
 // the snapshotter is more than one poll period behind — the flip blocks
-// until the read retires and the stall is charged to InfeasibleFlips,
-// mirroring the paper's Figure-13 data-exchange limit.
+// until the read retires and the stall is counted as a snapshot stall. A
+// read the modelled read rate cannot finish within the poll period is
+// counted in InfeasibleFlips, the paper's Figure-13 data-exchange limit.
 //
 // The freeze covers (prevFreeze, now]; decidedAt is when the feeding
 // goroutine decided it (decision.at).
@@ -1051,7 +1055,7 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now,
 	// chain ending at the special freeze. The recency advantage of the
 	// data-plane query is preserved: the newest, least-compressed data is in
 	// the special set.
-	dq.Result, dq.Err = s.foldInterval(ps, dq.EnqTS, dq.DeqTS, nil, nil)
+	dq.Result, dq.Err = s.foldInterval(ps, dq.EnqTS, dq.DeqTS, nil)
 	ps.mu.Lock()
 	ps.dpQueries = append(ps.dpQueries, dq)
 	ps.mu.Unlock()
@@ -1130,11 +1134,11 @@ func (s *System) DPQueries(port int) []*DPQuery {
 func (s *System) QueryInterval(port int, start, end uint64) (flow.Counts, error) {
 	t := s.Tracer()
 	if t == nil {
-		return s.queryIntervalSharded(port, start, end, nil, nil)
+		return s.queryInterval(port, start, end, nil)
 	}
 	t0 := time.Now()
 	tr := t.Start("interval")
-	counts, err := s.queryIntervalSharded(port, start, end, nil, tr)
+	counts, err := s.queryInterval(port, start, end, tr)
 	if tr != nil {
 		tr.FinishErr(err)
 	} else {
@@ -1143,10 +1147,9 @@ func (s *System) QueryInterval(port int, start, end uint64) (flow.Counts, error)
 	return counts, err
 }
 
-// queryIntervalSharded is QueryInterval with optional parallel fan-out over
-// sem (see foldInterval) and per-stage spans collected in tr (nil =
+// queryInterval is QueryInterval with per-stage spans collected in tr (nil =
 // untraced).
-func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
+func (s *System) queryInterval(port int, start, end uint64, tr *tracing.Trace) (flow.Counts, error) {
 	ps, ok := s.ports[port]
 	if !ok {
 		return nil, fmt.Errorf("control: port %d not activated", port)
@@ -1154,7 +1157,7 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 	if end <= start {
 		return nil, fmt.Errorf("control: empty query interval [%d, %d)", start, end)
 	}
-	return s.foldInterval(ps, start, end, sem, tr)
+	return s.foldInterval(ps, start, end, tr)
 }
 
 // foldInterval answers [start, end) on one port. The checkpoints whose
@@ -1165,17 +1168,10 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 // and special registers do not overlap, because [a] packet at any time point
 // would belong to only one register set" (§6.2), and PrevFreeze chaining
 // keeps the coverages disjoint across tiers too. timewindow.FoldInterval
-// does the rest.
-//
-// When sem (a semaphore whose capacity is the query server's slot count) is
-// non-nil and the run is long, it is split into contiguous shards folded
-// concurrently and merged in shard order. Shards that cannot acquire a slot
-// run inline on the caller, so fan-out never blocks on a full semaphore. The
-// shards' accumulators are exact integers, so the result is bit-identical
-// for any sharding. tr collects one "server.shard" span per shard (recorded
-// concurrently by the shards) and a "server.merge" span for the merge, or a
-// single "server.accumulate" span when the run is folded whole.
-func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{}, tr *tracing.Trace) (flow.Counts, error) {
+// does the rest, into one accumulator on the calling goroutine: concurrent
+// queries run on their own goroutines, one query is never split. tr
+// collects the fold as one "server.accumulate" span.
+func (s *System) foldInterval(ps *portState, start, end uint64, tr *tracing.Trace) (flow.Counts, error) {
 	run, histLen, hotStart := ps.snapshotRun(start, end, tr)
 	s.qpath.checkpointsPruned.Add(int64(histLen - len(run)))
 	s.qpath.checkpointsScanned.Add(int64(len(run)))
@@ -1187,79 +1183,16 @@ func (s *System) foldInterval(ps *portState, start, end uint64, sem chan struct{
 		}
 		run = append(run, hot...)
 	}
-	shards := 0
-	if sem != nil {
-		shards = cap(sem)
+	sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
+	defer sp.End()
+	acc := timewindow.NewAccumulator(s.cfg.TW.T, nil)
+	cells, err := timewindow.FoldInterval(acc, s.cfg.TW, run, start, end)
+	if err != nil {
+		return nil, err
 	}
-	if shards > len(run) {
-		shards = len(run)
-	}
-	if len(run) < parallelMinRun || shards < 2 {
-		sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-		defer sp.End()
-		acc := timewindow.NewAccumulator(s.cfg.TW.T, nil)
-		cells, err := timewindow.FoldInterval(acc, s.cfg.TW, run, start, end)
-		if err != nil {
-			return nil, err
-		}
-		s.qpath.cellsVisited.Add(int64(cells))
-		return acc.Counts(), nil
-	}
-	accs := make([]*timewindow.Accumulator, shards)
-	cells := make([]int, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	spawned := 0
-	for c := 0; c < shards; c++ {
-		chunk := run[c*len(run)/shards : (c+1)*len(run)/shards]
-		work := func(c int, chunk []timewindow.Covered) {
-			sp := tr.StartSpan("server.shard", tracing.SrcServer)
-			accs[c] = timewindow.NewAccumulator(s.cfg.TW.T, nil)
-			cells[c], errs[c] = timewindow.FoldInterval(accs[c], s.cfg.TW, chunk, start, end)
-			sp.End()
-		}
-		if c == shards-1 {
-			// The caller always takes the last shard itself: progress is
-			// guaranteed even when every pool slot is busy.
-			work(c, chunk)
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			spawned++
-			go func(c int, chunk []timewindow.Covered) {
-				defer func() { <-sem; wg.Done() }()
-				work(c, chunk)
-			}(c, chunk)
-		default:
-			work(c, chunk)
-		}
-	}
-	wg.Wait()
-	if spawned > 0 {
-		s.qpath.parallelFanouts.Inc()
-	}
-	spM := tr.StartSpan("server.merge", tracing.SrcServer)
-	defer spM.End()
-	visited := 0
-	for c := 0; c < shards; c++ {
-		if errs[c] != nil {
-			return nil, errs[c]
-		}
-		if c > 0 {
-			accs[0].Merge(accs[c])
-		}
-		visited += cells[c]
-	}
-	s.qpath.cellsVisited.Add(int64(visited))
-	return accs[0].Counts(), nil
+	s.qpath.cellsVisited.Add(int64(cells))
+	return acc.Counts(), nil
 }
-
-// parallelMinRun is the smallest checkpoint run worth sharding across
-// goroutines; below it goroutine handoff costs more than the accumulation it
-// parallelizes.
-const parallelMinRun = 8
 
 // QueryOriginal executes a queue-monitor query: the original causes of
 // congestion at the time instant closest to t, for the given port and

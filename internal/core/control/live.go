@@ -29,11 +29,6 @@ type QueryServer struct {
 	slots chan struct{}
 	done  chan struct{}
 	wg    sync.WaitGroup
-	// sem bounds the extra goroutines interval queries may fan out across:
-	// its capacity is the slot count, so a query sharding a deep
-	// checkpoint run never exceeds the concurrency the operator sized.
-	// Shards that find it full run inline on the query's own goroutine.
-	sem chan struct{}
 }
 
 // queryMetrics instruments the query execution path, per operation.
@@ -95,7 +90,6 @@ func (q *QueryServer) Start(workers int) {
 	}
 	q.slots = make(chan struct{}, workers)
 	q.done = make(chan struct{})
-	q.sem = make(chan struct{}, workers)
 	q.started = true
 }
 
@@ -127,7 +121,7 @@ func (q *QueryServer) submit(b BatchQuery, tr *tracing.Trace) QueryResult {
 		q.mu.Unlock()
 		return QueryResult{Err: fmt.Errorf("control: query server not running")}
 	}
-	slots, done, sem := q.slots, q.done, q.sem
+	slots, done := q.slots, q.done
 	q.wg.Add(1)
 	q.mu.Unlock()
 	defer q.wg.Done()
@@ -140,10 +134,10 @@ func (q *QueryServer) submit(b BatchQuery, tr *tracing.Trace) QueryResult {
 	if tr != nil {
 		tr.Span("server.queue", tracing.SrcServer, submitted, time.Since(submitted))
 	}
-	return q.execute(b, sem, tr)
+	return q.execute(b, tr)
 }
 
-func (q *QueryServer) execute(b BatchQuery, sem chan struct{}, tr *tracing.Trace) (res QueryResult) {
+func (q *QueryServer) execute(b BatchQuery, tr *tracing.Trace) (res QueryResult) {
 	// A query with no remote trace may still be sampled locally, so
 	// server-only queries (tests, pqsim, fleet internals) show up in the
 	// trace ring too. Traces we open here we also close here; remote
@@ -173,7 +167,7 @@ func (q *QueryServer) execute(b BatchQuery, sem chan struct{}, tr *tracing.Trace
 	if b.Kind == OriginalQuery {
 		res.Counts, res.Err = q.sys.queryOriginal(b.Port, b.Queue, b.Start, tr)
 	} else {
-		res.Counts, res.Err = q.sys.queryIntervalSharded(b.Port, b.Start, b.End, sem, tr)
+		res.Counts, res.Err = q.sys.queryInterval(b.Port, b.Start, b.End, tr)
 	}
 	sp.End()
 	if res.Err != nil {

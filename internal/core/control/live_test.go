@@ -104,60 +104,6 @@ func TestQueryServerConcurrentWithDataPlane(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueryServerParallelFanout checks that a wide interval over a deep
-// checkpoint history is sharded across goroutines and that the
-// parallel merge returns exactly the serial result.
-func TestQueryServerParallelFanout(t *testing.T) {
-	cfg := testConfig(0)
-	cfg.PollPeriodNs = 256
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := buildDeepHistory(t, s, 0, 4*parallelMinRun)
-
-	// Serial reference (no semaphore → no fan-out).
-	serial, err := s.QueryInterval(0, 0, ts+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	qs := NewQueryServer(s)
-	qs.Start(4)
-	defer qs.Stop()
-	before := s.qpath.parallelFanouts.Load()
-	res := qs.Interval(0, 0, ts+1)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if !reflect.DeepEqual(res.Counts, serial) {
-		t.Fatalf("parallel result %v != serial %v", res.Counts, serial)
-	}
-	if got := s.qpath.parallelFanouts.Load(); got <= before {
-		t.Fatalf("parallel fanout counter = %d (was %d); wide query over %d checkpoints did not shard",
-			got, before, len(s.Checkpoints(0)))
-	}
-
-	// A narrow interval must not fan out (run below parallelMinRun) and must
-	// still match the serial answer exactly.
-	lo, hi := ts-600, ts
-	serialNarrow, err := s.QueryInterval(0, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := s.qpath.parallelFanouts.Load()
-	resNarrow := qs.Interval(0, lo, hi)
-	if resNarrow.Err != nil {
-		t.Fatal(resNarrow.Err)
-	}
-	if !reflect.DeepEqual(resNarrow.Counts, serialNarrow) {
-		t.Fatalf("narrow parallel result %v != serial %v", resNarrow.Counts, serialNarrow)
-	}
-	if got := s.qpath.parallelFanouts.Load(); got != mid {
-		t.Fatalf("narrow query fanned out (counter %d -> %d)", mid, got)
-	}
-}
-
 func TestQueryServerStartStopIdempotent(t *testing.T) {
 	s, _ := New(testConfig(0))
 	qs := NewQueryServer(s)

@@ -95,8 +95,7 @@ func BenchmarkQueryInterval(b *testing.B) {
 }
 
 // BenchmarkQueryIntervalParallel measures the same wide query through the
-// QueryServer fan-out path, where long checkpoint runs shard across
-// goroutines.
+// QueryServer: a slot, then the same fold on the calling goroutine.
 func BenchmarkQueryIntervalParallel(b *testing.B) {
 	s, end := benchDeepSystem(b)
 	qs := NewQueryServer(s)

@@ -154,8 +154,8 @@ func boundaryIntervals(horizon, hotStart uint64) []interval {
 
 // TestQueryPathBoundaryDifferential pins the engine against the scan oracle
 // across the hot/cold partition, for every source an interval is answered
-// from on a switch: a bounded hot ring over the log, the same run sharded
-// across goroutines, and the log alone after a restart. (The scan path
+// from on a switch: a bounded hot ring over the log, and the log alone after
+// a restart. (The scan path
 // this test was written for once ignored the segment log entirely, so any
 // interval reaching below the oldest hot checkpoint silently lost the cold
 // contribution; the fleet package holds a Mirror to the same intervals.)
@@ -188,17 +188,6 @@ func TestQueryPathBoundaryDifferential(t *testing.T) {
 		live = check(t, s, func(lo, hi uint64) (flow.Counts, error) { return s.QueryInterval(0, lo, hi) })
 		if s.qpath.coldCheckpoints.Load() == 0 {
 			t.Fatal("no query reached the cold tier")
-		}
-	})
-	t.Run("sharded", func(t *testing.T) {
-		sem := make(chan struct{}, 4)
-		cold := s.qpath.coldCheckpoints.Load()
-		check(t, s, func(lo, hi uint64) (flow.Counts, error) { return s.queryIntervalSharded(0, lo, hi, sem, nil) })
-		if s.qpath.parallelFanouts.Load() == 0 {
-			t.Fatalf("no run of %d+ checkpoints was sharded", parallelMinRun)
-		}
-		if s.qpath.coldCheckpoints.Load() == cold {
-			t.Fatal("the sharded runs held no cold checkpoint")
 		}
 	})
 	t.Run("reopened-cold-only", func(t *testing.T) {
@@ -279,7 +268,7 @@ func FuzzIntervalMatchesOracle(f *testing.F) {
 // TestFoldScratchReuse: AccumulateInto's pooled scratch must come back
 // zeroed whatever it last counted. Checkpoints alternate between hundreds of
 // flows and two; folding a many-flow one, then a few-flow one, then the
-// many-flow one again — serially, and as sharded folds on concurrent query
+// many-flow one again — serially, and as long folds on concurrent query
 // workers — must give the oracle's answer every time. A scratch returned with
 // a row or a seen flag left set carries one fold's counts into the next.
 func TestFoldScratchReuse(t *testing.T) {
@@ -341,18 +330,27 @@ func TestFoldScratchReuse(t *testing.T) {
 		want   flow.Counts
 	}
 	var queries []query
+	longest := 0 // checkpoints in the longest run a query folds
 	rng := rand.New(rand.NewPCG(41, 3))
 	for q := 0; q < 40; q++ {
 		lo := rng.Uint64N(horizon)
 		hi := lo + 1 + rng.Uint64N(horizon/2)
-		if q%4 == 0 { // one checkpoint: no sharding
+		if q%4 == 0 { // one checkpoint
 			cp := few[rng.IntN(len(few))]
 			if q%8 == 0 {
 				cp = many[rng.IntN(len(many))]
 			}
 			lo, hi = cp.PrevFreeze, cp.FreezeTime+1
 		}
+		before := s.qpath.checkpointsScanned.Load()
+		if _, err := s.QueryInterval(0, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, int(s.qpath.checkpointsScanned.Load()-before))
 		queries = append(queries, query{lo, hi, scanInterval(s, 0, lo, hi)})
+	}
+	if longest < 8 {
+		t.Fatalf("the longest query folds %d checkpoints; the concurrent half must hold long runs to the oracle", longest)
 	}
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -374,8 +372,5 @@ func TestFoldScratchReuse(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.qpath.parallelFanouts.Load() == 0 {
-		t.Fatal("no query sharded its fold; the concurrent half tests nothing")
 	}
 }

@@ -529,8 +529,7 @@ func TestFoldRefusesMixedConfig(t *testing.T) {
 			if counts, err := reborn.QueryInterval(0, 0, horizon); err == nil || counts != nil {
 				t.Fatalf("a log written under T=4, alpha=1 answered a System with %+v: %v packets, error %v", cfg.TW, counts.Total(), err)
 			}
-			// The sharded fold refuses it too, and the query server replies
-			// with the refusal.
+			// The query server replies with the same refusal.
 			qs := NewQueryServer(reborn)
 			qs.Start(4)
 			defer qs.Stop()

@@ -257,7 +257,7 @@ func TestSubscribeSince(t *testing.T) {
 // path never waits, and no freeze stalls are charged.
 func TestStreamBackpressureNeverStallsRetire(t *testing.T) {
 	sys, ts := streamSystem(t)
-	before := sys.Stats().InfeasibleFlips
+	before := sys.stats.snapshotStalls.Load()
 
 	// A subscriber that is never drained, straight on the hub.
 	sub := sys.stream.subscribe()
@@ -280,8 +280,8 @@ func TestStreamBackpressureNeverStallsRetire(t *testing.T) {
 	if elapsed > 30*time.Second {
 		t.Fatalf("feed with a stalled subscriber took %v; the stream blocked the retire path", elapsed)
 	}
-	if got := sys.Stats().InfeasibleFlips; got != before {
-		t.Fatalf("InfeasibleFlips rose %d -> %d under a stalled subscriber", before, got)
+	if got := sys.stats.snapshotStalls.Load(); got != before {
+		t.Fatalf("snapshot stalls rose %d -> %d under a stalled subscriber", before, got)
 	}
 	sub.mu.Lock()
 	n := sub.n

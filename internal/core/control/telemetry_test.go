@@ -163,12 +163,11 @@ func TestQueryServerMetrics(t *testing.T) {
 	if !strings.Contains(out, `printqueue_query_latency_ns_bucket{op="interval",le=`) {
 		t.Error("/metrics missing interval latency buckets")
 	}
-	// Query-path instrumentation: pruning, index hits, fan-out.
+	// Query-path instrumentation: pruning, index hits.
 	for _, want := range []string{
 		"printqueue_query_checkpoints_scanned_total",
 		"printqueue_query_checkpoints_pruned_total",
 		"printqueue_query_cells_visited_total",
-		"printqueue_query_parallel_fanouts_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -10,23 +10,22 @@ import (
 // number of filtered snapshots sharing one Config, deferring the
 // Algorithm-2 coefficient division to Counts. Keeping the intermediate
 // state integral makes the aggregation exact and order-independent: a query
-// split across checkpoints — or across goroutines, with partial
-// accumulators joined by Merge — produces bit-identical estimates no matter
-// how the work was partitioned, because integer addition is associative
-// where float addition is not. The per-flow estimate is always the same
-// left-to-right fold over window indices of count/coefficient.
+// split across checkpoints produces bit-identical estimates whatever order
+// they are folded in, because integer addition is associative where float
+// addition is not. The per-flow estimate is always the same left-to-right
+// fold over window indices of count/coefficient.
 //
-// An Accumulator is not safe for concurrent use; parallel queries give each
-// shard its own and Merge the results.
+// An Accumulator is not safe for concurrent use; each query folds into its
+// own on the goroutine that runs it.
 type Accumulator struct {
 	t     int
 	coeff []float64
 	// ids finds a flow's row. It stays nil while the rows are one
 	// checkpoint's fold, appended in the order that fold counted them: that
 	// checkpoint's flow table interns each flow once, so they are distinct
-	// and no row needs finding. A Merge, or a fold that adds to rows already
-	// held, builds it. (A forged record whose table lists a flow
-	// twice gives that flow two rows, which Counts adds.)
+	// and no row needs finding. A fold that adds to rows already held
+	// builds it. (A forged record whose table lists a flow twice gives that
+	// flow two rows, which Counts adds.)
 	ids   map[flow.Key]int32
 	flows []flow.Key
 	// counts is row-major per flow: counts[id*t+i] is the number of
@@ -114,21 +113,6 @@ func (a *Accumulator) addRow(k flow.Key, row []int64) {
 	}
 }
 
-// Merge folds b's integer counts into a. Because the counts are exact,
-// merging partial accumulators in any order yields the same totals as
-// accumulating serially.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b == nil {
-		return
-	}
-	if a.coeff == nil {
-		a.coeff = b.coeff // a has folded no checkpoint yet
-	}
-	for id, k := range b.flows {
-		a.addRow(k, b.counts[id*b.t:(id+1)*b.t])
-	}
-}
-
 // Counts applies the coefficients and materializes the per-flow estimates
 // as a fresh Counts map. Each flow's estimate is the ascending-window fold
 // of count/coefficient, so identical counts always produce bit-identical
@@ -164,8 +148,8 @@ type Covered interface {
 // counted per window into acc, whose Counts divides by cfg's coefficients
 // once. acc is the caller's, built for cfg.T windows (NewAccumulator(cfg.T,
 // nil): the coefficients arrive with the first checkpoint folded) — exact
-// integers, so a run split into chunks folds to the same answer once the
-// chunks' accumulators are Merged. It returns the index cells visited.
+// integers, so the answer does not depend on the order the run is folded
+// in. It returns the index cells visited.
 //
 // Coverages are disjoint (every packet is dequeued into exactly one register
 // set), so a checkpoint outside the interval contributes nothing and the run

@@ -107,49 +107,6 @@ func TestIndexedQueryWrapAtZero(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMergeExact verifies that splitting an accumulation into
-// shards and merging gives bit-identical results to serial accumulation,
-// regardless of split point — the property the parallel query fan-out
-// relies on.
-func TestAccumulatorMergeExact(t *testing.T) {
-	cfg := Config{M0: 1, K: 4, Alpha: 2, T: 3, MinPktTxDelayNs: 2.5}
-	rng := rand.New(rand.NewPCG(3, 9))
-	// Build several independent snapshots, as checkpoints would.
-	var filtered []*Filtered
-	var ts uint64
-	for s := 0; s < 6; s++ {
-		w, _ := New(cfg, nil)
-		for i := 0; i < 400; i++ {
-			ts += uint64(1 + rng.IntN(20))
-			w.Insert(fkey(uint32(rng.IntN(12))), ts)
-		}
-		filtered = append(filtered, w.Snapshot())
-	}
-	lo, hi := uint64(0), ts+1
-	coeff := cfg.Coefficients()
-
-	serial := NewAccumulator(cfg.T, coeff)
-	for _, f := range filtered {
-		f.AccumulateInto(serial, lo, hi)
-	}
-	want := serial.Counts()
-
-	for split := 1; split < len(filtered); split++ {
-		a := NewAccumulator(cfg.T, coeff)
-		b := NewAccumulator(cfg.T, coeff)
-		for _, f := range filtered[:split] {
-			f.AccumulateInto(a, lo, hi)
-		}
-		for _, f := range filtered[split:] {
-			f.AccumulateInto(b, lo, hi)
-		}
-		a.Merge(b)
-		if got := a.Counts(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("split %d: merged %v != serial %v", split, got, want)
-		}
-	}
-}
-
 // TestIndexedVisitsOnlyHits checks the index actually prunes work: a
 // narrow query over a long trace must visit far fewer cells than the scan.
 func TestIndexedVisitsOnlyHits(t *testing.T) {

@@ -433,13 +433,6 @@ func (g *Generator) Next() *pktrec.Packet {
 	}
 }
 
-// DebugState summarizes the generator's internal state (for tests and
-// tuning).
-func (g *Generator) DebugState() string {
-	return fmt.Sprintf("backlog=%.0fB target=%d draining=%v load=%.2f flows=%d",
-		g.backlogBytes, g.targetCells, g.draining, g.offeredLoad(), len(g.flows))
-}
-
 // meanGapNs is the mean inter-packet arrival gap for the current load.
 func (g *Generator) meanGapNs() float64 {
 	pps := g.offeredLoad() * float64(g.cfg.LinkBps) / (8 * g.cfg.meanPacketBytes())

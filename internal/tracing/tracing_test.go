@@ -228,15 +228,15 @@ func TestFormatTree(t *testing.T) {
 	base := time.Now()
 	trace.Add(Span{Name: "client.write", Src: SrcClient, Start: uint64(base.UnixNano()), Dur: uint64(10 * time.Millisecond)})
 	trace.Add(Span{Name: "server.execute", Src: SrcServer, Start: uint64(base.Add(time.Millisecond).UnixNano()), Dur: uint64(5 * time.Millisecond)})
-	trace.Add(Span{Name: "server.merge", Src: SrcServer, Start: uint64(base.Add(2 * time.Millisecond).UnixNano()), Dur: uint64(time.Millisecond)})
+	trace.Add(Span{Name: "server.accumulate", Src: SrcServer, Start: uint64(base.Add(2 * time.Millisecond).UnixNano()), Dur: uint64(time.Millisecond)})
 	trace.Finish("")
 	out := FormatTree(trace)
-	for _, want := range []string{"0000000000000abc", "client.write", "server.execute", "server.merge", "interval"} {
+	for _, want := range []string{"0000000000000abc", "client.write", "server.execute", "server.accumulate", "interval"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("FormatTree missing %q in:\n%s", want, out)
 		}
 	}
-	// server.execute nests under client.write, merge under execute.
+	// server.execute nests under client.write, accumulate under execute.
 	wIdx := strings.Index(out, "client.write")
 	eIdx := strings.Index(out, "server.execute")
 	if wIdx > eIdx {
@@ -252,7 +252,7 @@ func TestFormatTree(t *testing.T) {
 			wIndent = indent
 		case strings.HasPrefix(trimmed, "server.execute"):
 			eIndent = indent
-		case strings.HasPrefix(trimmed, "server.merge"):
+		case strings.HasPrefix(trimmed, "server.accumulate"):
 			mIndent = indent
 		}
 	}

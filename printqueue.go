@@ -297,7 +297,11 @@ type DataPlaneQuery struct {
 	Err error
 }
 
-// Stats summarizes control-plane activity.
+// Stats summarizes control-plane activity. InfeasibleFlips counts periodic
+// reads that the configured read rate could not finish within the poll
+// period (Fig. 13's data-exchange limit): 0 without a read rate, and the
+// same on every run of a trace. A host snapshotter falling behind is counted
+// apart, in printqueue_snapshot_stalls_total.
 type Stats struct {
 	Checkpoints     int
 	SpecialFreezes  int
