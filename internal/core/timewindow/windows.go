@@ -29,7 +29,7 @@ type Reg struct {
 // One goroutine inserts into a Windows while its neighbours in memory belong
 // to other ports, whose packets other goroutines insert. The struct is padded
 // to whole 64-byte lines — Go's size classes then start it on one — so the
-// word written per packet (inserted) shares a line with this set's own
+// word written per packet (newest) shares a line with this set's own
 // constants and with nothing of a neighbour's; passes, written per passed
 // packet, is allocated in whole lines for the same reason.
 type Windows struct {
@@ -51,8 +51,11 @@ type windowsFields struct {
 	alpha uint
 	kMask uint64
 
-	inserted uint64   // packets inserted since construction
-	passes   []uint64 // passes[i]: packets passed from window i to i+1
+	// newest is the largest TTS any written window-0 register holds or has
+	// held: the storage's own at construction, then every inserted packet's.
+	// While its cell still holds it, it is window 0's anchor.
+	newest uint64
+	passes []uint64 // passes[i]: packets passed from window i to i+1
 }
 
 // New builds a window set over the given storage. storage must contain
@@ -78,7 +81,7 @@ func New(cfg Config, storage [][]Reg) (*Windows, error) {
 			return nil, errStorage(cfg, len(storage[i]))
 		}
 	}
-	return &Windows{windowsFields: windowsFields{
+	w := &Windows{windowsFields: windowsFields{
 		cfg:     cfg,
 		windows: storage,
 		m0:      cfg.M0,
@@ -86,7 +89,9 @@ func New(cfg Config, storage [][]Reg) (*Windows, error) {
 		alpha:   cfg.Alpha,
 		kMask:   uint64(cfg.Cells() - 1),
 		passes:  make([]uint64, cfg.T, (cfg.T+7)&^7), // whole lines of 8 words
-	}}, nil
+	}}
+	w.newest, _ = w.latestCell()
+	return w, nil
 }
 
 func errStorage(cfg Config, got int) error {
@@ -117,9 +122,6 @@ func itoa(n int) string {
 // Config returns the window set's configuration.
 func (w *Windows) Config() Config { return w.cfg }
 
-// Inserted returns the number of packets inserted so far.
-func (w *Windows) Inserted() uint64 { return w.inserted }
-
 // Passes returns, per window, how many evicted packets were passed onward
 // to the next window — the empirical counterpart of the Theorem 1/2 pass
 // probabilities.
@@ -140,8 +142,8 @@ func (w *Windows) Insert(f flow.Key, deqTS uint64) { w.InsertPacked(f.Pack(), de
 // the control plane packs it once per packet, for the windows and the
 // monitor both.
 func (w *Windows) InsertPacked(f flow.Packed, deqTS uint64) {
-	w.inserted++
 	tts := deqTS >> w.m0
+	w.newest = max(w.newest, tts)
 	kMask, k, alpha := w.kMask, w.k, w.alpha
 	windows := w.windows
 	for i := 0; i < len(windows); i++ {
@@ -173,9 +175,9 @@ func (w *Windows) InsertPacked(f flow.Packed, deqTS uint64) {
 // deeper windows and the Theorem-2 proportionality that Algorithm 2 relies
 // on no longer holds.
 func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
-	w.inserted++
 	p := f.Pack()
 	tts := w.cfg.TTS(deqTS)
+	w.newest = max(w.newest, tts)
 	kMask := uint64(w.cfg.Cells() - 1)
 	for i := 0; i < w.cfg.T; i++ {
 		idx := int(tts & kMask)
@@ -212,28 +214,27 @@ func (w *Windows) Snapshot() *Filtered { return w.read(0, 0, true) }
 // A kept cell's cycle ID follows from its TTS, and its TTS from its ring
 // position and the anchor, so the index holds of a cell its span start and
 // its interned flow, nothing else. The positions to read follow from the
-// coverage arithmetically: nothing is tracked per packet. The cost is one
-// scan of window 0 for the latest cell plus the cells the coverage spans.
+// coverage arithmetically; of the packets only the newest window-0 TTS is
+// tracked, and it is the anchor while its cell still holds it. The cost is
+// the cells the coverage spans, plus one scan of window 0 for the latest
+// cell when a late packet has overwritten the newest one's.
 func (w *Windows) Freeze(prevFreeze, freezeTime uint64) *Filtered {
 	return w.read(prevFreeze, freezeTime, false)
 }
 
 // read is Freeze over the coverage (prevFreeze, freezeTime], or Snapshot
-// when whole. Each window's runs are walked twice — count, then intern into
-// an index allocated at its length — and its flows are interned once, into
-// the flow table the index refers to.
+// when whole.
 func (w *Windows) read(prevFreeze, freezeTime uint64, whole bool) *Filtered {
+	latest, found := w.anchor()
+	return w.readAt(latest, found, prevFreeze, freezeTime, whole)
+}
+
+// readAt is read anchored at latest, window 0's newest TTS, and empty when
+// found is false. Each window's runs are walked twice — count, then intern
+// into an index allocated at its length — and its flows are interned once,
+// into the flow table the index refers to.
+func (w *Windows) readAt(latest uint64, found bool, prevFreeze, freezeTime uint64, whole bool) *Filtered {
 	f := newFiltered(w.cfg)
-	var latest uint64
-	found := false
-	w0 := w.windows[0]
-	for j := range w0 {
-		if r := &w0[j]; r.b != 0 {
-			if tts := r.cycle<<w.k | uint64(j); !found || tts > latest {
-				latest, found = tts, true
-			}
-		}
-	}
 	if !found {
 		return f
 	}
@@ -272,6 +273,30 @@ func (w *Windows) read(prevFreeze, freezeTime uint64, whole bool) *Filtered {
 	f.flows = append([]flow.Key(nil), ids.Keys()...)
 	ids.Release()
 	return f
+}
+
+// anchor returns the largest TTS a written window-0 register holds; found is
+// false when none is written. No register holds a TTS past newest, so when
+// newest's own cell still holds it, it is the answer; only a late packet
+// that has since landed on that cell sends the read to the scan.
+func (w *Windows) anchor() (tts uint64, found bool) {
+	if r := &w.windows[0][w.newest&w.kMask]; r.b != 0 && r.cycle == w.newest>>w.k {
+		return w.newest, true
+	}
+	return w.latestCell()
+}
+
+// latestCell scans window 0 for the largest TTS a written register holds.
+func (w *Windows) latestCell() (latest uint64, found bool) {
+	w0 := w.windows[0]
+	for j := range w0 {
+		if r := &w0[j]; r.b != 0 {
+			if tts := r.cycle<<w.k | uint64(j); !found || tts > latest {
+				latest, found = tts, true
+			}
+		}
+	}
+	return latest, found
 }
 
 // ringRun is a run of ring positions (inclusive) with the one cycle ID a

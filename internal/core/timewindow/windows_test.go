@@ -131,8 +131,8 @@ func TestInsertPlacesByTTS(t *testing.T) {
 	if !got.Valid || got.Flow != fkey(1) || got.CycleID != 1 {
 		t.Fatalf("cell = %+v, want flow 1 cycle 1", got)
 	}
-	if w.Inserted() != 1 {
-		t.Fatalf("Inserted = %d, want 1", w.Inserted())
+	if tts, ok := w.Freeze(0, 7).Anchor(0); !ok || tts != 6 {
+		t.Fatalf("Freeze anchor = %d (%v), want the inserted TTS 6", tts, ok)
 	}
 }
 

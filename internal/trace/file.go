@@ -69,7 +69,9 @@ func ReadFile(r io.Reader) ([]*pktrec.Packet, error) {
 	if count > maxPackets {
 		return nil, fmt.Errorf("trace: implausible packet count %d", count)
 	}
-	pkts := make([]*pktrec.Packet, 0, count)
+	// The header's count is a claim, not memory to reserve: a file that
+	// claims a billion packets and holds six must cost six.
+	pkts := make([]*pktrec.Packet, 0, min(count, 1<<16))
 	rec := make([]byte, flow.KeyWireSize+15)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
