@@ -223,7 +223,8 @@ func TestRecoveryKeepsPortOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := appendFrame(f, payload)
+	frame, err := appendFrame(f, nil, payload)
+	n := len(frame)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func mixedSegment(t *testing.T, extra ...[]byte) (dir string, n int) {
 		if want := byte(1 + i/5); i < n && p[0] != want {
 			t.Fatalf("record %d is of version %d, want %d", i, p[0], want)
 		}
-		if _, err := appendFrame(f, p); err != nil {
+		if _, err := appendFrame(f, nil, p); err != nil {
 			t.Fatal(err)
 		}
 	}
