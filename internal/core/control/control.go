@@ -196,8 +196,8 @@ type Stats struct {
 
 // statsCounters is the live, atomically updated form of Stats, registered
 // in the telemetry registry so Stats() and /metrics read the same source.
-// The counters are touched from sharded ingestion workers and the
-// background snapshot goroutine concurrently, and read by Stats() — or a
+// The counters are touched from sharded ingestion workers and their
+// snapshot goroutines concurrently, and read by Stats() — or a
 // scrape — at any time.
 type statsCounters struct {
 	checkpoints     *telemetry.Counter
@@ -205,8 +205,8 @@ type statsCounters struct {
 	entriesRead     *telemetry.Counter
 	cellsKept       *telemetry.Counter
 	infeasibleFlips *telemetry.Counter
-	// snapshotStalls counts flips that waited for the host snapshotter to
-	// retire the set they were about to write: a property of the host,
+	// snapshotStalls counts flips that waited for their shard's snapshotter
+	// to retire the set they were about to write: a property of the host,
 	// not of the modelled switch, so it is kept out of Stats.
 	snapshotStalls *telemetry.Counter
 	dpSuppressed   *telemetry.Counter
@@ -245,7 +245,7 @@ func (sc *statsCounters) register(reg *telemetry.Registry) {
 	sc.infeasibleFlips = reg.Counter("printqueue_infeasible_flips_total",
 		"Freezes whose modelled register read exceeded the poll period (the Fig. 13 data-exchange limit).")
 	sc.snapshotStalls = reg.Counter("printqueue_snapshot_stalls_total",
-		"Flips that waited for the background snapshotter to retire the register set they were about to write.")
+		"Flips that waited for their shard's snapshotter to retire the register set they were about to write.")
 	sc.dpSuppressed = reg.Counter("printqueue_dp_suppressed_total",
 		"Data-plane query triggers ignored because a special read was in flight.")
 	sc.freezeRetireNs = reg.Histogram("printqueue_checkpoint_freeze_to_retire_ns",
@@ -294,9 +294,9 @@ type portState struct {
 	subject string
 
 	// mu guards the checkpoint and data-plane query histories, which the
-	// per-port ingestion goroutine and the snapshot goroutine append to and
-	// any number of query goroutines read. The per-packet hot path takes no
-	// lock.
+	// port's ingestion goroutine and its shard's snapshot goroutine append
+	// to and any number of query goroutines read. The per-packet hot path
+	// takes no lock.
 	mu sync.RWMutex
 
 	tw [4]*timewindow.Windows // by setSel.index()
@@ -314,8 +314,15 @@ type portState struct {
 	// and /metrics exports them as printqueue_port_packets_total{port=...}.
 	packets *telemetry.Counter
 
+	// snap, when non-nil, is the queue of the snapshotter of the port's
+	// Pipeline shard: flips hand frozen register sets to it instead of
+	// copying them inline on the packet path. NewPipeline sets it before
+	// its workers start and Close clears it after they and their
+	// snapshotters stop.
+	snap chan snapJob
+
 	// Pending-snapshot bookkeeping for off-hot-path checkpointing: flip
-	// hands the frozen set to the snapshot goroutine and must not write
+	// hands the frozen set to its shard's snapshotter and must not write
 	// into a set whose read is still in flight (the paper's double-buffer
 	// invariant). pendCond is signalled when a snapshot retires.
 	pendMu     sync.Mutex
@@ -403,13 +410,8 @@ type System struct {
 	// pipeline/snapshotter instrumentation, and the query-path metrics all
 	// register here, and the ops server scrapes it.
 	telemetry *telemetry.Registry
-	// snap, when non-nil, is the background checkpoint goroutine: flips
-	// hand frozen register sets to it instead of copying them inline on
-	// the packet path. It is installed by Pipeline and must only change
-	// while no ingestion workers are running.
-	snap *snapshotter
-	// pipe tracks the open Pipeline (if any) for introspection endpoints;
-	// unlike snap it may be read concurrently from HTTP handlers.
+	// pipe is the open Pipeline (if any): at most one is attached at a
+	// time, and introspection endpoints read it concurrently.
 	pipe atomic.Pointer[Pipeline]
 	// pipeEver records that a pipeline was ever attached, so readiness
 	// can distinguish "never had a pipeline" (fine) from
@@ -792,9 +794,9 @@ func (s *System) insert(ps *portState, p *pktrec.Packet) int {
 
 // snapshotSet freezes register set sel of a port into a checkpoint and
 // charges the read cost. In synchronous mode it runs on the caller; under a
-// Pipeline it runs on the background snapshot goroutine, off the packet
-// path — the software analogue of the paper's asynchronous PCIe register
-// reads.
+// Pipeline it runs on the snapshot goroutine of the port's shard, off the
+// packet path — the software analogue of the paper's asynchronous PCIe
+// register reads.
 //
 // The checkpoint holds what a query on it can read: the Algorithm-3 index of
 // the time-window cells its coverage can count and the queue monitors'
@@ -974,11 +976,11 @@ func (ps *portState) drainPending() {
 // direct subsequent updates to the other periodic set (second-highest index
 // bit toggled), seeding the queue monitor's top/seq continuity.
 //
-// With a background snapshotter installed (pipelined mode), the packet path
-// only toggles the write selector and hands the now-idle set to the
-// snapshot goroutine; the full-set register copy happens off the hot path.
-// If the set about to become the write target still has a read in flight —
-// the snapshotter is more than one poll period behind — the flip blocks
+// Under a Pipeline, the packet path only toggles the write selector and
+// hands the now-idle set to the snapshot goroutine of the port's shard; the
+// full-set register copy happens off the hot path. If the set about to
+// become the write target still has a read in flight — the shard's
+// snapshotter is more than one poll period behind — the flip blocks
 // until the read retires and the stall is counted as a snapshot stall. A
 // read the modelled read rate cannot finish within the poll period is
 // counted in InfeasibleFlips, the paper's Figure-13 data-exchange limit.
@@ -992,10 +994,10 @@ func (s *System) flip(ps *portState, now, prevFreeze uint64, decidedAt time.Time
 		s.stats.infeasibleFlips.Add(1)
 	}
 	newSel := ps.writeSel.toggleFlip()
-	if sn := s.snap; sn != nil {
+	if ps.snap != nil {
 		ps.waitSetFree(newSel.index(), s)
 		ps.markPending(oldSel)
-		sn.enqueue(snapJob{ps: ps, sel: oldSel, freezeTime: now, prevFreeze: prevFreeze, frozenAt: time.Now(), decidedAt: decidedAt})
+		ps.snap <- snapJob{ps: ps, sel: oldSel, freezeTime: now, prevFreeze: prevFreeze, frozenAt: time.Now(), decidedAt: decidedAt}
 	} else {
 		cp := s.snapshotSet(ps, oldSel, now, prevFreeze, false)
 		s.retireCheckpoint(ps, cp)
@@ -1016,12 +1018,12 @@ func (s *System) flip(ps *portState, now, prevFreeze uint64, decidedAt time.Time
 // the special read completes (decide).
 func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now, prevFreeze uint64, decidedAt time.Time) {
 	// Under a Pipeline, periodic checkpoints may still be in flight on the
-	// snapshot goroutine. The special read is prioritized on hardware but
-	// the query below walks the whole checkpoint chain, so drain pending
-	// reads first: the history stays ordered by freeze time and the query
-	// sees the same chain the serial path would.
+	// shard's snapshot goroutine. The special read is prioritized on
+	// hardware but the query below walks the whole checkpoint chain, so
+	// drain pending reads first: the history stays ordered by freeze time
+	// and the query sees the same chain the serial path would.
 	frozenAt := decidedAt
-	if s.snap != nil {
+	if ps.snap != nil {
 		ps.drainPending()
 		frozenAt = time.Now()
 	}
@@ -1085,7 +1087,7 @@ func (s *System) FinalizePort(port int, now uint64) error {
 	prevFreeze := f.lastFlip
 	f.lastFlip = now
 	s.flip(ps, now, prevFreeze, time.Now())
-	if s.snap != nil {
+	if ps.snap != nil {
 		ps.drainPending()
 	}
 	return nil

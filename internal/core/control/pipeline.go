@@ -18,9 +18,11 @@ import (
 // each fed by a bounded SPSC batch ring, so aggregate throughput scales
 // with cores while each port's packets are still processed by exactly one
 // goroutine in dequeue order — the invariant every PrintQueue structure
-// depends on. Checkpoint register copies run on a separate snapshot
-// goroutine (snapshotter), mirroring the paper's double-buffered frozen
-// reads over PCIe: the packet path only toggles the write selector.
+// depends on. Checkpoint register copies run on a snapshot goroutine per
+// shard (snapshotter), mirroring the paper's double-buffered frozen reads
+// over PCIe, which a switch's control plane takes of its pipes in parallel:
+// the packet path only toggles the write selector, and a port's read never
+// waits behind another shard's.
 //
 // The per-packet decisions — flip this port now, this packet is late, fire
 // a data-plane query — are taken on the producer (System.decide), the one
@@ -41,10 +43,6 @@ type PipelineConfig struct {
 	// RingDepth is the number of batches buffered per shard before the
 	// producer blocks. Default 8.
 	RingDepth int
-	// SnapshotQueue bounds the frozen reads queued to the snapshot
-	// goroutine before flips block. Default 2*#ports (both periodic sets
-	// of every port in flight).
-	SnapshotQueue int
 }
 
 func (c *PipelineConfig) normalize(numPorts int) {
@@ -63,18 +61,20 @@ func (c *PipelineConfig) normalize(numPorts int) {
 	if c.RingDepth <= 0 {
 		c.RingDepth = 8
 	}
-	if c.SnapshotQueue <= 0 {
-		c.SnapshotQueue = 2 * numPorts
-	}
 }
 
 // shard is one worker's input queue plus the producer-side batch being
-// filled for it, and the shard's telemetry series. The producer-side
-// metrics (occupancy, backpressure) are updated per batch push, never per
-// packet, so the Ingest hot path stays allocation- and contention-free.
+// filled for it, its snapshotter's job queue, and the shard's telemetry
+// series. The producer-side metrics (occupancy, backpressure) are updated
+// per batch push, never per packet, so the Ingest hot path stays
+// allocation- and contention-free.
 type shard struct {
 	ring *spscRing
 	cur  *packetBatch
+	// snap is the queue of the shard's snapshotter; every port of the shard
+	// hands its frozen sets to it (portState.snap). It holds two jobs per
+	// port of the shard, both periodic sets of each in flight.
+	snap chan snapJob
 
 	occupancy      *telemetry.Gauge   // ring batches queued, sampled at push/pop
 	highWater      *telemetry.Gauge   // max occupancy seen
@@ -96,7 +96,7 @@ type shard struct {
 // and Close must be called from a single goroutine, Ingest with packets in
 // per-port dequeue order (the order the traffic manager emits them); the
 // pipeline fans them out to the port's shard worker. Close flushes, drains
-// the workers and the snapshot goroutine, and returns the System to
+// the workers and their snapshot goroutines, and returns the System to
 // synchronous (serial) mode; packets ingested after it are refused and
 // counted.
 type Pipeline struct {
@@ -115,10 +115,8 @@ type Pipeline struct {
 // not be driven by direct OnDequeue calls (or a second pipeline) while the
 // pipeline is open.
 func NewPipeline(sys *System, cfg PipelineConfig) (*Pipeline, error) {
-	cfg.normalize(len(sys.cfg.Ports))
-	if err := sys.startSnapshotter(cfg.SnapshotQueue); err != nil {
-		return nil, err
-	}
+	nports := len(sys.cfg.Ports)
+	cfg.normalize(nports)
 	pl := &Pipeline{sys: sys, cfg: cfg}
 	pl.pool.New = func() any {
 		return &packetBatch{pkts: make([]pktrec.Packet, 0, cfg.BatchSize)}
@@ -130,7 +128,9 @@ func NewPipeline(sys *System, cfg PipelineConfig) (*Pipeline, error) {
 	for i := range pl.shards {
 		id := telemetry.L("shard", strconv.Itoa(i))
 		pl.shards[i] = &shard{
-			ring:     newSPSCRing(cfg.RingDepth),
+			ring: newSPSCRing(cfg.RingDepth),
+			// Ranks i, i+Shards, ... land here: ceil((nports-i)/Shards).
+			snap:     make(chan snapJob, 2*((nports-i+cfg.Shards-1)/cfg.Shards)),
 			subject:  "shard=" + strconv.Itoa(i),
 			hwThresh: int64(cfg.RingDepth+1) / 2,
 			occupancy: reg.Gauge("printqueue_pipeline_shard_ring_occupancy",
@@ -145,15 +145,20 @@ func NewPipeline(sys *System, cfg PipelineConfig) (*Pipeline, error) {
 				"Packets processed by the shard worker.", id),
 		}
 	}
+	if !sys.pipe.CompareAndSwap(nil, pl) {
+		return nil, fmt.Errorf("control: pipeline already attached to this system")
+	}
 	pl.shardOf = make([]*shard, len(sys.portTab))
 	for rank, port := range sys.cfg.Ports {
-		pl.shardOf[port] = pl.shards[rank%cfg.Shards]
+		sh := pl.shards[rank%cfg.Shards]
+		pl.shardOf[port] = sh
+		sys.portTab[port].snap = sh.snap
 	}
 	for _, sh := range pl.shards {
-		pl.wg.Add(1)
+		pl.wg.Add(2)
 		go pl.worker(sh)
+		go pl.snapshotter(sh.snap)
 	}
-	sys.pipe.Store(pl)
 	sys.pipeEver.Store(true)
 	return pl, nil
 }
@@ -245,11 +250,11 @@ func (pl *Pipeline) Flush() {
 	}
 }
 
-// Close flushes remaining batches, waits for the shard workers to drain,
-// stops the snapshot goroutine (retiring any in-flight frozen reads), and
-// returns the System to synchronous mode. After Close, Finalize and queries
-// observe every packet ingested before it; later ones are refused (Ingest).
-// Close is idempotent.
+// Close flushes remaining batches, waits for the shard workers to drain and
+// each one's snapshot goroutine to retire the frozen reads it was handed,
+// and returns the System to synchronous mode. After Close, Finalize and
+// queries observe every packet ingested before it; later ones are refused
+// (Ingest). Close is idempotent.
 func (pl *Pipeline) Close() {
 	if pl.closed {
 		return
@@ -260,19 +265,25 @@ func (pl *Pipeline) Close() {
 		sh.ring.close()
 	}
 	pl.wg.Wait()
-	pl.sys.stopSnapshotter()
+	// Flips snapshot inline again.
+	for _, port := range pl.sys.cfg.Ports {
+		pl.sys.portTab[port].snap = nil
+	}
 	pl.sys.pipe.CompareAndSwap(pl, nil)
 }
 
 // worker is one shard's ingestion goroutine: it owns its ports' registers
 // exclusively, so it inserts their packets, and applies the flips and DP
-// queries the producer decided, in dequeue order — the serial order.
+// queries the producer decided, in dequeue order — the serial order. It is
+// the one sender to its shard's snapshotter, whose queue it closes once its
+// ring has drained.
 func (pl *Pipeline) worker(sh *shard) {
 	defer pl.wg.Done()
 	sys := pl.sys
 	for {
 		b, ok := sh.ring.pop()
 		if !ok {
+			close(sh.snap)
 			return
 		}
 		sh.occupancy.Set(sh.ring.len())
@@ -284,7 +295,7 @@ func (pl *Pipeline) worker(sh *shard) {
 	}
 }
 
-// snapJob is one frozen read handed to the snapshot goroutine: the register
+// snapJob is one frozen read handed to a shard's snapshotter: the register
 // set of a port frozen at freezeTime, covering (prevFreeze, freezeTime].
 type snapJob struct {
 	ps         *portState
@@ -298,52 +309,22 @@ type snapJob struct {
 	frozenAt, decidedAt time.Time
 }
 
-// snapshotter is the background checkpoint goroutine. A single goroutine
-// consumes jobs FIFO, which preserves each port's checkpoint order (jobs
-// for one port are enqueued by its one shard worker, in flip order) —
-// cpRing.pruneCopy and cpRing.nearest rely on the history being sorted
-// by freeze time.
-type snapshotter struct {
-	sys *System
-	ch  chan snapJob
-	wg  sync.WaitGroup
-}
-
-func (s *System) startSnapshotter(queue int) error {
-	if s.snap != nil {
-		return fmt.Errorf("control: pipeline already attached to this system")
-	}
-	sn := &snapshotter{sys: s, ch: make(chan snapJob, queue)}
-	sn.wg.Add(1)
-	go sn.run()
-	s.snap = sn
-	return nil
-}
-
-// stopSnapshotter drains outstanding jobs and uninstalls the snapshotter;
-// subsequent flips snapshot synchronously again. Must only be called once
-// every ingestion worker has stopped.
-func (s *System) stopSnapshotter() {
-	sn := s.snap
-	if sn == nil {
-		return
-	}
-	close(sn.ch)
-	sn.wg.Wait()
-	s.snap = nil
-}
-
-func (sn *snapshotter) enqueue(job snapJob) { sn.ch <- job }
-
-func (sn *snapshotter) run() {
-	defer sn.wg.Done()
-	for job := range sn.ch {
-		cp := sn.sys.snapshotSet(job.ps, job.sel, job.freezeTime, job.prevFreeze, false)
+// snapshotter is a shard's checkpoint goroutine. It consumes its shard's
+// jobs FIFO, which preserves each port's checkpoint order: a port's jobs are
+// enqueued by its one shard worker, in flip order, and cpRing.pruneCopy,
+// cpRing.nearest and the log's per-port freeze order rely on the history
+// being sorted by freeze time. Ports on different shards retire
+// concurrently; histstore.AppendWith keeps each port's log and stream order.
+func (pl *Pipeline) snapshotter(jobs <-chan snapJob) {
+	defer pl.wg.Done()
+	sys := pl.sys
+	for job := range jobs {
+		cp := sys.snapshotSet(job.ps, job.sel, job.freezeTime, job.prevFreeze, false)
 		// The durable-log append happens inside retireCheckpoint, before the
 		// pending bit clears: a data-plane freeze that drained this read can
 		// therefore never append its (newer) checkpoint ahead of this one.
-		sn.sys.retireCheckpoint(job.ps, cp)
+		sys.retireCheckpoint(job.ps, cp)
 		job.ps.clearPending(job.sel)
-		sn.sys.stats.observeRetire(job.frozenAt, job.decidedAt)
+		sys.stats.observeRetire(job.frozenAt, job.decidedAt)
 	}
 }

@@ -1,12 +1,16 @@
 package control
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"printqueue/internal/core/histstore"
 	"printqueue/internal/pktrec"
 )
 
@@ -501,7 +505,7 @@ func TestPipelineShardDefaults(t *testing.T) {
 	if cfg.Shards < 1 || cfg.Shards > 3 {
 		t.Fatalf("default shards = %d, want in [1,3]", cfg.Shards)
 	}
-	if cfg.BatchSize != 256 || cfg.RingDepth != 8 || cfg.SnapshotQueue != 6 {
+	if cfg.BatchSize != 256 || cfg.RingDepth != 8 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	cfg = PipelineConfig{Shards: 100}
@@ -570,5 +574,228 @@ func TestPipelineIngestAfterCloseRefused(t *testing.T) {
 	}
 	if got := sys.stats.ingestAfterClose.Load(); got != after+1 {
 		t.Fatalf("ingest-after-close counter = %d, want %d", got, after+1)
+	}
+}
+
+// TestShardSnapshotsIndependent: each shard has a snapshotter of its own, so
+// a port's frozen read never waits behind another shard's. Port 0's
+// snapshotter is held in retire by a read lock on port 0's history; port 1,
+// on the other shard, must still retire its checkpoint into the history and
+// the log, and port 0's must follow once the lock is released. Every port
+// hands its reads to its own shard's snapshotter, and to none after Close.
+func TestShardSnapshotsIndependent(t *testing.T) {
+	ports := []int{0, 1, 2, 3}
+	cfg := testConfig(ports...)
+	cfg.PollPeriodNs = 1000
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pl, err := NewPipeline(sys, PipelineConfig{Shards: 2, BatchSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	if pl.shards[0].snap == nil || pl.shards[0].snap == pl.shards[1].snap {
+		t.Fatal("the shards do not have a snapshotter each")
+	}
+	for _, port := range ports {
+		if sys.ports[port].snap != pl.shardOf[port].snap {
+			t.Fatalf("port %d hands its reads to another shard's snapshotter", port)
+		}
+	}
+	if pl.shardOf[0] == pl.shardOf[1] {
+		t.Fatal("ports 0 and 1 share a shard")
+	}
+	await := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not seen within 1 s", what)
+			}
+		}
+	}
+	logged := func(port int) (n int) {
+		err := sys.hist.ReplaySince(0, func(_ []byte, p int, _, _ uint64, _ bool) error {
+			if p == port {
+				n++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// Each port starts at 1000 and flips at 2000, its 101st packet.
+	flip := func(port int) {
+		for ts := uint64(1000); ts <= 2000; ts += 10 {
+			pl.Ingest(deq(fkey(byte(ts%7)), port, ts-5, ts, 10))
+		}
+	}
+
+	a := sys.ports[0]
+	a.mu.RLock()
+	held := true
+	defer func() {
+		if held {
+			a.mu.RUnlock()
+		}
+	}()
+	flip(0)
+	flip(1)
+	await("port 1's checkpoint behind port 0's stalled read", func() bool {
+		return len(sys.Checkpoints(1)) == 1 && logged(1) == 1
+	})
+	if logged(0) != 0 {
+		t.Fatal("port 0's checkpoint reached the log while its history was locked")
+	}
+	held = false
+	a.mu.RUnlock()
+	await("port 0's checkpoint once its history is unlocked", func() bool {
+		return len(sys.Checkpoints(0)) == 1 && logged(0) == 1
+	})
+
+	pl.Close()
+	for _, port := range ports {
+		if sys.ports[port].snap != nil {
+			t.Fatalf("port %d still hands its reads to a snapshotter after Close", port)
+		}
+	}
+}
+
+// TestPipelineLogOrder: with a snapshotter per shard, ports on different
+// shards append to the log and publish to the stream concurrently. Each
+// port's records must still land in freeze order — none refused by the
+// store — with the serial run's bytes, and a subscriber attached before the
+// feed must see each port's frames in ascending freeze order without a
+// resync, at one, two and four shards.
+func TestPipelineLogOrder(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run("shards"+strconv.Itoa(shards), func(t *testing.T) {
+			testPipelineLogOrder(t, shards)
+		})
+	}
+}
+
+func testPipelineLogOrder(t *testing.T, shards int) {
+	ports := []int{0, 2, 3, 5}
+	const queues = 2
+	mk := func() *System {
+		cfg := testConfig(ports...)
+		cfg.QueuesPerPort = queues
+		cfg.PollPeriodNs = 1500
+		cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth >= 295 }
+		cfg.History = &histstore.Options{Dir: t.TempDir()}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	serial, piped := mk(), mk()
+
+	st, err := DialCheckpoints(serveStream(t, piped), 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		frames []CheckpointFrame
+		next   error
+	)
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			f, err := st.Next()
+			mu.Lock()
+			if err != nil {
+				next = err
+				mu.Unlock()
+				return
+			}
+			frames = append(frames, f)
+			mu.Unlock()
+		}
+	}()
+
+	pl, err := NewPipeline(piped, PipelineConfig{Shards: shards, BatchSize: 16, RingDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The feed retires fewer checkpoints than a subscriber's queue holds
+	// (streamQueueCap), so a reader descheduled under -race cannot make the
+	// server drop frames by design; a resync here is a sequence gap.
+	var last uint64
+	for _, p := range genMultiPortTrace(ports, queues, 8000, 13) {
+		serial.OnDequeue(p)
+		pl.Ingest(p)
+		last = max(last, p.Meta.DeqTimestamp())
+	}
+	pl.Close()
+	serial.Finalize(last + 1)
+	piped.Finalize(last + 1)
+	requireSameHistory(t, serial, piped, ports)
+
+	stats, _ := piped.HistoryStats()
+	if stats.AppendErrors != 0 {
+		t.Fatalf("the store refused %d appends", stats.AppendErrors)
+	}
+	logOf := func(s *System) map[int][][]byte {
+		recs := make(map[int][][]byte)
+		last := make(map[int]uint64)
+		err := s.hist.ReplaySince(0, func(payload []byte, port int, freeze, prev uint64, _ bool) error {
+			if freeze <= last[port] || prev > freeze {
+				return fmt.Errorf("port %d: record (%d, %d] logged after freeze %d", port, prev, freeze, last[port])
+			}
+			last[port] = freeze
+			recs[port] = append(recs[port], append([]byte(nil), payload...))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	want, got := logOf(serial), logOf(piped)
+	for _, port := range ports {
+		if len(got[port]) != len(want[port]) || len(got[port]) < 2 {
+			t.Fatalf("port %d: %d records logged, serial run %d", port, len(got[port]), len(want[port]))
+		}
+		for i := range want[port] {
+			if !bytes.Equal(got[port][i], want[port][i]) {
+				t.Fatalf("port %d record %d differs from the serial run's", port, i)
+			}
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n, err := int64(len(frames)), next
+		mu.Unlock()
+		if err != nil {
+			t.Fatalf("stream ended after %d of %d frames: %v", n, stats.Appended, err)
+		}
+		if n == stats.Appended {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream delivered %d of %d frames within 5 s", n, stats.Appended)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.Close()
+	<-read
+	lastFrame := make(map[int]uint64)
+	for _, f := range frames {
+		if f.FreezeTime <= lastFrame[f.Port] {
+			t.Fatalf("port %d: frame seq %d freezes at %d, after %d", f.Port, f.Seq, f.FreezeTime, lastFrame[f.Port])
+		}
+		lastFrame[f.Port] = f.FreezeTime
 	}
 }

@@ -298,9 +298,9 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 }
 
 // TestFilteredOwnsOnlyItsIndex: the history gauge and the cold cache charge
-// a Filtered for MemBytes, which must be its whole footprint — index, flows,
-// anchors and coefficients; it holds no cells — and smaller than the cell
-// lists it indexes.
+// a Filtered for MemBytes, which must be what it owns — index, flows and
+// anchors, not the coefficients every read of its Config shares; it holds
+// no cells — and smaller than the cell lists it indexes.
 func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 	w, _ := New(cfg, nil)
@@ -315,9 +315,9 @@ func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	for _, n := range f.SurvivingCells() {
 		refs += int64(n)
 	}
-	want := refs*16 + int64(len(f.flows))*16 + int64(3*cfg.T)*8
+	want := refs*16 + int64(len(f.flows))*16 + int64(cfg.T)*8
 	if got := f.MemBytes(); got != want {
-		t.Fatalf("Filtered.MemBytes = %d, want %d (index of %d cells, %d flows, anchors, coefficients)", got, want, refs, len(f.flows))
+		t.Fatalf("Filtered.MemBytes = %d, want %d (index of %d cells, %d flows, anchors)", got, want, refs, len(f.flows))
 	}
 	if f.MemBytes() >= s.MemBytes() {
 		t.Fatalf("Filtered (%d B) as large as the snapshot it indexes (%d B)", f.MemBytes(), s.MemBytes())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"printqueue/internal/flow"
 )
@@ -35,13 +36,10 @@ type Filtered struct {
 	// past t=0 to give the deeper windows an anchor. Windows at or beyond
 	// live retain nothing.
 	live int
-	// coeff caches cfg.Coefficients(): a Filtered is queried many times
-	// (once per checkpoint per interval query), the coefficients never
-	// change.
+	// coeff is cfg.Coefficients(), shared read-only with every other read
+	// of the same Config (sharedCoefficients): the vector depends on the
+	// Config alone, and a read is taken per flip and per cold decode.
 	coeff []float64
-	// ones caches the all-ones coefficient vector for the no-recovery
-	// ablation, so QueryWithoutCoefficients stops allocating it per call.
-	ones []float64
 	// flows interns the distinct flows among kept cells; index entries
 	// refer to flows by position here.
 	flows []flow.Key
@@ -57,14 +55,33 @@ func newFiltered(cfg Config) *Filtered {
 	f := &Filtered{
 		cfg:       cfg,
 		anchorTTS: make([]uint64, cfg.T),
-		coeff:     cfg.Coefficients(),
-		ones:      make([]float64, cfg.T),
+		coeff:     sharedCoefficients(cfg),
 		index:     make([][]CellRef, cfg.T),
 	}
-	for i := range f.ones {
-		f.ones[i] = 1
-	}
 	return f
+}
+
+// coeffEntry is one Config's coefficient vector.
+type coeffEntry struct {
+	cfg   Config
+	coeff []float64
+}
+
+// lastCoeff holds the coefficients of the Config most recently read. A
+// process runs one Config or a few, so one entry serves nearly every read
+// and bounds what a stream of distinct Configs (a fuzzer's) can pin.
+var lastCoeff atomic.Pointer[coeffEntry]
+
+// sharedCoefficients returns cfg.Coefficients(), computed once per run of
+// reads under the same Config. The vector is shared: callers must not
+// write to it.
+func sharedCoefficients(cfg Config) []float64 {
+	if e := lastCoeff.Load(); e != nil && e.cfg == cfg {
+		return e.coeff
+	}
+	e := &coeffEntry{cfg: cfg, coeff: cfg.Coefficients()}
+	lastCoeff.Store(e)
+	return e.coeff
 }
 
 // setAnchors derives every window's anchor from window 0's, tts: each deeper
@@ -151,12 +168,12 @@ func (f *Filtered) KeptCells() int {
 	return n
 }
 
-// MemBytes estimates the read's whole footprint: the ordered cell index, the
-// interned flow table, the anchors and the coefficient vectors. The hot
-// tier's history gauge and the cold cache charge it.
+// MemBytes estimates what the read owns: the ordered cell index, the
+// interned flow table and the anchors. The coefficient vector is shared by
+// every read of the Config and is not charged. The hot tier's history gauge
+// and the cold cache charge it.
 func (f *Filtered) MemBytes() int64 {
-	n := int64(len(f.anchorTTS))*8 +
-		int64(len(f.coeff)+len(f.ones))*8 + int64(len(f.flows))*16
+	n := int64(len(f.anchorTTS))*8 + int64(len(f.flows))*16
 	for _, refs := range f.index {
 		n += int64(len(refs)) * 16
 	}
@@ -291,7 +308,11 @@ func (f *Filtered) Query(start, end uint64) flow.Counts {
 // observations without Algorithm-2 recovery. Deep-window compression then
 // shows up directly as under-estimation.
 func (f *Filtered) QueryWithoutCoefficients(start, end uint64) flow.Counts {
-	acc := NewAccumulator(f.cfg.T, f.ones)
+	ones := make([]float64, f.cfg.T)
+	for i := range ones {
+		ones[i] = 1
+	}
+	acc := NewAccumulator(f.cfg.T, ones)
 	f.AccumulateInto(acc, start, end)
 	return acc.Counts()
 }

@@ -5,7 +5,7 @@
 //
 // The record path — Counter.Add, Gauge.Set/Max, Histogram.Observe — is a
 // handful of atomic operations with zero allocation, so the sharded
-// ingestion pipeline and the snapshot goroutine can be instrumented without
+// ingestion pipeline and its snapshot goroutines can be instrumented without
 // perturbing the hot paths they measure. Metric identity (name, help,
 // labels) is fixed at registration; registration is get-or-create, so a
 // component restarted against the same registry (e.g. a second Pipeline on

@@ -18,9 +18,9 @@ type PipelineConfig struct {
 	Shards int
 	// BatchSize is the most packets handed to a shard per ring slot. A
 	// batch also ends at a packet that takes a freeze — a periodic flip or a
-	// data-plane query — so a checkpoint leaves for the snapshot goroutine
-	// as soon as its trigger packet is observed, whatever the feed rate.
-	// 0 means 256.
+	// data-plane query — so a checkpoint leaves for its shard's snapshot
+	// goroutine as soon as its trigger packet is observed, whatever the
+	// feed rate. 0 means 256.
 	BatchSize int
 	// RingDepth is the number of batches buffered per shard before Observe
 	// blocks (backpressure onto the producer). 0 means 8.
@@ -29,9 +29,10 @@ type PipelineConfig struct {
 
 // Pipeline ingests dequeued packets through sharded worker goroutines so
 // multi-port workloads scale with cores, and moves checkpoint register
-// copies off the packet path onto a background snapshot goroutine — the
+// copies off the packet path onto a snapshot goroutine per shard — the
 // software analogue of the paper's per-pipe packet processing and
-// double-buffered frozen reads (§6).
+// double-buffered frozen reads (§6), which the control plane takes of
+// different pipes in parallel.
 //
 // Observe, Flush and Close must be called from a single goroutine, Observe
 // with packets in per-port dequeue order. Queries and Stats on the owning
@@ -121,8 +122,8 @@ func (a pipelineAdapter) OnDequeue(pkt *pktrec.Packet) { a.pl.Ingest(pkt) }
 // recent packets must be visible.
 func (p *Pipeline) Flush() { p.inner.Flush() }
 
-// Close flushes remaining batches, drains the shard workers and the
-// background snapshot goroutine, and returns the System to synchronous
+// Close flushes remaining batches, drains the shard workers and their
+// snapshot goroutines, and returns the System to synchronous
 // ingestion. Every packet observed before Close is reflected in subsequent
 // queries; one observed after it — through Observe or a hook Attach
 // installed — is refused and counted in
