@@ -58,10 +58,11 @@ func scanInto(rows map[flow.Key][]int64, f *timewindow.Filtered, start, end uint
 		anchor, _ := f.Anchor(i)
 		shift := cfg.M0 + cfg.Alpha*uint(i)
 		for _, ref := range f.Window(i) {
-			if tts := ref.Start >> shift; tts > anchor || anchor-tts >= uint64(cfg.Cells()) {
+			tts := cfg.Base(anchor) + uint64(ref.Pos)
+			if tts > anchor || anchor-tts >= uint64(cfg.Cells()) {
 				panic(fmt.Sprintf("window %d keeps a cell at TTS %d, outside the span its anchor %d retains", i, tts, anchor))
 			}
-			if end <= start || ref.Start >= end || ref.Start+cfg.CellPeriod(i) <= start {
+			if s := tts << shift; end <= start || s >= end || s+cfg.CellPeriod(i) <= start {
 				continue
 			}
 			k := f.Flows()[ref.Flow]

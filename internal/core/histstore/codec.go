@@ -35,9 +35,11 @@ import (
 //     the next, so such a run is written as its length, its first sequence
 //     number and its flows.
 //
-// The result is typically 6-13x smaller than the resident form (see
-// Record.MemBytes) while round-tripping exactly: a decoded record is the
-// index and monitors it was encoded from.
+// The result is 3x (a busy K=6 fixture whose read keeps most of its
+// registers) to 22x (a UW checkpoint at a 1 ms poll) smaller than the
+// register entries the read took, at the widths Fig. 13 prices, while
+// round-tripping exactly: a decoded record is the index and monitors it was
+// encoded from.
 //
 // Layout, version 3 (all integers uvarints unless noted; z = zigzag varint):
 //
@@ -284,7 +286,7 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 		if !ok {
 			break
 		}
-		dst = encodeWindow(dst, rec.TW.Window(i), a, cfg.M0+cfg.Alpha*uint(i))
+		dst = encodeWindow(dst, rec.TW.Window(i), a-cfg.Base(a))
 	}
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
 	next := ids
@@ -300,28 +302,34 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 // encodeWindow emits one live window's index: the cell count, the first
 // cell's TTS as its distance below the window's anchor, then the cells as
 // runs of adjacent TTSes — the gap before each run but the first, the run's
-// length, and a flow id per cell. A cell's span start is its TTS << shift.
-func encodeWindow(dst []byte, refs []timewindow.CellRef, anchor uint64, shift uint) []byte {
+// length, and a flow id per cell. A cell's TTS is the window's base plus its
+// position, and top is the anchor's position, so distances and gaps are
+// differences of positions.
+func encodeWindow(dst []byte, refs []timewindow.CellRef, top uint64) []byte {
 	dst = appendUvarint(dst, uint64(len(refs)))
 	if len(refs) == 0 {
 		return dst
 	}
-	next := refs[0].Start >> shift // the TTS after the previous run
-	dst = appendUvarint(dst, anchor-next)
+	next := uint64(refs[0].Pos) // the position after the previous run
+	dst = appendUvarint(dst, top-next)
 	for n := 0; n < len(refs); {
-		tts := refs[n].Start >> shift
+		pos := uint64(refs[n].Pos)
 		run := 1
-		for n+run < len(refs) && refs[n+run].Start>>shift == tts+uint64(run) {
+		for n+run < len(refs) && uint64(refs[n+run].Pos) == pos+uint64(run) {
 			run++
 		}
 		if n > 0 {
-			dst = appendUvarint(dst, tts-next)
+			dst = appendUvarint(dst, pos-next)
 		}
 		dst = appendUvarint(dst, uint64(run))
 		for _, ref := range refs[n : n+run] {
-			dst = appendUvarint(dst, uint64(ref.Flow))
+			if ref.Flow < 0x80 {
+				dst = append(dst, byte(ref.Flow)) // the one-byte uvarint
+			} else {
+				dst = appendUvarint(dst, uint64(ref.Flow))
+			}
 		}
-		next = tts + uint64(run)
+		next = pos + uint64(run)
 		n += run
 	}
 	return dst
@@ -538,7 +546,8 @@ func decodeFlows(r *reader, n1, n2 uint64, all bool) ([]flow.Key, error) {
 
 // decodeWindow decodes live window i's index, anchored at anchor, into the
 // refs a Filtered holds: every cell's TTS within the span the window
-// retains, (anchor-2^k, anchor], ascending, and its flow id below nFlows. It
+// retains, (anchor-2^k, anchor], ascending, as its position past the
+// window's base, and its flow id below nFlows. It
 // allocates for the cells the window declares, and a cell takes at least one
 // payload byte, so never for more than the payload has left.
 func decodeWindow(r *reader, cfg timewindow.Config, i int, anchor, nFlows uint64) ([]timewindow.CellRef, error) {
@@ -559,7 +568,7 @@ func decodeWindow(r *reader, cfg timewindow.Config, i int, anchor, nFlows uint64
 	if d > anchor || d >= uint64(cfg.Cells()) {
 		return nil, fmt.Errorf("histstore: window %d starts %d below its anchor %d", i, d, anchor)
 	}
-	shift := cfg.M0 + cfg.Alpha*uint(i)
+	base := cfg.Base(anchor)
 	refs := make([]timewindow.CellRef, 0, n)
 	next := anchor - d // where the next run may start
 	for uint64(len(refs)) < n {
@@ -581,14 +590,17 @@ func decodeWindow(r *reader, cfg timewindow.Config, i int, anchor, nFlows uint64
 			return nil, fmt.Errorf("histstore: window %d run of %d at TTS %d overflows", i, run, next)
 		}
 		for tts := next; tts < next+run; tts++ {
-			id := r.uvarint()
-			if r.err != nil {
+			var id uint64
+			if r.off < len(r.b) && r.b[r.off] < 0x80 {
+				id = uint64(r.b[r.off]) // the one-byte uvarint
+				r.off++
+			} else if id = r.uvarint(); r.err != nil {
 				return nil, r.err
 			}
 			if id >= nFlows {
 				return nil, fmt.Errorf("histstore: cell flow id %d out of the index's %d flows", id, nFlows)
 			}
-			refs = append(refs, timewindow.CellRef{Start: tts << shift, Flow: int32(id)})
+			refs = append(refs, timewindow.CellRef{Pos: uint32(tts - base), Flow: int32(id)})
 		}
 		next += run
 	}

@@ -9,6 +9,7 @@ import (
 	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/core/timewindow"
 	"printqueue/internal/flow"
+	"printqueue/internal/overhead"
 )
 
 func twConfig() timewindow.Config {
@@ -104,11 +105,15 @@ type resolvedRef struct {
 	flow  flow.Key
 }
 
-// resolved lists window i's kept cells with their flows resolved.
+// resolved lists window i's kept cells with their span starts and flows
+// resolved.
 func resolved(f *timewindow.Filtered, i int) []resolvedRef {
 	var out []resolvedRef
+	cfg := f.Config()
+	anchor, _ := f.Anchor(i)
 	for _, ref := range f.Window(i) {
-		out = append(out, resolvedRef{ref.Start, f.Flows()[ref.Flow]})
+		start := (cfg.Base(anchor) + uint64(ref.Pos)) << (cfg.M0 + cfg.Alpha*uint(i))
+		out = append(out, resolvedRef{start, f.Flows()[ref.Flow]})
 	}
 	return out
 }
@@ -179,20 +184,31 @@ func TestCodecEmpty(t *testing.T) {
 	assertRecordsEqual(t, rec, dec)
 }
 
+// registerBytes is what reading rec's registers costs at the widths Fig. 13
+// prices (overhead.ControlPlaneMBps): every time-window cell and every
+// monitor entry with its top pointer, whatever the read keeps of them.
+func registerBytes(rec *Record) int64 {
+	n := int64(rec.TW.Config().EntriesPerSnapshot()) * overhead.TWCellBytes
+	for _, qm := range rec.QM {
+		n += int64(qm.Config().EntriesPerSnapshot()) * overhead.QMEntryBytes
+	}
+	return n
+}
+
 // TestCodecCompression pins the codec's size claim: a busy checkpoint
-// encodes at least 6x smaller than its in-memory form, the windows' index
-// and the monitor's occupied levels (measured: 7.3x).
+// encodes at least 2.95x smaller than the register entries its read took
+// (measured: 3.04x).
 func TestCodecCompression(t *testing.T) {
 	rec := buildRecord(t, 3, 20000)
 	enc, err := EncodeRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := rec.MemBytes()
-	ratio := float64(raw) / float64(len(enc))
-	t.Logf("in-memory %d bytes, encoded %d bytes: %.1fx", raw, len(enc), ratio)
-	if ratio < 6 {
-		t.Fatalf("encoded checkpoint only %.1fx smaller than in-memory form, want >= 6x", ratio)
+	regs := registerBytes(rec)
+	ratio := float64(regs) / float64(len(enc))
+	t.Logf("registers read %d bytes, in-memory %d bytes, encoded %d bytes: %.2fx", regs, rec.MemBytes(), len(enc), ratio)
+	if ratio < 2.95 {
+		t.Fatalf("encoded checkpoint only %.2fx smaller than the registers read, want >= 2.95x", ratio)
 	}
 }
 
@@ -257,34 +273,51 @@ func TestCodecCorruptionSafe(t *testing.T) {
 	}
 }
 
+// benchRecords are the checkpoints the codec benchmarks encode and decode:
+// a busy K=6 fixture, and a UW checkpoint at a 1 ms poll (about 5,500 kept
+// cells, 52 flows and 3,100 monitor levels; 17.7 KB encoded).
+func benchRecords(b *testing.B) []struct {
+	name string
+	rec  *Record
+} {
+	return []struct {
+		name string
+		rec  *Record
+	}{{"K6", buildRecordB(b, 3, 20000)}, {"UW1ms", uwRecord(b)}}
+}
+
 func BenchmarkCheckpointEncode(b *testing.B) {
-	rec := buildRecordB(b, 3, 20000)
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = EncodeRecord(buf[:0], rec)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range benchRecords(b) {
+		b.Run(c.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				buf, err = EncodeRecord(buf[:0], c.rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(buf)))
+		})
 	}
-	b.SetBytes(int64(len(buf)))
 }
 
 func BenchmarkCheckpointDecode(b *testing.B) {
-	rec := buildRecordB(b, 3, 20000)
-	enc, err := EncodeRecord(nil, rec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRecord(enc); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range benchRecords(b) {
+		b.Run(c.name, func(b *testing.B) {
+			enc, err := EncodeRecord(nil, c.rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeRecord(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -314,4 +347,56 @@ func buildRecordB(b *testing.B, seed int64, packets int) *Record {
 	}
 	return &Record{Port: 3, FreezeTime: ts + 1, PrevFreeze: 1000,
 		TW: tw.Snapshot(), QM: []*qmonitor.Snapshot{qm.Snapshot()}}
+}
+
+// uwRecord is a checkpoint as the UW preset's switch freezes it at a 1 ms
+// poll: time windows at the paper's UW geometry after four set periods of
+// 100 B packets at 10 Gbps from 52 flows, frozen over the last 1 ms, and a
+// queue monitor of the preset's geometry over a queue that built through
+// that millisecond.
+func uwRecord(tb testing.TB) *Record {
+	tb.Helper()
+	tw, err := timewindow.New(timewindow.Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qm, err := qmonitor.New(qmonitor.Config{MaxDepthCells: 32768, GranuleCells: 2}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(50))
+	const poll = 1_000_000
+	end := 4 * tw.Config().SetPeriod()
+	var ts uint64
+	depth := 0
+	for ts < end {
+		ts += 80 + uint64(rng.Intn(40))
+		f := testKey(rng.Intn(52))
+		tw.Insert(f, ts)
+		if ts > end-poll {
+			depth = max(depth+rng.Intn(6)-2, 0)
+		} else {
+			depth = max(depth+rng.Intn(9)-4, 0) % 2000
+		}
+		qm.Observe(f, depth)
+	}
+	return &Record{Port: 0, FreezeTime: ts + 1, PrevFreeze: ts + 1 - poll,
+		TW: tw.Freeze(ts+1-poll, ts+1), QM: []*qmonitor.Snapshot{qm.Freeze()}}
+}
+
+// TestCodecRoundTripUW: the UW checkpoint the benchmarks price round-trips
+// as the K=6 fixtures do.
+func TestCodecRoundTripUW(t *testing.T) {
+	rec := uwRecord(t)
+	enc, err := EncodeRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, rec) {
+		t.Fatal("the decoded UW record is not the encoded one")
+	}
 }

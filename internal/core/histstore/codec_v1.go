@@ -40,16 +40,16 @@ func decodeWindowsV1(r *reader, cfg timewindow.Config) (*timewindow.Filtered, []
 	ids := flow.AcquireInterner()
 	defer ids.Release()
 	tw, err := timewindow.NewFiltered(cfg, anchor, len(windows[0]) > 0, func(i int, anchor uint64) (refs []timewindow.CellRef, _ error) {
-		cells, shift := windows[i], cfg.M0+cfg.Alpha*uint(i)
+		cells, base := windows[i], cfg.Base(anchor)
 		cid, idx := cfg.Split(anchor)
 		// Kept are the cells past the anchor's position in the cycle before
 		// the anchor's (none before cycle 0), then those up to it in the
-		// anchor's cycle: read in that order, their span starts ascend.
+		// anchor's cycle: read in that order, their positions ascend.
 		past := sort.Search(len(cells), func(m int) bool { return int(cells[m].pos) > idx })
 		for n, run := range [2][]cellV1{cells[past:], cells[:past]} {
 			for _, c := range run {
 				if c.cycle == cid+uint64(n)-1 && (n == 1 || cid > 0) {
-					refs = append(refs, timewindow.CellRef{Start: (c.cycle<<cfg.K | uint64(c.pos)) << shift, Flow: ids.Intern(flows[c.id])})
+					refs = append(refs, timewindow.CellRef{Pos: uint32((c.cycle<<cfg.K | uint64(c.pos)) - base), Flow: ids.Intern(flows[c.id])})
 				}
 			}
 		}

@@ -156,12 +156,11 @@ func v1Cells(cfg timewindow.Config, read *timewindow.Filtered, rng *rand.Rand) (
 	windows := make([][]cellV1, cfg.T)
 	for i := range windows {
 		byPos := make([]*cellV1, ring)
-		shift := cfg.M0 + cfg.Alpha*uint(i)
+		anchor, live := read.Anchor(i)
 		for _, ref := range read.Window(i) {
-			tts := ref.Start >> shift
+			tts := cfg.Base(anchor) + uint64(ref.Pos)
 			byPos[tts&mask] = &cellV1{pos: uint32(tts & mask), id: id[read.Flows()[ref.Flow]], cycle: tts >> cfg.K}
 		}
-		anchor, live := read.Anchor(i)
 		for j := range byPos {
 			if byPos[j] != nil || rng.Intn(3) == 0 {
 				continue
@@ -242,7 +241,7 @@ func TestDecodeV1DropsCycleBeforeZero(t *testing.T) {
 	if a, _ := rec.TW.Anchor(1); a != 2 {
 		t.Fatalf("window 1 anchored at %d, want 2", a)
 	}
-	if got := rec.TW.Window(1); !reflect.DeepEqual(got, []timewindow.CellRef{{Start: 0, Flow: 0}}) {
+	if got := rec.TW.Window(1); !reflect.DeepEqual(got, []timewindow.CellRef{{Pos: 0, Flow: 0}}) {
 		t.Fatalf("window 1 keeps %v, want the cell at TTS 0 alone", got)
 	}
 	if got := rec.TW.Query(0, math.MaxUint64); got[testKey(1)] == 0 || len(got) != 1 {

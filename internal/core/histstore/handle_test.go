@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // appendFrameThreeWrites writes a frame field by field — the length, the
@@ -337,6 +341,134 @@ func TestSeedlogsReopenUnchanged(t *testing.T) {
 			b, err := os.ReadFile(filepath.Join(dir, filepath.Base(path)))
 			if err != nil || !bytes.Equal(a, b) {
 				t.Fatalf("%s: %s changed on reopening (%v)", name, filepath.Base(path), err)
+			}
+		}
+	}
+}
+
+// readCounter counts the ReadAt calls made through it.
+type readCounter struct {
+	r     io.ReaderAt
+	calls int
+}
+
+func (c *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	c.calls++
+	return c.r.ReadAt(p, off)
+}
+
+// TestFrameOneRead: a record whose index entry gives its length is read in
+// one ReadAt — length varint, payload and checksum together — at every
+// length-varint width, into the caller's buffer, which a warm read does not
+// grow; a length that is not the frame's is refused.
+func TestFrameOneRead(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "frames"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rng := rand.New(rand.NewSource(6))
+	sizes := []int{0, 1, 127, 128, 300, 16383, 16384, 70000}
+	var payloads [][]byte
+	var offs []int64
+	var off int64
+	for _, size := range sizes {
+		payload := make([]byte, size)
+		rng.Read(payload)
+		frame, err := appendFrame(f, nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, offs = append(payloads, payload), append(offs, off)
+		off += int64(len(frame))
+	}
+	var buf []byte
+	for i, want := range payloads {
+		rc := &readCounter{r: f}
+		got, err := readFrame(rc, offs[i], off, uint64(len(want)), &buf)
+		if err != nil || !bytes.Equal(got, want) || rc.calls != 1 {
+			t.Fatalf("%d-byte payload: read %d bytes in %d ReadAts: %v", len(want), len(got), rc.calls, err)
+		}
+		if _, err := readFrame(f, offs[i], off, uint64(len(want))+1, &buf); err == nil {
+			t.Fatalf("%d-byte payload read as %d bytes", len(want), len(want)+1)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := readFrame(f, offs[4], off, uint64(len(payloads[4])), &buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm readFrame allocates %v times, want 0", allocs)
+	}
+}
+
+// TestReplayReusesOneBuffer: a replay hands every record out of one buffer,
+// grown only for a record longer than any before it, so its payloads start
+// at as many places as there were such records.
+func TestReplayReusesOneBuffer(t *testing.T) {
+	st := openTestStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	appendChain(t, st, 0, 40, 1000)
+	storage := make(map[uintptr]bool)
+	longest, highs := -1, 0
+	err := st.ReplaySince(0, func(payload []byte, _ int, _, _ uint64, _ bool) error {
+		if len(payload) > longest {
+			longest, highs = len(payload), highs+1
+		}
+		storage[uintptr(unsafe.Pointer(unsafe.SliceData(payload)))-uintptr(uvarintLen(uint64(len(payload))))] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(storage) > highs {
+		t.Fatalf("40 records replayed from %d buffers; %d of them were longer than every one before", len(storage), highs)
+	}
+}
+
+// TestCoveringDecodesOutOfItsBuffer: Covering reads its records through one
+// reused buffer, and the next call's reader takes the same one from the
+// pool. A checkpoint decoded from it owns what it holds: after Covering has
+// read record A then B, and another call has read B again, A answers
+// bit-identically to a fresh DecodeRecord of A's bytes.
+func TestCoveringDecodesOutOfItsBuffer(t *testing.T) {
+	st := openTestStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	var encs [][]byte
+	for i, seed := range []int64{4, 5} {
+		rec := buildRecord(t, seed, 20000)
+		rec.Port, rec.PrevFreeze, rec.FreezeTime = 0, uint64(i)*100, uint64(i+1)*100
+		enc, err := EncodeRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	cps, err := st.Covering(0, 0, 200)
+	if err != nil || len(cps) != 2 {
+		t.Fatalf("Covering found %d checkpoints: %v", len(cps), err)
+	}
+	st.DropCache()
+	if again, err := st.Covering(0, 100, 200); err != nil || len(again) != 1 || again[0] == cps[1] {
+		t.Fatalf("Covering did not decode B again: %d checkpoints, %v", len(again), err)
+	}
+	for i, cp := range cps {
+		fresh, err := DecodeRecord(encs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cp.Filtered(), fresh.TW) {
+			t.Fatalf("record %d: the checkpoint Covering decoded differs from a fresh decode", i)
+		}
+		for _, iv := range [][2]uint64{{0, math.MaxUint64}, {2000, 9000}, {30000, 31000}} {
+			if got, want := cp.Filtered().Query(iv[0], iv[1]), fresh.TW.Query(iv[0], iv[1]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d: [%d, %d) answers %v, a fresh decode %v", i, iv[0], iv[1], got, want)
 			}
 		}
 	}

@@ -613,8 +613,8 @@ func (s *Store) lastFreezeLocked(port int) (uint64, bool, error) {
 // ReplaySince streams every stored record whose FreezeTime is strictly
 // greater than since to fn, in append order (segment sequence, then
 // intra-segment offset), passing the raw encoded payload and the indexed
-// metadata. The payload is only valid for the duration of the call; fn
-// must copy what it keeps. fn returning an error stops the replay and
+// metadata. The payload is only valid for the duration of the call — one
+// buffer serves every record of a replay — and fn must copy what it keeps. fn returning an error stops the replay and
 // propagates. Reads happen outside the store lock, so appends proceed
 // concurrently; records appended after the locator snapshot was taken are
 // not replayed (a live subscription catches them instead). A segment
@@ -689,31 +689,50 @@ func (s *Store) locLocked(seg *segment, e *indexEntry) recordLoc {
 // checkpoint a query or a mirror reads first costs no file open. Any other
 // record, or one whose segment was sealed and its writer closed since it was
 // located, is read through a handle on its path, kept open while consecutive
-// reads stay in one segment: a reader holds at most one descriptor.
+// reads stay in one segment: a reader holds at most one descriptor. Every
+// record is read in one ReadAt into the reader's one buffer, taken from a
+// pool at the first read and returned at close, so a payload read is valid
+// until the next read or close.
 type recordReader struct {
 	f    *os.File
 	path string
+	buf  *[]byte
 }
 
+// frameBufs holds the buffers recordReaders read frames into.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (r *recordReader) read(l *recordLoc) ([]byte, error) {
+	if r.buf == nil {
+		r.buf = frameBufs.Get().(*[]byte)
+	}
+	plen := uint64(l.entry.payloadLen)
 	if l.writer != nil {
-		payload, err := readFrame(l.writer, l.entry.offset, l.limit)
+		payload, err := readFrame(l.writer, l.entry.offset, l.limit, plen, r.buf)
 		if !errors.Is(err, os.ErrClosed) {
 			return payload, err
 		}
 	}
 	if r.f == nil || r.path != l.path {
-		r.close()
+		r.closeFile()
 		f, err := os.Open(l.path)
 		if err != nil {
 			return nil, err
 		}
 		r.f, r.path = f, l.path
 	}
-	return readFrame(r.f, l.entry.offset, l.limit)
+	return readFrame(r.f, l.entry.offset, l.limit, plen, r.buf)
 }
 
 func (r *recordReader) close() {
+	r.closeFile()
+	if r.buf != nil {
+		frameBufs.Put(r.buf)
+		r.buf = nil
+	}
+}
+
+func (r *recordReader) closeFile() {
 	if r.f != nil {
 		r.f.Close()
 		r.f = nil
@@ -723,7 +742,9 @@ func (r *recordReader) close() {
 // decodeAt reads the located record through r, decodes what queries read
 // of it — everything up to the queue-monitor section, its Algorithm-3 index —
 // and inserts that into the LRU. A racing decode of the same record is
-// deduplicated: the first insert wins.
+// deduplicated: the first insert wins. The payload stays in r's buffer: the
+// decoder copies every key and builds fresh refs, so nothing it returns
+// aliases it.
 func (s *Store) decodeAt(key cacheKey, r *recordReader, l *recordLoc) (*ColdCheckpoint, error) {
 	t0 := time.Now()
 	payload, err := r.read(l)

@@ -298,8 +298,9 @@ func seededRecords(tb testing.TB, paper bool) []seededRecord {
 			rec.PrevFreeze = ts - ts%ring - ring/8
 			rec.TW = tw.Freeze(rec.PrevFreeze, rec.FreezeTime)
 			var pos []int
+			a, _ := rec.TW.Anchor(0)
 			for _, ref := range rec.TW.Window(0) {
-				pos = append(pos, int(ref.Start>>twc.M0)%twc.Cells())
+				pos = append(pos, int(twc.Base(a)+uint64(ref.Pos))%twc.Cells())
 			}
 			if len(pos) < 4 || slices.Min(pos) > twc.Cells()/4 || slices.Max(pos) < twc.Cells()*7/8 {
 				tb.Fatalf("coverage (%d,%d] does not wrap window 0's ring: positions %v", rec.PrevFreeze, rec.FreezeTime, pos)

@@ -188,14 +188,47 @@ func appendFrame(f *os.File, buf, payload []byte) ([]byte, error) {
 	return b, err
 }
 
-// readFrame reads the framed record at off via ReadAt (safe concurrently
-// with appends beyond limit) and returns the verified payload.
-func readFrame(f io.ReaderAt, off, limit int64) ([]byte, error) {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := int64(len(hdr))
-	if off+hn > limit {
-		hn = limit - off
+// readFrame reads the framed record at off whose payload is plen bytes long,
+// as its index entry says: the length varint, the payload and the checksum
+// in one ReadAt (safe concurrently with appends beyond limit), into *buf's
+// storage, grown when too small. It returns the verified payload, which
+// aliases *buf. A frame whose length varint is not plen's, in its one
+// shortest form as the writer writes it, is refused.
+func readFrame(f io.ReaderAt, off, limit int64, plen uint64, buf *[]byte) ([]byte, error) {
+	// A length past the segment is refused before it is narrowed: one of
+	// 2^63 or more would turn negative.
+	if off < 0 || off >= limit || plen > uint64(limit-off) {
+		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end %d", off, limit)
 	}
+	hn := int64(uvarintLen(plen))
+	n := hn + int64(plen) + 4
+	if off+n > limit {
+		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end %d", off, limit)
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := f.ReadAt(b, off); err != nil {
+		return nil, err
+	}
+	if v, m := binary.Uvarint(b); m != int(hn) || v != plen {
+		return nil, fmt.Errorf("histstore: record at offset %d is not framed as %d bytes", off, plen)
+	}
+	payload := b[hn : hn+int64(plen)]
+	want := binary.LittleEndian.Uint32(b[hn+int64(plen):])
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return nil, fmt.Errorf("histstore: record checksum mismatch at offset %d (got %08x want %08x)", off, got, want)
+	}
+	return payload, nil
+}
+
+// scanFrame reads the framed record at off when no index entry gives its
+// length, as the recovery scan does: the length varint first, then the frame
+// through readFrame.
+func scanFrame(f io.ReaderAt, off, limit int64, buf *[]byte) ([]byte, error) {
+	var hdr [binary.MaxVarintLen64]byte
+	hn := min(int64(len(hdr)), limit-off)
 	if hn <= 0 {
 		return nil, fmt.Errorf("histstore: record offset %d beyond segment end %d", off, limit)
 	}
@@ -206,25 +239,16 @@ func readFrame(f io.ReaderAt, off, limit int64) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("histstore: bad record length at offset %d", off)
 	}
-	// A length past the segment is refused before it is narrowed: one of
-	// 2^63 or more would turn negative.
-	if plen > uint64(limit-off) {
-		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end", off)
+	return readFrame(f, off, limit, plen, buf)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
 	}
-	body := int64(plen) + 4
-	if off+int64(n)+body > limit {
-		return nil, fmt.Errorf("histstore: record at offset %d overruns segment end", off)
-	}
-	buf := make([]byte, body)
-	if _, err := f.ReadAt(buf, off+int64(n)); err != nil {
-		return nil, err
-	}
-	payload := buf[:plen]
-	want := binary.LittleEndian.Uint32(buf[plen:])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("histstore: record checksum mismatch at offset %d (got %08x want %08x)", off, got, want)
-	}
-	return payload, nil
+	return n
 }
 
 // encodeFooter serializes the record index of a segment being sealed.
@@ -414,8 +438,9 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 		return seg, size, nil
 	}
 	off := int64(segHeaderSize)
+	var buf []byte
 	for off < size {
-		payload, err := readFrame(f, off, size)
+		payload, err := scanFrame(f, off, size, &buf)
 		if err != nil {
 			// Torn tail: keep the intact prefix [0, off).
 			break
@@ -433,8 +458,6 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 			// record — corruption, not a torn append. Stop here too.
 			break
 		}
-		var hlen [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(hlen[:], uint64(len(payload)))
 		seg.add(indexEntry{
 			port:       rec.Port,
 			freezeTime: rec.FreezeTime,
@@ -443,7 +466,7 @@ func recoverScan(path string, seq uint64) (*segment, int64, error) {
 			payloadLen: uint32(len(payload)),
 			flags:      recFlags(rec),
 		})
-		off += int64(n) + int64(len(payload)) + 4
+		off += int64(uvarintLen(uint64(len(payload)))) + int64(len(payload)) + 4
 	}
 	seg.recordEnd = off
 	seg.fileSize = off

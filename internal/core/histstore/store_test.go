@@ -262,9 +262,10 @@ func TestStoreCloseRemovesEmptyActive(t *testing.T) {
 	}
 }
 
-// TestStoreEncodedSmallerThanRaw: the store's raw and encoded byte counters
-// show the codec's ratio against the resident index and monitors (measured:
-// 5.9x on this record).
+// TestStoreEncodedSmallerThanRaw: the store's byte counters show the
+// codec's ratio — the raw counter holds the record's resident size, and the
+// encoded one is 4.15x smaller than the register entries the read took
+// (measured: 4.27x on this record).
 func TestStoreEncodedSmallerThanRaw(t *testing.T) {
 	st := openTestStore(t, t.TempDir(), Options{})
 	defer st.Close()
@@ -273,8 +274,13 @@ func TestStoreEncodedSmallerThanRaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
-	if stats.EncodedBytes*5 > stats.RawBytes {
-		t.Fatalf("encoded %d vs raw %d: less than 5x smaller", stats.EncodedBytes, stats.RawBytes)
+	if stats.RawBytes != rec.MemBytes() {
+		t.Fatalf("raw counter %d, the record's resident size %d", stats.RawBytes, rec.MemBytes())
+	}
+	regs := registerBytes(rec)
+	t.Logf("registers read %d bytes, encoded %d bytes: %.2fx", regs, stats.EncodedBytes, float64(regs)/float64(stats.EncodedBytes))
+	if stats.EncodedBytes*415 > regs*100 {
+		t.Fatalf("encoded %d vs registers read %d: less than 4.15x smaller", stats.EncodedBytes, regs)
 	}
 }
 

@@ -211,23 +211,17 @@ func (m *Monitor) ObservePacked(f flow.Packed, enqDepthCells int) {
 }
 
 // Snapshot copies the register state for query execution: every occupied
-// level of the array, as the paper's control plane reads it. Standalone
-// experiments, codec fixtures and benchmarks use it; the control plane
-// retires Freeze's result.
+// level of the array, as the paper's control plane reads it. Tests, codec
+// fixtures and cmd/pqbench's snapshot rung use it; the control plane retires
+// Freeze's result.
 func (m *Monitor) Snapshot() *Snapshot {
-	n := 0
-	for i := range m.regs {
-		if m.regs[i].up.b != 0 || m.regs[i].down.b != 0 {
-			n++
+	return m.read(func(s *Snapshot) {
+		for i := range m.regs {
+			if r := &m.regs[i]; r.up.b != 0 || r.down.b != 0 {
+				s.appendLevel(i, &r.up, &r.down)
+			}
 		}
-	}
-	s := m.newSnapshot(n)
-	for i := range m.regs {
-		if r := &m.regs[i]; r.up.b != 0 || r.down.b != 0 {
-			s.appendLevel(i, &r.up, &r.down)
-		}
-	}
-	return s
+	})
 }
 
 // Freeze is the frozen read the control plane retires: the staircase, which
@@ -240,23 +234,34 @@ func (m *Monitor) Snapshot() *Snapshot {
 // filters it out of every later walk. DESIGN.md §13 has both arguments
 // across flips, Adopt, Merge and the eviction carry.
 func (m *Monitor) Freeze() *Snapshot {
-	regs := m.regs[:m.top+1]
-	n := 0
-	for i, run := 0, uint64(0); i < len(regs); i++ {
-		var up, down *regHalf
-		if up, down, run = regs[i].stair(run); up != nil || down != nil {
-			n++
+	return m.read(func(s *Snapshot) {
+		regs := m.regs[:m.top+1]
+		for i, run := 0, uint64(0); i < len(regs); i++ {
+			var up, down *regHalf
+			if up, down, run = regs[i].stair(run); up != nil || down != nil {
+				s.appendLevel(i, up, down)
+			}
 		}
-	}
-	s := m.newSnapshot(n)
-	for i, run := 0, uint64(0); i < len(regs); i++ {
-		var up, down *regHalf
-		if up, down, run = regs[i].stair(run); up != nil || down != nil {
-			s.appendLevel(i, up, down)
-		}
-	}
+	})
+}
+
+// read returns a snapshot of the monitor's current top holding the levels
+// fill appends. fill walks the registers once, into a pooled scratch, and
+// the levels and entries are then copied out at exactly their length.
+func (m *Monitor) read(fill func(s *Snapshot)) *Snapshot {
+	sc := readScratchPool.Get().(*Snapshot)
+	fill(sc)
+	s := &Snapshot{cfg: m.cfg, levels: make([]uint32, len(sc.levels)), entries: make([]Entry, len(sc.entries)), top: m.top}
+	copy(s.levels, sc.levels)
+	copy(s.entries, sc.entries)
+	sc.levels, sc.entries = sc.levels[:0], sc.entries[:0]
+	readScratchPool.Put(sc)
 	return s
 }
+
+// readScratchPool holds the snapshots reads collect their levels in: one
+// read's levels, up to cfg.Entries(), never shared between reads.
+var readScratchPool = sync.Pool{New: func() any { return new(Snapshot) }}
 
 // stair returns the halves of r a staircase walk can use once the levels
 // below have shown sequence numbers up to run — the written ones above it,
@@ -270,12 +275,6 @@ func (r *Reg) stair(run uint64) (up, down *regHalf, next uint64) {
 		down, next = &r.down, max(next, r.down.seq)
 	}
 	return up, down, next
-}
-
-// newSnapshot returns an empty snapshot of the monitor's current top with
-// room for n levels.
-func (m *Monitor) newSnapshot(n int) *Snapshot {
-	return &Snapshot{cfg: m.cfg, levels: make([]uint32, 0, n), entries: make([]Entry, 0, n), top: m.top}
 }
 
 // appendLevel lists level with the given halves: of the rise its packed flow

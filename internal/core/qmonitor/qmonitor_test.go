@@ -3,8 +3,10 @@ package qmonitor
 import (
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"printqueue/internal/flow"
 )
@@ -632,5 +634,91 @@ func TestCountsAcrossAllocs(t *testing.T) {
 	CountsAcross(snaps) // warm the pool
 	if got := testing.AllocsPerRun(100, func() { CountsAcross(snaps) }); got != build {
 		t.Errorf("counted walk allocates %.0f/op, its result map %.0f", got, build)
+	}
+}
+
+// uwQueue returns a monitor at the UW preset's geometry (32,768 cells in
+// granules of 2) over a queue that drains, then builds with jitter to
+// about 6,600 cells, as a burst leaves it at a 1 ms poll: its freeze keeps
+// a staircase of about 2,000 of the 3,300 levels up to the top.
+func uwQueue(tb testing.TB) *Monitor {
+	tb.Helper()
+	m, err := New(Config{MaxDepthCells: 32768, GranuleCells: 2}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(11, 12))
+	depth := 9000
+	for ; depth > 0; depth -= 1 + rng.IntN(8) {
+		m.Observe(fkey(byte(rng.IntN(52))), depth)
+	}
+	for depth = 0; depth < 6600; depth += rng.IntN(8) - 2 {
+		m.Observe(fkey(byte(rng.IntN(52))), max(depth, 0))
+	}
+	return m
+}
+
+// TestMonitorFreezeOwnsItsLevels: a read collects its levels in a scratch
+// the reads share and copies them out, so later reads of the same
+// registers, after more packets, leave an earlier read's levels, entries
+// and top as they were.
+func TestMonitorFreezeOwnsItsLevels(t *testing.T) {
+	m := uwQueue(t)
+	first, whole := m.Freeze(), m.Snapshot()
+	clone := func(s *Snapshot) *Snapshot {
+		c := *s
+		c.levels, c.entries = slices.Clone(s.levels), slices.Clone(s.entries)
+		return &c
+	}
+	want, wantWhole := clone(first), clone(whole)
+	rng := rand.New(rand.NewPCG(13, 14))
+	for depth := 6600; depth > 100; depth -= rng.IntN(12) - 3 {
+		m.Observe(fkey(byte(52+rng.IntN(52))), depth)
+	}
+	if again := m.Freeze(); reflect.DeepEqual(again, want) {
+		t.Fatal("the second freeze read what the first did: the check below shows nothing")
+	}
+	m.Snapshot()
+	if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(whole, wantWhole) {
+		t.Fatal("a later read changed an earlier one")
+	}
+}
+
+// TestMonitorFreezeAllocBudget: a freeze allocates its kept levels at an
+// Entry and a level number each, plus the snapshot's header and size-class
+// rounding; the scratch it collects them in is pooled.
+func TestMonitorFreezeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	m := uwQueue(t)
+	// One P: a pooled scratch is put back into the P's own slot, which a
+	// goroutine that moved to another P would not find.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	levels, _ := m.Freeze().Levels()
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		m.Freeze()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	budget := uint64(unsafe.Sizeof(Entry{})+4)*uint64(len(levels)) + 12<<10
+	t.Logf("top %d, %d kept levels: %d bytes a freeze, budget %d", m.Top(), len(levels), per, budget)
+	if per > budget {
+		t.Fatalf("a freeze of %d kept levels allocates %d bytes, budget %d", len(levels), per, budget)
+	}
+}
+
+// BenchmarkMonitorFreeze prices one freeze of a UW queue monitor at a
+// realistic top: about 3,300 levels up, 2,000 of them kept.
+func BenchmarkMonitorFreeze(b *testing.B) {
+	m := uwQueue(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m.Freeze().Top() != m.Top() {
+			b.Fatal("top")
+		}
 	}
 }

@@ -102,14 +102,14 @@ func (f *Filtered) buildIndex(s *Snapshot) {
 		refs := make([]CellRef, 0, n)
 		_, idx := f.cfg.Split(f.anchorTTS[i])
 		first := sort.Search(len(pos), func(m int) bool { return int(pos[m]) > idx })
-		shift := f.cfg.M0 + f.cfg.Alpha*uint(i)
+		base := f.cfg.Base(f.anchorTTS[i])
 		for t := range cells {
 			m := first + t // the ring read oldest to newest
 			if m >= len(cells) {
 				m -= len(cells)
 			}
 			if c, j := &cells[m], int(pos[m]); f.survives(i, j, c) {
-				refs = append(refs, CellRef{Start: (c.CycleID<<f.cfg.K | uint64(j)) << shift, Flow: ids.Intern(c.Flow)})
+				refs = append(refs, CellRef{Pos: uint32((c.CycleID<<f.cfg.K | uint64(j)) - base), Flow: ids.Intern(c.Flow)})
 			}
 		}
 		f.index[i] = refs

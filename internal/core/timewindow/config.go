@@ -123,6 +123,13 @@ func (c Config) Coefficients() []float64 {
 // shifted right by m0 (Figure 5).
 func (c Config) TTS(deqTS uint64) uint64 { return deqTS >> c.M0 }
 
+// Base returns the oldest TTS a window anchored at anchor retains, the
+// origin of its index positions: the window keeps (anchor - 2^k, anchor],
+// clipped at 0, so base is anchor - min(anchor, 2^k - 1).
+func (c Config) Base(anchor uint64) uint64 {
+	return anchor - min(anchor, uint64(c.Cells()-1))
+}
+
 // Split breaks a window-level TTS into its cycle ID and cell index: the k
 // least-significant bits index the cell, the rest form the cycle ID.
 func (c Config) Split(tts uint64) (cycleID uint64, index int) {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"printqueue/internal/flow"
 )
@@ -14,6 +15,11 @@ import (
 type refCell struct {
 	start uint64
 	flow  flow.Key
+}
+
+// start is the span start of ref, a kept cell of f's window i.
+func (f *Filtered) start(i int, ref CellRef) uint64 {
+	return (f.cfg.Base(f.anchorTTS[i]) + uint64(ref.Pos)) << (f.cfg.M0 + f.cfg.Alpha*uint(i))
 }
 
 // referenceFilter is the seed's Filter + buildIndex, kept as the oracle:
@@ -96,7 +102,7 @@ func reassembled(t *testing.T, f *Filtered) *Filtered {
 	}
 	for i := range f.index {
 		for n := range f.index[i] {
-			f.index[i][n] = CellRef{Start: ^uint64(0) >> 1, Flow: 1 << 20}
+			f.index[i][n] = CellRef{Pos: 1 << 30, Flow: 1 << 20}
 		}
 	}
 	return g
@@ -139,7 +145,7 @@ func checkFilteredAgainstReference(t *testing.T, name string, s *Snapshot, f *Fi
 	for i := 0; i < cfg.T; i++ {
 		got := make([]refCell, 0, len(f.index[i]))
 		for _, ref := range f.index[i] {
-			got = append(got, refCell{start: ref.Start, flow: f.flows[ref.Flow]})
+			got = append(got, refCell{start: f.start(i, ref), flow: f.flows[ref.Flow]})
 		}
 		if len(got) != len(refIndex[i]) || (len(got) > 0 && !reflect.DeepEqual(got, refIndex[i])) {
 			t.Fatalf("%s: window %d index differs from the sorted reference\n got %v\nwant %v", name, i, got, refIndex[i])
@@ -298,9 +304,10 @@ func TestFilterMatchesSortedReference(t *testing.T) {
 }
 
 // TestFilteredOwnsOnlyItsIndex: the history gauge and the cold cache charge
-// a Filtered for MemBytes, which must be what it owns — index, flows and
-// anchors, not the coefficients every read of its Config shares; it holds
-// no cells — and smaller than the cell lists it indexes.
+// a Filtered for MemBytes, which must be what it owns — index at
+// unsafe.Sizeof(CellRef{}), 8 bytes, a cell, flows and anchors, not the
+// coefficients every read of its Config shares; it holds no cells — and
+// smaller than the cell lists it indexes.
 func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
 	w, _ := New(cfg, nil)
@@ -315,7 +322,10 @@ func TestFilteredOwnsOnlyItsIndex(t *testing.T) {
 	for _, n := range f.SurvivingCells() {
 		refs += int64(n)
 	}
-	want := refs*16 + int64(len(f.flows))*16 + int64(cfg.T)*8
+	if unsafe.Sizeof(CellRef{}) != 8 {
+		t.Fatalf("a CellRef is %d bytes, want 8", unsafe.Sizeof(CellRef{}))
+	}
+	want := refs*int64(unsafe.Sizeof(CellRef{})) + int64(len(f.flows))*16 + int64(cfg.T)*8
 	if got := f.MemBytes(); got != want {
 		t.Fatalf("Filtered.MemBytes = %d, want %d (index of %d cells, %d flows, anchors)", got, want, refs, len(f.flows))
 	}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"printqueue/internal/flow"
 )
 
 // TestFreezeAnswersLikeSnapshot is the coverage freeze's equivalence
@@ -109,9 +112,93 @@ func checkFreeze(t *testing.T, rng *rand.Rand, w *Windows, prev, freeze uint64) 
 	return ff.KeptCells(), cells.KeptCells()
 }
 
+// Register geometries of the paper's UW and WS presets: 100 B and MTU
+// packets at 10 Gbps.
+var (
+	uwConfig = Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
+	wsConfig = Config{M0: 10, K: 12, Alpha: 1, T: 4, MinPktTxDelayNs: 1200}
+)
+
+// longRun returns a window set of cfg that has taken four set periods of
+// packets, one every gap to 2·gap ns from flows flows, and the time of the
+// last.
+func longRun(cfg Config, gap uint64, flows int) (*Windows, uint64) {
+	w, _ := New(cfg, nil)
+	rng := rand.New(rand.NewPCG(7, 8))
+	var ts uint64
+	for ts < 4*cfg.SetPeriod() {
+		ts += gap + rng.Uint64N(gap)
+		w.Insert(fkey(uint32(rng.IntN(flows))), ts)
+	}
+	return w, ts
+}
+
+// cloneFiltered is a deep copy of f.
+func cloneFiltered(f *Filtered) *Filtered {
+	g := *f
+	g.anchorTTS = append([]uint64(nil), f.anchorTTS...)
+	g.flows = append([]flow.Key(nil), f.flows...)
+	g.index = make([][]CellRef, len(f.index))
+	for i, refs := range f.index {
+		if refs != nil {
+			g.index[i] = append([]CellRef{}, refs...)
+		}
+	}
+	return &g
+}
+
+// TestFreezeOwnsItsIndex: a read collects its cells in a scratch the reads
+// share and copies them out, so later reads of the same registers, after
+// more packets, leave an earlier read's anchors, index and flows as they
+// were.
+func TestFreezeOwnsItsIndex(t *testing.T) {
+	w, ts := longRun(uwConfig, 80, 300)
+	first, whole := w.Freeze(ts-1_000_000, ts+1), w.Snapshot()
+	want, wantWhole := cloneFiltered(first), cloneFiltered(whole)
+	rng := rand.New(rand.NewPCG(9, 10))
+	for end := ts + 1_000_000; ts < end; {
+		ts += 80 + rng.Uint64N(80)
+		w.Insert(fkey(uint32(300+rng.IntN(300))), ts)
+	}
+	if again := w.Freeze(ts-1_000_000, ts+1); reflect.DeepEqual(again, want) {
+		t.Fatal("the second freeze read what the first did: the check below shows nothing")
+	}
+	w.Snapshot()
+	if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(whole, wantWhole) {
+		t.Fatal("a later read changed an earlier one")
+	}
+}
+
+// TestFreezeAllocBudget: a UW freeze of 1 ms allocates its index at 8 bytes
+// a kept cell and its flow table at 16 bytes a flow, plus the read's
+// headers and one page of size-class rounding; the scratch it collects the
+// cells in is pooled.
+func TestFreezeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	w, ts := longRun(uwConfig, 80, 3000)
+	// One P: a pooled scratch is put back into the P's own slot, which a
+	// goroutine that moved to another P would not find.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f := w.Freeze(ts-1_000_000, ts+1)
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		w.Freeze(ts-1_000_000, ts+1)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	budget := uint64(8*f.KeptCells()+16*len(f.Flows())) + 9<<10
+	t.Logf("%d kept cells, %d flows: %d bytes a freeze, budget %d", f.KeptCells(), len(f.Flows()), per, budget)
+	if per > budget {
+		t.Fatalf("a freeze of %d kept cells and %d flows allocates %d bytes, budget %d", f.KeptCells(), len(f.Flows()), per, budget)
+	}
+}
+
 // BenchmarkFreeze prices one coverage freeze of 1 ms at the paper's UW and
-// WS geometries (100 B and MTU packets at 10 Gbps), over registers that
-// have run long past a set period.
+// WS geometries, over registers that have run long past a set period.
 func BenchmarkFreeze(b *testing.B) {
 	for _, g := range []struct {
 		name  string
@@ -119,16 +206,10 @@ func BenchmarkFreeze(b *testing.B) {
 		gap   uint64
 		flows int
 	}{
-		{"UW", Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}, 80, 3000},
-		{"WS", Config{M0: 10, K: 12, Alpha: 1, T: 4, MinPktTxDelayNs: 1200}, 1200, 30},
+		{"UW", uwConfig, 80, 3000},
+		{"WS", wsConfig, 1200, 30},
 	} {
-		w, _ := New(g.cfg, nil)
-		rng := rand.New(rand.NewPCG(7, 8))
-		var ts uint64
-		for ts < 4*g.cfg.SetPeriod() {
-			ts += g.gap + rng.Uint64N(g.gap)
-			w.Insert(fkey(uint32(rng.IntN(g.flows))), ts)
-		}
+		w, ts := longRun(g.cfg, g.gap, g.flows)
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

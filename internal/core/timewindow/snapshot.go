@@ -5,17 +5,21 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"printqueue/internal/flow"
 )
 
-// CellRef is one kept cell in a window's query index: its absolute span
-// start and the id of the flow it holds in the index's flow table. Within a
-// window all spans share the window's cell period, so sorting by start makes
-// the set of cells overlapping any interval a contiguous run.
+// CellRef is one kept cell in a window's query index, in 8 bytes: its
+// position in the span the window retains — its TTS less the window's base,
+// the oldest TTS retained, Config.Base of the anchor — and the id of the flow
+// it holds in the index's flow table. The cell's span start is (base + Pos)
+// << (m0 + alpha*i). Within a window all spans share the window's cell
+// period, so ascending positions make the set of cells overlapping any
+// interval a contiguous run. K <= 24 keeps every position below 2^24.
 type CellRef struct {
-	Start uint64
-	Flow  int32
+	Pos  uint32
+	Flow int32
 }
 
 // Filtered is a frozen read of a window set with Algorithm 3 applied: each
@@ -43,9 +47,9 @@ type Filtered struct {
 	// flows interns the distinct flows among kept cells; index entries
 	// refer to flows by position here.
 	flows []flow.Key
-	// index[i] holds window i's kept cells in ascending span start.
-	// Queries binary-search the overlapping run instead of walking all 2^k
-	// cells.
+	// index[i] holds window i's kept cells in ascending position, relative
+	// to the window's base, Config.Base(anchorTTS[i]). Queries
+	// binary-search the overlapping run instead of walking all 2^k cells.
 	index [][]CellRef
 }
 
@@ -155,8 +159,9 @@ func (f *Filtered) Anchor(i int) (tts uint64, ok bool) {
 // it as read-only.
 func (f *Filtered) Flows() []flow.Key { return f.flows }
 
-// Window returns window i's index: its kept cells in ascending span start.
-// The caller must treat it as read-only; the checkpoint codec walks it.
+// Window returns window i's index: its kept cells in ascending position,
+// relative to Config.Base of the window's anchor. The caller must treat it
+// as read-only; the checkpoint codec walks it.
 func (f *Filtered) Window(i int) []CellRef { return f.index[i] }
 
 // KeptCells returns the number of cells the read keeps, over every window.
@@ -168,14 +173,14 @@ func (f *Filtered) KeptCells() int {
 	return n
 }
 
-// MemBytes estimates what the read owns: the ordered cell index, the
-// interned flow table and the anchors. The coefficient vector is shared by
-// every read of the Config and is not charged. The hot tier's history gauge
-// and the cold cache charge it.
+// MemBytes estimates what the read owns: the ordered cell index at
+// unsafe.Sizeof(CellRef{}) a cell, the interned flow table and the anchors.
+// The coefficient vector is shared by every read of the Config and is not
+// charged. The hot tier's history gauge and the cold cache charge it.
 func (f *Filtered) MemBytes() int64 {
 	n := int64(len(f.anchorTTS))*8 + int64(len(f.flows))*16
 	for _, refs := range f.index {
-		n += int64(len(refs)) * 16
+		n += int64(len(refs)) * int64(unsafe.Sizeof(CellRef{}))
 	}
 	return n
 }
@@ -199,15 +204,21 @@ func (f *Filtered) WindowSpan(i int) (start, end uint64) {
 }
 
 // overlapping returns window i's index cells whose periods overlap
-// [start, end). A cell [s, s+cp) overlaps iff s+cp > start and s < end; with
-// starts ascending both predicates are monotone, so the overlapping cells
-// are one contiguous run, found by two binary searches — O(log 2^k) however
-// many cells the window holds.
+// [start, end), end > start. A cell's period [tts << shift, (tts+1) <<
+// shift) overlaps iff start >> shift <= tts <= (end-1) >> shift; with
+// positions ascending the overlapping cells are one contiguous run, found
+// by two binary searches over positions, the bounds less the window's base
+// — O(log 2^k) however many cells the window holds.
 func (f *Filtered) overlapping(i int, start, end uint64) []CellRef {
 	refs := f.index[i]
-	cp := f.cfg.CellPeriod(i)
-	first := sort.Search(len(refs), func(j int) bool { return refs[j].Start+cp > start })
-	last := first + sort.Search(len(refs)-first, func(j int) bool { return refs[first+j].Start >= end })
+	base, shift := f.cfg.Base(f.anchorTTS[i]), f.cfg.M0+f.cfg.Alpha*uint(i)
+	lo, hi := start>>shift, (end-1)>>shift
+	if len(refs) == 0 || hi < base {
+		return nil
+	}
+	loPos, hiPos := max(lo, base)-base, hi-base
+	first := sort.Search(len(refs), func(j int) bool { return uint64(refs[j].Pos) >= loPos })
+	last := first + sort.Search(len(refs)-first, func(j int) bool { return uint64(refs[first+j].Pos) > hiPos })
 	return refs[first:last]
 }
 

@@ -1,6 +1,7 @@
 package timewindow
 
 import (
+	"sync"
 	"unsafe"
 
 	"printqueue/internal/flow"
@@ -194,8 +195,9 @@ func (w *Windows) InsertAblationAlwaysPass(f flow.Key, deqTS uint64) {
 
 // Snapshot is the paper's whole-register read of the set, with Algorithm 3
 // applied: every window keeps the cells it retains behind its anchor, stale
-// ones dropped, in the index form Freeze emits. Standalone experiments,
-// fixtures and benchmarks use it; the control plane retires Freeze's result.
+// ones dropped, in the index form Freeze emits. Tests, codec fixtures and
+// cmd/pqbench's snapshot rung use it; the control plane retires Freeze's
+// result.
 func (w *Windows) Snapshot() *Filtered { return w.read(0, 0, true) }
 
 // Freeze is the frozen read the control plane retires at a flip: of the set's
@@ -230,9 +232,11 @@ func (w *Windows) read(prevFreeze, freezeTime uint64, whole bool) *Filtered {
 }
 
 // readAt is read anchored at latest, window 0's newest TTS, and empty when
-// found is false. Each window's runs are walked twice — count, then intern
-// into an index allocated at its length — and its flows are interned once,
-// into the flow table the index refers to.
+// found is false. Each window's runs are walked once, appending the kept
+// cells to a pooled scratch, and their flows are interned once, into the
+// flow table the index refers to; the index is then copied out of the
+// scratch into one allocation of exactly the kept cells, which the windows
+// share.
 func (w *Windows) readAt(latest uint64, found bool, prevFreeze, freezeTime uint64, whole bool) *Filtered {
 	f := newFiltered(w.cfg)
 	if !found {
@@ -240,40 +244,41 @@ func (w *Windows) readAt(latest uint64, found bool, prevFreeze, freezeTime uint6
 	}
 	f.setAnchors(latest)
 	ids := flow.AcquireInterner()
+	sc := refScratchPool.Get().(*[]CellRef)
+	refs := (*sc)[:0]
 	var buf [3]ringRun
 	for i := 0; i < f.live; i++ {
-		regs := w.windows[i]
-		runs := w.runs(buf[:0], i, f.anchorTTS[i], prevFreeze, freezeTime, whole)
-		n := 0
-		for _, rr := range runs {
+		regs, base, n := w.windows[i], w.cfg.Base(f.anchorTTS[i]), len(refs)
+		for _, rr := range w.runs(buf[:0], i, f.anchorTTS[i], prevFreeze, freezeTime, whole) {
 			run := regs[rr.from : rr.to+1]
+			pos := uint32((rr.cycle<<w.k | uint64(rr.from)) - base)
 			for j := range run {
 				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
-					n++
+					refs = append(refs, CellRef{Pos: pos + uint32(j), Flow: ids.InternPacked(flow.Packed{A: r.a, B: r.b})})
 				}
 			}
 		}
-		if n == 0 {
-			continue
-		}
-		shift := w.m0 + w.alpha*uint(i)
-		refs := make([]CellRef, 0, n)
-		for _, rr := range runs {
-			run := regs[rr.from : rr.to+1]
-			first := rr.cycle<<w.k | uint64(rr.from)
-			for j := range run {
-				if r := &run[j]; r.b != 0 && r.cycle == rr.cycle {
-					id := ids.InternPacked(flow.Packed{A: r.a, B: r.b})
-					refs = append(refs, CellRef{Start: (first + uint64(j)) << shift, Flow: id})
-				}
-			}
-		}
-		f.index[i] = refs
+		f.index[i] = refs[n:] // the scratch's share, until the copy below
 	}
+	kept := append([]CellRef(nil), refs...)
+	for i, win := range f.index[:f.live] {
+		if len(win) > 0 {
+			f.index[i], kept = kept[:len(win):len(win)], kept[len(win):]
+		} else {
+			f.index[i] = nil
+		}
+	}
+	*sc = refs[:0]
+	refScratchPool.Put(sc)
 	f.flows = append([]flow.Key(nil), ids.Keys()...)
 	ids.Release()
 	return f
 }
+
+// refScratchPool holds the scratch a read collects its kept cells in before
+// copying them out: one read's cells, up to T × 2^k, never shared between
+// reads.
+var refScratchPool = sync.Pool{New: func() any { return new([]CellRef) }}
 
 // anchor returns the largest TTS a written window-0 register holds; found is
 // false when none is written. No register holds a TTS past newest, so when

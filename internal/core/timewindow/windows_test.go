@@ -117,7 +117,7 @@ func TestRegHoldsWhatACellHolds(t *testing.T) {
 		t.Fatalf("zero key inserted, register reads %+v", got)
 	}
 	for name, f := range map[string]*Filtered{"Snapshot": w.Snapshot(), "Freeze": w.Freeze(0, 7)} {
-		if refs := f.Window(0); len(refs) != 1 || refs[0] != (CellRef{Start: 6}) || len(f.Flows()) != 1 || f.Flows()[0] != (flow.Key{}) {
+		if refs := f.Window(0); len(refs) != 1 || refs[0] != (CellRef{Pos: 3}) || f.start(0, refs[0]) != 6 || len(f.Flows()) != 1 || f.Flows()[0] != (flow.Key{}) {
 			t.Fatalf("%s of a window holding the zero key: index %v flows %v", name, refs, f.Flows())
 		}
 	}
