@@ -21,14 +21,16 @@
 // -mirror turns on checkpoint streaming: the collector subscribes to every
 // hop's checkpoint stream and keeps a local histstore replica per switch
 // (under -mirror-dir), so covered intervals are answered at local speed
-// with no per-query round trip. Answers that extend past a replica's
-// coverage are served only within -mirror-staleness nanoseconds of lag and
-// are explicitly annotated "[mirror, stale +Nns]" in the report; with the
-// strict default (0) they fall back to the network fan-out. A hop whose
-// switch is unreachable is still answered from its replica, always
-// annotated stale. Combined with -demo, the demo chain runs with durable
-// per-hop histories and prints the same diagnosis both over the network
-// and from the warmed mirrors.
+// with no per-query round trip. A switch streams from its segment log, so
+// it must keep one (pqsim -hist-dir); the hops of one that does not go over
+// the network. Answers that extend past a replica's coverage are served
+// only within -mirror-staleness nanoseconds of lag and are explicitly
+// annotated "[mirror, stale +Nns]" in the report; with the strict default
+// (0) they fall back to the network fan-out. A hop whose switch is
+// unreachable is still answered from its replica, always annotated stale.
+// Combined with -demo, the demo chain runs with durable per-hop histories
+// and prints the same diagnosis both over the network and from the warmed
+// mirrors.
 package main
 
 import (

@@ -176,8 +176,8 @@ type DPQuery struct {
 	DeqTS       uint64
 	EnqQdepth   int
 	FreezeTime  uint64
+	PrevFreeze  uint64 // the special checkpoint covers (PrevFreeze, FreezeTime]
 	Result      flow.Counts
-	Checkpoint  *Checkpoint
 	ReadLatency uint64 // ns the special-register read occupied the front end
 	// Err is set, and Result left nil, when the victim's interval reached
 	// into a history log written under another window configuration.
@@ -427,10 +427,6 @@ type System struct {
 	// covering the hot tier plus the cold tier's decode LRU.
 	hist      *histstore.Store
 	histBytes *telemetry.Gauge
-	// stream fans retired checkpoints out to live subscribers (the fleet
-	// collector's mirrors). With no subscriber it costs one atomic load
-	// per retire.
-	stream streamHub
 }
 
 // New builds a System. Register arrays are allocated for r(#ports)
@@ -862,39 +858,11 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 			TW:         cp.TW,
 			QM:         cp.QM,
 		}
-		// Publish to subscribers through the append hook: the stream reuses
-		// the bytes the log write encoded, and because the hook runs under
-		// the store lock a subscriber sees every record exactly where its
-		// replay of the log (ReplaySince, same lock) left off — whether
-		// anyone is subscribed is decided there, inside publish, not here
-		// ahead of the encode, or a subscriber arriving in between would
-		// miss this record on both paths. Append failures are counted by
-		// the store's own error counter; the hot tier keeps serving, so
+		// Subscribers read the record from the log (NetServer's
+		// pushCheckpoints follows it). Append failures are counted by the
+		// store's own error counter; the hot tier keeps serving, so
 		// ingestion never stops on a disk fault.
-		_ = s.hist.AppendWith(rec, func(payload []byte) {
-			s.stream.publish(ps.id, cp.FreezeTime, cp.PrevFreeze, cp.Special, payload)
-		})
-		return
-	}
-	if s.stream.active() {
-		// No durable log, but live subscribers: encode solely for the
-		// stream. Catch-up replay is unavailable on such a switch (nothing
-		// to replay from), so gaps heal only as new checkpoints arrive.
-		buf := getBuf()
-		payload, err := histstore.EncodeRecord(buf[:0], &histstore.Record{
-			Port:       ps.id,
-			FreezeTime: cp.FreezeTime,
-			PrevFreeze: cp.PrevFreeze,
-			Special:    cp.Special,
-			TW:         cp.TW,
-			QM:         cp.QM,
-		})
-		if err == nil {
-			s.stream.publish(ps.id, cp.FreezeTime, cp.PrevFreeze, cp.Special, payload)
-			putBuf(payload)
-		} else {
-			putBuf(buf)
-		}
+		_ = s.hist.Append(rec)
 	}
 }
 
@@ -1047,7 +1015,7 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now,
 		DeqTS:       p.Meta.DeqTimestamp(),
 		EnqQdepth:   p.Meta.EnqQdepth,
 		FreezeTime:  now,
-		Checkpoint:  cp,
+		PrevFreeze:  prevFreeze,
 		ReadLatency: lat,
 	}
 	// The victim's queuing interval can reach past the just-frozen special

@@ -1,7 +1,10 @@
 package control
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/core/timewindow"
@@ -193,12 +196,77 @@ func TestDataPlaneQuery(t *testing.T) {
 	if dq.Result.Total() == 0 {
 		t.Fatal("dp query returned no culprits")
 	}
-	if !dq.Checkpoint.Special {
-		t.Fatal("dp checkpoint not marked special")
+	special := 0
+	for _, cp := range s.Checkpoints(0) {
+		if cp.Special {
+			special++
+			if cp.PrevFreeze != dq.PrevFreeze || cp.FreezeTime != dq.FreezeTime {
+				t.Fatalf("special checkpoint covers (%d, %d], dp query (%d, %d]", cp.PrevFreeze, cp.FreezeTime, dq.PrevFreeze, dq.FreezeTime)
+			}
+		}
+	}
+	if special != 1 {
+		t.Fatalf("%d special checkpoints in the history, want 1", special)
 	}
 	if dq.ReadLatency == 0 {
 		t.Fatal("read latency not modelled")
 	}
+}
+
+// TestDataPlaneQueryReleasesItsCheckpoint: a data-plane query's record
+// keeps its coverage, not its special checkpoint, so the checkpoint is freed
+// once the bounded history evicts it, as printqueue_history_bytes already
+// counts it.
+func TestDataPlaneQueryReleasesItsCheckpoint(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.MaxCheckpoints = 2
+	cfg.DPTrigger = func(p *pktrec.Packet) bool { return p.Meta.EnqQdepth >= 100 }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int32
+	// watch sets a finalizer on the special checkpoint the newest data-plane
+	// query froze; it keeps no reference to it.
+	watch := func() {
+		dqs := s.DPQueries(0)
+		for _, cp := range s.Checkpoints(0) {
+			if cp.Special && cp.FreezeTime == dqs[len(dqs)-1].FreezeTime {
+				runtime.SetFinalizer(cp, func(*Checkpoint) { freed.Add(1) })
+				return
+			}
+		}
+		t.Fatal("the data-plane query's special checkpoint is not in the history")
+	}
+	const triggers = 10
+	var ts uint64 = 1000
+	for k := 0; k < triggers; k++ {
+		for i := 0; i < 40; i++ {
+			ts += 10
+			s.OnDequeue(deq(fkey(byte(i%3)), 0, ts-50, ts, 4))
+		}
+		ts += 10
+		s.OnDequeue(deq(fkey(1), 0, ts-50, ts, 200))
+		watch()
+	}
+	if n := len(s.DPQueries(0)); n != triggers {
+		t.Fatalf("%d data-plane queries, want %d", n, triggers)
+	}
+	retained := 0
+	for _, cp := range s.Checkpoints(0) {
+		if cp.Special {
+			retained++
+		}
+	}
+	want := int32(triggers - retained)
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Fatalf("%d of %d special checkpoints freed, want all but the %d the history retains", got, triggers, retained)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestInfeasibleFlipAccounting(t *testing.T) {

@@ -340,20 +340,21 @@ loop:
 				s.badRequests.Inc()
 				break loop
 			}
+			if s.qs.sys.hist == nil {
+				// No log to follow: refused, but left to the idle deadline,
+				// as an older collector redials a closed one at once.
+				s.badRequests.Inc()
+				continue
+			}
 			subscribed = true
 			// A push stream has no request cadence, so the idle deadline
 			// would kill a healthy but quiet subscription; clear it. The
 			// reader stays blocked as the connection-death detector.
 			conn.SetReadDeadline(time.Time{})
-			// Subscribe to live retires before replaying the log so no
-			// checkpoint falls between the two; the subscriber dedupes the
-			// overlap by freeze time.
-			sub := s.qs.sys.stream.subscribe()
 			reqWG.Add(1)
 			go func() {
 				defer reqWG.Done()
-				defer s.qs.sys.stream.unsubscribe(sub)
-				s.pushCheckpoints(sub, since, out, stopPush)
+				s.pushCheckpoints(conn, since, out, stopPush)
 			}()
 		default:
 			s.badRequests.Inc()
@@ -411,77 +412,40 @@ func (s *NetServer) serve(id uint64, qs []BatchQuery, tr *tracing.Trace, spD tra
 	out <- outFrame{buf: appendResponse(getBuf(), id, tr.Spans(), resps), tr: tr, errStr: errStr}
 }
 
-// errPushStopped aborts a segment-log replay when the subscriber's
-// connection is unwinding.
+// errPushStopped ends a subscription's Follow when its connection is
+// unwinding.
 var errPushStopped = errors.New("control: checkpoint push stopped")
 
-// pushCheckpoints drives one checkpoint subscription: replay the segment
-// log for records with FreezeTime > since, then stream live retires from
-// the subscriber's bounded queue, emitting a resync marker whenever
-// backpressure forced drops. Sequence numbers are assigned here, at send
-// time, so replayed and live frames share one monotonic sequence; pushed
-// frames ride the connection's ordinary writer goroutine, interleaving
-// with any query replies on the same connection.
-func (s *NetServer) pushCheckpoints(sub *streamSub, since uint64, out chan<- outFrame, stop <-chan struct{}) {
+// pushCheckpoints drives one checkpoint subscription: it follows the
+// switch's log from since (histstore.Store.Follow) and frames each record
+// onto the connection's writer, beside any query replies. Records the log
+// held at the start are flagged as replayed; sequence numbers are assigned
+// at send time, so replayed and live frames share one sequence. The log is
+// the subscriber's queue: one that stops reading holds this goroutine on
+// the writer and nothing else. If the follow fails (the store closed), the
+// connection is closed and the subscriber redials from its watermark.
+func (s *NetServer) pushCheckpoints(conn net.Conn, since uint64, out chan<- outFrame, stop <-chan struct{}) {
 	var seq uint64
-	send := func(buf []byte) bool {
+	err := s.qs.sys.hist.Follow(since, stop, func(payload []byte, port int, freezeTime, prevFreeze uint64, special, logged bool) error {
+		seq++
+		var flags byte
+		if logged {
+			flags |= pushFlagReplay
+		}
+		if special {
+			flags |= pushFlagSpecial
+		}
+		buf := appendCheckpointFrame(getBuf(), seq, port, freezeTime, prevFreeze, flags, payload)
 		select {
 		case out <- outFrame{buf: buf}:
-			return true
+			return nil
 		case <-stop:
 			putBuf(buf)
-			return false
+			return errPushStopped
 		}
-	}
-	if hist := s.qs.sys.hist; hist != nil {
-		err := hist.ReplaySince(since, func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error {
-			seq++
-			flags := pushFlagReplay
-			if special {
-				flags |= pushFlagSpecial
-			}
-			if !send(appendCheckpointFrame(getBuf(), seq, port, freezeTime, prevFreeze, flags, payload)) {
-				return errPushStopped
-			}
-			return nil
-		})
-		if errors.Is(err, errPushStopped) {
-			return
-		}
-		// Any other replay error (disk fault, pruned segment racing a
-		// read): stream live anyway. The subscriber's coverage tracking
-		// keeps its answers sound over the missing span, and a later
-		// resubscribe retries the replay.
-	}
-	for {
-		for {
-			rec, dropped, ok := sub.pop()
-			if dropped > 0 {
-				// Records were evicted under backpressure before rec; tell
-				// the subscriber its view gapped so it never serves the
-				// hole silently.
-				if !send(appendResyncFrame(getBuf(), dropped)) {
-					if ok {
-						putBuf(rec.buf)
-					}
-					return
-				}
-			}
-			if !ok {
-				break
-			}
-			seq++
-			buf := appendCheckpointFrame(getBuf(), seq, rec.port, rec.freezeTime, rec.prevFreeze, rec.flags, rec.buf)
-			putBuf(rec.buf)
-			if !send(buf) {
-				return
-			}
-		}
-		select {
-		case <-sub.wake:
-		case <-stop:
-			return
-		}
+	})
+	if err != nil && !errors.Is(err, errPushStopped) {
+		conn.Close()
 	}
 }
 

@@ -314,7 +314,8 @@ type snapJob struct {
 // enqueued by its one shard worker, in flip order, and cpRing.pruneCopy,
 // cpRing.nearest and the log's per-port freeze order rely on the history
 // being sorted by freeze time. Ports on different shards retire
-// concurrently; histstore.AppendWith keeps each port's log and stream order.
+// concurrently; histstore.Append keeps each port's log order, and the stream
+// reads the log.
 func (pl *Pipeline) snapshotter(jobs <-chan snapJob) {
 	defer pl.wg.Done()
 	sys := pl.sys

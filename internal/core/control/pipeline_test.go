@@ -192,11 +192,10 @@ func requireSameHistory(t testing.TB, serial, piped *System, ports []int) {
 		}
 		for i := range sd {
 			a, b := *sd[i], *pd[i]
-			if a.Checkpoint.PrevFreeze != b.Checkpoint.PrevFreeze || a.Checkpoint.FreezeTime != b.Checkpoint.FreezeTime {
+			if a.PrevFreeze != b.PrevFreeze || a.FreezeTime != b.FreezeTime {
 				t.Fatalf("port %d DP query %d froze (%d, %d] serially, (%d, %d] pipelined", port, i,
-					a.Checkpoint.PrevFreeze, a.Checkpoint.FreezeTime, b.Checkpoint.PrevFreeze, b.Checkpoint.FreezeTime)
+					a.PrevFreeze, a.FreezeTime, b.PrevFreeze, b.FreezeTime)
 			}
-			a.Checkpoint, b.Checkpoint = nil, nil
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("port %d DP query %d differs: %+v vs %+v", port, i, a, b)
 			}
@@ -240,8 +239,8 @@ func TestPipelineTrickleCheckpoint(t *testing.T) {
 	}
 	pl.Ingest(deq(fkey(1), 0, 2000, 2010, 99))
 	await("the data-plane query at 2010", func() bool { return len(sys.DPQueries(0)) == 1 })
-	if dq := sys.DPQueries(0)[0]; dq.FreezeTime != 2010 || dq.Checkpoint.PrevFreeze != 2000 {
-		t.Fatalf("data-plane query froze (%d, %d], want (2000, 2010]", dq.Checkpoint.PrevFreeze, dq.FreezeTime)
+	if dq := sys.DPQueries(0)[0]; dq.FreezeTime != 2010 || dq.PrevFreeze != 2000 {
+		t.Fatalf("data-plane query froze (%d, %d], want (2000, 2010]", dq.PrevFreeze, dq.FreezeTime)
 	}
 }
 
@@ -727,9 +726,8 @@ func testPipelineLogOrder(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The feed retires fewer checkpoints than a subscriber's queue holds
-	// (streamQueueCap), so a reader descheduled under -race cannot make the
-	// server drop frames by design; a resync here is a sequence gap.
+	// The stream follows the log, so a reader descheduled under -race makes
+	// the server drop nothing; a resync here is a sequence gap.
 	var last uint64
 	for _, p := range genMultiPortTrace(ports, queues, 8000, 13) {
 		serial.OnDequeue(p)

@@ -2,32 +2,33 @@ package control
 
 // Checkpoint streaming (wire v2 subscription ops). A subscriber sends one
 // opSubscribe frame on a fresh binary connection and the server turns the
-// connection into a push stream: every checkpoint the switch retires is
-// encoded once (by the histstore append the snapshotter already pays for)
-// and framed to the subscriber with its indexed metadata up front, so the
-// mirror on the other end replicates the segment log without decoding a
-// single record. Frames carry pusher-assigned sequence numbers; a bounded
-// per-subscriber queue drops oldest under collector backpressure and the
-// pusher emits an explicit resync marker so the mirror knows to re-replay
-// the gap from the switch's segment log — the snapshotter itself never
-// blocks on a slow collector.
+// connection into a push stream that follows the switch's segment log
+// (histstore.Store.Follow): the records past the subscriber's watermark,
+// then every later append, each framed with its indexed metadata up front,
+// so the mirror replicates the log without decoding a record. The log is
+// the subscriber's queue, so the snapshotter never waits for a slow one nor
+// drops a record for it. Frames carry pusher-assigned sequence numbers; only
+// switches of older builds, which dropped records under backpressure, send
+// the resync marker the client still reads.
 //
 // Frame layouts (inside the standard magic|op|len envelope of wire.go):
 //
 //	opSubscribe      0x21: since uvarint — replay stored records with
-//	                       FreezeTime > since, then stream live.
+//	                       FreezeTime > since, then stream live. Refused
+//	                       by a switch without a history: no frame, and
+//	                       the connection left to the idle deadline.
 //	opCheckpointPush 0xA1: seq uvarint | port uvarint | freezeTime uvarint |
 //	                       freezeTime-prevFreeze uvarint | flags byte |
 //	                       encoded record payload (rest of frame).
 //	opStreamResync   0xA2: dropped uvarint — records were dropped before
 //	                       the frames that follow; resubscribe to heal.
+//	                       Sent by older builds only.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,16 +43,10 @@ const (
 const (
 	// pushFlagSpecial marks a special (queue-monitor stack) checkpoint.
 	pushFlagSpecial byte = 1 << 0
-	// pushFlagReplay marks frames produced by the catch-up replay from the
-	// segment log rather than a live retire.
+	// pushFlagReplay marks records the log already held when the
+	// subscription started, rather than ones retired after.
 	pushFlagReplay byte = 1 << 1
 )
-
-// streamQueueCap bounds each subscriber's pending-frame ring. At the PR 8
-// codec's 15-20x compression a full ring is a few MB of encoded
-// checkpoints — enough to ride out collector GC pauses, small enough that
-// a stalled collector costs the switch bounded memory.
-const streamQueueCap = 256
 
 // appendSubscribeFrame encodes an opSubscribe request.
 func appendSubscribeFrame(b []byte, since uint64) []byte {
@@ -126,13 +121,6 @@ func decodeCheckpointFrame(p []byte) (f CheckpointFrame, err error) {
 	return f, nil
 }
 
-// appendResyncFrame encodes an opStreamResync marker.
-func appendResyncFrame(b []byte, dropped uint64) []byte {
-	b, start := beginFrame(b, opStreamResync)
-	b = appendUvarint(b, dropped)
-	return endFrame(b, start)
-}
-
 func decodeResync(p []byte) (dropped uint64, err error) {
 	dropped, p, err = uvarint(p)
 	if err != nil {
@@ -144,134 +132,11 @@ func decodeResync(p []byte) (dropped uint64, err error) {
 	return dropped, nil
 }
 
-// pushRec is one retired checkpoint queued toward a subscriber: the
-// indexed metadata plus the encoded payload, copied into a pooled buffer
-// at publish time so the histstore can reuse its encode buffer.
-type pushRec struct {
-	port       int
-	freezeTime uint64
-	prevFreeze uint64
-	flags      byte
-	buf        []byte
-}
-
-// streamSub is one subscriber's bounded pending queue: a fixed ring with
-// drop-oldest overflow. publish (the snapshotter side) never blocks; the
-// pusher goroutine drains and accounts drops into resync markers.
-type streamSub struct {
-	mu      sync.Mutex
-	ring    [streamQueueCap]pushRec
-	head    int
-	n       int
-	dropped uint64
-	wake    chan struct{}
-}
-
-// push enqueues one record, evicting the oldest when full.
-func (ss *streamSub) push(rec pushRec) {
-	ss.mu.Lock()
-	if ss.n == streamQueueCap {
-		old := &ss.ring[ss.head]
-		putBuf(old.buf)
-		old.buf = nil
-		ss.head = (ss.head + 1) % streamQueueCap
-		ss.n--
-		ss.dropped++
-	}
-	ss.ring[(ss.head+ss.n)%streamQueueCap] = rec
-	ss.n++
-	ss.mu.Unlock()
-	select {
-	case ss.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pop dequeues the oldest pending record, also returning (and resetting)
-// the count of records dropped before it so the pusher can emit a resync
-// marker first.
-func (ss *streamSub) pop() (rec pushRec, dropped uint64, ok bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	dropped = ss.dropped
-	ss.dropped = 0
-	if ss.n == 0 {
-		return pushRec{}, dropped, false
-	}
-	rec = ss.ring[ss.head]
-	ss.ring[ss.head].buf = nil
-	ss.head = (ss.head + 1) % streamQueueCap
-	ss.n--
-	return rec, dropped, true
-}
-
-// drain recycles every queued buffer (subscriber teardown).
-func (ss *streamSub) drain() {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for ss.n > 0 {
-		putBuf(ss.ring[ss.head].buf)
-		ss.ring[ss.head].buf = nil
-		ss.head = (ss.head + 1) % streamQueueCap
-		ss.n--
-	}
-}
-
-// streamHub fans retired checkpoints out to the active subscribers. The
-// no-subscriber fast path is one atomic load, so systems that never
-// stream pay nothing on the snapshotter path.
-type streamHub struct {
-	mu   sync.Mutex
-	subs map[*streamSub]struct{}
-	n    atomic.Int32
-}
-
-func (h *streamHub) active() bool { return h.n.Load() > 0 }
-
-func (h *streamHub) subscribe() *streamSub {
-	ss := &streamSub{wake: make(chan struct{}, 1)}
-	h.mu.Lock()
-	if h.subs == nil {
-		h.subs = make(map[*streamSub]struct{})
-	}
-	h.subs[ss] = struct{}{}
-	h.n.Store(int32(len(h.subs)))
-	h.mu.Unlock()
-	return ss
-}
-
-func (h *streamHub) unsubscribe(ss *streamSub) {
-	h.mu.Lock()
-	delete(h.subs, ss)
-	h.n.Store(int32(len(h.subs)))
-	h.mu.Unlock()
-	ss.drain()
-}
-
-// publish copies the encoded payload into a pooled buffer per subscriber
-// and enqueues it. Called under the histstore append lock via AppendWith;
-// it never blocks (bounded ring, drop-oldest), so a stalled collector
-// costs the snapshotter one memcpy per retire and nothing more.
-func (h *streamHub) publish(port int, freezeTime, prevFreeze uint64, special bool, payload []byte) {
-	if !h.active() {
-		return
-	}
-	var flags byte
-	if special {
-		flags |= pushFlagSpecial
-	}
-	h.mu.Lock()
-	for ss := range h.subs {
-		buf := append(getBuf(), payload...)
-		ss.push(pushRec{port: port, freezeTime: freezeTime, prevFreeze: prevFreeze, flags: flags, buf: buf})
-	}
-	h.mu.Unlock()
-}
-
 // ErrStreamResync reports that the server dropped checkpoint frames under
-// backpressure (or the stream observed a sequence gap): the subscriber's
-// view has a hole and it must resubscribe from its last covered freeze
-// time to replay the gap from the switch's segment log.
+// backpressure (a switch of an older build) or the stream observed a
+// sequence gap: the subscriber's view has a hole and it must resubscribe
+// from its last covered freeze time to replay the gap from the switch's
+// segment log.
 var ErrStreamResync = errors.New("control: checkpoint stream dropped frames; resubscribe to replay the gap")
 
 // CheckpointStream is a subscription to one switch's retired-checkpoint

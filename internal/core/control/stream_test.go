@@ -2,7 +2,6 @@ package control
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +27,14 @@ func streamSystem(t *testing.T) (*System, uint64) {
 	}
 	sys.Finalize(ts + 1)
 	return sys, ts
+}
+
+// appendResyncFrame encodes the opStreamResync marker that switches of
+// older builds send after dropping records; this build only reads it.
+func appendResyncFrame(b []byte, dropped uint64) []byte {
+	b, start := beginFrame(b, opStreamResync)
+	b = appendUvarint(b, dropped)
+	return endFrame(b, start)
 }
 
 // serveStream puts a query server with the binary plane in front of sys.
@@ -110,43 +117,6 @@ func TestStreamCodecZeroAlloc(t *testing.T) {
 		buf = appendResyncFrame(buf[:0], 3)
 	}); n > 0 {
 		t.Errorf("appendResyncFrame allocates %.1f/op, want 0", n)
-	}
-}
-
-// TestStreamSubDropOldest drives the bounded subscriber queue past
-// capacity: the oldest records are evicted, the drop count is surfaced by
-// the next pop, and newer records survive in order.
-func TestStreamSubDropOldest(t *testing.T) {
-	ss := &streamSub{wake: make(chan struct{}, 1)}
-	const extra = 10
-	for i := 0; i < streamQueueCap+extra; i++ {
-		ss.push(pushRec{freezeTime: uint64(i + 1), buf: []byte{}})
-	}
-	rec, dropped, ok := ss.pop()
-	if !ok || dropped != extra {
-		t.Fatalf("pop = ok=%v dropped=%d, want ok, %d", ok, dropped, extra)
-	}
-	if rec.freezeTime != extra+1 {
-		t.Fatalf("oldest surviving record = %d, want %d", rec.freezeTime, extra+1)
-	}
-	prev := rec.freezeTime
-	n := 1
-	for {
-		rec, d, ok := ss.pop()
-		if !ok {
-			break
-		}
-		if d != 0 {
-			t.Fatalf("drop count %d resurfaced after reset", d)
-		}
-		if rec.freezeTime != prev+1 {
-			t.Fatalf("out-of-order pop: %d after %d", rec.freezeTime, prev)
-		}
-		prev = rec.freezeTime
-		n++
-	}
-	if n != streamQueueCap {
-		t.Fatalf("popped %d records, want %d", n, streamQueueCap)
 	}
 }
 
@@ -251,46 +221,102 @@ func TestSubscribeSince(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressureNeverStallsRetire is the backpressure acceptance
-// criterion at the hub: with a subscriber that never drains, feeding the
-// switch stays non-blocking — the bounded ring drops oldest, the retire
-// path never waits, and no freeze stalls are charged.
+// TestStreamBackpressureNeverStallsRetire: a subscriber that reads nothing
+// while thousands of checkpoints retire neither stalls the retire path nor
+// loses a record. The subscription follows the log, so once it reads, it
+// gets every record the switch appended, each port's chained by
+// PrevFreeze, under one sequence, with no resync.
 func TestStreamBackpressureNeverStallsRetire(t *testing.T) {
 	sys, ts := streamSystem(t)
 	before := sys.stats.snapshotStalls.Load()
-
-	// A subscriber that is never drained, straight on the hub.
-	sub := sys.stream.subscribe()
-	defer sys.stream.unsubscribe(sub)
+	qs := NewQueryServer(sys)
+	qs.Start(2)
+	t.Cleanup(qs.Stop)
+	// No write deadline: the subscriber may stay silent for as long as the
+	// feed takes, as a collector in a long pause would.
+	srv, err := ServeQueriesOpts("127.0.0.1:0", qs, ServeOptions{WriteTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	st, err := DialCheckpoints(srv.Addr().String(), 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 
 	start := time.Now()
 	ts2 := ts + 100
-	var dropped uint64
-	for chunk := 0; chunk < 200 && dropped == 0; chunk++ {
+	for chunk := 0; chunk < 200; chunk++ {
 		for i := 0; i < 5000; i++ {
 			ts2 += 10
 			sys.OnDequeue(deq(fkey(byte(i%3)), 0, ts2-40, ts2, 8))
 		}
-		sub.mu.Lock()
-		dropped = sub.dropped
-		sub.mu.Unlock()
+		if hs, _ := sys.HistoryStats(); hs.Appended >= 2000 {
+			break
+		}
 	}
 	sys.Finalize(ts2 + 1)
-	elapsed := time.Since(start)
-	if elapsed > 30*time.Second {
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("feed with a stalled subscriber took %v; the stream blocked the retire path", elapsed)
 	}
 	if got := sys.stats.snapshotStalls.Load(); got != before {
 		t.Fatalf("snapshot stalls rose %d -> %d under a stalled subscriber", before, got)
 	}
-	sub.mu.Lock()
-	n := sub.n
-	sub.mu.Unlock()
-	if dropped == 0 {
-		t.Fatal("no drops recorded; the feed never exceeded the ring")
+	stats, _ := sys.HistoryStats()
+	if stats.Appended < 2000 {
+		t.Fatalf("the feed retired %d checkpoints, want thousands", stats.Appended)
 	}
-	if n != streamQueueCap {
-		t.Fatalf("stalled subscriber queue holds %d, want full ring %d", n, streamQueueCap)
+
+	var prev uint64
+	for n := int64(1); n <= stats.Appended; n++ {
+		f, err := st.Next()
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", n, stats.Appended, err)
+		}
+		if f.Seq != uint64(n) || n > 1 && f.PrevFreeze != prev || f.FreezeTime <= f.PrevFreeze {
+			t.Fatalf("frame %d: seq %d covers (%d, %d], want seq %d chained to freeze %d", n, f.Seq, f.PrevFreeze, f.FreezeTime, n, prev)
+		}
+		prev = f.FreezeTime
+	}
+	if prev != ts2+1 {
+		t.Fatalf("the stream ended at freeze %d, want the final one %d", prev, ts2+1)
+	}
+}
+
+// TestSubscribeWithoutHistoryRefused: a subscription follows the switch's
+// log, so a switch without one refuses it and counts it as a bad request.
+// It sends no frame and leaves the connection to the idle deadline, not
+// closing it at once: a collector of an older build would redial at once.
+func TestSubscribeWithoutHistoryRefused(t *testing.T) {
+	sys, err := New(testConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	qs := NewQueryServer(sys)
+	qs.Start(2)
+	t.Cleanup(qs.Stop)
+	const idle = 100 * time.Millisecond
+	srv, err := ServeQueriesOpts("127.0.0.1:0", qs, ServeOptions{IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	start := time.Now()
+	st, err := DialCheckpoints(srv.Addr().String(), 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if f, err := st.Next(); err == nil || errors.Is(err, ErrStreamResync) {
+		t.Fatalf("Next = %+v, %v; want the connection dropped", f, err)
+	}
+	if held := time.Since(start); held < idle {
+		t.Fatalf("the refused subscription was dropped after %v, want it held for the %v idle deadline", held, idle)
+	}
+	if n := sys.Telemetry().Counter("printqueue_netserver_bad_requests_total", "").Load(); n != 1 {
+		t.Fatalf("bad requests = %d, want the refused subscription counted once", n)
 	}
 }
 
@@ -305,7 +331,7 @@ func TestSubscribeStalledConnDoesNotBlockServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close() // never reads: the TCP window and then the sub ring absorb the feed
+	defer st.Close() // never reads: the TCP window absorbs the feed, then the log holds it
 
 	ts2 := ts + 100
 	done := make(chan struct{})
@@ -357,43 +383,10 @@ func TestSubscribeSecondSubscribeRejected(t *testing.T) {
 	for {
 		if _, err := st.Next(); err != nil {
 			if errors.Is(err, ErrStreamResync) {
-				continue // drops racing the teardown are fine
+				t.Fatalf("stream gapped before the teardown: %v", err)
 			}
 			return // connection torn down, as required
 		}
-	}
-}
-
-// TestStreamHubPublishConcurrentUnsubscribe exercises subscribe/publish/
-// unsubscribe races under -race.
-func TestStreamHubPublishConcurrentUnsubscribe(t *testing.T) {
-	var hub streamHub
-	payload := make([]byte, 64)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			hub.publish(0, uint64(i+1), uint64(i), false, payload)
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		sub := hub.subscribe()
-		for j := 0; j < 10; j++ {
-			sub.pop()
-		}
-		hub.unsubscribe(sub)
-	}
-	close(stop)
-	wg.Wait()
-	if hub.active() {
-		t.Fatal("hub still active after every unsubscribe")
 	}
 }
 

@@ -11,6 +11,9 @@
 // windows, not the queue monitors — straight into their Algorithm-3 cell
 // index and keeps that index in the LRU, so repeated narrow queries over deep
 // history stay sub-millisecond while resident memory stays bounded.
+//
+// The log is also a switch's checkpoint stream: each subscriber Follows it
+// from its own position, so an append never waits for one nor copies for it.
 package histstore
 
 import (
@@ -89,6 +92,10 @@ type Store struct {
 
 	maxFreezeSeen uint64 // newest freeze time ever appended (age pruning)
 
+	// wake is closed by the next append or by Close, to wake the followers
+	// waiting on it; it is made only when one waits.
+	wake chan struct{}
+
 	cache *lruCache
 
 	recoveredRecords int
@@ -129,7 +136,7 @@ func Open(opts Options, reg *telemetry.Registry) (*Store, error) {
 		opts:         opts,
 		appended:     reg.Counter("printqueue_hist_appended_total", "Checkpoints appended to the history log."),
 		appendErrs:   reg.Counter("printqueue_hist_append_errors_total", "Checkpoint appends that failed (encode or I/O)."),
-		decodeErrs:   reg.Counter("printqueue_hist_decode_errors_total", "Cold checkpoint records that failed to decode at query time."),
+		decodeErrs:   reg.Counter("printqueue_hist_decode_errors_total", "Checkpoint records that failed to decode at query time, or that a subscription could not read and skipped."),
 		encodedBytes: reg.Counter("printqueue_hist_encoded_bytes_total", "Total encoded payload bytes appended."),
 		rawBytes:     reg.Counter("printqueue_hist_raw_bytes_total", "Total in-memory bytes of the checkpoints appended (compression baseline)."),
 		cacheHits:    reg.Counter("printqueue_hist_cache_hits_total", "Cold-tier queries served from the decoded-checkpoint LRU."),
@@ -276,21 +283,11 @@ func (s *Store) newActiveLocked() error {
 // rotating first when the segment is full, then applying retention. It is
 // called off the ingest hot path (by the snapshotter goroutine or, in the
 // synchronous pipeline, under the per-port freeze).
-func (s *Store) Append(rec *Record) error {
-	return s.AppendWith(rec, nil)
-}
-
-// AppendWith is Append with a post-write hook: after the record is framed
-// into the active segment, fn (if non-nil) is invoked — still under the
-// store lock, so hook order is log order — with the encoded payload. The
-// checkpoint stream publishes through this hook so subscribers reuse the
-// bytes the log write already produced instead of encoding twice. fn must
-// copy whatever it keeps; the buffer goes back to a pool on return.
 //
 // The encode itself runs before the lock is taken: it is the expensive part
-// of an append, and Covering, ReplaySince and Stats need not queue behind
-// it. Appends from one goroutine still land in call order.
-func (s *Store) AppendWith(rec *Record, fn func(payload []byte)) error {
+// of an append, and Covering, ReplaySince, Follow and Stats need not queue
+// behind it. Appends from one goroutine still land in call order.
+func (s *Store) Append(rec *Record) error {
 	bufp := encBufPool.Get().(*[]byte)
 	payload, err := EncodeRecord((*bufp)[:0], rec)
 	*bufp = payload[:0]
@@ -310,13 +307,10 @@ func (s *Store) AppendWith(rec *Record, fn func(payload []byte)) error {
 		return err
 	}
 	s.rawBytes.Add(raw)
-	if fn != nil {
-		fn(payload)
-	}
 	return nil
 }
 
-// encBufPool recycles AppendWith's encode buffers.
+// encBufPool recycles Append's encode buffers.
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendEncoded appends an already-encoded record payload under the given
@@ -341,8 +335,9 @@ func (s *Store) AppendEncoded(payload []byte, port int, freezeTime, prevFreeze u
 
 // appendPayloadLocked frames one encoded record into the active segment:
 // refuse it when it is out of its port's freeze order, rotate when full,
-// write, index, advance retention bookkeeping, fsync per policy. Shared by
-// the encode (AppendWith) and pre-encoded (AppendEncoded) paths.
+// write, index, advance retention bookkeeping, wake the followers, fsync per
+// policy. Shared by the encode (Append) and pre-encoded (AppendEncoded)
+// paths.
 func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFreeze uint64, flags byte) error {
 	if err := s.checkOrderLocked(port, freezeTime, prevFreeze); err != nil {
 		s.appendErrs.Inc()
@@ -384,6 +379,7 @@ func (s *Store) appendPayloadLocked(payload []byte, port int, freezeTime, prevFr
 	}
 	s.appended.Inc()
 	s.encodedBytes.Add(int64(len(payload)))
+	s.wakeLocked()
 	if s.opts.FsyncEvery > 0 {
 		s.sinceSync++
 		if s.sinceSync >= s.opts.FsyncEvery {
@@ -610,43 +606,138 @@ func (s *Store) lastFreezeLocked(port int) (uint64, bool, error) {
 	return 0, false, nil
 }
 
-// ReplaySince streams every stored record whose FreezeTime is strictly
-// greater than since to fn, in append order (segment sequence, then
-// intra-segment offset), passing the raw encoded payload and the indexed
-// metadata. The payload is only valid for the duration of the call — one
-// buffer serves every record of a replay — and fn must copy what it keeps. fn returning an error stops the replay and
-// propagates. Reads happen outside the store lock, so appends proceed
-// concurrently; records appended after the locator snapshot was taken are
-// not replayed (a live subscription catches them instead). A segment
-// pruned before the replay reaches it is skipped, like in Covering: its
-// data aged out of retention.
-func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error) error {
-	var locs []recordLoc
+// logPos is a position in the log: record idx of the segment numbered seq.
+// A position stays valid across rotation, which keeps a segment's number,
+// and across retention: a pruned segment is passed over for the next one.
+type logPos struct {
+	seq uint64
+	idx int
+}
 
-	s.mu.Lock()
+// locateLocked appends to locs the records from pos to the end of the log
+// whose FreezeTime is after since, in append order, and returns them with
+// the position past the last record, passing over without loading its index
+// a segment whose records all freeze at or before since. An index that fails
+// to load is an error, or, when bad is set, counted there and passed over.
+// The caller holds the store lock.
+func (s *Store) locateLocked(pos logPos, since uint64, locs []recordLoc, bad *telemetry.Counter) ([]recordLoc, logPos, error) {
 	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("histstore: store is closed")
+		return locs, pos, fmt.Errorf("histstore: store is closed")
 	}
-	for i := 0; i <= len(s.sealed); i++ {
+	i := sort.Search(len(s.sealed), func(i int) bool { return s.sealed[i].seq >= pos.seq })
+	for ; i <= len(s.sealed); i++ {
 		seg := s.segAt(i)
-		// An empty segment (the fresh active one) has nothing to replay and
-		// no footer to load an index from.
-		if seg.count == 0 || seg.maxFreeze <= since {
-			continue
+		if seg.seq != pos.seq {
+			pos = logPos{seq: seg.seq}
 		}
-		if err := s.indexLocked(seg); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		for _, e := range seg.index {
-			if e.freezeTime > since {
-				locs = append(locs, s.locLocked(seg, &e))
+		if pos.idx < seg.count && seg.maxFreeze > since {
+			if err := s.indexLocked(seg); err != nil {
+				if bad == nil {
+					return locs, pos, err
+				}
+				bad.Inc()
+			} else {
+				for j := pos.idx; j < seg.count; j++ {
+					if e := &seg.index[j]; e.freezeTime > since {
+						locs = append(locs, s.locLocked(seg, e))
+					}
+				}
 			}
 		}
+		pos.idx = seg.count
 	}
-	s.mu.Unlock()
+	return locs, pos, nil
+}
 
+// ReplaySince streams every stored record whose FreezeTime is after since
+// to fn, in append order, with its raw encoded payload and indexed metadata.
+// The payload is valid for the call only (one buffer serves the replay). fn
+// returning an error stops the replay and propagates. Reads happen outside
+// the store lock, so appends proceed concurrently; records appended after
+// the records were located are not replayed (Follow reads on). A segment
+// pruned before the replay reaches it is skipped, like in Covering; any
+// other read error is returned.
+func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, freezeTime, prevFreeze uint64, special bool) error) error {
+	s.mu.Lock()
+	locs, _, err := s.locateLocked(logPos{}, since, nil, nil)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return readLocs(locs, nil, func(payload []byte, e *indexEntry) error {
+		return fn(payload, e.port, e.freezeTime, e.prevFreeze, e.flags&recFlagSpecial != 0)
+	})
+}
+
+// Follow is ReplaySince that does not end at the end of the log: it streams
+// the records whose FreezeTime is after since, then every record appended
+// after those, in append order, each once, until stop closes (nil), fn
+// fails (its error) or the store closes (an error). logged tells fn whether
+// the record was in the log when Follow started. The log is the follower's
+// queue: an append never waits for it, and a follower that falls behind
+// reads on from where it was. A segment retention removed is skipped; so
+// are, counted in printqueue_hist_decode_errors_total, a record that fails
+// its checksum and a segment whose index does not load. The payload is
+// valid for the call only.
+func (s *Store) Follow(since uint64, stop <-chan struct{}, fn func(payload []byte, port int, freezeTime, prevFreeze uint64, special, logged bool) error) error {
+	var pos logPos
+	var locs []recordLoc
+	logged := true
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		var err error
+		var wake chan struct{}
+		s.mu.Lock()
+		locs, pos, err = s.locateLocked(pos, since, locs[:0], s.decodeErrs)
+		if err == nil && len(locs) == 0 {
+			if s.wake == nil {
+				s.wake = make(chan struct{})
+			}
+			wake = s.wake
+		}
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if wake != nil {
+			select {
+			case <-wake:
+			case <-stop:
+				return nil
+			}
+		} else if err := readLocs(locs, s.decodeErrs, func(payload []byte, e *indexEntry) error {
+			return fn(payload, e.port, e.freezeTime, e.prevFreeze, e.flags&recFlagSpecial != 0, logged)
+		}); err != nil {
+			return err
+		}
+		// Only the records logged at the start are filtered by since: every
+		// later one is new to the follower.
+		since, logged = 0, false
+		// Do not hold a catch-up pass's capacity for the follower's life.
+		if cap(locs) > 1024 {
+			locs = nil
+		}
+	}
+}
+
+// wakeLocked wakes every follower waiting for an append. The caller holds
+// the store lock.
+func (s *Store) wakeLocked() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
+}
+
+// readLocs reads the located records in order, outside the store lock, and
+// hands each payload to fn. A record whose segment was pruned since it was
+// located is skipped; any other read error is returned, or, when bad is
+// set, counted there and skipped.
+func readLocs(locs []recordLoc, bad *telemetry.Counter, fn func(payload []byte, e *indexEntry) error) error {
 	var r recordReader
 	defer r.close()
 	for i := range locs {
@@ -656,10 +747,13 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 			if os.IsNotExist(err) {
 				continue
 			}
-			return err
+			if bad == nil {
+				return err
+			}
+			bad.Inc()
+			continue
 		}
-		if err := fn(payload, l.entry.port, l.entry.freezeTime, l.entry.prevFreeze,
-			l.entry.flags&recFlagSpecial != 0); err != nil {
+		if err := fn(payload, &l.entry); err != nil {
 			return err
 		}
 	}
@@ -803,6 +897,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.wakeLocked()
 	var err error
 	if s.active != nil {
 		if s.activeSeg.count > 0 {

@@ -104,7 +104,9 @@ type Options struct {
 	// Mirror enables checkpoint streaming: every registered switch gets a
 	// local histstore replica fed by a checkpoint subscription, and hop
 	// queries whose interval the replica covers are answered locally with
-	// no network round trip.
+	// no network round trip. The subscription follows the switch's segment
+	// log, so only a switch with a History streams; the hops of one without
+	// go over the network.
 	Mirror bool
 	// MirrorDir is the root directory for the per-switch replica stores
 	// (one subdirectory per switch ID). Required when Mirror is set.
@@ -186,7 +188,7 @@ func New(opts Options) *Collector {
 		streamBytes: reg.Counter("printqueue_fleet_stream_bytes_total",
 			"Encoded checkpoint payload bytes ingested by the mirrors."),
 		streamResyncs: reg.Counter("printqueue_fleet_stream_resyncs_total",
-			"Stream resyncs observed (server dropped frames under backpressure or a sequence gap)."),
+			"Stream resyncs observed (a switch of an older build dropped frames under backpressure, or a sequence gap)."),
 		streamReplayed: reg.Counter("printqueue_fleet_stream_replayed_total",
 			"Checkpoint frames ingested from segment-log catch-up replays."),
 		streamReconnects: reg.Counter("printqueue_fleet_stream_reconnects_total",

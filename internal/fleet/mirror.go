@@ -204,9 +204,11 @@ func (m *Mirror) watermark() (since uint64, fresh bool) {
 }
 
 // run is the streamer goroutine: subscribe, ingest until the stream
-// breaks (error, resync marker, or close), resubscribe from the watermark
-// with exponential backoff. A resync redial replays the dropped records
-// from the switch's segment log, healing the gap.
+// breaks (error, resync marker, or close), resubscribe from the watermark;
+// the switch replays what the mirror missed from its log. The backoff
+// resets only once a stream delivers a frame: a failed dial and a stream
+// that ends without one (a switch without a log closes the subscription
+// unanswered) are waited out alike, doubling up to backoffMax.
 func (m *Mirror) run() {
 	defer close(m.done)
 	const backoffBase = 50 * time.Millisecond
@@ -220,49 +222,48 @@ func (m *Mirror) run() {
 		default:
 		}
 		since, fresh := m.watermark()
-		st, err := control.DialCheckpoints(m.info.Addr, since, m.dial)
-		if err != nil {
+		delivered := false
+		if st, err := control.DialCheckpoints(m.info.Addr, since, m.dial); err == nil {
+			if !first {
+				m.c.streamReconnects.Inc()
+			}
+			first = false
+			m.mu.Lock()
+			m.cur = st
+			m.sessionComplete = fresh
+			m.mu.Unlock()
+			// close() closes m.cur to unblock Next, but one that ran between
+			// the stop check above and the store of m.cur found nothing to
+			// close. Both sides take m.mu after their write (close: stop,
+			// run: cur), so at least one of them sees the other's.
+			select {
+			case <-m.stop:
+				st.Close()
+				return
+			default:
+			}
+			for {
+				f, err := st.Next()
+				if err != nil {
+					if errors.Is(err, control.ErrStreamResync) {
+						m.c.streamResyncs.Inc()
+					}
+					break
+				}
+				delivered, backoff = true, backoffBase
+				m.ingest(f)
+			}
+			m.mu.Lock()
+			m.cur = nil
+			m.mu.Unlock()
+			st.Close()
+		}
+		if !delivered {
 			if !m.sleep(backoff) {
 				return
 			}
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
-			}
-			continue
+			backoff = min(2*backoff, backoffMax)
 		}
-		if !first {
-			m.c.streamReconnects.Inc()
-		}
-		first = false
-		backoff = backoffBase
-		m.mu.Lock()
-		m.cur = st
-		m.sessionComplete = fresh
-		m.mu.Unlock()
-		// close() closes m.cur to unblock Next, but one that ran between the
-		// stop check above and the store of m.cur found nothing to close.
-		// Both sides take m.mu after their write (close: stop, run: cur), so
-		// at least one of them sees the other's.
-		select {
-		case <-m.stop:
-			st.Close()
-			return
-		default:
-		}
-		for {
-			f, err := st.Next()
-			if err != nil {
-				if errors.Is(err, control.ErrStreamResync) {
-					m.c.streamResyncs.Inc()
-				}
-				break
-			}
-			m.ingest(f)
-		}
-		m.mu.Lock()
-		m.cur = nil
-		m.mu.Unlock()
-		st.Close()
 	}
 }
 
@@ -281,13 +282,13 @@ func (m *Mirror) sleep(d time.Duration) bool {
 // ingest replicates one pushed checkpoint frame: append the encoded
 // payload to the local segment log, then advance the port's cover. The
 // append happens first so the cover never claims data the store does not
-// hold. Duplicates (the live subscription overlaps the replay, and the
-// reconnect watermark is the minimum across ports) are skipped by freeze
-// time. A record of a codec version this build does not read — a switch
-// upgraded before its collector — is refused and counted, not stored: every
-// query touching it would fail. The cover then has a hole where it was,
-// which keeps the mirror from answering across it; the hop goes to the
-// switch instead.
+// hold. Duplicates (the reconnect watermark is the minimum across ports, and
+// a switch of an older build overlapped its live records with its replay)
+// are skipped by freeze time. A record of a codec version this build does
+// not read — a switch upgraded before its collector — is refused and
+// counted, not stored: every query touching it would fail. The cover then
+// has a hole where it was, which keeps the mirror from answering across it;
+// the hop goes to the switch instead.
 func (m *Mirror) ingest(f control.CheckpointFrame) {
 	m.c.streamFrames.Inc()
 	m.c.streamBytes.Add(int64(len(f.Payload)))
@@ -318,9 +319,11 @@ func (m *Mirror) ingest(f control.CheckpointFrame) {
 	} else {
 		if f.PrevFreeze > cov.end {
 			// A hole: records between cov.end and f.PrevFreeze never
-			// arrived (dropped under backpressure on a switch without a
-			// log, or a failed replay). Shrink the contiguous cover to the
-			// post-gap suffix; pre-gap records stay in the store but
+			// arrived (retention removed them from the switch's log before
+			// the stream read them, the switch could not read them back,
+			// the mirror refused them, or a switch of an older build
+			// dropped them). Shrink the contiguous cover to
+			// the post-gap suffix; pre-gap records stay in the store but
 			// Covering's freeze-time filter keeps them out of any query
 			// the cover admits.
 			cov.start = f.PrevFreeze

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -412,10 +414,12 @@ func TestFleetMirrorStalenessGate(t *testing.T) {
 }
 
 // TestFleetMirrorColdFallback: mirror mode against a switch with no
-// durable history — there is nothing to replay, so queries over old
-// traffic fall back to the network and stay correct.
+// durable history — the switch refuses the subscription and holds it, so
+// queries fall back to the network and stay correct, and the mirror does
+// not redial.
 func TestFleetMirrorColdFallback(t *testing.T) {
-	addr, _, horizon := startSwitch(t, 0)
+	addr, sys, horizon := startSwitch(t, 0)
+	refused := sys.Telemetry().Counter("printqueue_netserver_bad_requests_total", "")
 	c := New(Options{Mirror: true, MirrorDir: t.TempDir()})
 	t.Cleanup(func() { c.Close() })
 	if err := c.Register(SwitchInfo{ID: "sw0", Hop: 0, Addr: addr}); err != nil {
@@ -433,6 +437,38 @@ func TestFleetMirrorColdFallback(t *testing.T) {
 	}
 	if got := c.streamFallbacks.Load(); got == 0 {
 		t.Fatal("cold-mirror fallback not counted")
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := refused.Load(); n != 1 {
+		t.Fatalf("the switch refused %d subscriptions in 200 ms, want one", n)
+	}
+}
+
+// TestFleetMirrorBacksOffUnansweredStream: a subscription the switch closes
+// without a frame is waited out like a failed dial, so the mirror redials
+// with backoff, not in a loop.
+func TestFleetMirrorBacksOffUnansweredStream(t *testing.T) {
+	addr, _, _ := startSwitch(t, 0)
+	var dials atomic.Int64
+	closeUnanswered := func(string, time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		client, server := net.Pipe()
+		go func() {
+			server.Read(make([]byte, 64)) // the subscribe frame
+			server.Close()
+		}()
+		return client, nil
+	}
+	c := New(Options{Mirror: true, MirrorDir: t.TempDir(),
+		MirrorDial: &control.DialOptions{Dialer: closeUnanswered}})
+	t.Cleanup(func() { c.Close() })
+	if err := c.Register(SwitchInfo{ID: "sw0", Hop: 0, Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	// Backoff from 50 ms: dials at about 0, 50, 150 and 350 ms.
+	time.Sleep(200 * time.Millisecond)
+	if n := dials.Load(); n == 0 || n > 5 {
+		t.Fatalf("the mirror subscribed %d times in 200 ms, want a few", n)
 	}
 }
 
